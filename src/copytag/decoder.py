@@ -28,7 +28,6 @@ from .copy_model import MarginalMatrix
 from .retrieval import NeighborSet
 
 DEFAULT_MAX_SEGMENT_LEN = 64
-TIE_BREAK = "fewest-segments-then-lowest-label-ids"
 
 BRUTE_FORCE_MAX_POSITIONS = 12
 BRUTE_FORCE_MAX_COMBOS = 10**6
@@ -106,15 +105,12 @@ class DPConfig:
 
     segment_cost: float
     max_len: int = DEFAULT_MAX_SEGMENT_LEN
-    tie_break: str = TIE_BREAK
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.segment_cost) or self.segment_cost < 0:
             raise ValueError("segment_cost must be finite and non-negative")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
-        if self.tie_break != TIE_BREAK:
-            raise ValueError(f"unsupported tie break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -319,6 +315,10 @@ def _count_combinations(total: int, per_length: dict[int, int], limit: int) -> i
     return counts[total]
 
 
+def _flat_labels(chosen) -> tuple[int, ...]:
+    return tuple(lab for option in chosen for lab in option[2])
+
+
 def brute_force_decode(
     seg_dict: SegmentDict,
     cfg: DPConfig,
@@ -383,43 +383,52 @@ def brute_force_decode(
                 acc += 1.0 if col is None else 1.0 - float(probs[start + j, col])
             return acc
 
-    best_cost: float | None = None
-    best_segs = 0
-    best_labels: tuple[int, ...] | None = None
-    best_segments: tuple[Segment, ...] = ()
-    labels_acc: list[int] = []
-    segments_acc: list[Segment] = []
+    # Per start position, every sequence that fits, in exploration order
+    # (length, then label tuple), with its cost there computed once.
+    options = [
+        [
+            (length, sequence_cost(labels, start), labels, neighbor, offset)
+            for length in range(1, min(limit, total - start) + 1)
+            for labels, neighbor, offset in by_length.get(length, ())
+        ]
+        for start in range(total)
+    ]
 
-    def explore(pos: int, cost: float, n_segs: int) -> None:
-        nonlocal best_cost, best_segs, best_labels, best_segments
+    best_cost: float | None = None
+    best_labels: tuple[int, ...] | None = None
+    best_chosen: tuple = ()
+    chosen: list = []
+
+    def explore(pos: int, cost: float) -> None:
+        nonlocal best_cost, best_labels, best_chosen
         if pos == total:
             take = False
             if best_cost is None or cost < best_cost:
                 take = True
             elif cost == best_cost:
-                if n_segs < best_segs:
+                if len(chosen) < len(best_chosen):
                     take = True
-                elif n_segs == best_segs and tuple(labels_acc) < best_labels:
-                    take = True
+                elif len(chosen) == len(best_chosen):
+                    take = _flat_labels(chosen) < best_labels
             if take:
                 best_cost = cost
-                best_segs = n_segs
-                best_labels = tuple(labels_acc)
-                best_segments = tuple(segments_acc)
+                best_labels = _flat_labels(chosen)
+                best_chosen = tuple(chosen)
             return
-        for length in range(1, min(limit, total - pos) + 1):
-            for labels, neighbor, offset in by_length.get(length, ()):
-                extended = (cost + cfg.segment_cost) + sequence_cost(labels, pos)
-                labels_acc.extend(labels)
-                segments_acc.append(Segment(pos, length, neighbor, offset))
-                explore(pos + length, extended, n_segs + 1)
-                del labels_acc[-length:]
-                segments_acc.pop()
+        for option in options[pos]:
+            chosen.append(option)
+            explore(pos + option[0], (cost + cfg.segment_cost) + option[1])
+            chosen.pop()
 
-    explore(0, 0.0, 0)
+    explore(0, 0.0)
     if best_labels is None:
         raise ValueError("segment dictionary is empty")
-    return DecodeResult(best_labels, best_segments, float(best_cost))
+    segments = []
+    start = 0
+    for length, _, _, neighbor, offset in best_chosen:
+        segments.append(Segment(start, length, neighbor, offset))
+        start += length
+    return DecodeResult(best_labels, tuple(segments), float(best_cost))
 
 
 def provenance_lines(result: DecodeResult, type_names: Sequence[str]) -> list[str]:

@@ -373,8 +373,11 @@ def load_precomputed(text: str) -> PrecomputedStore:
                 raise SidecarError(
                     f"sentence {uid}: expected {dim} values, found {len(values)}"
                 )
+            row = [float(v) for v in values]
+            if not np.all(np.isfinite(row)):
+                raise SidecarError(f"sentence {uid}: token {tok!r} has non-finite values")
             tokens.append(tok)
-            rows.append([float(v) for v in values])
+            rows.append(row)
         blocks[uid] = (tuple(tokens), np.array(rows, dtype=float))
         block.clear()
 

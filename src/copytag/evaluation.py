@@ -61,6 +61,16 @@ def _check_aligned(pred: Dataset, gold: Dataset) -> None:
                 f"sentence {g.sentence.uid}: prediction has {len(p)} tokens, "
                 f"gold has {len(g)}"
             )
+        if p.sentence.tokens != g.sentence.tokens:
+            pos, pt, gt = next(
+                (k, a, b)
+                for k, (a, b) in enumerate(zip(p.sentence.tokens, g.sentence.tokens))
+                if a != b
+            )
+            raise ValueError(
+                f"sentence {g.sentence.uid}: token {pos} is {pt!r} in the "
+                f"prediction but {gt!r} in gold"
+            )
 
 
 def token_accuracy(pred: Dataset, gold: Dataset) -> float:

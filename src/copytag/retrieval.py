@@ -1,9 +1,11 @@
 """Nearest-neighbor retrieval over sentence vectors.
 
-Sentences are represented by the L2-normalized mean of their token
-embeddings; queries are exact cosine scans with deterministic tie-breaking
-by ascending sentence id. Retrieved sentences are flattened into a single
-database of label tokens for the copy model.
+The database is embedded once, by build_index: the index keeps every
+sentence's token matrix read-only, next to the L2-normalized mean of its
+rows that represents the sentence. Queries are exact cosine scans with
+deterministic tie-breaking by ascending sentence id. Retrieved sentences
+are flattened into a single database of label tokens for the copy model
+by slicing the kept token matrices; nothing is embedded per query.
 """
 
 from __future__ import annotations
@@ -22,37 +24,52 @@ ZERO_NORM = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class NeighborIndex:
-    """One vector per database sentence, unit norm unless flagged zero."""
+    """One vector per database sentence, unit norm unless flagged zero.
+
+    `token_matrices[row]` is the read-only token embedding matrix the
+    sentence vector was pooled from. An index read back by load_index
+    carries none, since the file holds only the pooled vectors.
+    """
 
     ids: tuple[int, ...]
     vectors: np.ndarray
     provider_tag: str
     zero_norm_ids: frozenset[int]
+    token_matrices: tuple[np.ndarray, ...] = ()
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
 def build_index(dataset: Dataset, provider) -> NeighborIndex:
-    """Embed and mean-pool every sentence, normalizing to unit length.
+    """Embed every sentence once, keeping its token matrix, and mean-pool
+    it into a unit-length sentence vector.
 
     Zero-norm sentence vectors are stored as-is and flagged rather than
-    normalized.
+    normalized. A matrix of the wrong width or with non-finite entries is
+    rejected, naming the sentence.
     """
     if not dataset.items:
         raise ValueError("cannot build an index over an empty dataset")
     vectors = np.zeros((len(dataset.items), provider.dim))
     zero_ids = []
+    matrices = []
     for row, item in enumerate(dataset.items):
-        matrix = provider.embed(item.sentence)
+        uid = item.sentence.uid
+        matrix = np.array(provider.embed(item.sentence), dtype=float)
         if matrix.shape[1] != provider.dim:
             raise ValueError(
-                f"provider returned width {matrix.shape[1]}, expected {provider.dim}"
+                f"sentence {uid}: provider returned width {matrix.shape[1]}, "
+                f"expected {provider.dim}"
             )
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError(f"sentence {uid}: provider returned non-finite embeddings")
+        matrix.setflags(write=False)
+        matrices.append(matrix)
         vec = embed_sentence(matrix)
         norm = float(np.linalg.norm(vec))
         if norm < ZERO_NORM:
-            zero_ids.append(item.sentence.uid)
+            zero_ids.append(uid)
             vectors[row] = vec
         else:
             vectors[row] = vec / norm
@@ -62,20 +79,8 @@ def build_index(dataset: Dataset, provider) -> NeighborIndex:
         vectors=vectors,
         provider_tag=provider.tag,
         zero_norm_ids=frozenset(zero_ids),
+        token_matrices=tuple(matrices),
     )
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; zero whenever either vector has negligible norm."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"vectors must share one dimension, got {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < ZERO_NORM or nv < ZERO_NORM:
-        return 0.0
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def query(
@@ -168,15 +173,24 @@ class NeighborSet:
         return tuple(dict.fromkeys(int(lab) for lab in self.flat_labels))
 
 
-def assemble_neighbor_set(dataset: Dataset, ids: Sequence[int], provider) -> NeighborSet:
-    """Materialize the retrieved sentences, embedding each with `provider`."""
+def assemble_neighbor_set(
+    dataset: Dataset, ids: Sequence[int], token_matrices: Sequence[np.ndarray]
+) -> NeighborSet:
+    """Materialize the retrieved sentences from already embedded rows.
+
+    `token_matrices[sid]` is the token matrix of `dataset.items[sid]`,
+    normally an index's `token_matrices`; nothing is embedded here.
+    """
+    if len(token_matrices) != len(dataset.items):
+        raise ValueError(
+            f"{len(token_matrices)} token matrices for {len(dataset.items)} "
+            "sentences; build the index with build_index"
+        )
     entries = []
     for sid in ids:
         if not 0 <= sid < len(dataset.items):
             raise ValueError(f"unknown sentence id {sid}")
-        item = dataset.items[sid]
-        matrix = np.asarray(provider.embed(item.sentence), dtype=float)
-        entries.append(NeighborEntry(item, matrix))
+        entries.append(NeighborEntry(dataset.items[sid], token_matrices[sid]))
     return NeighborSet.from_entries(entries)
 
 

@@ -1,10 +1,11 @@
 """End-to-end tagging of input sentences against a labeled database.
 
-A Tagger owns the retrieval index over the database; per sentence it
-retrieves neighbors, forms the copy posterior and type marginals, and
-decodes either by per-token marginal argmax or by the segment dynamic
-program. Swapping the database swaps the output label inventory with it,
-which is all zero-shot transfer requires.
+A Tagger owns the retrieval index over the database, which embeds every
+database sentence once; per sentence it embeds only the input, retrieves
+neighbors, slices their token embeddings out of the index, forms the copy
+posterior and type marginals, and decodes either by per-token marginal
+argmax or by the segment dynamic program. Swapping the database swaps the
+output label inventory with it, which is all zero-shot transfer requires.
 """
 
 from __future__ import annotations
@@ -67,6 +68,12 @@ class Tagger:
         self.index = build_index(db, provider)
 
     def analyze(self, sentence: Sentence, exclude_id: int | None = None) -> SentenceAnalysis:
+        if self.provider.tag != self.index.provider_tag:
+            # the kept neighbor rows were embedded under other parameters
+            raise ValueError(
+                f"provider is now {self.provider.tag!r} but the index was built "
+                f"with {self.index.provider_tag!r}; build a new Tagger"
+            )
         embeddings = self.provider.embed(sentence)
         ranked = query(
             self.index,
@@ -77,7 +84,7 @@ class Tagger:
         if not ranked:
             raise ValueError("retrieval returned no neighbors")
         neighbors = assemble_neighbor_set(
-            self.db, [sid for sid, _ in ranked], self.provider
+            self.db, [sid for sid, _ in ranked], self.index.token_matrices
         )
         posterior = copy_posterior(copy_logits(embeddings, neighbors))
         marginals = marginal_over_types(posterior, neighbors)

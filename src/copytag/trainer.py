@@ -3,10 +3,12 @@
 Each training sentence retrieves neighbors from an index built once with
 the initial parameters; the loss is the negative log of the copy posterior
 mass on gold-typed neighbor tokens. Gradients flow only into the input
-sentence's embeddings (neighbor embeddings are recomputed from the current
-parameters but treated as constants) and reach the weights through the
-sparse tanh backward pass. Updates use bias-corrected Adam on exactly the
-columns with nonzero gradient.
+sentence's embeddings and reach the weights through the sparse tanh
+backward pass. Neighbor embeddings are treated as constants: they start
+as the token matrices the index kept, and a row is embedded again only
+when the parameters moved since it was embedded, at most once per refresh
+window. Updates use bias-corrected Adam on exactly the columns with
+nonzero gradient.
 
 Checkpoints are line-oriented text: config as key=value pairs, then one
 line per modified weight column; unmodified columns are regenerated from
@@ -142,21 +144,6 @@ def _batches(order: np.ndarray, batch_size: int) -> Iterable[list[int]]:
         yield [int(i) for i in order[lo : lo + batch_size]]
 
 
-def _cached_neighbor_set(dataset, ids, provider, cache):
-    # Neighbor token embeddings are recomputed under the current parameters,
-    # once per refresh window; they never receive gradient.
-    entries = []
-    from .retrieval import NeighborEntry, NeighborSet
-
-    for sid in ids:
-        matrix = cache.get(sid)
-        if matrix is None:
-            matrix = provider.embed(dataset.items[sid].sentence)
-            cache[sid] = matrix
-        entries.append(NeighborEntry(dataset.items[sid], matrix))
-    return NeighborSet.from_entries(entries)
-
-
 def _dev_accuracy(provider, train: Dataset, dev: Dataset, config: TrainConfig) -> float:
     tagger = Tagger(provider, train, config.test_neighbors)
     tagged = [tagger.tag(item.sentence) for item in dev.items]
@@ -177,6 +164,11 @@ def fine_tune(
     a batch accumulate in ascending sentence order, and one optimizer step
     is applied per batch. With epochs=0 the returned checkpoint holds the
     initial parameters and an empty log.
+
+    Neighbor rows start as the index's token matrices. Before a row is
+    used it is embedded again under the current parameters, unless it was
+    embedded at the current `params.revision` or, under per-epoch refresh,
+    already refreshed earlier in the same epoch.
     """
     if provider is None:
         provider = HashedWindowEmbedder()
@@ -198,22 +190,36 @@ def fine_tune(
             )
         neighbor_ids[sid] = tuple(sid2 for sid2, _ in ranked)
 
+    rows = list(index.token_matrices)
+    row_revision = [params.revision] * len(rows)
+    row_epoch = [0] * len(rows)
+    per_epoch = config.refresh == REFRESH_PER_EPOCH
+
+    def refresh(sid: int, epoch: int) -> None:
+        # Parameters only move between batches, so a row embedded at the
+        # current revision equals a fresh embedding bit for bit.
+        if per_epoch:
+            if row_epoch[sid] == epoch:
+                return
+            row_epoch[sid] = epoch
+        if row_revision[sid] != params.revision:
+            rows[sid] = provider.embed(train.items[sid].sentence)
+            row_revision[sid] = params.revision
+
     rng = np.random.default_rng(config.seed)
     state = AdamState()
     log: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train.items))
-        epoch_cache: dict[int, np.ndarray] = {}
         total_nll = 0.0
         total_skipped = 0
         for batch in _batches(order, config.batch_size):
-            cache = epoch_cache if config.refresh == REFRESH_PER_EPOCH else {}
             grads: dict[int, np.ndarray] = {}
             for sid in sorted(batch):
                 item = train.items[sid]
-                neighbors = _cached_neighbor_set(
-                    train, neighbor_ids[sid], provider, cache
-                )
+                for nid in neighbor_ids[sid]:
+                    refresh(nid, epoch)
+                neighbors = assemble_neighbor_set(train, neighbor_ids[sid], rows)
                 cols = provider.token_columns(item.sentence)
                 embeddings = _embed_columns(params, cols)
                 posterior = copy_posterior(copy_logits(embeddings, neighbors))
@@ -275,7 +281,8 @@ def save_checkpoint(checkpoint: Checkpoint) -> str:
             lines.append(f"{prefix}.dev_accuracy={_format_float(entry.dev_accuracy)}")
     lines.append(f"#params {params.dim} {params.n_buckets}")
     for col in sorted(params.modified):
-        values = " ".join(_format_float(v) for v in params.column(col))
+        # tolist() yields Python floats, whose repr is what _format_float gives
+        values = " ".join(map(repr, params.column(col).tolist()))
         lines.append(f"col {col} {values}")
     return "\n".join(lines) + "\n"
 

@@ -87,10 +87,6 @@ class TestDPConfig:
         with pytest.raises(ValueError):
             DPConfig(segment_cost=float("inf"))
 
-    def test_rejects_unknown_tie_break(self):
-        with pytest.raises(ValueError):
-            DPConfig(segment_cost=0.0, tie_break="coin-flip")
-
 
 class TestPredictMarginal:
     def test_argmax(self):

@@ -241,6 +241,12 @@ class TestSidecar:
         with pytest.raises(SidecarError):
             load_precomputed(text)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected_naming_sentence(self, value):
+        text = f"#dim 2\n#id 0\na\t1.0 2.0\n\n#id 4\nb\t1.0 {value}\n"
+        with pytest.raises(SidecarError, match="sentence 4"):
+            load_precomputed(text)
+
     def test_duplicate_uid(self):
         text = "#dim 1\n#id 0\na\t1.0\n\n#id 0\nb\t2.0\n"
         with pytest.raises(SidecarError):

@@ -50,6 +50,14 @@ class TestTokenAccuracy:
         with pytest.raises(ValueError, match="tokens"):
             token_accuracy(pred, gold)
 
+    def test_token_mismatch_named(self):
+        gold = build_dataset([(("a", "b"), ("X", "X")), (("c", "d"), ("X", "Y"))])
+        pred = build_dataset([(("a", "b"), ("X", "X")), (("c", "e"), ("X", "Y"))])
+        with pytest.raises(ValueError, match="sentence 1: token 1"):
+            token_accuracy(pred, gold)
+        with pytest.raises(ValueError, match="sentence 1: token 1"):
+            span_f1(pred, gold)
+
     def test_empty_refused(self):
         empty = Dataset(items=(), vocab=LabelVocab(()))
         with pytest.raises(ValueError, match="empty"):

@@ -4,10 +4,10 @@ import pytest
 from copytag.corpus import build_dataset
 from copytag.embeddings import HashedWindowEmbedder, EmbedderParams
 from copytag.retrieval import (
+    NeighborEntry,
     NeighborSet,
     assemble_neighbor_set,
     build_index,
-    cosine,
     load_index,
     query,
     save_index,
@@ -45,32 +45,6 @@ class VectorProvider:
         return self.vectors[sentence.uid : sentence.uid + 1]
 
 
-class TestCosine:
-    def test_identical_vectors(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine(v, v) == pytest.approx(1.0)
-
-    def test_opposite_vectors(self):
-        v = np.array([1.0, 0.0])
-        assert cosine(v, -v) == pytest.approx(-1.0)
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_zero_norm_scores_zero(self):
-        assert cosine(np.zeros(3), np.ones(3)) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine(np.ones(2), np.ones(3))
-
-    def test_clipped_to_unit_interval(self, rng):
-        for _ in range(50):
-            u = rng.normal(size=4)
-            v = rng.normal(size=4)
-            assert -1.0 <= cosine(u, v) <= 1.0
-
-
 class TestBuildIndex:
     def test_rows_unit_norm(self):
         index = build_index(tiny_db(), small_provider())
@@ -96,6 +70,22 @@ class TestBuildIndex:
         index = build_index(tiny_db(), ZeroProvider())
         assert index.zero_norm_ids == frozenset({0, 1, 2, 3})
         assert np.array_equal(index.vectors, np.zeros((4, 3)))
+
+    def test_keeps_read_only_token_matrices(self):
+        db = tiny_db()
+        provider = small_provider()
+        index = build_index(db, provider)
+        assert len(index.token_matrices) == len(db.items)
+        for item, matrix in zip(db.items, index.token_matrices):
+            assert np.array_equal(matrix, provider.embed(item.sentence))
+            assert not matrix.flags.writeable
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_provider_rejected(self, value):
+        vectors = np.ones((4, 2))
+        vectors[2, 1] = value
+        with pytest.raises(ValueError, match="sentence 2"):
+            build_index(tiny_db(), VectorProvider(vectors))
 
 
 class TestQuery:
@@ -174,15 +164,43 @@ class TestNeighborSet:
 
     def test_assemble_from_dataset(self):
         db = tiny_db()
-        provider = small_provider()
-        ns = assemble_neighbor_set(db, [2, 0], provider)
+        index = build_index(db, small_provider())
+        ns = assemble_neighbor_set(db, [2, 0], index.token_matrices)
         assert len(ns.entries) == 2
         assert ns.entries[0].sequence.sentence.uid == 2
         assert ns.entries[1].sequence.sentence.uid == 0
 
+    def test_assemble_matches_fresh_embedding(self):
+        # oracle: the per-query path, which embedded every neighbor afresh
+        db = tiny_db()
+        provider = small_provider()
+        index = build_index(db, provider)
+        ids = [3, 1, 2, 1]
+        kept = assemble_neighbor_set(db, ids, index.token_matrices)
+        fresh = NeighborSet.from_entries(
+            [
+                NeighborEntry(db.items[sid], provider.embed(db.items[sid].sentence))
+                for sid in ids
+            ]
+        )
+        assert np.array_equal(kept.flat_embeddings, fresh.flat_embeddings)
+        assert np.array_equal(kept.flat_labels, fresh.flat_labels)
+        assert kept.origin == fresh.origin
+        for a, b in zip(kept.entries, fresh.entries):
+            assert a.sequence is b.sequence
+            assert np.array_equal(a.embeddings, b.embeddings)
+
     def test_assemble_unknown_id(self):
-        with pytest.raises(ValueError):
-            assemble_neighbor_set(tiny_db(), [99], small_provider())
+        db = tiny_db()
+        index = build_index(db, small_provider())
+        with pytest.raises(ValueError, match="unknown sentence id 99"):
+            assemble_neighbor_set(db, [99], index.token_matrices)
+
+    def test_assemble_needs_token_matrices(self):
+        db = tiny_db()
+        loaded = load_index(save_index(build_index(db, small_provider())))
+        with pytest.raises(ValueError, match="token matrices"):
+            assemble_neighbor_set(db, [0], loaded.token_matrices)
 
 
 class TestIndexPersistence:

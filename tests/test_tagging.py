@@ -49,6 +49,15 @@ class TestTagger:
         out = tagger.tag(Sentence(100, ("alice", "likes", "tea")))
         assert out.label_names == ("PER", "O", "O")
 
+    def test_stale_provider_refused(self, db, provider):
+        tagger = Tagger(provider, db, n_neighbors=2)
+        built_with = provider.tag
+        provider.params.set_column(0, np.zeros(provider.dim))
+        with pytest.raises(ValueError) as err:
+            tagger.analyze(Sentence(100, ("alice", "likes", "tea")))
+        assert built_with in str(err.value)
+        assert provider.tag in str(err.value)
+
     def test_exclude_id_removes_twin(self, db, provider):
         tagger = Tagger(provider, db, n_neighbors=2)
         analysis = tagger.analyze(

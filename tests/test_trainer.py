@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -159,6 +160,39 @@ class TestFineTune:
         )
         ck = fine_tune(cfg, train, provider=small_embedder())
         assert len(ck.log) == 1
+
+    @pytest.mark.parametrize(
+        "refresh, digest",
+        [
+            (
+                "per-batch",
+                "d2e87e407ab2bd3fbda54bf7c51fcf94d9a19a0f8153aa31f7b2dfc82ebaf146",
+            ),
+            (
+                "per-epoch",
+                "f3290cab315d6aa7902fcac153762c6e642aa6928a8b41fa5a0e611f6e34e67f",
+            ),
+        ],
+    )
+    def test_checkpoint_bytes_pinned(self, refresh, digest):
+        # Digests of checkpoints written when every neighbor was embedded
+        # afresh once per refresh window; reusing embeddings must not move them.
+        cfg = TrainConfig(
+            epochs=2,
+            batch_size=5,
+            train_neighbors=6,
+            test_neighbors=6,
+            seed=1,
+            refresh=refresh,
+        )
+        ck = fine_tune(
+            cfg,
+            suffix_corpus(24, seed=5),
+            dev=suffix_corpus(6, seed=6),
+            provider=small_embedder(),
+        )
+        text = save_checkpoint(ck)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_rejects_untrainable_provider(self):
         class Fixed:
