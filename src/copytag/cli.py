@@ -287,9 +287,7 @@ def _cmd_inspect(args, parser, staged) -> None:
     neighbors = analysis.neighbors
     names = db.vocab.types
 
-    starts = [0]
-    for entry in neighbors.entries:
-        starts.append(starts[-1] + len(entry.sequence.sentence.tokens))
+    starts = neighbors.starts.tolist()
 
     print(f"sentence {sentence.uid}: {' '.join(sentence.tokens)}")
     probs = analysis.posterior.probs

@@ -1,17 +1,18 @@
 """Segment-based decoding over a dictionary of neighbor label sequences.
 
-The dictionary is a prefix trie holding every contiguous label-type
-subsequence (up to a length cap) of the retrieved sentences' label
-sequences; every node remembers the first place its path occurs. Decoding
-minimizes
+The dictionary holds every contiguous label-type subsequence (up to a
+length cap) of the retrieved sentences' label sequences, as one set of
+arrays per length: each sequence is ranked lexicographically among those
+of its length and points at the rank of its prefix one label shorter.
+Every sequence remembers the first place it occurs. Decoding minimizes
 
     sum over chosen segments of (segment_cost + per-position label costs)
 
 where the per-position cost is either a mismatch indicator against a gold
 sequence or one minus the marginal probability of the segment's label.
-The dynamic program over (position, trie node) states is exact; a greedy
-left-to-right comparator and an exhaustive small-instance oracle share the
-same objective and tie-breaking.
+The dynamic program over (position, dictionary sequence) states is exact;
+a greedy left-to-right comparator and an exhaustive small-instance oracle
+share the same objective and tie-breaking.
 
 Ties are broken by fewer segments, then by the lexicographically smallest
 label sequence under type ids.
@@ -20,7 +21,7 @@ label sequence under type ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,70 +34,98 @@ BRUTE_FORCE_MAX_POSITIONS = 12
 BRUTE_FORCE_MAX_COMBOS = 10**6
 
 
-class _Node:
-    __slots__ = ("children", "neighbor", "offset", "depth")
+@dataclass(frozen=True, eq=False)
+class Level:
+    """The dictionary's sequences of one length, ranked lexicographically.
 
-    def __init__(self, neighbor: int, offset: int, depth: int):
-        self.children: dict[int, _Node] = {}
-        self.neighbor = neighbor
-        self.offset = offset
-        self.depth = depth
+    Sequence r extends sequence parent[r] of the next shorter level (the
+    empty sequence at length 1) by label[r]. (neighbor[r], offset[r]) is
+    its first occurrence in (neighbor, start) order.
+    """
+
+    parent: np.ndarray
+    label: np.ndarray
+    neighbor: np.ndarray
+    offset: np.ndarray
 
 
 class SegmentDict:
-    """Trie over the distinct contiguous label subsequences of a neighbor set.
+    """The distinct contiguous label subsequences of a neighbor set.
 
-    Node exemplars record (neighbor position, start offset) of the first
-    insertion, so every stored sequence can be traced back to a concrete
-    place it was copied from.
+    levels[d - 1] holds the sequences of length d. Exemplars record the
+    (neighbor position, start offset) of the first occurrence, so every
+    stored sequence can be traced back to a concrete place it was copied
+    from. node_count counts the empty sequence too.
     """
 
-    def __init__(self, root: _Node, max_len: int, node_count: int, depth: int):
-        self.root = root
-        self.max_len = max_len
-        self.node_count = node_count
-        self.depth = depth
+    def __init__(self, levels: tuple[Level, ...]):
+        self.levels = levels
+        self.node_count = 1 + sum(len(level.label) for level in levels)
+        self.depth = len(levels)
+        # level 1 holds every label, in ascending order
+        self.n_labels = int(levels[0].label[-1]) + 1 if levels else 0
+
+    def path(self, length: int, rank: int) -> tuple[int, ...]:
+        """Labels of sequence `rank` among those of length `length`."""
+        out = []
+        for level in reversed(self.levels[:length]):
+            out.append(int(level.label[rank]))
+            rank = level.parent[rank]
+        return tuple(reversed(out))
 
     def sequences(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        """All stored sequences as (labels, exemplar neighbor, exemplar offset)."""
-        path: list[int] = []
-
-        def walk(node: _Node) -> Iterator[tuple[tuple[int, ...], int, int]]:
-            for label in sorted(node.children):
-                child = node.children[label]
-                path.append(label)
-                yield tuple(path), child.neighbor, child.offset
-                yield from walk(child)
-                path.pop()
-
-        yield from walk(self.root)
+        """All stored sequences as (labels, exemplar neighbor, exemplar offset),
+        shortest first and lexicographically within a length."""
+        paths: list[tuple[int, ...]] = [()]
+        for level in self.levels:
+            paths = [
+                paths[p] + (lab,)
+                for p, lab in zip(level.parent.tolist(), level.label.tolist())
+            ]
+            yield from zip(paths, level.neighbor.tolist(), level.offset.tolist())
 
 
 def build_segment_dict(
     neighbors: NeighborSet, max_len: int = DEFAULT_MAX_SEGMENT_LEN
 ) -> SegmentDict:
-    """Insert every contiguous subsequence of length <= max_len."""
+    """Collect every contiguous subsequence of length <= max_len.
+
+    Every flat neighbor position starts one window. Level d groups the
+    windows still inside their sentence by (rank of their first d - 1
+    labels, d-th label); windows stay in (neighbor, start) order, so the
+    first window of a group is the sequence's first occurrence.
+    """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if not neighbors.entries:
         raise ValueError("neighbor set has no entries")
-    root = _Node(-1, -1, 0)
-    count = 1
-    deepest = 0
-    for m, entry in enumerate(neighbors.entries):
-        labels = entry.sequence.labels
-        for start in range(len(labels)):
-            node = root
-            for pos in range(start, min(len(labels), start + max_len)):
-                label = labels[pos]
-                child = node.children.get(label)
-                if child is None:
-                    child = _Node(m, start, pos - start + 1)
-                    node.children[label] = child
-                    count += 1
-                    deepest = max(deepest, child.depth)
-                node = child
-    return SegmentDict(root, max_len, count, deepest)
+    flat = neighbors.flat_labels
+    if flat.size and flat.min() < 0:
+        raise ValueError("label ids must be non-negative")
+    values, codes = np.unique(flat, return_inverse=True)
+    starts = neighbors.starts
+    entry = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    pos = np.arange(flat.size)
+    room = starts[1:][entry] - pos  # the longest window from each start
+    rank = np.zeros(flat.size, dtype=np.int64)
+    levels = []
+    for d in range(max_len):
+        alive = room > d
+        if not alive.any():
+            break
+        pos, room, rank = pos[alive], room[alive], rank[alive]
+        keys = rank * len(values) + codes[pos + d]
+        unique, first, rank = np.unique(keys, return_index=True, return_inverse=True)
+        exemplar = pos[first]
+        levels.append(
+            Level(
+                parent=unique // len(values),
+                label=values[unique % len(values)],
+                neighbor=entry[exemplar],
+                offset=exemplar - starts[entry[exemplar]],
+            )
+        )
+    return SegmentDict(tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -139,90 +168,97 @@ def predict_marginal(marginals: MarginalMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _position_costs_expected(marginals: MarginalMatrix) -> list[dict[int, float]]:
+def _position_costs_expected(marginals: MarginalMatrix, n_labels: int) -> np.ndarray:
+    """(position, label id) costs: one minus the label's marginal, or 1.0
+    for a label with no marginal column."""
     probs = marginals.probs
     sums = probs.sum(axis=1)
     if probs.size and (np.any(probs < -1e-9) or np.any(np.abs(sums - 1.0) > 1e-6)):
         raise ValueError("marginal rows must be probability distributions")
-    return [
-        {tid: 1.0 - float(probs[t, col]) for tid, col in marginals.column_of.items()}
-        for t in range(probs.shape[0])
-    ]
+    cost = np.ones((probs.shape[0], n_labels))
+    for tid, col in marginals.column_of.items():
+        if 0 <= tid < n_labels:
+            cost[:, tid] = 1.0 - probs[:, col]
+    return cost
 
 
-def _dp(
-    n_positions: int,
-    seg_dict: SegmentDict,
-    cfg: DPConfig,
-    cost_at: Callable[[int, int], float],
-) -> DecodeResult:
-    """Exact minimization over segmentations via (position, trie node) states.
+def _dp(seg_dict: SegmentDict, cfg: DPConfig, cost: np.ndarray) -> DecodeResult:
+    """Exact minimization over segmentations; cost[j, lab] prices label lab
+    at position j.
 
     best_*[e] describe the best decode of the prefix ending at e under the
     ordering (objective, segment count, label tuple); prefix bests extend
     to full-sequence bests because all three components accumulate
-    monotonically under segment concatenation.
+    monotonically under segment concatenation. From one start, `step`
+    holds the summed cost of every dictionary sequence of the current
+    length in rank order, so the first minimum is the lexicographically
+    smallest of the cheapest. Label tuples are built only to break exact
+    ties.
     """
-    if not seg_dict.root.children:
+    if not seg_dict.levels:
         raise ValueError("segment dictionary is empty")
-    if n_positions < 1:
+    total = cost.shape[0]
+    if total < 1:
         raise ValueError("nothing to decode")
     limit = min(cfg.max_len, seg_dict.depth)
+    parents = [level.parent for level in seg_dict.levels]
+    labels = [level.label for level in seg_dict.levels]
 
-    total = n_positions
     best_cost: list[float | None] = [None] * (total + 1)
     best_segs = [0] * (total + 1)
-    best_labels: list[tuple[int, ...] | None] = [None] * (total + 1)
     back: list[tuple[int, int, int] | None] = [None] * (total + 1)
     best_cost[0] = 0.0
-    best_labels[0] = ()
+    decoded = {0: ()}
 
-    path: list[int] = []
+    def labels_to(end: int) -> tuple[int, ...]:
+        chain = []
+        while end not in decoded:
+            start, length, rank = back[end]
+            chain.append((end, length, rank))
+            end = start
+        out = decoded[end]
+        for end, length, rank in reversed(chain):
+            out = out + seg_dict.path(length, rank)
+            decoded[end] = out
+        return out
+
+    root = np.zeros(1)
     for start in range(total):
-        base_cost = best_cost[start]
-        base_segs = best_segs[start]
-        base_labels = best_labels[start]
-        reach = min(limit, total - start)
-
-        def walk(node: _Node, acc: float) -> None:
-            depth = len(path)
-            for label in sorted(node.children):
-                child = node.children[label]
-                step = acc + cost_at(start + depth, label)
-                path.append(label)
-                end = start + depth + 1
-                candidate = (base_cost + cfg.segment_cost) + step
-                current = best_cost[end]
+        base = best_cost[start] + cfg.segment_cost
+        segs = best_segs[start] + 1
+        step = root
+        for d in range(min(limit, total - start)):
+            step = step[parents[d]] + cost[start + d][labels[d]]
+            candidate = base + step
+            rank = int(candidate.argmin())
+            value = float(candidate[rank])
+            end = start + d + 1
+            current = best_cost[end]
+            if current is None or value < current:
+                take = True
+            elif value > current or segs > best_segs[end]:
                 take = False
-                if current is None or candidate < current:
-                    take = True
-                elif candidate == current:
-                    segs = base_segs + 1
-                    if segs < best_segs[end]:
-                        take = True
-                    elif segs == best_segs[end]:
-                        labels = base_labels + tuple(path)
-                        if labels < best_labels[end]:
-                            take = True
-                if take:
-                    best_cost[end] = candidate
-                    best_segs[end] = base_segs + 1
-                    best_labels[end] = base_labels + tuple(path)
-                    back[end] = (start, child.neighbor, child.offset)
-                if depth + 1 < reach:
-                    walk(child, step)
-                path.pop()
-
-        walk(seg_dict.root, 0.0)
+            elif segs < best_segs[end]:
+                take = True
+            else:
+                take = labels_to(start) + seg_dict.path(d + 1, rank) < labels_to(end)
+            if take:
+                best_cost[end] = value
+                best_segs[end] = segs
+                back[end] = (start, d + 1, rank)
+                decoded.pop(end, None)
 
     segments: list[Segment] = []
     end = total
     while end > 0:
-        start, neighbor, offset = back[end]
-        segments.append(Segment(start, end - start, neighbor, offset))
+        start, length, rank = back[end]
+        level = seg_dict.levels[length - 1]
+        segments.append(
+            Segment(start, length, int(level.neighbor[rank]), int(level.offset[rank]))
+        )
         end = start
     segments.reverse()
-    return DecodeResult(best_labels[total], tuple(segments), float(best_cost[total]))
+    return DecodeResult(labels_to(total), tuple(segments), float(best_cost[total]))
 
 
 def dp_reconstruct(
@@ -230,7 +266,11 @@ def dp_reconstruct(
 ) -> DecodeResult:
     """Cheapest reconstruction of `gold`, counting one per mislabeled position."""
     gold = tuple(int(g) for g in gold)
-    return _dp(len(gold), seg_dict, cfg, lambda j, lab: 0.0 if gold[j] == lab else 1.0)
+    cost = np.ones((len(gold), seg_dict.n_labels))
+    for j, lab in enumerate(gold):
+        if 0 <= lab < seg_dict.n_labels:
+            cost[j, lab] = 0.0
+    return _dp(seg_dict, cfg, cost)
 
 
 def dp_decode_expected(
@@ -241,10 +281,7 @@ def dp_decode_expected(
     A label type with no marginal column costs a full unit at every
     position. With segment_cost 0 the result matches predict_marginal.
     """
-    costs = _position_costs_expected(marginals)
-    return _dp(
-        marginals.n_tokens, seg_dict, cfg, lambda j, lab: costs[j].get(lab, 1.0)
-    )
+    return _dp(seg_dict, cfg, _position_costs_expected(marginals, seg_dict.n_labels))
 
 
 def greedy_reconstruct(
@@ -259,7 +296,7 @@ def greedy_reconstruct(
     dynamic program needs.
     """
     gold = tuple(int(g) for g in gold)
-    if not seg_dict.root.children:
+    if not seg_dict.levels:
         raise ValueError("segment dictionary is empty")
     if not gold:
         raise ValueError("nothing to decode")
@@ -270,33 +307,25 @@ def greedy_reconstruct(
     objective = 0.0
     pos = 0
     while pos < len(gold):
-        reach = min(limit, len(gold) - pos)
-        path: list[int] = []
-        best: tuple[int, int, tuple[int, ...]] | None = None
-        best_pick: tuple[_Node, float] | None = None
-
-        def walk(node: _Node, mismatches: int) -> None:
-            nonlocal best, best_pick
-            depth = len(path)
-            for label in sorted(node.children):
-                child = node.children[label]
-                miss = mismatches + (0 if gold[pos + depth] == label else 1)
-                path.append(label)
-                key = (miss, -(depth + 1), tuple(path))
-                if best is None or key < best:
-                    best = key
-                    best_pick = (child, float(miss))
-                if depth + 1 < reach:
-                    walk(child, miss)
-                path.pop()
-
-        walk(seg_dict.root, 0)
-        node, cost = best_pick
-        chosen = best[2]
-        labels.extend(chosen)
-        segments.append(Segment(pos, len(chosen), node.neighbor, node.offset))
-        objective = (objective + cfg.segment_cost) + cost
-        pos += len(chosen)
+        best: tuple[int, int, int] | None = None
+        miss = np.zeros(1, dtype=np.int64)
+        for d in range(min(limit, len(gold) - pos)):
+            level = seg_dict.levels[d]
+            miss = miss[level.parent] + (level.label != gold[pos + d])
+            # the first minimum is the smallest sequence of this length
+            rank = int(miss.argmin())
+            key = (int(miss[rank]), -(d + 1), rank)
+            if best is None or key < best:
+                best = key
+        mismatches, neg_length, rank = best
+        length = -neg_length
+        level = seg_dict.levels[length - 1]
+        labels.extend(seg_dict.path(length, rank))
+        segments.append(
+            Segment(pos, length, int(level.neighbor[rank]), int(level.offset[rank]))
+        )
+        objective = (objective + cfg.segment_cost) + float(mismatches)
+        pos += length
     return DecodeResult(tuple(labels), tuple(segments), objective)
 
 

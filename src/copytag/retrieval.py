@@ -134,34 +134,35 @@ class NeighborEntry:
 class NeighborSet:
     """Retrieved sentences flattened into one database of label tokens.
 
-    flat position i maps back to (entry m, token k) through `origin`;
-    flat_labels[i] and flat_embeddings[i] describe that token.
+    Entry m occupies flat positions starts[m] to starts[m + 1] - 1, so
+    flat position i is token i - starts[m] of that entry; flat_labels[i]
+    and flat_embeddings[i] describe that token.
     """
 
     entries: tuple[NeighborEntry, ...]
     flat_labels: np.ndarray
     flat_embeddings: np.ndarray
-    origin: tuple[tuple[int, int], ...]
+    starts: np.ndarray
 
     @classmethod
     def from_entries(cls, entries: Sequence[NeighborEntry]) -> "NeighborSet":
         if not entries:
             raise ValueError("neighbor set must contain at least one entry")
-        labels: list[int] = []
-        origin: list[tuple[int, int]] = []
         for m, entry in enumerate(entries):
             if entry.embeddings.shape[0] != len(entry.sequence):
                 raise ValueError(
                     f"entry {m}: {entry.embeddings.shape[0]} embedding rows for "
                     f"{len(entry.sequence)} tokens"
                 )
-            labels.extend(entry.sequence.labels)
-            origin.extend((m, k) for k in range(len(entry.sequence)))
-        flat_labels = np.asarray(labels, dtype=np.int64)
+        flat_labels = np.concatenate(
+            [np.asarray(e.sequence.labels, dtype=np.int64) for e in entries]
+        )
         flat_embeddings = np.vstack([e.embeddings for e in entries])
-        flat_labels.setflags(write=False)
-        flat_embeddings.setflags(write=False)
-        return cls(tuple(entries), flat_labels, flat_embeddings, tuple(origin))
+        starts = np.zeros(len(entries) + 1, dtype=np.int64)
+        np.cumsum([len(e.sequence) for e in entries], out=starts[1:])
+        for array in (flat_labels, flat_embeddings, starts):
+            array.setflags(write=False)
+        return cls(tuple(entries), flat_labels, flat_embeddings, starts)
 
     @property
     def n_total(self) -> int:
@@ -170,7 +171,8 @@ class NeighborSet:
     @cached_property
     def types_present(self) -> tuple[int, ...]:
         """Distinct label type ids in first-appearance order."""
-        return tuple(dict.fromkeys(int(lab) for lab in self.flat_labels))
+        types, first = np.unique(self.flat_labels, return_index=True)
+        return tuple(types[np.argsort(first)].tolist())
 
 
 def assemble_neighbor_set(

@@ -1,10 +1,13 @@
 import json
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import copytag
 from copytag.cli import main
 from copytag.corpus import parse_conll, write_conll
 from copytag.evaluation import SWEEP_HEADER
@@ -281,10 +284,14 @@ class TestExitCodes:
         assert not (tmp_path / "pred.conll.manifest.json").exists()
 
     def test_console_entry_point(self):
+        # the child runs the same copytag this test imported
+        src = str(Path(copytag.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "copytag", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "retrieve-and-copy" in proc.stdout

@@ -14,23 +14,23 @@ from copytag.decoder import (
     provenance_lines,
 )
 from conftest import labels_only_set, make_gold, make_marginals, make_neighbor_set
+from trie_reference import build_trie, trie_dp, trie_greedy, trie_sequences
 
 
 def assert_segments_consistent(result, seg_dict, cfg, cost_at):
     """The segments must tile the sequence, carry first-insertion exemplars,
     and chain back to the reported objective bit for bit."""
+    exemplars = {labels: (m, off) for labels, m, off in seg_dict.sequences()}
     pos = 0
     value = 0.0
     for seg in result.segments:
         assert seg.start == pos
         assert 1 <= seg.length <= cfg.max_len
-        node = seg_dict.root
+        labels = result.labels[seg.start : seg.start + seg.length]
         seg_sum = 0.0
-        for d in range(seg.length):
-            lab = result.labels[seg.start + d]
-            node = node.children[lab]
+        for d, lab in enumerate(labels):
             seg_sum += cost_at(seg.start + d, lab)
-        assert (node.neighbor, node.offset) == (seg.neighbor, seg.offset)
+        assert exemplars[labels] == (seg.neighbor, seg.offset)
         value = (value + cfg.segment_cost) + seg_sum
         pos += seg.length
     assert pos == len(result.labels)
@@ -76,6 +76,72 @@ class TestSegmentDict:
     def test_rejects_bad_max_len(self):
         with pytest.raises(ValueError):
             build_segment_dict(labels_only_set([[0]]), max_len=0)
+
+    def test_rejects_negative_labels(self):
+        # label ids index the decoders' cost columns
+        with pytest.raises(ValueError, match="non-negative"):
+            build_segment_dict(labels_only_set([[0, -1]]))
+
+
+class TestMatchesTrieReference:
+    """The array dictionary and its decoders against the pointer trie they
+    replaced: same sequences, exemplars and node count, and the same
+    DecodeResult bit for bit, on long instances with capped lengths."""
+
+    def test_random_long_instances(self, rng):
+        grid = (0.0, 0.3, 1.0, 5.0)
+        for i in range(200):
+            neighbors = make_neighbor_set(
+                rng,
+                n_neighbors=int(rng.integers(1, 17)),
+                max_len=int(rng.integers(1, 41)),
+                n_types=int(rng.integers(2, 7)),
+            )
+            build_cap = int(rng.integers(1, 45))
+            seg_dict = build_segment_dict(neighbors, build_cap)
+            trie = build_trie(neighbors, build_cap)
+            assert seg_dict.node_count == trie.node_count, f"instance {i}"
+            assert seg_dict.depth == trie.depth, f"instance {i}"
+            exemplars = {labels: (m, off) for labels, m, off in seg_dict.sequences()}
+            assert exemplars == trie_sequences(trie), f"instance {i}"
+
+            cfg = DPConfig(
+                segment_cost=grid[i % len(grid)], max_len=int(rng.integers(1, 45))
+            )
+            n_tokens = int(rng.integers(1, 41))
+            pool = list(neighbors.types_present) + [99]
+            gold = tuple(pool[int(v)] for v in rng.integers(0, len(pool), n_tokens))
+            mismatch = lambda j, lab: 0.0 if gold[j] == lab else 1.0
+            assert dp_reconstruct(gold, seg_dict, cfg) == trie_dp(
+                n_tokens, trie, cfg, mismatch
+            ), f"instance {i}"
+            assert greedy_reconstruct(gold, seg_dict, cfg) == trie_greedy(
+                gold, trie, cfg
+            ), f"instance {i}"
+
+            if i % 2:
+                marginals = make_marginals(rng, n_tokens, neighbors)
+                if i % 4 == 3 and len(marginals.type_ids) > 1:
+                    # a dictionary label with no marginal column costs 1.0
+                    kept = marginals.probs[:, 1:]
+                    marginals = MarginalMatrix(
+                        probs=kept / kept.sum(axis=1, keepdims=True),
+                        type_ids=marginals.type_ids[1:],
+                    )
+            else:
+                # one-hot rows make integer costs, so exact ties are common
+                type_ids = neighbors.types_present
+                probs = np.zeros((n_tokens, len(type_ids)))
+                probs[np.arange(n_tokens), rng.integers(0, len(type_ids), n_tokens)] = 1.0
+                marginals = MarginalMatrix(probs=probs, type_ids=type_ids)
+            col_of = marginals.column_of
+            expected = lambda j, lab: (
+                1.0 if col_of.get(lab) is None
+                else 1.0 - float(marginals.probs[j, col_of[lab]])
+            )
+            assert dp_decode_expected(marginals, seg_dict, cfg) == trie_dp(
+                n_tokens, trie, cfg, expected
+            ), f"instance {i}"
 
 
 class TestDPConfig:

@@ -150,17 +150,26 @@ class TestNeighborSet:
         assert ns.n_total == total
         assert ns.flat_labels.shape == (total,)
         assert ns.flat_embeddings.shape == (total, 5)
-        # origin maps flat positions back to (entry, offset)
-        for j, (m, k) in enumerate(ns.origin):
-            assert ns.flat_labels[j] == ns.entries[m].sequence.labels[k]
-            assert np.array_equal(
-                ns.flat_embeddings[j], ns.entries[m].embeddings[k]
-            )
+        # starts maps flat positions back to (entry, offset)
+        assert ns.starts[0] == 0
+        assert list(np.diff(ns.starts)) == [len(e.sequence) for e in ns.entries]
+        for m, entry in enumerate(ns.entries):
+            for k in range(len(entry.sequence)):
+                j = ns.starts[m] + k
+                assert ns.flat_labels[j] == entry.sequence.labels[k]
+                assert np.array_equal(ns.flat_embeddings[j], entry.embeddings[k])
 
     def test_types_present_first_appearance(self, rng):
-        ns = make_neighbor_set(rng, n_neighbors=2, max_len=6, n_types=4)
-        seen = list(dict.fromkeys(int(v) for v in ns.flat_labels))
-        assert list(ns.types_present) == seen
+        for _ in range(20):
+            ns = make_neighbor_set(
+                rng,
+                n_neighbors=int(rng.integers(1, 6)),
+                max_len=6,
+                n_types=int(rng.integers(1, 8)),
+            )
+            seen = list(dict.fromkeys(int(v) for v in ns.flat_labels))
+            assert ns.types_present == tuple(seen)
+            assert all(type(t) is int for t in ns.types_present)
 
     def test_assemble_from_dataset(self):
         db = tiny_db()
@@ -185,7 +194,7 @@ class TestNeighborSet:
         )
         assert np.array_equal(kept.flat_embeddings, fresh.flat_embeddings)
         assert np.array_equal(kept.flat_labels, fresh.flat_labels)
-        assert kept.origin == fresh.origin
+        assert np.array_equal(kept.starts, fresh.starts)
         for a, b in zip(kept.entries, fresh.entries):
             assert a.sequence is b.sequence
             assert np.array_equal(a.embeddings, b.embeddings)
