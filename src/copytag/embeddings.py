@@ -8,6 +8,12 @@ of the active-column sum. Columns of the weight matrix are generated on
 demand from the seed, so only columns an optimizer actually changed need
 to be stored in checkpoints.
 
+Featurization costs work per distinct (offset, word type), not per token
+occurrence: the parameters hash each pair once and keep its sorted bucket
+ids next to their storage slots. A token's ids are the union of its
+window's entries; the provider keeps the ids and slots of each distinct
+token tuple, so embedding a known sentence is one gather plus one reduceat.
+
 A second provider serves externally precomputed embeddings from a plain
 text sidecar file keyed by sentence id.
 """
@@ -75,45 +81,6 @@ def _surface_features(token: str) -> list[str]:
     return feats
 
 
-@dataclass(frozen=True)
-class FeatureSet:
-    """Hashed feature bucket ids active for one token position."""
-
-    indices: frozenset[int]
-
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.indices))
-
-
-def token_features(
-    sentence: Sentence,
-    position: int,
-    window: int = DEFAULT_WINDOW,
-    n_buckets: int = DEFAULT_BUCKETS,
-    seed: int = 0,
-) -> FeatureSet:
-    """Bucket ids for the token at `position`, including window context.
-
-    Each neighboring token within `window` contributes its features with
-    the signed offset prefixed before hashing, so the same word at offset
-    -1 and offset +1 lands in different buckets.
-    """
-    if not 0 <= position < len(sentence):
-        raise ValueError(f"position {position} outside sentence of length {len(sentence)}")
-    if window < 0:
-        raise ValueError("window must be non-negative")
-    if n_buckets < 1:
-        raise ValueError("n_buckets must be positive")
-    indices: set[int] = set()
-    for offset in range(-window, window + 1):
-        j = position + offset
-        if not 0 <= j < len(sentence):
-            continue
-        for feat in _surface_features(sentence.tokens[j]):
-            indices.add(fnv1a64(f"{offset}|{feat}", seed) % n_buckets)
-    return FeatureSet(frozenset(indices))
-
-
 class EmbedderParams:
     """Weights of the hashed-window embedder.
 
@@ -122,6 +89,11 @@ class EmbedderParams:
     default_rng([seed, column]) as Gaussian(0, INIT_STD) on first touch.
     `modified` records columns an optimizer overwrote, which is exactly the
     set a checkpoint has to carry.
+
+    Hashing depends only on (offset, token), never on the weights, so each
+    distinct pair is hashed once: its sorted bucket ids are cached together
+    with their storage slots, whose columns are materialized right then.
+    Slots never move once assigned, so the cached slots stay valid.
     """
 
     def __init__(
@@ -148,6 +120,8 @@ class EmbedderParams:
         self._store = np.zeros((0, dim))
         self._used = 0
         self._slot: dict[int, int] = {}
+        # (offset, token) -> (sorted unique bucket ids, their storage slots)
+        self._features: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
 
     def _seeded_column(self, col: int) -> np.ndarray:
         rng = np.random.default_rng([self.seed, col])
@@ -161,22 +135,47 @@ class EmbedderParams:
         grown[: self._used] = self._store[: self._used]
         self._store = grown
 
+    def _new_slot(self, col: int) -> int:
+        # An unfilled storage row for a column not yet materialized.
+        if not 0 <= col < self.n_buckets:
+            raise ValueError(f"column {col} outside [0, {self.n_buckets})")
+        self._ensure_capacity(self._used + 1)
+        slot = self._used
+        self._slot[col] = slot
+        self._used += 1
+        return slot
+
     def _slot_of(self, col: int) -> int:
         slot = self._slot.get(col)
         if slot is None:
-            if not 0 <= col < self.n_buckets:
-                raise ValueError(f"column {col} outside [0, {self.n_buckets})")
-            self._ensure_capacity(self._used + 1)
-            slot = self._used
+            slot = self._new_slot(col)
             self._store[slot] = self._seeded_column(col)
-            self._slot[col] = slot
-            self._used += 1
         return slot
 
     def slots_for(self, cols: Iterable[int]) -> np.ndarray:
         """Storage rows for the given columns, materializing as needed."""
         slot_of = self._slot_of
         return np.fromiter((slot_of(int(c)) for c in cols), dtype=np.int64)
+
+    def _offset_features(self, offset: int, token: str) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted unique bucket ids of `token` seen at `offset` from the
+        embedded position, and their storage slots (both read-only)."""
+        entry = self._features.get((offset, token))
+        if entry is None:
+            ids = np.unique(
+                np.array(
+                    [
+                        fnv1a64(f"{offset}|{feat}", self.seed) % self.n_buckets
+                        for feat in _surface_features(token)
+                    ],
+                    dtype=np.int64,
+                )
+            )
+            slots = self.slots_for(ids)
+            ids.setflags(write=False)
+            slots.setflags(write=False)
+            entry = self._features[(offset, token)] = (ids, slots)
+        return entry
 
     def column(self, col: int) -> np.ndarray:
         # resolve the slot first: it may grow and rebind _store
@@ -189,7 +188,10 @@ class EmbedderParams:
             raise ValueError(f"column values must have shape ({self.dim},)")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"non-finite values for column {col}")
-        slot = self._slot_of(col)
+        slot = self._slot.get(col)
+        if slot is None:
+            # about to be overwritten, so its seeded values are never drawn
+            slot = self._new_slot(col)
         self._store[slot] = values
         self.modified.add(col)
         self.revision += 1
@@ -204,35 +206,71 @@ class EmbedderParams:
         dup._store = self._store[: self._used].copy()
         dup._used = self._used
         dup._slot = dict(self._slot)
+        # the slots cached so far are the copy's too; later entries are not
+        dup._features = dict(self._features)
         dup.modified = set(self.modified)
         dup.revision = self.revision
         return dup
 
 
-def _token_columns(params: EmbedderParams, sentence: Sentence) -> list[np.ndarray]:
-    # Sorted bucket ids per token; sorting fixes the summation order so the
-    # cached provider path and the plain functional path agree bit for bit.
-    return [
-        np.fromiter(
-            sorted(
-                token_features(
-                    sentence, t, params.window, params.n_buckets, params.seed
-                ).indices
-            ),
-            dtype=np.int64,
-        )
-        for t in range(len(sentence))
-    ]
+@dataclass(frozen=True, eq=False)
+class TokenColumns:
+    """Active bucket ids of every token of one sentence, flattened.
+
+    Token t owns columns[starts[t] : starts[t] + counts[t]], sorted
+    ascending; that order fixes the summation order, so every path that
+    embeds a sentence agrees bit for bit. slots[i] is the storage row of
+    columns[i] in the EmbedderParams that featurized the sentence.
+    """
+
+    columns: np.ndarray
+    slots: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        # a provider hands the same cached object to every caller
+        for array in (self.columns, self.slots, self.starts, self.counts):
+            array.setflags(write=False)
 
 
-def _embed_columns(params: EmbedderParams, per_token_cols: list[np.ndarray]) -> np.ndarray:
-    counts = [len(c) for c in per_token_cols]
-    all_cols = np.concatenate(per_token_cols)
-    slots = params.slots_for(all_cols)  # may grow the store; index afterwards
-    rows = params.storage[slots]
-    bounds = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=bounds[1:])
-    return np.tanh(np.add.reduceat(rows, bounds, axis=0))
+def _token_columns(params: EmbedderParams, sentence: Sentence) -> TokenColumns:
+    # A token's ids are the union of the (offset, token) entries of its
+    # window; one lexsort by (token, id) orders and dedupes all of them.
+    tokens = sentence.tokens
+    n = len(tokens)
+    ids: list[np.ndarray] = []
+    slots: list[np.ndarray] = []
+    sizes: list[int] = []
+    for t in range(n):
+        size = 0
+        for j in range(max(0, t - params.window), min(n, t + params.window + 1)):
+            entry_ids, entry_slots = params._offset_features(j - t, tokens[j])
+            ids.append(entry_ids)
+            slots.append(entry_slots)
+            size += entry_ids.size
+        sizes.append(size)
+    owner = np.repeat(np.arange(n), sizes)
+    flat_ids = np.concatenate(ids)
+    order = np.lexsort((flat_ids, owner))
+    owner = owner[order]
+    flat_ids = flat_ids[order]
+    keep = np.ones(flat_ids.size, dtype=bool)
+    keep[1:] = (flat_ids[1:] != flat_ids[:-1]) | (owner[1:] != owner[:-1])
+    counts = np.bincount(owner[keep], minlength=n)
+    starts = np.zeros(n, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return TokenColumns(
+        columns=flat_ids[keep],
+        slots=np.concatenate(slots)[order[keep]],
+        starts=starts,
+        counts=counts,
+    )
+
+
+def _embed_columns(params: EmbedderParams, columns: TokenColumns) -> np.ndarray:
+    rows = params.storage[columns.slots]
+    return np.tanh(np.add.reduceat(rows, columns.starts, axis=0))
 
 
 def embed_tokens(params: EmbedderParams, sentence: Sentence) -> np.ndarray:
@@ -252,16 +290,16 @@ def backprop_embedder(
     params: EmbedderParams,
     sentence: Sentence,
     d_output: np.ndarray,
-    per_token_cols: list[np.ndarray] | None = None,
+    columns: TokenColumns | None = None,
 ) -> dict[int, np.ndarray]:
     """Columnwise loss gradient given d(loss)/d(token embeddings).
 
     Each active bucket of token t receives d_output[t] * (1 - x_t^2), the
     tanh backward pass; inactive buckets are absent from the result and
-    therefore exactly zero.
+    therefore exactly zero. `columns` must come from these params.
     """
-    if per_token_cols is None:
-        per_token_cols = _token_columns(params, sentence)
+    if columns is None:
+        columns = _token_columns(params, sentence)
     d_output = np.asarray(d_output, dtype=float)
     if d_output.shape != (len(sentence), params.dim):
         raise ValueError(
@@ -270,12 +308,10 @@ def backprop_embedder(
         )
     if not np.all(np.isfinite(d_output)):
         raise ValueError("d_output contains non-finite entries")
-    x = _embed_columns(params, per_token_cols)
+    x = _embed_columns(params, columns)
     per_token = d_output * (1.0 - x * x)
-    counts = [len(c) for c in per_token_cols]
-    all_cols = np.concatenate(per_token_cols)
-    spread = np.repeat(per_token, counts, axis=0)
-    uniq, inverse = np.unique(all_cols, return_inverse=True)
+    spread = np.repeat(per_token, columns.counts, axis=0)
+    uniq, inverse = np.unique(columns.columns, return_inverse=True)
     grad = np.zeros((uniq.size, params.dim))
     np.add.at(grad, inverse, spread)
     return {int(col): grad[i].copy() for i, col in enumerate(uniq)}
@@ -284,16 +320,18 @@ def backprop_embedder(
 class HashedWindowEmbedder:
     """Trainable embedding provider over EmbedderParams.
 
-    Caches the sorted bucket ids per distinct token tuple; cached ids stay
-    valid across parameter updates because hashing does not depend on the
-    weights.
+    Caches the TokenColumns of each distinct token tuple: the sorted bucket
+    ids of every token and their storage slots. Both stay valid across
+    parameter updates, because hashing does not depend on the weights and
+    slots never move, so embedding a cached sentence is one gather of its
+    slots plus one reduceat.
     """
 
     trainable = True
 
     def __init__(self, params: EmbedderParams | None = None, **kwargs):
         self.params = params if params is not None else EmbedderParams(**kwargs)
-        self._column_cache: dict[tuple[str, ...], list[np.ndarray]] = {}
+        self._column_cache: dict[tuple[str, ...], TokenColumns] = {}
 
     @property
     def dim(self) -> int:
@@ -304,13 +342,12 @@ class HashedWindowEmbedder:
         p = self.params
         return f"hashed:d{p.dim}:b{p.n_buckets}:w{p.window}:s{p.seed}:r{p.revision}"
 
-    def token_columns(self, sentence: Sentence) -> list[np.ndarray]:
+    def token_columns(self, sentence: Sentence) -> TokenColumns:
         cached = self._column_cache.get(sentence.tokens)
         if cached is None:
-            cached = _token_columns(self.params, sentence)
-            # materialize now so cached slot lookups stay cheap later
-            self.params.slots_for(np.concatenate(cached))
-            self._column_cache[sentence.tokens] = cached
+            cached = self._column_cache[sentence.tokens] = _token_columns(
+                self.params, sentence
+            )
         return cached
 
     def embed(self, sentence: Sentence) -> np.ndarray:
@@ -318,7 +355,7 @@ class HashedWindowEmbedder:
 
     def backprop(self, sentence: Sentence, d_output: np.ndarray) -> dict[int, np.ndarray]:
         return backprop_embedder(
-            self.params, sentence, d_output, per_token_cols=self.token_columns(sentence)
+            self.params, sentence, d_output, columns=self.token_columns(sentence)
         )
 
 

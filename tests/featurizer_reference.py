@@ -1,0 +1,58 @@
+"""Reference oracle: the per-position featurizer.
+
+This is the featurizer copytag.embeddings replaced with its cache of
+(offset, token) entries. It hashes every feature of every window position
+afresh, so tests can require the cached bucket ids of each token to equal
+sorted(token_features(...).indices).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from copytag.corpus import Sentence
+from copytag.embeddings import (
+    DEFAULT_BUCKETS,
+    DEFAULT_WINDOW,
+    _surface_features,
+    fnv1a64,
+)
+
+
+@dataclass(frozen=True)
+class FeatureSet:
+    """Hashed feature bucket ids active for one token position."""
+
+    indices: frozenset[int]
+
+    def sorted(self) -> tuple[int, ...]:
+        return tuple(sorted(self.indices))
+
+
+def token_features(
+    sentence: Sentence,
+    position: int,
+    window: int = DEFAULT_WINDOW,
+    n_buckets: int = DEFAULT_BUCKETS,
+    seed: int = 0,
+) -> FeatureSet:
+    """Bucket ids for the token at `position`, including window context.
+
+    Each neighboring token within `window` contributes its features with
+    the signed offset prefixed before hashing, so the same word at offset
+    -1 and offset +1 lands in different buckets.
+    """
+    if not 0 <= position < len(sentence):
+        raise ValueError(f"position {position} outside sentence of length {len(sentence)}")
+    if window < 0:
+        raise ValueError("window must be non-negative")
+    if n_buckets < 1:
+        raise ValueError("n_buckets must be positive")
+    indices: set[int] = set()
+    for offset in range(-window, window + 1):
+        j = position + offset
+        if not 0 <= j < len(sentence):
+            continue
+        for feat in _surface_features(sentence.tokens[j]):
+            indices.add(fnv1a64(f"{offset}|{feat}", seed) % n_buckets)
+    return FeatureSet(frozenset(indices))

@@ -1,8 +1,12 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from copytag.corpus import Sentence
+from copytag.corpus import Sentence, parse_conll
 from copytag.embeddings import (
+    _token_columns,
     EmbedderParams,
     HashedWindowEmbedder,
     PrecomputedEmbeddings,
@@ -14,9 +18,12 @@ from copytag.embeddings import (
     fnv1a64,
     load_precomputed,
     save_precomputed,
-    token_features,
     word_shape,
 )
+from copytag.retrieval import build_index
+from featurizer_reference import token_features
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 SENT = Sentence(0, ("Alice", "visited", "Paris", "twice", "."))
 
@@ -126,6 +133,20 @@ class TestEmbedderParams:
         assert np.array_equal(p.column(1), [5.0, 6.0])
         assert p.modified == q.modified == {1}
 
+    @pytest.mark.parametrize("col", [-1, 8])
+    def test_out_of_range_columns_rejected(self, col):
+        # a vectorized lookup must not let numpy read -1 as the last slot
+        p = EmbedderParams(dim=3, n_buckets=8)
+        p.column(7)
+        for call in (
+            lambda: p.slots_for([col]),
+            lambda: p.column(col),
+            lambda: p.set_column(col, np.ones(3)),
+        ):
+            with pytest.raises(ValueError, match=f"column {col} "):
+                call()
+        assert p.modified == set() and p.revision == 0
+
     def test_constructor_validation(self):
         for kwargs in (
             {"dim": 0},
@@ -164,7 +185,7 @@ class TestEmbedTokens:
     def test_params_update_changes_embedding(self):
         provider = HashedWindowEmbedder(EmbedderParams(dim=4, n_buckets=64))
         before = provider.embed(SENT).copy()
-        cols = sorted({int(c) for arr in provider.token_columns(SENT) for c in arr})
+        cols = sorted({int(c) for c in provider.token_columns(SENT).columns})
         provider.params.set_column(cols[0], np.full(4, 3.0))
         after = provider.embed(SENT)
         assert not np.array_equal(before, after)
@@ -174,6 +195,107 @@ class TestEmbedTokens:
         t0 = provider.tag
         provider.params.set_column(0, np.zeros(4))
         assert provider.tag != t0
+
+
+WORDS = (
+    "the", "The", "cat", "sat", "x", "A1", "e.g.", "42", "MacBook", "-",
+    "Zürich", "naïve", "über", "ÉCOLE", "東京", "ß", "Ωmega", "çà",
+)
+
+
+def split_tokens(columns):
+    return [tuple(int(c) for c in run) for run in np.split(columns.columns, columns.starts[1:])]
+
+
+class TestMatchesFeaturizerReference:
+    def test_random_sentences(self):
+        # 300 sentences over a small mixed-script vocabulary, so words repeat
+        # within and across sentences and each provider reuses its entries;
+        # bucket counts down to 1 force collisions inside one entry.
+        rng = np.random.default_rng(4242)
+        shapes = [(0, 1), (1, 64), (2, 5), (3, 13), (0, 64), (1, 2),
+                  (2, 31), (3, 1), (0, 9), (1, 40), (2, 64), (3, 3)]
+        seeds = (0, 1, 7, 2**31) * 3
+        configs = [(window, n_buckets, seed) for (window, n_buckets), seed in zip(shapes, seeds)]
+        providers = {
+            cfg: HashedWindowEmbedder(
+                EmbedderParams(dim=5, n_buckets=cfg[1], window=cfg[0], seed=cfg[2])
+            )
+            for cfg in configs
+        }
+        for uid in range(300):
+            window, n_buckets, seed = configs[uid % len(configs)]
+            provider = providers[(window, n_buckets, seed)]
+            length = int(rng.integers(1, 12))
+            tokens = tuple(WORDS[i] for i in rng.integers(0, len(WORDS), size=length))
+            sent = Sentence(uid, tokens)
+            expected = [
+                token_features(sent, t, window, n_buckets, seed).sorted()
+                for t in range(length)
+            ]
+            cached = provider.token_columns(sent)
+            assert split_tokens(cached) == expected
+            assert cached.counts.tolist() == [len(cols) for cols in expected]
+            fresh = EmbedderParams(dim=5, n_buckets=n_buckets, window=window, seed=seed)
+            assert split_tokens(_token_columns(fresh, sent)) == expected
+            params = provider.params
+            rows = params.storage[cached.slots]
+            for row, col in zip(rows, cached.columns):
+                assert np.array_equal(row, params.column(int(col)))
+            functional = embed_tokens(
+                EmbedderParams(dim=5, n_buckets=n_buckets, window=window, seed=seed), sent
+            )
+            embedded = provider.embed(sent)
+            assert embedded.tobytes() == functional.tobytes()
+
+
+def index_digest(index) -> str:
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(index.vectors, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(np.concatenate(index.token_matrices), dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestEmbeddingPins:
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        [
+            ({}, "0c7d167b7ae97888743bb4438a2906dc7dc5d010e094921adb48aeac21a75d70"),
+            (
+                {"window": 1, "n_buckets": 97, "seed": 3},
+                "4090c342714f629035e01928b8918d747082c74853ba180d94187a70ca2ad033",
+            ),
+        ],
+    )
+    def test_index_embeddings_pinned(self, kwargs, digest):
+        # Digests of the vectors and token matrices written when every
+        # feature of every window position was hashed afresh.
+        text = (DATA / "toy_ner_train.conll").read_text(encoding="utf-8")
+        index = build_index(parse_conll(text), HashedWindowEmbedder(EmbedderParams(**kwargs)))
+        assert index_digest(index) == digest
+
+    def test_copy_keeps_its_own_slots(self):
+        # After a copy both objects materialize different columns into the
+        # same slot numbers; neither may reuse the other's cached slots.
+        first = Sentence(0, ("Alice", "met", "Bob"))
+        only_original = Sentence(1, ("Carol", "sang", "loudly"))
+        only_copy = Sentence(2, ("Dave", "ran", "home"))
+        original = HashedWindowEmbedder(EmbedderParams(dim=6, n_buckets=4096, window=1, seed=5))
+        before = original.embed(first).copy()
+        copy = HashedWindowEmbedder(original.params.copy())
+        assert copy.embed(only_copy).tobytes() == embed_tokens(
+            EmbedderParams(dim=6, n_buckets=4096, window=1, seed=5), only_copy
+        ).tobytes()
+        for provider, sent in (
+            (original, only_original),
+            (original, only_copy),
+            (original, first),
+            (copy, only_original),
+            (copy, first),
+        ):
+            fresh = EmbedderParams(dim=6, n_buckets=4096, window=1, seed=5)
+            assert provider.embed(sent).tobytes() == embed_tokens(fresh, sent).tobytes()
+        assert original.embed(first).tobytes() == before.tobytes()
 
 
 class TestBackprop:

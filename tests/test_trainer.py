@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from copytag.corpus import Dataset, LabelVocab
-from copytag.embeddings import EmbedderParams, HashedWindowEmbedder
+from copytag.embeddings import INIT_STD, EmbedderParams, HashedWindowEmbedder
 from copytag.synthetic import suffix_corpus
 from copytag.trainer import (
     ADAM_BETA1,
@@ -244,6 +244,40 @@ class TestCheckpointFormat:
         np.testing.assert_array_equal(
             back.params.column(untouched), ck.params.column(untouched)
         )
+
+    def test_load_state_follows_column_lines(self):
+        # One set_column per line: a repeated column keeps its last values
+        # and counts twice in the revision; columns without a line stay seeded.
+        lines = [
+            "#copytag-ckpt v1",
+            "dim=3",
+            "buckets=40",
+            "window=1",
+            "embed_seed=4",
+            "learning_rate=0.002",
+            "batch_size=16",
+            "epochs=0",
+            "train_neighbors=5",
+            "test_neighbors=5",
+            "seed=0",
+            "refresh=per-batch",
+            "exclude_self=true",
+            "#params 3 40",
+            "col 7 0.5 -0.25 1.0",
+            "col 39 0.1 0.2 0.3",
+            "col 7 -1.5 2.0 0.125",
+        ]
+        ck = load_checkpoint("\n".join(lines) + "\n")
+        params = ck.params
+        assert params.revision == 3
+        assert params.modified == {7, 39}
+        assert ck.provider().tag == "hashed:d3:b40:w1:s4:r3"
+        np.testing.assert_array_equal(params.column(7), [-1.5, 2.0, 0.125])
+        np.testing.assert_array_equal(params.column(39), [0.1, 0.2, 0.3])
+        for col in (0, 8, 38):
+            seeded = np.random.default_rng([4, col]).normal(0.0, INIT_STD, 3)
+            np.testing.assert_array_equal(params.column(col), seeded)
+        assert params.revision == 3
 
     def test_bad_magic(self):
         with pytest.raises(CheckpointError, match="magic"):
