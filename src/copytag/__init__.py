@@ -49,13 +49,8 @@ from .decoder import (
 from .embeddings import (
     EmbedderParams,
     HashedWindowEmbedder,
-    PrecomputedEmbeddings,
-    PrecomputedStore,
-    SidecarError,
     embed_sentence,
     embed_tokens,
-    load_precomputed,
-    save_precomputed,
 )
 from .evaluation import (
     EvalReport,
@@ -71,9 +66,7 @@ from .retrieval import (
     NeighborSet,
     assemble_neighbor_set,
     build_index,
-    load_index,
     query,
-    save_index,
 )
 from .synthetic import coarse_view, suffix_corpus, toy_ner_corpus
 from .tagging import TaggedSentence, Tagger, predictions_dataset, tag_dataset
@@ -109,12 +102,9 @@ __all__ = [
     "MarginalMatrix",
     "NeighborIndex",
     "NeighborSet",
-    "PrecomputedEmbeddings",
-    "PrecomputedStore",
     "Segment",
     "SegmentDict",
     "Sentence",
-    "SidecarError",
     "Span",
     "SweepRow",
     "TaggedSentence",
@@ -138,8 +128,6 @@ __all__ = [
     "grad_wrt_input",
     "greedy_reconstruct",
     "load_checkpoint",
-    "load_index",
-    "load_precomputed",
     "marginal_over_types",
     "nll",
     "parse_conll",
@@ -149,8 +137,6 @@ __all__ = [
     "query",
     "relabel",
     "save_checkpoint",
-    "save_index",
-    "save_precomputed",
     "span_f1",
     "spans_from_bio",
     "suffix_corpus",

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Six verbs: build-index, train, tag, eval, sweep, inspect. Every verb that
-produces a file also writes `<out>.manifest.json` recording the resolved
-options, input digests, and tool version, so a run can be reproduced from
-its outputs. Files are staged to temp paths and renamed only after the
+Five verbs: train, tag, eval, sweep, inspect. Every verb that produces a
+file also writes `<out>.manifest.json` recording the resolved options,
+input digests, and tool version, so a run can be reproduced from its
+outputs. Files are staged to temp paths and renamed only after the
 whole verb succeeds, so a failure leaves nothing behind.
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure.
@@ -19,8 +19,8 @@ import sys
 from bisect import bisect_right
 
 from . import __version__
-from .corpus import DOCSTART, Sentence, parse_conll, write_conll
-from .decoder import DPConfig, dp_decode_expected, provenance_lines
+from .corpus import DOCSTART, CorpusError, Sentence, parse_conll, write_conll
+from .decoder import predict_marginal, provenance_lines
 from .embeddings import HashedWindowEmbedder
 from .evaluation import span_f1, sweep_c, sweep_csv, token_accuracy
 from .tagging import DECODE_DP, DECODE_MARGINAL, Tagger, predictions_dataset
@@ -38,11 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="retrieve-and-copy sequence labeling",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    p = sub.add_parser("build-index", help="embed a database and save its index")
-    p.add_argument("--data", required=True, help="labeled CoNLL database")
-    p.add_argument("--out", required=True, help="index file to write")
-    p.add_argument("--ckpt", help="checkpoint; omitted means initial parameters")
 
     defaults = TrainConfig()
     p = sub.add_parser("train", help="fine-tune the embedder on a labeled corpus")
@@ -150,7 +145,10 @@ def _manifest(args: argparse.Namespace, inputs: list[str | None],
 
 
 def _load_dataset(path: str):
-    return parse_conll(_read_text(path))
+    try:
+        return parse_conll(_read_text(path))
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
 
 
 def _read_sentences(path: str) -> list[Sentence]:
@@ -178,18 +176,6 @@ def _provider_from(ckpt_path: str | None):
     if ckpt_path is None:
         return HashedWindowEmbedder()
     return load_checkpoint(_read_text(ckpt_path)).provider()
-
-
-def _cmd_build_index(args, parser, staged) -> None:
-    # import here keeps retrieval out of verbs that never build an index
-    from .retrieval import build_index, save_index
-
-    provider = _provider_from(args.ckpt)
-    db = _load_dataset(args.data)
-    index = build_index(db, provider)
-    staged.add(args.out, save_index(index))
-    staged.add(f"{args.out}.manifest.json",
-               _manifest(args, [args.data, args.ckpt], [args.out]))
 
 
 def _cmd_train(args, parser, staged) -> None:
@@ -271,8 +257,6 @@ def _cmd_sweep(args, parser, staged) -> None:
 
 
 def _cmd_inspect(args, parser, staged) -> None:
-    from .decoder import build_segment_dict
-
     provider = _provider_from(args.ckpt)
     db = _load_dataset(args.db)
     sentences = _read_sentences(args.input)
@@ -283,7 +267,8 @@ def _cmd_inspect(args, parser, staged) -> None:
         )
     sentence = sentences[args.sentence_id]
     tagger = Tagger(provider, db, args.neighbors)
-    analysis = tagger.analyze(sentence)
+    tagged = tagger.tag(sentence, decode=DECODE_DP, segment_cost=args.c)
+    analysis = tagged.analysis
     neighbors = analysis.neighbors
     names = db.vocab.types
 
@@ -291,8 +276,6 @@ def _cmd_inspect(args, parser, staged) -> None:
 
     print(f"sentence {sentence.uid}: {' '.join(sentence.tokens)}")
     probs = analysis.posterior.probs
-    from .decoder import predict_marginal
-
     predicted = predict_marginal(analysis.marginals)
     for t, token in enumerate(sentence.tokens):
         j = int(probs[t].argmax())
@@ -309,16 +292,12 @@ def _cmd_inspect(args, parser, staged) -> None:
             f"offset:{offset} {source_token!r} {source_label}"
         )
 
-    seg_dict = build_segment_dict(neighbors)
-    cfg = DPConfig(segment_cost=args.c)
-    result = dp_decode_expected(analysis.marginals, seg_dict, cfg)
-    print(f"dp decode at c={args.c:g}: objective {result.objective:.4f}")
-    for line in provenance_lines(result, names):
+    print(f"dp decode at c={args.c:g}: objective {tagged.decode.objective:.4f}")
+    for line in provenance_lines(tagged.decode, names):
         print(line)
 
 
 _HANDLERS = {
-    "build-index": _cmd_build_index,
     "train": _cmd_train,
     "tag": _cmd_tag,
     "eval": _cmd_eval,

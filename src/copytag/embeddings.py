@@ -13,15 +13,12 @@ occurrence: the parameters hash each pair once and keep its sorted bucket
 ids next to their storage slots. A token's ids are the union of its
 window's entries; the provider keeps the ids and slots of each distinct
 token tuple, so embedding a known sentence is one gather plus one reduceat.
-
-A second provider serves externally precomputed embeddings from a plain
-text sidecar file keyed by sentence id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -37,10 +34,6 @@ NGRAM_SIZES = (2, 3, 4)
 DEFAULT_DIM = 128
 DEFAULT_BUCKETS = 2**18
 DEFAULT_WINDOW = 2
-
-
-class SidecarError(ValueError):
-    """Malformed precomputed-embedding sidecar text."""
 
 
 def fnv1a64(text: str, seed: int = 0) -> int:
@@ -358,124 +351,3 @@ class HashedWindowEmbedder:
             self.params, sentence, d_output, columns=self.token_columns(sentence)
         )
 
-
-@dataclass(eq=False)
-class PrecomputedStore:
-    """Embeddings loaded from a sidecar file, keyed by sentence id."""
-
-    dim: int
-    blocks: dict[int, tuple[tuple[str, ...], np.ndarray]]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def load_precomputed(text: str) -> PrecomputedStore:
-    """Parse sidecar text: "#dim D", then blank-separated "#id" blocks."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("#dim "):
-        raise SidecarError("sidecar must start with a '#dim <D>' line")
-    try:
-        dim = int(lines[0][5:])
-    except ValueError:
-        raise SidecarError(f"bad dimension line {lines[0]!r}") from None
-    if dim < 1:
-        raise SidecarError("dimension must be positive")
-
-    blocks: dict[int, tuple[tuple[str, ...], np.ndarray]] = {}
-    block: list[str] = []
-
-    def flush() -> None:
-        if not block:
-            return
-        header = block[0]
-        if not header.startswith("#id "):
-            raise SidecarError(f"block must start with '#id', got {header!r}")
-        try:
-            uid = int(header[4:])
-        except ValueError:
-            raise SidecarError(f"bad sentence id in {header!r}") from None
-        if uid in blocks:
-            raise SidecarError(f"duplicate sentence id {uid}")
-        if len(block) < 2:
-            raise SidecarError(f"sentence {uid} has no token rows")
-        tokens: list[str] = []
-        rows: list[list[float]] = []
-        for line in block[1:]:
-            tok, sep, rest = line.partition("\t")
-            if not sep:
-                raise SidecarError(f"sentence {uid}: row {line!r} lacks a tab")
-            values = rest.split()
-            if len(values) != dim:
-                raise SidecarError(
-                    f"sentence {uid}: expected {dim} values, found {len(values)}"
-                )
-            row = [float(v) for v in values]
-            if not np.all(np.isfinite(row)):
-                raise SidecarError(f"sentence {uid}: token {tok!r} has non-finite values")
-            tokens.append(tok)
-            rows.append(row)
-        blocks[uid] = (tuple(tokens), np.array(rows, dtype=float))
-        block.clear()
-
-    for line in lines[1:]:
-        if line.strip():
-            block.append(line)
-        else:
-            flush()
-    flush()
-    return PrecomputedStore(dim, blocks)
-
-
-def save_precomputed(store: PrecomputedStore) -> str:
-    """Serialize a store in the format load_precomputed reads back.
-
-    Floats are written with shortest round-trip decimals, so loading the
-    output reproduces bit-identical matrices.
-    """
-    lines = [f"#dim {store.dim}"]
-    for uid in sorted(store.blocks):
-        tokens, matrix = store.blocks[uid]
-        if matrix.shape != (len(tokens), store.dim):
-            raise SidecarError(
-                f"sentence {uid}: matrix shape {matrix.shape} does not match "
-                f"{len(tokens)} tokens x dim {store.dim}"
-            )
-        lines.append("")
-        lines.append(f"#id {uid}")
-        for tok, row in zip(tokens, matrix):
-            lines.append(tok + "\t" + " ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-class PrecomputedEmbeddings:
-    """Read-only provider backed by a PrecomputedStore."""
-
-    trainable = False
-
-    def __init__(self, store: PrecomputedStore):
-        self.store = store
-
-    @property
-    def dim(self) -> int:
-        return self.store.dim
-
-    @property
-    def tag(self) -> str:
-        return f"precomputed:d{self.store.dim}:n{len(self.store)}"
-
-    def embed(self, sentence: Sentence) -> np.ndarray:
-        entry = self.store.blocks.get(sentence.uid)
-        if entry is None:
-            raise SidecarError(f"no precomputed embeddings for sentence {sentence.uid}")
-        tokens, matrix = entry
-        if len(tokens) != len(sentence):
-            raise SidecarError(
-                f"sentence {sentence.uid}: store has {len(tokens)} rows, "
-                f"sentence has {len(sentence)} tokens"
-            )
-        if tokens != sentence.tokens:
-            raise SidecarError(
-                f"sentence {sentence.uid}: stored tokens differ from sentence tokens"
-            )
-        return matrix

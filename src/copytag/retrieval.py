@@ -24,18 +24,16 @@ ZERO_NORM = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class NeighborIndex:
-    """One vector per database sentence, unit norm unless flagged zero.
+    """One vector per database sentence, unit norm unless it is zero.
 
     `token_matrices[row]` is the read-only token embedding matrix the
-    sentence vector was pooled from. An index read back by load_index
-    carries none, since the file holds only the pooled vectors.
+    sentence vector was pooled from.
     """
 
     ids: tuple[int, ...]
     vectors: np.ndarray
     provider_tag: str
-    zero_norm_ids: frozenset[int]
-    token_matrices: tuple[np.ndarray, ...] = ()
+    token_matrices: tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -45,14 +43,13 @@ def build_index(dataset: Dataset, provider) -> NeighborIndex:
     """Embed every sentence once, keeping its token matrix, and mean-pool
     it into a unit-length sentence vector.
 
-    Zero-norm sentence vectors are stored as-is and flagged rather than
-    normalized. A matrix of the wrong width or with non-finite entries is
-    rejected, naming the sentence.
+    Zero-norm sentence vectors are stored as-is rather than normalized, so
+    query scores them 0. A matrix of the wrong width or with non-finite
+    entries is rejected, naming the sentence.
     """
     if not dataset.items:
         raise ValueError("cannot build an index over an empty dataset")
     vectors = np.zeros((len(dataset.items), provider.dim))
-    zero_ids = []
     matrices = []
     for row, item in enumerate(dataset.items):
         uid = item.sentence.uid
@@ -68,17 +65,12 @@ def build_index(dataset: Dataset, provider) -> NeighborIndex:
         matrices.append(matrix)
         vec = embed_sentence(matrix)
         norm = float(np.linalg.norm(vec))
-        if norm < ZERO_NORM:
-            zero_ids.append(uid)
-            vectors[row] = vec
-        else:
-            vectors[row] = vec / norm
+        vectors[row] = vec if norm < ZERO_NORM else vec / norm
     vectors.setflags(write=False)
     return NeighborIndex(
         ids=tuple(item.sentence.uid for item in dataset.items),
         vectors=vectors,
         provider_tag=provider.tag,
-        zero_norm_ids=frozenset(zero_ids),
         token_matrices=tuple(matrices),
     )
 
@@ -194,45 +186,3 @@ def assemble_neighbor_set(
             raise ValueError(f"unknown sentence id {sid}")
         entries.append(NeighborEntry(dataset.items[sid], token_matrices[sid]))
     return NeighborSet.from_entries(entries)
-
-
-INDEX_MAGIC = "#nnindex v1"
-
-
-def save_index(index: NeighborIndex) -> str:
-    """One header line, then one "<id> <v1> ... <vD>" row per sentence."""
-    dim = index.vectors.shape[1]
-    lines = [f"{INDEX_MAGIC} dim {dim} provider {index.provider_tag}"]
-    for sid, row in zip(index.ids, index.vectors):
-        lines.append(str(sid) + " " + " ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def load_index(text: str) -> NeighborIndex:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty index file")
-    head = lines[0].split()
-    if (
-        len(head) != 6
-        or " ".join(head[:2]) != INDEX_MAGIC
-        or head[2] != "dim"
-        or head[4] != "provider"
-    ):
-        raise ValueError(f"bad index header {lines[0]!r}")
-    dim = int(head[3])
-    tag = head[5]
-    ids: list[int] = []
-    rows: list[list[float]] = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise ValueError(f"index row has {len(parts) - 1} values, expected {dim}")
-        ids.append(int(parts[0]))
-        rows.append([float(v) for v in parts[1:]])
-    vectors = np.array(rows, dtype=float).reshape(len(ids), dim)
-    vectors.setflags(write=False)
-    zero = frozenset(
-        sid for sid, row in zip(ids, vectors) if float(np.linalg.norm(row)) < ZERO_NORM
-    )
-    return NeighborIndex(tuple(ids), vectors, tag, zero)

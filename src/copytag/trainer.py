@@ -17,8 +17,8 @@ the seed at load time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -362,7 +362,3 @@ def load_checkpoint(text: str) -> Checkpoint:
         params.set_column(int(parts[1]), np.array([float(v) for v in parts[2:]]))
     return Checkpoint(params, config, log)
 
-
-def with_neighbors(config: TrainConfig, n_neighbors: int) -> TrainConfig:
-    """Convenience: the same config with both neighbor counts replaced."""
-    return replace(config, train_neighbors=n_neighbors, test_neighbors=n_neighbors)

@@ -33,14 +33,10 @@ from copytag.decoder import (
 from copytag.embeddings import (
     EmbedderParams,
     HashedWindowEmbedder,
-    PrecomputedStore,
     backprop_embedder,
     embed_tokens,
-    load_precomputed,
-    save_precomputed,
 )
 from copytag.evaluation import zero_shot_eval
-from copytag.retrieval import build_index, load_index, save_index
 from copytag.synthetic import suffix_corpus, toy_ner_corpus
 from copytag.tagging import Tagger
 from copytag.trainer import (
@@ -48,7 +44,6 @@ from copytag.trainer import (
     fine_tune,
     load_checkpoint,
     save_checkpoint,
-    with_neighbors,
 )
 
 from conftest import labels_only_set, make_marginals, make_neighbor_set
@@ -291,7 +286,7 @@ def test_criterion_08_fine_tuning_learns_the_suffix_task():
     ):
         train = suffix_corpus(500, seed=1)
         dev = suffix_corpus(60, seed=2)
-        config = with_neighbors(TrainConfig(), 20)
+        config = TrainConfig(train_neighbors=20, test_neighbors=20)
         frozen = zero_shot_eval(
             HashedWindowEmbedder(), train, dev, n_neighbors=20
         ).token_accuracy
@@ -321,21 +316,6 @@ def test_criterion_09_serialization_round_trips():
         )
         ck_text = save_checkpoint(checkpoint)
         assert save_checkpoint(load_checkpoint(ck_text)) == ck_text
-
-        provider = HashedWindowEmbedder(dim=16, n_buckets=256, seed=5)
-        index = build_index(ner, provider)
-        idx_text = save_index(index)
-        assert save_index(load_index(idx_text)) == idx_text
-
-        blocks = {
-            item.sentence.uid: (
-                item.sentence.tokens, provider.embed(item.sentence)
-            )
-            for item in sfx.items
-        }
-        store = PrecomputedStore(dim=provider.dim, blocks=blocks)
-        side_text = save_precomputed(store)
-        assert save_precomputed(load_precomputed(side_text)) == side_text
 
 
 def test_criterion_10_cli_pipeline_with_exact_sweep_agreement(tmp_path, capsys):

@@ -11,8 +11,8 @@ import copytag
 from copytag.cli import main
 from copytag.corpus import parse_conll, write_conll
 from copytag.evaluation import SWEEP_HEADER
-from copytag.retrieval import load_index
 from copytag.synthetic import toy_ner_corpus
+from copytag.tagging import DECODE_DP, Tagger
 from copytag.trainer import load_checkpoint
 
 
@@ -125,20 +125,6 @@ class TestPipeline:
         assert len(lines) == 4
         assert lines[1].startswith("0.0000,")
 
-    def test_build_index(self, corpora, trained, tmp_path):
-        out = tmp_path / "db.idx"
-        code = main(
-            [
-                "build-index",
-                "--data", str(corpora["train"]),
-                "--out", str(out),
-                "--ckpt", str(trained),
-            ]
-        )
-        assert code == 0
-        index = load_index(out.read_text())
-        assert len(index.ids) == 30
-
     def test_inspect_prints_sources(self, corpora, trained, capsys):
         code = main(
             [
@@ -158,6 +144,43 @@ class TestPipeline:
         assert "top-source neighbor:" in out
         assert "dp decode at c=0.4" in out
         assert "seg 0 " in out
+
+    def test_inspect_segments_match_tag_explain(self, corpora, trained, tmp_path, capsys):
+        shared = [
+            "--ckpt", str(trained),
+            "--db", str(corpora["train"]),
+            "--input", str(corpora["dev"]),
+            "--neighbors", "5",
+            "--c", "0.3",
+        ]
+        explain = tmp_path / "why.txt"
+        code = main(
+            [
+                "tag", *shared,
+                "--out", str(tmp_path / "pred.conll"),
+                "--decode", "dp",
+                "--explain", str(explain),
+            ]
+        )
+        assert code == 0
+        blocks = explain.read_text().split("# sentence ")[1:]
+        dev = parse_conll(corpora["dev"].read_text())
+        assert len(blocks) == len(dev.items)
+        tagger = Tagger(
+            load_checkpoint(trained.read_text()).provider(),
+            parse_conll(corpora["train"].read_text()),
+            5,
+        )
+        for sentence_id, block in enumerate(blocks):
+            assert main(["inspect", *shared, "--sentence-id", str(sentence_id)]) == 0
+            out = capsys.readouterr().out.splitlines()
+            inspected = [line for line in out if line.startswith("seg ")]
+            assert inspected
+            assert [str(sentence_id), *inspected] == block.splitlines()
+            decode = tagger.tag(
+                dev.items[sentence_id].sentence, decode=DECODE_DP, segment_cost=0.3
+            ).decode
+            assert f"dp decode at c=0.3: objective {decode.objective:.4f}" in out
 
 
 class TestDeterminism:
@@ -267,6 +290,15 @@ class TestExitCodes:
         )
         assert code == 1
         assert "copytag: error:" in capsys.readouterr().err
+
+    def test_corpus_error_names_file(self, corpora, tmp_path, capsys):
+        gold = tmp_path / "one_column.conll"
+        gold.write_text("John B-PER\nsmith\n")
+        code = main(["eval", "--pred", str(corpora["dev"]), "--gold", str(gold)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(gold) in err
+        assert "line 2" in err
 
     def test_failure_stages_nothing(self, corpora, trained, tmp_path, capsys):
         out = tmp_path / "pred.conll"

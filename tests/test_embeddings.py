@@ -9,15 +9,10 @@ from copytag.embeddings import (
     _token_columns,
     EmbedderParams,
     HashedWindowEmbedder,
-    PrecomputedEmbeddings,
-    PrecomputedStore,
-    SidecarError,
     backprop_embedder,
     embed_sentence,
     embed_tokens,
     fnv1a64,
-    load_precomputed,
-    save_precomputed,
     word_shape,
 )
 from copytag.retrieval import build_index
@@ -334,52 +329,3 @@ class TestBackprop:
         with pytest.raises(ValueError):
             backprop_embedder(params, SENT, np.ones((2, 4)))
 
-
-class TestSidecar:
-    def _store(self, rng) -> PrecomputedStore:
-        blocks = {
-            0: (("a", "b"), rng.normal(size=(2, 3))),
-            1: (("c",), rng.normal(size=(1, 3))),
-        }
-        return PrecomputedStore(dim=3, blocks=blocks)
-
-    def test_round_trip(self, rng):
-        store = self._store(rng)
-        back = load_precomputed(save_precomputed(store))
-        assert back.dim == 3
-        assert set(back.blocks) == {0, 1}
-        for uid in (0, 1):
-            tokens, matrix = store.blocks[uid]
-            tokens2, matrix2 = back.blocks[uid]
-            assert tokens == tokens2
-            assert np.array_equal(matrix, matrix2)
-
-    def test_bad_header(self):
-        with pytest.raises(SidecarError):
-            load_precomputed("not a header\n")
-
-    def test_dim_mismatch(self):
-        text = "#dim 3\n#id 0\na\t1.0 2.0\n"
-        with pytest.raises(SidecarError):
-            load_precomputed(text)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_rejected_naming_sentence(self, value):
-        text = f"#dim 2\n#id 0\na\t1.0 2.0\n\n#id 4\nb\t1.0 {value}\n"
-        with pytest.raises(SidecarError, match="sentence 4"):
-            load_precomputed(text)
-
-    def test_duplicate_uid(self):
-        text = "#dim 1\n#id 0\na\t1.0\n\n#id 0\nb\t2.0\n"
-        with pytest.raises(SidecarError):
-            load_precomputed(text)
-
-    def test_provider_validates_tokens(self, rng):
-        provider = PrecomputedEmbeddings(self._store(rng))
-        assert provider.trainable is False
-        with pytest.raises(SidecarError):
-            provider.embed(Sentence(0, ("a", "WRONG")))
-        with pytest.raises(SidecarError):
-            provider.embed(Sentence(7, ("a",)))
-        out = provider.embed(Sentence(1, ("c",)))
-        assert out.shape == (1, 3)

@@ -18,7 +18,6 @@ from copytag.trainer import (
     fine_tune,
     load_checkpoint,
     save_checkpoint,
-    with_neighbors,
 )
 
 
@@ -109,11 +108,6 @@ class TestTrainConfig:
         cfg = TrainConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.epochs = 3
-
-    def test_with_neighbors(self):
-        cfg = with_neighbors(TrainConfig(), 7)
-        assert cfg.train_neighbors == 7
-        assert cfg.test_neighbors == 7
 
 
 class TestFineTune:
