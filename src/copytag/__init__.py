@@ -47,6 +47,7 @@ from .decoder import (
     provenance_lines,
 )
 from .embeddings import (
+    ColumnGrads,
     EmbedderParams,
     HashedWindowEmbedder,
     embed_sentence,
@@ -87,6 +88,7 @@ __all__ = [
     "AdamState",
     "Checkpoint",
     "CheckpointError",
+    "ColumnGrads",
     "CopyPosterior",
     "CorpusError",
     "Dataset",

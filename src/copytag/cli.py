@@ -24,7 +24,13 @@ from .decoder import predict_marginal, provenance_lines
 from .embeddings import HashedWindowEmbedder
 from .evaluation import span_f1, sweep_c, sweep_csv, token_accuracy
 from .tagging import DECODE_DP, DECODE_MARGINAL, Tagger, predictions_dataset
-from .trainer import TrainConfig, fine_tune, load_checkpoint, save_checkpoint
+from .trainer import (
+    CheckpointError,
+    TrainConfig,
+    fine_tune,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 TOOL = "copytag"
 
@@ -175,7 +181,10 @@ def _read_sentences(path: str) -> list[Sentence]:
 def _provider_from(ckpt_path: str | None):
     if ckpt_path is None:
         return HashedWindowEmbedder()
-    return load_checkpoint(_read_text(ckpt_path)).provider()
+    try:
+        return load_checkpoint(_read_text(ckpt_path)).provider()
+    except CheckpointError as exc:
+        raise CheckpointError(f"{ckpt_path}: {exc}") from exc
 
 
 def _cmd_train(args, parser, staged) -> None:

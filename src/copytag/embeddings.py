@@ -189,6 +189,29 @@ class EmbedderParams:
         self.modified.add(col)
         self.revision += 1
 
+    def set_columns(
+        self, columns: np.ndarray, slots: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Overwrite the materialized rows `slots` of `columns` at once.
+
+        The batch form of one set_column per column: `modified` gains the
+        columns and `revision` advances by their count. A non-finite value
+        raises, naming the first such column, before anything is written.
+        `slots` must be this object's slots of `columns`, which are unique.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.shape != (len(columns), self.dim):
+            raise ValueError(
+                f"column values must have shape ({len(columns)}, {self.dim})"
+            )
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            col = int(columns[int(np.argmin(finite))])
+            raise ValueError(f"non-finite values for column {col}")
+        self._store[slots] = values
+        self.modified.update(columns.tolist())
+        self.revision += len(columns)
+
     @property
     def storage(self) -> np.ndarray:
         """Raw materialized rows; index with slots_for results."""
@@ -279,17 +302,35 @@ def embed_sentence(token_matrix: np.ndarray) -> np.ndarray:
     return matrix.mean(axis=0)
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnGrads:
+    """A sparse loss gradient over weight columns.
+
+    grad[i] is the gradient of columns[i]; columns are sorted and unique,
+    and slots[i] is the storage row of columns[i] in the EmbedderParams
+    the gradient was taken for. Columns absent here have zero gradient.
+    """
+
+    columns: np.ndarray
+    slots: np.ndarray
+    grad: np.ndarray
+
+    def __len__(self) -> int:
+        return self.columns.size
+
+
 def backprop_embedder(
     params: EmbedderParams,
     sentence: Sentence,
     d_output: np.ndarray,
     columns: TokenColumns | None = None,
-) -> dict[int, np.ndarray]:
+) -> ColumnGrads:
     """Columnwise loss gradient given d(loss)/d(token embeddings).
 
     Each active bucket of token t receives d_output[t] * (1 - x_t^2), the
-    tanh backward pass; inactive buckets are absent from the result and
-    therefore exactly zero. `columns` must come from these params.
+    tanh backward pass, summed over the token occurrences in one
+    np.add.at; inactive buckets are absent from the result and therefore
+    exactly zero. `columns` must come from these params.
     """
     if columns is None:
         columns = _token_columns(params, sentence)
@@ -304,10 +345,12 @@ def backprop_embedder(
     x = _embed_columns(params, columns)
     per_token = d_output * (1.0 - x * x)
     spread = np.repeat(per_token, columns.counts, axis=0)
-    uniq, inverse = np.unique(columns.columns, return_inverse=True)
+    uniq, first, inverse = np.unique(
+        columns.columns, return_index=True, return_inverse=True
+    )
     grad = np.zeros((uniq.size, params.dim))
     np.add.at(grad, inverse, spread)
-    return {int(col): grad[i].copy() for i, col in enumerate(uniq)}
+    return ColumnGrads(columns=uniq, slots=columns.slots[first], grad=grad)
 
 
 class HashedWindowEmbedder:
@@ -346,7 +389,7 @@ class HashedWindowEmbedder:
     def embed(self, sentence: Sentence) -> np.ndarray:
         return _embed_columns(self.params, self.token_columns(sentence))
 
-    def backprop(self, sentence: Sentence, d_output: np.ndarray) -> dict[int, np.ndarray]:
+    def backprop(self, sentence: Sentence, d_output: np.ndarray) -> ColumnGrads:
         return backprop_embedder(
             self.params, sentence, d_output, columns=self.token_columns(sentence)
         )

@@ -10,6 +10,14 @@ when the parameters moved since it was embedded, at most once per refresh
 window. Updates use bias-corrected Adam on exactly the columns with
 nonzero gradient.
 
+A training step works on arrays aligned with the EmbedderParams storage
+slots: each sentence's backprop is one ColumnGrads block, a batch sums
+the blocks over their union of columns in ascending sentence order, and
+one Adam step updates every touched row at once, with moments kept in
+slot-indexed arrays. Per element the float operations are those of a
+column-at-a-time update, so parameters and checkpoints are the same bit
+for bit.
+
 Checkpoints are line-oriented text: config as key=value pairs, then one
 line per modified weight column; unmodified columns are regenerated from
 the seed at load time.
@@ -24,7 +32,12 @@ import numpy as np
 
 from .copy_model import copy_logits, copy_posterior, grad_wrt_input, nll
 from .corpus import Dataset
-from .embeddings import EmbedderParams, HashedWindowEmbedder, _embed_columns
+from .embeddings import (
+    ColumnGrads,
+    EmbedderParams,
+    HashedWindowEmbedder,
+    _embed_columns,
+)
 from .evaluation import token_accuracy
 from .retrieval import assemble_neighbor_set, build_index, query
 from .tagging import Tagger, predictions_dataset
@@ -71,18 +84,35 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class AdamState:
-    """First/second moment vectors per touched column and one step counter."""
+    """First/second moments and one step counter for one EmbedderParams.
+
+    Row i of `mean` and `var` belongs to the column at storage slot i of
+    those params. The arrays grow with the materialized rows, never to
+    n_buckets; a row that never had a nonzero gradient stays all zero,
+    which is exactly the moment Adam starts a column from.
+    """
 
     step: int = 0
 
     def __post_init__(self) -> None:
-        self.mean: dict[int, np.ndarray] = {}
-        self.var: dict[int, np.ndarray] = {}
+        self.mean = np.zeros((0, 0))
+        self.var = np.zeros((0, 0))
+
+    def _reserve(self, rows: int, dim: int) -> None:
+        if rows <= self.mean.shape[0]:
+            return
+        size = max(rows, 2 * self.mean.shape[0])
+        kept = self.mean.shape[0]
+        for name in ("mean", "var"):
+            grown = np.zeros((size, dim))
+            if kept:
+                grown[:kept] = getattr(self, name)
+            setattr(self, name, grown)
 
 
 def adam_update(
     params: EmbedderParams,
-    grads: dict[int, np.ndarray],
+    grads: ColumnGrads,
     state: AdamState,
     learning_rate: float,
     beta1: float = ADAM_BETA1,
@@ -92,31 +122,57 @@ def adam_update(
     """One bias-corrected Adam step over the columns with nonzero gradient.
 
     The step counter advances exactly once per call, also when every
-    gradient is zero and nothing moves.
+    gradient is zero and nothing moves. A non-finite gradient raises,
+    naming its column, before any state changes. All touched rows are
+    updated as one block; every element sees the same float operations as
+    a column-at-a-time update would, so the result is the same bit for bit.
     """
-    state.step += 1
-    correction1 = 1.0 - beta1**state.step
-    correction2 = 1.0 - beta2**state.step
-    for col in sorted(grads):
-        grad = np.asarray(grads[col], dtype=float)
-        if not np.all(np.isfinite(grad)):
-            raise ValueError(f"non-finite gradient for column {col}")
-        if not grad.any():
-            continue
-        mean = state.mean.get(col)
-        if mean is None:
-            mean = np.zeros(params.dim)
-            var = np.zeros(params.dim)
-        else:
-            var = state.var[col]
-        mean = beta1 * mean + (1.0 - beta1) * grad
-        var = beta2 * var + (1.0 - beta2) * grad * grad
-        state.mean[col] = mean
-        state.var[col] = var
+    grad = np.asarray(grads.grad, dtype=float)
+    finite = np.isfinite(grad).all(axis=1)
+    if not finite.all():
+        col = int(grads.columns[int(np.argmin(finite))])
+        raise ValueError(f"non-finite gradient for column {col}")
+    step_count = state.step + 1
+    live = grad.any(axis=1)
+    if live.any():
+        columns = grads.columns[live]
+        slots = grads.slots[live]
+        grad = grad[live]
+        correction1 = 1.0 - beta1**step_count
+        correction2 = 1.0 - beta2**step_count
+        state._reserve(int(slots.max()) + 1, params.dim)
+        mean = beta1 * state.mean[slots] + (1.0 - beta1) * grad
+        var = beta2 * state.var[slots] + (1.0 - beta2) * grad * grad
         step = learning_rate * (mean / correction1) / (
             np.sqrt(var / correction2) + eps
         )
-        params.set_column(col, params.column(col) - step)
+        params.set_columns(columns, slots, params.storage[slots] - step)
+        state.mean[slots] = mean
+        state.var[slots] = var
+    state.step = step_count
+
+
+def _sum_grads(blocks: list[ColumnGrads], dim: int) -> ColumnGrads:
+    """Sum a nonempty list of gradients over their union of columns.
+
+    Each column's sum runs over the blocks in list order, one addition per
+    block that has it, so it rounds exactly like adding the blocks' vectors
+    one after another. The sum starts from -0.0, which is the exact
+    additive identity (0.0 + -0.0 would turn a -0.0 into 0.0).
+    """
+    columns, first, inverse = np.unique(
+        np.concatenate([b.columns for b in blocks]),
+        return_index=True,
+        return_inverse=True,
+    )
+    slots = np.concatenate([b.slots for b in blocks])[first]
+    total = np.full((columns.size, dim), -0.0)
+    lo = 0
+    for block in blocks:
+        rows = inverse[lo : lo + len(block)]
+        lo += len(block)
+        total[rows] += block.grad
+    return ColumnGrads(columns=columns, slots=slots, grad=total)
 
 
 @dataclass(frozen=True)
@@ -214,7 +270,7 @@ def fine_tune(
         total_nll = 0.0
         total_skipped = 0
         for batch in _batches(order, config.batch_size):
-            grads: dict[int, np.ndarray] = {}
+            blocks: list[ColumnGrads] = []
             for sid in sorted(batch):
                 item = train.items[sid]
                 for nid in neighbor_ids[sid]:
@@ -227,12 +283,9 @@ def fine_tune(
                 total_nll += report.nll
                 total_skipped += report.skipped
                 d_input = grad_wrt_input(posterior, neighbors, item.labels)
-                for col, vec in provider.backprop(item.sentence, d_input).items():
-                    acc = grads.get(col)
-                    if acc is None:
-                        grads[col] = vec
-                    else:
-                        acc += vec
+                blocks.append(provider.backprop(item.sentence, d_input))
+            grads = _sum_grads(blocks, params.dim)
+            del blocks  # the step needs only their sum
             adam_update(params, grads, state, config.learning_rate)
         dev_acc = _dev_accuracy(provider, train, dev, config) if dev is not None else None
         log.append(
@@ -280,10 +333,11 @@ def save_checkpoint(checkpoint: Checkpoint) -> str:
         if entry.dev_accuracy is not None:
             lines.append(f"{prefix}.dev_accuracy={_format_float(entry.dev_accuracy)}")
     lines.append(f"#params {params.dim} {params.n_buckets}")
-    for col in sorted(params.modified):
-        # tolist() yields Python floats, whose repr is what _format_float gives
-        values = " ".join(map(repr, params.column(col).tolist()))
-        lines.append(f"col {col} {values}")
+    columns = sorted(params.modified)
+    for col, row in zip(columns, params.storage[params.slots_for(columns)]):
+        # tolist() yields Python floats, whose repr is what _format_float
+        # gives; one row at a time, so only one row's floats are alive
+        lines.append(f"col {col} {' '.join(map(repr, row.tolist()))}")
     return "\n".join(lines) + "\n"
 
 
@@ -349,7 +403,7 @@ def load_checkpoint(text: str) -> Checkpoint:
         for epoch, fields in sorted(stats.items())
     )
 
-    for line in lines[cursor + 1 :]:
+    for number, line in enumerate(lines[cursor + 1 :], start=cursor + 2):
         if not line.strip():
             continue
         parts = line.split()
@@ -357,8 +411,13 @@ def load_checkpoint(text: str) -> Checkpoint:
             raise CheckpointError(f"unexpected line in parameter section: {line!r}")
         if len(parts) != params.dim + 2:
             raise CheckpointError(
-                f"column line has {len(parts) - 2} values, expected {params.dim}"
+                f"line {number}: column line has {len(parts) - 2} values, "
+                f"expected {params.dim}"
             )
-        params.set_column(int(parts[1]), np.array([float(v) for v in parts[2:]]))
+        try:
+            # parses each value exactly as float() does
+            params.set_column(int(parts[1]), np.array(parts[2:], dtype=float))
+        except ValueError as exc:
+            raise CheckpointError(f"line {number}: {exc}") from None
     return Checkpoint(params, config, log)
 

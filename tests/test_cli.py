@@ -11,7 +11,8 @@ import copytag
 from copytag.cli import main
 from copytag.corpus import parse_conll, write_conll
 from copytag.evaluation import SWEEP_HEADER
-from copytag.synthetic import toy_ner_corpus
+from copytag.decoder import provenance_lines
+from copytag.synthetic import suffix_corpus, toy_ner_corpus
 from copytag.tagging import DECODE_DP, Tagger
 from copytag.trainer import load_checkpoint
 
@@ -25,6 +26,17 @@ def corpora(tmp_path_factory):
     }
     paths["train"].write_text(write_conll(toy_ner_corpus(30, seed=11)))
     paths["dev"].write_text(write_conll(toy_ner_corpus(8, seed=12)))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def suffix_corpora(tmp_path_factory):
+    # unlike the toy NER pair, dev sentences here decode into more copied
+    # segments at a low segment cost than at a high one
+    root = tmp_path_factory.mktemp("suffix")
+    paths = {"db": root / "db.conll", "dev": root / "dev.conll"}
+    paths["db"].write_text(write_conll(suffix_corpus(30, seed=11)))
+    paths["dev"].write_text(write_conll(suffix_corpus(8, seed=12)))
     return paths
 
 
@@ -183,6 +195,46 @@ class TestPipeline:
             assert f"dp decode at c=0.3: objective {decode.objective:.4f}" in out
 
 
+    def test_segment_cost_reaches_the_segmentation(
+        self, suffix_corpora, trained, tmp_path
+    ):
+        db = parse_conll(suffix_corpora["db"].read_text())
+        dev = parse_conll(suffix_corpora["dev"].read_text())
+        tagger = Tagger(load_checkpoint(trained.read_text()).provider(), db, 5)
+        explained = {}
+        for c in ("0", "1.5"):
+            explain = tmp_path / f"why-{c}.txt"
+            code = main(
+                [
+                    "tag",
+                    "--ckpt", str(trained),
+                    "--db", str(suffix_corpora["db"]),
+                    "--input", str(suffix_corpora["dev"]),
+                    "--out", str(tmp_path / f"pred-{c}.conll"),
+                    "--neighbors", "5",
+                    "--decode", "dp",
+                    "--c", c,
+                    "--explain", str(explain),
+                ]
+            )
+            assert code == 0
+            blocks = explain.read_text().split("# sentence ")[1:]
+            assert len(blocks) == len(dev.items)
+            for sentence_id, (block, item) in enumerate(zip(blocks, dev.items)):
+                decode = tagger.tag(
+                    item.sentence, decode=DECODE_DP, segment_cost=float(c)
+                ).decode
+                expected = provenance_lines(decode, db.vocab.types)
+                assert block.splitlines() == [str(sentence_id), *expected]
+            explained[c] = blocks
+        assert explained["0"] != explained["1.5"]
+        segments = {
+            c: sum(block.count("\nseg ") for block in blocks)
+            for c, blocks in explained.items()
+        }
+        assert segments["0"] > segments["1.5"]
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, corpora, trained, tmp_path):
         outs = []
@@ -299,6 +351,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(gold) in err
         assert "line 2" in err
+
+    @pytest.mark.parametrize("damage", ["truncate", "bad value"])
+    def test_checkpoint_error_names_file(
+        self, corpora, trained, tmp_path, capsys, damage
+    ):
+        lines = trained.read_text().splitlines()
+        if damage == "truncate":
+            text = "\n".join(lines[:5]) + "\n"
+            expected = "missing #params section"
+        else:
+            number = next(i for i, line in enumerate(lines) if line.startswith("col "))
+            parts = lines[number].split()
+            parts[3] = "0.1.2"
+            lines[number] = " ".join(parts)
+            text = "\n".join(lines) + "\n"
+            expected = f"line {number + 1}: "
+        ckpt = tmp_path / "damaged.ckpt"
+        ckpt.write_text(text)
+        out = tmp_path / "pred.conll"
+        code = main(
+            [
+                "tag",
+                "--ckpt", str(ckpt),
+                "--db", str(corpora["train"]),
+                "--input", str(corpora["dev"]),
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"copytag: error: {ckpt}: " in err
+        assert expected in err
+        assert not out.exists()
 
     def test_failure_stages_nothing(self, corpora, trained, tmp_path, capsys):
         out = tmp_path / "pred.conll"

@@ -16,6 +16,7 @@ from copytag.embeddings import (
     word_shape,
 )
 from copytag.retrieval import build_index
+from adam_reference import reference_backprop
 from featurizer_reference import token_features
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -119,6 +120,32 @@ class TestEmbedderParams:
         r0 = p.revision
         p.set_column(1, np.zeros(3))
         assert p.revision == r0 + 1
+
+    def test_set_columns_equals_set_column_calls(self):
+        one = EmbedderParams(dim=3, n_buckets=16)
+        batch = EmbedderParams(dim=3, n_buckets=16)
+        columns = np.array([2, 9, 13])
+        values = np.arange(9.0).reshape(3, 3) - 4.0
+        for col, row in zip(columns.tolist(), values):
+            one.set_column(col, row)
+        batch.set_columns(columns, batch.slots_for(columns), values)
+        assert batch.modified == one.modified == {2, 9, 13}
+        assert batch.revision == one.revision == 3
+        for col in range(16):
+            assert batch.column(col).tobytes() == one.column(col).tobytes()
+
+    def test_set_columns_writes_nothing_on_nonfinite(self):
+        p = EmbedderParams(dim=2, n_buckets=16)
+        columns = np.array([1, 4, 6])
+        slots = p.slots_for(columns)
+        before = p.storage.copy()
+        values = np.array([[1.0, 2.0], [np.inf, 0.0], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="column 4"):
+            p.set_columns(columns, slots, values)
+        assert p.storage.tobytes() == before.tobytes()
+        assert p.modified == set() and p.revision == 0
+        with pytest.raises(ValueError, match="shape"):
+            p.set_columns(columns, slots, np.ones((3, 3)))
 
     def test_copy_is_independent(self):
         p = EmbedderParams(dim=2, n_buckets=4)
@@ -300,10 +327,10 @@ class TestBackprop:
         d_output = rng.normal(size=(3, 5))
 
         grads = backprop_embedder(params, sent, d_output)
-        assert grads
+        assert len(grads)
 
         step = 1e-6
-        for col, grad in grads.items():
+        for col, grad in zip(grads.columns.tolist(), grads.grad):
             for k in range(5):
                 base = params.column(col)
                 bumped = base.copy()
@@ -322,7 +349,28 @@ class TestBackprop:
         sent = Sentence(0, ("xy",))
         grads = backprop_embedder(params, sent, np.ones((1, 4)))
         active = token_features(sent, 0, window=0, n_buckets=32).indices
-        assert set(grads) == active
+        assert set(grads.columns.tolist()) == active
+
+    def test_matches_token_order_reference(self, rng):
+        # the block equals, column for column and bit for bit, the sum of
+        # each token's vector in token order; its slots are the params' own
+        for seed in range(30):
+            params = EmbedderParams(dim=6, n_buckets=64, window=2, seed=seed)
+            # words over a 4-letter alphabet repeat, so tokens share columns
+            words = [
+                "".join("abcd"[int(c)] for c in rng.integers(0, 4, rng.integers(1, 4)))
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+            sent = Sentence(0, tuple(words))
+            d_output = rng.normal(size=(len(sent), 6))
+            grads = backprop_embedder(params, sent, d_output)
+            expected = reference_backprop(params, sent, d_output)
+            assert grads.columns.tolist() == sorted(expected)
+            assert np.all(np.diff(grads.columns) > 0)
+            assert grads.grad.shape == (len(expected), 6)
+            for col, row in zip(grads.columns.tolist(), grads.grad):
+                assert row.tobytes() == expected[col].tobytes()
+            np.testing.assert_array_equal(grads.slots, params.slots_for(grads.columns))
 
     def test_shape_validated(self):
         params = EmbedderParams(dim=4, n_buckets=32)

@@ -14,10 +14,19 @@ from copytag.trainer import (
     AdamState,
     CheckpointError,
     TrainConfig,
+    _sum_grads,
     adam_update,
     fine_tune,
     load_checkpoint,
     save_checkpoint,
+)
+
+from adam_reference import (
+    ReferenceAdamState,
+    as_dict,
+    column_grads,
+    reference_adam_update,
+    reference_batch_sum,
 )
 
 
@@ -37,7 +46,7 @@ class TestAdam:
         ]
         lr = 0.01
         for g in grads:
-            adam_update(params, {5: g}, state, lr)
+            adam_update(params, column_grads(params, {5: g}), state, lr)
 
         m = np.zeros(3)
         v = np.zeros(3)
@@ -54,7 +63,7 @@ class TestAdam:
         params = EmbedderParams(dim=4, n_buckets=16, seed=0)
         start = params.column(2)
         g = np.array([0.7, -0.2, 1.3, -2.1])
-        adam_update(params, {2: g}, AdamState(), 0.05)
+        adam_update(params, column_grads(params, {2: g}), AdamState(), 0.05)
         delta = params.column(2) - start
         np.testing.assert_allclose(delta, -0.05 * np.sign(g), atol=1e-6)
 
@@ -62,9 +71,9 @@ class TestAdam:
         params = EmbedderParams(dim=2, n_buckets=8, seed=1)
         before = params.column(3)
         state = AdamState()
-        adam_update(params, {3: np.zeros(2)}, state, 0.1)
+        adam_update(params, column_grads(params, {3: np.zeros(2)}), state, 0.1)
         assert state.step == 1
-        assert not state.mean
+        assert not state.mean.any()
         np.testing.assert_array_equal(params.column(3), before)
 
     def test_zero_columns_skipped_but_others_move(self):
@@ -73,17 +82,118 @@ class TestAdam:
         state = AdamState()
         adam_update(
             params,
-            {0: np.zeros(2), 1: np.array([1.0, -1.0])},
+            column_grads(params, {0: np.zeros(2), 1: np.array([1.0, -1.0])}),
             state,
             0.1,
         )
-        assert 0 not in state.mean and 1 in state.mean
+        slot0, slot1 = params.slots_for([0, 1])
+        assert not state.mean[slot0].any() and state.mean[slot1].any()
         np.testing.assert_array_equal(params.column(0), frozen)
 
     def test_nonfinite_gradient_rejected(self):
         params = EmbedderParams(dim=2, n_buckets=8, seed=1)
         with pytest.raises(ValueError, match="column 4"):
-            adam_update(params, {4: np.array([np.nan, 0.0])}, AdamState(), 0.1)
+            adam_update(
+                params,
+                column_grads(params, {4: np.array([np.nan, 0.0])}),
+                AdamState(),
+                0.1,
+            )
+
+    def test_rejected_step_changes_nothing(self):
+        # the bad column sorts after columns that would move, and the state
+        # already holds moments from an earlier step
+        params = EmbedderParams(dim=3, n_buckets=32, seed=4)
+        state = AdamState()
+        first = {2: np.ones(3), 9: -np.ones(3)}
+        adam_update(params, column_grads(params, first), state, 0.1)
+        bad = {
+            2: np.ones(3),
+            5: np.full(3, 0.5),
+            7: np.array([0.0, np.inf, 1.0]),
+            11: np.array([np.nan, 0.0, 0.0]),
+        }
+        grads = column_grads(params, bad)
+        values = params.storage.copy()
+        mean, var = state.mean.copy(), state.var.copy()
+        modified, revision = set(params.modified), params.revision
+        with pytest.raises(ValueError, match="column 7"):
+            adam_update(params, grads, state, 0.1)
+        assert state.step == 1
+        assert params.revision == revision
+        assert params.modified == modified
+        assert params.storage.tobytes() == values.tobytes()
+        assert state.mean.tobytes() == mean.tobytes()
+        assert state.var.tobytes() == var.tobytes()
+
+
+def _random_batch(rng, dim, pool):
+    """Per-sentence {column: gradient} dicts of one random batch.
+
+    Columns come from a small pool, so several sentences share them; some
+    rows are zero, a few carry -0.0, and one column, when drawn, is zero
+    in every sentence of the batch.
+    """
+    zero_col = int(rng.choice(pool))
+    sentences = []
+    for _ in range(int(rng.integers(1, 5))):
+        cols = rng.choice(pool, size=int(rng.integers(1, 8)), replace=False)
+        grads = {}
+        for col in sorted(int(c) for c in cols):
+            vec = rng.normal(size=dim) * 10.0 ** rng.integers(-6, 3)
+            if col == zero_col or rng.random() < 0.15:
+                vec = np.zeros(dim)
+            vec[rng.random(dim) < 0.1] = -0.0
+            grads[col] = vec
+        sentences.append(grads)
+    return sentences
+
+
+class TestVectorizedStepMatchesReference:
+    def test_random_sparse_batches(self):
+        rng = np.random.default_rng(20)
+        dim = 5
+        pool = np.arange(0, 200, 7)
+        batches = 0
+        for run in range(4):
+            params = EmbedderParams(dim=dim, n_buckets=256, window=1, seed=run)
+            ref_params = EmbedderParams(dim=dim, n_buckets=256, window=1, seed=run)
+            state = AdamState()
+            ref_state = ReferenceAdamState()
+            lr = float(10.0 ** rng.uniform(-4, -1))
+            for _ in range(60):
+                sentences = _random_batch(rng, dim, pool)
+                blocks = [column_grads(params, g) for g in sentences]
+                summed = _sum_grads(blocks, dim)
+                expected = reference_batch_sum(sentences)
+                assert len(summed) == len(expected)
+                got = as_dict(summed)
+                assert sorted(got) == sorted(expected)
+                for col, vec in expected.items():
+                    assert got[col].tobytes() == vec.tobytes()
+                np.testing.assert_array_equal(
+                    summed.slots, params.slots_for(summed.columns)
+                )
+
+                adam_update(params, summed, state, lr)
+                reference_adam_update(ref_params, expected, ref_state, lr)
+                batches += 1
+
+                assert state.step == ref_state.step
+                assert params.modified == ref_params.modified
+                assert params.revision == ref_params.revision
+                for col in pool.tolist():
+                    assert params.column(col).tobytes() == ref_params.column(col).tobytes()
+                slots = dict(zip(pool.tolist(), params.slots_for(pool).tolist()))
+                for col, slot in slots.items():
+                    if col in ref_state.mean:
+                        assert state.mean[slot].tobytes() == ref_state.mean[col].tobytes()
+                        assert state.var[slot].tobytes() == ref_state.var[col].tobytes()
+                    elif slot < state.mean.shape[0]:
+                        assert not state.mean[slot].any() and not state.var[slot].any()
+        assert batches >= 200
+        # moments grow with the materialized rows, not to n_buckets
+        assert state.mean.shape[0] <= 2 * len(pool)
 
 
 class TestTrainConfig:
@@ -272,6 +382,49 @@ class TestCheckpointFormat:
             seeded = np.random.default_rng([4, col]).normal(0.0, INIT_STD, 3)
             np.testing.assert_array_equal(params.column(col), seeded)
         assert params.revision == 3
+
+    def test_value_parse_matches_float(self):
+        # load_checkpoint parses a column line with one numpy conversion;
+        # it must read every repr the same as float() does, bit for bit
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64)
+        bits[:2000] &= np.uint64(2**63 + 2**52 - 1)  # subnormals of both signs
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        scaled = rng.normal(size=5000) * 10.0 ** rng.integers(-12, 12, 5000)
+        specials = [
+            -0.0, 0.0, 1e-05, -2.5e-07, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, 0.1, 1e16, 123456789012345680.0,
+        ]
+        texts = [repr(v) for v in [*values.tolist(), *scaled.tolist(), *specials]]
+        assert any("e-" in t for t in texts) and "-0.0" in texts
+        parsed = np.array(texts, dtype=float)
+        expected = np.array([float(t) for t in texts])
+        assert parsed.tobytes() == expected.tobytes()
+
+    def _column_text(self, column_line):
+        lines = [
+            "#copytag-ckpt v1", "dim=3", "buckets=40", "window=1", "embed_seed=4",
+            "learning_rate=0.002", "batch_size=16", "epochs=0", "train_neighbors=5",
+            "test_neighbors=5", "seed=0", "refresh=per-batch", "exclude_self=true",
+            "#params 3 40", "col 7 0.5 -0.25 1.0", column_line,
+        ]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "column_line, message",
+        [
+            ("col 9 0.5 banana 1.0", "banana"),
+            ("col 9.5 0.5 0.25 1.0", "9.5"),
+            ("col x 0.5 0.25 1.0", "'x'"),
+            ("col 9 0.5 nan 1.0", "non-finite"),
+            ("col 40 0.5 0.25 1.0", "column 40"),
+        ],
+    )
+    def test_bad_column_line_names_line(self, column_line, message):
+        with pytest.raises(CheckpointError, match=message) as info:
+            load_checkpoint(self._column_text(column_line))
+        assert str(info.value).startswith("line 16: ")
 
     def test_bad_magic(self):
         with pytest.raises(CheckpointError, match="magic"):
