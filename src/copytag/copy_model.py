@@ -30,12 +30,13 @@ def copy_logits(input_embeddings: np.ndarray, neighbors: NeighborSet) -> np.ndar
     x = np.asarray(input_embeddings, dtype=float)
     if x.ndim != 2:
         raise ValueError("input embeddings must be a 2-d matrix")
-    if x.shape[1] != neighbors.flat_embeddings.shape[1]:
+    flat = neighbors.flat_embeddings
+    if x.shape[1] != flat.shape[1]:
         raise ValueError(
             f"input width {x.shape[1]} does not match neighbor width "
-            f"{neighbors.flat_embeddings.shape[1]}"
+            f"{flat.shape[1]}"
         )
-    return x @ neighbors.flat_embeddings.T
+    return x @ flat.T
 
 
 @dataclass(eq=False)

@@ -12,7 +12,15 @@ Featurization costs work per distinct (offset, word type), not per token
 occurrence: the parameters hash each pair once and keep its sorted bucket
 ids next to their storage slots. A token's ids are the union of its
 window's entries; the provider keeps the ids and slots of each distinct
-token tuple, so embedding a known sentence is one gather plus one reduceat.
+token tuple, so embedding a known sentence is a gather of its slots and a
+reduceat over the gathered rows.
+
+A sentence whose gathered rows would outgrow EMBED_BLOCK_BYTES is gathered
+and reduced in runs of consecutive tokens that fit it. reduceat sums every
+token's rows on their own, with the same row stride either way, so the
+bits do not depend on where the runs are cut. The backward pass scatters
+each token's gradient row into its columns, one token at a time in token
+order.
 """
 
 from __future__ import annotations
@@ -34,6 +42,15 @@ NGRAM_SIZES = (2, 3, 4)
 DEFAULT_DIM = 128
 DEFAULT_BUCKETS = 2**18
 DEFAULT_WINDOW = 2
+
+# Gathered rows per reduceat call, in bytes (rows x dim x 8). reduceat
+# reads one row per column per step, so a gathered block bigger than the
+# L2 cache misses it on nearly every read. 1 MiB (1024 rows at dim 128) is
+# half of a 2 MiB L2, leaving room for the storage rows the gather reads.
+# Cutting a sentence that already fits costs more than it saves (a toy NER
+# sentence of ~560 rows embeds ~20% slower in 512-row runs), so those keep
+# the single call; a 40-token suffix sentence (~3.9k rows) is cut into 4.
+EMBED_BLOCK_BYTES = 1 << 20
 
 
 def fnv1a64(text: str, seed: int = 0) -> int:
@@ -284,9 +301,35 @@ def _token_columns(params: EmbedderParams, sentence: Sentence) -> TokenColumns:
     )
 
 
+def _column_sums(
+    storage: np.ndarray, slots: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """np.add.reduceat(storage[slots], starts, axis=0), bit for bit, gathering
+    at most EMBED_BLOCK_BYTES of rows at a time.
+
+    Token t owns slots[starts[t] : starts[t + 1]] (the last one runs to the
+    end) and owns at least one. A run of consecutive tokens is cut where
+    its rows would exceed the budget; a token over the budget on its own
+    makes a run of one.
+    """
+    row_bytes = storage.shape[1] * storage.itemsize
+    if slots.size * row_bytes <= EMBED_BLOCK_BYTES:
+        return np.add.reduceat(storage[slots], starts, axis=0)
+    budget = EMBED_BLOCK_BYTES // row_bytes
+    bounds = np.append(starts, slots.size)
+    out = np.empty((starts.size, storage.shape[1]))
+    lo = 0
+    while lo < starts.size:
+        a = bounds[lo]
+        hi = max(lo + 1, int(np.searchsorted(bounds, a + budget, side="right")) - 1)
+        b = bounds[hi]
+        out[lo:hi] = np.add.reduceat(storage[slots[a:b]], starts[lo:hi] - a, axis=0)
+        lo = hi
+    return out
+
+
 def _embed_columns(params: EmbedderParams, columns: TokenColumns) -> np.ndarray:
-    rows = params.storage[columns.slots]
-    return np.tanh(np.add.reduceat(rows, columns.starts, axis=0))
+    return np.tanh(_column_sums(params.storage, columns.slots, columns.starts))
 
 
 def embed_tokens(params: EmbedderParams, sentence: Sentence) -> np.ndarray:
@@ -324,13 +367,17 @@ def backprop_embedder(
     sentence: Sentence,
     d_output: np.ndarray,
     columns: TokenColumns | None = None,
+    embeddings: np.ndarray | None = None,
 ) -> ColumnGrads:
     """Columnwise loss gradient given d(loss)/d(token embeddings).
 
     Each active bucket of token t receives d_output[t] * (1 - x_t^2), the
-    tanh backward pass, summed over the token occurrences in one
-    np.add.at; inactive buckets are absent from the result and therefore
-    exactly zero. `columns` must come from these params.
+    tanh backward pass. A column's gradient adds these from 0.0 in token
+    order, one token at a time; a token's columns are unique, so each
+    token's scatter is exact. Inactive buckets are absent from the result
+    and therefore exactly zero. `columns` must come from these params, and
+    `embeddings`, when given, must be the sentence embedded under them
+    (x above); otherwise it is embedded here.
     """
     if columns is None:
         columns = _token_columns(params, sentence)
@@ -342,14 +389,15 @@ def backprop_embedder(
         )
     if not np.all(np.isfinite(d_output)):
         raise ValueError("d_output contains non-finite entries")
-    x = _embed_columns(params, columns)
+    x = _embed_columns(params, columns) if embeddings is None else embeddings
     per_token = d_output * (1.0 - x * x)
-    spread = np.repeat(per_token, columns.counts, axis=0)
     uniq, first, inverse = np.unique(
         columns.columns, return_index=True, return_inverse=True
     )
     grad = np.zeros((uniq.size, params.dim))
-    np.add.at(grad, inverse, spread)
+    bounds = zip(columns.starts.tolist(), columns.counts.tolist())
+    for row, (lo, count) in zip(per_token, bounds):
+        grad[inverse[lo : lo + count]] += row
     return ColumnGrads(columns=uniq, slots=columns.slots[first], grad=grad)
 
 
@@ -359,8 +407,8 @@ class HashedWindowEmbedder:
     Caches the TokenColumns of each distinct token tuple: the sorted bucket
     ids of every token and their storage slots. Both stay valid across
     parameter updates, because hashing does not depend on the weights and
-    slots never move, so embedding a cached sentence is one gather of its
-    slots plus one reduceat.
+    slots never move, so embedding a cached sentence is a gather of its
+    slots and a reduceat, in cache-sized runs of tokens for long sentences.
     """
 
     trainable = True
@@ -389,8 +437,19 @@ class HashedWindowEmbedder:
     def embed(self, sentence: Sentence) -> np.ndarray:
         return _embed_columns(self.params, self.token_columns(sentence))
 
-    def backprop(self, sentence: Sentence, d_output: np.ndarray) -> ColumnGrads:
+    def backprop(
+        self,
+        sentence: Sentence,
+        d_output: np.ndarray,
+        embeddings: np.ndarray | None = None,
+    ) -> ColumnGrads:
+        """backprop_embedder over the cached columns; pass `embeddings` when
+        the sentence was just embedded under the current parameters."""
         return backprop_embedder(
-            self.params, sentence, d_output, columns=self.token_columns(sentence)
+            self.params,
+            sentence,
+            d_output,
+            columns=self.token_columns(sentence),
+            embeddings=embeddings,
         )
 

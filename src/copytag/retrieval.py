@@ -128,12 +128,13 @@ class NeighborSet:
 
     Entry m occupies flat positions starts[m] to starts[m + 1] - 1, so
     flat position i is token i - starts[m] of that entry; flat_labels[i]
-    and flat_embeddings[i] describe that token.
+    and flat_embeddings[i] describe that token. flat_embeddings stacks the
+    entries' matrices anew on every read, so a kept set holds no copy of
+    them; an assembled set's matrices are the index's own.
     """
 
     entries: tuple[NeighborEntry, ...]
     flat_labels: np.ndarray
-    flat_embeddings: np.ndarray
     starts: np.ndarray
 
     @classmethod
@@ -149,12 +150,19 @@ class NeighborSet:
         flat_labels = np.concatenate(
             [np.asarray(e.sequence.labels, dtype=np.int64) for e in entries]
         )
-        flat_embeddings = np.vstack([e.embeddings for e in entries])
         starts = np.zeros(len(entries) + 1, dtype=np.int64)
         np.cumsum([len(e.sequence) for e in entries], out=starts[1:])
-        for array in (flat_labels, flat_embeddings, starts):
+        for array in (flat_labels, starts):
             array.setflags(write=False)
-        return cls(tuple(entries), flat_labels, flat_embeddings, starts)
+        return cls(tuple(entries), flat_labels, starts)
+
+    @property
+    def flat_embeddings(self) -> np.ndarray:
+        """The entries' token rows stacked in flat order (read-only); read
+        it once per use, as each read stacks them again."""
+        stacked = np.vstack([e.embeddings for e in self.entries])
+        stacked.setflags(write=False)
+        return stacked
 
     @property
     def n_total(self) -> int:

@@ -11,12 +11,12 @@ window. Updates use bias-corrected Adam on exactly the columns with
 nonzero gradient.
 
 A training step works on arrays aligned with the EmbedderParams storage
-slots: each sentence's backprop is one ColumnGrads block, a batch sums
-the blocks over their union of columns in ascending sentence order, and
-one Adam step updates every touched row at once, with moments kept in
-slot-indexed arrays. Per element the float operations are those of a
-column-at-a-time update, so parameters and checkpoints are the same bit
-for bit.
+slots: each sentence's backprop, which reuses its forward embedding, is
+one ColumnGrads block, a batch sums the blocks over their union of
+columns in ascending sentence order, and one Adam step updates every
+touched row at once, with moments kept in slot-indexed arrays. Per
+element the float operations are those of a column-at-a-time update, so
+parameters and checkpoints are the same bit for bit.
 
 Checkpoints are line-oriented text: config as key=value pairs, then one
 line per modified weight column; unmodified columns are regenerated from
@@ -283,7 +283,9 @@ def fine_tune(
                 total_nll += report.nll
                 total_skipped += report.skipped
                 d_input = grad_wrt_input(posterior, neighbors, item.labels)
-                blocks.append(provider.backprop(item.sentence, d_input))
+                blocks.append(
+                    provider.backprop(item.sentence, d_input, embeddings)
+                )
             grads = _sum_grads(blocks, params.dim)
             del blocks  # the step needs only their sum
             adam_update(params, grads, state, config.learning_rate)

@@ -1,14 +1,19 @@
 import hashlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from copytag.corpus import Sentence, parse_conll
 from copytag.embeddings import (
+    EMBED_BLOCK_BYTES,
+    _column_sums,
+    _embed_columns,
     _token_columns,
     EmbedderParams,
     HashedWindowEmbedder,
+    TokenColumns,
     backprop_embedder,
     embed_sentence,
     embed_tokens,
@@ -16,7 +21,13 @@ from copytag.embeddings import (
     word_shape,
 )
 from copytag.retrieval import build_index
+from copytag.synthetic import suffix_corpus
 from adam_reference import reference_backprop
+from embedding_reference import (
+    reference_backprop_add_at,
+    reference_column_sums,
+    reference_embed_columns,
+)
 from featurizer_reference import token_features
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -377,3 +388,99 @@ class TestBackprop:
         with pytest.raises(ValueError):
             backprop_embedder(params, SENT, np.ones((2, 4)))
 
+
+
+def _bits(array: np.ndarray) -> bytes:
+    # tobytes compares sign bits too: -0.0 and 0.0 differ here
+    return np.ascontiguousarray(array).tobytes()
+
+
+class TestCacheSizedForward:
+    """The forward kernel against one whole-sentence gather and reduceat."""
+
+    DIM = 128
+
+    def _random_case(self, rng, big_token: bool):
+        n_tokens = int(rng.integers(1, 31))
+        # 1-300 rows a token crosses numpy's 8- and 128-element pairwise
+        # blocks; a big token alone exceeds the block budget
+        counts = rng.integers(1, 301, size=n_tokens)
+        budget_rows = EMBED_BLOCK_BYTES // (self.DIM * 8)
+        if big_token:
+            counts[rng.integers(n_tokens)] = budget_rows + int(rng.integers(1, 500))
+        starts = np.zeros(n_tokens, dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        n_rows = 3000
+        magnitude = 10.0 ** rng.uniform(-9, 9, size=(n_rows, self.DIM))
+        storage = rng.choice([-1.0, 1.0], size=(n_rows, self.DIM)) * magnitude
+        zeros = rng.random(storage.shape) < 0.05
+        storage[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+        slots = rng.integers(0, n_rows, size=int(counts.sum()))
+        return storage, slots, starts, counts
+
+    def test_random_cases_match_whole_reduceat(self, rng):
+        split = 0
+        for case in range(240):
+            storage, slots, starts, counts = self._random_case(rng, case % 12 == 0)
+            if slots.size * self.DIM * 8 > EMBED_BLOCK_BYTES:
+                split += 1
+            got = _column_sums(storage, slots, starts)
+            assert _bits(got) == _bits(reference_column_sums(storage, slots, starts))
+            columns = TokenColumns(
+                columns=slots.copy(), slots=slots, starts=starts, counts=counts
+            )
+            embedded = _embed_columns(SimpleNamespace(storage=storage), columns)
+            assert _bits(embedded) == _bits(
+                reference_embed_columns(storage, slots, starts)
+            )
+        assert split > 150  # most cases take the blocked path
+
+    def test_token_larger_than_the_budget(self, rng):
+        storage = rng.normal(size=(4000, self.DIM))
+        budget_rows = EMBED_BLOCK_BYTES // (self.DIM * 8)
+        for counts in ([3, budget_rows + 1, 2], [budget_rows * 2], [budget_rows, 1]):
+            counts = np.array(counts)
+            starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+            slots = rng.integers(0, 4000, size=int(counts.sum()))
+            got = _column_sums(storage, slots, starts)
+            assert _bits(got) == _bits(reference_column_sums(storage, slots, starts))
+
+    def test_suffix_sentence_through_the_provider(self):
+        sentence = suffix_corpus(1, seed=4, min_len=40, max_len=40).items[0].sentence
+        provider = HashedWindowEmbedder()
+        columns = provider.token_columns(sentence)
+        # a 40-token suffix sentence gathers more rows than one block holds
+        assert columns.slots.size * provider.dim * 8 > EMBED_BLOCK_BYTES
+        expected = reference_embed_columns(
+            provider.params.storage, columns.slots, columns.starts
+        )
+        assert _bits(provider.embed(sentence)) == _bits(expected)
+
+
+class TestTokenByTokenBackward:
+    def test_matches_add_at_and_token_order(self, rng):
+        for seed in range(12):
+            params = EmbedderParams(dim=16, n_buckets=4096, window=2, seed=seed)
+            # 40 tokens over a 6-word vocabulary: words and windows repeat,
+            # so many columns occur in several tokens
+            vocab = ["ab", "ba", "abc", "cab", "Ab", "b"]
+            words = tuple(vocab[int(i)] for i in rng.integers(0, len(vocab), 40))
+            sent = Sentence(0, words)
+            columns = _token_columns(params, sent)
+            assert np.unique(columns.columns, return_counts=True)[1].max() > 1
+            d_output = rng.normal(size=(40, 16))
+            d_output[rng.random(d_output.shape) < 0.1] = -0.0
+            x = embed_tokens(params, sent)
+
+            grads = backprop_embedder(params, sent, d_output)
+            expected = reference_backprop_add_at(columns, d_output, x)
+            np.testing.assert_array_equal(grads.columns, expected.columns)
+            np.testing.assert_array_equal(grads.slots, expected.slots)
+            assert _bits(grads.grad) == _bits(expected.grad)
+            by_token = reference_backprop(params, sent, d_output)
+            for col, row in zip(grads.columns.tolist(), grads.grad):
+                assert _bits(row) == _bits(by_token[col])
+
+            # the forward embedding passed in gives the same block
+            reused = backprop_embedder(params, sent, d_output, embeddings=x)
+            assert _bits(reused.grad) == _bits(grads.grad)

@@ -176,6 +176,23 @@ class TestNeighborSet:
         assert ns.entries[0].sequence.sentence.uid == 2
         assert ns.entries[1].sequence.sentence.uid == 0
 
+    def test_kept_set_holds_no_stacked_copy(self):
+        # a kept set (one per tagged sentence) references the index's rows
+        # and stacks them only when flat_embeddings is read
+        db = tiny_db()
+        index = build_index(db, small_provider())
+        ns = assemble_neighbor_set(db, [2, 0], index.token_matrices)
+        assert ns.entries[0].embeddings is index.token_matrices[2]
+        assert not any(
+            isinstance(value, np.ndarray) and value.ndim == 2
+            for value in vars(ns).values()
+        )
+        flat = ns.flat_embeddings
+        assert not flat.flags.writeable
+        assert np.array_equal(
+            flat, np.vstack([index.token_matrices[2], index.token_matrices[0]])
+        )
+
     def test_assemble_matches_fresh_embedding(self):
         # oracle: the per-query path, which embedded every neighbor afresh
         db = tiny_db()

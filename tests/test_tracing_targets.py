@@ -2,9 +2,9 @@
 
 perfbench/tracing.py looks each target up in its owner's __dict__ and
 raises KeyError when one is missing, which otherwise surfaces only in the
-slow benchmark tests. Loading the file by path checks every name here,
-and a tiny traced fine_tune checks that the wrappers' counters still read
-what the wrapped functions return.
+slow benchmark tests. Loading the file by path checks every name here;
+a tiny traced fine_tune and a traced tag of a long sentence check that
+the wrappers' counters still read what the wrapped functions return.
 """
 
 import importlib.util
@@ -13,6 +13,7 @@ from pathlib import Path
 import copytag.trainer as trainer
 from copytag.embeddings import HashedWindowEmbedder
 from copytag.synthetic import suffix_corpus
+from copytag.tagging import Tagger
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -73,3 +74,25 @@ def test_traced_fine_tune_counts_adam_columns(monkeypatch):
     assert metrics["trainer.adam_columns"] == sum(columns)
     assert metrics["embeddings.backprop_s"] > 0
     assert tracing.phase_coverage(tracer)["train"] > 0
+
+
+def test_traced_tagging_attributes_the_embedding_kernel():
+    # a 40-token suffix sentence takes the blocked forward path, which
+    # must stay inside the traced embed call
+    tracing = _load_tracing()
+    db = suffix_corpus(5, seed=7, min_len=40, max_len=40)
+    sentence = suffix_corpus(1, seed=8, min_len=40, max_len=40).items[0].sentence
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        tracer.recording = True
+        with tracer.phase("tag"):
+            Tagger(HashedWindowEmbedder(), db, 3).tag(sentence)
+        tracer.recording = False
+
+    index_tokens = sum(len(item) for item in db.items)
+    embeds = [span for span in tracer.spans if span[0] == "embeddings.embed"]
+    assert len(embeds) == len(db.items) + 1
+    assert tracer.counts["embed_tokens"] == index_tokens + 40
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["retrieval.index_tokens"] == index_tokens
+    assert metrics["embeddings.embed_s"] > 0
