@@ -126,11 +126,20 @@ def sweep_c(
 ) -> list[SweepRow]:
     """Decode `data` against `db` at every segment cost in `c_values`.
 
-    Retrieval, marginals, and the segment dictionary are computed once per
-    sentence and shared across the grid.
+    The grid is checked before any work. The db index comes from
+    build_index, so a sweep right after a Tagger over the same provider
+    and db object reuses that Tagger's index. Retrieval, marginals, and
+    the segment dictionary are computed once per sentence and shared
+    across the grid.
     """
     if not c_values:
         raise ValueError("the c grid must be non-empty")
+    configs = []
+    for pos, c in enumerate(c_values):
+        try:
+            configs.append(DPConfig(segment_cost=float(c), max_len=max_len))
+        except ValueError as exc:
+            raise ValueError(f"c grid value {c!r} at position {pos}: {exc}") from None
     if any(b <= a for a, b in zip(c_values, c_values[1:])):
         raise ValueError("the c grid must be strictly ascending")
     tagger = Tagger(provider, db, n_neighbors)
@@ -140,8 +149,7 @@ def sweep_c(
         prepared.append((analysis, tagger.segment_dict(analysis, max_len)))
 
     rows = []
-    for c in c_values:
-        cfg = DPConfig(segment_cost=float(c), max_len=max_len)
+    for cfg in configs:
         tagged_rows = []
         n_segments = 0
         for analysis, seg_dict in prepared:
@@ -153,7 +161,7 @@ def sweep_c(
         precision, recall, f1 = span_f1(pred, data)
         rows.append(
             SweepRow(
-                segment_cost=float(c),
+                segment_cost=cfg.segment_cost,
                 precision=precision,
                 recall=recall,
                 f1=f1,

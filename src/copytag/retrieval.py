@@ -1,15 +1,18 @@
 """Nearest-neighbor retrieval over sentence vectors.
 
-The database is embedded once, by build_index: the index keeps every
-sentence's token matrix read-only, next to the L2-normalized mean of its
-rows that represents the sentence. Queries are exact cosine scans with
-deterministic tie-breaking by ascending sentence id. Retrieved sentences
-are flattened into a single database of label tokens for the copy model
-by slicing the kept token matrices; nothing is embedded per query.
+The database is embedded once per provider revision, by build_index, and
+the index is shared by every caller that asks for it again: the tagger,
+the trainer and the sweep. The index keeps every sentence's token matrix
+read-only, next to the L2-normalized mean of its rows that represents the
+sentence. Queries are exact cosine scans with deterministic tie-breaking
+by ascending sentence id. Retrieved sentences are flattened into a single
+database of label tokens for the copy model by slicing the kept token
+matrices; nothing is embedded per query.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -20,6 +23,9 @@ from .corpus import Dataset, LabeledSequence
 from .embeddings import embed_sentence
 
 ZERO_NORM = 1e-12
+
+# provider -> (dataset, index): the last index built with that provider
+_LAST_BUILT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +52,25 @@ def build_index(dataset: Dataset, provider) -> NeighborIndex:
     Zero-norm sentence vectors are stored as-is rather than normalized, so
     query scores them 0. A matrix of the wrong width or with non-finite
     entries is rejected, naming the sentence.
+
+    The last index built with each provider is kept while the provider
+    lives and returned again for the same Dataset object (a frozen one)
+    as long as `provider.tag` has not moved, the rule Tagger.analyze
+    enforces. A provider that cannot be a weak key (not weakly
+    referenceable, or unhashable) always builds.
     """
+    try:
+        last_db, last = _LAST_BUILT.get(provider, (None, None))
+    except TypeError:
+        return _embed_dataset(dataset, provider)
+    if last_db is dataset and last.provider_tag == provider.tag:
+        return last
+    index = _embed_dataset(dataset, provider)
+    _LAST_BUILT[provider] = (dataset, index)
+    return index
+
+
+def _embed_dataset(dataset: Dataset, provider) -> NeighborIndex:
     if not dataset.items:
         raise ValueError("cannot build an index over an empty dataset")
     vectors = np.zeros((len(dataset.items), provider.dim))

@@ -1,11 +1,12 @@
 """End-to-end tagging of input sentences against a labeled database.
 
-A Tagger owns the retrieval index over the database, which embeds every
-database sentence once; per sentence it embeds only the input, retrieves
-neighbors, slices their token embeddings out of the index, forms the copy
-posterior and type marginals, and decodes either by per-token marginal
-argmax or by the segment dynamic program. Swapping the database swaps the
-output label inventory with it, which is all zero-shot transfer requires.
+A Tagger shares the retrieval index over the database: build_index embeds
+every database sentence once per provider revision, for every caller. Per
+sentence a Tagger embeds only the input, retrieves neighbors, slices their
+token embeddings out of the index, forms the copy posterior and type
+marginals, and decodes either by per-token marginal argmax or by the
+segment dynamic program. Swapping the database swaps the output label
+inventory with it, which is all zero-shot transfer requires.
 """
 
 from __future__ import annotations

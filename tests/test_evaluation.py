@@ -12,7 +12,8 @@ from copytag.evaluation import (
     token_accuracy,
     zero_shot_eval,
 )
-from copytag.tagging import DECODE_DP, tag_dataset, predictions_dataset
+from copytag.retrieval import build_index
+from copytag.tagging import DECODE_DP, Tagger, tag_dataset, predictions_dataset
 from copytag.trainer import Checkpoint, TrainConfig
 
 DB_ROWS = [
@@ -127,6 +128,24 @@ class TestSweep:
             sweep_c([0.5, 0.5], provider(), db, data, 3)
         with pytest.raises(ValueError, match="ascending"):
             sweep_c([1.0, 0.1], provider(), db, data, 3)
+        # a bad value is named with its position before anything is embedded
+        p = provider()
+        embedded = []
+        embed = p.embed
+
+        def counted(sentence):
+            embedded.append(sentence.uid)
+            return embed(sentence)
+
+        p.embed = counted
+        for grid, shown in (
+            ([0.0, float("nan")], "nan at position 1"),
+            ([-1.0, 0.0], "-1.0 at position 0"),
+            ([0.0, 0.5, float("inf")], "inf at position 2"),
+        ):
+            with pytest.raises(ValueError, match=f"c grid value {shown}: segment_cost"):
+                sweep_c(grid, p, db, data, 3)
+        assert embedded == []
 
     def test_rows_follow_grid(self):
         rows = sweep_c(
@@ -158,6 +177,36 @@ class TestSweep:
         )
         segs = [r.avg_segments for r in rows]
         assert all(b <= a for a, b in zip(segs, segs[1:]))
+
+    def test_sweep_after_tagger_matches_fresh_provider(self):
+        # oracle: a provider built from a copy of the params shares nothing
+        # with the Tagger, so its sweep embeds the db afresh
+        p = provider()
+        db = build_dataset(DB_ROWS)
+        data = build_dataset(EVAL_ROWS)
+        grid = [0.0, 0.5, 2.0]
+        tagger = Tagger(p, db, 3)
+        shared = sweep_csv(sweep_c(grid, p, db, data, 3))
+        assert build_index(db, p) is tagger.index
+        fresh = HashedWindowEmbedder(p.params.copy())
+        assert shared == sweep_csv(sweep_c(grid, fresh, db, data, 3))
+
+    def test_sweep_after_revision_moved_uses_no_stale_index(self):
+        p = provider()
+        db = build_dataset(DB_ROWS)
+        data = build_dataset(EVAL_ROWS)
+        grid = [0.0, 0.5, 2.0]
+        tagger = Tagger(p, db, 3)
+        before = sweep_csv(sweep_c(grid, p, db, data, 3))
+        rng = np.random.default_rng(9)
+        for item in db.items:
+            for col in p.token_columns(item.sentence).columns[::2]:
+                p.params.set_column(int(col), rng.normal(size=p.dim))
+        moved = sweep_csv(sweep_c(grid, p, db, data, 3))
+        assert build_index(db, p) is not tagger.index
+        fresh = HashedWindowEmbedder(p.params.copy())
+        assert moved == sweep_csv(sweep_c(grid, fresh, db, data, 3))
+        assert moved != before
 
     def test_csv_shape(self):
         rows = sweep_c(

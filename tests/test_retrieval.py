@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from copytag import retrieval
 from copytag.corpus import build_dataset
 from copytag.embeddings import HashedWindowEmbedder, EmbedderParams
 from copytag.retrieval import (
@@ -10,6 +14,8 @@ from copytag.retrieval import (
     build_index,
     query,
 )
+from copytag.tagging import Tagger
+from copytag.trainer import AdamState, adam_update
 
 from conftest import make_neighbor_set
 
@@ -83,6 +89,117 @@ class TestBuildIndex:
         vectors[2, 1] = value
         with pytest.raises(ValueError, match="sentence 2"):
             build_index(tiny_db(), VectorProvider(vectors))
+
+
+def assert_same_bytes(index, fresh):
+    assert index.ids == fresh.ids
+    assert index.provider_tag == fresh.provider_tag
+    assert index.vectors.tobytes() == fresh.vectors.tobytes()
+    assert len(index.token_matrices) == len(fresh.token_matrices)
+    for a, b in zip(index.token_matrices, fresh.token_matrices):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class SlottedProvider:
+    """No __weakref__ slot, so it cannot be a weak key."""
+
+    __slots__ = ("vectors", "dim", "tag")
+    trainable = False
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+        self.dim = vectors.shape[1]
+        self.tag = "slotted"
+
+    def embed(self, sentence):
+        return self.vectors[sentence.uid : sentence.uid + 1]
+
+
+class UnhashableProvider(VectorProvider):
+    __hash__ = None
+
+
+class TestIndexMemo:
+    """build_index returns the index it last built for a provider while
+    the Dataset object is the same and provider.tag has not moved."""
+
+    def test_taggers_share_one_index(self):
+        db = tiny_db()
+        provider = small_provider()
+        first = Tagger(provider, db, 2)
+        second = Tagger(provider, db, 3)
+        assert second.index is first.index
+        assert build_index(db, provider) is first.index
+
+    @pytest.mark.parametrize("move", ["set_column", "adam_update"])
+    def test_moved_revision_rebuilds(self, move):
+        db = tiny_db()
+        provider = small_provider()
+        stale = Tagger(provider, db, 2).index
+        columns = provider.token_columns(db.items[1].sentence).columns
+        if move == "set_column":
+            provider.params.set_column(int(columns[0]), np.full(12, 0.5))
+        else:
+            sentence = db.items[1].sentence
+            d_output = np.random.default_rng(4).normal(size=(len(sentence), 12))
+            grads = provider.backprop(sentence, d_output)
+            adam_update(provider.params, grads, AdamState(), 0.1)
+        index = Tagger(provider, db, 2).index
+        assert index is not stale
+        assert index.provider_tag == provider.tag != stale.provider_tag
+        assert not np.array_equal(index.token_matrices[1], stale.token_matrices[1])
+        fresh = build_index(db, HashedWindowEmbedder(provider.params.copy()))
+        assert_same_bytes(index, fresh)
+
+    def test_equal_dataset_builds_its_own(self):
+        provider = small_provider()
+        first = build_index(tiny_db(), provider)
+        other = tiny_db()
+        second = build_index(other, provider)
+        assert second is not first
+        assert_same_bytes(second, first)
+        assert build_index(other, provider) is second
+
+    def test_one_index_kept_per_provider(self):
+        provider = small_provider()
+        db_a, db_b = tiny_db(), tiny_db()
+        first = build_index(db_a, provider)
+        first_ref = weakref.ref(first)
+        second = build_index(db_b, provider)
+        kept_db, kept = retrieval._LAST_BUILT[provider]
+        assert kept_db is db_b and kept is second
+        del first
+        gc.collect()
+        assert first_ref() is None
+        again = build_index(db_a, provider)
+        assert again is not second
+        kept_db, kept = retrieval._LAST_BUILT[provider]
+        assert kept_db is db_a and kept is again
+
+    def test_memo_does_not_keep_the_provider(self):
+        gc.collect()
+        before = len(retrieval._LAST_BUILT)
+        provider = small_provider()
+        index = build_index(tiny_db(), provider)
+        assert len(retrieval._LAST_BUILT) == before + 1
+        provider_ref = weakref.ref(provider)
+        del provider
+        gc.collect()
+        assert provider_ref() is None
+        assert len(retrieval._LAST_BUILT) == before
+        assert len(index) == 4
+
+    @pytest.mark.parametrize("kind", [SlottedProvider, UnhashableProvider])
+    def test_unkeyable_provider_still_builds(self, kind):
+        vectors = np.arange(8, dtype=float).reshape(4, 2) + 1.0
+        provider = kind(vectors)
+        db = tiny_db()
+        first = build_index(db, provider)
+        second = build_index(db, provider)
+        assert second is not first
+        assert_same_bytes(second, first)
+        plain = VectorProvider(vectors, tag=provider.tag)
+        assert_same_bytes(first, build_index(db, plain))
 
 
 class TestQuery:

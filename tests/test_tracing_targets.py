@@ -4,15 +4,17 @@ perfbench/tracing.py looks each target up in its owner's __dict__ and
 raises KeyError when one is missing, which otherwise surfaces only in the
 slow benchmark tests. Loading the file by path checks every name here;
 a tiny traced fine_tune and a traced tag of a long sentence check that
-the wrappers' counters still read what the wrapped functions return.
+the wrappers' counters still read what the wrapped functions return, and
+a traced sweep after a Tagger checks that it embeds no db sentence again.
 """
 
 import importlib.util
 from pathlib import Path
 
+import copytag.evaluation as evaluation
 import copytag.trainer as trainer
 from copytag.embeddings import HashedWindowEmbedder
-from copytag.synthetic import suffix_corpus
+from copytag.synthetic import suffix_corpus, toy_ner_corpus
 from copytag.tagging import Tagger
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -96,3 +98,35 @@ def test_traced_tagging_attributes_the_embedding_kernel():
     metrics = tracing.layer_metrics(tracer)
     assert metrics["retrieval.index_tokens"] == index_tokens
     assert metrics["embeddings.embed_s"] > 0
+
+
+def test_traced_sweep_after_tagger_embeds_only_the_swept_sentences():
+    tracing = _load_tracing()
+    db = toy_ner_corpus(6, seed=7)
+    data = toy_ner_corpus(3, seed=8)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        tracer.recording = True
+        with tracer.phase("setup"):
+            tagger = Tagger(HashedWindowEmbedder(), db, 3)
+        embed_tokens = tracer.counts["embed_tokens"]
+        with tracer.phase("sweep"):
+            evaluation.sweep_c([0.0, 1.0], tagger.provider, db, data, 3)
+        tracer.recording = False
+
+    spans = tracer.spans
+    sweep = next(k for k, span in enumerate(spans) if span[0] == "phase.sweep")
+
+    def in_sweep(k):
+        while k >= 0 and k != sweep:
+            k = spans[k][3]
+        return k == sweep
+
+    embeds = [k for k, span in enumerate(spans) if span[0] == "embeddings.embed"]
+    assert len([k for k in embeds if not in_sweep(k)]) == len(db.items)
+    assert len([k for k in embeds if in_sweep(k)]) == len(data.items)
+    swept_tokens = sum(len(item) for item in data.items)
+    assert tracer.counts["embed_tokens"] - embed_tokens == swept_tokens
+    # the tracer counts index tokens from build_index's arguments
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["retrieval.index_tokens"] == 2 * sum(len(item) for item in db.items)
