@@ -26,7 +26,6 @@ from .corpus import (
     LabelVocab,
     Sentence,
     Span,
-    bio_from_spans,
     build_dataset,
     parse_conll,
     relabel,
@@ -38,11 +37,8 @@ from .decoder import (
     DPConfig,
     Segment,
     SegmentDict,
-    brute_force_decode,
     build_segment_dict,
     dp_decode_expected,
-    dp_reconstruct,
-    greedy_reconstruct,
     predict_marginal,
     provenance_lines,
 )
@@ -69,7 +65,7 @@ from .retrieval import (
     build_index,
     query,
 )
-from .synthetic import coarse_view, suffix_corpus, toy_ner_corpus
+from .synthetic import suffix_corpus, toy_ner_corpus
 from .tagging import TaggedSentence, Tagger, predictions_dataset, tag_dataset
 from .trainer import (
     AdamState,
@@ -114,21 +110,16 @@ __all__ = [
     "TrainConfig",
     "adam_update",
     "assemble_neighbor_set",
-    "bio_from_spans",
-    "brute_force_decode",
     "build_dataset",
     "build_index",
     "build_segment_dict",
-    "coarse_view",
     "copy_logits",
     "copy_posterior",
     "dp_decode_expected",
-    "dp_reconstruct",
     "embed_sentence",
     "embed_tokens",
     "fine_tune",
     "grad_wrt_input",
-    "greedy_reconstruct",
     "load_checkpoint",
     "marginal_over_types",
     "nll",

@@ -34,7 +34,6 @@ from .trainer import (
 
 TOOL = "copytag"
 
-USAGE_EXIT = 2
 RUNTIME_EXIT = 1
 
 

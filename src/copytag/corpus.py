@@ -1,8 +1,8 @@
 """CoNLL-style corpus handling.
 
 Parsing and serialization of whitespace-columned token/tag files, label
-vocabularies with first-appearance ids, and conversion between BIO tag
-sequences and typed spans (including the usual repair of stray I- tags).
+vocabularies with first-appearance ids, and extraction of typed spans
+from BIO tag sequences (with the usual repair of stray I- tags).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 DOCSTART = "-DOCSTART-"
-PAD_COLUMN = "_"
 
 
 class CorpusError(ValueError):
@@ -56,19 +55,11 @@ class LabelVocab:
     def __len__(self) -> int:
         return len(self.types)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def id_of(self, name: str) -> int:
         try:
             return self._index[name]
         except KeyError:
             raise CorpusError(f"unknown label type {name!r}") from None
-
-    def name_of(self, type_id: int) -> str:
-        if not 0 <= type_id < len(self.types):
-            raise CorpusError(f"label id {type_id} out of range")
-        return self.types[type_id]
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "LabelVocab":
@@ -156,20 +147,13 @@ def build_dataset(rows: Iterable[tuple[Sequence[str], Sequence[str]]]) -> Datase
     return Dataset(tuple(items), vocab)
 
 
-def parse_conll(text: str, token_col: int = 0, tag_col: int = -1) -> Dataset:
+def parse_conll(text: str) -> Dataset:
     """Parse CoNLL-style text into a Dataset.
 
     Sentences are separated by blank lines; columns by runs of whitespace.
-    Lines whose first column is -DOCSTART- are dropped. tag_col -1 selects
-    the last column of each line.
+    The first column is the token and the last column the tag; columns in
+    between are ignored. Lines whose first column is -DOCSTART- are dropped.
     """
-    if token_col < 0:
-        raise ValueError("token_col must be non-negative")
-    if tag_col < -1:
-        raise ValueError("tag_col must be -1 or non-negative")
-    # tag_col -1 needs one column after the token, so the last column is a tag
-    required = token_col + 2 if tag_col == -1 else max(token_col, tag_col) + 1
-
     rows: list[tuple[list[str], list[str]]] = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -187,41 +171,29 @@ def parse_conll(text: str, token_col: int = 0, tag_col: int = -1) -> Dataset:
             continue
         if cols[0] == DOCSTART:
             continue
-        if len(cols) < required:
+        if len(cols) < 2:
             raise CorpusError(
-                f"line {lineno}: expected at least {required} columns, "
-                f"found {len(cols)}"
+                f"line {lineno}: expected at least 2 columns, found {len(cols)}"
             )
-        tokens.append(cols[token_col])
-        tags.append(cols[tag_col])
+        tokens.append(cols[0])
+        tags.append(cols[-1])
     flush()
     if not rows:
         raise CorpusError("no sentences found")
     return build_dataset(rows)
 
 
-def write_conll(dataset: Dataset, token_col: int = 0, tag_col: int = -1) -> str:
-    """Serialize a Dataset in the layout parse_conll reads back.
+def write_conll(dataset: Dataset) -> str:
+    """Serialize a Dataset as "token tag" lines that parse_conll reads back.
 
-    Columns are separated by exactly one space, unused columns hold "_",
-    and every sentence (including the last) is followed by a blank line.
+    Every sentence (including the last) is followed by a blank line.
     """
-    if token_col < 0:
-        raise ValueError("token_col must be non-negative")
-    tag_pos = token_col + 1 if tag_col == -1 else tag_col
-    if tag_pos == token_col:
-        raise ValueError("token and tag columns must differ")
-    width = max(token_col, tag_pos) + 1
-
     lines: list[str] = []
     for item in dataset.items:
         for tok, name in zip(item.sentence.tokens, dataset.label_names(item)):
             if not name or any(ch.isspace() for ch in name):
                 raise CorpusError(f"label {name!r} cannot be serialized")
-            cols = [PAD_COLUMN] * width
-            cols[token_col] = tok
-            cols[tag_pos] = name
-            lines.append(" ".join(cols))
+            lines.append(f"{tok} {name}")
         lines.append("")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -255,30 +227,6 @@ def spans_from_bio(labels: Sequence[str]) -> tuple[Span, ...]:
             open_label = label
     close(len(labels))
     return tuple(spans)
-
-
-def bio_from_spans(spans: Iterable[Span], length: int) -> tuple[str, ...]:
-    """Render spans as a BIO tag sequence of the given length.
-
-    Spans must lie within bounds and must not overlap; uncovered positions
-    become O.
-    """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    ordered = sorted(spans)
-    prev_end = 0
-    for span in ordered:
-        if span.end > length:
-            raise CorpusError(f"span {span} exceeds sequence length {length}")
-        if span.start < prev_end:
-            raise CorpusError(f"span {span} overlaps a previous span")
-        prev_end = span.end
-    tags = ["O"] * length
-    for span in ordered:
-        tags[span.start] = f"B-{span.label}"
-        for i in range(span.start + 1, span.end):
-            tags[i] = f"I-{span.label}"
-    return tuple(tags)
 
 
 def relabel(dataset: Dataset, mapping: Mapping[str, str]) -> Dataset:

@@ -8,11 +8,11 @@ Every sequence remembers the first place it occurs. Decoding minimizes
 
     sum over chosen segments of (segment_cost + per-position label costs)
 
-where the per-position cost is either a mismatch indicator against a gold
-sequence or one minus the marginal probability of the segment's label.
-The dynamic program over (position, dictionary sequence) states is exact;
-a greedy left-to-right comparator and an exhaustive small-instance oracle
-share the same objective and tie-breaking.
+where the per-position cost is one minus the marginal probability of the
+segment's label. The dynamic program over (position, dictionary sequence)
+states is exact; tests/decoder_reference.py holds an exhaustive
+small-instance oracle and a greedy comparator with the same objective and
+tie-breaking.
 
 Ties are broken by fewer segments, then by the lexicographically smallest
 label sequence under type ids.
@@ -21,7 +21,7 @@ label sequence under type ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .copy_model import MarginalMatrix
 from .retrieval import NeighborSet
 
 DEFAULT_MAX_SEGMENT_LEN = 64
-
-BRUTE_FORCE_MAX_POSITIONS = 12
-BRUTE_FORCE_MAX_COMBOS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,24 +70,14 @@ class SegmentDict:
             rank = level.parent[rank]
         return tuple(reversed(out))
 
-    def sequences(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        """All stored sequences as (labels, exemplar neighbor, exemplar offset),
-        shortest first and lexicographically within a length."""
-        paths: list[tuple[int, ...]] = [()]
-        for level in self.levels:
-            paths = [
-                paths[p] + (lab,)
-                for p, lab in zip(level.parent.tolist(), level.label.tolist())
-            ]
-            yield from zip(paths, level.neighbor.tolist(), level.offset.tolist())
-
 
 def build_segment_dict(
     neighbors: NeighborSet, max_len: int = DEFAULT_MAX_SEGMENT_LEN
 ) -> SegmentDict:
     """Collect every contiguous subsequence of length <= max_len.
 
-    Every flat neighbor position starts one window. Level d groups the
+    The DP copies segments of any length the dictionary holds, so max_len
+    is the decode's segment cap; the tagger keeps the default. Every flat neighbor position starts one window. Level d groups the
     windows still inside their sentence by (rank of their first d - 1
     labels, d-th label); windows stay in (neighbor, start) order, so the
     first window of a group is the sequence's first occurrence.
@@ -130,16 +117,13 @@ def build_segment_dict(
 
 @dataclass(frozen=True)
 class DPConfig:
-    """Decoder settings: the per-segment cost and the segment length cap."""
+    """Decoder settings: the per-segment cost."""
 
     segment_cost: float
-    max_len: int = DEFAULT_MAX_SEGMENT_LEN
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.segment_cost) or self.segment_cost < 0:
             raise ValueError("segment_cost must be finite and non-negative")
-        if self.max_len < 1:
-            raise ValueError("max_len must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -200,7 +184,6 @@ def _dp(seg_dict: SegmentDict, cfg: DPConfig, cost: np.ndarray) -> DecodeResult:
     total = cost.shape[0]
     if total < 1:
         raise ValueError("nothing to decode")
-    limit = min(cfg.max_len, seg_dict.depth)
     parents = [level.parent for level in seg_dict.levels]
     labels = [level.label for level in seg_dict.levels]
 
@@ -227,7 +210,7 @@ def _dp(seg_dict: SegmentDict, cfg: DPConfig, cost: np.ndarray) -> DecodeResult:
         base = best_cost[start] + cfg.segment_cost
         segs = best_segs[start] + 1
         step = root
-        for d in range(min(limit, total - start)):
+        for d in range(min(seg_dict.depth, total - start)):
             step = step[parents[d]] + cost[start + d][labels[d]]
             candidate = base + step
             rank = int(candidate.argmin())
@@ -261,18 +244,6 @@ def _dp(seg_dict: SegmentDict, cfg: DPConfig, cost: np.ndarray) -> DecodeResult:
     return DecodeResult(labels_to(total), tuple(segments), float(best_cost[total]))
 
 
-def dp_reconstruct(
-    gold: Sequence[int], seg_dict: SegmentDict, cfg: DPConfig
-) -> DecodeResult:
-    """Cheapest reconstruction of `gold`, counting one per mislabeled position."""
-    gold = tuple(int(g) for g in gold)
-    cost = np.ones((len(gold), seg_dict.n_labels))
-    for j, lab in enumerate(gold):
-        if 0 <= lab < seg_dict.n_labels:
-            cost[j, lab] = 0.0
-    return _dp(seg_dict, cfg, cost)
-
-
 def dp_decode_expected(
     marginals: MarginalMatrix, seg_dict: SegmentDict, cfg: DPConfig
 ) -> DecodeResult:
@@ -282,182 +253,6 @@ def dp_decode_expected(
     position. With segment_cost 0 the result matches predict_marginal.
     """
     return _dp(seg_dict, cfg, _position_costs_expected(marginals, seg_dict.n_labels))
-
-
-def greedy_reconstruct(
-    gold: Sequence[int], seg_dict: SegmentDict, cfg: DPConfig
-) -> DecodeResult:
-    """Left-to-right greedy comparator for dp_reconstruct.
-
-    At each position it takes the dictionary sequence with the fewest
-    mislabelings, preferring the longest and then the lexicographically
-    smallest among equals. Feasible but not optimal: committing to a
-    locally clean short segment can force more segments overall than the
-    dynamic program needs.
-    """
-    gold = tuple(int(g) for g in gold)
-    if not seg_dict.levels:
-        raise ValueError("segment dictionary is empty")
-    if not gold:
-        raise ValueError("nothing to decode")
-    limit = min(cfg.max_len, seg_dict.depth)
-
-    labels: list[int] = []
-    segments: list[Segment] = []
-    objective = 0.0
-    pos = 0
-    while pos < len(gold):
-        best: tuple[int, int, int] | None = None
-        miss = np.zeros(1, dtype=np.int64)
-        for d in range(min(limit, len(gold) - pos)):
-            level = seg_dict.levels[d]
-            miss = miss[level.parent] + (level.label != gold[pos + d])
-            # the first minimum is the smallest sequence of this length
-            rank = int(miss.argmin())
-            key = (int(miss[rank]), -(d + 1), rank)
-            if best is None or key < best:
-                best = key
-        mismatches, neg_length, rank = best
-        length = -neg_length
-        level = seg_dict.levels[length - 1]
-        labels.extend(seg_dict.path(length, rank))
-        segments.append(
-            Segment(pos, length, int(level.neighbor[rank]), int(level.offset[rank]))
-        )
-        objective = (objective + cfg.segment_cost) + float(mismatches)
-        pos += length
-    return DecodeResult(tuple(labels), tuple(segments), objective)
-
-
-def _count_combinations(total: int, per_length: dict[int, int], limit: int) -> int:
-    counts = [0] * (total + 1)
-    counts[0] = 1
-    for pos in range(1, total + 1):
-        acc = 0
-        for length in range(1, min(limit, pos) + 1):
-            n_seqs = per_length.get(length, 0)
-            if n_seqs:
-                acc += counts[pos - length] * n_seqs
-        counts[pos] = acc
-        if acc > BRUTE_FORCE_MAX_COMBOS:
-            return acc
-    return counts[total]
-
-
-def _flat_labels(chosen) -> tuple[int, ...]:
-    return tuple(lab for option in chosen for lab in option[2])
-
-
-def brute_force_decode(
-    seg_dict: SegmentDict,
-    cfg: DPConfig,
-    gold: Sequence[int] | None = None,
-    marginals: MarginalMatrix | None = None,
-) -> DecodeResult:
-    """Exhaustive enumeration of every segmentation and sequence assignment.
-
-    Serves as the oracle for both dynamic programs: pass `gold` to mirror
-    dp_reconstruct or `marginals` to mirror dp_decode_expected. Guarded to
-    at most 12 positions and 10**6 combinations; larger instances are
-    refused.
-    """
-    if (gold is None) == (marginals is None):
-        raise ValueError("pass exactly one of gold or marginals")
-    if gold is not None:
-        gold = tuple(int(g) for g in gold)
-        total = len(gold)
-    else:
-        total = marginals.n_tokens
-    if total < 1:
-        raise ValueError("nothing to decode")
-    if total > BRUTE_FORCE_MAX_POSITIONS:
-        raise ValueError(
-            f"refusing brute force: {total} positions exceeds the guard of "
-            f"{BRUTE_FORCE_MAX_POSITIONS}"
-        )
-    limit = min(cfg.max_len, seg_dict.depth)
-
-    by_length: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
-    for labels, neighbor, offset in seg_dict.sequences():
-        if len(labels) <= limit:
-            by_length.setdefault(len(labels), []).append((labels, neighbor, offset))
-    for bucket in by_length.values():
-        bucket.sort()
-
-    combos = _count_combinations(
-        total, {k: len(v) for k, v in by_length.items()}, limit
-    )
-    if combos > BRUTE_FORCE_MAX_COMBOS:
-        raise ValueError(
-            f"refusing brute force: {combos} combinations exceed the guard of "
-            f"{BRUTE_FORCE_MAX_COMBOS}"
-        )
-
-    if gold is not None:
-
-        def sequence_cost(labels: tuple[int, ...], start: int) -> float:
-            acc = 0.0
-            for j, lab in enumerate(labels):
-                acc += 0.0 if gold[start + j] == lab else 1.0
-            return acc
-
-    else:
-        probs = marginals.probs
-        col_of = marginals.column_of
-
-        def sequence_cost(labels: tuple[int, ...], start: int) -> float:
-            acc = 0.0
-            for j, lab in enumerate(labels):
-                col = col_of.get(lab)
-                acc += 1.0 if col is None else 1.0 - float(probs[start + j, col])
-            return acc
-
-    # Per start position, every sequence that fits, in exploration order
-    # (length, then label tuple), with its cost there computed once.
-    options = [
-        [
-            (length, sequence_cost(labels, start), labels, neighbor, offset)
-            for length in range(1, min(limit, total - start) + 1)
-            for labels, neighbor, offset in by_length.get(length, ())
-        ]
-        for start in range(total)
-    ]
-
-    best_cost: float | None = None
-    best_labels: tuple[int, ...] | None = None
-    best_chosen: tuple = ()
-    chosen: list = []
-
-    def explore(pos: int, cost: float) -> None:
-        nonlocal best_cost, best_labels, best_chosen
-        if pos == total:
-            take = False
-            if best_cost is None or cost < best_cost:
-                take = True
-            elif cost == best_cost:
-                if len(chosen) < len(best_chosen):
-                    take = True
-                elif len(chosen) == len(best_chosen):
-                    take = _flat_labels(chosen) < best_labels
-            if take:
-                best_cost = cost
-                best_labels = _flat_labels(chosen)
-                best_chosen = tuple(chosen)
-            return
-        for option in options[pos]:
-            chosen.append(option)
-            explore(pos + option[0], (cost + cfg.segment_cost) + option[1])
-            chosen.pop()
-
-    explore(0, 0.0)
-    if best_labels is None:
-        raise ValueError("segment dictionary is empty")
-    segments = []
-    start = 0
-    for length, _, _, neighbor, offset in best_chosen:
-        segments.append(Segment(start, length, neighbor, offset))
-        start += length
-    return DecodeResult(best_labels, tuple(segments), float(best_cost))
 
 
 def provenance_lines(result: DecodeResult, type_names: Sequence[str]) -> list[str]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Dataset, build_dataset, spans_from_bio
-from .decoder import DEFAULT_MAX_SEGMENT_LEN, DPConfig, dp_decode_expected
+from .decoder import DPConfig, dp_decode_expected
 from .tagging import (
     DECODE_DP,
     DECODE_MARGINAL,
@@ -122,7 +122,6 @@ def sweep_c(
     db: Dataset,
     data: Dataset,
     n_neighbors: int,
-    max_len: int = DEFAULT_MAX_SEGMENT_LEN,
 ) -> list[SweepRow]:
     """Decode `data` against `db` at every segment cost in `c_values`.
 
@@ -137,7 +136,7 @@ def sweep_c(
     configs = []
     for pos, c in enumerate(c_values):
         try:
-            configs.append(DPConfig(segment_cost=float(c), max_len=max_len))
+            configs.append(DPConfig(segment_cost=float(c)))
         except ValueError as exc:
             raise ValueError(f"c grid value {c!r} at position {pos}: {exc}") from None
     if any(b <= a for a, b in zip(c_values, c_values[1:])):
@@ -146,7 +145,7 @@ def sweep_c(
     prepared = []
     for item in data.items:
         analysis = tagger.analyze(item.sentence)
-        prepared.append((analysis, tagger.segment_dict(analysis, max_len)))
+        prepared.append((analysis, tagger.segment_dict(analysis)))
 
     rows = []
     for cfg in configs:
@@ -190,7 +189,6 @@ def zero_shot_eval(
     spans: bool = False,
     decode: str = DECODE_MARGINAL,
     segment_cost: float = 0.4,
-    max_len: int = DEFAULT_MAX_SEGMENT_LEN,
 ) -> EvalReport:
     """Tag `eval_data` against a database it was never trained on.
 
@@ -209,7 +207,6 @@ def zero_shot_eval(
         n_neighbors,
         decode=decode,
         segment_cost=segment_cost,
-        max_len=max_len,
     )
     pred = predictions_dataset(tagged)
     accuracy = token_accuracy(pred, eval_data)

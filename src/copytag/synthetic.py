@@ -156,25 +156,3 @@ def toy_ner_corpus(n_sentences: int, seed: int) -> Dataset:
         rows.append((tokens, tags))
     return build_dataset(rows)
 
-
-COARSE_VIEW = {
-    "O": "O",
-    "B-PER": "B-ENT",
-    "I-PER": "I-ENT",
-    "B-LOC": "B-ENT",
-    "B-ORG": "B-ENT",
-    "I-ORG": "I-ENT",
-}
-
-
-def coarse_view(dataset: Dataset) -> Dataset:
-    """Collapse entity types to a single ENT type, keeping BIO structure.
-
-    The mapping is many-to-one, so this rebuilds the dataset instead of
-    renaming in place.
-    """
-    rows = []
-    for item in dataset.items:
-        names = dataset.label_names(item)
-        rows.append((item.sentence.tokens, tuple(COARSE_VIEW[n] for n in names)))
-    return build_dataset(rows)

@@ -23,7 +23,6 @@ from .copy_model import (
 )
 from .corpus import Dataset, Sentence, build_dataset
 from .decoder import (
-    DEFAULT_MAX_SEGMENT_LEN,
     DecodeResult,
     DPConfig,
     SegmentDict,
@@ -68,7 +67,7 @@ class Tagger:
         self.n_neighbors = n_neighbors
         self.index = build_index(db, provider)
 
-    def analyze(self, sentence: Sentence, exclude_id: int | None = None) -> SentenceAnalysis:
+    def analyze(self, sentence: Sentence) -> SentenceAnalysis:
         if self.provider.tag != self.index.provider_tag:
             # the kept neighbor rows were embedded under other parameters
             raise ValueError(
@@ -76,12 +75,7 @@ class Tagger:
                 f"with {self.index.provider_tag!r}; build a new Tagger"
             )
         embeddings = self.provider.embed(sentence)
-        ranked = query(
-            self.index,
-            embed_sentence(embeddings),
-            self.n_neighbors,
-            exclude_ids=() if exclude_id is None else (exclude_id,),
-        )
+        ranked = query(self.index, embed_sentence(embeddings), self.n_neighbors)
         if not ranked:
             raise ValueError("retrieval returned no neighbors")
         neighbors = assemble_neighbor_set(
@@ -91,28 +85,29 @@ class Tagger:
         marginals = marginal_over_types(posterior, neighbors)
         return SentenceAnalysis(sentence, neighbors, posterior, marginals)
 
-    def segment_dict(self, analysis: SentenceAnalysis, max_len: int) -> SegmentDict:
-        return build_segment_dict(analysis.neighbors, max_len)
+    def segment_dict(self, analysis: SentenceAnalysis) -> SegmentDict:
+        return build_segment_dict(analysis.neighbors)
 
     def tag(
         self,
         sentence: Sentence,
         decode: str = DECODE_MARGINAL,
         segment_cost: float = 0.4,
-        max_len: int = DEFAULT_MAX_SEGMENT_LEN,
-        exclude_id: int | None = None,
     ) -> TaggedSentence:
-        analysis = self.analyze(sentence, exclude_id=exclude_id)
-        if decode == DECODE_MARGINAL:
-            label_ids = predict_marginal(analysis.marginals)
-            result = None
-        elif decode == DECODE_DP:
-            seg_dict = self.segment_dict(analysis, max_len)
-            cfg = DPConfig(segment_cost=segment_cost, max_len=max_len)
+        """Analyze and decode one sentence; the decode settings are checked
+        before any work."""
+        if decode == DECODE_DP:
+            cfg = DPConfig(segment_cost=segment_cost)
+        elif decode != DECODE_MARGINAL:
+            raise ValueError(f"unknown decode mode {decode!r}")
+        analysis = self.analyze(sentence)
+        if decode == DECODE_DP:
+            seg_dict = self.segment_dict(analysis)
             result = dp_decode_expected(analysis.marginals, seg_dict, cfg)
             label_ids = result.labels
         else:
-            raise ValueError(f"unknown decode mode {decode!r}")
+            label_ids = predict_marginal(analysis.marginals)
+            result = None
         names = tuple(self.db.vocab.types[lab] for lab in label_ids)
         return TaggedSentence(sentence, names, label_ids, result, analysis)
 
@@ -124,12 +119,11 @@ def tag_dataset(
     n_neighbors: int,
     decode: str = DECODE_MARGINAL,
     segment_cost: float = 0.4,
-    max_len: int = DEFAULT_MAX_SEGMENT_LEN,
 ) -> list[TaggedSentence]:
     """Tag every sentence of `inputs` against `db`; gold labels are ignored."""
     tagger = Tagger(provider, db, n_neighbors)
     return [
-        tagger.tag(item.sentence, decode=decode, segment_cost=segment_cost, max_len=max_len)
+        tagger.tag(item.sentence, decode=decode, segment_cost=segment_cost)
         for item in inputs.items
     ]
 

@@ -115,9 +115,6 @@ def adam_update(
     grads: ColumnGrads,
     state: AdamState,
     learning_rate: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
 ) -> None:
     """One bias-corrected Adam step over the columns with nonzero gradient.
 
@@ -138,13 +135,13 @@ def adam_update(
         columns = grads.columns[live]
         slots = grads.slots[live]
         grad = grad[live]
-        correction1 = 1.0 - beta1**step_count
-        correction2 = 1.0 - beta2**step_count
+        correction1 = 1.0 - ADAM_BETA1**step_count
+        correction2 = 1.0 - ADAM_BETA2**step_count
         state._reserve(int(slots.max()) + 1, params.dim)
-        mean = beta1 * state.mean[slots] + (1.0 - beta1) * grad
-        var = beta2 * state.var[slots] + (1.0 - beta2) * grad * grad
+        mean = ADAM_BETA1 * state.mean[slots] + (1.0 - ADAM_BETA1) * grad
+        var = ADAM_BETA2 * state.var[slots] + (1.0 - ADAM_BETA2) * grad * grad
         step = learning_rate * (mean / correction1) / (
-            np.sqrt(var / correction2) + eps
+            np.sqrt(var / correction2) + ADAM_EPS
         )
         params.set_columns(columns, slots, params.storage[slots] - step)
         state.mean[slots] = mean
@@ -343,21 +340,48 @@ def save_checkpoint(checkpoint: Checkpoint) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_flag(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw == "true"
+
+
+# Config lines: key, the object its value configures, the field there, and
+# how the text becomes the value.
+_CONFIG_FIELDS = (
+    ("dim", EmbedderParams, "dim", int),
+    ("buckets", EmbedderParams, "n_buckets", int),
+    ("window", EmbedderParams, "window", int),
+    ("embed_seed", EmbedderParams, "seed", int),
+    ("learning_rate", TrainConfig, "learning_rate", float),
+    ("batch_size", TrainConfig, "batch_size", int),
+    ("epochs", TrainConfig, "epochs", int),
+    ("train_neighbors", TrainConfig, "train_neighbors", int),
+    ("test_neighbors", TrainConfig, "test_neighbors", int),
+    ("seed", TrainConfig, "seed", int),
+    ("refresh", TrainConfig, "refresh", str),
+    ("exclude_self", TrainConfig, "exclude_self", _parse_flag),
+)
+_LOG_FIELDS = {"train_nll": float, "skipped": int, "dev_accuracy": float}
+
+
 def load_checkpoint(text: str) -> Checkpoint:
+    """Read save_checkpoint's text back; malformed input raises
+    CheckpointError, naming the line where there is one."""
     lines = text.splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(
             f"expected checkpoint magic {CHECKPOINT_MAGIC!r}, "
             f"got {lines[0]!r}" if lines else "empty checkpoint"
         )
-    pairs: dict[str, str] = {}
+    pairs: dict[str, tuple[int, str]] = {}
     cursor = 1
     while cursor < len(lines) and not lines[cursor].startswith("#params"):
         line = lines[cursor]
         key, sep, value = line.partition("=")
         if not sep:
             raise CheckpointError(f"bad config line {line!r}")
-        pairs[key] = value
+        pairs[key] = (cursor + 1, value)
         cursor += 1
     if cursor == len(lines):
         raise CheckpointError("truncated checkpoint: missing #params section")
@@ -365,45 +389,49 @@ def load_checkpoint(text: str) -> Checkpoint:
     if len(header) != 3:
         raise CheckpointError(f"bad #params line {lines[cursor]!r}")
 
-    try:
-        params = EmbedderParams(
-            dim=int(pairs["dim"]),
-            n_buckets=int(pairs["buckets"]),
-            window=int(pairs["window"]),
-            seed=int(pairs["embed_seed"]),
-        )
-        config = TrainConfig(
-            learning_rate=float(pairs["learning_rate"]),
-            batch_size=int(pairs["batch_size"]),
-            epochs=int(pairs["epochs"]),
-            train_neighbors=int(pairs["train_neighbors"]),
-            test_neighbors=int(pairs["test_neighbors"]),
-            seed=int(pairs["seed"]),
-            refresh=pairs["refresh"],
-            exclude_self=pairs["exclude_self"] == "true",
-        )
-    except KeyError as exc:
-        raise CheckpointError(f"missing config key {exc.args[0]}") from None
-    if int(header[1]) != params.dim or int(header[2]) != params.n_buckets:
+    fields: dict[type, dict[str, object]] = {EmbedderParams: {}, TrainConfig: {}}
+    for key, owner, field, parse in _CONFIG_FIELDS:
+        if key not in pairs:
+            raise CheckpointError(f"missing config key {key}")
+        number, raw = pairs[key]
+        try:
+            value = parse(raw)
+            # built alone, every other field at its valid default, so a
+            # value the constructor rejects is named with its line
+            owner(**{field: value})
+        except ValueError as exc:
+            raise CheckpointError(f"line {number}: {key}: {exc}") from None
+        fields[owner][field] = value
+    params = EmbedderParams(**fields[EmbedderParams])
+    config = TrainConfig(**fields[TrainConfig])
+    if header[1:] != [str(params.dim), str(params.n_buckets)]:
         raise CheckpointError("#params line disagrees with the config lines")
 
-    stats: dict[int, dict[str, str]] = {}
-    for key, value in pairs.items():
+    stats: dict[int, dict[str, object]] = {}
+    for key, (number, raw) in pairs.items():
         if not key.startswith("log."):
             continue
-        _, epoch_str, field = key.split(".", 2)
-        stats.setdefault(int(epoch_str), {})[field] = value
-    log = tuple(
-        EpochStats(
-            epoch=epoch,
-            train_nll=float(fields["train_nll"]),
-            skipped_tokens=int(fields["skipped"]),
-            dev_accuracy=(
-                float(fields["dev_accuracy"]) if "dev_accuracy" in fields else None
-            ),
+        epoch, _, field = key[len("log.") :].partition(".")
+        try:
+            parse = _LOG_FIELDS.get(field)
+            if parse is None:
+                raise ValueError(f"expected log.<epoch>.<{'|'.join(_LOG_FIELDS)}>")
+            stats.setdefault(int(epoch), {})[field] = parse(raw)
+        except ValueError as exc:
+            raise CheckpointError(f"line {number}: {key}: {exc}") from None
+    log = []
+    for epoch, values in sorted(stats.items()):
+        for field in ("train_nll", "skipped"):
+            if field not in values:
+                raise CheckpointError(f"missing config key log.{epoch}.{field}")
+        log.append(
+            EpochStats(
+                epoch=epoch,
+                train_nll=values["train_nll"],
+                skipped_tokens=values["skipped"],
+                dev_accuracy=values.get("dev_accuracy"),
+            )
         )
-        for epoch, fields in sorted(stats.items())
-    )
 
     for number, line in enumerate(lines[cursor + 1 :], start=cursor + 2):
         if not line.strip():
@@ -421,5 +449,5 @@ def load_checkpoint(text: str) -> Checkpoint:
             params.set_column(int(parts[1]), np.array(parts[2:], dtype=float))
         except ValueError as exc:
             raise CheckpointError(f"line {number}: {exc}") from None
-    return Checkpoint(params, config, log)
+    return Checkpoint(params, config, tuple(log))
 

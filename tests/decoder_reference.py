@@ -1,0 +1,219 @@
+"""Reference decoders over the array segment dictionary.
+
+copytag.decoder keeps only the decoder the tagger runs. The decoders here
+share its objective and tie-breaking and exist for tests:
+
+* brute_force_decode enumerates every segmentation of a small instance;
+  it is the oracle for both dynamic programs.
+* dp_reconstruct is the exact dynamic program under 0/1 mismatch costs
+  against a gold sequence: the cheapest way to rebuild gold by copying.
+* greedy_reconstruct is the left-to-right comparator that dp_reconstruct
+  never does worse than.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from copytag.copy_model import MarginalMatrix
+from copytag.decoder import DecodeResult, DPConfig, Segment, SegmentDict, _dp
+
+BRUTE_FORCE_MAX_POSITIONS = 12
+BRUTE_FORCE_MAX_COMBOS = 10**6
+
+
+def sequences(seg_dict: SegmentDict) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """All stored sequences as (labels, exemplar neighbor, exemplar offset),
+    shortest first and lexicographically within a length."""
+    paths: list[tuple[int, ...]] = [()]
+    for level in seg_dict.levels:
+        paths = [
+            paths[p] + (lab,)
+            for p, lab in zip(level.parent.tolist(), level.label.tolist())
+        ]
+        yield from zip(paths, level.neighbor.tolist(), level.offset.tolist())
+
+
+def dp_reconstruct(
+    gold: Sequence[int], seg_dict: SegmentDict, cfg: DPConfig
+) -> DecodeResult:
+    """Cheapest reconstruction of `gold`, counting one per mislabeled position."""
+    gold = tuple(int(g) for g in gold)
+    cost = np.ones((len(gold), seg_dict.n_labels))
+    for j, lab in enumerate(gold):
+        if 0 <= lab < seg_dict.n_labels:
+            cost[j, lab] = 0.0
+    return _dp(seg_dict, cfg, cost)
+
+
+def greedy_reconstruct(
+    gold: Sequence[int], seg_dict: SegmentDict, cfg: DPConfig
+) -> DecodeResult:
+    """Left-to-right greedy comparator for dp_reconstruct.
+
+    At each position it takes the dictionary sequence with the fewest
+    mislabelings, preferring the longest and then the lexicographically
+    smallest among equals. Feasible but not optimal: committing to a
+    locally clean short segment can force more segments overall than the
+    dynamic program needs.
+    """
+    gold = tuple(int(g) for g in gold)
+    if not seg_dict.levels:
+        raise ValueError("segment dictionary is empty")
+    if not gold:
+        raise ValueError("nothing to decode")
+
+    labels: list[int] = []
+    segments: list[Segment] = []
+    objective = 0.0
+    pos = 0
+    while pos < len(gold):
+        best: tuple[int, int, int] | None = None
+        miss = np.zeros(1, dtype=np.int64)
+        for d in range(min(seg_dict.depth, len(gold) - pos)):
+            level = seg_dict.levels[d]
+            miss = miss[level.parent] + (level.label != gold[pos + d])
+            # the first minimum is the smallest sequence of this length
+            rank = int(miss.argmin())
+            key = (int(miss[rank]), -(d + 1), rank)
+            if best is None or key < best:
+                best = key
+        mismatches, neg_length, rank = best
+        length = -neg_length
+        level = seg_dict.levels[length - 1]
+        labels.extend(seg_dict.path(length, rank))
+        segments.append(
+            Segment(pos, length, int(level.neighbor[rank]), int(level.offset[rank]))
+        )
+        objective = (objective + cfg.segment_cost) + float(mismatches)
+        pos += length
+    return DecodeResult(tuple(labels), tuple(segments), objective)
+
+
+def _count_combinations(total: int, per_length: dict[int, int]) -> int:
+    counts = [0] * (total + 1)
+    counts[0] = 1
+    for pos in range(1, total + 1):
+        acc = 0
+        for length in range(1, pos + 1):
+            n_seqs = per_length.get(length, 0)
+            if n_seqs:
+                acc += counts[pos - length] * n_seqs
+        counts[pos] = acc
+        if acc > BRUTE_FORCE_MAX_COMBOS:
+            return acc
+    return counts[total]
+
+
+def _flat_labels(chosen) -> tuple[int, ...]:
+    return tuple(lab for option in chosen for lab in option[2])
+
+
+def brute_force_decode(
+    seg_dict: SegmentDict,
+    cfg: DPConfig,
+    gold: Sequence[int] | None = None,
+    marginals: MarginalMatrix | None = None,
+) -> DecodeResult:
+    """Exhaustive enumeration of every segmentation and sequence assignment.
+
+    Serves as the oracle for both dynamic programs: pass `gold` to mirror
+    dp_reconstruct or `marginals` to mirror dp_decode_expected. Guarded to
+    at most 12 positions and 10**6 combinations; larger instances are
+    refused.
+    """
+    if (gold is None) == (marginals is None):
+        raise ValueError("pass exactly one of gold or marginals")
+    if gold is not None:
+        gold = tuple(int(g) for g in gold)
+        total = len(gold)
+    else:
+        total = marginals.n_tokens
+    if total < 1:
+        raise ValueError("nothing to decode")
+    if total > BRUTE_FORCE_MAX_POSITIONS:
+        raise ValueError(
+            f"refusing brute force: {total} positions exceeds the guard of "
+            f"{BRUTE_FORCE_MAX_POSITIONS}"
+        )
+
+    by_length: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+    for labels, neighbor, offset in sequences(seg_dict):
+        by_length.setdefault(len(labels), []).append((labels, neighbor, offset))
+    for bucket in by_length.values():
+        bucket.sort()
+
+    combos = _count_combinations(total, {k: len(v) for k, v in by_length.items()})
+    if combos > BRUTE_FORCE_MAX_COMBOS:
+        raise ValueError(
+            f"refusing brute force: {combos} combinations exceed the guard of "
+            f"{BRUTE_FORCE_MAX_COMBOS}"
+        )
+
+    if gold is not None:
+
+        def sequence_cost(labels: tuple[int, ...], start: int) -> float:
+            acc = 0.0
+            for j, lab in enumerate(labels):
+                acc += 0.0 if gold[start + j] == lab else 1.0
+            return acc
+
+    else:
+        probs = marginals.probs
+        col_of = marginals.column_of
+
+        def sequence_cost(labels: tuple[int, ...], start: int) -> float:
+            acc = 0.0
+            for j, lab in enumerate(labels):
+                col = col_of.get(lab)
+                acc += 1.0 if col is None else 1.0 - float(probs[start + j, col])
+            return acc
+
+    # Per start position, every sequence that fits, in exploration order
+    # (length, then label tuple), with its cost there computed once.
+    options = [
+        [
+            (length, sequence_cost(labels, start), labels, neighbor, offset)
+            for length in range(1, min(seg_dict.depth, total - start) + 1)
+            for labels, neighbor, offset in by_length.get(length, ())
+        ]
+        for start in range(total)
+    ]
+
+    best_cost: float | None = None
+    best_labels: tuple[int, ...] | None = None
+    best_chosen: tuple = ()
+    chosen: list = []
+
+    def explore(pos: int, cost: float) -> None:
+        nonlocal best_cost, best_labels, best_chosen
+        if pos == total:
+            take = False
+            if best_cost is None or cost < best_cost:
+                take = True
+            elif cost == best_cost:
+                if len(chosen) < len(best_chosen):
+                    take = True
+                elif len(chosen) == len(best_chosen):
+                    take = _flat_labels(chosen) < best_labels
+            if take:
+                best_cost = cost
+                best_labels = _flat_labels(chosen)
+                best_chosen = tuple(chosen)
+            return
+        for option in options[pos]:
+            chosen.append(option)
+            explore(pos + option[0], (cost + cfg.segment_cost) + option[1])
+            chosen.pop()
+
+    explore(0, 0.0)
+    if best_labels is None:
+        raise ValueError("segment dictionary is empty")
+    segments = []
+    start = 0
+    for length, _, _, neighbor, offset in best_chosen:
+        segments.append(Segment(start, length, neighbor, offset))
+        start += length
+    return DecodeResult(best_labels, tuple(segments), float(best_cost))

@@ -23,11 +23,8 @@ from copytag.copy_model import (
 from copytag.corpus import Sentence, parse_conll, relabel, write_conll
 from copytag.decoder import (
     DPConfig,
-    brute_force_decode,
     build_segment_dict,
     dp_decode_expected,
-    dp_reconstruct,
-    greedy_reconstruct,
     predict_marginal,
 )
 from copytag.embeddings import (
@@ -47,6 +44,7 @@ from copytag.trainer import (
 )
 
 from conftest import labels_only_set, make_marginals, make_neighbor_set
+from decoder_reference import brute_force_decode, dp_reconstruct, greedy_reconstruct
 
 
 @contextmanager

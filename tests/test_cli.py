@@ -352,7 +352,7 @@ class TestExitCodes:
         assert str(gold) in err
         assert "line 2" in err
 
-    @pytest.mark.parametrize("damage", ["truncate", "bad value"])
+    @pytest.mark.parametrize("damage", ["truncate", "bad value", "bad config"])
     def test_checkpoint_error_names_file(
         self, corpora, trained, tmp_path, capsys, damage
     ):
@@ -360,6 +360,11 @@ class TestExitCodes:
         if damage == "truncate":
             text = "\n".join(lines[:5]) + "\n"
             expected = "missing #params section"
+        elif damage == "bad config":
+            assert lines[1].startswith("dim=")
+            lines[1] = "dim=abc"
+            text = "\n".join(lines) + "\n"
+            expected = "line 2: dim: invalid literal"
         else:
             number = next(i for i, line in enumerate(lines) if line.startswith("col "))
             parts = lines[number].split()

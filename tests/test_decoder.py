@@ -5,27 +5,30 @@ from copytag.copy_model import MarginalMatrix
 from copytag.decoder import (
     DPConfig,
     Segment,
-    brute_force_decode,
     build_segment_dict,
     dp_decode_expected,
-    dp_reconstruct,
-    greedy_reconstruct,
     predict_marginal,
     provenance_lines,
 )
 from conftest import labels_only_set, make_gold, make_marginals, make_neighbor_set
+from decoder_reference import (
+    brute_force_decode,
+    dp_reconstruct,
+    greedy_reconstruct,
+    sequences,
+)
 from trie_reference import build_trie, trie_dp, trie_greedy, trie_sequences
 
 
 def assert_segments_consistent(result, seg_dict, cfg, cost_at):
     """The segments must tile the sequence, carry first-insertion exemplars,
     and chain back to the reported objective bit for bit."""
-    exemplars = {labels: (m, off) for labels, m, off in seg_dict.sequences()}
+    exemplars = {labels: (m, off) for labels, m, off in sequences(seg_dict)}
     pos = 0
     value = 0.0
     for seg in result.segments:
         assert seg.start == pos
-        assert 1 <= seg.length <= cfg.max_len
+        assert 1 <= seg.length <= seg_dict.depth
         labels = result.labels[seg.start : seg.start + seg.length]
         seg_sum = 0.0
         for d, lab in enumerate(labels):
@@ -47,7 +50,7 @@ class TestSegmentDict:
             ]
             max_len = int(rng.integers(1, 6))
             seg_dict = build_segment_dict(labels_only_set(rows), max_len)
-            stored = {labels for labels, _, _ in seg_dict.sequences()}
+            stored = {labels for labels, _, _ in sequences(seg_dict)}
             naive = set()
             for row in rows:
                 for i in range(len(row)):
@@ -58,7 +61,7 @@ class TestSegmentDict:
     def test_exemplar_is_first_insertion(self):
         # [1, 2] occurs in both neighbors; neighbor 0 inserted it first
         seg_dict = build_segment_dict(labels_only_set([[1, 2], [1, 2]]))
-        exemplars = {labels: (m, off) for labels, m, off in seg_dict.sequences()}
+        exemplars = {labels: (m, off) for labels, m, off in sequences(seg_dict)}
         assert exemplars[(1, 2)] == (0, 0)
         assert exemplars[(2,)] == (0, 1)
 
@@ -71,7 +74,7 @@ class TestSegmentDict:
     def test_max_len_caps_depth(self):
         seg_dict = build_segment_dict(labels_only_set([[0, 1, 0, 1]]), max_len=2)
         assert seg_dict.depth == 2
-        assert all(len(labels) <= 2 for labels, _, _ in seg_dict.sequences())
+        assert all(len(labels) <= 2 for labels, _, _ in sequences(seg_dict))
 
     def test_rejects_bad_max_len(self):
         with pytest.raises(ValueError):
@@ -97,17 +100,17 @@ class TestMatchesTrieReference:
                 max_len=int(rng.integers(1, 41)),
                 n_types=int(rng.integers(2, 7)),
             )
-            build_cap = int(rng.integers(1, 45))
+            # the smaller of a build cap and a decode length cap: the DP
+            # reads every level, so capping the build caps the decode
+            build_cap = min(int(rng.integers(1, 45)), int(rng.integers(1, 45)))
             seg_dict = build_segment_dict(neighbors, build_cap)
             trie = build_trie(neighbors, build_cap)
             assert seg_dict.node_count == trie.node_count, f"instance {i}"
             assert seg_dict.depth == trie.depth, f"instance {i}"
-            exemplars = {labels: (m, off) for labels, m, off in seg_dict.sequences()}
+            exemplars = {labels: (m, off) for labels, m, off in sequences(seg_dict)}
             assert exemplars == trie_sequences(trie), f"instance {i}"
 
-            cfg = DPConfig(
-                segment_cost=grid[i % len(grid)], max_len=int(rng.integers(1, 45))
-            )
+            cfg = DPConfig(segment_cost=grid[i % len(grid)])
             n_tokens = int(rng.integers(1, 41))
             pool = list(neighbors.types_present) + [99]
             gold = tuple(pool[int(v)] for v in rng.integers(0, len(pool), n_tokens))

@@ -1,12 +1,18 @@
-"""The committed data files are what their generator script writes.
+"""The scripts under scripts/ still run against the library.
 
 scripts/make_synthetic_corpus.py promises to regenerate data/ byte for
 byte. Loading the script by path checks that promise without running its
-main(), so no file is written.
+main(), so no file is written. scripts/run_suffix_experiment.py runs in a
+child process on a tiny corpus.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import copytag
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "make_synthetic_corpus.py"
@@ -21,3 +27,25 @@ def test_make_synthetic_corpus_reproduces_data():
         expected = (ROOT / "data" / name).read_text(encoding="utf-8")
         generated = script.write_conll(script.toy_ner_corpus(n_sentences, seed=seed))
         assert generated == expected, name
+
+
+def test_run_suffix_experiment_smoke():
+    # the child runs the same copytag this test imported
+    src = str(Path(copytag.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "scripts" / "run_suffix_experiment.py"),
+            "--train-sentences", "20",
+            "--dev-sentences", "5",
+            "--epochs", "1",
+            "--neighbors", "3",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "before fine-tuning: dev token accuracy" in proc.stdout
+    assert "after fine-tuning: dev token accuracy" in proc.stdout

@@ -21,6 +21,19 @@ DB_ROWS = [
 ]
 
 
+def count_embeds(monkeypatch, provider) -> list:
+    """Record every sentence `provider` embeds from now on."""
+    calls = []
+    embed = provider.embed
+
+    def counted(sentence):
+        calls.append(sentence)
+        return embed(sentence)
+
+    monkeypatch.setattr(provider, "embed", counted)
+    return calls
+
+
 @pytest.fixture
 def db():
     return build_dataset(DB_ROWS)
@@ -58,15 +71,6 @@ class TestTagger:
         assert built_with in str(err.value)
         assert provider.tag in str(err.value)
 
-    def test_exclude_id_removes_twin(self, db, provider):
-        tagger = Tagger(provider, db, n_neighbors=2)
-        analysis = tagger.analyze(
-            Sentence(100, ("alice", "likes", "tea")), exclude_id=0
-        )
-        uids = {e.sequence.sentence.uid for e in analysis.neighbors.entries}
-        assert 0 not in uids
-        assert len(analysis.neighbors.entries) == 2
-
     def test_dp_zero_cost_matches_marginal(self, db, provider):
         tagger = Tagger(provider, db, n_neighbors=3)
         sent = Sentence(100, ("bob", "likes", "tea"))
@@ -76,20 +80,34 @@ class TestTagger:
         assert dp.decode is not None
         assert sum(s.length for s in dp.decode.segments) == 3
 
-    def test_dp_respects_max_len(self, db, provider):
-        tagger = Tagger(provider, db, n_neighbors=3)
-        out = tagger.tag(
-            Sentence(100, ("bob", "likes", "tea")),
-            decode=DECODE_DP,
-            segment_cost=0.0,
-            max_len=1,
-        )
-        assert all(s.length == 1 for s in out.decode.segments)
+    def test_dp_segments_capped_at_64(self, provider):
+        # one 70-token db sentence with a single label: every span of the
+        # query is free to copy, so only the length cap forces a second
+        # segment
+        tokens = tuple(f"w{i}" for i in range(70))
+        db = build_dataset([(tokens, ("X",) * 70)])
+        tagger = Tagger(provider, db, n_neighbors=1)
+        out = tagger.tag(Sentence(100, tokens), decode=DECODE_DP, segment_cost=5.0)
+        lengths = [s.length for s in out.decode.segments]
+        assert len(lengths) == 2
+        assert sum(lengths) == 70
+        assert max(lengths) <= 64
+        assert out.label_names == ("X",) * 70
 
-    def test_unknown_decode_mode(self, db, provider):
+    def test_unknown_decode_mode(self, db, provider, monkeypatch):
         tagger = Tagger(provider, db, n_neighbors=2)
+        embedded = count_embeds(monkeypatch, provider)
         with pytest.raises(ValueError, match="decode"):
             tagger.tag(Sentence(100, ("alice",)), decode="viterbi")
+        assert embedded == []
+
+    @pytest.mark.parametrize("cost", [-1.0, float("nan")])
+    def test_bad_segment_cost_checked_first(self, db, provider, monkeypatch, cost):
+        tagger = Tagger(provider, db, n_neighbors=2)
+        embedded = count_embeds(monkeypatch, provider)
+        with pytest.raises(ValueError, match="segment_cost"):
+            tagger.tag(Sentence(100, ("alice",)), decode=DECODE_DP, segment_cost=cost)
+        assert embedded == []
 
     def test_neighbor_count_validated(self, db, provider):
         with pytest.raises(ValueError):

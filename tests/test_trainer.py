@@ -402,14 +402,41 @@ class TestCheckpointFormat:
         expected = np.array([float(t) for t in texts])
         assert parsed.tobytes() == expected.tobytes()
 
+    CONFIG_LINES = [
+        "#copytag-ckpt v1", "dim=3", "buckets=40", "window=1", "embed_seed=4",
+        "learning_rate=0.002", "batch_size=16", "epochs=0", "train_neighbors=5",
+        "test_neighbors=5", "seed=0", "refresh=per-batch", "exclude_self=true",
+    ]
+
     def _column_text(self, column_line):
-        lines = [
-            "#copytag-ckpt v1", "dim=3", "buckets=40", "window=1", "embed_seed=4",
-            "learning_rate=0.002", "batch_size=16", "epochs=0", "train_neighbors=5",
-            "test_neighbors=5", "seed=0", "refresh=per-batch", "exclude_self=true",
-            "#params 3 40", "col 7 0.5 -0.25 1.0", column_line,
-        ]
+        lines = [*self.CONFIG_LINES, "#params 3 40", "col 7 0.5 -0.25 1.0", column_line]
         return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "config_line, message",
+        [
+            ("dim=abc", "line 2: dim: invalid literal for int()"),
+            ("learning_rate=-1", "line 6: learning_rate: learning_rate must be positive"),
+            ("refresh=weird", "line 12: refresh: unknown refresh policy 'weird'"),
+            ("exclude_self=yes", "line 13: exclude_self: expected true or false"),
+            ("log.x=1", "line 14: log.x: "),
+            ("log.1.train_nll=zz", "line 14: log.1.train_nll: could not convert"),
+            ("log.1.train_nll=0.5", "missing config key log.1.skipped"),
+        ],
+    )
+    def test_bad_config_value_names_line(self, config_line, message):
+        # a known key replaces its line; a log line goes after the config
+        key = config_line.partition("=")[0]
+        lines = [
+            config_line if line.partition("=")[0] == key else line
+            for line in self.CONFIG_LINES
+        ]
+        if config_line not in lines:
+            lines.append(config_line)
+        text = "\n".join([*lines, "#params 3 40"]) + "\n"
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(text)
+        assert str(info.value).startswith(message)
 
     @pytest.mark.parametrize(
         "column_line, message",

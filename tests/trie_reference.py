@@ -63,7 +63,6 @@ def trie_dp(
         raise ValueError("segment dictionary is empty")
     if n_positions < 1:
         raise ValueError("nothing to decode")
-    limit = min(cfg.max_len, trie.depth)
 
     total = n_positions
     best_cost: list[float | None] = [None] * (total + 1)
@@ -78,7 +77,7 @@ def trie_dp(
         base_cost = best_cost[start]
         base_segs = best_segs[start]
         base_labels = best_labels[start]
-        reach = min(limit, total - start)
+        reach = min(trie.depth, total - start)
 
         def walk(node: Node, acc: float) -> None:
             depth = len(path)
@@ -128,14 +127,13 @@ def trie_greedy(gold: Sequence[int], trie: Trie, cfg: DPConfig) -> DecodeResult:
         raise ValueError("segment dictionary is empty")
     if not gold:
         raise ValueError("nothing to decode")
-    limit = min(cfg.max_len, trie.depth)
 
     labels: list[int] = []
     segments: list[Segment] = []
     objective = 0.0
     pos = 0
     while pos < len(gold):
-        reach = min(limit, len(gold) - pos)
+        reach = min(trie.depth, len(gold) - pos)
         path: list[int] = []
         best: tuple[int, int, tuple[int, ...]] | None = None
         best_pick: tuple[Node, float] | None = None
