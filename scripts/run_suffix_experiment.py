@@ -45,7 +45,9 @@ def main() -> None:
             f"skipped {entry.skipped_tokens} dev_accuracy {entry.dev_accuracy:.4f}"
         )
 
-    tuned = zero_shot_eval(checkpoint, train, dev, n_neighbors=args.neighbors)
+    tuned = zero_shot_eval(
+        checkpoint.provider(), train, dev, n_neighbors=args.neighbors
+    )
     print(f"after fine-tuning: dev token accuracy {tuned.token_accuracy:.4f}")
 
     if args.out:

@@ -66,7 +66,7 @@ from .retrieval import (
     query,
 )
 from .synthetic import suffix_corpus, toy_ner_corpus
-from .tagging import TaggedSentence, Tagger, predictions_dataset, tag_dataset
+from .tagging import TaggedSentence, Tagger, predictions_dataset
 from .trainer import (
     AdamState,
     Checkpoint,
@@ -135,7 +135,6 @@ __all__ = [
     "suffix_corpus",
     "sweep_c",
     "sweep_csv",
-    "tag_dataset",
     "toy_ner_corpus",
     "token_accuracy",
     "write_conll",

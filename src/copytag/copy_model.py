@@ -105,15 +105,14 @@ def marginal_over_types(posterior: CopyPosterior, neighbors: NeighborSet) -> Mar
 
 @dataclass(frozen=True)
 class LossReport:
-    """Summed and per-token negative log-likelihood of the gold types.
+    """Summed negative log-likelihood of the gold types.
 
     Tokens whose gold type never occurs in the neighbor set cannot be
-    scored; they carry None, contribute nothing to the sum, and are
-    counted in `skipped`.
+    scored; they contribute nothing to the sum and are counted in
+    `skipped`.
     """
 
     nll: float
-    per_token: tuple[float | None, ...]
     skipped: int
 
 
@@ -126,19 +125,15 @@ def nll(
             f"{len(gold)} gold labels for {posterior.n_tokens} posterior rows"
         )
     flat = neighbors.flat_labels
-    per: list[float | None] = []
     total = 0.0
     skipped = 0
     for t, gold_type in enumerate(gold):
         mask = flat == gold_type
         if not mask.any():
-            per.append(None)
             skipped += 1
             continue
-        value = -_logsumexp(posterior.log_probs[t, mask])
-        per.append(value)
-        total += value
-    return LossReport(total, tuple(per), skipped)
+        total += -_logsumexp(posterior.log_probs[t, mask])
+    return LossReport(total, skipped)
 
 
 def grad_wrt_input(

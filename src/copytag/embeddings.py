@@ -362,45 +362,6 @@ class ColumnGrads:
         return self.columns.size
 
 
-def backprop_embedder(
-    params: EmbedderParams,
-    sentence: Sentence,
-    d_output: np.ndarray,
-    columns: TokenColumns | None = None,
-    embeddings: np.ndarray | None = None,
-) -> ColumnGrads:
-    """Columnwise loss gradient given d(loss)/d(token embeddings).
-
-    Each active bucket of token t receives d_output[t] * (1 - x_t^2), the
-    tanh backward pass. A column's gradient adds these from 0.0 in token
-    order, one token at a time; a token's columns are unique, so each
-    token's scatter is exact. Inactive buckets are absent from the result
-    and therefore exactly zero. `columns` must come from these params, and
-    `embeddings`, when given, must be the sentence embedded under them
-    (x above); otherwise it is embedded here.
-    """
-    if columns is None:
-        columns = _token_columns(params, sentence)
-    d_output = np.asarray(d_output, dtype=float)
-    if d_output.shape != (len(sentence), params.dim):
-        raise ValueError(
-            f"d_output must have shape ({len(sentence)}, {params.dim}), "
-            f"got {d_output.shape}"
-        )
-    if not np.all(np.isfinite(d_output)):
-        raise ValueError("d_output contains non-finite entries")
-    x = _embed_columns(params, columns) if embeddings is None else embeddings
-    per_token = d_output * (1.0 - x * x)
-    uniq, first, inverse = np.unique(
-        columns.columns, return_index=True, return_inverse=True
-    )
-    grad = np.zeros((uniq.size, params.dim))
-    bounds = zip(columns.starts.tolist(), columns.counts.tolist())
-    for row, (lo, count) in zip(per_token, bounds):
-        grad[inverse[lo : lo + count]] += row
-    return ColumnGrads(columns=uniq, slots=columns.slots[first], grad=grad)
-
-
 class HashedWindowEmbedder:
     """Trainable embedding provider over EmbedderParams.
 
@@ -410,8 +371,6 @@ class HashedWindowEmbedder:
     slots never move, so embedding a cached sentence is a gather of its
     slots and a reduceat, in cache-sized runs of tokens for long sentences.
     """
-
-    trainable = True
 
     def __init__(self, params: EmbedderParams | None = None, **kwargs):
         self.params = params if params is not None else EmbedderParams(**kwargs)
@@ -438,18 +397,34 @@ class HashedWindowEmbedder:
         return _embed_columns(self.params, self.token_columns(sentence))
 
     def backprop(
-        self,
-        sentence: Sentence,
-        d_output: np.ndarray,
-        embeddings: np.ndarray | None = None,
+        self, sentence: Sentence, d_output: np.ndarray, embeddings: np.ndarray
     ) -> ColumnGrads:
-        """backprop_embedder over the cached columns; pass `embeddings` when
-        the sentence was just embedded under the current parameters."""
-        return backprop_embedder(
-            self.params,
-            sentence,
-            d_output,
-            columns=self.token_columns(sentence),
-            embeddings=embeddings,
+        """Columnwise loss gradient given d(loss)/d(token embeddings).
+
+        `embeddings` is the sentence's forward pass, embed(sentence) under
+        the current parameters (x below). Each active bucket of token t
+        receives d_output[t] * (1 - x_t^2), the tanh backward pass. A
+        column's gradient adds these from 0.0 in token order, one token at
+        a time; a token's columns are unique, so each token's scatter is
+        exact. Inactive buckets are absent from the result and therefore
+        exactly zero.
+        """
+        d_output = np.asarray(d_output, dtype=float)
+        if d_output.shape != (len(sentence), self.dim):
+            raise ValueError(
+                f"d_output must have shape ({len(sentence)}, {self.dim}), "
+                f"got {d_output.shape}"
+            )
+        if not np.all(np.isfinite(d_output)):
+            raise ValueError("d_output contains non-finite entries")
+        columns = self.token_columns(sentence)
+        per_token = d_output * (1.0 - embeddings * embeddings)
+        uniq, first, inverse = np.unique(
+            columns.columns, return_index=True, return_inverse=True
         )
+        grad = np.zeros((uniq.size, self.dim))
+        bounds = zip(columns.starts.tolist(), columns.counts.tolist())
+        for row, (lo, count) in zip(per_token, bounds):
+            grad[inverse[lo : lo + count]] += row
+        return ColumnGrads(columns=uniq, slots=columns.slots[first], grad=grad)
 

@@ -13,26 +13,16 @@ from typing import Sequence
 
 from .corpus import Dataset, build_dataset, spans_from_bio
 from .decoder import DPConfig, dp_decode_expected
-from .tagging import (
-    DECODE_DP,
-    DECODE_MARGINAL,
-    Tagger,
-    predictions_dataset,
-    tag_dataset,
-)
+from .tagging import Tagger, predictions_dataset
 
 SWEEP_HEADER = "c,precision,recall,f1,token_accuracy,avg_segments"
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Scores of one prediction run; span metrics are None when not requested."""
+    """Scores of one zero-shot run."""
 
     token_accuracy: float
-    precision: float | None
-    recall: float | None
-    f1: float | None
-    avg_segments: float | None
     skipped_tokens: int
 
 
@@ -182,45 +172,19 @@ def sweep_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def zero_shot_eval(
-    checkpoint_or_provider,
-    new_db: Dataset,
-    eval_data: Dataset,
-    n_neighbors: int,
-    spans: bool = False,
-    decode: str = DECODE_MARGINAL,
-    segment_cost: float = 0.4,
+    provider, new_db: Dataset, eval_data: Dataset, n_neighbors: int
 ) -> EvalReport:
     """Tag `eval_data` against a database it was never trained on.
 
     No parameters are updated; the label inventory comes entirely from
-    `new_db`. Accepts either a trained checkpoint or a bare provider.
+    `new_db`. `skipped_tokens` counts the gold labels that `new_db` does
+    not have, which no prediction can match.
     """
-    provider = checkpoint_or_provider
-    if hasattr(provider, "provider"):
-        provider = provider.provider()
     if not new_db.items:
         raise ValueError("the new database is empty")
-    tagged = tag_dataset(
-        provider,
-        new_db,
-        eval_data,
-        n_neighbors,
-        decode=decode,
-        segment_cost=segment_cost,
-    )
-    pred = predictions_dataset(tagged)
-    accuracy = token_accuracy(pred, eval_data)
-    precision = recall = f1 = None
-    if spans:
-        precision, recall, f1 = span_f1(pred, eval_data)
-    avg_segments = None
-    if decode == DECODE_DP:
-        avg_segments = sum(len(t.decode.segments) for t in tagged) / len(tagged)
+    tagger = Tagger(provider, new_db, n_neighbors)
+    pred = predictions_dataset([tagger.tag(item.sentence) for item in eval_data.items])
     return EvalReport(
-        token_accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        avg_segments=avg_segments,
+        token_accuracy=token_accuracy(pred, eval_data),
         skipped_tokens=_count_unreachable(new_db, eval_data),
     )

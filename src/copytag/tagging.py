@@ -95,11 +95,10 @@ class Tagger:
         segment_cost: float = 0.4,
     ) -> TaggedSentence:
         """Analyze and decode one sentence; the decode settings are checked
-        before any work."""
-        if decode == DECODE_DP:
-            cfg = DPConfig(segment_cost=segment_cost)
-        elif decode != DECODE_MARGINAL:
+        before any work, the segment cost in every mode."""
+        if decode not in (DECODE_MARGINAL, DECODE_DP):
             raise ValueError(f"unknown decode mode {decode!r}")
+        cfg = DPConfig(segment_cost=segment_cost)
         analysis = self.analyze(sentence)
         if decode == DECODE_DP:
             seg_dict = self.segment_dict(analysis)
@@ -110,22 +109,6 @@ class Tagger:
             result = None
         names = tuple(self.db.vocab.types[lab] for lab in label_ids)
         return TaggedSentence(sentence, names, label_ids, result, analysis)
-
-
-def tag_dataset(
-    provider,
-    db: Dataset,
-    inputs: Dataset,
-    n_neighbors: int,
-    decode: str = DECODE_MARGINAL,
-    segment_cost: float = 0.4,
-) -> list[TaggedSentence]:
-    """Tag every sentence of `inputs` against `db`; gold labels are ignored."""
-    tagger = Tagger(provider, db, n_neighbors)
-    return [
-        tagger.tag(item.sentence, decode=decode, segment_cost=segment_cost)
-        for item in inputs.items
-    ]
 
 
 def predictions_dataset(tagged: Sequence[TaggedSentence]) -> Dataset:

@@ -1,14 +1,14 @@
 """Fine-tuning of the hashed-window embedder.
 
-Each training sentence retrieves neighbors from an index built once with
-the initial parameters; the loss is the negative log of the copy posterior
-mass on gold-typed neighbor tokens. Gradients flow only into the input
-sentence's embeddings and reach the weights through the sparse tanh
-backward pass. Neighbor embeddings are treated as constants: they start
-as the token matrices the index kept, and a row is embedded again only
-when the parameters moved since it was embedded, at most once per refresh
-window. Updates use bias-corrected Adam on exactly the columns with
-nonzero gradient.
+Each training sentence retrieves neighbors, never itself, from an index
+built once with the initial parameters; the loss is the negative log of
+the copy posterior mass on gold-typed neighbor tokens. Gradients flow only
+into the input sentence's embeddings and reach the weights through the
+sparse tanh backward pass. Neighbor embeddings are treated as constants:
+they start as the token matrices the index kept, and before each batch a
+row is embedded again if the parameters moved since it was embedded.
+Updates use bias-corrected Adam on exactly the columns with nonzero
+gradient.
 
 A training step works on arrays aligned with the EmbedderParams storage
 slots: each sentence's backprop, which reuses its forward embedding, is
@@ -42,9 +42,6 @@ from .evaluation import token_accuracy
 from .retrieval import assemble_neighbor_set, build_index, query
 from .tagging import Tagger, predictions_dataset
 
-REFRESH_PER_BATCH = "per-batch"
-REFRESH_PER_EPOCH = "per-epoch"
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -64,8 +61,6 @@ class TrainConfig:
     train_neighbors: int = 50
     test_neighbors: int = 100
     seed: int = 0
-    refresh: str = REFRESH_PER_BATCH
-    exclude_self: bool = True
 
     def __post_init__(self) -> None:
         if not self.learning_rate > 0:
@@ -78,8 +73,6 @@ class TrainConfig:
             raise ValueError("neighbor counts must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.refresh not in (REFRESH_PER_BATCH, REFRESH_PER_EPOCH):
-            raise ValueError(f"unknown refresh policy {self.refresh!r}")
 
 
 @dataclass(eq=False)
@@ -212,21 +205,22 @@ def fine_tune(
     """Fine-tune the provider's parameters on `train`.
 
     The retrieval index is built once from the initial parameters, so the
-    neighbor lists are fixed for the whole run; with exclude_self a
-    sentence never retrieves itself. Shuffling is seeded, gradients within
-    a batch accumulate in ascending sentence order, and one optimizer step
-    is applied per batch. With epochs=0 the returned checkpoint holds the
+    neighbor lists are fixed for the whole run, and a sentence never
+    retrieves itself. Shuffling is seeded, gradients within a batch
+    accumulate in ascending sentence order, and one optimizer step is
+    applied per batch. With epochs=0 the returned checkpoint holds the
     initial parameters and an empty log.
 
     Neighbor rows start as the index's token matrices. Before a row is
     used it is embedded again under the current parameters, unless it was
-    embedded at the current `params.revision` or, under per-epoch refresh,
-    already refreshed earlier in the same epoch.
+    embedded at the current `params.revision`.
     """
     if provider is None:
         provider = HashedWindowEmbedder()
-    if not getattr(provider, "trainable", False):
-        raise ValueError("provider is not trainable")
+    if not isinstance(provider, HashedWindowEmbedder):
+        raise ValueError(
+            "provider is not trainable: fine_tune needs a HashedWindowEmbedder"
+        )
     if len(train.vocab) == 0 or not train.items:
         raise ValueError("training data is empty")
     params = provider.params
@@ -234,27 +228,20 @@ def fine_tune(
     index = build_index(train, provider)
     neighbor_ids: dict[int, tuple[int, ...]] = {}
     for row, sid in enumerate(index.ids):
-        exclude = (sid,) if config.exclude_self else ()
-        ranked = query(index, index.vectors[row], config.train_neighbors, exclude)
+        ranked = query(index, index.vectors[row], config.train_neighbors, (sid,))
         if not ranked:
             raise ValueError(
-                "retrieval found no training neighbors; the dataset is too small "
-                "for exclude_self"
+                "retrieval found no training neighbors: a sentence never "
+                "retrieves itself, so training needs at least two sentences"
             )
         neighbor_ids[sid] = tuple(sid2 for sid2, _ in ranked)
 
     rows = list(index.token_matrices)
     row_revision = [params.revision] * len(rows)
-    row_epoch = [0] * len(rows)
-    per_epoch = config.refresh == REFRESH_PER_EPOCH
 
-    def refresh(sid: int, epoch: int) -> None:
+    def refresh(sid: int) -> None:
         # Parameters only move between batches, so a row embedded at the
         # current revision equals a fresh embedding bit for bit.
-        if per_epoch:
-            if row_epoch[sid] == epoch:
-                return
-            row_epoch[sid] = epoch
         if row_revision[sid] != params.revision:
             rows[sid] = provider.embed(train.items[sid].sentence)
             row_revision[sid] = params.revision
@@ -271,7 +258,7 @@ def fine_tune(
             for sid in sorted(batch):
                 item = train.items[sid]
                 for nid in neighbor_ids[sid]:
-                    refresh(nid, epoch)
+                    refresh(nid)
                 neighbors = assemble_neighbor_set(train, neighbor_ids[sid], rows)
                 cols = provider.token_columns(item.sentence)
                 embeddings = _embed_columns(params, cols)
@@ -322,8 +309,7 @@ def save_checkpoint(checkpoint: Checkpoint) -> str:
         f"train_neighbors={cfg.train_neighbors}",
         f"test_neighbors={cfg.test_neighbors}",
         f"seed={cfg.seed}",
-        f"refresh={cfg.refresh}",
-        f"exclude_self={'true' if cfg.exclude_self else 'false'}",
+        *(f"{key}={value}" for key, value in _FIXED_LINES),
     ]
     for entry in checkpoint.log:
         prefix = f"log.{entry.epoch}"
@@ -340,12 +326,6 @@ def save_checkpoint(checkpoint: Checkpoint) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_flag(raw: str) -> bool:
-    if raw not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {raw!r}")
-    return raw == "true"
-
-
 # Config lines: key, the object its value configures, the field there, and
 # how the text becomes the value.
 _CONFIG_FIELDS = (
@@ -359,9 +339,11 @@ _CONFIG_FIELDS = (
     ("train_neighbors", TrainConfig, "train_neighbors", int),
     ("test_neighbors", TrainConfig, "test_neighbors", int),
     ("seed", TrainConfig, "seed", int),
-    ("refresh", TrainConfig, "refresh", str),
-    ("exclude_self", TrainConfig, "exclude_self", _parse_flag),
 )
+# Config lines with one legal value, kept so that checkpoint text stays
+# the same: training refreshes neighbor rows per batch and never lets a
+# sentence retrieve itself.
+_FIXED_LINES = (("refresh", "per-batch"), ("exclude_self", "true"))
 _LOG_FIELDS = {"train_nll": float, "skipped": int, "dev_accuracy": float}
 
 
@@ -381,6 +363,10 @@ def load_checkpoint(text: str) -> Checkpoint:
         key, sep, value = line.partition("=")
         if not sep:
             raise CheckpointError(f"bad config line {line!r}")
+        if key in pairs:
+            raise CheckpointError(
+                f"line {cursor + 1}: {key} repeats line {pairs[key][0]}"
+            )
         pairs[key] = (cursor + 1, value)
         cursor += 1
     if cursor == len(lines):
@@ -402,6 +388,14 @@ def load_checkpoint(text: str) -> Checkpoint:
         except ValueError as exc:
             raise CheckpointError(f"line {number}: {key}: {exc}") from None
         fields[owner][field] = value
+    for key, legal in _FIXED_LINES:
+        if key not in pairs:
+            raise CheckpointError(f"missing config key {key}")
+        number, raw = pairs[key]
+        if raw != legal:
+            raise CheckpointError(
+                f"line {number}: {key}: expected {legal}, got {raw!r}"
+            )
     params = EmbedderParams(**fields[EmbedderParams])
     config = TrainConfig(**fields[TrainConfig])
     if header[1:] != [str(params.dim), str(params.n_buckets)]:
@@ -433,6 +427,7 @@ def load_checkpoint(text: str) -> Checkpoint:
             )
         )
 
+    col_lines: dict[int, int] = {}
     for number, line in enumerate(lines[cursor + 1 :], start=cursor + 2):
         if not line.strip():
             continue
@@ -445,9 +440,15 @@ def load_checkpoint(text: str) -> Checkpoint:
                 f"expected {params.dim}"
             )
         try:
+            col = int(parts[1])
             # parses each value exactly as float() does
-            params.set_column(int(parts[1]), np.array(parts[2:], dtype=float))
+            params.set_column(col, np.array(parts[2:], dtype=float))
         except ValueError as exc:
             raise CheckpointError(f"line {number}: {exc}") from None
+        if col in col_lines:
+            raise CheckpointError(
+                f"line {number}: column {col} repeats line {col_lines[col]}"
+            )
+        col_lines[col] = number
     return Checkpoint(params, config, tuple(log))
 

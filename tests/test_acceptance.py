@@ -30,7 +30,6 @@ from copytag.decoder import (
 from copytag.embeddings import (
     EmbedderParams,
     HashedWindowEmbedder,
-    backprop_embedder,
     embed_tokens,
 )
 from copytag.evaluation import zero_shot_eval
@@ -126,7 +125,8 @@ def test_criterion_02_gradients_match_finite_differences():
             e0 = embed_tokens(params, sent)
             post = copy_posterior(copy_logits(e0, neighbors))
             d_input = grad_wrt_input(post, neighbors, gold)
-            col_grads = backprop_embedder(params, sent, d_input)
+            provider = HashedWindowEmbedder(params)
+            col_grads = provider.backprop(sent, d_input, provider.embed(sent))
             for col, grad in zip(col_grads.columns[:2].tolist(), col_grads.grad):
                 base = params.column(col)
                 fd_col = np.zeros(dim)

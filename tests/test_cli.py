@@ -390,6 +390,25 @@ class TestExitCodes:
         assert expected in err
         assert not out.exists()
 
+    def test_bad_segment_cost_without_dp(self, corpora, trained, tmp_path, capsys):
+        # checked in every decode mode, also where the cost goes unused
+        out = tmp_path / "pred.conll"
+        code = main(
+            [
+                "tag",
+                "--ckpt", str(trained),
+                "--db", str(corpora["train"]),
+                "--input", str(corpora["dev"]),
+                "--out", str(out),
+                "--decode", "marginal",
+                "--c", "-1",
+            ]
+        )
+        assert code == 1
+        assert "segment_cost" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "pred.conll.manifest.json").exists()
+
     def test_failure_stages_nothing(self, corpora, trained, tmp_path, capsys):
         out = tmp_path / "pred.conll"
         code = main(

@@ -102,8 +102,9 @@ class TestNll:
         gold = (absent, int(neighbors.types_present[0]))
         report = nll(posterior, neighbors, gold)
         assert report.skipped == 1
-        assert report.per_token[0] is None
-        assert report.per_token[1] is not None
+        # only the scorable token counts toward the sum
+        mass = posterior.probs[1, neighbors.flat_labels == gold[1]].sum()
+        assert report.nll == pytest.approx(-np.log(mass), rel=1e-9)
 
     def test_perfect_copy_low_loss(self, rng):
         # one neighbor token exactly matching the input embedding dominates

@@ -14,7 +14,6 @@ from copytag.embeddings import (
     EmbedderParams,
     HashedWindowEmbedder,
     TokenColumns,
-    backprop_embedder,
     embed_sentence,
     embed_tokens,
     fnv1a64,
@@ -337,7 +336,8 @@ class TestBackprop:
         sent = Sentence(0, ("aa", "bb", "cc"))
         d_output = rng.normal(size=(3, 5))
 
-        grads = backprop_embedder(params, sent, d_output)
+        provider = HashedWindowEmbedder(params)
+        grads = provider.backprop(sent, d_output, provider.embed(sent))
         assert len(grads)
 
         step = 1e-6
@@ -358,7 +358,8 @@ class TestBackprop:
     def test_untouched_columns_absent(self):
         params = EmbedderParams(dim=4, n_buckets=32, window=0)
         sent = Sentence(0, ("xy",))
-        grads = backprop_embedder(params, sent, np.ones((1, 4)))
+        provider = HashedWindowEmbedder(params)
+        grads = provider.backprop(sent, np.ones((1, 4)), provider.embed(sent))
         active = token_features(sent, 0, window=0, n_buckets=32).indices
         assert set(grads.columns.tolist()) == active
 
@@ -374,7 +375,8 @@ class TestBackprop:
             ]
             sent = Sentence(0, tuple(words))
             d_output = rng.normal(size=(len(sent), 6))
-            grads = backprop_embedder(params, sent, d_output)
+            provider = HashedWindowEmbedder(params)
+            grads = provider.backprop(sent, d_output, provider.embed(sent))
             expected = reference_backprop(params, sent, d_output)
             assert grads.columns.tolist() == sorted(expected)
             assert np.all(np.diff(grads.columns) > 0)
@@ -384,9 +386,9 @@ class TestBackprop:
             np.testing.assert_array_equal(grads.slots, params.slots_for(grads.columns))
 
     def test_shape_validated(self):
-        params = EmbedderParams(dim=4, n_buckets=32)
+        provider = HashedWindowEmbedder(EmbedderParams(dim=4, n_buckets=32))
         with pytest.raises(ValueError):
-            backprop_embedder(params, SENT, np.ones((2, 4)))
+            provider.backprop(SENT, np.ones((2, 4)), provider.embed(SENT))
 
 
 
@@ -472,7 +474,7 @@ class TestTokenByTokenBackward:
             d_output[rng.random(d_output.shape) < 0.1] = -0.0
             x = embed_tokens(params, sent)
 
-            grads = backprop_embedder(params, sent, d_output)
+            grads = HashedWindowEmbedder(params).backprop(sent, d_output, x)
             expected = reference_backprop_add_at(columns, d_output, x)
             np.testing.assert_array_equal(grads.columns, expected.columns)
             np.testing.assert_array_equal(grads.slots, expected.slots)
@@ -480,7 +482,3 @@ class TestTokenByTokenBackward:
             by_token = reference_backprop(params, sent, d_output)
             for col, row in zip(grads.columns.tolist(), grads.grad):
                 assert _bits(row) == _bits(by_token[col])
-
-            # the forward embedding passed in gives the same block
-            reused = backprop_embedder(params, sent, d_output, embeddings=x)
-            assert _bits(reused.grad) == _bits(grads.grad)

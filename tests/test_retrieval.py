@@ -38,8 +38,6 @@ def small_provider():
 class VectorProvider:
     """Serves one fixed row per sentence id; for retrieval tests only."""
 
-    trainable = False
-
     def __init__(self, vectors, tag="fake"):
         self.vectors = vectors
         self.dim = vectors.shape[1]
@@ -63,7 +61,6 @@ class TestBuildIndex:
 
     def test_zero_vector_flagged(self):
         class ZeroProvider:
-            trainable = False
             dim = 3
             tag = "zero"
 
@@ -104,7 +101,6 @@ class SlottedProvider:
     """No __weakref__ slot, so it cannot be a weak key."""
 
     __slots__ = ("vectors", "dim", "tag")
-    trainable = False
 
     def __init__(self, vectors):
         self.vectors = vectors
@@ -142,7 +138,7 @@ class TestIndexMemo:
         else:
             sentence = db.items[1].sentence
             d_output = np.random.default_rng(4).normal(size=(len(sentence), 12))
-            grads = provider.backprop(sentence, d_output)
+            grads = provider.backprop(sentence, d_output, provider.embed(sentence))
             adam_update(provider.params, grads, AdamState(), 0.1)
         index = Tagger(provider, db, 2).index
         assert index is not stale

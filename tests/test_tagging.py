@@ -9,7 +9,6 @@ from copytag.tagging import (
     DECODE_MARGINAL,
     Tagger,
     predictions_dataset,
-    tag_dataset,
 )
 
 DB_ROWS = [
@@ -19,6 +18,12 @@ DB_ROWS = [
     (("london", "is", "old"), ("LOC", "O", "O")),
     (("tea", "costs", "little"), ("O", "O", "O")),
 ]
+
+
+def tag_all(provider, db, inputs, n_neighbors):
+    """Tag every sentence of `inputs` against `db` with one Tagger."""
+    tagger = Tagger(provider, db, n_neighbors)
+    return [tagger.tag(item.sentence) for item in inputs.items]
 
 
 def count_embeds(monkeypatch, provider) -> list:
@@ -105,8 +110,10 @@ class TestTagger:
     def test_bad_segment_cost_checked_first(self, db, provider, monkeypatch, cost):
         tagger = Tagger(provider, db, n_neighbors=2)
         embedded = count_embeds(monkeypatch, provider)
-        with pytest.raises(ValueError, match="segment_cost"):
-            tagger.tag(Sentence(100, ("alice",)), decode=DECODE_DP, segment_cost=cost)
+        # checked in every mode, also where the cost goes unused
+        for decode in (DECODE_DP, DECODE_MARGINAL):
+            with pytest.raises(ValueError, match="segment_cost"):
+                tagger.tag(Sentence(100, ("alice",)), decode=decode, segment_cost=cost)
         assert embedded == []
 
     def test_neighbor_count_validated(self, db, provider):
@@ -128,7 +135,7 @@ class TestDatasetHelpers:
                 (("paris", "is", "old"), ("O", "O", "O")),
             ]
         )
-        tagged = tag_dataset(provider, db, inputs, n_neighbors=3)
+        tagged = tag_all(provider, db, inputs, n_neighbors=3)
         assert [t.sentence.tokens for t in tagged] == [
             item.sentence.tokens for item in inputs.items
         ]
@@ -136,8 +143,8 @@ class TestDatasetHelpers:
     def test_gold_labels_ignored(self, db, provider):
         a = build_dataset([(("alice", "likes", "coffee"), ("O", "O", "O"))])
         b = build_dataset([(("alice", "likes", "coffee"), ("PER", "PER", "PER"))])
-        out_a = tag_dataset(provider, db, a, n_neighbors=3)
-        out_b = tag_dataset(provider, db, b, n_neighbors=3)
+        out_a = tag_all(provider, db, a, n_neighbors=3)
+        out_b = tag_all(provider, db, b, n_neighbors=3)
         assert out_a[0].label_names == out_b[0].label_names
 
     def test_predictions_dataset_round_trip(self, db, provider):
@@ -147,7 +154,7 @@ class TestDatasetHelpers:
                 (("london", "is", "big"), ("O", "O", "O")),
             ]
         )
-        tagged = tag_dataset(provider, db, inputs, n_neighbors=2)
+        tagged = tag_all(provider, db, inputs, n_neighbors=2)
         preds = predictions_dataset(tagged)
         assert len(preds.items) == 2
         for item, t in zip(preds.items, tagged):

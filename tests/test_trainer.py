@@ -6,7 +6,9 @@ import pytest
 
 from copytag.corpus import Dataset, LabelVocab
 from copytag.embeddings import INIT_STD, EmbedderParams, HashedWindowEmbedder
+from copytag.retrieval import query
 from copytag.synthetic import suffix_corpus
+from copytag import trainer
 from copytag.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -207,7 +209,6 @@ class TestTrainConfig:
             {"train_neighbors": 0},
             {"test_neighbors": 0},
             {"seed": -1},
-            {"refresh": "per-token"},
         ],
     )
     def test_validation(self, kwargs):
@@ -256,14 +257,40 @@ class TestFineTune:
         b = fine_tune(cfg, train, provider=small_embedder())
         assert save_checkpoint(a) == save_checkpoint(b)
 
-    def test_refresh_per_epoch_runs(self):
-        train = suffix_corpus(10, seed=3)
-        cfg = TrainConfig(
-            epochs=1, batch_size=4, train_neighbors=4, test_neighbors=4,
-            refresh="per-epoch",
-        )
-        ck = fine_tune(cfg, train, provider=small_embedder())
-        assert len(ck.log) == 1
+    def test_sentence_never_retrieves_itself(self, monkeypatch):
+        # asking for every training sentence as a neighbor would return the
+        # sentence itself first, were it not excluded
+        calls = []
+
+        def recording(index, query_vec, count, exclude_ids=()):
+            ranked = query(index, query_vec, count, exclude_ids)
+            calls.append((index, query_vec, tuple(exclude_ids), ranked))
+            return ranked
+
+        monkeypatch.setattr(trainer, "query", recording)
+        train = suffix_corpus(12, seed=3)
+        n = len(train.items)
+        cfg = TrainConfig(epochs=1, batch_size=4, train_neighbors=n, test_neighbors=3)
+        fine_tune(cfg, train, provider=small_embedder())
+        assert len(calls) == n
+        excluded = []
+        for index, query_vec, exclude, ranked in calls:
+            assert len(exclude) == 1
+            (sid,) = exclude
+            # the excluded id is the sentence whose vector is the query
+            assert np.array_equal(query_vec, index.vectors[index.ids.index(sid)])
+            assert sid not in [nid for nid, _ in ranked]
+            assert len(ranked) == n - 1
+            excluded.append(sid)
+        assert sorted(excluded) == list(range(n))
+
+    def test_one_sentence_is_too_small(self):
+        with pytest.raises(ValueError, match="at least two sentences"):
+            fine_tune(
+                TrainConfig(epochs=1, train_neighbors=3),
+                suffix_corpus(1, seed=3),
+                provider=small_embedder(),
+            )
 
     @pytest.mark.parametrize(
         "refresh, digest",
@@ -272,22 +299,19 @@ class TestFineTune:
                 "per-batch",
                 "d2e87e407ab2bd3fbda54bf7c51fcf94d9a19a0f8153aa31f7b2dfc82ebaf146",
             ),
-            (
-                "per-epoch",
-                "f3290cab315d6aa7902fcac153762c6e642aa6928a8b41fa5a0e611f6e34e67f",
-            ),
         ],
     )
     def test_checkpoint_bytes_pinned(self, refresh, digest):
-        # Digests of checkpoints written when every neighbor was embedded
-        # afresh once per refresh window; reusing embeddings must not move them.
+        # Digest of a checkpoint written when every neighbor was embedded
+        # afresh before each batch; reusing embeddings must not move it.
+        # Training always refreshes per batch, the one `refresh` a
+        # checkpoint records.
         cfg = TrainConfig(
             epochs=2,
             batch_size=5,
             train_neighbors=6,
             test_neighbors=6,
             seed=1,
-            refresh=refresh,
         )
         ck = fine_tune(
             cfg,
@@ -296,11 +320,13 @@ class TestFineTune:
             provider=small_embedder(),
         )
         text = save_checkpoint(ck)
+        assert f"refresh={refresh}" in text.splitlines()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_rejects_untrainable_provider(self):
         class Fixed:
-            trainable = False
+            dim = 4
+            tag = "fixed"
 
         with pytest.raises(ValueError, match="trainable"):
             fine_tune(TrainConfig(), suffix_corpus(4, seed=1), provider=Fixed())
@@ -350,8 +376,9 @@ class TestCheckpointFormat:
         )
 
     def test_load_state_follows_column_lines(self):
-        # One set_column per line: a repeated column keeps its last values
-        # and counts twice in the revision; columns without a line stay seeded.
+        # One set_column per line, each counting once in the revision;
+        # columns without a line stay seeded. (A repeated column is
+        # rejected, see test_bad_column_line_names_line.)
         lines = [
             "#copytag-ckpt v1",
             "dim=3",
@@ -369,14 +396,15 @@ class TestCheckpointFormat:
             "#params 3 40",
             "col 7 0.5 -0.25 1.0",
             "col 39 0.1 0.2 0.3",
-            "col 7 -1.5 2.0 0.125",
+            "col 12 -1.5 2.0 0.125",
         ]
         ck = load_checkpoint("\n".join(lines) + "\n")
         params = ck.params
         assert params.revision == 3
-        assert params.modified == {7, 39}
+        assert params.modified == {7, 12, 39}
         assert ck.provider().tag == "hashed:d3:b40:w1:s4:r3"
-        np.testing.assert_array_equal(params.column(7), [-1.5, 2.0, 0.125])
+        np.testing.assert_array_equal(params.column(7), [0.5, -0.25, 1.0])
+        np.testing.assert_array_equal(params.column(12), [-1.5, 2.0, 0.125])
         np.testing.assert_array_equal(params.column(39), [0.1, 0.2, 0.3])
         for col in (0, 8, 38):
             seeded = np.random.default_rng([4, col]).normal(0.0, INIT_STD, 3)
@@ -417,22 +445,25 @@ class TestCheckpointFormat:
         [
             ("dim=abc", "line 2: dim: invalid literal for int()"),
             ("learning_rate=-1", "line 6: learning_rate: learning_rate must be positive"),
-            ("refresh=weird", "line 12: refresh: unknown refresh policy 'weird'"),
-            ("exclude_self=yes", "line 13: exclude_self: expected true or false"),
+            ("refresh=per-epoch", "line 12: refresh: expected per-batch, got 'per-epoch'"),
+            ("exclude_self=false", "line 13: exclude_self: expected true, got 'false'"),
+            ("+learning_rate=0.5", "line 14: learning_rate repeats line 6"),
+            ("+refresh=per-batch", "line 14: refresh repeats line 12"),
             ("log.x=1", "line 14: log.x: "),
             ("log.1.train_nll=zz", "line 14: log.1.train_nll: could not convert"),
             ("log.1.train_nll=0.5", "missing config key log.1.skipped"),
         ],
     )
     def test_bad_config_value_names_line(self, config_line, message):
-        # a known key replaces its line; a log line goes after the config
+        # a known key replaces its line; a log line, or one marked "+",
+        # goes after the config
         key = config_line.partition("=")[0]
         lines = [
             config_line if line.partition("=")[0] == key else line
             for line in self.CONFIG_LINES
         ]
         if config_line not in lines:
-            lines.append(config_line)
+            lines.append(config_line.lstrip("+"))
         text = "\n".join([*lines, "#params 3 40"]) + "\n"
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(text)
@@ -446,6 +477,7 @@ class TestCheckpointFormat:
             ("col x 0.5 0.25 1.0", "'x'"),
             ("col 9 0.5 nan 1.0", "non-finite"),
             ("col 40 0.5 0.25 1.0", "column 40"),
+            ("col 7 0.5 0.25 1.0", "column 7 repeats line 15"),
         ],
     )
     def test_bad_column_line_names_line(self, column_line, message):
