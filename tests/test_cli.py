@@ -273,6 +273,59 @@ class TestDeterminism:
                 assert digest == hashlib.sha256(handle.read()).hexdigest()
 
 
+class TestInputText:
+    """`--input` is CoNLL text or bare tokens, one per line."""
+
+    def _tag(self, corpora, trained, tmp_path, name, text):
+        source = tmp_path / f"{name}.txt"
+        source.write_text(text)
+        out = tmp_path / f"{name}.conll"
+        code = main(
+            [
+                "tag",
+                "--ckpt", str(trained),
+                "--db", str(corpora["train"]),
+                "--input", str(source),
+                "--out", str(out),
+                "--neighbors", "5",
+            ]
+        )
+        return code, source, out
+
+    def test_bare_tokens_tag_like_conll(self, corpora, trained, tmp_path):
+        conll = corpora["dev"].read_text()
+        bare = "".join(
+            f"{line.split()[0] if line.strip() else ''}\n"
+            for line in conll.splitlines()
+        )
+        assert bare != conll
+        runs = [
+            self._tag(corpora, trained, tmp_path, name, text)
+            for name, text in (("conll", conll), ("bare", bare))
+        ]
+        assert [code for code, _, _ in runs] == [0, 0]
+        assert runs[0][2].read_text() == runs[1][2].read_text()
+
+    def test_docstart_line_is_skipped(self, corpora, trained, tmp_path):
+        conll = corpora["dev"].read_text()
+        first, rest = conll.split("\n\n", 1)
+        marked = f"-DOCSTART- -X- O\n\n{first}\n\n-DOCSTART- -X- O\n\n{rest}"
+        runs = [
+            self._tag(corpora, trained, tmp_path, name, text)
+            for name, text in (("plain", conll), ("marked", marked))
+        ]
+        assert [code for code, _, _ in runs] == [0, 0]
+        assert runs[0][2].read_text() == runs[1][2].read_text()
+
+    def test_blank_input_names_path(self, corpora, trained, tmp_path, capsys):
+        code, source, out = self._tag(
+            corpora, trained, tmp_path, "blank", "\n  \n-DOCSTART- -X- O\n\n"
+        )
+        assert code == 1
+        assert f"no sentences in {source}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExplain:
     def test_provenance_file(self, corpora, trained, tmp_path):
         out = tmp_path / "pred.conll"
