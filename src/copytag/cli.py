@@ -19,7 +19,7 @@ import sys
 from bisect import bisect_right
 
 from . import __version__
-from .corpus import DOCSTART, CorpusError, Sentence, parse_conll, write_conll
+from .corpus import CorpusError, Sentence, conll_blocks, parse_conll, write_conll
 from .decoder import predict_marginal, provenance_lines
 from .embeddings import HashedWindowEmbedder
 from .evaluation import span_f1, sweep_c, sweep_csv, token_accuracy
@@ -157,24 +157,14 @@ def _load_dataset(path: str):
 
 
 def _read_sentences(path: str) -> list[Sentence]:
-    """Sentences from CoNLL-shaped text; extra columns are ignored."""
-    blocks: list[list[str]] = []
-    current: list[str] = []
-    for line in _read_text(path).splitlines():
-        if not line.strip():
-            if current:
-                blocks.append(current)
-                current = []
-            continue
-        token = line.split()[0]
-        if token == DOCSTART:
-            continue
-        current.append(token)
-    if current:
-        blocks.append(current)
-    if not blocks:
+    """Sentences from CoNLL-shaped text: the first column of each line."""
+    sentences = [
+        Sentence(uid, tuple(cols[0] for _, cols in block))
+        for uid, block in enumerate(conll_blocks(_read_text(path)))
+    ]
+    if not sentences:
         raise ValueError(f"no sentences in {path}")
-    return [Sentence(uid, tuple(tokens)) for uid, tokens in enumerate(blocks)]
+    return sentences
 
 
 def _provider_from(ckpt_path: str | None):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 DOCSTART = "-DOCSTART-"
 
@@ -147,37 +147,39 @@ def build_dataset(rows: Iterable[tuple[Sequence[str], Sequence[str]]]) -> Datase
     return Dataset(tuple(items), vocab)
 
 
-def parse_conll(text: str) -> Dataset:
-    """Parse CoNLL-style text into a Dataset.
+def conll_blocks(text: str) -> Iterator[list[tuple[int, list[str]]]]:
+    """The sentences of CoNLL-style text, each as (line number, columns) rows.
 
     Sentences are separated by blank lines; columns by runs of whitespace.
-    The first column is the token and the last column the tag; columns in
-    between are ignored. Lines whose first column is -DOCSTART- are dropped.
+    Lines whose first column is -DOCSTART- are dropped.
     """
-    rows: list[tuple[list[str], list[str]]] = []
-    tokens: list[str] = []
-    tags: list[str] = []
-
-    def flush() -> None:
-        if tokens:
-            rows.append((tokens.copy(), tags.copy()))
-            tokens.clear()
-            tags.clear()
-
+    block: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         cols = line.split()
         if not cols:
-            flush()
-            continue
-        if cols[0] == DOCSTART:
-            continue
-        if len(cols) < 2:
-            raise CorpusError(
-                f"line {lineno}: expected at least 2 columns, found {len(cols)}"
-            )
-        tokens.append(cols[0])
-        tags.append(cols[-1])
-    flush()
+            if block:
+                yield block
+                block = []
+        elif cols[0] != DOCSTART:
+            block.append((lineno, cols))
+    if block:
+        yield block
+
+
+def parse_conll(text: str) -> Dataset:
+    """Parse CoNLL-style text into a Dataset.
+
+    The first column of a line is the token and the last column the tag;
+    columns in between are ignored. Sentences are split as conll_blocks does.
+    """
+    rows: list[tuple[list[str], list[str]]] = []
+    for block in conll_blocks(text):
+        for lineno, cols in block:
+            if len(cols) < 2:
+                raise CorpusError(
+                    f"line {lineno}: expected at least 2 columns, found {len(cols)}"
+                )
+        rows.append(([cols[0] for _, cols in block], [cols[-1] for _, cols in block]))
     if not rows:
         raise CorpusError("no sentences found")
     return build_dataset(rows)

@@ -77,7 +77,9 @@ def build_segment_dict(
     """Collect every contiguous subsequence of length <= max_len.
 
     The DP copies segments of any length the dictionary holds, so max_len
-    is the decode's segment cap; the tagger keeps the default. Every flat neighbor position starts one window. Level d groups the
+    is the decode's segment cap; the tagger keeps the default.
+
+    Every flat neighbor position starts one window. Level d groups the
     windows still inside their sentence by (rank of their first d - 1
     labels, d-th label); windows stay in (neighbor, start) order, so the
     first window of a group is the sequence's first occurrence.

@@ -187,34 +187,15 @@ class EmbedderParams:
             entry = self._features[(offset, token)] = (ids, slots)
         return entry
 
-    def column(self, col: int) -> np.ndarray:
-        # resolve the slot first: it may grow and rebind _store
-        slot = self._slot_of(col)
-        return self._store[slot].copy()
-
-    def set_column(self, col: int, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.dim,):
-            raise ValueError(f"column values must have shape ({self.dim},)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"non-finite values for column {col}")
-        slot = self._slot.get(col)
-        if slot is None:
-            # about to be overwritten, so its seeded values are never drawn
-            slot = self._new_slot(col)
-        self._store[slot] = values
-        self.modified.add(col)
-        self.revision += 1
-
     def set_columns(
         self, columns: np.ndarray, slots: np.ndarray, values: np.ndarray
     ) -> None:
         """Overwrite the materialized rows `slots` of `columns` at once.
 
-        The batch form of one set_column per column: `modified` gains the
-        columns and `revision` advances by their count. A non-finite value
-        raises, naming the first such column, before anything is written.
-        `slots` must be this object's slots of `columns`, which are unique.
+        The one writer of weights: `modified` gains the columns and
+        `revision` advances by their count. A non-finite value raises,
+        naming the first such column, before anything is written. `slots`
+        must be this object's slots of `columns`, which are unique.
         """
         values = np.asarray(values, dtype=float)
         if values.shape != (len(columns), self.dim):

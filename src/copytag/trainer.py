@@ -20,11 +20,12 @@ parameters and checkpoints are the same bit for bit.
 
 Checkpoints are line-oriented text: config as key=value pairs, then one
 line per modified weight column; unmodified columns are regenerated from
-the seed at load time.
+the seed at load time. Save and load share one key table per line family.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -285,49 +286,8 @@ def fine_tune(
     return Checkpoint(params.copy(), config, tuple(log))
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
-def save_checkpoint(checkpoint: Checkpoint) -> str:
-    """Serialize to the line format load_checkpoint reads back.
-
-    Column values use shortest round-trip decimals, so a save/load cycle
-    reproduces the parameters bit for bit.
-    """
-    params = checkpoint.params
-    cfg = checkpoint.config
-    lines = [
-        CHECKPOINT_MAGIC,
-        f"dim={params.dim}",
-        f"buckets={params.n_buckets}",
-        f"window={params.window}",
-        f"embed_seed={params.seed}",
-        f"learning_rate={_format_float(cfg.learning_rate)}",
-        f"batch_size={cfg.batch_size}",
-        f"epochs={cfg.epochs}",
-        f"train_neighbors={cfg.train_neighbors}",
-        f"test_neighbors={cfg.test_neighbors}",
-        f"seed={cfg.seed}",
-        *(f"{key}={value}" for key, value in _FIXED_LINES),
-    ]
-    for entry in checkpoint.log:
-        prefix = f"log.{entry.epoch}"
-        lines.append(f"{prefix}.train_nll={_format_float(entry.train_nll)}")
-        lines.append(f"{prefix}.skipped={entry.skipped_tokens}")
-        if entry.dev_accuracy is not None:
-            lines.append(f"{prefix}.dev_accuracy={_format_float(entry.dev_accuracy)}")
-    lines.append(f"#params {params.dim} {params.n_buckets}")
-    columns = sorted(params.modified)
-    for col, row in zip(columns, params.storage[params.slots_for(columns)]):
-        # tolist() yields Python floats, whose repr is what _format_float
-        # gives; one row at a time, so only one row's floats are alive
-        lines.append(f"col {col} {' '.join(map(repr, row.tolist()))}")
-    return "\n".join(lines) + "\n"
-
-
 # Config lines: key, the object its value configures, the field there, and
-# how the text becomes the value.
+# the parser; save writes str(parse(value)), a float as its shortest repr.
 _CONFIG_FIELDS = (
     ("dim", EmbedderParams, "dim", int),
     ("buckets", EmbedderParams, "n_buckets", int),
@@ -344,12 +304,51 @@ _CONFIG_FIELDS = (
 # the same: training refreshes neighbor rows per batch and never lets a
 # sentence retrieve itself.
 _FIXED_LINES = (("refresh", "per-batch"), ("exclude_self", "true"))
-_LOG_FIELDS = {"train_nll": float, "skipped": int, "dev_accuracy": float}
+# Lines log.<epoch>.<key>, epoch >= 1: key, the EpochStats field, the
+# parser. A None value (dev_accuracy without dev data) gets no line.
+_LOG_FIELDS = (
+    ("train_nll", "train_nll", float),
+    ("skipped", "skipped_tokens", int),
+    ("dev_accuracy", "dev_accuracy", float),
+)
+_LOG_KEY = re.compile(
+    rf"log\.([1-9][0-9]*)\.({'|'.join(key for key, _, _ in _LOG_FIELDS)})"
+)
+
+
+def save_checkpoint(checkpoint: Checkpoint) -> str:
+    """Serialize to the line format load_checkpoint reads back.
+
+    Column values use shortest round-trip decimals, so a save/load cycle
+    reproduces the parameters bit for bit.
+    """
+    params = checkpoint.params
+    owners = {EmbedderParams: params, TrainConfig: checkpoint.config}
+    lines = [CHECKPOINT_MAGIC]
+    for key, owner, field, parse in _CONFIG_FIELDS:
+        lines.append(f"{key}={parse(getattr(owners[owner], field))}")
+    lines.extend(f"{key}={value}" for key, value in _FIXED_LINES)
+    for entry in checkpoint.log:
+        for key, field, parse in _LOG_FIELDS:
+            value = getattr(entry, field)
+            if value is not None:
+                lines.append(f"log.{entry.epoch}.{key}={parse(value)}")
+    lines.append(f"#params {params.dim} {params.n_buckets}")
+    columns = sorted(params.modified)
+    for col, row in zip(columns, params.storage[params.slots_for(columns)]):
+        # tolist() yields Python floats, whose repr is their shortest
+        # round-trip text; one row at a time, so only one row's floats live
+        lines.append(f"col {col} {' '.join(map(repr, row.tolist()))}")
+    return "\n".join(lines) + "\n"
 
 
 def load_checkpoint(text: str) -> Checkpoint:
     """Read save_checkpoint's text back; malformed input raises
-    CheckpointError, naming the line where there is one."""
+    CheckpointError, naming the line where there is one.
+
+    Every config key is one save writes: a _CONFIG_FIELDS or _FIXED_LINES
+    key, or log.<epoch>.<key> with the epoch written as save writes it.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(
@@ -401,33 +400,38 @@ def load_checkpoint(text: str) -> Checkpoint:
     if header[1:] != [str(params.dim), str(params.n_buckets)]:
         raise CheckpointError("#params line disagrees with the config lines")
 
+    known = {key for key, *_ in _CONFIG_FIELDS} | {key for key, _ in _FIXED_LINES}
+    log_fields = {key: (field, parse) for key, field, parse in _LOG_FIELDS}
     stats: dict[int, dict[str, object]] = {}
     for key, (number, raw) in pairs.items():
-        if not key.startswith("log."):
+        if key in known:
             continue
-        epoch, _, field = key[len("log.") :].partition(".")
+        if not key.startswith("log."):
+            raise CheckpointError(f"line {number}: unknown config key {key}")
+        match = _LOG_KEY.fullmatch(key)
+        if match is None:
+            raise CheckpointError(
+                f"line {number}: {key}: expected log.<epoch>.<{'|'.join(log_fields)}>"
+                ", epoch a positive integer without leading zeros"
+            )
+        field, parse = log_fields[match[2]]
         try:
-            parse = _LOG_FIELDS.get(field)
-            if parse is None:
-                raise ValueError(f"expected log.<epoch>.<{'|'.join(_LOG_FIELDS)}>")
-            stats.setdefault(int(epoch), {})[field] = parse(raw)
+            stats.setdefault(int(match[1]), {})[field] = parse(raw)
         except ValueError as exc:
             raise CheckpointError(f"line {number}: {key}: {exc}") from None
     log = []
     for epoch, values in sorted(stats.items()):
-        for field in ("train_nll", "skipped"):
+        values.setdefault("dev_accuracy", None)  # the one optional field
+        for key, field, _ in _LOG_FIELDS:
             if field not in values:
-                raise CheckpointError(f"missing config key log.{epoch}.{field}")
-        log.append(
-            EpochStats(
-                epoch=epoch,
-                train_nll=values["train_nll"],
-                skipped_tokens=values["skipped"],
-                dev_accuracy=values.get("dev_accuracy"),
-            )
-        )
+                raise CheckpointError(f"missing config key log.{epoch}.{key}")
+        log.append(EpochStats(epoch=epoch, **values))
 
+    # Each column line fills one row of `block`; one set_columns call then
+    # writes them all, advancing the revision by one per column.
+    block = np.empty((len(lines) - cursor - 1, params.dim))
     col_lines: dict[int, int] = {}
+    slots: list[int] = []
     for number, line in enumerate(lines[cursor + 1 :], start=cursor + 2):
         if not line.strip():
             continue
@@ -442,13 +446,19 @@ def load_checkpoint(text: str) -> Checkpoint:
         try:
             col = int(parts[1])
             # parses each value exactly as float() does
-            params.set_column(col, np.array(parts[2:], dtype=float))
+            block[len(slots)] = np.array(parts[2:], dtype=float)
+            if col in col_lines:
+                raise ValueError(f"column {col} repeats line {col_lines[col]}")
+            # an unfilled slot: its seeded values would be overwritten
+            slots.append(params._new_slot(col))
         except ValueError as exc:
             raise CheckpointError(f"line {number}: {exc}") from None
-        if col in col_lines:
-            raise CheckpointError(
-                f"line {number}: column {col} repeats line {col_lines[col]}"
-            )
         col_lines[col] = number
+    columns = np.fromiter(col_lines, dtype=np.int64, count=len(col_lines))
+    values = block[: len(slots)]
+    try:
+        params.set_columns(columns, np.array(slots, dtype=np.int64), values)
+    except ValueError as exc:  # a non-finite row; nothing was written
+        row = int(np.argmin(np.isfinite(values).all(axis=1)))
+        raise CheckpointError(f"line {col_lines[int(columns[row])]}: {exc}") from None
     return Checkpoint(params, config, tuple(log))
-

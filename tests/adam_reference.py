@@ -3,8 +3,8 @@
 This is the training step as it was before gradients and moments became
 slot-aligned arrays: backprop results as {column: vector} dicts, a batch
 summed by adding each sentence's vector in ascending sentence order, and
-one Python round trip per column through EmbedderParams.column and
-set_column. The vectorized path must match it bit for bit on parameters,
+one Python round trip per column through the single-column helpers of
+param_columns. The vectorized path must match it bit for bit on parameters,
 moments, step, modified and revision.
 """
 
@@ -14,6 +14,7 @@ import numpy as np
 
 from copytag.embeddings import ColumnGrads, EmbedderParams, _token_columns, embed_tokens
 from copytag.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from param_columns import column, set_column
 
 
 class ReferenceAdamState:
@@ -56,7 +57,7 @@ def reference_adam_update(
         step = learning_rate * (mean / correction1) / (
             np.sqrt(var / correction2) + eps
         )
-        params.set_column(col, params.column(col) - step)
+        set_column(params, col, column(params, col) - step)
 
 
 def reference_batch_sum(per_sentence: list[dict[int, np.ndarray]]) -> dict[int, np.ndarray]:

@@ -44,6 +44,7 @@ from copytag.trainer import (
 
 from conftest import labels_only_set, make_marginals, make_neighbor_set
 from decoder_reference import brute_force_decode, dp_reconstruct, greedy_reconstruct
+from param_columns import column, set_column
 
 
 @contextmanager
@@ -128,18 +129,18 @@ def test_criterion_02_gradients_match_finite_differences():
             provider = HashedWindowEmbedder(params)
             col_grads = provider.backprop(sent, d_input, provider.embed(sent))
             for col, grad in zip(col_grads.columns[:2].tolist(), col_grads.grad):
-                base = params.column(col)
+                base = column(params, col)
                 fd_col = np.zeros(dim)
                 for d in range(dim):
                     bump = np.zeros(dim); bump[d] = step
-                    params.set_column(col, base + bump)
+                    set_column(params, col, base + bump)
                     up_loss = nll(
                         copy_posterior(
                             copy_logits(embed_tokens(params, sent), neighbors)
                         ),
                         neighbors, gold,
                     ).nll
-                    params.set_column(col, base - bump)
+                    set_column(params, col, base - bump)
                     dn_loss = nll(
                         copy_posterior(
                             copy_logits(embed_tokens(params, sent), neighbors)
@@ -147,7 +148,7 @@ def test_criterion_02_gradients_match_finite_differences():
                         neighbors, gold,
                     ).nll
                     fd_col[d] = (up_loss - dn_loss) / (2 * step)
-                    params.set_column(col, base)
+                    set_column(params, col, base)
                 np.testing.assert_allclose(grad, fd_col, rtol=1e-4, atol=1e-7)
 
 

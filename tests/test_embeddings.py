@@ -28,6 +28,7 @@ from embedding_reference import (
     reference_embed_columns,
 )
 from featurizer_reference import token_features
+from param_columns import column, set_column
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -100,49 +101,56 @@ class TestEmbedderParams:
     def test_untouched_column_is_seeded(self):
         a = EmbedderParams(dim=4, n_buckets=32, seed=7)
         b = EmbedderParams(dim=4, n_buckets=32, seed=7)
-        assert np.array_equal(a.column(13), b.column(13))
+        assert np.array_equal(column(a, 13), column(b, 13))
         expected = np.random.default_rng([7, 13]).normal(0.0, 0.1, 4)
-        assert np.array_equal(a.column(13), expected)
+        assert np.array_equal(column(a, 13), expected)
 
     def test_different_seed_different_column(self):
         a = EmbedderParams(dim=4, n_buckets=32, seed=1)
         b = EmbedderParams(dim=4, n_buckets=32, seed=2)
-        assert not np.array_equal(a.column(0), b.column(0))
+        assert not np.array_equal(column(a, 0), column(b, 0))
 
     def test_set_column_tracks_modified(self):
         p = EmbedderParams(dim=3, n_buckets=8)
         assert p.modified == set()
-        p.set_column(5, np.ones(3))
+        p.set_columns(np.array([5]), p.slots_for([5]), np.ones((1, 3)))
         assert p.modified == {5}
-        assert np.array_equal(p.column(5), np.ones(3))
+        assert np.array_equal(column(p, 5), np.ones(3))
 
     def test_set_column_validation(self):
         p = EmbedderParams(dim=3, n_buckets=8)
-        with pytest.raises(ValueError):
-            p.set_column(0, np.ones(4))
-        with pytest.raises(ValueError):
-            p.set_column(0, np.array([1.0, np.nan, 0.0]))
-        with pytest.raises(ValueError):
-            p.set_column(8, np.ones(3))
+        columns = np.array([0])
+        slots = p.slots_for(columns)
+        with pytest.raises(ValueError, match="shape"):
+            p.set_columns(columns, slots, np.ones((1, 4)))
+        with pytest.raises(ValueError, match="non-finite values for column 0"):
+            p.set_columns(columns, slots, np.array([[1.0, np.nan, 0.0]]))
+        # writers resolve slots first, so a column out of range fails there
+        with pytest.raises(ValueError, match="column 8 outside"):
+            p.slots_for([8])
+        assert p.modified == set() and p.revision == 0
 
     def test_revision_bumps(self):
         p = EmbedderParams(dim=3, n_buckets=8)
         r0 = p.revision
-        p.set_column(1, np.zeros(3))
+        p.set_columns(np.array([1]), p.slots_for([1]), np.zeros((1, 3)))
         assert p.revision == r0 + 1
+        p.set_columns(np.array([2, 6]), p.slots_for([2, 6]), np.zeros((2, 3)))
+        assert p.revision == r0 + 3
 
     def test_set_columns_equals_set_column_calls(self):
+        # one call over three columns equals three one-column calls
         one = EmbedderParams(dim=3, n_buckets=16)
         batch = EmbedderParams(dim=3, n_buckets=16)
         columns = np.array([2, 9, 13])
         values = np.arange(9.0).reshape(3, 3) - 4.0
         for col, row in zip(columns.tolist(), values):
-            one.set_column(col, row)
+            set_column(one, col, row)
         batch.set_columns(columns, batch.slots_for(columns), values)
         assert batch.modified == one.modified == {2, 9, 13}
         assert batch.revision == one.revision == 3
         for col in range(16):
-            assert batch.column(col).tobytes() == one.column(col).tobytes()
+            assert column(batch, col).tobytes() == column(one, col).tobytes()
 
     def test_set_columns_writes_nothing_on_nonfinite(self):
         p = EmbedderParams(dim=2, n_buckets=16)
@@ -159,21 +167,21 @@ class TestEmbedderParams:
 
     def test_copy_is_independent(self):
         p = EmbedderParams(dim=2, n_buckets=4)
-        p.set_column(1, np.array([5.0, 6.0]))
+        set_column(p, 1, np.array([5.0, 6.0]))
         q = p.copy()
-        q.set_column(1, np.array([0.0, 0.0]))
-        assert np.array_equal(p.column(1), [5.0, 6.0])
+        set_column(q, 1, np.array([0.0, 0.0]))
+        assert np.array_equal(column(p, 1), [5.0, 6.0])
         assert p.modified == q.modified == {1}
 
     @pytest.mark.parametrize("col", [-1, 8])
     def test_out_of_range_columns_rejected(self, col):
         # a vectorized lookup must not let numpy read -1 as the last slot
         p = EmbedderParams(dim=3, n_buckets=8)
-        p.column(7)
+        column(p, 7)
         for call in (
             lambda: p.slots_for([col]),
-            lambda: p.column(col),
-            lambda: p.set_column(col, np.ones(3)),
+            lambda: column(p, col),
+            lambda: set_column(p, col, np.ones(3)),
         ):
             with pytest.raises(ValueError, match=f"column {col} "):
                 call()
@@ -218,14 +226,14 @@ class TestEmbedTokens:
         provider = HashedWindowEmbedder(EmbedderParams(dim=4, n_buckets=64))
         before = provider.embed(SENT).copy()
         cols = sorted({int(c) for c in provider.token_columns(SENT).columns})
-        provider.params.set_column(cols[0], np.full(4, 3.0))
+        set_column(provider.params, cols[0], np.full(4, 3.0))
         after = provider.embed(SENT)
         assert not np.array_equal(before, after)
 
     def test_tag_tracks_revision(self):
         provider = HashedWindowEmbedder(EmbedderParams(dim=4, n_buckets=64))
         t0 = provider.tag
-        provider.params.set_column(0, np.zeros(4))
+        set_column(provider.params, 0, np.zeros(4))
         assert provider.tag != t0
 
 
@@ -273,7 +281,7 @@ class TestMatchesFeaturizerReference:
             params = provider.params
             rows = params.storage[cached.slots]
             for row, col in zip(rows, cached.columns):
-                assert np.array_equal(row, params.column(int(col)))
+                assert np.array_equal(row, column(params, int(col)))
             functional = embed_tokens(
                 EmbedderParams(dim=5, n_buckets=n_buckets, window=window, seed=seed), sent
             )
@@ -343,15 +351,15 @@ class TestBackprop:
         step = 1e-6
         for col, grad in zip(grads.columns.tolist(), grads.grad):
             for k in range(5):
-                base = params.column(col)
+                base = column(params, col)
                 bumped = base.copy()
                 bumped[k] += step
-                params.set_column(col, bumped)
+                set_column(params, col, bumped)
                 up = float((embed_tokens(params, sent) * d_output).sum())
                 bumped[k] -= 2 * step
-                params.set_column(col, bumped)
+                set_column(params, col, bumped)
                 down = float((embed_tokens(params, sent) * d_output).sum())
-                params.set_column(col, base)
+                set_column(params, col, base)
                 numeric = (up - down) / (2 * step)
                 assert abs(numeric - grad[k]) < 1e-4 * max(1.0, abs(numeric))
 

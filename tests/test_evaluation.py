@@ -14,6 +14,8 @@ from copytag.evaluation import (
 from copytag.retrieval import build_index
 from copytag.tagging import Tagger, predictions_dataset
 
+from param_columns import set_column
+
 DB_ROWS = [
     (("alice", "smith", "visits", "paris"), ("B-PER", "I-PER", "O", "B-LOC")),
     (("bob", "jones", "visits", "london"), ("B-PER", "I-PER", "O", "B-LOC")),
@@ -200,7 +202,7 @@ class TestSweep:
         rng = np.random.default_rng(9)
         for item in db.items:
             for col in p.token_columns(item.sentence).columns[::2]:
-                p.params.set_column(int(col), rng.normal(size=p.dim))
+                set_column(p.params, int(col), rng.normal(size=p.dim))
         moved = sweep_csv(sweep_c(grid, p, db, data, 3))
         assert build_index(db, p) is not tagger.index
         fresh = HashedWindowEmbedder(p.params.copy())

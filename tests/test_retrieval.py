@@ -18,6 +18,7 @@ from copytag.tagging import Tagger
 from copytag.trainer import AdamState, adam_update
 
 from conftest import make_neighbor_set
+from param_columns import set_column
 
 
 def tiny_db():
@@ -134,7 +135,7 @@ class TestIndexMemo:
         stale = Tagger(provider, db, 2).index
         columns = provider.token_columns(db.items[1].sentence).columns
         if move == "set_column":
-            provider.params.set_column(int(columns[0]), np.full(12, 0.5))
+            set_column(provider.params, int(columns[0]), np.full(12, 0.5))
         else:
             sentence = db.items[1].sentence
             d_output = np.random.default_rng(4).normal(size=(len(sentence), 12))

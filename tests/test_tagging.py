@@ -11,6 +11,8 @@ from copytag.tagging import (
     predictions_dataset,
 )
 
+from param_columns import set_column
+
 DB_ROWS = [
     (("alice", "likes", "tea"), ("PER", "O", "O")),
     (("bob", "hates", "coffee"), ("PER", "O", "O")),
@@ -70,7 +72,7 @@ class TestTagger:
     def test_stale_provider_refused(self, db, provider):
         tagger = Tagger(provider, db, n_neighbors=2)
         built_with = provider.tag
-        provider.params.set_column(0, np.zeros(provider.dim))
+        set_column(provider.params, 0, np.zeros(provider.dim))
         with pytest.raises(ValueError) as err:
             tagger.analyze(Sentence(100, ("alice", "likes", "tea")))
         assert built_with in str(err.value)

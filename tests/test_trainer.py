@@ -30,6 +30,7 @@ from adam_reference import (
     reference_adam_update,
     reference_batch_sum,
 )
+from param_columns import column, set_column
 
 
 def small_embedder():
@@ -39,7 +40,7 @@ def small_embedder():
 class TestAdam:
     def test_matches_scalar_reference(self):
         params = EmbedderParams(dim=3, n_buckets=16, seed=0)
-        start = params.column(5)
+        start = column(params, 5)
         state = AdamState()
         grads = [
             np.array([0.5, -1.0, 2.0]),
@@ -59,28 +60,28 @@ class TestAdam:
             m_hat = m / (1 - ADAM_BETA1**t)
             v_hat = v / (1 - ADAM_BETA2**t)
             x = x - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        np.testing.assert_allclose(params.column(5), x, rtol=1e-12)
+        np.testing.assert_allclose(column(params, 5), x, rtol=1e-12)
 
     def test_first_step_is_signed_lr(self):
         params = EmbedderParams(dim=4, n_buckets=16, seed=0)
-        start = params.column(2)
+        start = column(params, 2)
         g = np.array([0.7, -0.2, 1.3, -2.1])
         adam_update(params, column_grads(params, {2: g}), AdamState(), 0.05)
-        delta = params.column(2) - start
+        delta = column(params, 2) - start
         np.testing.assert_allclose(delta, -0.05 * np.sign(g), atol=1e-6)
 
     def test_zero_gradients_advance_step_only(self):
         params = EmbedderParams(dim=2, n_buckets=8, seed=1)
-        before = params.column(3)
+        before = column(params, 3)
         state = AdamState()
         adam_update(params, column_grads(params, {3: np.zeros(2)}), state, 0.1)
         assert state.step == 1
         assert not state.mean.any()
-        np.testing.assert_array_equal(params.column(3), before)
+        np.testing.assert_array_equal(column(params, 3), before)
 
     def test_zero_columns_skipped_but_others_move(self):
         params = EmbedderParams(dim=2, n_buckets=8, seed=1)
-        frozen = params.column(0)
+        frozen = column(params, 0)
         state = AdamState()
         adam_update(
             params,
@@ -90,7 +91,7 @@ class TestAdam:
         )
         slot0, slot1 = params.slots_for([0, 1])
         assert not state.mean[slot0].any() and state.mean[slot1].any()
-        np.testing.assert_array_equal(params.column(0), frozen)
+        np.testing.assert_array_equal(column(params, 0), frozen)
 
     def test_nonfinite_gradient_rejected(self):
         params = EmbedderParams(dim=2, n_buckets=8, seed=1)
@@ -185,7 +186,7 @@ class TestVectorizedStepMatchesReference:
                 assert params.modified == ref_params.modified
                 assert params.revision == ref_params.revision
                 for col in pool.tolist():
-                    assert params.column(col).tobytes() == ref_params.column(col).tobytes()
+                    assert column(params, col).tobytes() == column(ref_params, col).tobytes()
                 slots = dict(zip(pool.tolist(), params.slots_for(pool).tolist()))
                 for col, slot in slots.items():
                     if col in ref_state.mean:
@@ -343,7 +344,7 @@ class TestFineTune:
         cfg = TrainConfig(epochs=1, batch_size=4, train_neighbors=3, test_neighbors=3)
         ck = fine_tune(cfg, train, provider=provider)
         frozen = save_checkpoint(ck)
-        provider.params.set_column(0, np.full(provider.dim, 9.0))
+        set_column(provider.params, 0, np.full(provider.dim, 9.0))
         assert save_checkpoint(ck) == frozen
 
 
@@ -362,7 +363,7 @@ class TestCheckpointFormat:
         assert back.log == ck.log
         assert sorted(back.params.modified) == sorted(ck.params.modified)
         for col in ck.params.modified:
-            np.testing.assert_array_equal(back.params.column(col), ck.params.column(col))
+            np.testing.assert_array_equal(column(back.params, col), column(ck.params, col))
         assert save_checkpoint(back) == text
 
     def test_unmodified_columns_regenerate_from_seed(self):
@@ -372,12 +373,12 @@ class TestCheckpointFormat:
         while untouched in ck.params.modified:
             untouched += 1
         np.testing.assert_array_equal(
-            back.params.column(untouched), ck.params.column(untouched)
+            column(back.params, untouched), column(ck.params, untouched)
         )
 
     def test_load_state_follows_column_lines(self):
-        # One set_column per line, each counting once in the revision;
-        # columns without a line stay seeded. (A repeated column is
+        # Each column line counts once in the revision; columns without a
+        # line stay seeded. (A repeated column is
         # rejected, see test_bad_column_line_names_line.)
         lines = [
             "#copytag-ckpt v1",
@@ -403,12 +404,12 @@ class TestCheckpointFormat:
         assert params.revision == 3
         assert params.modified == {7, 12, 39}
         assert ck.provider().tag == "hashed:d3:b40:w1:s4:r3"
-        np.testing.assert_array_equal(params.column(7), [0.5, -0.25, 1.0])
-        np.testing.assert_array_equal(params.column(12), [-1.5, 2.0, 0.125])
-        np.testing.assert_array_equal(params.column(39), [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(column(params, 7), [0.5, -0.25, 1.0])
+        np.testing.assert_array_equal(column(params, 12), [-1.5, 2.0, 0.125])
+        np.testing.assert_array_equal(column(params, 39), [0.1, 0.2, 0.3])
         for col in (0, 8, 38):
             seeded = np.random.default_rng([4, col]).normal(0.0, INIT_STD, 3)
-            np.testing.assert_array_equal(params.column(col), seeded)
+            np.testing.assert_array_equal(column(params, col), seeded)
         assert params.revision == 3
 
     def test_value_parse_matches_float(self):
@@ -452,6 +453,10 @@ class TestCheckpointFormat:
             ("log.x=1", "line 14: log.x: "),
             ("log.1.train_nll=zz", "line 14: log.1.train_nll: could not convert"),
             ("log.1.train_nll=0.5", "missing config key log.1.skipped"),
+            ("learning_rte=0.5", "line 14: unknown config key learning_rte"),
+            ("log.01.train_nll=0.7", "line 14: log.01.train_nll: expected log.<epoch>"),
+            ("log.0.train_nll=0.5", "line 14: log.0.train_nll: expected log.<epoch>"),
+            ("log.-2.skipped=3", "line 14: log.-2.skipped: expected log.<epoch>"),
         ],
     )
     def test_bad_config_value_names_line(self, config_line, message):
