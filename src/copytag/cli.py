@@ -242,7 +242,7 @@ def _cmd_eval(args, parser, staged) -> None:
 
 def _cmd_sweep(args, parser, staged) -> None:
     try:
-        grid = [float(v) for v in args.c_grid.split(",") if v.strip()]
+        grid = [float(v) for v in args.c_grid.split(",")]
     except ValueError:
         parser.error(f"--c-grid is not a comma-separated float list: {args.c_grid!r}")
     provider = _provider_from(args.ckpt)
@@ -282,10 +282,9 @@ def _cmd_inspect(args, parser, staged) -> None:
         entry = neighbors.entries[m]
         source_token = entry.sequence.sentence.tokens[offset]
         source_label = names[neighbors.flat_labels[j]]
-        column = analysis.marginals.column_of[predicted[t]]
         print(
             f"token {t} {token!r} -> {names[predicted[t]]} "
-            f"p={analysis.marginals.probs[t, column]:.4f} "
+            f"p={analysis.marginals.probs[t].max():.4f} "
             f"top-source neighbor:{m} (db sentence {entry.sequence.sentence.uid}) "
             f"offset:{offset} {source_token!r} {source_label}"
         )

@@ -3,16 +3,15 @@
 Each input token scores every label token in the flattened neighbor
 database by inner product; a row softmax turns the scores into a copy
 posterior. Collapsing posterior mass by label type gives per-token type
-marginals, and the training loss is the negative log of the mass placed
-on positions that carry the gold type. All probability arithmetic stays
-in log space with max-subtraction; linear probabilities only appear at
-API boundaries.
+marginals, one column per type present in ascending type id order, and
+the training loss is the negative log of the mass placed on positions
+that carry the gold type. All probability arithmetic stays in log space
+with max-subtraction; linear probabilities only appear at API boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -70,20 +69,19 @@ def copy_posterior(logits: np.ndarray) -> CopyPosterior:
 class MarginalMatrix:
     """Per-token probability of each label type present in the neighbors.
 
-    Columns follow first-appearance order of the types in the flattened
-    label array; `type_ids` names the type id behind each column.
+    `type_ids` names the type id behind each column; they ascend strictly,
+    so the first column of a row's maximum is its lowest type id.
     """
 
     probs: np.ndarray
     type_ids: tuple[int, ...]
 
-    @cached_property
-    def column_of(self) -> dict[int, int]:
-        return {tid: col for col, tid in enumerate(self.type_ids)}
-
-    @property
-    def n_tokens(self) -> int:
-        return int(self.probs.shape[0])
+    def __post_init__(self) -> None:
+        ids = self.type_ids
+        if any(b <= a for a, b in zip(ids, ids[1:])) or (ids and ids[0] < 0):
+            raise ValueError(
+                f"type ids must be non-negative and strictly ascending: {ids}"
+            )
 
 
 def marginal_over_types(posterior: CopyPosterior, neighbors: NeighborSet) -> MarginalMatrix:
@@ -94,13 +92,13 @@ def marginal_over_types(posterior: CopyPosterior, neighbors: NeighborSet) -> Mar
             f"{neighbors.n_total} neighbor tokens"
         )
     probs = posterior.probs
-    type_ids = neighbors.types_present
+    type_ids = np.unique(neighbors.flat_labels)
     columns = [
         probs[:, neighbors.flat_labels == tid].sum(axis=1) for tid in type_ids
     ]
     matrix = np.column_stack(columns)
     matrix.setflags(write=False)
-    return MarginalMatrix(matrix, type_ids)
+    return MarginalMatrix(matrix, tuple(type_ids.tolist()))
 
 
 @dataclass(frozen=True)

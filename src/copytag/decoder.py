@@ -71,13 +71,13 @@ class SegmentDict:
         return tuple(reversed(out))
 
 
-def build_segment_dict(
-    neighbors: NeighborSet, max_len: int = DEFAULT_MAX_SEGMENT_LEN
-) -> SegmentDict:
+def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
     """Collect every contiguous subsequence of length <= max_len.
 
     The DP copies segments of any length the dictionary holds, so max_len
-    is the decode's segment cap; the tagger keeps the default.
+    is the decode's segment cap. The DP never reads a level longer than
+    the query, so the tagger passes the query length, up to
+    DEFAULT_MAX_SEGMENT_LEN.
 
     Every flat neighbor position starts one window. Level d groups the
     windows still inside their sentence by (rank of their first d - 1
@@ -146,12 +146,10 @@ class DecodeResult:
 
 
 def predict_marginal(marginals: MarginalMatrix) -> tuple[int, ...]:
-    """Per-token argmax over type marginals; ties pick the lowest type id."""
-    out: list[int] = []
-    for row in marginals.probs:
-        best = row.max()
-        out.append(min(tid for tid, p in zip(marginals.type_ids, row) if p == best))
-    return tuple(out)
+    """Per-token argmax over type marginals; ties pick the lowest type id,
+    the first of the ascending columns."""
+    ids = np.asarray(marginals.type_ids, dtype=np.int64)
+    return tuple(ids[marginals.probs.argmax(axis=1)].tolist())
 
 
 def _position_costs_expected(marginals: MarginalMatrix, n_labels: int) -> np.ndarray:
@@ -162,9 +160,9 @@ def _position_costs_expected(marginals: MarginalMatrix, n_labels: int) -> np.nda
     if probs.size and (np.any(probs < -1e-9) or np.any(np.abs(sums - 1.0) > 1e-6)):
         raise ValueError("marginal rows must be probability distributions")
     cost = np.ones((probs.shape[0], n_labels))
-    for tid, col in marginals.column_of.items():
-        if 0 <= tid < n_labels:
-            cost[:, tid] = 1.0 - probs[:, col]
+    ids = np.asarray(marginals.type_ids, dtype=np.int64)
+    keep = ids < n_labels
+    cost[:, ids[keep]] = 1.0 - probs[:, keep]
     return cost
 
 

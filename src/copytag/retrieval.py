@@ -4,22 +4,22 @@ The database is embedded once per provider revision, by build_index, and
 the index is shared by every caller that asks for it again: the tagger,
 the trainer and the sweep. The index keeps every sentence's token matrix
 read-only, next to the L2-normalized mean of its rows that represents the
-sentence. Queries are exact cosine scans with deterministic tie-breaking
-by ascending sentence id. Retrieved sentences are flattened into a single
-database of label tokens for the copy model by slicing the kept token
-matrices; nothing is embedded per query.
+sentence; index row k is database sentence k. Queries are exact cosine
+scans with deterministic tie-breaking by ascending sentence id. Retrieved
+sentences are flattened into a single database of label tokens for the
+copy model by slicing the kept token matrices; nothing is embedded per
+query.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, LabeledSequence
+from .corpus import Dataset, LabeledSequence, Sentence
 from .embeddings import embed_sentence
 
 ZERO_NORM = 1e-12
@@ -32,17 +32,16 @@ _LAST_BUILT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 class NeighborIndex:
     """One vector per database sentence, unit norm unless it is zero.
 
-    `token_matrices[row]` is the read-only token embedding matrix the
-    sentence vector was pooled from.
+    Row k belongs to sentence id k. `token_matrices[k]` is the read-only
+    token embedding matrix its sentence vector was pooled from.
     """
 
-    ids: tuple[int, ...]
     vectors: np.ndarray
     provider_tag: str
     token_matrices: tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.vectors.shape[0]
 
 
 def build_index(dataset: Dataset, provider) -> NeighborIndex:
@@ -70,21 +69,29 @@ def build_index(dataset: Dataset, provider) -> NeighborIndex:
     return index
 
 
+def checked_embedding(provider, sentence: Sentence) -> np.ndarray:
+    """`provider.embed(sentence)` as a float matrix, rejected, naming the
+    sentence, if it has the wrong width or a non-finite entry."""
+    matrix = np.array(provider.embed(sentence), dtype=float)
+    if matrix.shape[1] != provider.dim:
+        raise ValueError(
+            f"sentence {sentence.uid}: provider returned width {matrix.shape[1]}, "
+            f"expected {provider.dim}"
+        )
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(
+            f"sentence {sentence.uid}: provider returned non-finite embeddings"
+        )
+    return matrix
+
+
 def _embed_dataset(dataset: Dataset, provider) -> NeighborIndex:
     if not dataset.items:
         raise ValueError("cannot build an index over an empty dataset")
     vectors = np.zeros((len(dataset.items), provider.dim))
     matrices = []
     for row, item in enumerate(dataset.items):
-        uid = item.sentence.uid
-        matrix = np.array(provider.embed(item.sentence), dtype=float)
-        if matrix.shape[1] != provider.dim:
-            raise ValueError(
-                f"sentence {uid}: provider returned width {matrix.shape[1]}, "
-                f"expected {provider.dim}"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError(f"sentence {uid}: provider returned non-finite embeddings")
+        matrix = checked_embedding(provider, item.sentence)
         matrix.setflags(write=False)
         matrices.append(matrix)
         vec = embed_sentence(matrix)
@@ -92,7 +99,6 @@ def _embed_dataset(dataset: Dataset, provider) -> NeighborIndex:
         vectors[row] = vec if norm < ZERO_NORM else vec / norm
     vectors.setflags(write=False)
     return NeighborIndex(
-        ids=tuple(item.sentence.uid for item in dataset.items),
         vectors=vectors,
         provider_tag=provider.tag,
         token_matrices=tuple(matrices),
@@ -121,18 +127,15 @@ def query(
         )
     norm = float(np.linalg.norm(q))
     if norm < ZERO_NORM:
-        scores = np.zeros(len(index.ids))
+        scores = np.zeros(len(index))
     else:
         scores = index.vectors @ (q / norm)
-    ids = np.asarray(index.ids, dtype=np.int64)
-    order = np.lexsort((ids, -scores))
     excluded = set(exclude_ids)
     out: list[tuple[int, float]] = []
-    for row in order:
-        sid = int(ids[row])
+    for sid in np.argsort(-scores, kind="stable").tolist():
         if sid in excluded:
             continue
-        out.append((sid, float(scores[row])))
+        out.append((sid, float(scores[sid])))
         if len(out) == count:
             break
     return out
@@ -191,12 +194,6 @@ class NeighborSet:
     @property
     def n_total(self) -> int:
         return int(self.flat_labels.shape[0])
-
-    @cached_property
-    def types_present(self) -> tuple[int, ...]:
-        """Distinct label type ids in first-appearance order."""
-        types, first = np.unique(self.flat_labels, return_index=True)
-        return tuple(types[np.argsort(first)].tolist())
 
 
 def assemble_neighbor_set(

@@ -23,6 +23,7 @@ from .copy_model import (
 )
 from .corpus import Dataset, Sentence, build_dataset
 from .decoder import (
+    DEFAULT_MAX_SEGMENT_LEN,
     DecodeResult,
     DPConfig,
     SegmentDict,
@@ -31,7 +32,13 @@ from .decoder import (
     predict_marginal,
 )
 from .embeddings import embed_sentence
-from .retrieval import NeighborSet, assemble_neighbor_set, build_index, query
+from .retrieval import (
+    NeighborSet,
+    assemble_neighbor_set,
+    build_index,
+    checked_embedding,
+    query,
+)
 
 DECODE_MARGINAL = "marginal"
 DECODE_DP = "dp"
@@ -74,10 +81,8 @@ class Tagger:
                 f"provider is now {self.provider.tag!r} but the index was built "
                 f"with {self.index.provider_tag!r}; build a new Tagger"
             )
-        embeddings = self.provider.embed(sentence)
+        embeddings = checked_embedding(self.provider, sentence)
         ranked = query(self.index, embed_sentence(embeddings), self.n_neighbors)
-        if not ranked:
-            raise ValueError("retrieval returned no neighbors")
         neighbors = assemble_neighbor_set(
             self.db, [sid for sid, _ in ranked], self.index.token_matrices
         )
@@ -86,7 +91,8 @@ class Tagger:
         return SentenceAnalysis(sentence, neighbors, posterior, marginals)
 
     def segment_dict(self, analysis: SentenceAnalysis) -> SegmentDict:
-        return build_segment_dict(analysis.neighbors)
+        cap = min(len(analysis.sentence), DEFAULT_MAX_SEGMENT_LEN)
+        return build_segment_dict(analysis.neighbors, cap)
 
     def tag(
         self,

@@ -227,15 +227,15 @@ def fine_tune(
     params = provider.params
 
     index = build_index(train, provider)
-    neighbor_ids: dict[int, tuple[int, ...]] = {}
-    for row, sid in enumerate(index.ids):
-        ranked = query(index, index.vectors[row], config.train_neighbors, (sid,))
+    neighbor_ids: list[tuple[int, ...]] = []
+    for sid in range(len(index)):
+        ranked = query(index, index.vectors[sid], config.train_neighbors, (sid,))
         if not ranked:
             raise ValueError(
                 "retrieval found no training neighbors: a sentence never "
                 "retrieves itself, so training needs at least two sentences"
             )
-        neighbor_ids[sid] = tuple(sid2 for sid2, _ in ranked)
+        neighbor_ids.append(tuple(sid2 for sid2, _ in ranked))
 
     rows = list(index.token_matrices)
     row_revision = [params.revision] * len(rows)

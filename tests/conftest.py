@@ -42,11 +42,22 @@ def labels_only_set(label_rows) -> NeighborSet:
     return NeighborSet.from_entries(entries)
 
 
+def present_types(neighbors: NeighborSet) -> tuple[int, ...]:
+    """The distinct label type ids of a neighbor set, ascending: the
+    marginal columns' type ids."""
+    return tuple(np.unique(neighbors.flat_labels).tolist())
+
+
+def column_index(marginals: MarginalMatrix) -> dict[int, int]:
+    """type id -> its marginal column."""
+    return {tid: col for col, tid in enumerate(marginals.type_ids)}
+
+
 def make_marginals(
     rng: np.random.Generator, n_tokens: int, neighbors: NeighborSet
 ) -> MarginalMatrix:
     """Random strictly positive rows normalized over the present types."""
-    type_ids = neighbors.types_present
+    type_ids = present_types(neighbors)
     raw = rng.uniform(0.05, 1.0, size=(n_tokens, len(type_ids)))
     probs = raw / raw.sum(axis=1, keepdims=True)
     return MarginalMatrix(probs=probs, type_ids=type_ids)

@@ -130,7 +130,7 @@ def brute_force_decode(
         gold = tuple(int(g) for g in gold)
         total = len(gold)
     else:
-        total = marginals.n_tokens
+        total = marginals.probs.shape[0]
     if total < 1:
         raise ValueError("nothing to decode")
     if total > BRUTE_FORCE_MAX_POSITIONS:
@@ -162,7 +162,7 @@ def brute_force_decode(
 
     else:
         probs = marginals.probs
-        col_of = marginals.column_of
+        col_of = {tid: col for col, tid in enumerate(marginals.type_ids)}
 
         def sequence_cost(labels: tuple[int, ...], start: int) -> float:
             acc = 0.0

@@ -22,6 +22,7 @@ from copytag.copy_model import (
 )
 from copytag.corpus import Sentence, parse_conll, relabel, write_conll
 from copytag.decoder import (
+    DEFAULT_MAX_SEGMENT_LEN,
     DPConfig,
     build_segment_dict,
     dp_decode_expected,
@@ -42,7 +43,13 @@ from copytag.trainer import (
     save_checkpoint,
 )
 
-from conftest import labels_only_set, make_marginals, make_neighbor_set
+from conftest import (
+    column_index,
+    labels_only_set,
+    make_marginals,
+    make_neighbor_set,
+    present_types,
+)
 from decoder_reference import brute_force_decode, dp_reconstruct, greedy_reconstruct
 from param_columns import column, set_column
 
@@ -98,7 +105,7 @@ def test_criterion_02_gradients_match_finite_differences():
             )
             n_tokens = int(rng.integers(1, 5))
             # one absent type id per fifth instance exercises skipped rows
-            pool = list(neighbors.types_present) + ([99] if i % 5 == 0 else [])
+            pool = list(present_types(neighbors)) + ([99] if i % 5 == 0 else [])
             gold = tuple(pool[int(v)] for v in rng.integers(0, len(pool), n_tokens))
 
             def loss_at(x):
@@ -156,7 +163,7 @@ def _grid_instance(rng):
     neighbors = make_neighbor_set(
         rng, n_neighbors=int(rng.integers(1, 4)), max_len=5, n_types=4
     )
-    seg_dict = build_segment_dict(neighbors)
+    seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
     n_tokens = int(rng.integers(1, 9))
     return neighbors, seg_dict, n_tokens
 
@@ -168,7 +175,7 @@ def test_criterion_03_dp_equals_brute_force():
         for i in range(500):
             neighbors, seg_dict, n_tokens = _grid_instance(rng)
             cfg = DPConfig(segment_cost=grid[i % 4])
-            pool = list(neighbors.types_present) + [99]
+            pool = list(present_types(neighbors)) + [99]
             gold = tuple(pool[int(v)] for v in rng.integers(0, len(pool), n_tokens))
             dp_g = dp_reconstruct(gold, seg_dict, cfg)
             bf_g = brute_force_decode(seg_dict, cfg, gold=gold)
@@ -210,7 +217,7 @@ def test_criterion_05_segment_cost_trades_segments_for_mistakes():
             for marginals, seg_dict in instances:
                 result = dp_decode_expected(marginals, seg_dict, cfg)
                 n_segs += len(result.segments)
-                col_of = marginals.column_of
+                col_of = column_index(marginals)
                 for t, lab in enumerate(result.labels):
                     col = col_of.get(lab)
                     prob = 0.0 if col is None else float(marginals.probs[t, col])
@@ -230,7 +237,7 @@ def test_criterion_06_greedy_never_beats_dp():
         for i in range(200):
             neighbors, seg_dict, n_tokens = _grid_instance(rng)
             cfg = DPConfig(segment_cost=grid[i % 4])
-            pool = list(neighbors.types_present) + [99]
+            pool = list(present_types(neighbors)) + [99]
             gold = tuple(pool[int(v)] for v in rng.integers(0, len(pool), n_tokens))
             dp = dp_reconstruct(gold, seg_dict, cfg)
             greedy = greedy_reconstruct(gold, seg_dict, cfg)
@@ -239,7 +246,7 @@ def test_criterion_06_greedy_never_beats_dp():
         # frozen case where greedy's local choice costs it a whole segment:
         # gold (0, 1); the dictionary holds [0, 2] and [1]; greedy grabs the
         # clean [1]-after-[0] split, dp pays one mismatch for one segment
-        seg_dict = build_segment_dict(labels_only_set([[0, 2], [1]]))
+        seg_dict = build_segment_dict(labels_only_set([[0, 2], [1]]), DEFAULT_MAX_SEGMENT_LEN)
         cfg = DPConfig(segment_cost=5.0)
         dp = dp_reconstruct((0, 1), seg_dict, cfg)
         greedy = greedy_reconstruct((0, 1), seg_dict, cfg)

@@ -373,17 +373,20 @@ class TestExitCodes:
         assert main(["tag", "--db", "x"]) == 2
 
     def test_bad_c_grid(self, corpora, trained, tmp_path, capsys):
-        code = main(
-            [
-                "sweep",
-                "--ckpt", str(trained),
-                "--db", str(corpora["train"]),
-                "--data", str(corpora["dev"]),
-                "--c-grid", "0,banana",
-                "--out", str(tmp_path / "s.csv"),
-            ]
-        )
-        assert code == 2
+        # an empty item is as malformed as a word: a usage error, no output
+        for grid in ("0,banana", "0,,0.4", "", "0,0.4,"):
+            code = main(
+                [
+                    "sweep",
+                    "--ckpt", str(trained),
+                    "--db", str(corpora["train"]),
+                    "--data", str(corpora["dev"]),
+                    "--c-grid", grid,
+                    "--out", str(tmp_path / "s.csv"),
+                ]
+            )
+            assert code == 2, grid
+            assert not (tmp_path / "s.csv").exists(), grid
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = main(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from copytag.copy_model import (
+    MarginalMatrix,
     copy_logits,
     copy_posterior,
     grad_wrt_input,
@@ -9,7 +10,7 @@ from copytag.copy_model import (
     nll,
 )
 
-from conftest import make_gold, make_neighbor_set
+from conftest import make_gold, make_neighbor_set, present_types
 
 
 def random_case(rng, n_tokens=3, dim=6, **kwargs):
@@ -60,10 +61,22 @@ class TestMarginals:
             marginals = marginal_over_types(posterior, neighbors)
             assert np.all(np.abs(marginals.probs.sum(axis=1) - 1.0) < 1e-9)
 
-    def test_column_order_is_first_appearance(self, rng):
-        _, neighbors, posterior = random_case(rng)
-        marginals = marginal_over_types(posterior, neighbors)
-        assert marginals.type_ids == neighbors.types_present
+    def test_column_order_is_ascending_type_id(self, rng):
+        for _ in range(20):
+            _, neighbors, posterior = random_case(
+                rng,
+                n_neighbors=int(rng.integers(1, 6)),
+                max_len=6,
+                n_types=int(rng.integers(1, 8)),
+            )
+            marginals = marginal_over_types(posterior, neighbors)
+            assert marginals.type_ids == tuple(sorted(set(neighbors.flat_labels.tolist())))
+            assert all(type(t) is int for t in marginals.type_ids)
+
+    @pytest.mark.parametrize("type_ids", [(2, 1), (1, 1), (-1, 0)])
+    def test_rejects_unordered_type_ids(self, type_ids):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            MarginalMatrix(probs=np.full((1, 2), 0.5), type_ids=type_ids)
 
     def test_mass_assignment(self, rng):
         _, neighbors, posterior = random_case(rng)
@@ -98,8 +111,9 @@ class TestNll:
 
     def test_skipped_positions(self, rng):
         _, neighbors, posterior = random_case(rng, n_tokens=2)
-        absent = max(neighbors.types_present) + 1
-        gold = (absent, int(neighbors.types_present[0]))
+        types = present_types(neighbors)
+        absent = max(types) + 1
+        gold = (absent, types[0])
         report = nll(posterior, neighbors, gold)
         assert report.skipped == 1
         # only the scorable token counts toward the sum
@@ -151,8 +165,9 @@ class TestGradient:
 
     def test_skipped_rows_zero(self, rng):
         _, neighbors, posterior = random_case(rng, n_tokens=2)
-        absent = max(neighbors.types_present) + 1
-        gold = (absent, int(neighbors.types_present[0]))
+        types = present_types(neighbors)
+        absent = max(types) + 1
+        gold = (absent, types[0])
         grad = grad_wrt_input(posterior, neighbors, gold)
         assert np.array_equal(grad[0], np.zeros(grad.shape[1]))
         assert not np.array_equal(grad[1], np.zeros(grad.shape[1]))

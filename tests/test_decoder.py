@@ -3,6 +3,7 @@ import pytest
 
 from copytag.copy_model import MarginalMatrix
 from copytag.decoder import (
+    DEFAULT_MAX_SEGMENT_LEN,
     DPConfig,
     Segment,
     build_segment_dict,
@@ -10,7 +11,14 @@ from copytag.decoder import (
     predict_marginal,
     provenance_lines,
 )
-from conftest import labels_only_set, make_gold, make_marginals, make_neighbor_set
+from conftest import (
+    column_index,
+    labels_only_set,
+    make_gold,
+    make_marginals,
+    make_neighbor_set,
+    present_types,
+)
 from decoder_reference import (
     brute_force_decode,
     dp_reconstruct,
@@ -60,13 +68,13 @@ class TestSegmentDict:
 
     def test_exemplar_is_first_insertion(self):
         # [1, 2] occurs in both neighbors; neighbor 0 inserted it first
-        seg_dict = build_segment_dict(labels_only_set([[1, 2], [1, 2]]))
+        seg_dict = build_segment_dict(labels_only_set([[1, 2], [1, 2]]), DEFAULT_MAX_SEGMENT_LEN)
         exemplars = {labels: (m, off) for labels, m, off in sequences(seg_dict)}
         assert exemplars[(1, 2)] == (0, 0)
         assert exemplars[(2,)] == (0, 1)
 
     def test_node_count_includes_root(self):
-        seg_dict = build_segment_dict(labels_only_set([[0, 1]]))
+        seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
         # sequences: (0,), (0,1), (1,); plus the root
         assert seg_dict.node_count == 4
         assert seg_dict.depth == 2
@@ -83,7 +91,7 @@ class TestSegmentDict:
     def test_rejects_negative_labels(self):
         # label ids index the decoders' cost columns
         with pytest.raises(ValueError, match="non-negative"):
-            build_segment_dict(labels_only_set([[0, -1]]))
+            build_segment_dict(labels_only_set([[0, -1]]), DEFAULT_MAX_SEGMENT_LEN)
 
 
 class TestMatchesTrieReference:
@@ -112,7 +120,7 @@ class TestMatchesTrieReference:
 
             cfg = DPConfig(segment_cost=grid[i % len(grid)])
             n_tokens = int(rng.integers(1, 41))
-            pool = list(neighbors.types_present) + [99]
+            pool = list(present_types(neighbors)) + [99]
             gold = tuple(pool[int(v)] for v in rng.integers(0, len(pool), n_tokens))
             mismatch = lambda j, lab: 0.0 if gold[j] == lab else 1.0
             assert dp_reconstruct(gold, seg_dict, cfg) == trie_dp(
@@ -133,11 +141,11 @@ class TestMatchesTrieReference:
                     )
             else:
                 # one-hot rows make integer costs, so exact ties are common
-                type_ids = neighbors.types_present
+                type_ids = present_types(neighbors)
                 probs = np.zeros((n_tokens, len(type_ids)))
                 probs[np.arange(n_tokens), rng.integers(0, len(type_ids), n_tokens)] = 1.0
                 marginals = MarginalMatrix(probs=probs, type_ids=type_ids)
-            col_of = marginals.column_of
+            col_of = column_index(marginals)
             expected = lambda j, lab: (
                 1.0 if col_of.get(lab) is None
                 else 1.0 - float(marginals.probs[j, col_of[lab]])
@@ -160,18 +168,32 @@ class TestDPConfig:
 class TestPredictMarginal:
     def test_argmax(self):
         m = MarginalMatrix(
-            probs=np.array([[0.2, 0.8], [0.9, 0.1]]), type_ids=(3, 1)
+            probs=np.array([[0.8, 0.2], [0.1, 0.9]]), type_ids=(1, 3)
         )
         assert predict_marginal(m) == (1, 3)
 
     def test_tie_picks_lowest_type_id(self):
-        m = MarginalMatrix(probs=np.array([[0.5, 0.5]]), type_ids=(7, 2))
-        assert predict_marginal(m) == (2,)
+        m = MarginalMatrix(
+            probs=np.array([[0.2, 0.4, 0.4], [0.4, 0.2, 0.4]]), type_ids=(2, 5, 7)
+        )
+        assert predict_marginal(m) == (5, 2)
+
+    def test_matches_loop_reference(self, rng):
+        # coarse probabilities make ties between several types common
+        for _ in range(100):
+            n_types = int(rng.integers(1, 6))
+            type_ids = tuple(sorted(rng.choice(20, n_types, replace=False).tolist()))
+            probs = rng.integers(0, 3, size=(int(rng.integers(1, 9)), n_types)) / 4.0
+            expected = tuple(
+                min(tid for tid, p in zip(type_ids, row) if p == row.max())
+                for row in probs
+            )
+            assert predict_marginal(MarginalMatrix(probs, type_ids)) == expected
 
 
 class TestDPReconstruct:
     def test_exact_copy_single_segment(self):
-        seg_dict = build_segment_dict(labels_only_set([[0, 1, 2]]))
+        seg_dict = build_segment_dict(labels_only_set([[0, 1, 2]]), DEFAULT_MAX_SEGMENT_LEN)
         result = dp_reconstruct((0, 1, 2), seg_dict, DPConfig(segment_cost=1.0))
         assert result.labels == (0, 1, 2)
         assert len(result.segments) == 1
@@ -180,20 +202,20 @@ class TestDPReconstruct:
 
     def test_prefers_fewer_segments_on_cost_tie(self):
         # both [0][1] and [0,1] reconstruct exactly; with c=0 costs tie
-        seg_dict = build_segment_dict(labels_only_set([[0, 1]]))
+        seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
         result = dp_reconstruct((0, 1), seg_dict, DPConfig(segment_cost=0.0))
         assert len(result.segments) == 1
 
     def test_mismatch_traded_against_segments(self):
         # gold [0, 5]: label 5 unavailable, best is one segment [0, 1]
-        seg_dict = build_segment_dict(labels_only_set([[0, 1]]))
+        seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
         result = dp_reconstruct((0, 5), seg_dict, DPConfig(segment_cost=10.0))
         assert result.labels == (0, 1)
         assert result.objective == 11.0
 
     def test_empty_gold_refused(self):
         # empty sentences cannot exist upstream; all decoders refuse them
-        seg_dict = build_segment_dict(labels_only_set([[0]]))
+        seg_dict = build_segment_dict(labels_only_set([[0]]), DEFAULT_MAX_SEGMENT_LEN)
         with pytest.raises(ValueError):
             dp_reconstruct((), seg_dict, DPConfig(segment_cost=1.0))
         with pytest.raises(ValueError):
@@ -207,7 +229,7 @@ class TestDPReconstruct:
             neighbors = make_neighbor_set(
                 rng, n_neighbors=int(rng.integers(1, 4)), max_len=5, n_types=4
             )
-            seg_dict = build_segment_dict(neighbors)
+            seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
             n_tokens = int(rng.integers(1, 9))
             gold = make_gold(rng, n_tokens, n_types=4)
             cfg = DPConfig(segment_cost=cfg_grid[i % len(cfg_grid)])
@@ -233,7 +255,7 @@ class TestDPExpected:
             neighbors = make_neighbor_set(
                 rng, n_neighbors=int(rng.integers(1, 4)), max_len=5, n_types=4
             )
-            seg_dict = build_segment_dict(neighbors)
+            seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
             n_tokens = int(rng.integers(1, 9))
             marginals = make_marginals(rng, n_tokens, neighbors)
             cfg = DPConfig(segment_cost=cfg_grid[i % len(cfg_grid)])
@@ -244,7 +266,7 @@ class TestDPExpected:
             # continuous costs round, so exact ties between different
             # segmentations are not reproducible; check the segments
             # against the dictionary and the objective instead
-            col_of = marginals.column_of
+            col_of = column_index(marginals)
             probs = marginals.probs
             assert_segments_consistent(
                 dp,
@@ -258,7 +280,7 @@ class TestDPExpected:
     def test_zero_cost_reduces_to_marginal(self, rng):
         for _ in range(40):
             neighbors = make_neighbor_set(rng, n_neighbors=2, max_len=4, n_types=3)
-            seg_dict = build_segment_dict(neighbors)
+            seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
             marginals = make_marginals(rng, int(rng.integers(1, 7)), neighbors)
             result = dp_decode_expected(
                 marginals, seg_dict, DPConfig(segment_cost=0.0)
@@ -268,8 +290,8 @@ class TestDPExpected:
     def test_expected_equals_reconstruct_on_onehot(self, rng):
         # degenerate marginals turn expected cost into the 0/1 mismatch cost
         neighbors = make_neighbor_set(rng, n_neighbors=2, max_len=4, n_types=3)
-        seg_dict = build_segment_dict(neighbors)
-        type_ids = neighbors.types_present
+        seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
+        type_ids = present_types(neighbors)
         gold = tuple(
             int(type_ids[int(v)])
             for v in np.random.default_rng(5).integers(0, len(type_ids), size=5)
@@ -288,10 +310,10 @@ class TestDPExpected:
 
     def test_rows_must_be_distributions(self, rng):
         neighbors = make_neighbor_set(rng, n_neighbors=1, max_len=3, n_types=2)
-        seg_dict = build_segment_dict(neighbors)
+        seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
         bad = MarginalMatrix(
-            probs=np.full((2, len(neighbors.types_present)), 0.9),
-            type_ids=neighbors.types_present,
+            probs=np.full((2, len(present_types(neighbors))), 0.9),
+            type_ids=present_types(neighbors),
         )
         with pytest.raises(ValueError):
             dp_decode_expected(bad, seg_dict, DPConfig(segment_cost=0.0))
@@ -301,7 +323,7 @@ class TestDPExpected:
         # mislabeling part of the objective
         for _ in range(10):
             neighbors = make_neighbor_set(rng, n_neighbors=3, max_len=5, n_types=4)
-            seg_dict = build_segment_dict(neighbors)
+            seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
             marginals = make_marginals(rng, 8, neighbors)
             prev_segments = None
             prev_cost = None
@@ -322,7 +344,7 @@ class TestGreedy:
     def test_never_beats_dp(self, rng):
         for _ in range(40):
             neighbors = make_neighbor_set(rng, n_neighbors=2, max_len=5, n_types=3)
-            seg_dict = build_segment_dict(neighbors)
+            seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
             gold = make_gold(rng, int(rng.integers(1, 8)), n_types=3)
             cfg = DPConfig(segment_cost=float(rng.uniform(0, 3)))
             greedy = greedy_reconstruct(gold, seg_dict, cfg)
@@ -332,7 +354,7 @@ class TestGreedy:
     def test_fixture_greedy_uses_more_segments(self):
         # Greedy grabs the clean [A] segment, then pays for a second one;
         # DP accepts one mismatch inside a single longer segment.
-        seg_dict = build_segment_dict(labels_only_set([[0, 2], [1]]))
+        seg_dict = build_segment_dict(labels_only_set([[0, 2], [1]]), DEFAULT_MAX_SEGMENT_LEN)
         cfg = DPConfig(segment_cost=5.0)
         gold = (0, 1)
         greedy = greedy_reconstruct(gold, seg_dict, cfg)
@@ -346,7 +368,7 @@ class TestGreedy:
 
     def test_feasible_output(self, rng):
         neighbors = make_neighbor_set(rng, n_neighbors=2, max_len=4, n_types=3)
-        seg_dict = build_segment_dict(neighbors)
+        seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
         gold = make_gold(rng, 6, n_types=3)
         result = greedy_reconstruct(gold, seg_dict, DPConfig(segment_cost=0.5))
         assert len(result.labels) == 6
@@ -356,7 +378,7 @@ class TestGreedy:
 
 class TestBruteForceGuards:
     def test_rejects_long_inputs(self):
-        seg_dict = build_segment_dict(labels_only_set([[0, 1]]))
+        seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
         with pytest.raises(ValueError, match="positions"):
             brute_force_decode(
                 seg_dict, DPConfig(segment_cost=0.0), gold=tuple([0] * 13)
@@ -364,7 +386,7 @@ class TestBruteForceGuards:
 
     def test_requires_exactly_one_mode(self, rng):
         neighbors = make_neighbor_set(rng, n_neighbors=1, max_len=3, n_types=2)
-        seg_dict = build_segment_dict(neighbors)
+        seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
         marginals = make_marginals(rng, 2, neighbors)
         with pytest.raises(ValueError):
             brute_force_decode(seg_dict, DPConfig(segment_cost=0.0))
@@ -379,7 +401,7 @@ class TestBruteForceGuards:
     def test_combination_limit(self):
         # a rich dictionary over 12 positions explodes combinatorially
         rows = [[int(v) for v in np.random.default_rng(1).integers(0, 6, 20)]]
-        seg_dict = build_segment_dict(labels_only_set(rows))
+        seg_dict = build_segment_dict(labels_only_set(rows), DEFAULT_MAX_SEGMENT_LEN)
         with pytest.raises(ValueError, match="combinations"):
             brute_force_decode(
                 seg_dict, DPConfig(segment_cost=0.0), gold=tuple([0] * 12)
@@ -388,7 +410,7 @@ class TestBruteForceGuards:
 
 class TestProvenance:
     def test_line_format(self):
-        seg_dict = build_segment_dict(labels_only_set([[0, 1, 2]]))
+        seg_dict = build_segment_dict(labels_only_set([[0, 1, 2]]), DEFAULT_MAX_SEGMENT_LEN)
         result = dp_reconstruct((0, 1, 2), seg_dict, DPConfig(segment_cost=1.0))
         lines = provenance_lines(result, ("O", "PER", "LOC"))
         assert lines == ["seg 0 3 from=neighbor:0 offset:0 labels=O,PER,LOC"]

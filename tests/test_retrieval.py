@@ -53,7 +53,7 @@ class TestBuildIndex:
         index = build_index(tiny_db(), small_provider())
         norms = np.linalg.norm(index.vectors, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-9)
-        assert index.ids == (0, 1, 2, 3)
+        assert len(index) == 4
 
     def test_provider_tag_recorded(self):
         provider = small_provider()
@@ -90,7 +90,7 @@ class TestBuildIndex:
 
 
 def assert_same_bytes(index, fresh):
-    assert index.ids == fresh.ids
+    assert len(index) == len(fresh)
     assert index.provider_tag == fresh.provider_tag
     assert index.vectors.tobytes() == fresh.vectors.tobytes()
     assert len(index.token_matrices) == len(fresh.token_matrices)
@@ -213,7 +213,7 @@ class TestQuery:
             got = query(index, q, count=5)
             qn = q / np.linalg.norm(q)
             scores = index.vectors @ qn
-            order = np.lexsort((np.array(index.ids), -scores))
+            order = np.lexsort((np.arange(len(index)), -scores))
             expected = [(int(i), float(scores[i])) for i in order[:5]]
             assert [g[0] for g in got] == [e[0] for e in expected]
             for (_, gs), (_, es) in zip(got, expected):
@@ -269,18 +269,6 @@ class TestNeighborSet:
                 j = ns.starts[m] + k
                 assert ns.flat_labels[j] == entry.sequence.labels[k]
                 assert np.array_equal(ns.flat_embeddings[j], entry.embeddings[k])
-
-    def test_types_present_first_appearance(self, rng):
-        for _ in range(20):
-            ns = make_neighbor_set(
-                rng,
-                n_neighbors=int(rng.integers(1, 6)),
-                max_len=6,
-                n_types=int(rng.integers(1, 8)),
-            )
-            seen = list(dict.fromkeys(int(v) for v in ns.flat_labels))
-            assert ns.types_present == tuple(seen)
-            assert all(type(t) is int for t in ns.types_present)
 
     def test_assemble_from_dataset(self):
         db = tiny_db()

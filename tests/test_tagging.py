@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from copytag.corpus import Sentence, build_dataset
-from copytag.decoder import DPConfig
+from copytag.decoder import (
+    DEFAULT_MAX_SEGMENT_LEN,
+    DPConfig,
+    build_segment_dict,
+    dp_decode_expected,
+)
 from copytag.embeddings import HashedWindowEmbedder
+from copytag.evaluation import sweep_c
+from copytag.synthetic import suffix_corpus
 from copytag.tagging import (
     DECODE_DP,
     DECODE_MARGINAL,
@@ -39,6 +46,20 @@ def count_embeds(monkeypatch, provider) -> list:
 
     monkeypatch.setattr(provider, "embed", counted)
     return calls
+
+
+def poison_embeds(monkeypatch, provider, tokens) -> None:
+    """Make `provider` return a NaN entry for sentences with `tokens`."""
+    embed = provider.embed
+
+    def poisoned(sentence):
+        matrix = embed(sentence)
+        if sentence.tokens == tokens:
+            matrix = matrix.copy()
+            matrix[0, 0] = np.nan
+        return matrix
+
+    monkeypatch.setattr(provider, "embed", poisoned)
 
 
 @pytest.fixture
@@ -100,6 +121,38 @@ class TestTagger:
         assert sum(lengths) == 70
         assert max(lengths) <= 64
         assert out.label_names == ("X",) * 70
+
+    def test_segment_dict_capped_at_query_length(self, provider):
+        # db sentences outgrow every query; the DP never copies a segment
+        # longer than the query, so the dictionary stops at its length
+        data = suffix_corpus(30, seed=5, min_len=3, max_len=12)
+        tagger = Tagger(provider, data, n_neighbors=8)
+        for item in suffix_corpus(20, seed=6, min_len=1, max_len=6).items:
+            analysis = tagger.analyze(item.sentence)
+            seg_dict = tagger.segment_dict(analysis)
+            assert seg_dict.depth <= len(item.sentence)
+            full = build_segment_dict(analysis.neighbors, DEFAULT_MAX_SEGMENT_LEN)
+            for c in (0.0, 0.4, 2.0):
+                cfg = DPConfig(segment_cost=c)
+                assert dp_decode_expected(
+                    analysis.marginals, seg_dict, cfg
+                ) == dp_decode_expected(analysis.marginals, full, cfg)
+
+    @pytest.mark.parametrize("decode", [DECODE_MARGINAL, DECODE_DP])
+    def test_non_finite_query_embedding_rejected(self, db, provider, monkeypatch, decode):
+        tagger = Tagger(provider, db, n_neighbors=3)
+        poison_embeds(monkeypatch, provider, ("alice", "poison"))
+        with pytest.raises(ValueError, match="sentence 100: .*non-finite"):
+            tagger.tag(Sentence(100, ("alice", "poison")), decode=decode)
+
+    def test_sweep_rejects_non_finite_query_embedding(self, db, provider, monkeypatch):
+        data = build_dataset([
+            (("bob", "likes", "tea"), ("PER", "O", "O")),
+            (("alice", "poison"), ("PER", "O")),
+        ])
+        poison_embeds(monkeypatch, provider, ("alice", "poison"))
+        with pytest.raises(ValueError, match="sentence 1: .*non-finite"):
+            sweep_c([0.0, 0.4], provider, db, data, 3)
 
     def test_unknown_decode_mode(self, db, provider, monkeypatch):
         tagger = Tagger(provider, db, n_neighbors=2)

@@ -279,7 +279,7 @@ class TestFineTune:
             assert len(exclude) == 1
             (sid,) = exclude
             # the excluded id is the sentence whose vector is the query
-            assert np.array_equal(query_vec, index.vectors[index.ids.index(sid)])
+            assert np.array_equal(query_vec, index.vectors[sid])
             assert sid not in [nid for nid, _ in ranked]
             assert len(ranked) == n - 1
             excluded.append(sid)
