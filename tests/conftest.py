@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from copytag.copy_model import MarginalMatrix
-from copytag.corpus import LabeledSequence, Sentence
+from copytag.corpus import Dataset, LabeledSequence, Sentence, build_dataset
 from copytag.retrieval import NeighborEntry, NeighborSet
 
 
@@ -67,6 +67,30 @@ def make_gold(
     rng: np.random.Generator, n_tokens: int, n_types: int
 ) -> tuple[int, ...]:
     return tuple(int(v) for v in rng.integers(0, n_types, size=n_tokens))
+
+
+def make_tagged_corpus(
+    rng: np.random.Generator, n_sentences: int = 6, max_len: int = 5
+) -> tuple[Dataset, list[np.ndarray]]:
+    """A random dataset over string tags drawn from a shuffled tag set, and
+    one random token matrix per sentence."""
+    names = [str(v) for v in rng.permutation(["A", "B", "C", "D", "E", "F"])]
+    rows = []
+    for m in range(n_sentences):
+        length = int(rng.integers(1, max_len + 1))
+        tags = [names[int(v)] for v in rng.integers(0, len(names), size=length)]
+        rows.append((tuple(f"s{m}t{k}" for k in range(length)), tuple(tags)))
+    db = build_dataset(rows)
+    return db, [rng.normal(size=(len(item), 4)) for item in db.items]
+
+
+def corpus_order(db: Dataset, names) -> list[str]:
+    """`names` in the order the corpus first shows them."""
+    wanted = set(names)
+    seen = dict.fromkeys(
+        db.vocab.types[t] for item in db.items for t in item.labels
+    )
+    return [name for name in seen if name in wanted]
 
 
 @pytest.fixture

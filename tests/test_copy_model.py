@@ -9,8 +9,15 @@ from copytag.copy_model import (
     marginal_over_types,
     nll,
 )
+from copytag.retrieval import assemble_neighbor_set
 
-from conftest import make_gold, make_neighbor_set, present_types
+from conftest import (
+    corpus_order,
+    make_gold,
+    make_neighbor_set,
+    make_tagged_corpus,
+    present_types,
+)
 
 
 def random_case(rng, n_tokens=3, dim=6, **kwargs):
@@ -72,6 +79,20 @@ class TestMarginals:
             marginals = marginal_over_types(posterior, neighbors)
             assert marginals.type_ids == tuple(sorted(set(neighbors.flat_labels.tolist())))
             assert all(type(t) is int for t in marginals.type_ids)
+
+    def test_column_order_is_first_appearance(self, rng):
+        # type ids are vocabulary ids, given in first-appearance order over
+        # the corpus, so ascending columns read the labels in that order
+        for _ in range(20):
+            db, matrices = make_tagged_corpus(rng)
+            ids = [int(v) for v in rng.permutation(len(db))[: int(rng.integers(1, 4))]]
+            neighbors = assemble_neighbor_set(db, ids, matrices)
+            x = rng.normal(size=(2, 4))
+            marginals = marginal_over_types(
+                copy_posterior(copy_logits(x, neighbors)), neighbors
+            )
+            names = [db.vocab.types[t] for t in marginals.type_ids]
+            assert names == corpus_order(db, names)
 
     @pytest.mark.parametrize("type_ids", [(2, 1), (1, 1), (-1, 0)])
     def test_rejects_unordered_type_ids(self, type_ids):

@@ -17,7 +17,7 @@ from copytag.retrieval import (
 from copytag.tagging import Tagger
 from copytag.trainer import AdamState, adam_update
 
-from conftest import make_neighbor_set
+from conftest import corpus_order, make_neighbor_set, make_tagged_corpus, present_types
 from param_columns import set_column
 
 
@@ -269,6 +269,21 @@ class TestNeighborSet:
                 j = ns.starts[m] + k
                 assert ns.flat_labels[j] == entry.sequence.labels[k]
                 assert np.array_equal(ns.flat_embeddings[j], entry.embeddings[k])
+
+    def test_types_present_first_appearance(self, rng):
+        # the types present in a retrieved set, by ascending id, name the
+        # labels in the order the corpus first shows them, whatever order
+        # the set itself shows them in
+        for _ in range(20):
+            db, matrices = make_tagged_corpus(rng)
+            ids = [int(v) for v in rng.permutation(len(db))[: int(rng.integers(1, 5))]]
+            ns = assemble_neighbor_set(db, ids, matrices)
+            types = present_types(ns)
+            assert all(type(t) is int for t in types)
+            names = [db.vocab.types[t] for t in types]
+            assert names == corpus_order(db, names)
+            in_set = {db.vocab.types[t] for item in ns.entries for t in item.sequence.labels}
+            assert set(names) == in_set
 
     def test_assemble_from_dataset(self):
         db = tiny_db()
