@@ -11,11 +11,25 @@ Every sequence remembers the first place it occurs. Decoding minimizes
 where the per-position cost is one minus the marginal probability of the
 segment's label. The dynamic program over (position, dictionary sequence)
 states is exact; tests/decoder_reference.py holds an exhaustive
-small-instance oracle and a greedy comparator with the same objective and
-tie-breaking.
+small-instance oracle, the per-start dynamic program this one replaced,
+and a greedy comparator, all with the same objective and tie-breaking.
 
 Ties are broken by fewer segments, then by the lexicographically smallest
 label sequence under type ids.
+
+The DP runs in two passes. The table pass does not depend on the segment
+cost c: level by level over the dictionary, for every start at once, it
+sums step, the cost of each sequence of a length from a start, with the
+same operands in the same order as a per-start loop would. Per (start,
+length) it keeps the minimum step, its first argmin rank (the
+lexicographically smallest of the cheapest), and the minimum over the
+ranks before that one. The per-c pass is scalar: the best copy from a
+prefix of cost b costs fl(b + c) + min. Rounded addition is monotone, so
+no rank can cost less than that, and an earlier rank can cost the same
+only if fl(fl(b + c) + earlier minimum) equals it. Exactly then the rank
+is recomputed from that one start the per-start way, which keeps the
+first-minimum rule. One call decodes at every c of a grid from one set of
+tables.
 """
 
 from __future__ import annotations
@@ -66,8 +80,8 @@ class SegmentDict:
         """Labels of sequence `rank` among those of length `length`."""
         out = []
         for level in reversed(self.levels[:length]):
-            out.append(int(level.label[rank]))
-            rank = level.parent[rank]
+            out.append(level.label.item(rank))
+            rank = level.parent.item(rank)
         return tuple(reversed(out))
 
 
@@ -166,31 +180,73 @@ def _position_costs_expected(marginals: MarginalMatrix, n_labels: int) -> np.nda
     return cost
 
 
-def _dp(seg_dict: SegmentDict, cfg: DPConfig, cost: np.ndarray) -> DecodeResult:
-    """Exact minimization over segmentations; cost[j, lab] prices label lab
-    at position j.
+def _tables(
+    seg_dict: SegmentDict, cost: np.ndarray
+) -> tuple[list[list[list[float]]], list[list[int]]]:
+    """The segment-cost-free part of the DP.
+
+    Returns, per start, a pair of lists (earlier minima, minima) and a
+    list of first argmin ranks, each indexed by d for the copies of
+    length d + 1. Level by level over the dictionary and for every start
+    at once, step holds the summed cost of each sequence of the level
+    from each start, ranks down and starts across. Each start's row of a
+    start-major copy splits at its first argmin, and one reduceat takes
+    the minimum of both parts: the ranks before the first argmin, and the
+    rest, whose minimum is the minimum itself. With first rank 0 the
+    earlier part is the minimum again, and is never read.
+    """
+    total = cost.shape[0]
+    depth = min(seg_dict.depth, total)
+    cost_t = np.ascontiguousarray(cost.T)
+    pairs = np.arange(total).repeat(2)
+    split = np.full((depth, total, 2), np.inf)
+    ranks = np.zeros((depth, total), dtype=np.int64)
+    step = np.zeros((1, total))
+    for d, level in enumerate(seg_dict.levels[:depth]):
+        n = total - d
+        step = step[level.parent, :n] + cost_t[level.label, d:]
+        by_start = np.ascontiguousarray(step.T)
+        first = by_start.argmin(axis=1)
+        bounds = pairs[: 2 * n] * len(step)
+        bounds[1::2] += first
+        split[d, :n] = np.minimum.reduceat(by_start.ravel(), bounds).reshape(n, 2)
+        ranks[d, :n] = first
+    return split.transpose(1, 2, 0).tolist(), ranks.T.tolist()
+
+
+def _first_rank(
+    seg_dict: SegmentDict, cost: np.ndarray, base: float, start: int, length: int
+) -> int:
+    """First argmin of base + step over the sequences of `length` from
+    `start`, with step summed as the tables sum it."""
+    step = np.zeros(1)
+    for d, level in enumerate(seg_dict.levels[:length]):
+        step = step[level.parent] + cost[start + d][level.label]
+    return int((base + step).argmin())
+
+
+def _decode(
+    seg_dict: SegmentDict,
+    cost: np.ndarray,
+    tables: tuple[list[list[list[float]]], list[list[int]]],
+    segment_cost: float,
+) -> DecodeResult:
+    """Exact minimization over segmentations at one segment cost.
 
     best_*[e] describe the best decode of the prefix ending at e under the
     ordering (objective, segment count, label tuple); prefix bests extend
     to full-sequence bests because all three components accumulate
-    monotonically under segment concatenation. From one start, `step`
-    holds the summed cost of every dictionary sequence of the current
-    length in rank order, so the first minimum is the lexicographically
-    smallest of the cheapest. Label tuples are built only to break exact
-    ties.
+    monotonically under segment concatenation. The best copy of length
+    d + 1 from a start costs base + its minimum, and its rank is the
+    tables' first argmin unless an earlier rank rounds to the same value
+    (see the module docstring). Label tuples are built only to break
+    exact ties.
     """
-    if not seg_dict.levels:
-        raise ValueError("segment dictionary is empty")
+    split, ranks = tables
     total = cost.shape[0]
-    if total < 1:
-        raise ValueError("nothing to decode")
-    parents = [level.parent for level in seg_dict.levels]
-    labels = [level.label for level in seg_dict.levels]
-
-    best_cost: list[float | None] = [None] * (total + 1)
+    best_cost = [0.0] + [np.inf] * total
     best_segs = [0] * (total + 1)
     back: list[tuple[int, int, int] | None] = [None] * (total + 1)
-    best_cost[0] = 0.0
     decoded = {0: ()}
 
     def labels_to(end: int) -> tuple[int, ...]:
@@ -205,31 +261,26 @@ def _dp(seg_dict: SegmentDict, cfg: DPConfig, cost: np.ndarray) -> DecodeResult:
             decoded[end] = out
         return out
 
-    root = np.zeros(1)
     for start in range(total):
-        base = best_cost[start] + cfg.segment_cost
+        base = best_cost[start] + segment_cost
         segs = best_segs[start] + 1
-        step = root
-        for d in range(min(seg_dict.depth, total - start)):
-            step = step[parents[d]] + cost[start + d][labels[d]]
-            candidate = base + step
-            rank = int(candidate.argmin())
-            value = float(candidate[rank])
-            end = start + d + 1
+        earlier, mins = split[start]
+        for end, low in zip(range(start + 1, total + 1), mins):
+            value = base + low
             current = best_cost[end]
-            if current is None or value < current:
-                take = True
-            elif value > current or segs > best_segs[end]:
-                take = False
-            elif segs < best_segs[end]:
-                take = True
-            else:
-                take = labels_to(start) + seg_dict.path(d + 1, rank) < labels_to(end)
-            if take:
-                best_cost[end] = value
-                best_segs[end] = segs
-                back[end] = (start, d + 1, rank)
-                decoded.pop(end, None)
+            if value > current or (value == current and segs > best_segs[end]):
+                continue
+            length = end - start
+            rank = ranks[start][length - 1]
+            if rank and base + earlier[length - 1] == value:
+                rank = _first_rank(seg_dict, cost, base, start, length)
+            if value == current and segs == best_segs[end]:
+                if labels_to(start) + seg_dict.path(length, rank) >= labels_to(end):
+                    continue
+            best_cost[end] = value
+            best_segs[end] = segs
+            back[end] = (start, length, rank)
+            decoded.pop(end, None)
 
     segments: list[Segment] = []
     end = total
@@ -245,14 +296,22 @@ def _dp(seg_dict: SegmentDict, cfg: DPConfig, cost: np.ndarray) -> DecodeResult:
 
 
 def dp_decode_expected(
-    marginals: MarginalMatrix, seg_dict: SegmentDict, cfg: DPConfig
-) -> DecodeResult:
-    """Minimize expected mislabelings plus segment cost under the marginals.
+    marginals: MarginalMatrix, seg_dict: SegmentDict, configs: Sequence[DPConfig]
+) -> tuple[DecodeResult, ...]:
+    """Minimize expected mislabelings plus segment cost under the marginals,
+    once per config.
 
-    A label type with no marginal column costs a full unit at every
-    position. With segment_cost 0 the result matches predict_marginal.
+    The tables are built once and shared by every config. A label type
+    with no marginal column costs a full unit at every position. With
+    segment_cost 0 the result matches predict_marginal.
     """
-    return _dp(seg_dict, cfg, _position_costs_expected(marginals, seg_dict.n_labels))
+    cost = _position_costs_expected(marginals, seg_dict.n_labels)
+    if not seg_dict.levels:
+        raise ValueError("segment dictionary is empty")
+    if cost.shape[0] < 1:
+        raise ValueError("nothing to decode")
+    tables = _tables(seg_dict, cost)
+    return tuple(_decode(seg_dict, cost, tables, cfg.segment_cost) for cfg in configs)
 
 
 def provenance_lines(result: DecodeResult, type_names: Sequence[str]) -> list[str]:

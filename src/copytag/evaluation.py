@@ -115,11 +115,12 @@ def sweep_c(
 ) -> list[SweepRow]:
     """Decode `data` against `db` at every segment cost in `c_values`.
 
-    The grid is checked before any work. The db index comes from
-    build_index, so a sweep right after a Tagger over the same provider
-    and db object reuses that Tagger's index. Retrieval, marginals, and
-    the segment dictionary are computed once per sentence and shared
-    across the grid.
+    The grid and `data` are checked before any work. The db index comes
+    from build_index, so a sweep right after a Tagger over the same
+    provider and db object reuses that Tagger's index. Retrieval,
+    marginals, the segment dictionary and the decode tables are computed
+    once per sentence and shared across the grid: one dp_decode_expected
+    call decodes a sentence at every grid value.
     """
     if not c_values:
         raise ValueError("the c grid must be non-empty")
@@ -131,22 +132,22 @@ def sweep_c(
             raise ValueError(f"c grid value {c!r} at position {pos}: {exc}") from None
     if any(b <= a for a, b in zip(c_values, c_values[1:])):
         raise ValueError("the c grid must be strictly ascending")
+    if not data.items:
+        raise ValueError("the data to sweep has no sentences")
     tagger = Tagger(provider, db, n_neighbors)
-    prepared = []
+    decoded = []
     for item in data.items:
         analysis = tagger.analyze(item.sentence)
-        prepared.append((analysis, tagger.segment_dict(analysis)))
+        seg_dict = tagger.segment_dict(analysis)
+        decoded.append(dp_decode_expected(analysis.marginals, seg_dict, configs))
 
     rows = []
-    for cfg in configs:
-        tagged_rows = []
-        n_segments = 0
-        for analysis, seg_dict in prepared:
-            result = dp_decode_expected(analysis.marginals, seg_dict, cfg)
-            names = tuple(db.vocab.types[lab] for lab in result.labels)
-            tagged_rows.append((analysis.sentence.tokens, names))
-            n_segments += len(result.segments)
-        pred = build_dataset(tagged_rows)
+    for k, cfg in enumerate(configs):
+        results = [per_c[k] for per_c in decoded]
+        pred = build_dataset(
+            (item.sentence.tokens, tuple(db.vocab.types[lab] for lab in result.labels))
+            for item, result in zip(data.items, results)
+        )
         precision, recall, f1 = span_f1(pred, data)
         rows.append(
             SweepRow(
@@ -155,7 +156,7 @@ def sweep_c(
                 recall=recall,
                 f1=f1,
                 token_accuracy=token_accuracy(pred, data),
-                avg_segments=n_segments / len(data.items),
+                avg_segments=sum(len(r.segments) for r in results) / len(data.items),
             )
         )
     return rows

@@ -108,7 +108,7 @@ class Tagger:
         analysis = self.analyze(sentence)
         if decode == DECODE_DP:
             seg_dict = self.segment_dict(analysis)
-            result = dp_decode_expected(analysis.marginals, seg_dict, cfg)
+            (result,) = dp_decode_expected(analysis.marginals, seg_dict, (cfg,))
             label_ids = result.labels
         else:
             label_ids = predict_marginal(analysis.marginals)

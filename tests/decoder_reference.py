@@ -5,6 +5,10 @@ share its objective and tie-breaking and exist for tests:
 
 * brute_force_decode enumerates every segmentation of a small instance;
   it is the oracle for both dynamic programs.
+* per_start_dp is the dynamic program without shared tables: from each
+  start it sums and minimizes every dictionary sequence level by level,
+  with three numpy calls per (start, length). It is the oracle for
+  dp_decode_expected's tables and the engine of dp_reconstruct.
 * dp_reconstruct is the exact dynamic program under 0/1 mismatch costs
   against a gold sequence: the cheapest way to rebuild gold by copying.
 * greedy_reconstruct is the left-to-right comparator that dp_reconstruct
@@ -18,7 +22,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from copytag.copy_model import MarginalMatrix
-from copytag.decoder import DecodeResult, DPConfig, Segment, SegmentDict, _dp
+from copytag.decoder import (
+    DecodeResult,
+    DPConfig,
+    Segment,
+    SegmentDict,
+    _position_costs_expected,
+)
 
 BRUTE_FORCE_MAX_POSITIONS = 12
 BRUTE_FORCE_MAX_COMBOS = 10**6
@@ -36,6 +46,93 @@ def sequences(seg_dict: SegmentDict) -> Iterator[tuple[tuple[int, ...], int, int
         yield from zip(paths, level.neighbor.tolist(), level.offset.tolist())
 
 
+def per_start_dp(seg_dict: SegmentDict, cfg: DPConfig, cost: np.ndarray) -> DecodeResult:
+    """Exact minimization over segmentations; cost[j, lab] prices label lab
+    at position j.
+
+    best_*[e] describe the best decode of the prefix ending at e under the
+    ordering (objective, segment count, label tuple); prefix bests extend
+    to full-sequence bests because all three components accumulate
+    monotonically under segment concatenation. From one start, `step`
+    holds the summed cost of every dictionary sequence of the current
+    length in rank order, so the first minimum is the lexicographically
+    smallest of the cheapest. Label tuples are built only to break exact
+    ties.
+    """
+    if not seg_dict.levels:
+        raise ValueError("segment dictionary is empty")
+    total = cost.shape[0]
+    if total < 1:
+        raise ValueError("nothing to decode")
+    parents = [level.parent for level in seg_dict.levels]
+    labels = [level.label for level in seg_dict.levels]
+
+    best_cost: list[float | None] = [None] * (total + 1)
+    best_segs = [0] * (total + 1)
+    back: list[tuple[int, int, int] | None] = [None] * (total + 1)
+    best_cost[0] = 0.0
+    decoded = {0: ()}
+
+    def labels_to(end: int) -> tuple[int, ...]:
+        chain = []
+        while end not in decoded:
+            start, length, rank = back[end]
+            chain.append((end, length, rank))
+            end = start
+        out = decoded[end]
+        for end, length, rank in reversed(chain):
+            out = out + seg_dict.path(length, rank)
+            decoded[end] = out
+        return out
+
+    root = np.zeros(1)
+    for start in range(total):
+        base = best_cost[start] + cfg.segment_cost
+        segs = best_segs[start] + 1
+        step = root
+        for d in range(min(seg_dict.depth, total - start)):
+            step = step[parents[d]] + cost[start + d][labels[d]]
+            candidate = base + step
+            rank = int(candidate.argmin())
+            value = float(candidate[rank])
+            end = start + d + 1
+            current = best_cost[end]
+            if current is None or value < current:
+                take = True
+            elif value > current or segs > best_segs[end]:
+                take = False
+            elif segs < best_segs[end]:
+                take = True
+            else:
+                take = labels_to(start) + seg_dict.path(d + 1, rank) < labels_to(end)
+            if take:
+                best_cost[end] = value
+                best_segs[end] = segs
+                back[end] = (start, d + 1, rank)
+                decoded.pop(end, None)
+
+    segments: list[Segment] = []
+    end = total
+    while end > 0:
+        start, length, rank = back[end]
+        level = seg_dict.levels[length - 1]
+        segments.append(
+            Segment(start, length, int(level.neighbor[rank]), int(level.offset[rank]))
+        )
+        end = start
+    segments.reverse()
+    return DecodeResult(labels_to(total), tuple(segments), float(best_cost[total]))
+
+
+def per_start_decode_expected(
+    marginals: MarginalMatrix, seg_dict: SegmentDict, cfg: DPConfig
+) -> DecodeResult:
+    """per_start_dp under dp_decode_expected's expected mislabeling costs."""
+    return per_start_dp(
+        seg_dict, cfg, _position_costs_expected(marginals, seg_dict.n_labels)
+    )
+
+
 def dp_reconstruct(
     gold: Sequence[int], seg_dict: SegmentDict, cfg: DPConfig
 ) -> DecodeResult:
@@ -45,7 +142,7 @@ def dp_reconstruct(
     for j, lab in enumerate(gold):
         if 0 <= lab < seg_dict.n_labels:
             cost[j, lab] = 0.0
-    return _dp(seg_dict, cfg, cost)
+    return per_start_dp(seg_dict, cfg, cost)
 
 
 def greedy_reconstruct(

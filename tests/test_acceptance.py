@@ -182,7 +182,7 @@ def test_criterion_03_dp_equals_brute_force():
             assert abs(dp_g.objective - bf_g.objective) <= 1e-9, f"instance {i}"
 
             marginals = make_marginals(rng, n_tokens, neighbors)
-            dp_m = dp_decode_expected(marginals, seg_dict, cfg)
+            dp_m = dp_decode_expected(marginals, seg_dict, (cfg,))[0]
             bf_m = brute_force_decode(seg_dict, cfg, marginals=marginals)
             assert abs(dp_m.objective - bf_m.objective) <= 1e-9, f"instance {i}"
 
@@ -194,7 +194,7 @@ def test_criterion_04_zero_cost_reduces_to_marginal_argmax():
         for i in range(200):
             neighbors, seg_dict, n_tokens = _grid_instance(rng)
             marginals = make_marginals(rng, n_tokens, neighbors)
-            decoded = dp_decode_expected(marginals, seg_dict, cfg)
+            decoded = dp_decode_expected(marginals, seg_dict, (cfg,))[0]
             assert decoded.labels == predict_marginal(marginals), f"instance {i}"
 
 
@@ -215,7 +215,7 @@ def test_criterion_05_segment_cost_trades_segments_for_mistakes():
             n_segs = 0
             mistakes = 0.0
             for marginals, seg_dict in instances:
-                result = dp_decode_expected(marginals, seg_dict, cfg)
+                result = dp_decode_expected(marginals, seg_dict, (cfg,))[0]
                 n_segs += len(result.segments)
                 col_of = column_index(marginals)
                 for t, lab in enumerate(result.labels):

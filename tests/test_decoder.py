@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import copytag.decoder as decoder
 from copytag.copy_model import MarginalMatrix
 from copytag.decoder import (
     DEFAULT_MAX_SEGMENT_LEN,
@@ -23,6 +24,7 @@ from decoder_reference import (
     brute_force_decode,
     dp_reconstruct,
     greedy_reconstruct,
+    per_start_decode_expected,
     sequences,
 )
 from trie_reference import build_trie, trie_dp, trie_greedy, trie_sequences
@@ -150,9 +152,75 @@ class TestMatchesTrieReference:
                 1.0 if col_of.get(lab) is None
                 else 1.0 - float(marginals.probs[j, col_of[lab]])
             )
-            assert dp_decode_expected(marginals, seg_dict, cfg) == trie_dp(
+            assert dp_decode_expected(marginals, seg_dict, (cfg,))[0] == trie_dp(
                 n_tokens, trie, cfg, expected
             ), f"instance {i}"
+
+
+def run_labels(rng, n_types: int) -> list[int]:
+    """A neighbor label sequence made of runs of repeated labels."""
+    out: list[int] = []
+    for _ in range(int(rng.integers(1, 5))):
+        out += [int(rng.integers(0, n_types))] * int(rng.integers(1, 4))
+    return out
+
+
+def quarter_marginals(rng, n_tokens: int, neighbors) -> MarginalMatrix:
+    """Rows of multiples of 1/4 over the present types: sums of such costs
+    are exact, so different label sequences often cost exactly the same."""
+    type_ids = present_types(neighbors)
+    probs = np.zeros((n_tokens, len(type_ids)))
+    for row in probs:
+        for col in rng.integers(0, len(type_ids), size=4):
+            row[col] += 0.25
+    return MarginalMatrix(probs=probs, type_ids=type_ids)
+
+
+class TestMatchesPerStartOracle:
+    """The shared-table DP against the per-start DP it replaced, bit for bit
+    at every segment cost of one call. Quarter marginals over repeated label
+    runs tie both the objective and the segment count between different
+    label sequences; c of 2**40 and 1e15 round distinct step sums to the
+    same candidate, which only the recomputed first-argmin rank resolves."""
+
+    GRID = (0.0, 0.25, 0.5, 2.0**40, 1e15)
+
+    def test_quarter_marginals_over_label_runs(self, rng, monkeypatch):
+        recomputed = []
+        first_rank = decoder._first_rank
+
+        def counted(*args):
+            recomputed.append(args)
+            return first_rank(*args)
+
+        monkeypatch.setattr(decoder, "_first_rank", counted)
+        configs = [DPConfig(segment_cost=c) for c in self.GRID]
+        for i in range(150):
+            rows = [run_labels(rng, 3) for _ in range(int(rng.integers(1, 5)))]
+            neighbors = labels_only_set(rows)
+            seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
+            marginals = quarter_marginals(rng, int(rng.integers(1, 21)), neighbors)
+            results = dp_decode_expected(marginals, seg_dict, configs)
+            assert len(results) == len(configs)
+            for cfg, result in zip(configs, results):
+                expected = per_start_decode_expected(marginals, seg_dict, cfg)
+                assert result == expected, f"instance {i}, c={cfg.segment_cost}"
+        assert recomputed, "no instance reached the rank recomputation"
+
+    def test_random_marginals_at_huge_costs(self, rng):
+        configs = [DPConfig(segment_cost=c) for c in self.GRID]
+        for i in range(60):
+            neighbors = make_neighbor_set(
+                rng, n_neighbors=int(rng.integers(1, 5)), max_len=8, n_types=3
+            )
+            seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
+            marginals = make_marginals(rng, int(rng.integers(1, 15)), neighbors)
+            expected = tuple(
+                per_start_decode_expected(marginals, seg_dict, cfg) for cfg in configs
+            )
+            assert dp_decode_expected(marginals, seg_dict, configs) == expected, (
+                f"instance {i}"
+            )
 
 
 class TestDPConfig:
@@ -259,7 +327,7 @@ class TestDPExpected:
             n_tokens = int(rng.integers(1, 9))
             marginals = make_marginals(rng, n_tokens, neighbors)
             cfg = DPConfig(segment_cost=cfg_grid[i % len(cfg_grid)])
-            dp = dp_decode_expected(marginals, seg_dict, cfg)
+            dp = dp_decode_expected(marginals, seg_dict, (cfg,))[0]
             bf = brute_force_decode(seg_dict, cfg, marginals=marginals)
             assert dp.objective == bf.objective
             assert dp.labels == bf.labels
@@ -283,8 +351,8 @@ class TestDPExpected:
             seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
             marginals = make_marginals(rng, int(rng.integers(1, 7)), neighbors)
             result = dp_decode_expected(
-                marginals, seg_dict, DPConfig(segment_cost=0.0)
-            )
+                marginals, seg_dict, (DPConfig(segment_cost=0.0),)
+            )[0]
             assert result.labels == predict_marginal(marginals)
 
     def test_expected_equals_reconstruct_on_onehot(self, rng):
@@ -302,7 +370,7 @@ class TestDPExpected:
         marginals = MarginalMatrix(probs=probs, type_ids=type_ids)
         for c in (0.0, 0.7, 2.0):
             cfg = DPConfig(segment_cost=c)
-            a = dp_decode_expected(marginals, seg_dict, cfg)
+            a = dp_decode_expected(marginals, seg_dict, (cfg,))[0]
             b = dp_reconstruct(gold, seg_dict, cfg)
             assert a.objective == b.objective
             assert a.labels == b.labels
@@ -316,7 +384,7 @@ class TestDPExpected:
             type_ids=present_types(neighbors),
         )
         with pytest.raises(ValueError):
-            dp_decode_expected(bad, seg_dict, DPConfig(segment_cost=0.0))
+            dp_decode_expected(bad, seg_dict, (DPConfig(segment_cost=0.0),))
 
     def test_monotone_in_cost(self, rng):
         # raising c can only shrink the segment count and raise the
@@ -329,8 +397,8 @@ class TestDPExpected:
             prev_cost = None
             for c in np.arange(0.0, 2.01, 0.1):
                 result = dp_decode_expected(
-                    marginals, seg_dict, DPConfig(segment_cost=float(c))
-                )
+                    marginals, seg_dict, (DPConfig(segment_cost=float(c)),)
+                )[0]
                 n_seg = len(result.segments)
                 mis_cost = result.objective - n_seg * float(c)
                 if prev_segments is not None:

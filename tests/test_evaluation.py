@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import copytag.tagging as tagging
 from copytag.corpus import Dataset, LabelVocab, build_dataset, relabel
 from copytag.embeddings import HashedWindowEmbedder
 from copytag.evaluation import (
     SWEEP_HEADER,
+    SweepRow,
     span_f1,
     sweep_c,
     sweep_csv,
@@ -12,7 +14,8 @@ from copytag.evaluation import (
     zero_shot_eval,
 )
 from copytag.retrieval import build_index
-from copytag.tagging import Tagger, predictions_dataset
+from copytag.synthetic import toy_ner_corpus
+from copytag.tagging import DECODE_DP, Tagger, predictions_dataset
 
 from param_columns import set_column
 
@@ -146,6 +149,46 @@ class TestSweep:
             with pytest.raises(ValueError, match=f"c grid value {shown}: segment_cost"):
                 sweep_c(grid, p, db, data, 3)
         assert embedded == []
+
+    def test_empty_data_rejected_before_any_work(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            tagging, "build_index", lambda *args: built.append(args)
+        )
+        with pytest.raises(ValueError, match="data to sweep has no sentences"):
+            sweep_c([0.0, 0.5], provider(), build_dataset(DB_ROWS), build_dataset([]), 3)
+        assert built == []
+
+    def test_rows_equal_per_cost_dp_tagging(self):
+        # the grid shares one set of decode tables per sentence; each row
+        # must still be what tagging at that cost alone gives
+        p = HashedWindowEmbedder(dim=16, n_buckets=256, seed=2)
+        db = toy_ner_corpus(30, seed=11)
+        data = toy_ner_corpus(8, seed=12)
+        grid = [0.0, 0.3, 1.0, 4.0, 1e15]
+        rows = sweep_c(grid, p, db, data, 4)
+        tagger = Tagger(p, db, 4)
+        expected = []
+        for c in grid:
+            tagged = [
+                tagger.tag(item.sentence, decode=DECODE_DP, segment_cost=c)
+                for item in data.items
+            ]
+            pred = predictions_dataset(tagged)
+            precision, recall, f1 = span_f1(pred, data)
+            expected.append(
+                SweepRow(
+                    segment_cost=c,
+                    precision=precision,
+                    recall=recall,
+                    f1=f1,
+                    token_accuracy=token_accuracy(pred, data),
+                    avg_segments=sum(len(t.decode.segments) for t in tagged)
+                    / len(tagged),
+                )
+            )
+        assert rows == expected
+        assert rows[0] != rows[-1]
 
     def test_rows_follow_grid(self):
         rows = sweep_c(

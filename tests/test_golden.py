@@ -14,7 +14,10 @@ regression to find, not a value to re-pin.
 Shapes:
 * toy NER: 40 db sentences, 10 queries, K=20 neighbors;
 * long suffix: 32 db sentences of 40 tokens, 4 queries, K=16. Its segment
-  dictionaries are deep and its sentences are embedded in cache-sized runs.
+  dictionaries are deep and its sentences are embedded in cache-sized runs;
+* sparse toy NER: 20 db sentences, 6 queries, K=2 neighbors. Its neighbor
+  sets lack some label types, so marginal column k is not type k and the
+  mapping from columns to type ids shows in every output.
 """
 
 import contextlib
@@ -46,6 +49,11 @@ SHAPES = {
         "input": lambda: _long_suffix(4, seed=42),
         "neighbors": "16",
     },
+    "toy_ner_k2": {
+        "db": lambda: toy_ner_corpus(20, seed=60),
+        "input": lambda: toy_ner_corpus(6, seed=160),
+        "neighbors": "2",
+    },
 }
 
 PINS = {
@@ -74,6 +82,19 @@ PINS = {
         "sweep.csv": "52d4ec8ce0d18d0e74723a198fdf92f4bef2fd2642055a15cb17a21980bc6ced",
         "sweep.csv.manifest.json": "a816d32b58a3a661b44cbb7650fda9d715e65c41463920366448272608e72fa2",
         "train_stdout": "6c0ef8378b9d6860e8c159c93cddfc71e1f73db60479f5c3d3d34efc9a8446a6",
+    },
+    "toy_ner_k2": {
+        "dp.conll": "4b1c79dc682c8ed8f13cdc63de9d44b215b271d9044abb779535938cba0b526a",
+        "dp.conll.manifest.json": "c8c8e5598ade3c540d1a505c56325390c7922ede1d71c908c9e6291af775efe7",
+        "dp.explain": "1af84605631f67743360be97f211753d97cc11e9c1b042e3c615cd41b5c07150",
+        "inspect_stdout": "08b95f070b31f8e36982a549a7af39a7ffa960b0cbafb9989e5264ad305c1751",
+        "marginal.conll": "4b1c79dc682c8ed8f13cdc63de9d44b215b271d9044abb779535938cba0b526a",
+        "marginal.conll.manifest.json": "e3af43e1f49c1cfcf558a6aa3bfa06f1cbe03dd040f4927f315058d35c0d4a70",
+        "model.ckpt": "d8d4059cb615d1641186a170fff7aa4b979b3c3d9a69188e691cb78be77d94d6",
+        "model.ckpt.manifest.json": "5b2fb222d9e73c3ba8a12bf50e1bbfc360ec31d2f36a780e30cfe2ea3dd4d903",
+        "sweep.csv": "c1ee04a760a310e5a2d2136ed4c2095a453e804dcdf7498da83e4d6ed6427912",
+        "sweep.csv.manifest.json": "de034e4382461f3fcd3be572d745404313c3efcbd0e8bc226c6522b1c859a916",
+        "train_stdout": "fcca9bb79eda3792b5f55994e30da570655929ee5dc6f34746c718a02bdf9871",
     },
 }
 

@@ -135,8 +135,8 @@ class TestTagger:
             for c in (0.0, 0.4, 2.0):
                 cfg = DPConfig(segment_cost=c)
                 assert dp_decode_expected(
-                    analysis.marginals, seg_dict, cfg
-                ) == dp_decode_expected(analysis.marginals, full, cfg)
+                    analysis.marginals, seg_dict, (cfg,)
+                )[0] == dp_decode_expected(analysis.marginals, full, (cfg,))[0]
 
     @pytest.mark.parametrize("decode", [DECODE_MARGINAL, DECODE_DP])
     def test_non_finite_query_embedding_rejected(self, db, provider, monkeypatch, decode):

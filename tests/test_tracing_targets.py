@@ -4,8 +4,10 @@ perfbench/tracing.py looks each target up in its owner's __dict__ and
 raises KeyError when one is missing, which otherwise surfaces only in the
 slow benchmark tests. Loading the file by path checks every name here;
 a tiny traced fine_tune and a traced tag of a long sentence check that
-the wrappers' counters still read what the wrapped functions return, and
-a traced sweep after a Tagger checks that it embeds no db sentence again.
+the wrappers' counters still read what the wrapped functions return, a
+traced sweep after a Tagger checks that it embeds no db sentence again,
+and a traced sweep checks that it decodes each sentence once for its
+whole grid.
 """
 
 import importlib.util
@@ -130,3 +132,21 @@ def test_traced_sweep_after_tagger_embeds_only_the_swept_sentences():
     # the tracer counts index tokens from build_index's arguments
     metrics = tracing.layer_metrics(tracer)
     assert metrics["retrieval.index_tokens"] == 2 * sum(len(item) for item in db.items)
+
+
+def test_traced_sweep_decodes_each_sentence_once_for_the_grid():
+    tracing = _load_tracing()
+    db = toy_ner_corpus(6, seed=7)
+    data = toy_ner_corpus(3, seed=8)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        tracer.recording = True
+        with tracer.phase("sweep"):
+            rows = evaluation.sweep_c(
+                [0.0, 0.4, 1.0, 2.0], HashedWindowEmbedder(), db, data, 3
+            )
+        tracer.recording = False
+
+    assert len(rows) == 4
+    decodes = [span for span in tracer.spans if span[0] == "decoder.dp"]
+    assert len(decodes) == len(data.items)
