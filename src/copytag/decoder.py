@@ -228,7 +228,8 @@ def _first_rank(
 def _decode(
     seg_dict: SegmentDict,
     cost: np.ndarray,
-    tables: tuple[list[list[list[float]]], list[list[int]]],
+    split: list[list[list[float]]],
+    ranks: list[list[int]],
     segment_cost: float,
 ) -> DecodeResult:
     """Exact minimization over segmentations at one segment cost.
@@ -242,7 +243,6 @@ def _decode(
     (see the module docstring). Label tuples are built only to break
     exact ties.
     """
-    split, ranks = tables
     total = cost.shape[0]
     best_cost = [0.0] + [np.inf] * total
     best_segs = [0] * (total + 1)
@@ -310,8 +310,10 @@ def dp_decode_expected(
         raise ValueError("segment dictionary is empty")
     if cost.shape[0] < 1:
         raise ValueError("nothing to decode")
-    tables = _tables(seg_dict, cost)
-    return tuple(_decode(seg_dict, cost, tables, cfg.segment_cost) for cfg in configs)
+    split, ranks = _tables(seg_dict, cost)
+    return tuple(
+        _decode(seg_dict, cost, split, ranks, cfg.segment_cost) for cfg in configs
+    )
 
 
 def provenance_lines(result: DecodeResult, type_names: Sequence[str]) -> list[str]:

@@ -142,8 +142,7 @@ def sweep_c(
         decoded.append(dp_decode_expected(analysis.marginals, seg_dict, configs))
 
     rows = []
-    for k, cfg in enumerate(configs):
-        results = [per_c[k] for per_c in decoded]
+    for cfg, results in zip(configs, zip(*decoded)):
         pred = build_dataset(
             (item.sentence.tokens, tuple(db.vocab.types[lab] for lab in result.labels))
             for item, result in zip(data.items, results)
