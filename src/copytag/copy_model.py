@@ -1,12 +1,14 @@
 """Token-level copy scoring.
 
 Each input token scores every label token in the flattened neighbor
-database by inner product; a row softmax turns the scores into a copy
-posterior. Collapsing posterior mass by label type gives per-token type
-marginals, one column per type present in ascending type id order, and
-the training loss is the negative log of the mass placed on positions
-that carry the gold type. All probability arithmetic stays in log space
-with max-subtraction; linear probabilities only appear at API boundaries.
+database by inner product with that token's embedding row; the caller
+gathers those rows in the neighbor set's flat order. A row softmax turns
+the scores into a copy posterior. Collapsing posterior mass by label type
+gives per-token type marginals, one column per type present in ascending
+type id order, and the training loss is the negative log of the mass
+placed on positions that carry the gold type. All probability arithmetic
+stays in log space with max-subtraction; linear probabilities only appear
+at API boundaries.
 """
 
 from __future__ import annotations
@@ -24,18 +26,17 @@ def _logsumexp(values: np.ndarray) -> float:
     return top + float(np.log(np.exp(values - top).sum()))
 
 
-def copy_logits(input_embeddings: np.ndarray, neighbors: NeighborSet) -> np.ndarray:
-    """Raw copy scores: input rows against all flat neighbor embeddings."""
+def copy_logits(input_embeddings: np.ndarray, neighbor_rows: np.ndarray) -> np.ndarray:
+    """Raw copy scores: input rows against the flat neighbor embedding rows."""
     x = np.asarray(input_embeddings, dtype=float)
     if x.ndim != 2:
         raise ValueError("input embeddings must be a 2-d matrix")
-    flat = neighbors.flat_embeddings
-    if x.shape[1] != flat.shape[1]:
+    if x.shape[1] != neighbor_rows.shape[1]:
         raise ValueError(
             f"input width {x.shape[1]} does not match neighbor width "
-            f"{flat.shape[1]}"
+            f"{neighbor_rows.shape[1]}"
         )
-    return x @ flat.T
+    return x @ neighbor_rows.T
 
 
 @dataclass(eq=False)
@@ -85,20 +86,27 @@ class MarginalMatrix:
 
 
 def marginal_over_types(posterior: CopyPosterior, neighbors: NeighborSet) -> MarginalMatrix:
-    """Collapse the copy posterior by label type."""
+    """Collapse the copy posterior by label type.
+
+    A stable sort by label lays each type's columns out as one block in
+    flat order. Gathered the way a boolean mask gathers them, with the
+    same memory layout, each block's row sum adds the same values in the
+    same order as a row sum over that type's masked columns, bit for bit.
+    """
     if posterior.log_probs.shape[1] != neighbors.n_total:
         raise ValueError(
             f"posterior has {posterior.log_probs.shape[1]} columns for "
             f"{neighbors.n_total} neighbor tokens"
         )
-    probs = posterior.probs
-    type_ids = np.unique(neighbors.flat_labels)
-    columns = [
-        probs[:, neighbors.flat_labels == tid].sum(axis=1) for tid in type_ids
-    ]
-    matrix = np.column_stack(columns)
+    order = np.argsort(neighbors.flat_labels, kind="stable")
+    labels = neighbors.flat_labels[order]
+    bounds = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
+    grouped = posterior.probs[:, order]
+    matrix = np.empty((grouped.shape[0], len(bounds) - 1))
+    for col, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        matrix[:, col] = grouped[:, lo:hi].sum(axis=1)
     matrix.setflags(write=False)
-    return MarginalMatrix(matrix, tuple(type_ids.tolist()))
+    return MarginalMatrix(matrix, tuple(labels[bounds[:-1]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -135,12 +143,17 @@ def nll(
 
 
 def grad_wrt_input(
-    posterior: CopyPosterior, neighbors: NeighborSet, gold: Sequence[int]
+    posterior: CopyPosterior,
+    neighbors: NeighborSet,
+    gold: Sequence[int],
+    neighbor_rows: np.ndarray,
 ) -> np.ndarray:
     """Gradient of the summed nll with respect to the input embeddings.
 
-    Only the input side receives gradient; neighbor embeddings are treated
-    as constants. Rows of skipped tokens are exactly zero.
+    `neighbor_rows` are the flat neighbor embeddings the posterior was
+    scored against. Only the input side receives gradient; neighbor
+    embeddings are treated as constants. Rows of skipped tokens are
+    exactly zero.
     """
     if len(gold) != posterior.n_tokens:
         raise ValueError(
@@ -156,4 +169,4 @@ def grad_wrt_input(
         residual[t] = np.exp(log_row)
         log_support = _logsumexp(log_row[mask])
         residual[t, mask] -= np.exp(log_row[mask] - log_support)
-    return residual @ neighbors.flat_embeddings
+    return residual @ neighbor_rows

@@ -66,23 +66,28 @@ class SegmentDict:
     levels[d - 1] holds the sequences of length d. Exemplars record the
     (neighbor position, start offset) of the first occurrence, so every
     stored sequence can be traced back to a concrete place it was copied
-    from. node_count counts the empty sequence too.
+    from; `flat_labels` and `starts` are the neighbor set's, which spell
+    out each sequence at that place. node_count counts the empty sequence
+    too.
     """
 
-    def __init__(self, levels: tuple[Level, ...]):
+    def __init__(
+        self, levels: tuple[Level, ...], flat_labels: np.ndarray, starts: np.ndarray
+    ):
         self.levels = levels
+        self.flat_labels = flat_labels
+        self.starts = starts
         self.node_count = 1 + sum(len(level.label) for level in levels)
         self.depth = len(levels)
         # level 1 holds every label, in ascending order
         self.n_labels = int(levels[0].label[-1]) + 1 if levels else 0
 
     def path(self, length: int, rank: int) -> tuple[int, ...]:
-        """Labels of sequence `rank` among those of length `length`."""
-        out = []
-        for level in reversed(self.levels[:length]):
-            out.append(level.label.item(rank))
-            rank = level.parent.item(rank)
-        return tuple(reversed(out))
+        """Labels of sequence `rank` among those of length `length`, read
+        from its first occurrence."""
+        level = self.levels[length - 1]
+        pos = self.starts.item(level.neighbor.item(rank)) + level.offset.item(rank)
+        return tuple(self.flat_labels[pos : pos + length].tolist())
 
 
 def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
@@ -100,7 +105,7 @@ def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    if not neighbors.entries:
+    if not neighbors.n_total:
         raise ValueError("neighbor set has no entries")
     flat = neighbors.flat_labels
     if flat.size and flat.min() < 0:
@@ -128,7 +133,7 @@ def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
                 offset=exemplar - starts[entry[exemplar]],
             )
         )
-    return SegmentDict(tuple(levels))
+    return SegmentDict(tuple(levels), flat, starts)
 
 
 @dataclass(frozen=True)
@@ -168,10 +173,13 @@ def predict_marginal(marginals: MarginalMatrix) -> tuple[int, ...]:
 
 def _position_costs_expected(marginals: MarginalMatrix, n_labels: int) -> np.ndarray:
     """(position, label id) costs: one minus the label's marginal, or 1.0
-    for a label with no marginal column."""
+    for a label with no marginal column. A row that is not a distribution
+    is rejected, one with a NaN too: NaN fails every comparison."""
     probs = marginals.probs
     sums = probs.sum(axis=1)
-    if probs.size and (np.any(probs < -1e-9) or np.any(np.abs(sums - 1.0) > 1e-6)):
+    if probs.size and not (
+        np.all(probs >= -1e-9) and np.all(np.abs(sums - 1.0) <= 1e-6)
+    ):
         raise ValueError("marginal rows must be probability distributions")
     cost = np.ones((probs.shape[0], n_labels))
     ids = np.asarray(marginals.type_ids, dtype=np.int64)

@@ -2,19 +2,22 @@
 
 The database is embedded once per provider revision, by build_index, and
 the index is shared by every caller that asks for it again: the tagger,
-the trainer and the sweep. The index keeps every sentence's token matrix
-read-only, next to the L2-normalized mean of its rows that represents the
-sentence; index row k is database sentence k. Queries are exact cosine
-scans with deterministic tie-breaking by ascending sentence id. Retrieved
-sentences are flattened into a single database of label tokens for the
-copy model by slicing the kept token matrices; nothing is embedded per
-query.
+the trainer and the sweep. The index keeps every sentence's token rows in
+one read-only matrix, sentence after sentence, with the label of each row
+beside it and the L2-normalized mean of each sentence's rows as the vector
+that represents it; sentence k is index row k. Queries are exact cosine
+scans with deterministic tie-breaking by ascending sentence id. A set of
+retrieved sentences is a list of row positions into that matrix: its
+labels are gathered once, and the caller gathers the token rows it scores,
+so nothing is embedded per query and a kept set holds no embedding rows.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,24 +35,28 @@ _LAST_BUILT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 class NeighborIndex:
     """One vector per database sentence, unit norm unless it is zero.
 
-    Row k belongs to sentence id k. `token_matrices[k]` is the read-only
-    token embedding matrix its sentence vector was pooled from.
+    Row k of `vectors` belongs to sentence id k. `token_rows` holds the
+    token embeddings its vector was pooled from: sentence k owns rows
+    row_starts[k] to row_starts[k + 1] - 1, and flat_labels[i] is the label
+    of the token behind row i. All four arrays are read-only.
     """
 
     vectors: np.ndarray
     provider_tag: str
-    token_matrices: tuple[np.ndarray, ...]
+    token_rows: np.ndarray
+    row_starts: np.ndarray
+    flat_labels: np.ndarray
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
 
 def build_index(dataset: Dataset, provider) -> NeighborIndex:
-    """Embed every sentence once, keeping its token matrix, and mean-pool
-    it into a unit-length sentence vector.
+    """Embed every sentence once into the index's token rows and mean-pool
+    each sentence's rows into a unit-length sentence vector.
 
     Zero-norm sentence vectors are stored as-is rather than normalized, so
-    query scores them 0. A matrix of the wrong width or with non-finite
+    query scores them 0. A matrix of the wrong shape or with non-finite
     entries is rejected, naming the sentence.
 
     The last index built with each provider is kept while the provider
@@ -71,12 +78,13 @@ def build_index(dataset: Dataset, provider) -> NeighborIndex:
 
 def checked_embedding(provider, sentence: Sentence) -> np.ndarray:
     """`provider.embed(sentence)` as a float matrix, rejected, naming the
-    sentence, if it has the wrong width or a non-finite entry."""
+    sentence, unless it has one row per token, the provider's width and
+    only finite entries."""
     matrix = np.array(provider.embed(sentence), dtype=float)
-    if matrix.shape[1] != provider.dim:
+    if matrix.shape != (len(sentence), provider.dim):
         raise ValueError(
-            f"sentence {sentence.uid}: provider returned width {matrix.shape[1]}, "
-            f"expected {provider.dim}"
+            f"sentence {sentence.uid}: provider returned shape {matrix.shape}, "
+            f"expected {(len(sentence), provider.dim)}"
         )
     if not np.all(np.isfinite(matrix)):
         raise ValueError(
@@ -88,21 +96,24 @@ def checked_embedding(provider, sentence: Sentence) -> np.ndarray:
 def _embed_dataset(dataset: Dataset, provider) -> NeighborIndex:
     if not dataset.items:
         raise ValueError("cannot build an index over an empty dataset")
+    row_starts = np.zeros(len(dataset.items) + 1, dtype=np.int64)
+    np.cumsum([len(item) for item in dataset.items], out=row_starts[1:])
+    token_rows = np.empty((int(row_starts[-1]), provider.dim))
     vectors = np.zeros((len(dataset.items), provider.dim))
-    matrices = []
-    for row, item in enumerate(dataset.items):
-        matrix = checked_embedding(provider, item.sentence)
-        matrix.setflags(write=False)
-        matrices.append(matrix)
-        vec = embed_sentence(matrix)
+    for sid, item in enumerate(dataset.items):
+        block = token_rows[row_starts[sid] : row_starts[sid + 1]]
+        block[...] = checked_embedding(provider, item.sentence)
+        vec = embed_sentence(block)
         norm = float(np.linalg.norm(vec))
-        vectors[row] = vec if norm < ZERO_NORM else vec / norm
-    vectors.setflags(write=False)
-    return NeighborIndex(
-        vectors=vectors,
-        provider_tag=provider.tag,
-        token_matrices=tuple(matrices),
+        vectors[sid] = vec if norm < ZERO_NORM else vec / norm
+    flat_labels = np.fromiter(
+        chain.from_iterable(item.labels for item in dataset.items),
+        dtype=np.int64,
+        count=token_rows.shape[0],
     )
+    for array in (vectors, token_rows, row_starts, flat_labels):
+        array.setflags(write=False)
+    return NeighborIndex(vectors, provider.tag, token_rows, row_starts, flat_labels)
 
 
 def query(
@@ -114,8 +125,9 @@ def query(
     """Top `count` sentences by cosine, ties broken by ascending id.
 
     The scan is exact and brute force. Excluded ids are removed before the
-    cut; fewer than `count` survivors (or an empty index after exclusion)
-    yields a shorter, possibly empty, result.
+    cut, and ids outside the index exclude nothing; fewer than `count`
+    survivors (or an empty index after exclusion) yields a shorter,
+    possibly empty, result.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -130,66 +142,44 @@ def query(
         scores = np.zeros(len(index))
     else:
         scores = index.vectors @ (q / norm)
-    excluded = set(exclude_ids)
-    out: list[tuple[int, float]] = []
-    for sid in np.argsort(-scores, kind="stable").tolist():
-        if sid in excluded:
-            continue
-        out.append((sid, float(scores[sid])))
-        if len(out) == count:
-            break
-    return out
+    order = np.argsort(-scores, kind="stable")
+    excluded = [sid for sid in exclude_ids if 0 <= sid < len(order)]
+    if excluded:
+        keep = np.ones(len(order), dtype=bool)
+        keep[excluded] = False
+        order = order[keep[order]]
+    top = order[:count]
+    return list(zip(top.tolist(), scores[top].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
 class NeighborEntry:
-    """One retrieved sentence with its labels and token embeddings."""
+    """One retrieved database sentence."""
 
     sequence: LabeledSequence
-    embeddings: np.ndarray
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class NeighborSet:
     """Retrieved sentences flattened into one database of label tokens.
 
-    Entry m occupies flat positions starts[m] to starts[m + 1] - 1, so
-    flat position i is token i - starts[m] of that entry; flat_labels[i]
-    and flat_embeddings[i] describe that token. flat_embeddings stacks the
-    entries' matrices anew on every read, so a kept set holds no copy of
-    them; an assembled set's matrices are the index's own.
+    Entry m is database sentence ids[m]. It occupies flat positions
+    starts[m] to starts[m + 1] - 1, so flat position i is token
+    i - starts[m] of that entry; flat_labels[i] is its label and rows[i]
+    its row in the index's token_rows. `token_rows.take(rows, axis=0)`,
+    or the same take from a matrix laid out like token_rows, gives the
+    flat neighbor embeddings; the set itself holds no embedding rows.
     """
 
-    entries: tuple[NeighborEntry, ...]
+    dataset: Dataset
+    ids: np.ndarray
     flat_labels: np.ndarray
     starts: np.ndarray
+    rows: np.ndarray
 
-    @classmethod
-    def from_entries(cls, entries: Sequence[NeighborEntry]) -> "NeighborSet":
-        if not entries:
-            raise ValueError("neighbor set must contain at least one entry")
-        for m, entry in enumerate(entries):
-            if entry.embeddings.shape[0] != len(entry.sequence):
-                raise ValueError(
-                    f"entry {m}: {entry.embeddings.shape[0]} embedding rows for "
-                    f"{len(entry.sequence)} tokens"
-                )
-        flat_labels = np.concatenate(
-            [np.asarray(e.sequence.labels, dtype=np.int64) for e in entries]
-        )
-        starts = np.zeros(len(entries) + 1, dtype=np.int64)
-        np.cumsum([len(e.sequence) for e in entries], out=starts[1:])
-        for array in (flat_labels, starts):
-            array.setflags(write=False)
-        return cls(tuple(entries), flat_labels, starts)
-
-    @property
-    def flat_embeddings(self) -> np.ndarray:
-        """The entries' token rows stacked in flat order (read-only); read
-        it once per use, as each read stacks them again."""
-        stacked = np.vstack([e.embeddings for e in self.entries])
-        stacked.setflags(write=False)
-        return stacked
+    @cached_property
+    def entries(self) -> tuple[NeighborEntry, ...]:
+        return tuple(NeighborEntry(self.dataset.items[sid]) for sid in self.ids.tolist())
 
     @property
     def n_total(self) -> int:
@@ -197,21 +187,31 @@ class NeighborSet:
 
 
 def assemble_neighbor_set(
-    dataset: Dataset, ids: Sequence[int], token_matrices: Sequence[np.ndarray]
+    dataset: Dataset, ids: Sequence[int], index: NeighborIndex
 ) -> NeighborSet:
-    """Materialize the retrieved sentences from already embedded rows.
+    """Lay out the retrieved sentences `ids` of `dataset` as flat positions.
 
-    `token_matrices[sid]` is the token matrix of `dataset.items[sid]`,
-    normally an index's `token_matrices`; nothing is embedded here.
+    `index` is the dataset's index from build_index; the set records which
+    of its token rows each position is and gathers their labels. Nothing
+    is embedded or copied from the token rows here.
     """
-    if len(token_matrices) != len(dataset.items):
+    if len(index) != len(dataset.items):
         raise ValueError(
-            f"{len(token_matrices)} token matrices for {len(dataset.items)} "
+            f"index over {len(index)} sentences for {len(dataset.items)} "
             "sentences; build the index with build_index"
         )
-    entries = []
-    for sid in ids:
-        if not 0 <= sid < len(dataset.items):
-            raise ValueError(f"unknown sentence id {sid}")
-        entries.append(NeighborEntry(dataset.items[sid], token_matrices[sid]))
-    return NeighborSet.from_entries(entries)
+    sids = np.array(ids, dtype=np.int64)
+    if sids.size == 0:
+        raise ValueError("neighbor set must contain at least one entry")
+    unknown = (sids < 0) | (sids >= len(dataset.items))
+    if unknown.any():
+        raise ValueError(f"unknown sentence id {sids[unknown][0]}")
+    first = index.row_starts[sids]
+    lengths = index.row_starts[sids + 1] - first
+    starts = np.zeros(sids.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    rows = np.repeat(first - starts[:-1], lengths) + np.arange(starts[-1])
+    flat_labels = index.flat_labels[rows]
+    for array in (sids, flat_labels, starts, rows):
+        array.setflags(write=False)
+    return NeighborSet(dataset, sids, flat_labels, starts, rows)

@@ -2,10 +2,12 @@
 
 A Tagger shares the retrieval index over the database: build_index embeds
 every database sentence once per provider revision, for every caller. Per
-sentence a Tagger embeds only the input, retrieves neighbors, slices their
-token embeddings out of the index, forms the copy posterior and type
-marginals, and decodes either by per-token marginal argmax or by the
-segment dynamic program. Swapping the database swaps the output label
+sentence a Tagger embeds only the input, retrieves neighbors, gathers
+their token rows out of the index in one take, forms the copy posterior
+and type marginals, and decodes either by per-token marginal argmax or by
+the segment dynamic program. What it keeps of a sentence (the neighbor
+set, posterior and marginals) holds no index rows, so a kept result does
+not keep the index alive. Swapping the database swaps the output label
 inventory with it, which is all zero-shot transfer requires.
 """
 
@@ -83,10 +85,9 @@ class Tagger:
             )
         embeddings = checked_embedding(self.provider, sentence)
         ranked = query(self.index, embed_sentence(embeddings), self.n_neighbors)
-        neighbors = assemble_neighbor_set(
-            self.db, [sid for sid, _ in ranked], self.index.token_matrices
-        )
-        posterior = copy_posterior(copy_logits(embeddings, neighbors))
+        neighbors = assemble_neighbor_set(self.db, [sid for sid, _ in ranked], self.index)
+        rows = self.index.token_rows.take(neighbors.rows, axis=0)
+        posterior = copy_posterior(copy_logits(embeddings, rows))
         marginals = marginal_over_types(posterior, neighbors)
         return SentenceAnalysis(sentence, neighbors, posterior, marginals)
 

@@ -5,8 +5,9 @@ built once with the initial parameters; the loss is the negative log of
 the copy posterior mass on gold-typed neighbor tokens. Gradients flow only
 into the input sentence's embeddings and reach the weights through the
 sparse tanh backward pass. Neighbor embeddings are treated as constants:
-they start as the token matrices the index kept, and before each batch a
-row is embedded again if the parameters moved since it was embedded.
+they start as a copy of the index's token rows, and before each batch a
+sentence's row range is embedded again if the parameters moved since it
+was embedded.
 Updates use bias-corrected Adam on exactly the columns with nonzero
 gradient.
 
@@ -115,8 +116,12 @@ def adam_update(
     The step counter advances exactly once per call, also when every
     gradient is zero and nothing moves. A non-finite gradient raises,
     naming its column, before any state changes. All touched rows are
-    updated as one block; every element sees the same float operations as
-    a column-at-a-time update would, so the result is the same bit for bit.
+    updated as one block, in place on gathered copies of the moments, so
+    at most five arrays of the gradient's size are live at once. Every
+    element sees the same float operations in the same order as a
+    column-at-a-time update would, so the result is the same bit for bit.
+    Parameters and moments are written only once the new weights are
+    known to be finite.
     """
     grad = np.asarray(grads.grad, dtype=float)
     finite = np.isfinite(grad).all(axis=1)
@@ -126,18 +131,33 @@ def adam_update(
     step_count = state.step + 1
     live = grad.any(axis=1)
     if live.any():
-        columns = grads.columns[live]
-        slots = grads.slots[live]
-        grad = grad[live]
+        columns, slots = grads.columns, grads.slots
+        if not live.all():
+            columns, slots, grad = columns[live], slots[live], grad[live]
         correction1 = 1.0 - ADAM_BETA1**step_count
         correction2 = 1.0 - ADAM_BETA2**step_count
         state._reserve(int(slots.max()) + 1, params.dim)
-        mean = ADAM_BETA1 * state.mean[slots] + (1.0 - ADAM_BETA1) * grad
-        var = ADAM_BETA2 * state.var[slots] + (1.0 - ADAM_BETA2) * grad * grad
-        step = learning_rate * (mean / correction1) / (
-            np.sqrt(var / correction2) + ADAM_EPS
-        )
-        params.set_columns(columns, slots, params.storage[slots] - step)
+        # mean = beta1 * mean + (1 - beta1) * grad
+        mean = state.mean[slots]
+        mean *= ADAM_BETA1
+        scaled = (1.0 - ADAM_BETA1) * grad
+        mean += scaled
+        # var = beta2 * var + (1 - beta2) * grad * grad
+        var = state.var[slots]
+        var *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, grad, out=scaled)
+        scaled *= grad
+        var += scaled
+        # step = learning_rate * (mean / c1) / (sqrt(var / c2) + eps)
+        denom = np.divide(var, correction2, out=scaled)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step = mean / correction1
+        step *= learning_rate
+        step /= denom
+        # the new weights, storage - step, computed in step
+        np.subtract(params.storage[slots], step, out=step)
+        params.set_columns(columns, slots, step)
         state.mean[slots] = mean
         state.var[slots] = var
     state.step = step_count
@@ -212,9 +232,9 @@ def fine_tune(
     applied per batch. With epochs=0 the returned checkpoint holds the
     initial parameters and an empty log.
 
-    Neighbor rows start as the index's token matrices. Before a row is
-    used it is embedded again under the current parameters, unless it was
-    embedded at the current `params.revision`.
+    Neighbor rows start as a copy of the index's token rows. Before a
+    sentence's rows are used they are embedded again under the current
+    parameters, unless they were embedded at the current `params.revision`.
     """
     if provider is None:
         provider = HashedWindowEmbedder()
@@ -227,7 +247,7 @@ def fine_tune(
     params = provider.params
 
     index = build_index(train, provider)
-    neighbor_ids: list[tuple[int, ...]] = []
+    neighbor_sets = []
     for sid in range(len(index)):
         ranked = query(index, index.vectors[sid], config.train_neighbors, (sid,))
         if not ranked:
@@ -235,16 +255,20 @@ def fine_tune(
                 "retrieval found no training neighbors: a sentence never "
                 "retrieves itself, so training needs at least two sentences"
             )
-        neighbor_ids.append(tuple(sid2 for sid2, _ in ranked))
+        neighbor_sets.append(
+            assemble_neighbor_set(train, [sid2 for sid2, _ in ranked], index)
+        )
 
-    rows = list(index.token_matrices)
-    row_revision = [params.revision] * len(rows)
+    rows = index.token_rows.copy()
+    row_starts = index.row_starts.tolist()
+    row_revision = [params.revision] * len(index)
 
     def refresh(sid: int) -> None:
-        # Parameters only move between batches, so a row embedded at the
-        # current revision equals a fresh embedding bit for bit.
+        # Parameters only move between batches, so rows embedded at the
+        # current revision equal a fresh embedding bit for bit.
         if row_revision[sid] != params.revision:
-            rows[sid] = provider.embed(train.items[sid].sentence)
+            lo, hi = row_starts[sid], row_starts[sid + 1]
+            rows[lo:hi] = provider.embed(train.items[sid].sentence)
             row_revision[sid] = params.revision
 
     rng = np.random.default_rng(config.seed)
@@ -258,16 +282,17 @@ def fine_tune(
             blocks: list[ColumnGrads] = []
             for sid in sorted(batch):
                 item = train.items[sid]
-                for nid in neighbor_ids[sid]:
+                neighbors = neighbor_sets[sid]
+                for nid in neighbors.ids.tolist():
                     refresh(nid)
-                neighbors = assemble_neighbor_set(train, neighbor_ids[sid], rows)
+                flat = rows.take(neighbors.rows, axis=0)
                 cols = provider.token_columns(item.sentence)
                 embeddings = _embed_columns(params, cols)
-                posterior = copy_posterior(copy_logits(embeddings, neighbors))
+                posterior = copy_posterior(copy_logits(embeddings, flat))
                 report = nll(posterior, neighbors, item.labels)
                 total_nll += report.nll
                 total_skipped += report.skipped
-                d_input = grad_wrt_input(posterior, neighbors, item.labels)
+                d_input = grad_wrt_input(posterior, neighbors, item.labels, flat)
                 blocks.append(
                     provider.backprop(item.sentence, d_input, embeddings)
                 )
@@ -339,7 +364,8 @@ def save_checkpoint(checkpoint: Checkpoint) -> str:
         # tolist() yields Python floats, whose repr is their shortest
         # round-trip text; one row at a time, so only one row's floats live
         lines.append(f"col {col} {' '.join(map(repr, row.tolist()))}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def load_checkpoint(text: str) -> Checkpoint:

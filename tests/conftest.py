@@ -4,42 +4,69 @@ import numpy as np
 import pytest
 
 from copytag.copy_model import MarginalMatrix
-from copytag.corpus import Dataset, LabeledSequence, Sentence, build_dataset
-from copytag.retrieval import NeighborEntry, NeighborSet
+from copytag.corpus import Dataset, LabeledSequence, LabelVocab, Sentence, build_dataset
+from copytag.retrieval import NeighborSet, assemble_neighbor_set, build_index
 
 
-def make_neighbor_set(
+class RowsProvider:
+    """Serves a fixed token matrix per sentence id."""
+
+    tag = "rows"
+
+    def __init__(self, matrices):
+        self.matrices = matrices
+        self.dim = matrices[0].shape[1]
+
+    def embed(self, sentence):
+        return self.matrices[sentence.uid]
+
+
+def index_over(db: Dataset, matrices):
+    """The index of `db` whose token rows are `matrices`, one per sentence."""
+    return build_index(db, RowsProvider(matrices))
+
+
+def _whole_set(items, matrices) -> tuple[NeighborSet, np.ndarray]:
+    """Every one of `items` retrieved in order: the set and its flat rows."""
+    n_types = 1 + max(max(item.labels) for item in items)
+    db = Dataset(tuple(items), LabelVocab(tuple(str(t) for t in range(n_types))))
+    index = index_over(db, matrices)
+    return assemble_neighbor_set(db, range(len(items)), index), index.token_rows
+
+
+def make_scored_set(
     rng: np.random.Generator,
     n_neighbors: int = 3,
     max_len: int = 5,
     n_types: int = 4,
     dim: int = 6,
-) -> NeighborSet:
-    """Random labeled neighbor sentences with random token embeddings."""
-    entries = []
+) -> tuple[NeighborSet, np.ndarray]:
+    """Random labeled neighbor sentences with random token embeddings: the
+    set and its flat embedding rows."""
+    items, matrices = [], []
     for m in range(n_neighbors):
         length = int(rng.integers(1, max_len + 1))
         tokens = tuple(f"n{m}t{k}" for k in range(length))
         labels = tuple(int(v) for v in rng.integers(0, n_types, size=length))
-        embeddings = rng.normal(size=(length, dim))
-        entries.append(
-            NeighborEntry(LabeledSequence(Sentence(m, tokens), labels), embeddings)
-        )
-    return NeighborSet.from_entries(entries)
+        matrices.append(rng.normal(size=(length, dim)))
+        items.append(LabeledSequence(Sentence(m, tokens), labels))
+    return _whole_set(items, matrices)
+
+
+def make_neighbor_set(rng: np.random.Generator, **kwargs) -> NeighborSet:
+    """make_scored_set's set alone, drawn from `rng` the same way."""
+    return make_scored_set(rng, **kwargs)[0]
 
 
 def labels_only_set(label_rows) -> NeighborSet:
     """NeighborSet from bare label sequences; embeddings are placeholders."""
-    entries = []
-    for m, labels in enumerate(label_rows):
-        tokens = tuple(f"t{m}_{k}" for k in range(len(labels)))
-        entries.append(
-            NeighborEntry(
-                LabeledSequence(Sentence(m, tokens), tuple(labels)),
-                np.zeros((len(labels), 2)),
-            )
+    items = [
+        LabeledSequence(
+            Sentence(m, tuple(f"t{m}_{k}" for k in range(len(labels)))), tuple(labels)
         )
-    return NeighborSet.from_entries(entries)
+        for m, labels in enumerate(label_rows)
+    ]
+    return _whole_set(items, [np.zeros((len(labels), 2)) for labels in label_rows])[0]
 
 
 def present_types(neighbors: NeighborSet) -> tuple[int, ...]:
@@ -73,7 +100,7 @@ def make_tagged_corpus(
     rng: np.random.Generator, n_sentences: int = 6, max_len: int = 5
 ) -> tuple[Dataset, list[np.ndarray]]:
     """A random dataset over string tags drawn from a shuffled tag set, and
-    one random token matrix per sentence."""
+    one random token matrix per sentence (see index_over)."""
     names = [str(v) for v in rng.permutation(["A", "B", "C", "D", "E", "F"])]
     rows = []
     for m in range(n_sentences):

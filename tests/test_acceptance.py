@@ -48,6 +48,7 @@ from conftest import (
     labels_only_set,
     make_marginals,
     make_neighbor_set,
+    make_scored_set,
     present_types,
 )
 from decoder_reference import brute_force_decode, dp_reconstruct, greedy_reconstruct
@@ -82,13 +83,13 @@ def test_criterion_01_posterior_rows_normalize():
     rng = np.random.default_rng(101)
     with criterion(1, "posterior rows sum to one +-1e-9, 1000 instances", 10.0):
         for i in range(1000):
-            neighbors = make_neighbor_set(
+            _, rows = make_scored_set(
                 rng, n_neighbors=int(rng.integers(1, 4)), max_len=5, n_types=4
             )
             n_tokens = int(rng.integers(1, 7))
             scale = (1.0, 10.0, 100.0)[i % 3]
             x = rng.normal(size=(n_tokens, 6)) * scale
-            posterior = copy_posterior(copy_logits(x, neighbors))
+            posterior = copy_posterior(copy_logits(x, rows))
             sums = posterior.probs.sum(axis=1)
             assert np.all(np.abs(sums - 1.0) <= 1e-9), f"instance {i}: {sums}"
 
@@ -99,7 +100,7 @@ def test_criterion_02_gradients_match_finite_differences():
     with criterion(2, "loss gradients vs finite differences, 200 instances", 30.0):
         for i in range(200):
             dim = int(rng.integers(2, 9))
-            neighbors = make_neighbor_set(
+            neighbors, rows = make_scored_set(
                 rng, n_neighbors=int(rng.integers(1, 3)), max_len=5,
                 n_types=3, dim=dim,
             )
@@ -109,12 +110,12 @@ def test_criterion_02_gradients_match_finite_differences():
             gold = tuple(pool[int(v)] for v in rng.integers(0, len(pool), n_tokens))
 
             def loss_at(x):
-                post = copy_posterior(copy_logits(x, neighbors))
+                post = copy_posterior(copy_logits(x, rows))
                 return nll(post, neighbors, gold).nll
 
             x0 = rng.normal(size=(n_tokens, dim))
-            posterior = copy_posterior(copy_logits(x0, neighbors))
-            analytic = grad_wrt_input(posterior, neighbors, gold)
+            posterior = copy_posterior(copy_logits(x0, rows))
+            analytic = grad_wrt_input(posterior, neighbors, gold, rows)
             fd = np.zeros_like(x0)
             for t in range(n_tokens):
                 for d in range(dim):
@@ -131,8 +132,8 @@ def test_criterion_02_gradients_match_finite_differences():
             )
             sent = Sentence(0, tokens)
             e0 = embed_tokens(params, sent)
-            post = copy_posterior(copy_logits(e0, neighbors))
-            d_input = grad_wrt_input(post, neighbors, gold)
+            post = copy_posterior(copy_logits(e0, rows))
+            d_input = grad_wrt_input(post, neighbors, gold, rows)
             provider = HashedWindowEmbedder(params)
             col_grads = provider.backprop(sent, d_input, provider.embed(sent))
             for col, grad in zip(col_grads.columns[:2].tolist(), col_grads.grad):
@@ -143,14 +144,14 @@ def test_criterion_02_gradients_match_finite_differences():
                     set_column(params, col, base + bump)
                     up_loss = nll(
                         copy_posterior(
-                            copy_logits(embed_tokens(params, sent), neighbors)
+                            copy_logits(embed_tokens(params, sent), rows)
                         ),
                         neighbors, gold,
                     ).nll
                     set_column(params, col, base - bump)
                     dn_loss = nll(
                         copy_posterior(
-                            copy_logits(embed_tokens(params, sent), neighbors)
+                            copy_logits(embed_tokens(params, sent), rows)
                         ),
                         neighbors, gold,
                     ).nll

@@ -13,17 +13,20 @@ from copytag.retrieval import assemble_neighbor_set
 
 from conftest import (
     corpus_order,
+    index_over,
     make_gold,
     make_neighbor_set,
+    make_scored_set,
     make_tagged_corpus,
     present_types,
 )
+from marginals_reference import marginal_over_types_masked
 
 
 def random_case(rng, n_tokens=3, dim=6, **kwargs):
-    neighbors = make_neighbor_set(rng, dim=dim, **kwargs)
+    neighbors, rows = make_scored_set(rng, dim=dim, **kwargs)
     x = rng.normal(size=(n_tokens, dim))
-    posterior = copy_posterior(copy_logits(x, neighbors))
+    posterior = copy_posterior(copy_logits(x, rows))
     return x, neighbors, posterior
 
 
@@ -35,8 +38,9 @@ class TestPosterior:
             assert np.all(np.abs(sums - 1.0) < 1e-9)
 
     def test_shift_invariance(self, rng):
-        x, neighbors, _ = random_case(rng)
-        logits = copy_logits(x, neighbors)
+        neighbors, rows = make_scored_set(rng)
+        x = rng.normal(size=(3, 6))
+        logits = copy_logits(x, rows)
         shifted = logits + 123.456  # constant shift per row cancels in softmax
         a = copy_posterior(logits).probs
         b = copy_posterior(shifted).probs
@@ -49,11 +53,11 @@ class TestPosterior:
         assert np.allclose(probs.sum(axis=1), 1.0)
 
     def test_logits_shape_checked(self, rng):
-        neighbors = make_neighbor_set(rng, dim=6)
+        _, rows = make_scored_set(rng, dim=6)
         with pytest.raises(ValueError):
-            copy_logits(np.ones((2, 5)), neighbors)
+            copy_logits(np.ones((2, 5)), rows)
         with pytest.raises(ValueError):
-            copy_logits(np.ones(6), neighbors)
+            copy_logits(np.ones(6), rows)
 
     def test_log_probs_read_only(self, rng):
         _, _, posterior = random_case(rng)
@@ -85,11 +89,13 @@ class TestMarginals:
         # the corpus, so ascending columns read the labels in that order
         for _ in range(20):
             db, matrices = make_tagged_corpus(rng)
+            index = index_over(db, matrices)
             ids = [int(v) for v in rng.permutation(len(db))[: int(rng.integers(1, 4))]]
-            neighbors = assemble_neighbor_set(db, ids, matrices)
+            neighbors = assemble_neighbor_set(db, ids, index)
             x = rng.normal(size=(2, 4))
+            rows = index.token_rows.take(neighbors.rows, axis=0)
             marginals = marginal_over_types(
-                copy_posterior(copy_logits(x, neighbors)), neighbors
+                copy_posterior(copy_logits(x, rows)), neighbors
             )
             names = [db.vocab.types[t] for t in marginals.type_ids]
             assert names == corpus_order(db, names)
@@ -106,6 +112,24 @@ class TestMarginals:
         for col, tid in enumerate(marginals.type_ids):
             expected = posterior.probs[:, flat == tid].sum(axis=1)
             assert np.allclose(marginals.probs[:, col], expected, atol=1e-12)
+
+    def test_matches_masked_oracle_bit_for_bit(self, rng):
+        # wide sets too, with one-token inputs, whose row sums are pairwise
+        for i in range(60):
+            n_types = int(rng.integers(1, 10))
+            neighbors, rows = make_scored_set(
+                rng,
+                n_neighbors=int(rng.integers(1, 40)),
+                max_len=int(rng.integers(1, 60)),
+                n_types=n_types,
+            )
+            n_tokens = (1, 2, 8, int(rng.integers(1, 12)))[i % 4]
+            x = rng.normal(size=(n_tokens, 6)) * rng.choice([0.1, 1.0, 10.0])
+            posterior = copy_posterior(copy_logits(x, rows))
+            got = marginal_over_types(posterior, neighbors)
+            want = marginal_over_types_masked(posterior, neighbors.flat_labels)
+            assert got.type_ids == want.type_ids
+            assert got.probs.tobytes() == want.probs.tobytes()
 
     def test_width_mismatch_checked(self, rng):
         _, neighbors, posterior = random_case(rng)
@@ -143,9 +167,9 @@ class TestNll:
 
     def test_perfect_copy_low_loss(self, rng):
         # one neighbor token exactly matching the input embedding dominates
-        neighbors = make_neighbor_set(rng, n_neighbors=1, max_len=3, dim=4)
-        x = neighbors.flat_embeddings[:1] * 50.0
-        posterior = copy_posterior(copy_logits(x, neighbors))
+        neighbors, rows = make_scored_set(rng, n_neighbors=1, max_len=3, dim=4)
+        x = rows[:1] * 50.0
+        posterior = copy_posterior(copy_logits(x, rows))
         gold = (int(neighbors.flat_labels[0]),)
         report = nll(posterior, neighbors, gold)
         assert report.nll < 0.1
@@ -160,7 +184,7 @@ class TestGradient:
     def test_matches_finite_differences(self, rng):
         step = 1e-5
         for _ in range(20):
-            neighbors = make_neighbor_set(
+            neighbors, rows = make_scored_set(
                 rng, n_neighbors=2, max_len=4, n_types=3, dim=5
             )
             n_tokens = int(rng.integers(1, 4))
@@ -168,11 +192,11 @@ class TestGradient:
             gold = make_gold(rng, n_tokens, n_types=3)
 
             def loss(mat):
-                post = copy_posterior(copy_logits(mat, neighbors))
+                post = copy_posterior(copy_logits(mat, rows))
                 return nll(post, neighbors, gold).nll
 
-            posterior = copy_posterior(copy_logits(x, neighbors))
-            grad = grad_wrt_input(posterior, neighbors, gold)
+            posterior = copy_posterior(copy_logits(x, rows))
+            grad = grad_wrt_input(posterior, neighbors, gold, rows)
             assert grad.shape == x.shape
             for t in range(n_tokens):
                 for k in range(5):
@@ -185,10 +209,11 @@ class TestGradient:
                     assert abs(numeric - grad[t, k]) / denom < 1e-4
 
     def test_skipped_rows_zero(self, rng):
-        _, neighbors, posterior = random_case(rng, n_tokens=2)
+        neighbors, rows = make_scored_set(rng)
+        posterior = copy_posterior(copy_logits(rng.normal(size=(2, 6)), rows))
         types = present_types(neighbors)
         absent = max(types) + 1
         gold = (absent, types[0])
-        grad = grad_wrt_input(posterior, neighbors, gold)
+        grad = grad_wrt_input(posterior, neighbors, gold, rows)
         assert np.array_equal(grad[0], np.zeros(grad.shape[1]))
         assert not np.array_equal(grad[1], np.zeros(grad.shape[1]))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,18 @@ class TestSegmentDict:
         seg_dict = build_segment_dict(labels_only_set([[0, 1, 0, 1]]), max_len=2)
         assert seg_dict.depth == 2
         assert all(len(labels) <= 2 for labels, _, _ in sequences(seg_dict))
+
+    def test_path_spells_each_sequence(self, rng):
+        # oracle: the labels found by walking parent ranks up the levels
+        for _ in range(30):
+            neighbors = make_neighbor_set(
+                rng, n_neighbors=int(rng.integers(1, 5)), max_len=8, n_types=3
+            )
+            seg_dict = build_segment_dict(neighbors, int(rng.integers(1, 9)))
+            rank = Counter()
+            for labels, _, _ in sequences(seg_dict):
+                assert seg_dict.path(len(labels), rank[len(labels)]) == labels
+                rank[len(labels)] += 1
 
     def test_rejects_bad_max_len(self):
         with pytest.raises(ValueError):
@@ -385,6 +399,13 @@ class TestDPExpected:
         )
         with pytest.raises(ValueError):
             dp_decode_expected(bad, seg_dict, (DPConfig(segment_cost=0.0),))
+
+    @pytest.mark.parametrize("row", [[np.nan, 0.5], [np.nan, np.nan], [1.0, np.nan]])
+    def test_rows_must_not_hold_nan(self, row):
+        seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
+        bad = MarginalMatrix(probs=np.array([row]), type_ids=(0, 1))
+        with pytest.raises(ValueError, match="probability distributions"):
+            dp_decode_expected(bad, seg_dict, (DPConfig(segment_cost=0.4),))
 
     def test_monotone_in_cost(self, rng):
         # raising c can only shrink the segment count and raise the

@@ -292,7 +292,7 @@ class TestMatchesFeaturizerReference:
 def index_digest(index) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(index.vectors, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(np.concatenate(index.token_matrices), dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(index.token_rows, dtype="<f8").tobytes())
     return h.hexdigest()
 
 

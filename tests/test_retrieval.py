@@ -7,17 +7,11 @@ import pytest
 from copytag import retrieval
 from copytag.corpus import build_dataset
 from copytag.embeddings import HashedWindowEmbedder, EmbedderParams
-from copytag.retrieval import (
-    NeighborEntry,
-    NeighborSet,
-    assemble_neighbor_set,
-    build_index,
-    query,
-)
+from copytag.retrieval import assemble_neighbor_set, build_index, query
 from copytag.tagging import Tagger
 from copytag.trainer import AdamState, adam_update
 
-from conftest import corpus_order, make_neighbor_set, make_tagged_corpus, present_types
+from conftest import corpus_order, index_over, make_tagged_corpus, present_types
 from param_columns import set_column
 
 
@@ -37,7 +31,8 @@ def small_provider():
 
 
 class VectorProvider:
-    """Serves one fixed row per sentence id; for retrieval tests only."""
+    """Serves one fixed row per sentence id, repeated for every token; for
+    retrieval tests only."""
 
     def __init__(self, vectors, tag="fake"):
         self.vectors = vectors
@@ -45,7 +40,7 @@ class VectorProvider:
         self.tag = tag
 
     def embed(self, sentence):
-        return self.vectors[sentence.uid : sentence.uid + 1]
+        return np.repeat(self.vectors[sentence.uid : sentence.uid + 1], len(sentence), axis=0)
 
 
 class TestBuildIndex:
@@ -72,14 +67,28 @@ class TestBuildIndex:
         assert np.array_equal(index.vectors, np.zeros((4, 3)))
         assert [score for _, score in query(index, np.ones(3), 4)] == [0.0] * 4
 
-    def test_keeps_read_only_token_matrices(self):
+    def test_keeps_read_only_token_rows(self):
         db = tiny_db()
         provider = small_provider()
         index = build_index(db, provider)
-        assert len(index.token_matrices) == len(db.items)
-        for item, matrix in zip(db.items, index.token_matrices):
-            assert np.array_equal(matrix, provider.embed(item.sentence))
-            assert not matrix.flags.writeable
+        assert index.row_starts.tolist() == [0, 2, 5, 6, 8]
+        assert index.token_rows.shape == (8, 12)
+        assert index.flat_labels.tolist() == [
+            lab for item in db.items for lab in item.labels
+        ]
+        for sid, item in enumerate(db.items):
+            lo, hi = index.row_starts[sid], index.row_starts[sid + 1]
+            assert np.array_equal(index.token_rows[lo:hi], provider.embed(item.sentence))
+        for array in (index.token_rows, index.row_starts, index.flat_labels):
+            assert not array.flags.writeable
+
+    def test_wrong_row_count_rejected(self):
+        class OneRowProvider(VectorProvider):
+            def embed(self, sentence):
+                return self.vectors[sentence.uid : sentence.uid + 1]
+
+        with pytest.raises(ValueError, match=r"sentence 0: .* shape \(1, 2\)"):
+            build_index(tiny_db(), OneRowProvider(np.ones((4, 2))))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_provider_rejected(self, value):
@@ -93,8 +102,8 @@ def assert_same_bytes(index, fresh):
     assert len(index) == len(fresh)
     assert index.provider_tag == fresh.provider_tag
     assert index.vectors.tobytes() == fresh.vectors.tobytes()
-    assert len(index.token_matrices) == len(fresh.token_matrices)
-    for a, b in zip(index.token_matrices, fresh.token_matrices):
+    for name in ("token_rows", "row_starts", "flat_labels"):
+        a, b = getattr(index, name), getattr(fresh, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -109,7 +118,7 @@ class SlottedProvider:
         self.tag = "slotted"
 
     def embed(self, sentence):
-        return self.vectors[sentence.uid : sentence.uid + 1]
+        return np.repeat(self.vectors[sentence.uid : sentence.uid + 1], len(sentence), axis=0)
 
 
 class UnhashableProvider(VectorProvider):
@@ -144,7 +153,7 @@ class TestIndexMemo:
         index = Tagger(provider, db, 2).index
         assert index is not stale
         assert index.provider_tag == provider.tag != stale.provider_tag
-        assert not np.array_equal(index.token_matrices[1], stale.token_matrices[1])
+        assert not np.array_equal(index.token_rows[2:5], stale.token_rows[2:5])
         fresh = build_index(db, HashedWindowEmbedder(provider.params.copy()))
         assert_same_bytes(index, fresh)
 
@@ -197,6 +206,20 @@ class TestIndexMemo:
         assert_same_bytes(second, first)
         plain = VectorProvider(vectors, tag=provider.tag)
         assert_same_bytes(first, build_index(db, plain))
+
+
+def linear_scan(index, q, count, exclude=()):
+    """Oracle for query: every score, ordered by (-score, id), then the
+    first `count` ids outside `exclude`."""
+    norm = float(np.linalg.norm(q))
+    if norm < retrieval.ZERO_NORM:
+        scores = np.zeros(len(index))
+    else:
+        scores = index.vectors @ (q / norm)
+    order = np.lexsort((np.arange(len(index)), -scores))
+    excluded = set(exclude)
+    kept = [int(i) for i in order if int(i) not in excluded]
+    return [(i, float(scores[i])) for i in kept[:count]]
 
 
 class TestQuery:
@@ -253,22 +276,65 @@ class TestQuery:
         with pytest.raises(ValueError):
             query(index, np.ones(7), count=1)
 
+    def test_ignores_ids_outside_the_index(self, rng):
+        # -1 is not the last sentence, and a repeat excludes nothing more
+        index, vectors = self._index(rng, n=8)
+        last = len(index) - 1
+        for exclude in [(-1,), (8, 100), (-8, -1, 2, 2), (2, 2, 2)]:
+            got = query(index, vectors[last], count=4, exclude_ids=exclude)
+            assert got == linear_scan(index, vectors[last], 4, exclude)
+            assert got[0][0] == last
+            assert not set(exclude) & {sid for sid, _ in got}
+
+    def test_count_above_survivors(self, rng):
+        index, _ = self._index(rng, n=6)
+        q = rng.normal(size=6)
+        got = query(index, q, count=10, exclude_ids=(1, 4))
+        assert len(got) == 4
+        assert got == linear_scan(index, q, 10, (1, 4))
+        assert query(index, q, count=3, exclude_ids=range(6)) == []
+
+    def test_zero_norm_query_keeps_id_order(self, rng):
+        index, _ = self._index(rng, n=7)
+        got = query(index, np.zeros(6), count=4, exclude_ids=(0, 3, -2))
+        assert got == [(1, 0.0), (2, 0.0), (4, 0.0), (5, 0.0)]
+        assert got == linear_scan(index, np.zeros(6), 4, (0, 3, -2))
+
+    def test_ties_by_ascending_id_match_scan(self, rng):
+        # rows drawn from three distinct vectors, so most scores tie
+        n = 30
+        distinct = rng.normal(size=(3, 6))
+        vectors = distinct[rng.integers(0, 3, size=n)]
+        db = build_dataset([(("tok",), ("X",))] * n)
+        index = build_index(db, VectorProvider(vectors))
+        for _ in range(50):
+            q = distinct[int(rng.integers(0, 3))] if rng.random() < 0.5 else rng.normal(size=6)
+            count = int(rng.integers(1, n + 4))
+            exclude = [int(v) for v in rng.integers(-3, n + 3, size=int(rng.integers(0, 8)))]
+            got = query(index, q, count, exclude)
+            assert got == linear_scan(index, q, count, exclude)
+
 
 class TestNeighborSet:
     def test_flat_layout(self, rng):
-        ns = make_neighbor_set(rng, n_neighbors=3, max_len=4, n_types=3, dim=5)
-        total = sum(len(e.sequence) for e in ns.entries)
+        db, matrices = make_tagged_corpus(rng, n_sentences=5, max_len=4)
+        index = index_over(db, matrices)
+        ids = [3, 0, 3, 4]
+        ns = assemble_neighbor_set(db, ids, index)
+        total = sum(len(db.items[sid]) for sid in ids)
         assert ns.n_total == total
-        assert ns.flat_labels.shape == (total,)
-        assert ns.flat_embeddings.shape == (total, 5)
-        # starts maps flat positions back to (entry, offset)
+        assert ns.flat_labels.shape == ns.rows.shape == (total,)
+        # starts maps flat positions back to (entry, offset), and rows to
+        # the entry's sentence's rows of the index
         assert ns.starts[0] == 0
-        assert list(np.diff(ns.starts)) == [len(e.sequence) for e in ns.entries]
-        for m, entry in enumerate(ns.entries):
-            for k in range(len(entry.sequence)):
+        assert list(np.diff(ns.starts)) == [len(db.items[sid]) for sid in ids]
+        for m, sid in enumerate(ids):
+            assert ns.entries[m].sequence is db.items[sid]
+            for k in range(len(db.items[sid])):
                 j = ns.starts[m] + k
-                assert ns.flat_labels[j] == entry.sequence.labels[k]
-                assert np.array_equal(ns.flat_embeddings[j], entry.embeddings[k])
+                assert ns.flat_labels[j] == db.items[sid].labels[k]
+                assert ns.rows[j] == index.row_starts[sid] + k
+                assert np.array_equal(index.token_rows[ns.rows[j]], matrices[sid][k])
 
     def test_types_present_first_appearance(self, rng):
         # the types present in a retrieved set, by ascending id, name the
@@ -277,7 +343,7 @@ class TestNeighborSet:
         for _ in range(20):
             db, matrices = make_tagged_corpus(rng)
             ids = [int(v) for v in rng.permutation(len(db))[: int(rng.integers(1, 5))]]
-            ns = assemble_neighbor_set(db, ids, matrices)
+            ns = assemble_neighbor_set(db, ids, index_over(db, matrices))
             types = present_types(ns)
             assert all(type(t) is int for t in types)
             names = [db.vocab.types[t] for t in types]
@@ -288,55 +354,54 @@ class TestNeighborSet:
     def test_assemble_from_dataset(self):
         db = tiny_db()
         index = build_index(db, small_provider())
-        ns = assemble_neighbor_set(db, [2, 0], index.token_matrices)
+        ns = assemble_neighbor_set(db, [2, 0], index)
         assert len(ns.entries) == 2
         assert ns.entries[0].sequence.sentence.uid == 2
         assert ns.entries[1].sequence.sentence.uid == 0
 
-    def test_kept_set_holds_no_stacked_copy(self):
-        # a kept set (one per tagged sentence) references the index's rows
-        # and stacks them only when flat_embeddings is read
+    def test_set_holds_no_embedding_rows(self):
+        # a kept set (one per tagged sentence) names index rows by position
+        # and holds no float matrix, so it does not keep the index alive
         db = tiny_db()
         index = build_index(db, small_provider())
-        ns = assemble_neighbor_set(db, [2, 0], index.token_matrices)
-        assert ns.entries[0].embeddings is index.token_matrices[2]
+        ns = assemble_neighbor_set(db, [2, 0], index)
+        assert ns.rows.tolist() == [5, 0, 1]
         assert not any(
-            isinstance(value, np.ndarray) and value.ndim == 2
+            isinstance(value, np.ndarray) and value.dtype.kind == "f"
             for value in vars(ns).values()
         )
-        flat = ns.flat_embeddings
-        assert not flat.flags.writeable
-        assert np.array_equal(
-            flat, np.vstack([index.token_matrices[2], index.token_matrices[0]])
-        )
+        for array in (ns.ids, ns.flat_labels, ns.starts, ns.rows):
+            assert not array.flags.writeable
 
     def test_assemble_matches_fresh_embedding(self):
         # oracle: the per-query path, which embedded every neighbor afresh
+        # and stacked the matrices in retrieval order
         db = tiny_db()
         provider = small_provider()
         index = build_index(db, provider)
         ids = [3, 1, 2, 1]
-        kept = assemble_neighbor_set(db, ids, index.token_matrices)
-        fresh = NeighborSet.from_entries(
-            [
-                NeighborEntry(db.items[sid], provider.embed(db.items[sid].sentence))
-                for sid in ids
-            ]
-        )
-        assert np.array_equal(kept.flat_embeddings, fresh.flat_embeddings)
-        assert np.array_equal(kept.flat_labels, fresh.flat_labels)
-        assert np.array_equal(kept.starts, fresh.starts)
-        for a, b in zip(kept.entries, fresh.entries):
-            assert a.sequence is b.sequence
-            assert np.array_equal(a.embeddings, b.embeddings)
+        kept = assemble_neighbor_set(db, ids, index)
+        fresh = np.vstack([provider.embed(db.items[sid].sentence) for sid in ids])
+        assert index.token_rows.take(kept.rows, axis=0).tobytes() == fresh.tobytes()
+        assert kept.flat_labels.tolist() == [
+            lab for sid in ids for lab in db.items[sid].labels
+        ]
+        assert kept.starts.tolist() == [0, 2, 5, 6, 9]
+        assert [entry.sequence for entry in kept.entries] == [db.items[sid] for sid in ids]
 
     def test_assemble_unknown_id(self):
         db = tiny_db()
         index = build_index(db, small_provider())
-        with pytest.raises(ValueError, match="unknown sentence id 99"):
-            assemble_neighbor_set(db, [99], index.token_matrices)
+        for bad in (99, 4, -1):
+            with pytest.raises(ValueError, match=f"unknown sentence id {bad}"):
+                assemble_neighbor_set(db, [0, bad], index)
 
-    def test_assemble_needs_token_matrices(self):
-        with pytest.raises(ValueError, match="token matrices"):
-            assemble_neighbor_set(tiny_db(), [0], token_matrices=())
+    def test_assemble_needs_some_id(self):
+        db = tiny_db()
+        with pytest.raises(ValueError, match="at least one entry"):
+            assemble_neighbor_set(db, [], build_index(db, small_provider()))
 
+    def test_assemble_needs_the_datasets_index(self):
+        other = build_dataset([(("alpha",), ("X",))])
+        with pytest.raises(ValueError, match="build_index"):
+            assemble_neighbor_set(tiny_db(), [0], build_index(other, small_provider()))

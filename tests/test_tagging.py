@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -180,6 +183,19 @@ class TestTagger:
         tagger = Tagger(provider, db, n_neighbors=50)
         analysis = tagger.analyze(Sentence(100, ("alice", "likes", "tea")))
         assert len(analysis.neighbors.entries) == len(db.items)
+
+
+    @pytest.mark.parametrize("decode", [DECODE_MARGINAL, DECODE_DP])
+    def test_kept_result_does_not_keep_index_rows(self, db, decode):
+        # the index lives while its provider or a tagger does; what a
+        # tagged sentence keeps must not hold its token rows beyond that
+        tagger = Tagger(HashedWindowEmbedder(dim=24, n_buckets=512, seed=3), db, 3)
+        tagged = tagger.tag(Sentence(100, ("alice", "likes", "tea")), decode=decode)
+        rows = weakref.ref(tagger.index.token_rows)
+        del tagger
+        gc.collect()
+        assert rows() is None
+        assert tagged.analysis.neighbors.entries[0].sequence is db.items[0]
 
 
 class TestDatasetHelpers:
