@@ -4,13 +4,21 @@ The dictionary holds every contiguous label-type subsequence (up to a
 length cap) of the retrieved sentences' label sequences, as one set of
 arrays per length: each sequence is ranked lexicographically among those
 of its length and points at the rank of its prefix one label shorter.
-Every sequence remembers the first place it occurs. Decoding minimizes
+Every sequence remembers the first place it occurs. The build sorts once:
+every neighbor position starts a label window, the retrieval index has
+ranked all windows lexicographically, and one stable argsort of the set's
+ranks lines its windows up so that each sequence is the shared prefix of
+a run of adjacent windows. The longest common prefix (LCP) of each
+window with the one before it then says at which lengths it starts a new
+sequence, for all lengths at once, as in suffix arrays (Manber and Myers
+1993). tests/decoder_reference.py keeps the per-length construction it
+replaced as its oracle. Decoding minimizes
 
     sum over chosen segments of (segment_cost + per-position label costs)
 
 where the per-position cost is one minus the marginal probability of the
 segment's label. The dynamic program over (position, dictionary sequence)
-states is exact; tests/decoder_reference.py holds an exhaustive
+states is exact; tests/decoder_reference.py also holds an exhaustive
 small-instance oracle, the per-start dynamic program this one replaced,
 and a greedy comparator, all with the same objective and tie-breaking.
 
@@ -98,10 +106,17 @@ def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
     the query, so the tagger passes the query length, up to
     DEFAULT_MAX_SEGMENT_LEN.
 
-    Every flat neighbor position starts one window. Level d groups the
-    windows still inside their sentence by (rank of their first d - 1
-    labels, d-th label); windows stay in (neighbor, start) order, so the
-    first window of a group is the sequence's first occurrence.
+    Every flat neighbor position starts one window: its labels to the end
+    of its sentence, at most max_len of them. A stable argsort of the
+    index's window ranks puts the windows in lexicographic order, so each
+    sequence is the shared prefix of a run of adjacent windows. Window j
+    of that order starts a new sequence of length d + 1 exactly when
+    lcp_j <= d < room_j, where lcp_j is its longest common prefix with
+    window j - 1 and room_j its length. On the (d, j) grid a cumsum along
+    the windows ranks the new sequences, a sequence's parent is the same
+    window's rank one row up, and one minimum reduceat over the window
+    positions, with past-the-end cells read as +inf, finds each
+    sequence's first occurrence.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -110,30 +125,34 @@ def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
     flat = neighbors.flat_labels
     if flat.size and flat.min() < 0:
         raise ValueError("label ids must be non-negative")
-    values, codes = np.unique(flat, return_inverse=True)
     starts = neighbors.starts
     entry = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    pos = np.arange(flat.size)
-    room = starts[1:][entry] - pos  # the longest window from each start
-    rank = np.zeros(flat.size, dtype=np.int64)
-    levels = []
-    for d in range(max_len):
-        alive = room > d
-        if not alive.any():
-            break
-        pos, room, rank = pos[alive], room[alive], rank[alive]
-        keys = rank * len(values) + codes[pos + d]
-        unique, first, rank = np.unique(keys, return_index=True, return_inverse=True)
-        exemplar = pos[first]
-        levels.append(
-            Level(
-                parent=unique // len(values),
-                label=values[unique % len(values)],
-                neighbor=entry[exemplar],
-                offset=exemplar - starts[entry[exemplar]],
-            )
-        )
-    return SegmentDict(tuple(levels), flat, starts)
+    pos = np.argsort(neighbors.window_ranks, kind="stable")
+    room = np.minimum(starts[1:][entry[pos]] - pos, max_len)
+    d = np.arange(room.max())[:, None]
+    inside = d < room
+    labels = flat.take(pos + d, mode="clip")  # cells outside a window are masked
+    same = (labels[:, 1:] == labels[:, :-1]) & (d < np.minimum(room[1:], room[:-1]))
+    lcp = np.zeros(pos.size, dtype=np.int64)
+    lcp[1:] = np.logical_and.accumulate(same, axis=0).sum(axis=0)
+    new = inside & (d >= lcp)
+    nodes = np.flatnonzero(new)
+    bounds = np.zeros(len(d) + 1, dtype=np.int64)
+    np.cumsum(new.sum(axis=1), out=bounds[1:])
+    rank = np.cumsum(new, axis=1) - 1
+    # the same window one row up; first-row nodes wrap around and get 0
+    parent = rank.ravel()[nodes - pos.size]
+    parent[: bounds[1]] = 0
+    label = labels.ravel()[nodes]
+    first = np.where(inside, pos, np.iinfo(np.int64).max)
+    exemplar = np.minimum.reduceat(first.ravel(), nodes)
+    neighbor = entry[exemplar]
+    offset = exemplar - starts[neighbor]
+    levels = tuple(
+        Level(parent[a:b], label[a:b], neighbor[a:b], offset[a:b])
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    )
+    return SegmentDict(levels, flat, starts)
 
 
 @dataclass(frozen=True)
@@ -249,15 +268,21 @@ def _decode(
     d + 1 from a start costs base + its minimum, and its rank is the
     tables' first argmin unless an earlier rank rounds to the same value
     (see the module docstring). Label tuples are built only to break
-    exact ties.
+    exact ties, and only for prefixes whose decode is final, so each is
+    built once: a tie compares the final prefix before start plus the
+    new copy against the final prefix the held decode extends plus its
+    last copy.
     """
     total = cost.shape[0]
     best_cost = [0.0] + [np.inf] * total
     best_segs = [0] * (total + 1)
     back: list[tuple[int, int, int] | None] = [None] * (total + 1)
-    decoded = {0: ()}
+    # Labels of the best decode of each prefix that can no longer change:
+    # once the loop reaches start, back[e] is final for every e <= start.
+    decoded: dict[int, tuple[int, ...]] = {0: ()}
 
     def labels_to(end: int) -> tuple[int, ...]:
+        """Labels of the best decode of prefix `end`, for a final end."""
         chain = []
         while end not in decoded:
             start, length, rank = back[end]
@@ -265,14 +290,14 @@ def _decode(
             end = start
         out = decoded[end]
         for end, length, rank in reversed(chain):
-            out = out + seg_dict.path(length, rank)
-            decoded[end] = out
+            out = decoded[end] = out + seg_dict.path(length, rank)
         return out
 
     for start in range(total):
         base = best_cost[start] + segment_cost
         segs = best_segs[start] + 1
         earlier, mins = split[start]
+        prefix = None
         for end, low in zip(range(start + 1, total + 1), mins):
             value = base + low
             current = best_cost[end]
@@ -283,12 +308,16 @@ def _decode(
             if rank and base + earlier[length - 1] == value:
                 rank = _first_rank(seg_dict, cost, base, start, length)
             if value == current and segs == best_segs[end]:
-                if labels_to(start) + seg_dict.path(length, rank) >= labels_to(end):
+                # the held decode of end came from an earlier, final start
+                if prefix is None:
+                    prefix = labels_to(start)
+                other, other_length, other_rank = back[end]
+                held = labels_to(other) + seg_dict.path(other_length, other_rank)
+                if prefix + seg_dict.path(length, rank) >= held:
                     continue
             best_cost[end] = value
             best_segs[end] = segs
             back[end] = (start, length, rank)
-            decoded.pop(end, None)
 
     segments: list[Segment] = []
     end = total

@@ -6,10 +6,13 @@ the trainer and the sweep. The index keeps every sentence's token rows in
 one read-only matrix, sentence after sentence, with the label of each row
 beside it and the L2-normalized mean of each sentence's rows as the vector
 that represents it; sentence k is index row k. Queries are exact cosine
-scans with deterministic tie-breaking by ascending sentence id. A set of
-retrieved sentences is a list of row positions into that matrix: its
-labels are gathered once, and the caller gathers the token rows it scores,
-so nothing is embedded per query and a kept set holds no embedding rows.
+scans with deterministic tie-breaking by ascending sentence id. The index
+also ranks every token's label window, its labels to the end of its
+sentence, in lexicographic order once, so a segment dictionary over any
+retrieved set starts from one sort of ranks. A set of retrieved sentences
+is a list of row positions into that matrix: its labels and window ranks
+are gathered once, and the caller gathers the token rows it scores, so
+nothing is embedded per query and a kept set holds no embedding rows.
 """
 
 from __future__ import annotations
@@ -38,7 +41,10 @@ class NeighborIndex:
     Row k of `vectors` belongs to sentence id k. `token_rows` holds the
     token embeddings its vector was pooled from: sentence k owns rows
     row_starts[k] to row_starts[k + 1] - 1, and flat_labels[i] is the label
-    of the token behind row i. All four arrays are read-only.
+    of the token behind row i. window_ranks[i] ranks the label window of
+    row i, flat_labels[i:] up to the end of its sentence, among all the
+    index's windows: lexicographic under type ids, a proper prefix first,
+    and equal windows share a rank. All five arrays are read-only.
     """
 
     vectors: np.ndarray
@@ -46,6 +52,7 @@ class NeighborIndex:
     token_rows: np.ndarray
     row_starts: np.ndarray
     flat_labels: np.ndarray
+    window_ranks: np.ndarray
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -111,9 +118,32 @@ def _embed_dataset(dataset: Dataset, provider) -> NeighborIndex:
         dtype=np.int64,
         count=token_rows.shape[0],
     )
-    for array in (vectors, token_rows, row_starts, flat_labels):
+    window_ranks = _window_ranks(flat_labels, row_starts)
+    for array in (vectors, token_rows, row_starts, flat_labels, window_ranks):
         array.setflags(write=False)
-    return NeighborIndex(vectors, provider.tag, token_rows, row_starts, flat_labels)
+    return NeighborIndex(
+        vectors, provider.tag, token_rows, row_starts, flat_labels, window_ranks
+    )
+
+
+def _window_ranks(flat_labels: np.ndarray, row_starts: np.ndarray) -> np.ndarray:
+    """Dense lexicographic ranks of every position's label window, by
+    prefix doubling (Manber and Myers): ranks of the first h labels pair
+    with the ranks h positions on, or with the lowest key past the end of
+    the sentence, into the ranks of the first 2h labels. Memory is linear
+    in the positions; any integer labels, negative ones too, are ranked.
+    The pair keys stay below (n + 1) ** 2, inside int64 for n < 3e9."""
+    _, rank = np.unique(flat_labels, return_inverse=True)
+    n = rank.size
+    ends = np.repeat(row_starts[1:], np.diff(row_starts))
+    longest = int(np.diff(row_starts).max())
+    h = 1
+    while h < longest:
+        nxt = np.arange(h, n + h)
+        tail = np.where(nxt < ends, rank.take(nxt, mode="clip") + 1, 0)
+        _, rank = np.unique(rank * (n + 1) + tail, return_inverse=True)
+        h *= 2
+    return rank
 
 
 def query(
@@ -165,8 +195,9 @@ class NeighborSet:
 
     Entry m is database sentence ids[m]. It occupies flat positions
     starts[m] to starts[m + 1] - 1, so flat position i is token
-    i - starts[m] of that entry; flat_labels[i] is its label and rows[i]
-    its row in the index's token_rows. `token_rows.take(rows, axis=0)`,
+    i - starts[m] of that entry; flat_labels[i] is its label, rows[i]
+    its row in the index's token_rows and window_ranks[i] the index's
+    rank of its label window. `token_rows.take(rows, axis=0)`,
     or the same take from a matrix laid out like token_rows, gives the
     flat neighbor embeddings; the set itself holds no embedding rows.
     """
@@ -176,6 +207,7 @@ class NeighborSet:
     flat_labels: np.ndarray
     starts: np.ndarray
     rows: np.ndarray
+    window_ranks: np.ndarray
 
     @cached_property
     def entries(self) -> tuple[NeighborEntry, ...]:
@@ -192,8 +224,8 @@ def assemble_neighbor_set(
     """Lay out the retrieved sentences `ids` of `dataset` as flat positions.
 
     `index` is the dataset's index from build_index; the set records which
-    of its token rows each position is and gathers their labels. Nothing
-    is embedded or copied from the token rows here.
+    of its token rows each position is and gathers their labels and window
+    ranks. Nothing is embedded or copied from the token rows here.
     """
     if len(index) != len(dataset.items):
         raise ValueError(
@@ -212,6 +244,7 @@ def assemble_neighbor_set(
     np.cumsum(lengths, out=starts[1:])
     rows = np.repeat(first - starts[:-1], lengths) + np.arange(starts[-1])
     flat_labels = index.flat_labels[rows]
-    for array in (sids, flat_labels, starts, rows):
+    window_ranks = index.window_ranks[rows]
+    for array in (sids, flat_labels, starts, rows, window_ranks):
         array.setflags(write=False)
-    return NeighborSet(dataset, sids, flat_labels, starts, rows)
+    return NeighborSet(dataset, sids, flat_labels, starts, rows, window_ranks)

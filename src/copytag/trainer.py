@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -368,6 +368,18 @@ def save_checkpoint(checkpoint: Checkpoint) -> str:
     return "\n".join(lines)
 
 
+def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
+    """text.splitlines(), one line at a time: each piece of about `chunk`
+    characters, cut after a "\n", is split on its own, so no list of
+    every line is held."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + chunk)
+        end = len(text) if cut < 0 else cut + 1
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def load_checkpoint(text: str) -> Checkpoint:
     """Read save_checkpoint's text back; malformed input raises
     CheckpointError, naming the line where there is one.
@@ -375,30 +387,28 @@ def load_checkpoint(text: str) -> Checkpoint:
     Every config key is one save writes: a _CONFIG_FIELDS or _FIXED_LINES
     key, or log.<epoch>.<key> with the epoch written as save writes it.
     """
-    lines = text.splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
+    lines = enumerate(_lines(text), start=1)
+    _, first = next(lines, (0, None))
+    if first != CHECKPOINT_MAGIC:
         raise CheckpointError(
             f"expected checkpoint magic {CHECKPOINT_MAGIC!r}, "
-            f"got {lines[0]!r}" if lines else "empty checkpoint"
+            f"got {first!r}" if first is not None else "empty checkpoint"
         )
     pairs: dict[str, tuple[int, str]] = {}
-    cursor = 1
-    while cursor < len(lines) and not lines[cursor].startswith("#params"):
-        line = lines[cursor]
+    for number, line in lines:
+        if line.startswith("#params"):
+            break
         key, sep, value = line.partition("=")
         if not sep:
             raise CheckpointError(f"bad config line {line!r}")
         if key in pairs:
-            raise CheckpointError(
-                f"line {cursor + 1}: {key} repeats line {pairs[key][0]}"
-            )
-        pairs[key] = (cursor + 1, value)
-        cursor += 1
-    if cursor == len(lines):
+            raise CheckpointError(f"line {number}: {key} repeats line {pairs[key][0]}")
+        pairs[key] = (number, value)
+    else:
         raise CheckpointError("truncated checkpoint: missing #params section")
-    header = lines[cursor].split()
+    header = line.split()
     if len(header) != 3:
-        raise CheckpointError(f"bad #params line {lines[cursor]!r}")
+        raise CheckpointError(f"bad #params line {line!r}")
 
     fields: dict[type, dict[str, object]] = {EmbedderParams: {}, TrainConfig: {}}
     for key, owner, field, parse in _CONFIG_FIELDS:
@@ -455,10 +465,11 @@ def load_checkpoint(text: str) -> Checkpoint:
 
     # Each column line fills one row of `block`; one set_columns call then
     # writes them all, advancing the revision by one per column.
-    block = np.empty((len(lines) - cursor - 1, params.dim))
+    # Every column line holds "col", so the count bounds the rows needed.
+    block = np.empty((text.count("col"), params.dim))
     col_lines: dict[int, int] = {}
     slots: list[int] = []
-    for number, line in enumerate(lines[cursor + 1 :], start=cursor + 2):
+    for number, line in lines:
         if not line.strip():
             continue
         parts = line.split()

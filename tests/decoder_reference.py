@@ -3,6 +3,9 @@
 copytag.decoder keeps only the decoder the tagger runs. The decoders here
 share its objective and tie-breaking and exist for tests:
 
+* per_level_segment_dict builds the segment dictionary one level at a
+  time, with one np.unique per level; it is the oracle for
+  build_segment_dict's sort-and-LCP construction.
 * brute_force_decode enumerates every segmentation of a small instance;
   it is the oracle for both dynamic programs.
 * per_start_dp is the dynamic program without shared tables: from each
@@ -25,13 +28,56 @@ from copytag.copy_model import MarginalMatrix
 from copytag.decoder import (
     DecodeResult,
     DPConfig,
+    Level,
     Segment,
     SegmentDict,
     _position_costs_expected,
 )
+from copytag.retrieval import NeighborSet
 
 BRUTE_FORCE_MAX_POSITIONS = 12
 BRUTE_FORCE_MAX_COMBOS = 10**6
+
+
+def per_level_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
+    """Every contiguous subsequence of length <= max_len, level by level.
+
+    Every flat neighbor position starts one window. Level d groups the
+    windows still inside their sentence by (rank of their first d - 1
+    labels, d-th label); windows stay in (neighbor, start) order, so the
+    first window of a group is the sequence's first occurrence.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    if not neighbors.n_total:
+        raise ValueError("neighbor set has no entries")
+    flat = neighbors.flat_labels
+    if flat.size and flat.min() < 0:
+        raise ValueError("label ids must be non-negative")
+    values, codes = np.unique(flat, return_inverse=True)
+    starts = neighbors.starts
+    entry = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    pos = np.arange(flat.size)
+    room = starts[1:][entry] - pos  # the longest window from each start
+    rank = np.zeros(flat.size, dtype=np.int64)
+    levels = []
+    for d in range(max_len):
+        alive = room > d
+        if not alive.any():
+            break
+        pos, room, rank = pos[alive], room[alive], rank[alive]
+        keys = rank * len(values) + codes[pos + d]
+        unique, first, rank = np.unique(keys, return_index=True, return_inverse=True)
+        exemplar = pos[first]
+        levels.append(
+            Level(
+                parent=unique // len(values),
+                label=values[unique % len(values)],
+                neighbor=entry[exemplar],
+                offset=exemplar - starts[entry[exemplar]],
+            )
+        )
+    return SegmentDict(tuple(levels), flat, starts)
 
 
 def sequences(seg_dict: SegmentDict) -> Iterator[tuple[tuple[int, ...], int, int]]:

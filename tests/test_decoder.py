@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from decoder_reference import (
     brute_force_decode,
     dp_reconstruct,
     greedy_reconstruct,
+    per_level_segment_dict,
     per_start_decode_expected,
     sequences,
 )
@@ -105,9 +107,86 @@ class TestSegmentDict:
             build_segment_dict(labels_only_set([[0]]), max_len=0)
 
     def test_rejects_negative_labels(self):
-        # label ids index the decoders' cost columns
+        # label ids index the decoders' cost columns; a Dataset holds no
+        # negative id, so the set is edited after assembly
+        neighbors = labels_only_set([[0, 1]])
+        neighbors = replace(neighbors, flat_labels=np.array([0, -1]))
         with pytest.raises(ValueError, match="non-negative"):
-            build_segment_dict(labels_only_set([[0, -1]]), DEFAULT_MAX_SEGMENT_LEN)
+            build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
+
+
+class TestMatchesPerLevelOracle:
+    """The sort-and-LCP dictionary against the per-level np.unique build
+    it replaced: every Level array equal in values and dtype, and the same
+    node count, depth and label count, at caps below, at and past the
+    longest sentence."""
+
+    @staticmethod
+    def assert_same_dict(neighbors, max_len):
+        got = build_segment_dict(neighbors, max_len)
+        want = per_level_segment_dict(neighbors, max_len)
+        where = f"max_len={max_len}"
+        assert got.node_count == want.node_count, where
+        assert got.depth == want.depth == len(got.levels), where
+        assert got.n_labels == want.n_labels, where
+        for d, (level, oracle) in enumerate(zip(got.levels, want.levels), start=1):
+            for field in ("parent", "label", "neighbor", "offset"):
+                a, b = getattr(level, field), getattr(oracle, field)
+                assert a.dtype == b.dtype, f"{where}, length {d}, {field}"
+                assert np.array_equal(a, b), f"{where}, length {d}, {field}"
+
+    def test_random_sets(self, rng):
+        for _ in range(150):
+            neighbors = make_neighbor_set(
+                rng,
+                n_neighbors=int(rng.integers(1, 17)),
+                max_len=int(rng.integers(1, 41)),
+                n_types=int(rng.integers(1, 7)),
+            )
+            for max_len in (1, 2, 3, int(rng.integers(1, 45)), DEFAULT_MAX_SEGMENT_LEN):
+                self.assert_same_dict(neighbors, max_len)
+
+    def test_label_runs(self, rng):
+        # long shared prefixes between windows
+        for _ in range(100):
+            rows = [run_labels(rng, 2) for _ in range(int(rng.integers(1, 6)))]
+            for max_len in (1, 2, 5, DEFAULT_MAX_SEGMENT_LEN):
+                self.assert_same_dict(labels_only_set(rows), max_len)
+
+    def test_repeated_identical_sentences(self, rng):
+        for _ in range(20):
+            row = [int(v) for v in rng.integers(0, 3, size=rng.integers(1, 9))]
+            other = [int(v) for v in rng.integers(0, 3, size=rng.integers(1, 9))]
+            rows = [row, other, row, row[1:] or row, row]
+            for max_len in range(1, len(row) + 3):
+                self.assert_same_dict(labels_only_set(rows), max_len)
+
+    def test_one_token_sentences(self, rng):
+        for _ in range(20):
+            rows = [[int(v)] for v in rng.integers(0, 4, size=rng.integers(1, 9))]
+            rows.append([int(v) for v in rng.integers(0, 4, size=3)])
+            for max_len in (1, 2, 4):
+                self.assert_same_dict(labels_only_set(rows), max_len)
+        self.assert_same_dict(labels_only_set([[2]]), 1)
+        self.assert_same_dict(labels_only_set([[1], [1], [0]]), DEFAULT_MAX_SEGMENT_LEN)
+
+    def test_caps_from_one_past_the_longest_sentence(self, rng):
+        for _ in range(10):
+            neighbors = make_neighbor_set(rng, n_neighbors=6, max_len=12, n_types=3)
+            longest = int(np.diff(neighbors.starts).max())
+            for max_len in range(1, longest + 3):
+                self.assert_same_dict(neighbors, max_len)
+
+    def test_more_than_sixteen_label_types(self, rng):
+        most = 0
+        for _ in range(20):
+            neighbors = make_neighbor_set(
+                rng, n_neighbors=int(rng.integers(1, 9)), max_len=20, n_types=40
+            )
+            most = max(most, len(present_types(neighbors)))
+            for max_len in (1, 3, DEFAULT_MAX_SEGMENT_LEN):
+                self.assert_same_dict(neighbors, max_len)
+        assert most > 16
 
 
 class TestMatchesTrieReference:

@@ -11,7 +11,13 @@ from copytag.retrieval import assemble_neighbor_set, build_index, query
 from copytag.tagging import Tagger
 from copytag.trainer import AdamState, adam_update
 
-from conftest import corpus_order, index_over, make_tagged_corpus, present_types
+from conftest import (
+    corpus_order,
+    index_over,
+    labels_only_set,
+    make_tagged_corpus,
+    present_types,
+)
 from param_columns import set_column
 
 
@@ -79,7 +85,9 @@ class TestBuildIndex:
         for sid, item in enumerate(db.items):
             lo, hi = index.row_starts[sid], index.row_starts[sid + 1]
             assert np.array_equal(index.token_rows[lo:hi], provider.embed(item.sentence))
-        for array in (index.token_rows, index.row_starts, index.flat_labels):
+        for array in (
+            index.token_rows, index.row_starts, index.flat_labels, index.window_ranks
+        ):
             assert not array.flags.writeable
 
     def test_wrong_row_count_rejected(self):
@@ -98,11 +106,57 @@ class TestBuildIndex:
             build_index(tiny_db(), VectorProvider(vectors))
 
 
+def sorted_window_ranks(rows):
+    """Oracle: each position's window, its labels to the end of its row,
+    ranked among the distinct windows by Python's tuple order."""
+    windows = [tuple(row[i:]) for row in rows for i in range(len(row))]
+    rank = {window: r for r, window in enumerate(sorted(set(windows)))}
+    return [rank[window] for window in windows]
+
+
+class TestWindowRanks:
+    """Every set built with labels_only_set retrieves its whole db in
+    order, so its gathered ranks are the index's."""
+
+    def test_match_sorted_label_tuples(self, rng):
+        for _ in range(200):
+            n_types = int(rng.choice([2, 3, 40]))
+            rows = [
+                [int(v) for v in rng.integers(0, n_types, size=rng.integers(1, 12))]
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+            rows += [rows[0]] * int(rng.integers(0, 3))  # repeated sentences
+            ranks = labels_only_set(rows).window_ranks
+            assert ranks.tolist() == sorted_window_ranks(rows)
+
+    def test_proper_prefix_first_and_one_token_sentences(self):
+        # (0,) < (0, 0) < (1,) < (1, 0) < (1, 0, 0)
+        rows = [[1, 0], [1], [1, 0, 0], [0], [1, 0]]
+        expected = [3, 0, 2, 4, 1, 0, 0, 3, 0]
+        assert labels_only_set(rows).window_ranks.tolist() == expected
+
+    def test_negative_labels_are_ranked(self):
+        # a Dataset holds none, and build_segment_dict rejects them; the
+        # ranking itself takes any integer labels
+        rows = [[0, -1], [-1, 0, -1], [-2]]
+        flat = np.array([lab for row in rows for lab in row])
+        row_starts = np.array([0, 2, 5, 6])
+        ranks = retrieval._window_ranks(flat, row_starts)
+        assert ranks.tolist() == sorted_window_ranks(rows)
+
+    def test_set_gathers_a_copy(self, rng):
+        db, matrices = make_tagged_corpus(rng, n_sentences=5, max_len=4)
+        index = index_over(db, matrices)
+        ns = assemble_neighbor_set(db, [3, 0, 3], index)
+        assert np.array_equal(ns.window_ranks, index.window_ranks[ns.rows])
+        assert not np.shares_memory(ns.window_ranks, index.window_ranks)
+
+
 def assert_same_bytes(index, fresh):
     assert len(index) == len(fresh)
     assert index.provider_tag == fresh.provider_tag
     assert index.vectors.tobytes() == fresh.vectors.tobytes()
-    for name in ("token_rows", "row_starts", "flat_labels"):
+    for name in ("token_rows", "row_starts", "flat_labels", "window_ranks"):
         a, b = getattr(index, name), getattr(fresh, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -370,7 +424,7 @@ class TestNeighborSet:
             isinstance(value, np.ndarray) and value.dtype.kind == "f"
             for value in vars(ns).values()
         )
-        for array in (ns.ids, ns.flat_labels, ns.starts, ns.rows):
+        for array in (ns.ids, ns.flat_labels, ns.starts, ns.rows, ns.window_ranks):
             assert not array.flags.writeable
 
     def test_assemble_matches_fresh_embedding(self):

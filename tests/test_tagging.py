@@ -13,7 +13,8 @@ from copytag.decoder import (
 )
 from copytag.embeddings import HashedWindowEmbedder
 from copytag.evaluation import sweep_c
-from copytag.synthetic import suffix_corpus
+from copytag.synthetic import suffix_corpus, toy_ner_corpus
+import copytag.tagging as tagging
 from copytag.tagging import (
     DECODE_DP,
     DECODE_MARGINAL,
@@ -188,14 +189,36 @@ class TestTagger:
     @pytest.mark.parametrize("decode", [DECODE_MARGINAL, DECODE_DP])
     def test_kept_result_does_not_keep_index_rows(self, db, decode):
         # the index lives while its provider or a tagger does; what a
-        # tagged sentence keeps must not hold its token rows beyond that
+        # tagged sentence keeps must not hold any of its arrays beyond that
         tagger = Tagger(HashedWindowEmbedder(dim=24, n_buckets=512, seed=3), db, 3)
         tagged = tagger.tag(Sentence(100, ("alice", "likes", "tea")), decode=decode)
-        rows = weakref.ref(tagger.index.token_rows)
-        del tagger
+        index = tagger.index
+        arrays = [
+            weakref.ref(getattr(index, name))
+            for name in (
+                "vectors", "token_rows", "row_starts", "flat_labels", "window_ranks"
+            )
+        ]
+        del tagger, index
         gc.collect()
-        assert rows() is None
+        assert [array() for array in arrays] == [None] * len(arrays)
         assert tagged.analysis.neighbors.entries[0].sequence is db.items[0]
+
+    def test_sweep_after_tagger_reads_its_window_ranks(self, provider, monkeypatch):
+        # the label windows are ranked once per index, not per caller
+        db, data = toy_ner_corpus(6, seed=7), toy_ner_corpus(2, seed=8)
+        tagger = Tagger(provider, db, 3)
+        seen = []
+        assemble = tagging.assemble_neighbor_set
+
+        def recording(dataset, ids, index):
+            seen.append(index.window_ranks)
+            return assemble(dataset, ids, index)
+
+        monkeypatch.setattr(tagging, "assemble_neighbor_set", recording)
+        sweep_c([0.0, 0.4], provider, db, data, 3)
+        assert len(seen) == len(data.items)
+        assert all(ranks is tagger.index.window_ranks for ranks in seen)
 
 
 class TestDatasetHelpers:

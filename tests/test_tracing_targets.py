@@ -3,9 +3,10 @@
 perfbench/tracing.py looks each target up in its owner's __dict__ and
 raises KeyError when one is missing, which otherwise surfaces only in the
 slow benchmark tests. Loading the file by path checks every name here;
-a tiny traced fine_tune and a traced tag of a long sentence check that
-the wrappers' counters still read what the wrapped functions return, a
-traced sweep after a Tagger checks that it embeds no db sentence again,
+a tiny traced fine_tune and traced tags of a long sentence check that
+the wrappers' counters still read what the wrapped functions return
+(the dictionary's node count against the per-level oracle's), a traced
+sweep after a Tagger checks that it embeds no db sentence again,
 and a traced sweep checks that it decodes each sentence once for its
 whole grid.
 """
@@ -17,7 +18,10 @@ import copytag.evaluation as evaluation
 import copytag.trainer as trainer
 from copytag.embeddings import HashedWindowEmbedder
 from copytag.synthetic import suffix_corpus, toy_ner_corpus
-from copytag.tagging import Tagger
+from copytag.decoder import DEFAULT_MAX_SEGMENT_LEN
+from copytag.tagging import DECODE_DP, Tagger
+
+from decoder_reference import per_level_segment_dict
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -100,6 +104,25 @@ def test_traced_tagging_attributes_the_embedding_kernel():
     metrics = tracing.layer_metrics(tracer)
     assert metrics["retrieval.index_tokens"] == index_tokens
     assert metrics["embeddings.embed_s"] > 0
+
+
+def test_traced_dp_tag_counts_the_oracle_dictionary_nodes():
+    tracing = _load_tracing()
+    db = suffix_corpus(6, seed=7, min_len=40, max_len=40)
+    sentence = suffix_corpus(1, seed=8, min_len=30, max_len=30).items[0].sentence
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        tracer.recording = True
+        with tracer.phase("tag"):
+            tagger = Tagger(HashedWindowEmbedder(), db, 4)
+            tagged = tagger.tag(sentence, decode=DECODE_DP)
+        tracer.recording = False
+
+    cap = min(len(sentence), DEFAULT_MAX_SEGMENT_LEN)
+    oracle = per_level_segment_dict(tagged.analysis.neighbors, cap)
+    assert tracer.counts["segdict_nodes"] == oracle.node_count > len(sentence)
+    assert tracing.layer_metrics(tracer)["decoder.segdict_nodes"] == oracle.node_count
+    assert len([span for span in tracer.spans if span[0] == "decoder.segdict"]) == 1
 
 
 def test_traced_sweep_after_tagger_embeds_only_the_swept_sentences():

@@ -490,6 +490,21 @@ class TestCheckpointFormat:
             load_checkpoint(self._column_text(column_line))
         assert str(info.value).startswith("line 16: ")
 
+    def test_lines_match_splitlines(self, rng):
+        # the loader reads the text in pieces cut after a "\n"; every
+        # break str.splitlines knows must split the same way across them
+        pieces = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028", "a", " "]
+        for _ in range(500):
+            picks = rng.integers(0, len(pieces), rng.integers(0, 14))
+            text = "".join(pieces[k] for k in picks)
+            for chunk in (0, 1, 2, 3, 1 << 16):
+                lines = list(trainer._lines(text, chunk))
+                assert lines == text.splitlines(), repr(text)
+
+    def test_crlf_text_loads_alike(self):
+        text = save_checkpoint(self.roundtrip())
+        assert save_checkpoint(load_checkpoint(text.replace("\n", "\r\n"))) == text
+
     def test_bad_magic(self):
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint("#wrong v9\n")
