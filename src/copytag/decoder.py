@@ -4,15 +4,15 @@ The dictionary holds every contiguous label-type subsequence (up to a
 length cap) of the retrieved sentences' label sequences, as one set of
 arrays per length: each sequence is ranked lexicographically among those
 of its length and points at the rank of its prefix one label shorter.
-Every sequence remembers the first place it occurs. The build sorts once:
-every neighbor position starts a label window, the retrieval index has
-ranked all windows lexicographically, and one stable argsort of the set's
-ranks lines its windows up so that each sequence is the shared prefix of
-a run of adjacent windows. The longest common prefix (LCP) of each
-window with the one before it then says at which lengths it starts a new
-sequence, for all lengths at once, as in suffix arrays (Manber and Myers
-1993). tests/decoder_reference.py keeps the per-length construction it
-replaced as its oracle. Decoding minimizes
+The build sorts once: every neighbor position starts a label window, the
+retrieval index has ranked all windows lexicographically, and one stable
+argsort of the set's ranks lines its windows up so that each sequence is
+the shared prefix of a run of adjacent windows. The longest common
+prefix (LCP) of each window with the one before it then says at which
+lengths it starts a new sequence, for all lengths at once, as in suffix
+arrays (Manber and Myers 1993). tests/decoder_reference.py keeps the
+per-length construction it replaced as its oracle. First occurrences
+are found on demand, for output segments only. Decoding minimizes
 
     sum over chosen segments of (segment_cost + per-position label costs)
 
@@ -27,9 +27,9 @@ label sequence under type ids.
 
 The DP runs in two passes. The table pass does not depend on the segment
 cost c: level by level over the dictionary, for every start at once, it
-sums step, the cost of each sequence of a length from a start, with the
-same operands in the same order as a per-start loop would. Per (start,
-length) it keeps the minimum step, its first argmin rank (the
+sums step, the cost of each sequence of a length from a start, start-major
+and with the same operands in the same order as a per-start loop would.
+Per (start, length) it keeps the minimum step, its first argmin rank (the
 lexicographically smallest of the cheapest), and the minimum over the
 ranks before that one. The per-c pass is scalar: the best copy from a
 prefix of cost b costs fl(b + c) + min. Rounded addition is monotone, so
@@ -42,6 +42,7 @@ tables.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,49 +54,57 @@ from .retrieval import NeighborSet
 DEFAULT_MAX_SEGMENT_LEN = 64
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Level:
     """The dictionary's sequences of one length, ranked lexicographically.
 
     Sequence r extends sequence parent[r] of the next shorter level (the
-    empty sequence at length 1) by label[r]. (neighbor[r], offset[r]) is
-    its first occurrence in (neighbor, start) order.
+    empty sequence at length 1) by label[r]. window[r] is the first of the
+    run of sorted label windows it prefixes.
     """
 
     parent: np.ndarray
     label: np.ndarray
-    neighbor: np.ndarray
-    offset: np.ndarray
+    window: np.ndarray
 
 
+@dataclass(eq=False)
 class SegmentDict:
     """The distinct contiguous label subsequences of a neighbor set.
 
-    levels[d - 1] holds the sequences of length d. Exemplars record the
-    (neighbor position, start offset) of the first occurrence, so every
-    stored sequence can be traced back to a concrete place it was copied
-    from; `flat_labels` and `starts` are the neighbor set's, which spell
-    out each sequence at that place. node_count counts the empty sequence
-    too.
+    levels[d - 1] holds the sequences of length d; none stores where it
+    occurs. `labels` and `starts` are the neighbor set's; sorted window j
+    starts at flat position positions[j] and shares lcp[j] labels with
+    window j - 1 (lcp is 0 at both ends). path and exemplar read these.
+    node_count counts the empty sequence too.
     """
 
-    def __init__(
-        self, levels: tuple[Level, ...], flat_labels: np.ndarray, starts: np.ndarray
-    ):
-        self.levels = levels
-        self.flat_labels = flat_labels
-        self.starts = starts
-        self.node_count = 1 + sum(len(level.label) for level in levels)
-        self.depth = len(levels)
+    levels: tuple[Level, ...]
+    labels: list[int]
+    starts: list[int]
+    positions: list[int]
+    lcp: list[int]
+
+    def __post_init__(self) -> None:
+        self.node_count = 1 + sum(len(level.label) for level in self.levels)
+        self.depth = len(self.levels)
         # level 1 holds every label, in ascending order
-        self.n_labels = int(levels[0].label[-1]) + 1 if levels else 0
+        self.n_labels = int(self.levels[0].label[-1]) + 1 if self.levels else 0
 
     def path(self, length: int, rank: int) -> tuple[int, ...]:
-        """Labels of sequence `rank` among those of length `length`, read
-        from its first occurrence."""
-        level = self.levels[length - 1]
-        pos = self.starts.item(level.neighbor.item(rank)) + level.offset.item(rank)
-        return tuple(self.flat_labels[pos : pos + length].tolist())
+        """Labels of sequence `rank` of length `length`, read at its window."""
+        pos = self.positions[self.levels[length - 1].window.item(rank)]
+        return tuple(self.labels[pos : pos + length])
+
+    def exemplar(self, length: int, rank: int) -> tuple[int, int]:
+        """(neighbor, offset) of the first occurrence of path(length, rank):
+        the least position in the run of windows that share its labels."""
+        first = last = self.levels[length - 1].window.item(rank)
+        while self.lcp[last + 1] >= length:
+            last += 1
+        pos = min(self.positions[first : last + 1])
+        neighbor = bisect_right(self.starts, pos) - 1
+        return neighbor, pos - self.starts[neighbor]
 
 
 def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
@@ -113,10 +122,8 @@ def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
     of that order starts a new sequence of length d + 1 exactly when
     lcp_j <= d < room_j, where lcp_j is its longest common prefix with
     window j - 1 and room_j its length. On the (d, j) grid a cumsum along
-    the windows ranks the new sequences, a sequence's parent is the same
-    window's rank one row up, and one minimum reduceat over the window
-    positions, with past-the-end cells read as +inf, finds each
-    sequence's first occurrence.
+    the windows ranks the new sequences, and a sequence's parent is the
+    same window's rank one row up. First occurrences are not computed.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -130,12 +137,11 @@ def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
     pos = np.argsort(neighbors.window_ranks, kind="stable")
     room = np.minimum(starts[1:][entry[pos]] - pos, max_len)
     d = np.arange(room.max())[:, None]
-    inside = d < room
     labels = flat.take(pos + d, mode="clip")  # cells outside a window are masked
     same = (labels[:, 1:] == labels[:, :-1]) & (d < np.minimum(room[1:], room[:-1]))
-    lcp = np.zeros(pos.size, dtype=np.int64)
-    lcp[1:] = np.logical_and.accumulate(same, axis=0).sum(axis=0)
-    new = inside & (d >= lcp)
+    lcp = np.zeros(pos.size + 1, dtype=np.int64)
+    lcp[1:-1] = np.logical_and.accumulate(same, axis=0).sum(axis=0)
+    new = (d < room) & (d >= lcp[:-1])
     nodes = np.flatnonzero(new)
     bounds = np.zeros(len(d) + 1, dtype=np.int64)
     np.cumsum(new.sum(axis=1), out=bounds[1:])
@@ -144,15 +150,12 @@ def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
     parent = rank.ravel()[nodes - pos.size]
     parent[: bounds[1]] = 0
     label = labels.ravel()[nodes]
-    first = np.where(inside, pos, np.iinfo(np.int64).max)
-    exemplar = np.minimum.reduceat(first.ravel(), nodes)
-    neighbor = entry[exemplar]
-    offset = exemplar - starts[neighbor]
+    window = nodes - (d.ravel() * pos.size).repeat(np.diff(bounds))
     levels = tuple(
-        Level(parent[a:b], label[a:b], neighbor[a:b], offset[a:b])
+        Level(parent[a:b], label[a:b], window[a:b])
         for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
     )
-    return SegmentDict(levels, flat, starts)
+    return SegmentDict(levels, flat.tolist(), starts.tolist(), pos.tolist(), lcp.tolist())
 
 
 @dataclass(frozen=True)
@@ -216,29 +219,28 @@ def _tables(
     list of first argmin ranks, each indexed by d for the copies of
     length d + 1. Level by level over the dictionary and for every start
     at once, step holds the summed cost of each sequence of the level
-    from each start, ranks down and starts across. Each start's row of a
-    start-major copy splits at its first argmin, and one reduceat takes
-    the minimum of both parts: the ranks before the first argmin, and the
-    rest, whose minimum is the minimum itself. With first rank 0 the
-    earlier part is the minimum again, and is never read.
+    from each start, starts down and ranks across. Each start's row
+    splits at its first argmin, and one reduceat takes the minimum of
+    both parts: the ranks before the first argmin, and the rest, whose
+    minimum is the minimum itself. With first rank 0 the earlier part is
+    the minimum again, and is never read.
     """
     total = cost.shape[0]
     depth = min(seg_dict.depth, total)
-    cost_t = np.ascontiguousarray(cost.T)
     pairs = np.arange(total).repeat(2)
-    split = np.full((depth, total, 2), np.inf)
-    ranks = np.zeros((depth, total), dtype=np.int64)
-    step = np.zeros((1, total))
+    split = np.full((total, 2, depth), np.inf)
+    ranks = np.zeros((total, depth), dtype=np.int64)
+    step = np.zeros((total, 1))
     for d, level in enumerate(seg_dict.levels[:depth]):
         n = total - d
-        step = step[level.parent, :n] + cost_t[level.label, d:]
-        by_start = np.ascontiguousarray(step.T)
-        first = by_start.argmin(axis=1)
-        bounds = pairs[: 2 * n] * len(step)
+        step = step[:n].take(level.parent, axis=1)
+        step += cost[d:].take(level.label, axis=1)
+        first = step.argmin(axis=1)
+        bounds = pairs[: 2 * n] * step.shape[1]
         bounds[1::2] += first
-        split[d, :n] = np.minimum.reduceat(by_start.ravel(), bounds).reshape(n, 2)
-        ranks[d, :n] = first
-    return split.transpose(1, 2, 0).tolist(), ranks.T.tolist()
+        split[:n, :, d] = np.minimum.reduceat(step.ravel(), bounds).reshape(n, 2)
+        ranks[:n, d] = first
+    return split.tolist(), ranks.tolist()
 
 
 def _first_rank(
@@ -270,13 +272,16 @@ def _decode(
     (see the module docstring). Label tuples are built only to break
     exact ties, and only for prefixes whose decode is final, so each is
     built once: a tie compares the final prefix before start plus the
-    new copy against the final prefix the held decode extends plus its
-    last copy.
+    new copy against the held decode's labels. Those are cached per end:
+    built at the first tie after back[end] changes, replaced by the new
+    copy's labels when it wins a tie, and dropped when a cheaper or
+    shorter decode takes the end.
     """
     total = cost.shape[0]
     best_cost = [0.0] + [np.inf] * total
     best_segs = [0] * (total + 1)
     back: list[tuple[int, int, int] | None] = [None] * (total + 1)
+    held: list[tuple[int, ...] | None] = [None] * (total + 1)
     # Labels of the best decode of each prefix that can no longer change:
     # once the loop reaches start, back[e] is final for every e <= start.
     decoded: dict[int, tuple[int, ...]] = {0: ()}
@@ -311,10 +316,16 @@ def _decode(
                 # the held decode of end came from an earlier, final start
                 if prefix is None:
                     prefix = labels_to(start)
-                other, other_length, other_rank = back[end]
-                held = labels_to(other) + seg_dict.path(other_length, other_rank)
-                if prefix + seg_dict.path(length, rank) >= held:
+                labels = prefix + seg_dict.path(length, rank)
+                kept = held[end]
+                if kept is None:
+                    other, *copy = back[end]
+                    kept = held[end] = labels_to(other) + seg_dict.path(*copy)
+                if labels >= kept:
                     continue
+                held[end] = labels
+            else:
+                held[end] = None
             best_cost[end] = value
             best_segs[end] = segs
             back[end] = (start, length, rank)
@@ -323,10 +334,7 @@ def _decode(
     end = total
     while end > 0:
         start, length, rank = back[end]
-        level = seg_dict.levels[length - 1]
-        segments.append(
-            Segment(start, length, int(level.neighbor[rank]), int(level.offset[rank]))
-        )
+        segments.append(Segment(start, length, *seg_dict.exemplar(length, rank)))
         end = start
     segments.reverse()
     return DecodeResult(labels_to(total), tuple(segments), float(best_cost[total]))
@@ -342,6 +350,8 @@ def dp_decode_expected(
     with no marginal column costs a full unit at every position. With
     segment_cost 0 the result matches predict_marginal.
     """
+    if not configs:
+        raise ValueError("no segment cost to decode at")
     cost = _position_costs_expected(marginals, seg_dict.n_labels)
     if not seg_dict.levels:
         raise ValueError("segment dictionary is empty")

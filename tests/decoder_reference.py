@@ -4,8 +4,9 @@ copytag.decoder keeps only the decoder the tagger runs. The decoders here
 share its objective and tie-breaking and exist for tests:
 
 * per_level_segment_dict builds the segment dictionary one level at a
-  time, with one np.unique per level; it is the oracle for
-  build_segment_dict's sort-and-LCP construction.
+  time, with one np.unique per level, and stores every sequence's first
+  occurrence; it is the oracle for build_segment_dict's sort-and-LCP
+  construction and for SegmentDict.exemplar.
 * brute_force_decode enumerates every segmentation of a small instance;
   it is the oracle for both dynamic programs.
 * per_start_dp is the dynamic program without shared tables: from each
@@ -20,6 +21,8 @@ share its objective and tie-breaking and exist for tests:
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,7 +31,6 @@ from copytag.copy_model import MarginalMatrix
 from copytag.decoder import (
     DecodeResult,
     DPConfig,
-    Level,
     Segment,
     SegmentDict,
     _position_costs_expected,
@@ -39,7 +41,37 @@ BRUTE_FORCE_MAX_POSITIONS = 12
 BRUTE_FORCE_MAX_COMBOS = 10**6
 
 
-def per_level_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
+@dataclass(frozen=True, eq=False)
+class ExemplarLevel:
+    """One length of per_level_segment_dict: Level's parent and label, and
+    each sequence's first occurrence (neighbor[r], offset[r])."""
+
+    parent: np.ndarray
+    label: np.ndarray
+    neighbor: np.ndarray
+    offset: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class ExemplarDict:
+    """per_level_segment_dict's dictionary, sized as SegmentDict is."""
+
+    levels: tuple[ExemplarLevel, ...]
+
+    @property
+    def node_count(self) -> int:
+        return 1 + sum(len(level.label) for level in self.levels)
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
+
+    @property
+    def n_labels(self) -> int:
+        return int(self.levels[0].label[-1]) + 1 if self.levels else 0
+
+
+def per_level_segment_dict(neighbors: NeighborSet, max_len: int) -> ExemplarDict:
     """Every contiguous subsequence of length <= max_len, level by level.
 
     Every flat neighbor position starts one window. Level d groups the
@@ -70,29 +102,35 @@ def per_level_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
         unique, first, rank = np.unique(keys, return_index=True, return_inverse=True)
         exemplar = pos[first]
         levels.append(
-            Level(
+            ExemplarLevel(
                 parent=unique // len(values),
                 label=values[unique % len(values)],
                 neighbor=entry[exemplar],
                 offset=exemplar - starts[entry[exemplar]],
             )
         )
-    return SegmentDict(tuple(levels), flat, starts)
+    return ExemplarDict(tuple(levels))
 
 
 def sequences(seg_dict: SegmentDict) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """All stored sequences as (labels, exemplar neighbor, exemplar offset),
     shortest first and lexicographically within a length."""
     paths: list[tuple[int, ...]] = [()]
-    for level in seg_dict.levels:
+    for length, level in enumerate(seg_dict.levels, start=1):
         paths = [
             paths[p] + (lab,)
             for p, lab in zip(level.parent.tolist(), level.label.tolist())
         ]
-        yield from zip(paths, level.neighbor.tolist(), level.offset.tolist())
+        for rank, labels in enumerate(paths):
+            yield (labels, *seg_dict.exemplar(length, rank))
 
 
-def per_start_dp(seg_dict: SegmentDict, cfg: DPConfig, cost: np.ndarray) -> DecodeResult:
+def per_start_dp(
+    seg_dict: SegmentDict,
+    cfg: DPConfig,
+    cost: np.ndarray,
+    ties: Counter | None = None,
+) -> DecodeResult:
     """Exact minimization over segmentations; cost[j, lab] prices label lab
     at position j.
 
@@ -103,7 +141,8 @@ def per_start_dp(seg_dict: SegmentDict, cfg: DPConfig, cost: np.ndarray) -> Deco
     holds the summed cost of every dictionary sequence of the current
     length in rank order, so the first minimum is the lexicographically
     smallest of the cheapest. Label tuples are built only to break exact
-    ties.
+    ties; `ties`, if given, counts them as "won" by the new copy or
+    "kept" by the held decode.
     """
     if not seg_dict.levels:
         raise ValueError("segment dictionary is empty")
@@ -151,6 +190,8 @@ def per_start_dp(seg_dict: SegmentDict, cfg: DPConfig, cost: np.ndarray) -> Deco
                 take = True
             else:
                 take = labels_to(start) + seg_dict.path(d + 1, rank) < labels_to(end)
+                if ties is not None:
+                    ties["won" if take else "kept"] += 1
             if take:
                 best_cost[end] = value
                 best_segs[end] = segs
@@ -161,21 +202,21 @@ def per_start_dp(seg_dict: SegmentDict, cfg: DPConfig, cost: np.ndarray) -> Deco
     end = total
     while end > 0:
         start, length, rank = back[end]
-        level = seg_dict.levels[length - 1]
-        segments.append(
-            Segment(start, length, int(level.neighbor[rank]), int(level.offset[rank]))
-        )
+        segments.append(Segment(start, length, *seg_dict.exemplar(length, rank)))
         end = start
     segments.reverse()
     return DecodeResult(labels_to(total), tuple(segments), float(best_cost[total]))
 
 
 def per_start_decode_expected(
-    marginals: MarginalMatrix, seg_dict: SegmentDict, cfg: DPConfig
+    marginals: MarginalMatrix,
+    seg_dict: SegmentDict,
+    cfg: DPConfig,
+    ties: Counter | None = None,
 ) -> DecodeResult:
     """per_start_dp under dp_decode_expected's expected mislabeling costs."""
     return per_start_dp(
-        seg_dict, cfg, _position_costs_expected(marginals, seg_dict.n_labels)
+        seg_dict, cfg, _position_costs_expected(marginals, seg_dict.n_labels), ties
     )
 
 
@@ -225,11 +266,8 @@ def greedy_reconstruct(
                 best = key
         mismatches, neg_length, rank = best
         length = -neg_length
-        level = seg_dict.levels[length - 1]
         labels.extend(seg_dict.path(length, rank))
-        segments.append(
-            Segment(pos, length, int(level.neighbor[rank]), int(level.offset[rank]))
-        )
+        segments.append(Segment(pos, length, *seg_dict.exemplar(length, rank)))
         objective = (objective + cfg.segment_cost) + float(mismatches)
         pos += length
     return DecodeResult(tuple(labels), tuple(segments), objective)

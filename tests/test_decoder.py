@@ -117,9 +117,10 @@ class TestSegmentDict:
 
 class TestMatchesPerLevelOracle:
     """The sort-and-LCP dictionary against the per-level np.unique build
-    it replaced: every Level array equal in values and dtype, and the same
-    node count, depth and label count, at caps below, at and past the
-    longest sentence."""
+    it replaced: every Level array equal in values and dtype, every
+    node's on-demand exemplar equal to the oracle's stored first
+    occurrence, and the same node count, depth and label count, at caps
+    below, at and past the longest sentence."""
 
     @staticmethod
     def assert_same_dict(neighbors, max_len):
@@ -130,8 +131,18 @@ class TestMatchesPerLevelOracle:
         assert got.depth == want.depth == len(got.levels), where
         assert got.n_labels == want.n_labels, where
         for d, (level, oracle) in enumerate(zip(got.levels, want.levels), start=1):
+            exemplars = np.array(
+                [got.exemplar(d, rank) for rank in range(len(level.label))],
+                dtype=np.int64,
+            ).reshape(-1, 2)
+            fields = {
+                "parent": level.parent,
+                "label": level.label,
+                "neighbor": exemplars[:, 0],
+                "offset": exemplars[:, 1],
+            }
             for field in ("parent", "label", "neighbor", "offset"):
-                a, b = getattr(level, field), getattr(oracle, field)
+                a, b = fields[field], getattr(oracle, field)
                 assert a.dtype == b.dtype, f"{where}, length {d}, {field}"
                 assert np.array_equal(a, b), f"{where}, length {d}, {field}"
 
@@ -274,7 +285,9 @@ class TestMatchesPerStartOracle:
     at every segment cost of one call. Quarter marginals over repeated label
     runs tie both the objective and the segment count between different
     label sequences; c of 2**40 and 1e15 round distinct step sums to the
-    same candidate, which only the recomputed first-argmin rank resolves."""
+    same candidate, which only the recomputed first-argmin rank resolves.
+    Such ties go both ways: the oracle counts the ones a new copy wins and
+    the ones the held decode keeps, and each must occur."""
 
     GRID = (0.0, 0.25, 0.5, 2.0**40, 1e15)
 
@@ -288,6 +301,7 @@ class TestMatchesPerStartOracle:
 
         monkeypatch.setattr(decoder, "_first_rank", counted)
         configs = [DPConfig(segment_cost=c) for c in self.GRID]
+        ties = Counter()
         for i in range(150):
             rows = [run_labels(rng, 3) for _ in range(int(rng.integers(1, 5)))]
             neighbors = labels_only_set(rows)
@@ -296,9 +310,10 @@ class TestMatchesPerStartOracle:
             results = dp_decode_expected(marginals, seg_dict, configs)
             assert len(results) == len(configs)
             for cfg, result in zip(configs, results):
-                expected = per_start_decode_expected(marginals, seg_dict, cfg)
+                expected = per_start_decode_expected(marginals, seg_dict, cfg, ties)
                 assert result == expected, f"instance {i}, c={cfg.segment_cost}"
         assert recomputed, "no instance reached the rank recomputation"
+        assert ties["won"] and ties["kept"], f"both tie outcomes must occur: {ties}"
 
     def test_random_marginals_at_huge_costs(self, rng):
         configs = [DPConfig(segment_cost=c) for c in self.GRID]
@@ -468,6 +483,17 @@ class TestDPExpected:
             assert a.objective == b.objective
             assert a.labels == b.labels
             assert a.segments == b.segments
+
+    def test_rejects_no_configs_before_any_work(self, monkeypatch):
+        seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
+        marginals = MarginalMatrix(probs=np.array([[0.5, 0.5]]), type_ids=(0, 1))
+
+        def no_tables(*args):
+            raise AssertionError("tables built for no config")
+
+        monkeypatch.setattr(decoder, "_tables", no_tables)
+        with pytest.raises(ValueError, match="no segment cost"):
+            dp_decode_expected(marginals, seg_dict, ())
 
     def test_rows_must_be_distributions(self, rng):
         neighbors = make_neighbor_set(rng, n_neighbors=1, max_len=3, n_types=2)
