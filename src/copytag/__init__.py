@@ -34,7 +34,6 @@ from .corpus import (
 )
 from .decoder import (
     DecodeResult,
-    DPConfig,
     Segment,
     SegmentDict,
     build_segment_dict,
@@ -47,7 +46,6 @@ from .embeddings import (
     EmbedderParams,
     HashedWindowEmbedder,
     embed_sentence,
-    embed_tokens,
 )
 from .evaluation import (
     EvalReport,
@@ -89,7 +87,6 @@ __all__ = [
     "CorpusError",
     "Dataset",
     "DecodeResult",
-    "DPConfig",
     "EmbedderParams",
     "EpochStats",
     "EvalReport",
@@ -117,7 +114,6 @@ __all__ = [
     "copy_posterior",
     "dp_decode_expected",
     "embed_sentence",
-    "embed_tokens",
     "fine_tune",
     "grad_wrt_input",
     "load_checkpoint",

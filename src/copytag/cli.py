@@ -21,7 +21,6 @@ from bisect import bisect_right
 from . import __version__
 from .corpus import CorpusError, Sentence, conll_blocks, parse_conll, write_conll
 from .decoder import predict_marginal, provenance_lines
-from .embeddings import HashedWindowEmbedder
 from .evaluation import span_f1, sweep_c, sweep_csv, token_accuracy
 from .tagging import DECODE_DP, DECODE_MARGINAL, Tagger, predictions_dataset
 from .trainer import (
@@ -94,12 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _Staged:
-    """Collects output files; nothing lands on disk until commit()."""
+    """Collects output files; nothing lands on disk until commit(). Two
+    outputs that resolve to one file are refused when the second is added."""
 
     def __init__(self) -> None:
         self.entries: list[tuple[str, str]] = []
 
     def add(self, path: str, text: str) -> None:
+        real = os.path.realpath(path)
+        if any(os.path.realpath(other) == real for other, _ in self.entries):
+            raise ValueError(f"two outputs would be written to {path}")
         self.entries.append((path, text))
 
     def commit(self) -> None:
@@ -167,9 +170,7 @@ def _read_sentences(path: str) -> list[Sentence]:
     return sentences
 
 
-def _provider_from(ckpt_path: str | None):
-    if ckpt_path is None:
-        return HashedWindowEmbedder()
+def _provider_from(ckpt_path: str):
     try:
         return load_checkpoint(_read_text(ckpt_path)).provider()
     except CheckpointError as exc:

@@ -42,6 +42,7 @@ tables.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -158,15 +159,10 @@ def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
     return SegmentDict(levels, flat.tolist(), starts.tolist(), pos.tolist(), lcp.tolist())
 
 
-@dataclass(frozen=True)
-class DPConfig:
-    """Decoder settings: the per-segment cost."""
-
-    segment_cost: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.segment_cost) or self.segment_cost < 0:
-            raise ValueError("segment_cost must be finite and non-negative")
+def check_segment_cost(segment_cost: float) -> None:
+    """Reject a per-segment cost that is negative, infinite or NaN."""
+    if not (math.isfinite(segment_cost) and segment_cost >= 0):
+        raise ValueError("segment_cost must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -341,26 +337,27 @@ def _decode(
 
 
 def dp_decode_expected(
-    marginals: MarginalMatrix, seg_dict: SegmentDict, configs: Sequence[DPConfig]
+    marginals: MarginalMatrix, seg_dict: SegmentDict, segment_costs: Sequence[float]
 ) -> tuple[DecodeResult, ...]:
     """Minimize expected mislabelings plus segment cost under the marginals,
-    once per config.
+    once per segment cost.
 
-    The tables are built once and shared by every config. A label type
-    with no marginal column costs a full unit at every position. With
-    segment_cost 0 the result matches predict_marginal.
+    Every segment cost is checked before any table work. The tables are
+    built once and shared by every segment cost. A label type with no
+    marginal column costs a full unit at every position. With segment
+    cost 0 the result matches predict_marginal.
     """
-    if not configs:
+    if not segment_costs:
         raise ValueError("no segment cost to decode at")
+    for segment_cost in segment_costs:
+        check_segment_cost(segment_cost)
     cost = _position_costs_expected(marginals, seg_dict.n_labels)
     if not seg_dict.levels:
         raise ValueError("segment dictionary is empty")
     if cost.shape[0] < 1:
         raise ValueError("nothing to decode")
     split, ranks = _tables(seg_dict, cost)
-    return tuple(
-        _decode(seg_dict, cost, split, ranks, cfg.segment_cost) for cfg in configs
-    )
+    return tuple(_decode(seg_dict, cost, split, ranks, c) for c in segment_costs)
 
 
 def provenance_lines(result: DecodeResult, type_names: Sequence[str]) -> list[str]:

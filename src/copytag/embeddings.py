@@ -313,11 +313,6 @@ def _embed_columns(params: EmbedderParams, columns: TokenColumns) -> np.ndarray:
     return np.tanh(_column_sums(params.storage, columns.slots, columns.starts))
 
 
-def embed_tokens(params: EmbedderParams, sentence: Sentence) -> np.ndarray:
-    """T x dim matrix of token embeddings, rows tanh-bounded in (-1, 1)."""
-    return _embed_columns(params, _token_columns(params, sentence))
-
-
 def embed_sentence(token_matrix: np.ndarray) -> np.ndarray:
     """Mean-pool token rows into one sentence vector."""
     matrix = np.asarray(token_matrix, dtype=float)

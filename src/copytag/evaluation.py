@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Dataset, build_dataset, spans_from_bio
-from .decoder import DPConfig, dp_decode_expected
+from .decoder import check_segment_cost, dp_decode_expected
 from .tagging import Tagger, predictions_dataset
 
 SWEEP_HEADER = "c,precision,recall,f1,token_accuracy,avg_segments"
@@ -124,10 +124,11 @@ def sweep_c(
     """
     if not c_values:
         raise ValueError("the c grid must be non-empty")
-    configs = []
+    costs = []
     for pos, c in enumerate(c_values):
         try:
-            configs.append(DPConfig(segment_cost=float(c)))
+            costs.append(float(c))
+            check_segment_cost(costs[-1])
         except ValueError as exc:
             raise ValueError(f"c grid value {c!r} at position {pos}: {exc}") from None
     if any(b <= a for a, b in zip(c_values, c_values[1:])):
@@ -139,10 +140,10 @@ def sweep_c(
     for item in data.items:
         analysis = tagger.analyze(item.sentence)
         seg_dict = tagger.segment_dict(analysis)
-        decoded.append(dp_decode_expected(analysis.marginals, seg_dict, configs))
+        decoded.append(dp_decode_expected(analysis.marginals, seg_dict, costs))
 
     rows = []
-    for cfg, results in zip(configs, zip(*decoded)):
+    for c, results in zip(costs, zip(*decoded)):
         pred = build_dataset(
             (item.sentence.tokens, tuple(db.vocab.types[lab] for lab in result.labels))
             for item, result in zip(data.items, results)
@@ -150,7 +151,7 @@ def sweep_c(
         precision, recall, f1 = span_f1(pred, data)
         rows.append(
             SweepRow(
-                segment_cost=cfg.segment_cost,
+                segment_cost=c,
                 precision=precision,
                 recall=recall,
                 f1=f1,
@@ -182,6 +183,8 @@ def zero_shot_eval(
     """
     if not new_db.items:
         raise ValueError("the new database is empty")
+    if not eval_data.items:
+        raise ValueError("eval_data has no sentences")
     tagger = Tagger(provider, new_db, n_neighbors)
     pred = predictions_dataset([tagger.tag(item.sentence) for item in eval_data.items])
     return EvalReport(

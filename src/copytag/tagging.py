@@ -27,9 +27,9 @@ from .corpus import Dataset, Sentence, build_dataset
 from .decoder import (
     DEFAULT_MAX_SEGMENT_LEN,
     DecodeResult,
-    DPConfig,
     SegmentDict,
     build_segment_dict,
+    check_segment_cost,
     dp_decode_expected,
     predict_marginal,
 )
@@ -105,11 +105,11 @@ class Tagger:
         before any work, the segment cost in every mode."""
         if decode not in (DECODE_MARGINAL, DECODE_DP):
             raise ValueError(f"unknown decode mode {decode!r}")
-        cfg = DPConfig(segment_cost=segment_cost)
+        check_segment_cost(segment_cost)
         analysis = self.analyze(sentence)
         if decode == DECODE_DP:
             seg_dict = self.segment_dict(analysis)
-            (result,) = dp_decode_expected(analysis.marginals, seg_dict, (cfg,))
+            (result,) = dp_decode_expected(analysis.marginals, seg_dict, (segment_cost,))
             label_ids = result.labels
         else:
             label_ids = predict_marginal(analysis.marginals)

@@ -244,6 +244,8 @@ def fine_tune(
         )
     if len(train.vocab) == 0 or not train.items:
         raise ValueError("training data is empty")
+    if dev is not None and not dev.items:
+        raise ValueError("dev has no sentences")
     params = provider.params
 
     index = build_index(train, provider)

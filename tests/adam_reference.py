@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from copytag.embeddings import ColumnGrads, EmbedderParams, _token_columns, embed_tokens
+from copytag.embeddings import (
+    ColumnGrads,
+    EmbedderParams,
+    _embed_columns,
+    _token_columns,
+)
 from copytag.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from param_columns import column, set_column
 
@@ -93,7 +98,7 @@ def reference_backprop(
 ) -> dict[int, np.ndarray]:
     """Backprop as {column: vector}, summed token by token in token order."""
     columns = _token_columns(params, sentence)
-    x = embed_tokens(params, sentence)
+    x = _embed_columns(params, columns)
     per_token = d_output * (1.0 - x * x)
     grads: dict[int, np.ndarray] = {}
     for t in range(len(sentence)):

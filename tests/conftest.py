@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from copytag.copy_model import MarginalMatrix
 from copytag.corpus import Dataset, LabeledSequence, LabelVocab, Sentence, build_dataset
 from copytag.retrieval import NeighborSet, assemble_neighbor_set, build_index
+
+# Every run draws the same examples and writes no example database.
+settings.register_profile("copytag", derandomize=True, database=None)
+settings.load_profile("copytag")
 
 
 class RowsProvider:

@@ -30,7 +30,6 @@ import numpy as np
 from copytag.copy_model import MarginalMatrix
 from copytag.decoder import (
     DecodeResult,
-    DPConfig,
     Segment,
     SegmentDict,
     _position_costs_expected,
@@ -127,7 +126,7 @@ def sequences(seg_dict: SegmentDict) -> Iterator[tuple[tuple[int, ...], int, int
 
 def per_start_dp(
     seg_dict: SegmentDict,
-    cfg: DPConfig,
+    segment_cost: float,
     cost: np.ndarray,
     ties: Counter | None = None,
 ) -> DecodeResult:
@@ -172,7 +171,7 @@ def per_start_dp(
 
     root = np.zeros(1)
     for start in range(total):
-        base = best_cost[start] + cfg.segment_cost
+        base = best_cost[start] + segment_cost
         segs = best_segs[start] + 1
         step = root
         for d in range(min(seg_dict.depth, total - start)):
@@ -211,17 +210,17 @@ def per_start_dp(
 def per_start_decode_expected(
     marginals: MarginalMatrix,
     seg_dict: SegmentDict,
-    cfg: DPConfig,
+    segment_cost: float,
     ties: Counter | None = None,
 ) -> DecodeResult:
     """per_start_dp under dp_decode_expected's expected mislabeling costs."""
     return per_start_dp(
-        seg_dict, cfg, _position_costs_expected(marginals, seg_dict.n_labels), ties
+        seg_dict, segment_cost, _position_costs_expected(marginals, seg_dict.n_labels), ties
     )
 
 
 def dp_reconstruct(
-    gold: Sequence[int], seg_dict: SegmentDict, cfg: DPConfig
+    gold: Sequence[int], seg_dict: SegmentDict, segment_cost: float
 ) -> DecodeResult:
     """Cheapest reconstruction of `gold`, counting one per mislabeled position."""
     gold = tuple(int(g) for g in gold)
@@ -229,11 +228,11 @@ def dp_reconstruct(
     for j, lab in enumerate(gold):
         if 0 <= lab < seg_dict.n_labels:
             cost[j, lab] = 0.0
-    return per_start_dp(seg_dict, cfg, cost)
+    return per_start_dp(seg_dict, segment_cost, cost)
 
 
 def greedy_reconstruct(
-    gold: Sequence[int], seg_dict: SegmentDict, cfg: DPConfig
+    gold: Sequence[int], seg_dict: SegmentDict, segment_cost: float
 ) -> DecodeResult:
     """Left-to-right greedy comparator for dp_reconstruct.
 
@@ -268,7 +267,7 @@ def greedy_reconstruct(
         length = -neg_length
         labels.extend(seg_dict.path(length, rank))
         segments.append(Segment(pos, length, *seg_dict.exemplar(length, rank)))
-        objective = (objective + cfg.segment_cost) + float(mismatches)
+        objective = (objective + segment_cost) + float(mismatches)
         pos += length
     return DecodeResult(tuple(labels), tuple(segments), objective)
 
@@ -294,7 +293,7 @@ def _flat_labels(chosen) -> tuple[int, ...]:
 
 def brute_force_decode(
     seg_dict: SegmentDict,
-    cfg: DPConfig,
+    segment_cost: float,
     gold: Sequence[int] | None = None,
     marginals: MarginalMatrix | None = None,
 ) -> DecodeResult:
@@ -386,7 +385,7 @@ def brute_force_decode(
             return
         for option in options[pos]:
             chosen.append(option)
-            explore(pos + option[0], (cost + cfg.segment_cost) + option[1])
+            explore(pos + option[0], (cost + segment_cost) + option[1])
             chosen.pop()
 
     explore(0, 0.0)

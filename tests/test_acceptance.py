@@ -23,16 +23,11 @@ from copytag.copy_model import (
 from copytag.corpus import Sentence, parse_conll, relabel, write_conll
 from copytag.decoder import (
     DEFAULT_MAX_SEGMENT_LEN,
-    DPConfig,
     build_segment_dict,
     dp_decode_expected,
     predict_marginal,
 )
-from copytag.embeddings import (
-    EmbedderParams,
-    HashedWindowEmbedder,
-    embed_tokens,
-)
+from copytag.embeddings import EmbedderParams, HashedWindowEmbedder
 from copytag.evaluation import zero_shot_eval
 from copytag.synthetic import suffix_corpus, toy_ner_corpus
 from copytag.tagging import Tagger
@@ -131,7 +126,7 @@ def test_criterion_02_gradients_match_finite_differences():
                 for _ in range(n_tokens)
             )
             sent = Sentence(0, tokens)
-            e0 = embed_tokens(params, sent)
+            e0 = HashedWindowEmbedder(params).embed(sent)
             post = copy_posterior(copy_logits(e0, rows))
             d_input = grad_wrt_input(post, neighbors, gold, rows)
             provider = HashedWindowEmbedder(params)
@@ -144,14 +139,14 @@ def test_criterion_02_gradients_match_finite_differences():
                     set_column(params, col, base + bump)
                     up_loss = nll(
                         copy_posterior(
-                            copy_logits(embed_tokens(params, sent), rows)
+                            copy_logits(HashedWindowEmbedder(params).embed(sent), rows)
                         ),
                         neighbors, gold,
                     ).nll
                     set_column(params, col, base - bump)
                     dn_loss = nll(
                         copy_posterior(
-                            copy_logits(embed_tokens(params, sent), rows)
+                            copy_logits(HashedWindowEmbedder(params).embed(sent), rows)
                         ),
                         neighbors, gold,
                     ).nll
@@ -175,27 +170,26 @@ def test_criterion_03_dp_equals_brute_force():
     with criterion(3, "dp objective == brute force on 500 instances", 60.0):
         for i in range(500):
             neighbors, seg_dict, n_tokens = _grid_instance(rng)
-            cfg = DPConfig(segment_cost=grid[i % 4])
+            c = grid[i % 4]
             pool = list(present_types(neighbors)) + [99]
             gold = tuple(pool[int(v)] for v in rng.integers(0, len(pool), n_tokens))
-            dp_g = dp_reconstruct(gold, seg_dict, cfg)
-            bf_g = brute_force_decode(seg_dict, cfg, gold=gold)
+            dp_g = dp_reconstruct(gold, seg_dict, c)
+            bf_g = brute_force_decode(seg_dict, c, gold=gold)
             assert abs(dp_g.objective - bf_g.objective) <= 1e-9, f"instance {i}"
 
             marginals = make_marginals(rng, n_tokens, neighbors)
-            dp_m = dp_decode_expected(marginals, seg_dict, (cfg,))[0]
-            bf_m = brute_force_decode(seg_dict, cfg, marginals=marginals)
+            dp_m = dp_decode_expected(marginals, seg_dict, (c,))[0]
+            bf_m = brute_force_decode(seg_dict, c, marginals=marginals)
             assert abs(dp_m.objective - bf_m.objective) <= 1e-9, f"instance {i}"
 
 
 def test_criterion_04_zero_cost_reduces_to_marginal_argmax():
     rng = np.random.default_rng(404)
-    cfg = DPConfig(segment_cost=0.0)
     with criterion(4, "c=0 dp equals marginal argmax, 200 instances", 10.0):
         for i in range(200):
             neighbors, seg_dict, n_tokens = _grid_instance(rng)
             marginals = make_marginals(rng, n_tokens, neighbors)
-            decoded = dp_decode_expected(marginals, seg_dict, (cfg,))[0]
+            decoded = dp_decode_expected(marginals, seg_dict, (0.0,))[0]
             assert decoded.labels == predict_marginal(marginals), f"instance {i}"
 
 
@@ -212,11 +206,10 @@ def test_criterion_05_segment_cost_trades_segments_for_mistakes():
         total_segments = []
         total_mistakes = []
         for c in grid:
-            cfg = DPConfig(segment_cost=c)
             n_segs = 0
             mistakes = 0.0
             for marginals, seg_dict in instances:
-                result = dp_decode_expected(marginals, seg_dict, (cfg,))[0]
+                result = dp_decode_expected(marginals, seg_dict, (c,))[0]
                 n_segs += len(result.segments)
                 col_of = column_index(marginals)
                 for t, lab in enumerate(result.labels):
@@ -237,20 +230,19 @@ def test_criterion_06_greedy_never_beats_dp():
     with criterion(6, "greedy objective >= dp objective, plus a strict case", 30.0):
         for i in range(200):
             neighbors, seg_dict, n_tokens = _grid_instance(rng)
-            cfg = DPConfig(segment_cost=grid[i % 4])
+            c = grid[i % 4]
             pool = list(present_types(neighbors)) + [99]
             gold = tuple(pool[int(v)] for v in rng.integers(0, len(pool), n_tokens))
-            dp = dp_reconstruct(gold, seg_dict, cfg)
-            greedy = greedy_reconstruct(gold, seg_dict, cfg)
+            dp = dp_reconstruct(gold, seg_dict, c)
+            greedy = greedy_reconstruct(gold, seg_dict, c)
             assert greedy.objective >= dp.objective - 1e-9, f"instance {i}"
 
         # frozen case where greedy's local choice costs it a whole segment:
         # gold (0, 1); the dictionary holds [0, 2] and [1]; greedy grabs the
         # clean [1]-after-[0] split, dp pays one mismatch for one segment
         seg_dict = build_segment_dict(labels_only_set([[0, 2], [1]]), DEFAULT_MAX_SEGMENT_LEN)
-        cfg = DPConfig(segment_cost=5.0)
-        dp = dp_reconstruct((0, 1), seg_dict, cfg)
-        greedy = greedy_reconstruct((0, 1), seg_dict, cfg)
+        dp = dp_reconstruct((0, 1), seg_dict, 5.0)
+        greedy = greedy_reconstruct((0, 1), seg_dict, 5.0)
         assert len(greedy.segments) > len(dp.segments)
         assert greedy.objective > dp.objective
 

@@ -350,6 +350,33 @@ class TestExplain:
         assert "from=neighbor:" in text
         assert "labels=" in text
 
+    @pytest.mark.parametrize("name", ["pred.conll", "./pred.conll", "pred.conll.manifest.json"])
+    def test_output_path_taken_twice_is_refused(
+        self, corpora, trained, tmp_path, capsys, name
+    ):
+        # the explain text would land on the predictions or their manifest
+        out = tmp_path / "pred.conll"
+        explain = f"{tmp_path}/{name}"
+        for path in (out, tmp_path / "pred.conll.manifest.json"):
+            path.write_text("OLD\n")
+        code = main(
+            [
+                "tag",
+                "--ckpt", str(trained),
+                "--db", str(corpora["train"]),
+                "--input", str(corpora["dev"]),
+                "--out", str(out),
+                "--neighbors", "5",
+                "--decode", "dp",
+                "--explain", explain,
+            ]
+        )
+        assert code == 1
+        assert explain in capsys.readouterr().err
+        for path in tmp_path.iterdir():
+            assert path.read_text() == "OLD\n", path.name
+        assert len(list(tmp_path.iterdir())) == 2
+
     def test_explain_requires_dp(self, corpora, trained, tmp_path, capsys):
         code = main(
             [

@@ -8,7 +8,6 @@ import copytag.decoder as decoder
 from copytag.copy_model import MarginalMatrix
 from copytag.decoder import (
     DEFAULT_MAX_SEGMENT_LEN,
-    DPConfig,
     Segment,
     build_segment_dict,
     dp_decode_expected,
@@ -34,7 +33,7 @@ from decoder_reference import (
 from trie_reference import build_trie, trie_dp, trie_greedy, trie_sequences
 
 
-def assert_segments_consistent(result, seg_dict, cfg, cost_at):
+def assert_segments_consistent(result, seg_dict, segment_cost, cost_at):
     """The segments must tile the sequence, carry first-insertion exemplars,
     and chain back to the reported objective bit for bit."""
     exemplars = {labels: (m, off) for labels, m, off in sequences(seg_dict)}
@@ -48,7 +47,7 @@ def assert_segments_consistent(result, seg_dict, cfg, cost_at):
         for d, lab in enumerate(labels):
             seg_sum += cost_at(seg.start + d, lab)
         assert exemplars[labels] == (seg.neighbor, seg.offset)
-        value = (value + cfg.segment_cost) + seg_sum
+        value = (value + segment_cost) + seg_sum
         pos += seg.length
     assert pos == len(result.labels)
     assert value == result.objective
@@ -224,16 +223,16 @@ class TestMatchesTrieReference:
             exemplars = {labels: (m, off) for labels, m, off in sequences(seg_dict)}
             assert exemplars == trie_sequences(trie), f"instance {i}"
 
-            cfg = DPConfig(segment_cost=grid[i % len(grid)])
+            c = grid[i % len(grid)]
             n_tokens = int(rng.integers(1, 41))
             pool = list(present_types(neighbors)) + [99]
             gold = tuple(pool[int(v)] for v in rng.integers(0, len(pool), n_tokens))
             mismatch = lambda j, lab: 0.0 if gold[j] == lab else 1.0
-            assert dp_reconstruct(gold, seg_dict, cfg) == trie_dp(
-                n_tokens, trie, cfg, mismatch
+            assert dp_reconstruct(gold, seg_dict, c) == trie_dp(
+                n_tokens, trie, c, mismatch
             ), f"instance {i}"
-            assert greedy_reconstruct(gold, seg_dict, cfg) == trie_greedy(
-                gold, trie, cfg
+            assert greedy_reconstruct(gold, seg_dict, c) == trie_greedy(
+                gold, trie, c
             ), f"instance {i}"
 
             if i % 2:
@@ -256,8 +255,8 @@ class TestMatchesTrieReference:
                 1.0 if col_of.get(lab) is None
                 else 1.0 - float(marginals.probs[j, col_of[lab]])
             )
-            assert dp_decode_expected(marginals, seg_dict, (cfg,))[0] == trie_dp(
-                n_tokens, trie, cfg, expected
+            assert dp_decode_expected(marginals, seg_dict, (c,))[0] == trie_dp(
+                n_tokens, trie, c, expected
             ), f"instance {i}"
 
 
@@ -300,23 +299,21 @@ class TestMatchesPerStartOracle:
             return first_rank(*args)
 
         monkeypatch.setattr(decoder, "_first_rank", counted)
-        configs = [DPConfig(segment_cost=c) for c in self.GRID]
         ties = Counter()
         for i in range(150):
             rows = [run_labels(rng, 3) for _ in range(int(rng.integers(1, 5)))]
             neighbors = labels_only_set(rows)
             seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
             marginals = quarter_marginals(rng, int(rng.integers(1, 21)), neighbors)
-            results = dp_decode_expected(marginals, seg_dict, configs)
-            assert len(results) == len(configs)
-            for cfg, result in zip(configs, results):
-                expected = per_start_decode_expected(marginals, seg_dict, cfg, ties)
-                assert result == expected, f"instance {i}, c={cfg.segment_cost}"
+            results = dp_decode_expected(marginals, seg_dict, self.GRID)
+            assert len(results) == len(self.GRID)
+            for c, result in zip(self.GRID, results):
+                expected = per_start_decode_expected(marginals, seg_dict, c, ties)
+                assert result == expected, f"instance {i}, c={c}"
         assert recomputed, "no instance reached the rank recomputation"
         assert ties["won"] and ties["kept"], f"both tie outcomes must occur: {ties}"
 
     def test_random_marginals_at_huge_costs(self, rng):
-        configs = [DPConfig(segment_cost=c) for c in self.GRID]
         for i in range(60):
             neighbors = make_neighbor_set(
                 rng, n_neighbors=int(rng.integers(1, 5)), max_len=8, n_types=3
@@ -324,21 +321,28 @@ class TestMatchesPerStartOracle:
             seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
             marginals = make_marginals(rng, int(rng.integers(1, 15)), neighbors)
             expected = tuple(
-                per_start_decode_expected(marginals, seg_dict, cfg) for cfg in configs
+                per_start_decode_expected(marginals, seg_dict, c) for c in self.GRID
             )
-            assert dp_decode_expected(marginals, seg_dict, configs) == expected, (
+            assert dp_decode_expected(marginals, seg_dict, self.GRID) == expected, (
                 f"instance {i}"
             )
 
 
-class TestDPConfig:
-    def test_rejects_negative_cost(self):
-        with pytest.raises(ValueError):
-            DPConfig(segment_cost=-0.1)
+class TestSegmentCostCheck:
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [-0.1, float("inf"), float("nan")])
+    def test_dp_decode_rejects_bad_cost_before_tables(self, monkeypatch, bad, pos):
+        seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
+        marginals = MarginalMatrix(probs=np.array([[0.5, 0.5]]), type_ids=(0, 1))
 
-    def test_rejects_non_finite_cost(self):
-        with pytest.raises(ValueError):
-            DPConfig(segment_cost=float("inf"))
+        def no_tables(*args):
+            raise AssertionError("tables built for a bad segment cost")
+
+        monkeypatch.setattr(decoder, "_tables", no_tables)
+        costs = [0.0, 0.5, 1.0]
+        costs[pos] = bad
+        with pytest.raises(ValueError, match="segment_cost must be finite and non-negative"):
+            dp_decode_expected(marginals, seg_dict, costs)
 
 
 class TestPredictMarginal:
@@ -370,7 +374,7 @@ class TestPredictMarginal:
 class TestDPReconstruct:
     def test_exact_copy_single_segment(self):
         seg_dict = build_segment_dict(labels_only_set([[0, 1, 2]]), DEFAULT_MAX_SEGMENT_LEN)
-        result = dp_reconstruct((0, 1, 2), seg_dict, DPConfig(segment_cost=1.0))
+        result = dp_reconstruct((0, 1, 2), seg_dict, 1.0)
         assert result.labels == (0, 1, 2)
         assert len(result.segments) == 1
         assert result.objective == 1.0
@@ -379,13 +383,13 @@ class TestDPReconstruct:
     def test_prefers_fewer_segments_on_cost_tie(self):
         # both [0][1] and [0,1] reconstruct exactly; with c=0 costs tie
         seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
-        result = dp_reconstruct((0, 1), seg_dict, DPConfig(segment_cost=0.0))
+        result = dp_reconstruct((0, 1), seg_dict, 0.0)
         assert len(result.segments) == 1
 
     def test_mismatch_traded_against_segments(self):
         # gold [0, 5]: label 5 unavailable, best is one segment [0, 1]
         seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
-        result = dp_reconstruct((0, 5), seg_dict, DPConfig(segment_cost=10.0))
+        result = dp_reconstruct((0, 5), seg_dict, 10.0)
         assert result.labels == (0, 1)
         assert result.objective == 11.0
 
@@ -393,14 +397,14 @@ class TestDPReconstruct:
         # empty sentences cannot exist upstream; all decoders refuse them
         seg_dict = build_segment_dict(labels_only_set([[0]]), DEFAULT_MAX_SEGMENT_LEN)
         with pytest.raises(ValueError):
-            dp_reconstruct((), seg_dict, DPConfig(segment_cost=1.0))
+            dp_reconstruct((), seg_dict, 1.0)
         with pytest.raises(ValueError):
-            greedy_reconstruct((), seg_dict, DPConfig(segment_cost=1.0))
+            greedy_reconstruct((), seg_dict, 1.0)
         with pytest.raises(ValueError):
-            brute_force_decode(seg_dict, DPConfig(segment_cost=1.0), gold=())
+            brute_force_decode(seg_dict, 1.0, gold=())
 
     def test_matches_brute_force(self, rng):
-        cfg_grid = [0.0, 0.3, 1.0, 5.0]
+        grid = [0.0, 0.3, 1.0, 5.0]
         for i in range(60):
             neighbors = make_neighbor_set(
                 rng, n_neighbors=int(rng.integers(1, 4)), max_len=5, n_types=4
@@ -408,25 +412,25 @@ class TestDPReconstruct:
             seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
             n_tokens = int(rng.integers(1, 9))
             gold = make_gold(rng, n_tokens, n_types=4)
-            cfg = DPConfig(segment_cost=cfg_grid[i % len(cfg_grid)])
-            dp = dp_reconstruct(gold, seg_dict, cfg)
-            bf = brute_force_decode(seg_dict, cfg, gold=gold)
+            c = grid[i % len(grid)]
+            dp = dp_reconstruct(gold, seg_dict, c)
+            bf = brute_force_decode(seg_dict, c, gold=gold)
             assert dp.objective == bf.objective
             assert dp.labels == bf.labels
-            if cfg.segment_cost == int(cfg.segment_cost):
+            if c == int(c):
                 # integer costs make every intermediate exact, so the
                 # segmentations must agree too; fractional costs can round
                 # two groupings to the same total, and then only the
                 # objective and labels are pinned down
                 assert dp.segments == bf.segments
             assert_segments_consistent(
-                dp, seg_dict, cfg, lambda j, lab: 0.0 if gold[j] == lab else 1.0
+                dp, seg_dict, c, lambda j, lab: 0.0 if gold[j] == lab else 1.0
             )
 
 
 class TestDPExpected:
     def test_matches_brute_force(self, rng):
-        cfg_grid = [0.0, 0.3, 1.0, 5.0]
+        grid = [0.0, 0.3, 1.0, 5.0]
         for i in range(60):
             neighbors = make_neighbor_set(
                 rng, n_neighbors=int(rng.integers(1, 4)), max_len=5, n_types=4
@@ -434,9 +438,9 @@ class TestDPExpected:
             seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
             n_tokens = int(rng.integers(1, 9))
             marginals = make_marginals(rng, n_tokens, neighbors)
-            cfg = DPConfig(segment_cost=cfg_grid[i % len(cfg_grid)])
-            dp = dp_decode_expected(marginals, seg_dict, (cfg,))[0]
-            bf = brute_force_decode(seg_dict, cfg, marginals=marginals)
+            c = grid[i % len(grid)]
+            dp = dp_decode_expected(marginals, seg_dict, (c,))[0]
+            bf = brute_force_decode(seg_dict, c, marginals=marginals)
             assert dp.objective == bf.objective
             assert dp.labels == bf.labels
             # continuous costs round, so exact ties between different
@@ -447,7 +451,7 @@ class TestDPExpected:
             assert_segments_consistent(
                 dp,
                 seg_dict,
-                cfg,
+                c,
                 lambda j, lab: 1.0
                 if col_of.get(lab) is None
                 else 1.0 - float(probs[j, col_of[lab]]),
@@ -458,9 +462,7 @@ class TestDPExpected:
             neighbors = make_neighbor_set(rng, n_neighbors=2, max_len=4, n_types=3)
             seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
             marginals = make_marginals(rng, int(rng.integers(1, 7)), neighbors)
-            result = dp_decode_expected(
-                marginals, seg_dict, (DPConfig(segment_cost=0.0),)
-            )[0]
+            result = dp_decode_expected(marginals, seg_dict, (0.0,))[0]
             assert result.labels == predict_marginal(marginals)
 
     def test_expected_equals_reconstruct_on_onehot(self, rng):
@@ -477,19 +479,18 @@ class TestDPExpected:
             probs[t, list(type_ids).index(g)] = 1.0
         marginals = MarginalMatrix(probs=probs, type_ids=type_ids)
         for c in (0.0, 0.7, 2.0):
-            cfg = DPConfig(segment_cost=c)
-            a = dp_decode_expected(marginals, seg_dict, (cfg,))[0]
-            b = dp_reconstruct(gold, seg_dict, cfg)
+            a = dp_decode_expected(marginals, seg_dict, (c,))[0]
+            b = dp_reconstruct(gold, seg_dict, c)
             assert a.objective == b.objective
             assert a.labels == b.labels
             assert a.segments == b.segments
 
-    def test_rejects_no_configs_before_any_work(self, monkeypatch):
+    def test_rejects_no_segment_costs_before_any_work(self, monkeypatch):
         seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
         marginals = MarginalMatrix(probs=np.array([[0.5, 0.5]]), type_ids=(0, 1))
 
         def no_tables(*args):
-            raise AssertionError("tables built for no config")
+            raise AssertionError("tables built for no segment cost")
 
         monkeypatch.setattr(decoder, "_tables", no_tables)
         with pytest.raises(ValueError, match="no segment cost"):
@@ -503,14 +504,14 @@ class TestDPExpected:
             type_ids=present_types(neighbors),
         )
         with pytest.raises(ValueError):
-            dp_decode_expected(bad, seg_dict, (DPConfig(segment_cost=0.0),))
+            dp_decode_expected(bad, seg_dict, (0.0,))
 
     @pytest.mark.parametrize("row", [[np.nan, 0.5], [np.nan, np.nan], [1.0, np.nan]])
     def test_rows_must_not_hold_nan(self, row):
         seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
         bad = MarginalMatrix(probs=np.array([row]), type_ids=(0, 1))
         with pytest.raises(ValueError, match="probability distributions"):
-            dp_decode_expected(bad, seg_dict, (DPConfig(segment_cost=0.4),))
+            dp_decode_expected(bad, seg_dict, (0.4,))
 
     def test_monotone_in_cost(self, rng):
         # raising c can only shrink the segment count and raise the
@@ -522,9 +523,7 @@ class TestDPExpected:
             prev_segments = None
             prev_cost = None
             for c in np.arange(0.0, 2.01, 0.1):
-                result = dp_decode_expected(
-                    marginals, seg_dict, (DPConfig(segment_cost=float(c)),)
-                )[0]
+                result = dp_decode_expected(marginals, seg_dict, (float(c),))[0]
                 n_seg = len(result.segments)
                 mis_cost = result.objective - n_seg * float(c)
                 if prev_segments is not None:
@@ -540,19 +539,18 @@ class TestGreedy:
             neighbors = make_neighbor_set(rng, n_neighbors=2, max_len=5, n_types=3)
             seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
             gold = make_gold(rng, int(rng.integers(1, 8)), n_types=3)
-            cfg = DPConfig(segment_cost=float(rng.uniform(0, 3)))
-            greedy = greedy_reconstruct(gold, seg_dict, cfg)
-            dp = dp_reconstruct(gold, seg_dict, cfg)
+            c = float(rng.uniform(0, 3))
+            greedy = greedy_reconstruct(gold, seg_dict, c)
+            dp = dp_reconstruct(gold, seg_dict, c)
             assert greedy.objective >= dp.objective
 
     def test_fixture_greedy_uses_more_segments(self):
         # Greedy grabs the clean [A] segment, then pays for a second one;
         # DP accepts one mismatch inside a single longer segment.
         seg_dict = build_segment_dict(labels_only_set([[0, 2], [1]]), DEFAULT_MAX_SEGMENT_LEN)
-        cfg = DPConfig(segment_cost=5.0)
         gold = (0, 1)
-        greedy = greedy_reconstruct(gold, seg_dict, cfg)
-        dp = dp_reconstruct(gold, seg_dict, cfg)
+        greedy = greedy_reconstruct(gold, seg_dict, 5.0)
+        dp = dp_reconstruct(gold, seg_dict, 5.0)
         assert len(greedy.segments) == 2
         assert len(dp.segments) == 1
         assert greedy.objective == 10.0
@@ -564,7 +562,7 @@ class TestGreedy:
         neighbors = make_neighbor_set(rng, n_neighbors=2, max_len=4, n_types=3)
         seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
         gold = make_gold(rng, 6, n_types=3)
-        result = greedy_reconstruct(gold, seg_dict, DPConfig(segment_cost=0.5))
+        result = greedy_reconstruct(gold, seg_dict, 0.5)
         assert len(result.labels) == 6
         covered = sum(seg.length for seg in result.segments)
         assert covered == 6
@@ -574,37 +572,28 @@ class TestBruteForceGuards:
     def test_rejects_long_inputs(self):
         seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
         with pytest.raises(ValueError, match="positions"):
-            brute_force_decode(
-                seg_dict, DPConfig(segment_cost=0.0), gold=tuple([0] * 13)
-            )
+            brute_force_decode(seg_dict, 0.0, gold=tuple([0] * 13))
 
     def test_requires_exactly_one_mode(self, rng):
         neighbors = make_neighbor_set(rng, n_neighbors=1, max_len=3, n_types=2)
         seg_dict = build_segment_dict(neighbors, DEFAULT_MAX_SEGMENT_LEN)
         marginals = make_marginals(rng, 2, neighbors)
         with pytest.raises(ValueError):
-            brute_force_decode(seg_dict, DPConfig(segment_cost=0.0))
+            brute_force_decode(seg_dict, 0.0)
         with pytest.raises(ValueError):
-            brute_force_decode(
-                seg_dict,
-                DPConfig(segment_cost=0.0),
-                gold=(0, 1),
-                marginals=marginals,
-            )
+            brute_force_decode(seg_dict, 0.0, gold=(0, 1), marginals=marginals)
 
     def test_combination_limit(self):
         # a rich dictionary over 12 positions explodes combinatorially
         rows = [[int(v) for v in np.random.default_rng(1).integers(0, 6, 20)]]
         seg_dict = build_segment_dict(labels_only_set(rows), DEFAULT_MAX_SEGMENT_LEN)
         with pytest.raises(ValueError, match="combinations"):
-            brute_force_decode(
-                seg_dict, DPConfig(segment_cost=0.0), gold=tuple([0] * 12)
-            )
+            brute_force_decode(seg_dict, 0.0, gold=tuple([0] * 12))
 
 
 class TestProvenance:
     def test_line_format(self):
         seg_dict = build_segment_dict(labels_only_set([[0, 1, 2]]), DEFAULT_MAX_SEGMENT_LEN)
-        result = dp_reconstruct((0, 1, 2), seg_dict, DPConfig(segment_cost=1.0))
+        result = dp_reconstruct((0, 1, 2), seg_dict, 1.0)
         lines = provenance_lines(result, ("O", "PER", "LOC"))
         assert lines == ["seg 0 3 from=neighbor:0 offset:0 labels=O,PER,LOC"]

@@ -15,7 +15,6 @@ from copytag.embeddings import (
     HashedWindowEmbedder,
     TokenColumns,
     embed_sentence,
-    embed_tokens,
     fnv1a64,
     word_shape,
 )
@@ -201,25 +200,27 @@ class TestEmbedderParams:
 class TestEmbedTokens:
     def test_shape_and_range(self):
         p = EmbedderParams(dim=16, n_buckets=512)
-        x = embed_tokens(p, SENT)
+        x = HashedWindowEmbedder(p).embed(SENT)
         assert x.shape == (5, 16)
         assert np.all(np.abs(x) < 1.0)
 
     def test_deterministic(self):
         p = EmbedderParams(dim=8, n_buckets=128)
         q = EmbedderParams(dim=8, n_buckets=128)
-        assert np.array_equal(embed_tokens(p, SENT), embed_tokens(q, SENT))
+        x, y = HashedWindowEmbedder(p).embed(SENT), HashedWindowEmbedder(q).embed(SENT)
+        assert np.array_equal(x, y)
 
     def test_provider_matches_functional(self):
         provider = HashedWindowEmbedder(EmbedderParams(dim=8, n_buckets=128))
-        functional = embed_tokens(EmbedderParams(dim=8, n_buckets=128), SENT)
+        params = EmbedderParams(dim=8, n_buckets=128)
+        functional = _embed_columns(params, _token_columns(params, SENT))
         assert np.array_equal(provider.embed(SENT), functional)
         # cached second call stays bit-identical
         assert np.array_equal(provider.embed(SENT), functional)
 
     def test_mean_pooling(self):
         p = EmbedderParams(dim=8, n_buckets=128)
-        x = embed_tokens(p, SENT)
+        x = HashedWindowEmbedder(p).embed(SENT)
         assert np.allclose(embed_sentence(x), x.mean(axis=0))
 
     def test_params_update_changes_embedding(self):
@@ -282,9 +283,9 @@ class TestMatchesFeaturizerReference:
             rows = params.storage[cached.slots]
             for row, col in zip(rows, cached.columns):
                 assert np.array_equal(row, column(params, int(col)))
-            functional = embed_tokens(
-                EmbedderParams(dim=5, n_buckets=n_buckets, window=window, seed=seed), sent
-            )
+            functional = HashedWindowEmbedder(
+                EmbedderParams(dim=5, n_buckets=n_buckets, window=window, seed=seed)
+            ).embed(sent)
             embedded = provider.embed(sent)
             assert embedded.tobytes() == functional.tobytes()
 
@@ -323,9 +324,9 @@ class TestEmbeddingPins:
         original = HashedWindowEmbedder(EmbedderParams(dim=6, n_buckets=4096, window=1, seed=5))
         before = original.embed(first).copy()
         copy = HashedWindowEmbedder(original.params.copy())
-        assert copy.embed(only_copy).tobytes() == embed_tokens(
-            EmbedderParams(dim=6, n_buckets=4096, window=1, seed=5), only_copy
-        ).tobytes()
+        assert copy.embed(only_copy).tobytes() == HashedWindowEmbedder(
+            EmbedderParams(dim=6, n_buckets=4096, window=1, seed=5)
+        ).embed(only_copy).tobytes()
         for provider, sent in (
             (original, only_original),
             (original, only_copy),
@@ -334,7 +335,8 @@ class TestEmbeddingPins:
             (copy, first),
         ):
             fresh = EmbedderParams(dim=6, n_buckets=4096, window=1, seed=5)
-            assert provider.embed(sent).tobytes() == embed_tokens(fresh, sent).tobytes()
+            expected = HashedWindowEmbedder(fresh).embed(sent)
+            assert provider.embed(sent).tobytes() == expected.tobytes()
         assert original.embed(first).tobytes() == before.tobytes()
 
 
@@ -355,10 +357,10 @@ class TestBackprop:
                 bumped = base.copy()
                 bumped[k] += step
                 set_column(params, col, bumped)
-                up = float((embed_tokens(params, sent) * d_output).sum())
+                up = float((HashedWindowEmbedder(params).embed(sent) * d_output).sum())
                 bumped[k] -= 2 * step
                 set_column(params, col, bumped)
-                down = float((embed_tokens(params, sent) * d_output).sum())
+                down = float((HashedWindowEmbedder(params).embed(sent) * d_output).sum())
                 set_column(params, col, base)
                 numeric = (up - down) / (2 * step)
                 assert abs(numeric - grad[k]) < 1e-4 * max(1.0, abs(numeric))
@@ -480,7 +482,7 @@ class TestTokenByTokenBackward:
             assert np.unique(columns.columns, return_counts=True)[1].max() > 1
             d_output = rng.normal(size=(40, 16))
             d_output[rng.random(d_output.shape) < 0.1] = -0.0
-            x = embed_tokens(params, sent)
+            x = HashedWindowEmbedder(params).embed(sent)
 
             grads = HashedWindowEmbedder(params).backprop(sent, d_output, x)
             expected = reference_backprop_add_at(columns, d_output, x)

@@ -291,6 +291,14 @@ class TestZeroShot:
         for item in gold.items:
             assert set(tagger.tag(item.sentence).label_names) <= {"NAME", "REL", "PLACE"}
 
+    def test_empty_eval_data_rejected_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the db was embedded before eval_data was checked")
+
+        monkeypatch.setattr(tagging, "build_index", forbidden)
+        with pytest.raises(ValueError, match="eval_data has no sentences"):
+            zero_shot_eval(provider(), build_dataset(DB_ROWS), build_dataset([]), 1)
+
     def test_empty_db_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             zero_shot_eval(

@@ -7,7 +7,6 @@ import pytest
 from copytag.corpus import Sentence, build_dataset
 from copytag.decoder import (
     DEFAULT_MAX_SEGMENT_LEN,
-    DPConfig,
     build_segment_dict,
     dp_decode_expected,
 )
@@ -136,11 +135,10 @@ class TestTagger:
             seg_dict = tagger.segment_dict(analysis)
             assert seg_dict.depth <= len(item.sentence)
             full = build_segment_dict(analysis.neighbors, DEFAULT_MAX_SEGMENT_LEN)
-            for c in (0.0, 0.4, 2.0):
-                cfg = DPConfig(segment_cost=c)
-                assert dp_decode_expected(
-                    analysis.marginals, seg_dict, (cfg,)
-                )[0] == dp_decode_expected(analysis.marginals, full, (cfg,))[0]
+            grid = (0.0, 0.4, 2.0)
+            assert dp_decode_expected(
+                analysis.marginals, seg_dict, grid
+            ) == dp_decode_expected(analysis.marginals, full, grid)
 
     @pytest.mark.parametrize("decode", [DECODE_MARGINAL, DECODE_DP])
     def test_non_finite_query_embedding_rejected(self, db, provider, monkeypatch, decode):
@@ -281,4 +279,3 @@ class TestDecodeConfig:
         cheap = tagger.tag(sent, decode=DECODE_DP, segment_cost=0.0)
         dear = tagger.tag(sent, decode=DECODE_DP, segment_cost=50.0)
         assert len(dear.decode.segments) <= len(cheap.decode.segments)
-        assert DPConfig(segment_cost=50.0).segment_cost == 50.0

@@ -337,6 +337,17 @@ class TestFineTune:
         with pytest.raises(ValueError, match="empty"):
             fine_tune(TrainConfig(), empty, provider=small_embedder())
 
+    def test_rejects_empty_dev_data_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("training began before dev was checked")
+
+        monkeypatch.setattr(trainer, "build_index", forbidden)
+        monkeypatch.setattr(trainer, "adam_update", forbidden)
+        train = suffix_corpus(8, seed=3)
+        cfg = TrainConfig(epochs=1, batch_size=4, train_neighbors=3, test_neighbors=3)
+        with pytest.raises(ValueError, match="dev has no sentences"):
+            fine_tune(cfg, train, dev=Dataset((), train.vocab), provider=small_embedder())
+
     def test_returned_params_are_a_snapshot(self):
         # later updates to the live provider must not leak into the checkpoint
         train = suffix_corpus(8, seed=3)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from copytag.decoder import DPConfig, DecodeResult, Segment
+from copytag.decoder import DecodeResult, Segment
 from copytag.retrieval import NeighborSet
 
 
@@ -55,7 +55,7 @@ def build_trie(neighbors: NeighborSet, max_len: int) -> Trie:
 def trie_dp(
     n_positions: int,
     trie: Trie,
-    cfg: DPConfig,
+    segment_cost: float,
     cost_at: Callable[[int, int], float],
 ) -> DecodeResult:
     """Exact minimization over (position, trie node) states."""
@@ -86,7 +86,7 @@ def trie_dp(
                 step = acc + cost_at(start + depth, label)
                 path.append(label)
                 end = start + depth + 1
-                candidate = (base_cost + cfg.segment_cost) + step
+                candidate = (base_cost + segment_cost) + step
                 current = best_cost[end]
                 take = False
                 if current is None or candidate < current:
@@ -120,7 +120,7 @@ def trie_dp(
     return DecodeResult(best_labels[total], tuple(segments), float(best_cost[total]))
 
 
-def trie_greedy(gold: Sequence[int], trie: Trie, cfg: DPConfig) -> DecodeResult:
+def trie_greedy(gold: Sequence[int], trie: Trie, segment_cost: float) -> DecodeResult:
     """Left-to-right greedy: fewest mismatches, then longest, then smallest."""
     gold = tuple(int(g) for g in gold)
     if not trie.root.children:
@@ -158,7 +158,7 @@ def trie_greedy(gold: Sequence[int], trie: Trie, cfg: DPConfig) -> DecodeResult:
         chosen = best[2]
         labels.extend(chosen)
         segments.append(Segment(pos, len(chosen), node.neighbor, node.offset))
-        objective = (objective + cfg.segment_cost) + cost
+        objective = (objective + segment_cost) + cost
         pos += len(chosen)
     return DecodeResult(tuple(labels), tuple(segments), objective)
 
