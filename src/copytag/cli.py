@@ -3,8 +3,9 @@
 Five verbs: train, tag, eval, sweep, inspect. Every verb that produces a
 file also writes `<out>.manifest.json` recording the resolved options,
 input digests, and tool version, so a run can be reproduced from its
-outputs. Files are staged to temp paths and renamed only after the
-whole verb succeeds, so a failure leaves nothing behind.
+outputs. An output that resolves to an input or to another output is
+refused before any work. Files are staged to temp paths and renamed only
+after the whole verb succeeds, so a failure leaves nothing behind.
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
@@ -92,36 +93,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Staged:
-    """Collects output files; nothing lands on disk until commit(). Two
-    outputs that resolve to one file are refused when the second is added."""
+# per verb: the options that name its input files, then its outputs
+_FILES = {
+    "train": (("data", "dev"), ("out",)),
+    "tag": (("ckpt", "db", "input"), ("out", "explain")),
+    "eval": (("pred", "gold"), ("report",)),
+    "sweep": (("ckpt", "db", "data"), ("out",)),
+    "inspect": (("ckpt", "db", "input"), ()),
+}
 
-    def __init__(self) -> None:
-        self.entries: list[tuple[str, str]] = []
 
-    def add(self, path: str, text: str) -> None:
+def _paths(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+    """The given input files and outputs of the verb. A verb that writes
+    also writes `<first output>.manifest.json`, last in the outputs."""
+    inputs, outputs = (
+        [p for p in (getattr(args, k) for k in keys) if p] for keys in _FILES[args.verb]
+    )
+    if outputs:
+        outputs.append(f"{outputs[0]}.manifest.json")
+    return inputs, outputs
+
+
+def _check_paths(inputs: list[str], outputs: list[str]) -> None:
+    """Refuse, before any work, an output that resolves to the same file
+    as an input or an earlier output."""
+    seen = {os.path.realpath(p): "an input" for p in inputs}
+    for path in outputs:
         real = os.path.realpath(path)
-        if any(os.path.realpath(other) == real for other, _ in self.entries):
-            raise ValueError(f"two outputs would be written to {path}")
-        self.entries.append((path, text))
+        if real in seen:
+            raise ValueError(f"output {path} would overwrite {seen[real]}")
+        seen[real] = "another output"
 
-    def commit(self) -> None:
-        written = []
-        try:
-            for path, text in self.entries:
-                tmp = f"{path}.tmp{os.getpid()}"
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                written.append((tmp, path))
-            for tmp, path in written:
-                os.replace(tmp, path)
-        except BaseException:
-            for tmp, _ in written:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            raise
+
+def _commit(staged: list[tuple[str, str]]) -> None:
+    """Write every staged (path, text) to a temp file, then rename them all;
+    on a failure remove the temp files, so nothing lands on disk."""
+    written = []
+    try:
+        for path, text in staged:
+            tmp = f"{path}.tmp{os.getpid()}"
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            written.append((tmp, path))
+        for tmp, path in written:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in written:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        raise
 
 
 def _read_text(path: str) -> str:
@@ -137,8 +159,7 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _manifest(args: argparse.Namespace, inputs: list[str | None],
-              outputs: list[str]) -> str:
+def _manifest(args: argparse.Namespace, inputs: list[str], outputs: list[str]) -> str:
     options = {k: v for k, v in vars(args).items() if k != "verb"}
     record = {
         "tool": TOOL,
@@ -146,7 +167,7 @@ def _manifest(args: argparse.Namespace, inputs: list[str | None],
         "verb": args.verb,
         "options": options,
         "seed": getattr(args, "seed", None),
-        "inputs": {path: _sha256(path) for path in inputs if path is not None},
+        "inputs": {path: _sha256(path) for path in inputs},
         "outputs": outputs,
     }
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
@@ -196,9 +217,7 @@ def _cmd_train(args, parser, staged) -> None:
         if entry.dev_accuracy is not None:
             line += f" dev_accuracy {entry.dev_accuracy:.4f}"
         print(line)
-    staged.add(args.out, save_checkpoint(checkpoint))
-    staged.add(f"{args.out}.manifest.json",
-               _manifest(args, [args.data, args.dev], [args.out]))
+    staged.append((args.out, save_checkpoint(checkpoint)))
 
 
 def _cmd_tag(args, parser, staged) -> None:
@@ -211,17 +230,13 @@ def _cmd_tag(args, parser, staged) -> None:
     tagged = [
         tagger.tag(s, decode=args.decode, segment_cost=args.c) for s in sentences
     ]
-    staged.add(args.out, write_conll(predictions_dataset(tagged)))
-    outputs = [args.out]
+    staged.append((args.out, write_conll(predictions_dataset(tagged))))
     if args.explain:
         lines = []
         for t in tagged:
             lines.append(f"# sentence {t.sentence.uid}")
             lines.extend(provenance_lines(t.decode, db.vocab.types))
-        staged.add(args.explain, "\n".join(lines) + "\n")
-        outputs.append(args.explain)
-    staged.add(f"{args.out}.manifest.json",
-               _manifest(args, [args.ckpt, args.db, args.input], outputs))
+        staged.append((args.explain, "\n".join(lines) + "\n"))
 
 
 def _cmd_eval(args, parser, staged) -> None:
@@ -236,9 +251,7 @@ def _cmd_eval(args, parser, staged) -> None:
     for line in lines:
         print(line)
     if args.report:
-        staged.add(args.report, "\n".join(lines) + "\n")
-        staged.add(f"{args.report}.manifest.json",
-                   _manifest(args, [args.pred, args.gold], [args.report]))
+        staged.append((args.report, "\n".join(lines) + "\n"))
 
 
 def _cmd_sweep(args, parser, staged) -> None:
@@ -250,20 +263,18 @@ def _cmd_sweep(args, parser, staged) -> None:
     db = _load_dataset(args.db)
     data = _load_dataset(args.data)
     rows = sweep_c(grid, provider, db, data, args.neighbors)
-    staged.add(args.out, sweep_csv(rows))
-    staged.add(f"{args.out}.manifest.json",
-               _manifest(args, [args.ckpt, args.db, args.data], [args.out]))
+    staged.append((args.out, sweep_csv(rows)))
 
 
 def _cmd_inspect(args, parser, staged) -> None:
-    provider = _provider_from(args.ckpt)
-    db = _load_dataset(args.db)
     sentences = _read_sentences(args.input)
     if not 0 <= args.sentence_id < len(sentences):
         raise ValueError(
             f"sentence id {args.sentence_id} out of range; "
             f"input has {len(sentences)} sentences"
         )
+    provider = _provider_from(args.ckpt)
+    db = _load_dataset(args.db)
     sentence = sentences[args.sentence_id]
     tagger = Tagger(provider, db, args.neighbors)
     tagged = tagger.tag(sentence, decode=DECODE_DP, segment_cost=args.c)
@@ -310,10 +321,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    staged = _Staged()
+    staged: list[tuple[str, str]] = []
     try:
+        inputs, outputs = _paths(args)
+        _check_paths(inputs, outputs)
         _HANDLERS[args.verb](args, parser, staged)
-        staged.commit()
+        if outputs:
+            staged.append((outputs[-1], _manifest(args, inputs, outputs[:-1])))
+        _commit(staged)
     except SystemExit as exc:
         # parser.error inside a handler: usage problems found after parsing
         return int(exc.code or 0)

@@ -265,40 +265,24 @@ def _decode(
     monotonically under segment concatenation. The best copy of length
     d + 1 from a start costs base + its minimum, and its rank is the
     tables' first argmin unless an earlier rank rounds to the same value
-    (see the module docstring). Label tuples are built only to break
-    exact ties, and only for prefixes whose decode is final, so each is
-    built once: a tie compares the final prefix before start plus the
-    new copy against the held decode's labels. Those are cached per end:
-    built at the first tie after back[end] changes, replaced by the new
-    copy's labels when it wins a tie, and dropped when a cheaper or
-    shorter decode takes the end.
+    (see the module docstring). Only copies from earlier starts end at a
+    start, so back[start] is final when the loop reaches it, and the labels
+    of that prefix are built then, once. An exact tie at an end keeps the
+    decode already there unless the new copy's labels are smaller.
     """
     total = cost.shape[0]
     best_cost = [0.0] + [np.inf] * total
     best_segs = [0] * (total + 1)
     back: list[tuple[int, int, int] | None] = [None] * (total + 1)
-    held: list[tuple[int, ...] | None] = [None] * (total + 1)
-    # Labels of the best decode of each prefix that can no longer change:
-    # once the loop reaches start, back[e] is final for every e <= start.
-    decoded: dict[int, tuple[int, ...]] = {0: ()}
-
-    def labels_to(end: int) -> tuple[int, ...]:
-        """Labels of the best decode of prefix `end`, for a final end."""
-        chain = []
-        while end not in decoded:
-            start, length, rank = back[end]
-            chain.append((end, length, rank))
-            end = start
-        out = decoded[end]
-        for end, length, rank in reversed(chain):
-            out = decoded[end] = out + seg_dict.path(length, rank)
-        return out
+    labels: list[tuple[int, ...]] = [()]
 
     for start in range(total):
+        if start:
+            prev, length, rank = back[start]
+            labels.append(labels[prev] + seg_dict.path(length, rank))
         base = best_cost[start] + segment_cost
         segs = best_segs[start] + 1
         earlier, mins = split[start]
-        prefix = None
         for end, low in zip(range(start + 1, total + 1), mins):
             value = base + low
             current = best_cost[end]
@@ -309,19 +293,10 @@ def _decode(
             if rank and base + earlier[length - 1] == value:
                 rank = _first_rank(seg_dict, cost, base, start, length)
             if value == current and segs == best_segs[end]:
-                # the held decode of end came from an earlier, final start
-                if prefix is None:
-                    prefix = labels_to(start)
-                labels = prefix + seg_dict.path(length, rank)
-                kept = held[end]
-                if kept is None:
-                    other, *copy = back[end]
-                    kept = held[end] = labels_to(other) + seg_dict.path(*copy)
-                if labels >= kept:
+                other, *copy = back[end]
+                new = labels[start] + seg_dict.path(length, rank)
+                if new >= labels[other] + seg_dict.path(*copy):
                     continue
-                held[end] = labels
-            else:
-                held[end] = None
             best_cost[end] = value
             best_segs[end] = segs
             back[end] = (start, length, rank)
@@ -333,7 +308,9 @@ def _decode(
         segments.append(Segment(start, length, *seg_dict.exemplar(length, rank)))
         end = start
     segments.reverse()
-    return DecodeResult(labels_to(total), tuple(segments), float(best_cost[total]))
+    prev, length, rank = back[total]
+    final = labels[prev] + seg_dict.path(length, rank)
+    return DecodeResult(final, tuple(segments), float(best_cost[total]))
 
 
 def dp_decode_expected(

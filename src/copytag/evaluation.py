@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import Dataset, build_dataset, spans_from_bio
+from .corpus import CorpusError, Dataset, build_dataset, spans_from_bio
 from .decoder import check_segment_cost, dp_decode_expected
 from .tagging import Tagger, predictions_dataset
 
@@ -115,12 +115,12 @@ def sweep_c(
 ) -> list[SweepRow]:
     """Decode `data` against `db` at every segment cost in `c_values`.
 
-    The grid and `data` are checked before any work. The db index comes
-    from build_index, so a sweep right after a Tagger over the same
-    provider and db object reuses that Tagger's index. Retrieval,
-    marginals, the segment dictionary and the decode tables are computed
-    once per sentence and shared across the grid: one dp_decode_expected
-    call decodes a sentence at every grid value.
+    The grid and `data`, its gold BIO tags too, are checked before any
+    work. The db index comes from build_index, so a sweep right after a
+    Tagger over the same provider and db object reuses that Tagger's
+    index. Retrieval, marginals, the segment dictionary and the decode
+    tables are computed once per sentence and shared across the grid: one
+    dp_decode_expected call decodes a sentence at every grid value.
     """
     if not c_values:
         raise ValueError("the c grid must be non-empty")
@@ -135,6 +135,11 @@ def sweep_c(
         raise ValueError("the c grid must be strictly ascending")
     if not data.items:
         raise ValueError("the data to sweep has no sentences")
+    for item in data.items:
+        try:
+            spans_from_bio(data.label_names(item))
+        except CorpusError as exc:
+            raise CorpusError(f"sentence {item.sentence.uid}: {exc}") from None
     tagger = Tagger(provider, db, n_neighbors)
     decoded = []
     for item in data.items:

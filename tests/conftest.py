@@ -1,16 +1,28 @@
 """Shared builders for randomized test instances."""
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from copytag.copy_model import MarginalMatrix
 from copytag.corpus import Dataset, LabeledSequence, LabelVocab, Sentence, build_dataset
 from copytag.retrieval import NeighborSet, assemble_neighbor_set, build_index
 
-# Every run draws the same examples and writes no example database.
+# Every run draws the same examples and writes no example database. What
+# hypothesis stores anyway (its cache of constants read from the source)
+# goes to a temporary directory, removed when the session ends.
 settings.register_profile("copytag", derandomize=True, database=None)
 settings.load_profile("copytag")
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="copytag-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)
 
 
 class RowsProvider:

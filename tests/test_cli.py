@@ -392,6 +392,81 @@ class TestExplain:
         assert not (tmp_path / "pred.conll").exists()
 
 
+class TestOutputPaths:
+    def test_clash_refused_before_the_checkpoint_loads(self, corpora, tmp_path, capsys):
+        out = str(tmp_path / "pred.conll")
+        code = main(
+            [
+                "tag",
+                "--ckpt", str(tmp_path / "missing.ckpt"),
+                "--db", str(corpora["train"]),
+                "--input", str(corpora["dev"]),
+                "--out", out,
+                "--decode", "dp",
+                "--explain", out,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"output {out} would overwrite another output" in err
+        assert "missing.ckpt" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_on_the_db_leaves_it_unchanged(self, corpora, trained, tmp_path, capsys):
+        db = tmp_path / "db.conll"
+        db.write_bytes(corpora["train"].read_bytes())
+        code = main(
+            [
+                "tag",
+                "--ckpt", str(trained),
+                "--db", str(db),
+                "--input", str(corpora["dev"]),
+                "--out", str(db),
+                "--neighbors", "5",
+            ]
+        )
+        assert code == 1
+        assert f"output {db} would overwrite an input" in capsys.readouterr().err
+        assert db.read_bytes() == corpora["train"].read_bytes()
+        assert list(tmp_path.iterdir()) == [db]
+
+    @pytest.mark.parametrize("verb", ["train", "eval", "sweep"])
+    def test_manifest_on_an_input_is_refused(self, corpora, tmp_path, capsys, verb):
+        # the manifest of `out` is itself an output
+        data = tmp_path / "data.conll.manifest.json"
+        data.write_bytes(corpora["dev"].read_bytes())
+        out = str(tmp_path / "data.conll")
+        args = {
+            "train": ["--data", str(data), "--out", out],
+            "eval": ["--pred", str(data), "--gold", str(data), "--report", out],
+            "sweep": [
+                "--ckpt", str(tmp_path / "missing.ckpt"), "--db", str(data),
+                "--data", str(data), "--c-grid", "0,0.4", "--out", out,
+            ],
+        }[verb]
+        assert main([verb, *args]) == 1
+        assert f"output {data} would overwrite an input" in capsys.readouterr().err
+        assert data.read_bytes() == corpora["dev"].read_bytes()
+        assert list(tmp_path.iterdir()) == [data]
+
+    def test_inspect_checks_the_sentence_id_before_the_checkpoint(
+        self, corpora, tmp_path, capsys
+    ):
+        code = main(
+            [
+                "inspect",
+                "--ckpt", str(tmp_path / "missing.ckpt"),
+                "--db", str(corpora["train"]),
+                "--input", str(corpora["dev"]),
+                "--sentence-id", "8",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sentence id 8 out of range; input has 8 sentences" in err
+        assert "missing.ckpt" not in err
+
+
 class TestExitCodes:
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2

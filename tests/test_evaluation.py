@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import copytag.evaluation as evaluation
 import copytag.tagging as tagging
-from copytag.corpus import Dataset, LabelVocab, build_dataset, relabel
+from copytag.corpus import CorpusError, Dataset, LabelVocab, build_dataset, relabel
 from copytag.embeddings import HashedWindowEmbedder
 from copytag.evaluation import (
     SWEEP_HEADER,
@@ -158,6 +159,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="data to sweep has no sentences"):
             sweep_c([0.0, 0.5], provider(), build_dataset(DB_ROWS), build_dataset([]), 3)
         assert built == []
+
+    def test_gold_that_is_not_bio_rejected_before_any_work(self, monkeypatch):
+        # the gold spans are first read when scoring, after every decode
+        def decode(*args):
+            raise AssertionError("decoded before the gold labels were checked")
+
+        monkeypatch.setattr(evaluation, "dp_decode_expected", decode)
+        data = build_dataset([*EVAL_ROWS, (("stems", "rest"), ("O", "EST"))])
+        with pytest.raises(CorpusError, match="sentence 2: malformed BIO label 'EST'"):
+            sweep_c([0.0, 0.4], provider(), build_dataset(DB_ROWS), data, 3)
 
     def test_rows_equal_per_cost_dp_tagging(self):
         # the grid shares one set of decode tables per sentence; each row

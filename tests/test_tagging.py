@@ -148,9 +148,10 @@ class TestTagger:
             tagger.tag(Sentence(100, ("alice", "poison")), decode=decode)
 
     def test_sweep_rejects_non_finite_query_embedding(self, db, provider, monkeypatch):
+        # sweep_c scores spans, so its gold must be BIO
         data = build_dataset([
-            (("bob", "likes", "tea"), ("PER", "O", "O")),
-            (("alice", "poison"), ("PER", "O")),
+            (("bob", "likes", "tea"), ("B-PER", "O", "O")),
+            (("alice", "poison"), ("B-PER", "O")),
         ])
         poison_embeds(monkeypatch, provider, ("alice", "poison"))
         with pytest.raises(ValueError, match="sentence 1: .*non-finite"):
