@@ -122,6 +122,14 @@ class LossReport:
     skipped: int
 
 
+def _gold_columns(neighbors: NeighborSet, gold: Sequence[int]) -> list[np.ndarray]:
+    # Each token's neighbor columns of its gold type, ascending, as the
+    # mask flat_labels == gold[t] selects them: one mask per distinct type.
+    flat = neighbors.flat_labels
+    columns = {gold_type: np.flatnonzero(flat == gold_type) for gold_type in set(gold)}
+    return [columns[gold_type] for gold_type in gold]
+
+
 def nll(
     posterior: CopyPosterior, neighbors: NeighborSet, gold: Sequence[int]
 ) -> LossReport:
@@ -130,15 +138,13 @@ def nll(
         raise ValueError(
             f"{len(gold)} gold labels for {posterior.n_tokens} posterior rows"
         )
-    flat = neighbors.flat_labels
     total = 0.0
     skipped = 0
-    for t, gold_type in enumerate(gold):
-        mask = flat == gold_type
-        if not mask.any():
+    for t, columns in enumerate(_gold_columns(neighbors, gold)):
+        if not columns.size:
             skipped += 1
             continue
-        total += -_logsumexp(posterior.log_probs[t, mask])
+        total += -_logsumexp(posterior.log_probs[t, columns])
     return LossReport(total, skipped)
 
 
@@ -159,14 +165,12 @@ def grad_wrt_input(
         raise ValueError(
             f"{len(gold)} gold labels for {posterior.n_tokens} posterior rows"
         )
-    flat = neighbors.flat_labels
     residual = np.zeros_like(posterior.log_probs)
-    for t, gold_type in enumerate(gold):
-        mask = flat == gold_type
-        if not mask.any():
+    for t, columns in enumerate(_gold_columns(neighbors, gold)):
+        if not columns.size:
             continue
         log_row = posterior.log_probs[t]
         residual[t] = np.exp(log_row)
-        log_support = _logsumexp(log_row[mask])
-        residual[t, mask] -= np.exp(log_row[mask] - log_support)
+        log_support = _logsumexp(log_row[columns])
+        residual[t, columns] -= np.exp(log_row[columns] - log_support)
     return residual @ neighbor_rows

@@ -10,10 +10,14 @@ to be stored in checkpoints.
 
 Featurization costs work per distinct (offset, word type), not per token
 occurrence: the parameters hash each pair once and keep its sorted bucket
-ids next to their storage slots. A token's ids are the union of its
-window's entries; the provider keeps the ids and slots of each distinct
-token tuple, so embedding a known sentence is a gather of its slots and a
-reduceat over the gathered rows.
+ids next to their storage slots. The pairs a sentence brings that the
+parameters have not seen are featurized in one batch: every feature text
+is hashed at once by FNV-1a in uint64 numpy arithmetic, and every new
+column is seeded at once, bit for bit as default_rng([seed, column])
+would, with the SeedSequence mixing done in uint32 numpy arithmetic. A
+token's ids are the union of its window's entries; the provider keeps the
+ids and slots of each distinct token tuple, so embedding a known sentence
+is a gather of its slots and a reduceat over the gathered rows.
 
 A sentence whose gathered rows would outgrow EMBED_BLOCK_BYTES is gathered
 and reduced in runs of consecutive tokens that fit it. reduceat sums every
@@ -26,7 +30,8 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +39,6 @@ from .corpus import Sentence
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
-_U64 = 0xFFFFFFFFFFFFFFFF
 
 INIT_STD = 0.1
 NGRAM_SIZES = (2, 3, 4)
@@ -52,14 +56,120 @@ DEFAULT_WINDOW = 2
 # the single call; a 40-token suffix sentence (~3.9k rows) is cut into 4.
 EMBED_BLOCK_BYTES = 1 << 20
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_L = np.uint32(0xCA01F9DD)
+_SS_MIX_R = np.uint32(0x4973F715)
+_SS_SHIFT = np.uint32(16)
+_SS_POOL = 4
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-def fnv1a64(text: str, seed: int = 0) -> int:
-    """Seeded 64-bit FNV-1a over the UTF-8 bytes of `text`."""
-    h = (FNV_OFFSET ^ seed) & _U64
-    for byte in text.encode("utf-8"):
-        h ^= byte
-        h = (h * FNV_PRIME) & _U64
-    return h
+
+def fnv1a64_batch(texts: Sequence[str], seed: int = 0) -> np.ndarray:
+    """Seeded 64-bit FNV-1a over the UTF-8 bytes of every text, as uint64.
+
+    The texts are sorted by length, longest first, and their bytes are
+    concatenated, so byte step k updates only the texts longer than k,
+    which are a prefix, reading byte k of each from its start. Memory is
+    linear in the total bytes. uint64 arithmetic wraps mod 2**64, as
+    FNV-1a's does.
+    """
+    encoded = [text.encode("utf-8") for text in texts]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    data = np.frombuffer(b"".join([encoded[i] for i in order.tolist()]), dtype=np.uint8)
+    starts = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    width = int(lengths[0]) if lengths.size else 0
+    # live[k]: how many texts are longer than k
+    live = np.searchsorted(-lengths, -np.arange(width), side="left")
+    h = np.full(lengths.size, (FNV_OFFSET ^ seed) & _MASK64, dtype=np.uint64)
+    prime = np.uint64(FNV_PRIME)
+    for k, m in enumerate(live.tolist()):
+        head = h[:m]
+        head ^= data[starts[:m] + k]
+        head *= prime
+    out = np.empty_like(h)
+    out[order] = h
+    return out
+
+
+def _seed_words(n: int) -> list[int]:
+    # a non-negative int as SeedSequence coerces it: 32-bit words, low first
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_chain(init: int, mult: int, calls: int) -> np.ndarray:
+    # The values SeedSequence's hash constant takes over `calls` hashmix
+    # calls, as a (calls + 1, 1) uint32 column: call i xors with value i,
+    # then multiplies by value i + 1.
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)[:, np.newaxis]
+
+
+def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    # SeedSequence's hashmix, one call per row of the result: call r xors
+    # with chain[r] and multiplies by chain[r + 1]. `values` has a row per
+    # call, or one row that every call reads.
+    value = (values ^ chain[:-1]) * chain[1:]
+    return value ^ (value >> _SS_SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _SS_MIX_L * x - _SS_MIX_R * y
+    return result ^ (result >> _SS_SHIFT)
+
+
+def _pcg64_seeds(seed: int, cols: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, col]).generate_state(4, np.uint64) for every
+    column, one row each, in uint32 numpy arithmetic.
+
+    The entropy is seed's 32-bit words, then col's low and high words.
+    A one-word column's high word is 0, which inside the pool hashes just
+    as the 0 that SeedSequence fills an unfilled pool with. A word past
+    the pool mixes in only on the rows whose entropy has it. The hashmix
+    calls that read one pool word and update the three others are made
+    at once, as are the eight output words.
+    """
+    cols = cols.astype(np.uint64)
+    high = (cols >> np.uint64(32)).astype(np.uint32)
+    words = [np.full(cols.size, w, dtype=np.uint32) for w in _seed_words(seed)]
+    length = len(words) + 1 + (high != 0)
+    words += [(cols & np.uint64(_MASK32)).astype(np.uint32), high]
+    words += [np.zeros(cols.size, dtype=np.uint32)] * (_SS_POOL - len(words))
+    entropy = np.stack(words)
+    others = _SS_POOL - 1
+    # calls: one per pool word, `others` per pool word mixed into the rest,
+    # one per pool word for each word past the pool; 4 * len(words) in all
+    chain = _hash_chain(_SS_INIT_A, _SS_MULT_A, _SS_POOL * len(words))
+    pool = _hashmix(entropy[:_SS_POOL], chain[: _SS_POOL + 1])
+    call = _SS_POOL
+    for src in range(_SS_POOL):
+        dst = [d for d in range(_SS_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain[call : call + others + 1]))
+        call += others
+    for src in range(_SS_POOL, len(words)):
+        mixed = _mix(pool, _hashmix(entropy[src], chain[call : call + _SS_POOL + 1]))
+        pool = np.where(length > src, mixed, pool)
+        call += _SS_POOL
+    out_chain = _hash_chain(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL)
+    out = _hashmix(np.concatenate([pool, pool]), out_chain).astype(np.uint64)
+    # each uint64 is two uint32 words, low word first
+    return (out[0::2] | (out[1::2] << np.uint64(32))).T
 
 
 def word_shape(token: str) -> str:
@@ -95,8 +205,8 @@ class EmbedderParams:
     """Weights of the hashed-window embedder.
 
     Conceptually a dim x n_buckets matrix; physically only the columns that
-    have ever been read or written are materialized, each generated from
-    default_rng([seed, column]) as Gaussian(0, INIT_STD) on first touch.
+    have ever been read or written are materialized, each generated as
+    default_rng([seed, column]).normal(0.0, INIT_STD, dim) on first touch.
     `modified` records columns an optimizer overwrote, which is exactly the
     set a checkpoint has to carry.
 
@@ -117,6 +227,8 @@ class EmbedderParams:
             raise ValueError("dim must be positive")
         if n_buckets < 1:
             raise ValueError("n_buckets must be positive")
+        if n_buckets > 2**63:
+            raise ValueError("n_buckets must be at most 2**63")
         if window < 0:
             raise ValueError("window must be non-negative")
         if seed < 0:
@@ -132,60 +244,120 @@ class EmbedderParams:
         self._slot: dict[int, int] = {}
         # (offset, token) -> (sorted unique bucket ids, their storage slots)
         self._features: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
+        # draws every seeded column, from a PCG64 state set per column
+        self._rng = np.random.Generator(np.random.PCG64(0))
 
-    def _seeded_column(self, col: int) -> np.ndarray:
-        rng = np.random.default_rng([self.seed, col])
-        return rng.normal(0.0, INIT_STD, self.dim)
+    def _seed_columns(self, cols: np.ndarray, rows: np.ndarray) -> None:
+        """Fill rows[i] with default_rng([seed, cols[i]]).normal(0.0,
+        INIT_STD, dim), bit for bit.
+
+        PCG64 seeds itself from a SeedSequence's four uint64 words (s0, s1,
+        i0, i1): inc = (i0:i1) << 1 | 1, then two LCG steps from state 0
+        with (s0:s1) added between them. Setting that state on one kept
+        generator skips building a SeedSequence and a PCG64 per column.
+        """
+        rng = self._rng
+        bit_generator = rng.bit_generator
+        for row, (s0, s1, i0, i1) in zip(rows, _pcg64_seeds(self.seed, cols).tolist()):
+            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+            state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            row[:] = rng.normal(0.0, INIT_STD, self.dim)
 
     def _ensure_capacity(self, needed: int) -> None:
         if needed <= self._store.shape[0]:
             return
-        cap = max(64, 2 * self._store.shape[0], needed)
+        # 64 rows, doubled until `needed` fit: a batch of new columns grows
+        # the store to the size that adding them one at a time reaches
+        cap = max(64, self._store.shape[0])
+        while cap < needed:
+            cap *= 2
         grown = np.zeros((cap, self.dim))
         grown[: self._used] = self._store[: self._used]
         self._store = grown
 
-    def _new_slot(self, col: int) -> int:
-        # An unfilled storage row for a column not yet materialized.
-        if not 0 <= col < self.n_buckets:
-            raise ValueError(f"column {col} outside [0, {self.n_buckets})")
-        self._ensure_capacity(self._used + 1)
-        slot = self._used
-        self._slot[col] = slot
-        self._used += 1
-        return slot
+    def _new_slots(self, cols: list[int]) -> int:
+        """Consecutive unfilled storage rows for `cols`, which must be
+        unique and not yet materialized; returns the first. Every column is
+        range-checked before any takes a row."""
+        for col in cols:
+            if not 0 <= col < self.n_buckets:
+                raise ValueError(f"column {col} outside [0, {self.n_buckets})")
+        start = self._used
+        self._ensure_capacity(start + len(cols))
+        self._slot.update(zip(cols, range(start, start + len(cols))))
+        self._used += len(cols)
+        return start
 
-    def _slot_of(self, col: int) -> int:
-        slot = self._slot.get(col)
-        if slot is None:
-            slot = self._new_slot(col)
-            self._store[slot] = self._seeded_column(col)
-        return slot
+    def slots_for(self, cols: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Storage rows for the given columns, materializing as needed.
 
-    def slots_for(self, cols: Iterable[int]) -> np.ndarray:
-        """Storage rows for the given columns, materializing as needed."""
-        slot_of = self._slot_of
-        return np.fromiter((slot_of(int(c)) for c in cols), dtype=np.int64)
+        Every column is range-checked before any is materialized. The
+        missing ones are seeded in one batch and take slots in the order
+        `cols` first names them.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        slots = np.fromiter(
+            map(self._slot.get, cols.tolist(), repeat(-1)), dtype=np.int64, count=cols.size
+        )
+        missing = slots < 0
+        if missing.any():
+            wanted = cols[missing]
+            new, first = np.unique(wanted, return_index=True)
+            new = new[np.argsort(first)]
+            start = self._new_slots(new.tolist())
+            self._seed_columns(new, self._store[start : start + new.size])
+            slots[missing] = [self._slot[col] for col in wanted.tolist()]
+        return slots
 
-    def _offset_features(self, offset: int, token: str) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted unique bucket ids of `token` seen at `offset` from the
-        embedded position, and their storage slots (both read-only)."""
-        entry = self._features.get((offset, token))
-        if entry is None:
-            ids = np.unique(
-                np.array(
-                    [
-                        fnv1a64(f"{offset}|{feat}", self.seed) % self.n_buckets
-                        for feat in _surface_features(token)
-                    ],
-                    dtype=np.int64,
-                )
-            )
-            slots = self.slots_for(ids)
-            ids.setflags(write=False)
-            slots.setflags(write=False)
-            entry = self._features[(offset, token)] = (ids, slots)
-        return entry
+    def _featurize(self, keys: Sequence[tuple[int, str]]) -> None:
+        """Cache the sorted bucket ids and slots of every (offset, token) key.
+
+        Every feature of every key is hashed in one batch. New columns take
+        slots in the order the keys first name them.
+        """
+        keys = list(dict.fromkeys(keys))
+        surface: dict[str, list[str]] = {}
+        texts: list[str] = []
+        sizes: list[int] = []
+        for offset, token in keys:
+            feats = surface.get(token)
+            if feats is None:
+                feats = surface[token] = _surface_features(token)
+            texts.extend([f"{offset}|{feat}" for feat in feats])
+            sizes.append(len(feats))
+        buckets = fnv1a64_batch(texts, self.seed) % np.uint64(self.n_buckets)
+        hashed = buckets.astype(np.int64)
+        owner = np.repeat(np.arange(len(keys)), sizes)
+        picks = _distinct_per_owner(owner, hashed)
+        ids = hashed[picks]
+        slots = self.slots_for(ids)
+        # read-only, and so is every slice of them
+        ids.setflags(write=False)
+        slots.setflags(write=False)
+        ends = np.cumsum(np.bincount(owner[picks], minlength=len(keys))).tolist()
+        for key, lo, hi in zip(keys, [0, *ends], ends):
+            self._features[key] = (ids[lo:hi], slots[lo:hi])
+
+    def _feature_entries(
+        self, keys: Sequence[tuple[int, str]]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(sorted unique bucket ids, their storage slots) of every
+        (offset, token) key, both read-only: the ids of `token` seen at
+        `offset` from the embedded position. Keys not seen before are
+        featurized in one batch."""
+        entries = list(map(self._features.get, keys))
+        if None in entries:
+            missing = [i for i, entry in enumerate(entries) if entry is None]
+            self._featurize([keys[i] for i in missing])
+            for i in missing:
+                entries[i] = self._features[keys[i]]
+        return entries
 
     def set_columns(
         self, columns: np.ndarray, slots: np.ndarray, values: np.ndarray
@@ -248,35 +420,48 @@ class TokenColumns:
             array.setflags(write=False)
 
 
+def _distinct_per_owner(owner: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Positions of each owner's distinct ids, ordered by owner, then id.
+
+    One sort on a single key, the owner times the count of distinct ids
+    plus the id's dense rank, which cannot overflow whatever the ids are;
+    a key equal to its predecessor is a repeated id of the same owner.
+    """
+    distinct, rank = np.unique(ids, return_inverse=True)
+    key = owner * distinct.size + rank
+    order = np.argsort(key)
+    key = key[order]
+    keep = np.ones(key.size, dtype=bool)
+    keep[1:] = key[1:] != key[:-1]
+    return order[keep]
+
+
 def _token_columns(params: EmbedderParams, sentence: Sentence) -> TokenColumns:
     # A token's ids are the union of the (offset, token) entries of its
-    # window; one lexsort by (token, id) orders and dedupes all of them.
+    # window.
     tokens = sentence.tokens
     n = len(tokens)
-    ids: list[np.ndarray] = []
-    slots: list[np.ndarray] = []
-    sizes: list[int] = []
-    for t in range(n):
-        size = 0
-        for j in range(max(0, t - params.window), min(n, t + params.window + 1)):
-            entry_ids, entry_slots = params._offset_features(j - t, tokens[j])
-            ids.append(entry_ids)
-            slots.append(entry_slots)
-            size += entry_ids.size
-        sizes.append(size)
-    owner = np.repeat(np.arange(n), sizes)
+    w = params.window
+    keys = [
+        (j - t, tokens[j])
+        for t in range(n)
+        for j in range(max(0, t - w), min(n, t + w + 1))
+    ]
+    ids, slots = zip(*params._feature_entries(keys))
+    positions = np.arange(n)
+    per_token = np.minimum(positions + w + 1, n) - np.maximum(positions - w, 0)
+    owner = np.repeat(
+        np.repeat(positions, per_token),
+        np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)),
+    )
     flat_ids = np.concatenate(ids)
-    order = np.lexsort((flat_ids, owner))
-    owner = owner[order]
-    flat_ids = flat_ids[order]
-    keep = np.ones(flat_ids.size, dtype=bool)
-    keep[1:] = (flat_ids[1:] != flat_ids[:-1]) | (owner[1:] != owner[:-1])
-    counts = np.bincount(owner[keep], minlength=n)
+    picks = _distinct_per_owner(owner, flat_ids)
+    counts = np.bincount(owner[picks], minlength=n)
     starts = np.zeros(n, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
     return TokenColumns(
-        columns=flat_ids[keep],
-        slots=np.concatenate(slots)[order[keep]],
+        columns=flat_ids[picks],
+        slots=np.concatenate(slots)[picks],
         starts=starts,
         counts=counts,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import CorpusError, Dataset, build_dataset, spans_from_bio
+from .corpus import CorpusError, Dataset, Span, build_dataset, spans_from_bio
 from .decoder import check_segment_cost, dp_decode_expected
 from .tagging import Tagger, predictions_dataset
 
@@ -84,13 +84,20 @@ def span_f1(pred: Dataset, gold: Dataset) -> tuple[float, float, float]:
     predictions are scored the way conlleval would score them.
     """
     _check_aligned(pred, gold)
+    gold_spans = [set(spans_from_bio(gold.label_names(g))) for g in gold.items]
+    return _span_scores(pred, gold_spans)
+
+
+def _span_scores(
+    pred: Dataset, gold_spans: Sequence[set[Span]]
+) -> tuple[float, float, float]:
+    # span_f1 of `pred` against the gold sentences' spans, one set each
     tp = fp = fn = 0
-    for p, g in zip(pred.items, gold.items):
-        pred_spans = set(spans_from_bio(pred.label_names(p)))
-        gold_spans = set(spans_from_bio(gold.label_names(g)))
-        tp += len(pred_spans & gold_spans)
-        fp += len(pred_spans - gold_spans)
-        fn += len(gold_spans - pred_spans)
+    for p, gold in zip(pred.items, gold_spans):
+        spans = set(spans_from_bio(pred.label_names(p)))
+        tp += len(spans & gold)
+        fp += len(spans - gold)
+        fn += len(gold - spans)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -135,9 +142,10 @@ def sweep_c(
         raise ValueError("the c grid must be strictly ascending")
     if not data.items:
         raise ValueError("the data to sweep has no sentences")
+    gold_spans = []
     for item in data.items:
         try:
-            spans_from_bio(data.label_names(item))
+            gold_spans.append(set(spans_from_bio(data.label_names(item))))
         except CorpusError as exc:
             raise CorpusError(f"sentence {item.sentence.uid}: {exc}") from None
     tagger = Tagger(provider, db, n_neighbors)
@@ -153,7 +161,7 @@ def sweep_c(
             (item.sentence.tokens, tuple(db.vocab.types[lab] for lab in result.labels))
             for item, result in zip(data.items, results)
         )
-        precision, recall, f1 = span_f1(pred, data)
+        precision, recall, f1 = _span_scores(pred, gold_spans)
         rows.append(
             SweepRow(
                 segment_cost=c,

@@ -489,7 +489,7 @@ def load_checkpoint(text: str) -> Checkpoint:
             if col in col_lines:
                 raise ValueError(f"column {col} repeats line {col_lines[col]}")
             # an unfilled slot: its seeded values would be overwritten
-            slots.append(params._new_slot(col))
+            slots.append(params._new_slots([col]))
         except ValueError as exc:
             raise CheckpointError(f"line {number}: {exc}") from None
         col_lines[col] = number

@@ -1,22 +1,44 @@
-"""Reference oracle: the per-position featurizer.
+"""Reference oracles: the per-position featurizer and its scalar parts.
 
-This is the featurizer copytag.embeddings replaced with its cache of
-(offset, token) entries. It hashes every feature of every window position
-afresh, so tests can require the cached bucket ids of each token to equal
-sorted(token_features(...).indices).
+token_features is the featurizer copytag.embeddings replaced with its
+cache of (offset, token) entries. It hashes every feature of every window
+position afresh with the scalar fnv1a64, so tests can require the cached
+bucket ids of each token to equal sorted(token_features(...).indices).
+seeded_column is one weight column drawn the way its definition says,
+from a fresh default_rng([seed, col]).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from copytag.corpus import Sentence
 from copytag.embeddings import (
     DEFAULT_BUCKETS,
     DEFAULT_WINDOW,
+    FNV_OFFSET,
+    FNV_PRIME,
+    INIT_STD,
     _surface_features,
-    fnv1a64,
 )
+
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def fnv1a64(text: str, seed: int = 0) -> int:
+    """Seeded 64-bit FNV-1a over the UTF-8 bytes of `text`."""
+    h = (FNV_OFFSET ^ seed) & _U64
+    for byte in text.encode("utf-8"):
+        h ^= byte
+        h = (h * FNV_PRIME) & _U64
+    return h
+
+
+def seeded_column(seed: int, col: int, dim: int) -> np.ndarray:
+    """Column `col`'s initial weights under `seed`."""
+    return np.random.default_rng([seed, col]).normal(0.0, INIT_STD, dim)
 
 
 @dataclass(frozen=True)

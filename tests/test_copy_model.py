@@ -20,7 +20,7 @@ from conftest import (
     make_tagged_corpus,
     present_types,
 )
-from marginals_reference import marginal_over_types_masked
+from marginals_reference import grad_masked, marginal_over_types_masked, nll_masked
 
 
 def random_case(rng, n_tokens=3, dim=6, **kwargs):
@@ -207,6 +207,28 @@ class TestGradient:
                     numeric = (loss(up) - loss(down)) / (2 * step)
                     denom = max(1.0, abs(numeric))
                     assert abs(numeric - grad[t, k]) / denom < 1e-4
+
+    def test_loss_and_gradient_match_per_token_masks_bit_for_bit(self, rng):
+        # gold types repeat across tokens and some are absent, so tokens
+        # share one type's columns and skipped tokens mix with scored ones
+        for _ in range(40):
+            neighbors, rows = make_scored_set(
+                rng,
+                n_neighbors=int(rng.integers(1, 12)),
+                max_len=int(rng.integers(1, 20)),
+                n_types=4,
+                dim=5,
+            )
+            n_tokens = int(rng.integers(1, 30))
+            x = rng.normal(size=(n_tokens, 5)) * rng.choice([0.1, 1.0, 10.0])
+            gold = make_gold(rng, n_tokens, n_types=6)
+            posterior = copy_posterior(copy_logits(x, rows))
+            flat = neighbors.flat_labels
+            report = nll(posterior, neighbors, gold)
+            total, skipped = nll_masked(posterior, flat, gold)
+            assert (report.nll, report.skipped) == (total, skipped)
+            grad = grad_wrt_input(posterior, neighbors, gold, rows)
+            assert grad.tobytes() == grad_masked(posterior, flat, gold, rows).tobytes()
 
     def test_skipped_rows_zero(self, rng):
         neighbors, rows = make_scored_set(rng)

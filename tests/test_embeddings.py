@@ -1,21 +1,26 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import copytag.embeddings as embeddings
 from copytag.corpus import Sentence, parse_conll
 from copytag.embeddings import (
     EMBED_BLOCK_BYTES,
     _column_sums,
     _embed_columns,
+    _surface_features,
     _token_columns,
     EmbedderParams,
     HashedWindowEmbedder,
     TokenColumns,
     embed_sentence,
-    fnv1a64,
+    fnv1a64_batch,
     word_shape,
 )
 from copytag.retrieval import build_index
@@ -26,7 +31,7 @@ from embedding_reference import (
     reference_column_sums,
     reference_embed_columns,
 )
-from featurizer_reference import token_features
+from featurizer_reference import fnv1a64, seeded_column, token_features
 from param_columns import column, set_column
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -47,6 +52,74 @@ class TestHashing:
 
     def test_text_sensitivity(self):
         assert fnv1a64("ab") != fnv1a64("ba")
+
+
+HASH_SEEDS = (0, 1, 2**63, 2**64 + 3)
+
+
+class TestBatchHash:
+    """fnv1a64_batch against the scalar fnv1a64 oracle."""
+
+    @pytest.mark.parametrize("seed", HASH_SEEDS)
+    def test_edge_texts(self, seed):
+        # astral-plane and combining characters, rows much longer than the
+        # rest, and empty texts between them
+        texts = ["", "a", "\U0001F600", "e\u0301", "naïve", "x" * 200, "", "東京" * 100]
+        got = fnv1a64_batch(texts, seed)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [fnv1a64(text, seed) for text in texts]
+
+    def test_empty_list(self):
+        got = fnv1a64_batch([], 5)
+        assert got.dtype == np.uint64 and got.shape == (0,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.text(max_size=40), max_size=20), st.sampled_from(HASH_SEEDS))
+    def test_matches_scalar_oracle(self, texts, seed):
+        assert fnv1a64_batch(texts, seed).tolist() == [fnv1a64(t, seed) for t in texts]
+
+    def test_long_token_in_linear_memory(self):
+        # a 2,000-character token's feature texts at five offsets: ~30k
+        # texts, one per offset about as long as the token
+        feats = _surface_features("ab" * 1000)
+        texts = [f"{offset}|{feat}" for offset in range(-2, 3) for feat in feats]
+        tracemalloc.start()
+        try:
+            got = fnv1a64_batch(texts, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == [fnv1a64(text, 1) for text in texts]
+        # a texts x longest-text byte matrix alone would take 60 MB
+        assert peak < 16 * 2**20, peak
+
+
+SEEDING_SEEDS = (0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**64 + 3)
+SEEDING_COLUMNS = (0, 1, 2**32 - 1, 2**32 + 7)
+
+
+class TestSeededColumns:
+    """Bulk-seeded columns against a fresh default_rng([seed, col]) each."""
+
+    @pytest.mark.parametrize("seed", SEEDING_SEEDS)
+    def test_bit_equal_to_default_rng(self, seed):
+        # seeds and columns of one and two 32-bit words; 2**64 + 3 with a
+        # two-word column makes five entropy words, one past the pool
+        p = EmbedderParams(dim=7, n_buckets=2**33, seed=seed)
+        slots = p.slots_for(SEEDING_COLUMNS)
+        for col, slot in zip(SEEDING_COLUMNS, slots.tolist()):
+            assert p.storage[slot].tobytes() == seeded_column(seed, col, 7).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**100),
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=6, unique=True),
+    )
+    def test_random_seeds_and_columns(self, seed, cols):
+        p = EmbedderParams(dim=3, n_buckets=2**40 + 1, seed=seed)
+        slots = p.slots_for(cols)  # first: it may grow and rebind the storage
+        for col, row in zip(cols, p.storage[slots]):
+            assert row.tobytes() == seeded_column(seed, col, 3).tobytes()
 
 
 class TestWordShape:
@@ -186,10 +259,25 @@ class TestEmbedderParams:
                 call()
         assert p.modified == set() and p.revision == 0
 
+    def test_rejected_request_materializes_nothing(self):
+        # every column is checked before any is materialized
+        p = EmbedderParams(dim=3, n_buckets=32)
+        with pytest.raises(ValueError, match="column 99 outside"):
+            p.slots_for([3, 99])
+        assert p._used == 0 and p._slot == {}
+        assert p.slots_for([3]).tolist() == [0]
+
+    def test_new_columns_take_slots_in_request_order(self):
+        p = EmbedderParams(dim=3, n_buckets=32)
+        assert p.slots_for([5, 2, 5, 9, 2]).tolist() == [0, 1, 0, 2, 1]
+        assert p.slots_for([9, 7, 2, 4]).tolist() == [2, 3, 1, 4]
+        assert p.slots_for([]).tolist() == []
+
     def test_constructor_validation(self):
         for kwargs in (
             {"dim": 0},
             {"n_buckets": 0},
+            {"n_buckets": 2**63 + 1},
             {"window": -1},
             {"seed": -1},
         ):
@@ -288,6 +376,59 @@ class TestMatchesFeaturizerReference:
             ).embed(sent)
             embedded = provider.embed(sent)
             assert embedded.tobytes() == functional.tobytes()
+
+
+    def test_huge_bucket_count(self):
+        # bucket ids near 2**62 still sort and dedupe per token
+        for seed in (0, 2**64 + 3):
+            params = EmbedderParams(dim=2, n_buckets=2**62, window=2, seed=seed)
+            expected = [
+                token_features(SENT, t, 2, 2**62, seed).sorted() for t in range(len(SENT))
+            ]
+            assert split_tokens(_token_columns(params, SENT)) == expected
+
+
+class TestFeaturizeOnce:
+    def test_cached_pairs_neither_hash_nor_seed(self, monkeypatch):
+        params = EmbedderParams(dim=4, n_buckets=512, window=1, seed=3)
+        first = _token_columns(params, SENT)
+        solo = EmbedderParams(dim=4, n_buckets=512, window=0, seed=3)
+        _token_columns(solo, Sentence(0, ("a", "b", "c")))
+
+        def fail(*args):
+            raise AssertionError("cached pairs featurized again")
+
+        monkeypatch.setattr(embeddings, "fnv1a64_batch", fail)
+        monkeypatch.setattr(EmbedderParams, "_seed_columns", fail)
+        again = _token_columns(params, SENT)
+        for name in ("columns", "slots", "starts", "counts"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+        HashedWindowEmbedder(params).embed(SENT)
+        # a new sentence whose (offset, token) pairs are all cached
+        _token_columns(solo, Sentence(1, ("c", "a", "a", "b")))
+
+    def test_new_columns_take_slots_in_request_order(self):
+        # slots follow the window walk: position by position, each new
+        # (offset, token) pair's sorted ids, each new column once
+        window, n_buckets, seed = 1, 64, 2
+        params = EmbedderParams(dim=3, n_buckets=n_buckets, window=window, seed=seed)
+        sent = Sentence(0, ("aa", "bb", "aa", "cc", "Bb"))
+        _token_columns(params, sent)
+        expected: list[int] = []
+        pairs = set()
+        for t in range(len(sent)):
+            for j in range(max(0, t - window), min(len(sent), t + window + 1)):
+                pair = (j - t, sent.tokens[j])
+                if pair in pairs:
+                    continue
+                pairs.add(pair)
+                ids = {
+                    fnv1a64(f"{j - t}|{feat}", seed) % n_buckets
+                    for feat in _surface_features(sent.tokens[j])
+                }
+                expected.extend(col for col in sorted(ids) if col not in expected)
+        assert params._used == len(expected)
+        assert params.slots_for(expected).tolist() == list(range(len(expected)))
 
 
 def index_digest(index) -> str:

@@ -170,6 +170,22 @@ class TestSweep:
         with pytest.raises(CorpusError, match="sentence 2: malformed BIO label 'EST'"):
             sweep_c([0.0, 0.4], provider(), build_dataset(DB_ROWS), data, 3)
 
+    def test_gold_spans_extracted_once_per_sentence(self, monkeypatch):
+        # the spans of the up-front BIO check score every grid value; only
+        # the predictions are extracted again, once per grid value
+        calls = []
+        real = evaluation.spans_from_bio
+
+        def counting(labels):
+            calls.append(tuple(labels))
+            return real(labels)
+
+        monkeypatch.setattr(evaluation, "spans_from_bio", counting)
+        data = build_dataset(EVAL_ROWS)
+        grid = [0.0, 0.5, 2.0]
+        sweep_c(grid, provider(), build_dataset(DB_ROWS), data, 3)
+        assert len(calls) == len(data.items) * (1 + len(grid))
+
     def test_rows_equal_per_cost_dp_tagging(self):
         # the grid shares one set of decode tables per sentence; each row
         # must still be what tagging at that cost alone gives
