@@ -4,7 +4,8 @@ Five verbs: train, tag, eval, sweep, inspect. Every verb that produces a
 file also writes `<out>.manifest.json` recording the resolved options,
 input digests, and tool version, so a run can be reproduced from its
 outputs. An output that resolves to an input or to another output is
-refused before any work. Files are staged to temp paths and renamed only
+refused before any work, and a bad --neighbors or --c value before any
+file is loaded. Files are staged to temp paths and renamed only
 after the whole verb succeeds, so a failure leaves nothing behind.
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure.
@@ -21,9 +22,9 @@ from bisect import bisect_right
 
 from . import __version__
 from .corpus import CorpusError, Sentence, conll_blocks, parse_conll, write_conll
-from .decoder import predict_marginal, provenance_lines
+from .decoder import check_segment_cost, predict_marginal, provenance_lines
 from .evaluation import span_f1, sweep_c, sweep_csv, token_accuracy
-from .tagging import DECODE_DP, DECODE_MARGINAL, Tagger, predictions_dataset
+from .tagging import DECODE_DP, DECODE_MARGINAL, Tagger, check_n_neighbors, predictions_dataset
 from .trainer import (
     CheckpointError,
     TrainConfig,
@@ -223,6 +224,8 @@ def _cmd_train(args, parser, staged) -> None:
 def _cmd_tag(args, parser, staged) -> None:
     if args.explain and args.decode != DECODE_DP:
         parser.error("--explain requires --decode dp")
+    check_n_neighbors(args.neighbors)
+    check_segment_cost(args.c)
     provider = _provider_from(args.ckpt)
     db = _load_dataset(args.db)
     sentences = _read_sentences(args.input)
@@ -259,6 +262,7 @@ def _cmd_sweep(args, parser, staged) -> None:
         grid = [float(v) for v in args.c_grid.split(",")]
     except ValueError:
         parser.error(f"--c-grid is not a comma-separated float list: {args.c_grid!r}")
+    check_n_neighbors(args.neighbors)
     provider = _provider_from(args.ckpt)
     db = _load_dataset(args.db)
     data = _load_dataset(args.data)
@@ -267,6 +271,8 @@ def _cmd_sweep(args, parser, staged) -> None:
 
 
 def _cmd_inspect(args, parser, staged) -> None:
+    check_n_neighbors(args.neighbors)
+    check_segment_cost(args.c)
     sentences = _read_sentences(args.input)
     if not 0 <= args.sentence_id < len(sentences):
         raise ValueError(

@@ -324,7 +324,7 @@ def dp_decode_expected(
     marginal column costs a full unit at every position. With segment
     cost 0 the result matches predict_marginal.
     """
-    if not segment_costs:
+    if len(segment_costs) == 0:
         raise ValueError("no segment cost to decode at")
     for segment_cost in segment_costs:
         check_segment_cost(segment_cost)

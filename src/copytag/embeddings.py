@@ -14,10 +14,12 @@ ids next to their storage slots. The pairs a sentence brings that the
 parameters have not seen are featurized in one batch: every feature text
 is hashed at once by FNV-1a in uint64 numpy arithmetic, and every new
 column is seeded at once, bit for bit as default_rng([seed, column])
-would, with the SeedSequence mixing done in uint32 numpy arithmetic. A
-token's ids are the union of its window's entries; the provider keeps the
-ids and slots of each distinct token tuple, so embedding a known sentence
-is a gather of its slots and a reduceat over the gathered rows.
+would, with the SeedSequence mixing done in uint32 numpy arithmetic. That
+mixing takes the seed and every bucket id as one 32-bit word each: the
+seed is below 2**32 and n_buckets at most 2**32. A token's ids are the
+union of its window's entries; the provider keeps the ids and slots of
+each distinct token tuple, so embedding a known sentence is a gather of
+its slots and a reduceat over the gathered rows.
 
 A sentence whose gathered rows would outgrow EMBED_BLOCK_BYTES is gathered
 and reduced in runs of consecutive tokens that fit it. reduceat sums every
@@ -29,6 +31,7 @@ order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
@@ -102,15 +105,6 @@ def fnv1a64_batch(texts: Sequence[str], seed: int = 0) -> np.ndarray:
     return out
 
 
-def _seed_words(n: int) -> list[int]:
-    # a non-negative int as SeedSequence coerces it: 32-bit words, low first
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
 def _hash_chain(init: int, mult: int, calls: int) -> np.ndarray:
     # The values SeedSequence's hash constant takes over `calls` hashmix
     # calls, as a (calls + 1, 1) uint32 column: call i xors with value i,
@@ -138,34 +132,24 @@ def _pcg64_seeds(seed: int, cols: np.ndarray) -> np.ndarray:
     """SeedSequence([seed, col]).generate_state(4, np.uint64) for every
     column, one row each, in uint32 numpy arithmetic.
 
-    The entropy is seed's 32-bit words, then col's low and high words.
-    A one-word column's high word is 0, which inside the pool hashes just
-    as the 0 that SeedSequence fills an unfilled pool with. A word past
-    the pool mixes in only on the rows whose entropy has it. The hashmix
-    calls that read one pool word and update the three others are made
-    at once, as are the eight output words.
+    The seed and every column are below 2**32, so each is one entropy
+    word, and every row's pool starts as (seed, col, 0, 0): SeedSequence
+    fills the two words past its entropy with 0. The hashmix calls that
+    read one pool word and update the three others are made at once, as
+    are the eight output words.
     """
-    cols = cols.astype(np.uint64)
-    high = (cols >> np.uint64(32)).astype(np.uint32)
-    words = [np.full(cols.size, w, dtype=np.uint32) for w in _seed_words(seed)]
-    length = len(words) + 1 + (high != 0)
-    words += [(cols & np.uint64(_MASK32)).astype(np.uint32), high]
-    words += [np.zeros(cols.size, dtype=np.uint32)] * (_SS_POOL - len(words))
-    entropy = np.stack(words)
+    entropy = np.zeros((_SS_POOL, cols.size), dtype=np.uint32)
+    entropy[0] = seed
+    entropy[1] = cols
     others = _SS_POOL - 1
-    # calls: one per pool word, `others` per pool word mixed into the rest,
-    # one per pool word for each word past the pool; 4 * len(words) in all
-    chain = _hash_chain(_SS_INIT_A, _SS_MULT_A, _SS_POOL * len(words))
-    pool = _hashmix(entropy[:_SS_POOL], chain[: _SS_POOL + 1])
+    # calls: one per pool word, then `others` per pool word mixed into the rest
+    chain = _hash_chain(_SS_INIT_A, _SS_MULT_A, _SS_POOL * _SS_POOL)
+    pool = _hashmix(entropy, chain[: _SS_POOL + 1])
     call = _SS_POOL
     for src in range(_SS_POOL):
         dst = [d for d in range(_SS_POOL) if d != src]
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain[call : call + others + 1]))
         call += others
-    for src in range(_SS_POOL, len(words)):
-        mixed = _mix(pool, _hashmix(entropy[src], chain[call : call + _SS_POOL + 1]))
-        pool = np.where(length > src, mixed, pool)
-        call += _SS_POOL
     out_chain = _hash_chain(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL)
     out = _hashmix(np.concatenate([pool, pool]), out_chain).astype(np.uint64)
     # each uint64 is two uint32 words, low word first
@@ -208,7 +192,9 @@ class EmbedderParams:
     have ever been read or written are materialized, each generated as
     default_rng([seed, column]).normal(0.0, INIT_STD, dim) on first touch.
     `modified` records columns an optimizer overwrote, which is exactly the
-    set a checkpoint has to carry.
+    set a checkpoint has to carry. The seed lies in [0, 2**32) and
+    n_buckets in [1, 2**32], so the seed and every column are one 32-bit
+    SeedSequence entropy word each.
 
     Hashing depends only on (offset, token), never on the weights, so each
     distinct pair is hashed once: its sorted bucket ids are cached together
@@ -227,12 +213,12 @@ class EmbedderParams:
             raise ValueError("dim must be positive")
         if n_buckets < 1:
             raise ValueError("n_buckets must be positive")
-        if n_buckets > 2**63:
-            raise ValueError("n_buckets must be at most 2**63")
+        if n_buckets > 2**32:
+            raise ValueError("n_buckets must be at most 2**32")
         if window < 0:
             raise ValueError("window must be non-negative")
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= seed < 2**32:
+            raise ValueError("seed must be in [0, 2**32)")
         self.dim = dim
         self.n_buckets = n_buckets
         self.window = window
@@ -334,7 +320,7 @@ class EmbedderParams:
         buckets = fnv1a64_batch(texts, self.seed) % np.uint64(self.n_buckets)
         hashed = buckets.astype(np.int64)
         owner = np.repeat(np.arange(len(keys)), sizes)
-        picks = _distinct_per_owner(owner, hashed)
+        picks = _distinct_per_owner(owner, hashed, self.n_buckets)
         ids = hashed[picks]
         slots = self.slots_for(ids)
         # read-only, and so is every slice of them
@@ -420,15 +406,15 @@ class TokenColumns:
             array.setflags(write=False)
 
 
-def _distinct_per_owner(owner: np.ndarray, ids: np.ndarray) -> np.ndarray:
+def _distinct_per_owner(owner: np.ndarray, ids: np.ndarray, n_buckets: int) -> np.ndarray:
     """Positions of each owner's distinct ids, ordered by owner, then id.
 
-    One sort on a single key, the owner times the count of distinct ids
-    plus the id's dense rank, which cannot overflow whatever the ids are;
-    a key equal to its predecessor is a repeated id of the same owner.
+    One sort on a single key, owner * n_buckets + id; a key equal to its
+    predecessor is a repeated id of the same owner. Every id is below
+    n_buckets <= 2**32, so the key stays below 2**63 for fewer than 2**31
+    owners.
     """
-    distinct, rank = np.unique(ids, return_inverse=True)
-    key = owner * distinct.size + rank
+    key = owner * n_buckets + ids
     order = np.argsort(key)
     key = key[order]
     keep = np.ones(key.size, dtype=bool)
@@ -455,7 +441,7 @@ def _token_columns(params: EmbedderParams, sentence: Sentence) -> TokenColumns:
         np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)),
     )
     flat_ids = np.concatenate(ids)
-    picks = _distinct_per_owner(owner, flat_ids)
+    picks = _distinct_per_owner(owner, flat_ids, params.n_buckets)
     counts = np.bincount(owner[picks], minlength=n)
     starts = np.zeros(n, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
@@ -476,20 +462,17 @@ def _column_sums(
     Token t owns slots[starts[t] : starts[t + 1]] (the last one runs to the
     end) and owns at least one. A run of consecutive tokens is cut where
     its rows would exceed the budget; a token over the budget on its own
-    makes a run of one.
+    makes a run of one. Each run reduces straight into its rows of the
+    result, so a sentence that fits is one call.
     """
-    row_bytes = storage.shape[1] * storage.itemsize
-    if slots.size * row_bytes <= EMBED_BLOCK_BYTES:
-        return np.add.reduceat(storage[slots], starts, axis=0)
-    budget = EMBED_BLOCK_BYTES // row_bytes
-    bounds = np.append(starts, slots.size)
+    budget = EMBED_BLOCK_BYTES // (storage.shape[1] * storage.itemsize)
+    bounds = [*starts.tolist(), slots.size]
     out = np.empty((starts.size, storage.shape[1]))
     lo = 0
     while lo < starts.size:
         a = bounds[lo]
-        hi = max(lo + 1, int(np.searchsorted(bounds, a + budget, side="right")) - 1)
-        b = bounds[hi]
-        out[lo:hi] = np.add.reduceat(storage[slots[a:b]], starts[lo:hi] - a, axis=0)
+        hi = max(lo + 1, bisect_right(bounds, a + budget) - 1)
+        np.add.reduceat(storage[slots[a : bounds[hi]]], starts[lo:hi] - a, axis=0, out=out[lo:hi])
         lo = hi
     return out
 

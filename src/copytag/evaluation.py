@@ -129,7 +129,7 @@ def sweep_c(
     tables are computed once per sentence and shared across the grid: one
     dp_decode_expected call decodes a sentence at every grid value.
     """
-    if not c_values:
+    if len(c_values) == 0:
         raise ValueError("the c grid must be non-empty")
     costs = []
     for pos, c in enumerate(c_values):

@@ -46,6 +46,12 @@ DECODE_MARGINAL = "marginal"
 DECODE_DP = "dp"
 
 
+def check_n_neighbors(n_neighbors: int) -> None:
+    """Reject a neighbor count below 1."""
+    if n_neighbors < 1:
+        raise ValueError("n_neighbors must be at least 1")
+
+
 @dataclass(eq=False)
 class SentenceAnalysis:
     """Everything derived for one input sentence before decoding."""
@@ -69,8 +75,7 @@ class Tagger:
     """Retrieval plus decoding against a fixed labeled database."""
 
     def __init__(self, provider, db: Dataset, n_neighbors: int):
-        if n_neighbors < 1:
-            raise ValueError("n_neighbors must be at least 1")
+        check_n_neighbors(n_neighbors)
         self.provider = provider
         self.db = db
         self.n_neighbors = n_neighbors

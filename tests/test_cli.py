@@ -567,6 +567,50 @@ class TestExitCodes:
         assert not out.exists()
         assert not (tmp_path / "pred.conll.manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "verb, option, value",
+        [
+            ("tag", "--c", "-1"),
+            ("tag", "--c", "nan"),
+            ("tag", "--c", "inf"),
+            ("tag", "--neighbors", "0"),
+            ("inspect", "--c", "-1"),
+            ("inspect", "--neighbors", "0"),
+            ("sweep", "--neighbors", "0"),
+        ],
+    )
+    def test_bad_option_value_fails_before_loading(
+        self, corpora, tmp_path, capsys, monkeypatch, verb, option, value
+    ):
+        def no_load(text):
+            raise AssertionError("checkpoint loaded")
+
+        monkeypatch.setattr("copytag.cli.load_checkpoint", no_load)
+        files = {
+            "tag": ["--input", str(corpora["dev"]), "--out", str(tmp_path / "pred.conll")],
+            "inspect": ["--input", str(corpora["dev"]), "--sentence-id", "0"],
+            "sweep": [
+                "--data", str(corpora["dev"]), "--c-grid", "0,0.4",
+                "--out", str(tmp_path / "sweep.csv"),
+            ],
+        }[verb]
+        code = main(
+            [
+                verb,
+                "--ckpt", str(corpora["train"]),
+                "--db", str(corpora["train"]),
+                *files,
+                option, value,
+            ]
+        )
+        message = {
+            "--c": "segment_cost must be finite and non-negative",
+            "--neighbors": "n_neighbors must be at least 1",
+        }[option]
+        assert code == 1
+        assert f"copytag: error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failure_stages_nothing(self, corpora, trained, tmp_path, capsys):
         out = tmp_path / "pred.conll"
         code = main(

@@ -493,8 +493,17 @@ class TestDPExpected:
             raise AssertionError("tables built for no segment cost")
 
         monkeypatch.setattr(decoder, "_tables", no_tables)
-        with pytest.raises(ValueError, match="no segment cost"):
-            dp_decode_expected(marginals, seg_dict, ())
+        for costs in ((), np.array([])):
+            with pytest.raises(ValueError, match="no segment cost"):
+                dp_decode_expected(marginals, seg_dict, costs)
+
+    def test_numpy_costs_decode_as_the_equal_tuple(self):
+        seg_dict = build_segment_dict(labels_only_set([[0, 1], [1, 1]]), DEFAULT_MAX_SEGMENT_LEN)
+        probs = np.array([[0.4, 0.6], [0.7, 0.3], [0.2, 0.8]])
+        marginals = MarginalMatrix(probs=probs, type_ids=(0, 1))
+        for costs in ((0.0,), (0.0, 0.5, 2.0)):
+            expected = dp_decode_expected(marginals, seg_dict, costs)
+            assert dp_decode_expected(marginals, seg_dict, np.array(costs)) == expected
 
     def test_rows_must_be_distributions(self, rng):
         neighbors = make_neighbor_set(rng, n_neighbors=1, max_len=3, n_types=2)

@@ -94,8 +94,8 @@ class TestBatchHash:
         assert peak < 16 * 2**20, peak
 
 
-SEEDING_SEEDS = (0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**64 + 3)
-SEEDING_COLUMNS = (0, 1, 2**32 - 1, 2**32 + 7)
+SEEDING_SEEDS = (0, 1, 7, 2**31, 2**32 - 1)
+SEEDING_COLUMNS = (0, 1, 2**31, 2**32 - 1)
 
 
 class TestSeededColumns:
@@ -103,20 +103,19 @@ class TestSeededColumns:
 
     @pytest.mark.parametrize("seed", SEEDING_SEEDS)
     def test_bit_equal_to_default_rng(self, seed):
-        # seeds and columns of one and two 32-bit words; 2**64 + 3 with a
-        # two-word column makes five entropy words, one past the pool
-        p = EmbedderParams(dim=7, n_buckets=2**33, seed=seed)
+        # the edges of the one-word range, for the seed and the column
+        p = EmbedderParams(dim=7, n_buckets=2**32, seed=seed)
         slots = p.slots_for(SEEDING_COLUMNS)
         for col, slot in zip(SEEDING_COLUMNS, slots.tolist()):
             assert p.storage[slot].tobytes() == seeded_column(seed, col, 7).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.integers(0, 2**100),
-        st.lists(st.integers(0, 2**40), min_size=1, max_size=6, unique=True),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6, unique=True),
     )
     def test_random_seeds_and_columns(self, seed, cols):
-        p = EmbedderParams(dim=3, n_buckets=2**40 + 1, seed=seed)
+        p = EmbedderParams(dim=3, n_buckets=2**32, seed=seed)
         slots = p.slots_for(cols)  # first: it may grow and rebind the storage
         for col, row in zip(cols, p.storage[slots]):
             assert row.tobytes() == seeded_column(seed, col, 3).tobytes()
@@ -277,9 +276,10 @@ class TestEmbedderParams:
         for kwargs in (
             {"dim": 0},
             {"n_buckets": 0},
-            {"n_buckets": 2**63 + 1},
+            {"n_buckets": 2**32 + 1},
             {"window": -1},
             {"seed": -1},
+            {"seed": 2**32},
         ):
             with pytest.raises(ValueError):
                 EmbedderParams(**kwargs)
@@ -379,11 +379,11 @@ class TestMatchesFeaturizerReference:
 
 
     def test_huge_bucket_count(self):
-        # bucket ids near 2**62 still sort and dedupe per token
-        for seed in (0, 2**64 + 3):
-            params = EmbedderParams(dim=2, n_buckets=2**62, window=2, seed=seed)
+        # bucket ids near 2**32 still sort and dedupe per token
+        for seed in (0, 2**32 - 1):
+            params = EmbedderParams(dim=2, n_buckets=2**32, window=2, seed=seed)
             expected = [
-                token_features(SENT, t, 2, 2**62, seed).sorted() for t in range(len(SENT))
+                token_features(SENT, t, 2, 2**32, seed).sorted() for t in range(len(SENT))
             ]
             assert split_tokens(_token_columns(params, SENT)) == expected
 

@@ -126,8 +126,9 @@ class TestSweep:
     def test_grid_validation(self):
         db = build_dataset(DB_ROWS)
         data = build_dataset(EVAL_ROWS)
-        with pytest.raises(ValueError, match="non-empty"):
-            sweep_c([], provider(), db, data, 3)
+        for empty in ([], np.array([])):
+            with pytest.raises(ValueError, match="non-empty"):
+                sweep_c(empty, provider(), db, data, 3)
         with pytest.raises(ValueError, match="ascending"):
             sweep_c([0.5, 0.5], provider(), db, data, 3)
         with pytest.raises(ValueError, match="ascending"):
@@ -216,6 +217,13 @@ class TestSweep:
             )
         assert rows == expected
         assert rows[0] != rows[-1]
+
+    def test_numpy_grid_gives_the_list_rows(self):
+        db = build_dataset(DB_ROWS)
+        data = build_dataset(EVAL_ROWS)
+        for grid in ([0.0], [0.0, 0.5, 2.0]):
+            expected = sweep_c(grid, provider(), db, data, 3)
+            assert sweep_c(np.array(grid), provider(), db, data, 3) == expected
 
     def test_rows_follow_grid(self):
         rows = sweep_c(

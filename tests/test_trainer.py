@@ -486,6 +486,22 @@ class TestCheckpointFormat:
         assert str(info.value).startswith(message)
 
     @pytest.mark.parametrize(
+        "key, value", [("embed_seed", "4294967296"), ("buckets", "4294967297")]
+    )
+    def test_out_of_range_embedder_line_names_line(self, key, value):
+        # a saved checkpoint with one embedder line set past its 32-bit bound
+        lines = save_checkpoint(self.roundtrip()).splitlines()
+        number = next(n for n, line in enumerate(lines, 1) if line.startswith(f"{key}="))
+        lines[number - 1] = f"{key}={value}"
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint("\n".join(lines) + "\n")
+        message = {
+            "embed_seed": "seed must be in [0, 2**32)",
+            "buckets": "n_buckets must be at most 2**32",
+        }[key]
+        assert str(info.value) == f"line {number}: {key}: {message}"
+
+    @pytest.mark.parametrize(
         "column_line, message",
         [
             ("col 9 0.5 banana 1.0", "banana"),
