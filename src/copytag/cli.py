@@ -4,9 +4,9 @@ Five verbs: train, tag, eval, sweep, inspect. Every verb that produces a
 file also writes `<out>.manifest.json` recording the resolved options,
 input digests, and tool version, so a run can be reproduced from its
 outputs. An output that resolves to an input or to another output is
-refused before any work, and a bad --neighbors or --c value before any
-file is loaded. Files are staged to temp paths and renamed only
-after the whole verb succeeds, so a failure leaves nothing behind.
+refused before any work, and a bad --neighbors, --c or --c-grid value
+before any file is loaded. Files are staged to temp paths and renamed
+only after the whole verb succeeds, so a failure leaves nothing behind.
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
@@ -23,7 +23,7 @@ from bisect import bisect_right
 from . import __version__
 from .corpus import CorpusError, Sentence, conll_blocks, parse_conll, write_conll
 from .decoder import check_segment_cost, predict_marginal, provenance_lines
-from .evaluation import span_f1, sweep_c, sweep_csv, token_accuracy
+from .evaluation import check_c_grid, span_f1, sweep_c, sweep_csv, token_accuracy
 from .tagging import DECODE_DP, DECODE_MARGINAL, Tagger, check_n_neighbors, predictions_dataset
 from .trainer import (
     CheckpointError,
@@ -263,6 +263,7 @@ def _cmd_sweep(args, parser, staged) -> None:
     except ValueError:
         parser.error(f"--c-grid is not a comma-separated float list: {args.c_grid!r}")
     check_n_neighbors(args.neighbors)
+    check_c_grid(grid)
     provider = _provider_from(args.ckpt)
     db = _load_dataset(args.db)
     data = _load_dataset(args.data)

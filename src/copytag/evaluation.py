@@ -113,6 +113,22 @@ def _count_unreachable(db: Dataset, gold: Dataset) -> int:
     )
 
 
+def check_c_grid(c_values: Sequence[float]) -> list[float]:
+    """The grid as floats, checked: non-empty, valid costs, strictly ascending."""
+    if len(c_values) == 0:
+        raise ValueError("the c grid must be non-empty")
+    costs = []
+    for pos, c in enumerate(c_values):
+        try:
+            costs.append(float(c))
+            check_segment_cost(costs[-1])
+        except ValueError as exc:
+            raise ValueError(f"c grid value {c!r} at position {pos}: {exc}") from None
+    if any(b <= a for a, b in zip(costs, costs[1:])):
+        raise ValueError("the c grid must be strictly ascending")
+    return costs
+
+
 def sweep_c(
     c_values: Sequence[float],
     provider,
@@ -129,17 +145,7 @@ def sweep_c(
     tables are computed once per sentence and shared across the grid: one
     dp_decode_expected call decodes a sentence at every grid value.
     """
-    if len(c_values) == 0:
-        raise ValueError("the c grid must be non-empty")
-    costs = []
-    for pos, c in enumerate(c_values):
-        try:
-            costs.append(float(c))
-            check_segment_cost(costs[-1])
-        except ValueError as exc:
-            raise ValueError(f"c grid value {c!r} at position {pos}: {exc}") from None
-    if any(b <= a for a, b in zip(c_values, c_values[1:])):
-        raise ValueError("the c grid must be strictly ascending")
+    costs = check_c_grid(c_values)
     if not data.items:
         raise ValueError("the data to sweep has no sentences")
     gold_spans = []

@@ -21,12 +21,13 @@ parameters and checkpoints are the same bit for bit.
 
 Checkpoints are line-oriented text: config as key=value pairs, then one
 line per modified weight column; unmodified columns are regenerated from
-the seed at load time. Save and load share one key table per line family.
+the seed at load time. One renderer writes the header for save and for
+load to compare against, so load accepts only the text save writes,
+column value text aside.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -330,7 +331,7 @@ _CONFIG_FIELDS = (
 # Config lines with one legal value, kept so that checkpoint text stays
 # the same: training refreshes neighbor rows per batch and never lets a
 # sentence retrieve itself.
-_FIXED_LINES = (("refresh", "per-batch"), ("exclude_self", "true"))
+_FIXED_LINES = ("refresh=per-batch", "exclude_self=true")
 # Lines log.<epoch>.<key>, epoch >= 1: key, the EpochStats field, the
 # parser. A None value (dev_accuracy without dev data) gets no line.
 _LOG_FIELDS = (
@@ -338,9 +339,23 @@ _LOG_FIELDS = (
     ("skipped", "skipped_tokens", int),
     ("dev_accuracy", "dev_accuracy", float),
 )
-_LOG_KEY = re.compile(
-    rf"log\.([1-9][0-9]*)\.({'|'.join(key for key, _, _ in _LOG_FIELDS)})"
-)
+
+
+def _header_lines(checkpoint: Checkpoint) -> list[str]:
+    """Every line save_checkpoint writes before the first column line."""
+    params = checkpoint.params
+    owners = {EmbedderParams: params, TrainConfig: checkpoint.config}
+    lines = [CHECKPOINT_MAGIC]
+    for key, owner, field, parse in _CONFIG_FIELDS:
+        lines.append(f"{key}={parse(getattr(owners[owner], field))}")
+    lines.extend(_FIXED_LINES)
+    for entry in checkpoint.log:
+        for key, field, parse in _LOG_FIELDS:
+            value = getattr(entry, field)
+            if value is not None:
+                lines.append(f"log.{entry.epoch}.{key}={parse(value)}")
+    lines.append(f"#params {params.dim} {params.n_buckets}")
+    return lines
 
 
 def save_checkpoint(checkpoint: Checkpoint) -> str:
@@ -350,17 +365,7 @@ def save_checkpoint(checkpoint: Checkpoint) -> str:
     reproduces the parameters bit for bit.
     """
     params = checkpoint.params
-    owners = {EmbedderParams: params, TrainConfig: checkpoint.config}
-    lines = [CHECKPOINT_MAGIC]
-    for key, owner, field, parse in _CONFIG_FIELDS:
-        lines.append(f"{key}={parse(getattr(owners[owner], field))}")
-    lines.extend(f"{key}={value}" for key, value in _FIXED_LINES)
-    for entry in checkpoint.log:
-        for key, field, parse in _LOG_FIELDS:
-            value = getattr(entry, field)
-            if value is not None:
-                lines.append(f"log.{entry.epoch}.{key}={parse(value)}")
-    lines.append(f"#params {params.dim} {params.n_buckets}")
+    lines = _header_lines(checkpoint)
     columns = sorted(params.modified)
     for col, row in zip(columns, params.storage[params.slots_for(columns)]):
         # tolist() yields Python floats, whose repr is their shortest
@@ -371,14 +376,14 @@ def save_checkpoint(checkpoint: Checkpoint) -> str:
 
 
 def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
-    """text.splitlines(), one line at a time: each piece of about `chunk`
-    characters, cut after a "\n", is split on its own, so no list of
-    every line is held."""
+    """The lines of `text`, which ends in "\n", split at "\n" only and
+    read one at a time: each piece of about `chunk` characters, cut after
+    a "\n", is split on its own, so no list of every line is held."""
     start = 0
     while start < len(text):
         cut = text.find("\n", start + chunk)
         end = len(text) if cut < 0 else cut + 1
-        yield from text[start:end].splitlines()
+        yield from text[start : end - 1].split("\n")
         start = end
 
 
@@ -386,118 +391,103 @@ def load_checkpoint(text: str) -> Checkpoint:
     """Read save_checkpoint's text back; malformed input raises
     CheckpointError, naming the line where there is one.
 
-    Every config key is one save writes: a _CONFIG_FIELDS or _FIXED_LINES
-    key, or log.<epoch>.<key> with the epoch written as save writes it.
+    Load accepts only the text save writes, column value text aside: the
+    header lines must equal the ones save renders for the values they
+    hold, and column ids must be written as save writes them, in
+    ascending order. A column value may be any text float() reads as that
+    value, so "1e0" loads as the 1.0 that save writes.
     """
+    if not text:
+        raise CheckpointError("empty checkpoint")
+    if not text.endswith("\n"):
+        raise CheckpointError(f"line {text.count(chr(10)) + 1}: no final newline")
     lines = enumerate(_lines(text), start=1)
-    _, first = next(lines, (0, None))
-    if first != CHECKPOINT_MAGIC:
+    header = [next(lines)[1]]
+    if header[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(
-            f"expected checkpoint magic {CHECKPOINT_MAGIC!r}, "
-            f"got {first!r}" if first is not None else "empty checkpoint"
+            f"line 1: expected checkpoint magic {CHECKPOINT_MAGIC!r}, got {header[0]!r}"
         )
-    pairs: dict[str, tuple[int, str]] = {}
     for number, line in lines:
+        header.append(line)
         if line.startswith("#params"):
             break
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CheckpointError(f"bad config line {line!r}")
-        if key in pairs:
-            raise CheckpointError(f"line {number}: {key} repeats line {pairs[key][0]}")
-        pairs[key] = (number, value)
     else:
         raise CheckpointError("truncated checkpoint: missing #params section")
-    header = line.split()
-    if len(header) != 3:
-        raise CheckpointError(f"bad #params line {line!r}")
 
+    # The first value of each key save writes; any other line differs from
+    # the header rendered for those values.
+    config_fields = {entry[0]: entry[1:] for entry in _CONFIG_FIELDS}
+    log_fields = {entry[0]: entry[1:] for entry in _LOG_FIELDS}
     fields: dict[type, dict[str, object]] = {EmbedderParams: {}, TrainConfig: {}}
-    for key, owner, field, parse in _CONFIG_FIELDS:
-        if key not in pairs:
-            raise CheckpointError(f"missing config key {key}")
-        number, raw = pairs[key]
-        try:
-            value = parse(raw)
-            # built alone, every other field at its valid default, so a
-            # value the constructor rejects is named with its line
-            owner(**{field: value})
-        except ValueError as exc:
-            raise CheckpointError(f"line {number}: {key}: {exc}") from None
-        fields[owner][field] = value
-    for key, legal in _FIXED_LINES:
-        if key not in pairs:
-            raise CheckpointError(f"missing config key {key}")
-        number, raw = pairs[key]
-        if raw != legal:
-            raise CheckpointError(
-                f"line {number}: {key}: expected {legal}, got {raw!r}"
-            )
-    params = EmbedderParams(**fields[EmbedderParams])
-    config = TrainConfig(**fields[TrainConfig])
-    if header[1:] != [str(params.dim), str(params.n_buckets)]:
-        raise CheckpointError("#params line disagrees with the config lines")
-
-    known = {key for key, *_ in _CONFIG_FIELDS} | {key for key, _ in _FIXED_LINES}
-    log_fields = {key: (field, parse) for key, field, parse in _LOG_FIELDS}
     stats: dict[int, dict[str, object]] = {}
-    for key, (number, raw) in pairs.items():
-        if key in known:
-            continue
-        if not key.startswith("log."):
-            raise CheckpointError(f"line {number}: unknown config key {key}")
-        match = _LOG_KEY.fullmatch(key)
-        if match is None:
-            raise CheckpointError(
-                f"line {number}: {key}: expected log.<epoch>.<{'|'.join(log_fields)}>"
-                ", epoch a positive integer without leading zeros"
-            )
-        field, parse = log_fields[match[2]]
+    for number, line in enumerate(header[1:-1], start=2):
+        key, _, raw = line.partition("=")
+        epoch, _, name = key.removeprefix("log.").partition(".")
         try:
-            stats.setdefault(int(match[1]), {})[field] = parse(raw)
+            if key in config_fields:
+                owner, field, parse = config_fields[key]
+                value = parse(raw)
+                # built alone, every other field at its valid default, so a
+                # value the constructor rejects is named with its line
+                owner(**{field: value})
+                fields[owner].setdefault(field, value)
+            elif key.startswith("log.") and epoch.isdecimal() and name in log_fields:
+                field, parse = log_fields[name]
+                stats.setdefault(int(epoch), {}).setdefault(field, parse(raw))
         except ValueError as exc:
             raise CheckpointError(f"line {number}: {key}: {exc}") from None
-    log = []
-    for epoch, values in sorted(stats.items()):
-        values.setdefault("dev_accuracy", None)  # the one optional field
-        for key, field, _ in _LOG_FIELDS:
-            if field not in values:
-                raise CheckpointError(f"missing config key log.{epoch}.{key}")
-        log.append(EpochStats(epoch=epoch, **values))
+    for key, owner, field, _ in _CONFIG_FIELDS:
+        if field not in fields[owner]:
+            raise CheckpointError(f"missing config key {key}")
+    params = EmbedderParams(**fields[EmbedderParams])
+    # numbered 1, 2, ..., so a line of any other epoch differs from its rendering
+    log = tuple(
+        EpochStats(number, **{f: stats[epoch].get(f) for _, f, _ in _LOG_FIELDS})
+        for number, epoch in enumerate(sorted(stats), start=1)
+    )
+    checkpoint = Checkpoint(params, TrainConfig(**fields[TrainConfig]), log)
+    expected = _header_lines(checkpoint)
+    for number, (want, got) in enumerate(zip(expected, header), start=1):
+        if want != got:
+            raise CheckpointError(f"line {number}: expected {want!r}, got {got!r}")
+    for entry in log:
+        for key, field, _ in _LOG_FIELDS[:2]:  # dev_accuracy is optional
+            if getattr(entry, field) is None:
+                raise CheckpointError(f"missing config key log.{entry.epoch}.{key}")
 
     # Each column line fills one row of `block`; one set_columns call then
     # writes them all, advancing the revision by one per column.
     # Every column line holds "col", so the count bounds the rows needed.
     block = np.empty((text.count("col"), params.dim))
-    col_lines: dict[int, int] = {}
+    columns: list[int] = []
     slots: list[int] = []
     for number, line in lines:
-        if not line.strip():
-            continue
-        parts = line.split()
-        if parts[0] != "col":
-            raise CheckpointError(f"unexpected line in parameter section: {line!r}")
-        if len(parts) != params.dim + 2:
-            raise CheckpointError(
-                f"line {number}: column line has {len(parts) - 2} values, "
-                f"expected {params.dim}"
-            )
+        parts = line.split(" ")
         try:
+            if parts[0] != "col":
+                raise ValueError(f"unexpected line in parameter section: {line!r}")
+            if len(parts) != params.dim + 2:
+                raise ValueError(
+                    f"column line has {len(parts) - 2} values, expected {params.dim}"
+                )
             col = int(parts[1])
+            if parts[1] != str(col):
+                raise ValueError(f"column id {parts[1]!r} is not written as {col}")
+            if columns and col <= columns[-1]:
+                raise ValueError(f"column {col} after {columns[-1]}: ids must ascend")
             # parses each value exactly as float() does
             block[len(slots)] = np.array(parts[2:], dtype=float)
-            if col in col_lines:
-                raise ValueError(f"column {col} repeats line {col_lines[col]}")
             # an unfilled slot: its seeded values would be overwritten
             slots.append(params._new_slots([col]))
         except ValueError as exc:
             raise CheckpointError(f"line {number}: {exc}") from None
-        col_lines[col] = number
-    columns = np.fromiter(col_lines, dtype=np.int64, count=len(col_lines))
+        columns.append(col)
     values = block[: len(slots)]
     try:
-        params.set_columns(columns, np.array(slots, dtype=np.int64), values)
+        params.set_columns(
+            np.array(columns, dtype=np.int64), np.array(slots, dtype=np.int64), values
+        )
     except ValueError as exc:  # a non-finite row; nothing was written
         row = int(np.argmin(np.isfinite(values).all(axis=1)))
-        raise CheckpointError(f"line {col_lines[int(columns[row])]}: {exc}") from None
-    return Checkpoint(params, config, tuple(log))
+        raise CheckpointError(f"line {len(header) + 1 + row}: {exc}") from None
+    return checkpoint

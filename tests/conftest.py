@@ -1,5 +1,7 @@
 """Shared builders for randomized test instances."""
 
+import ctypes
+import os
 import shutil
 import tempfile
 
@@ -7,6 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
 
 from copytag.copy_model import MarginalMatrix
 from copytag.corpus import Dataset, LabeledSequence, LabelVocab, Sentence, build_dataset
@@ -23,6 +30,32 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME)
 
 def pytest_sessionfinish(session, exitstatus):
     shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)
+
+
+def platform_facts() -> str:
+    """What decides float rounding here, for the message of a byte pin.
+
+    numpy's OpenBLAS picks its kernel at run time, and float64 exp and log
+    follow numpy's SIMD dispatch, so a pinned digest holds for one setting
+    of these: a moved pin under another setting may be the platform, not
+    the program.
+    """
+    try:
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        core = "unknown"
+    else:
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    features = _multiarray_umath.__cpu_features__
+    dispatch = [name for name in _multiarray_umath.__cpu_dispatch__ if features.get(name)]
+    return (
+        f"platform: OpenBLAS core {core}, "
+        f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE')!r}, "
+        f"numpy SIMD dispatch {' '.join(dispatch) or 'none'}, "
+        f"NPY_DISABLE_CPU_FEATURES={os.environ.get('NPY_DISABLE_CPU_FEATURES')!r}"
+    )
 
 
 class RowsProvider:

@@ -611,6 +611,36 @@ class TestExitCodes:
         assert f"copytag: error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("-1,0", "c grid value -1.0 at position 0: segment_cost must be"),
+            ("nan,1", "c grid value nan at position 0: segment_cost must be"),
+            ("0,0", "the c grid must be strictly ascending"),
+            ("0.4,0.2", "the c grid must be strictly ascending"),
+        ],
+    )
+    def test_bad_c_grid_value_fails_before_loading(
+        self, corpora, tmp_path, capsys, monkeypatch, grid, message
+    ):
+        def no_load(text):
+            raise AssertionError("checkpoint loaded")
+
+        monkeypatch.setattr("copytag.cli.load_checkpoint", no_load)
+        code = main(
+            [
+                "sweep",
+                "--ckpt", str(corpora["train"]),
+                "--db", str(corpora["train"]),
+                "--data", str(corpora["dev"]),
+                f"--c-grid={grid}",
+                "--out", str(tmp_path / "sweep.csv"),
+            ]
+        )
+        assert code == 1
+        assert f"copytag: error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failure_stages_nothing(self, corpora, trained, tmp_path, capsys):
         out = tmp_path / "pred.conll"
         code = main(

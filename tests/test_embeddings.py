@@ -26,6 +26,7 @@ from copytag.embeddings import (
 from copytag.retrieval import build_index
 from copytag.synthetic import suffix_corpus
 from adam_reference import reference_backprop
+from conftest import platform_facts
 from embedding_reference import (
     reference_backprop_add_at,
     reference_column_sums,
@@ -454,7 +455,7 @@ class TestEmbeddingPins:
         # feature of every window position was hashed afresh.
         text = (DATA / "toy_ner_train.conll").read_text(encoding="utf-8")
         index = build_index(parse_conll(text), HashedWindowEmbedder(EmbedderParams(**kwargs)))
-        assert index_digest(index) == digest
+        assert index_digest(index) == digest, platform_facts()
 
     def test_copy_keeps_its_own_slots(self):
         # After a copy both objects materialize different columns into the

@@ -14,7 +14,9 @@ from copytag.trainer import (
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
+    Checkpoint,
     CheckpointError,
+    EpochStats,
     TrainConfig,
     _sum_grads,
     adam_update,
@@ -30,6 +32,7 @@ from adam_reference import (
     reference_adam_update,
     reference_batch_sum,
 )
+from conftest import platform_facts
 from param_columns import column, set_column
 
 
@@ -322,7 +325,7 @@ class TestFineTune:
         )
         text = save_checkpoint(ck)
         assert f"refresh={refresh}" in text.splitlines()
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, platform_facts()
 
     def test_rejects_untrainable_provider(self):
         class Fixed:
@@ -389,8 +392,8 @@ class TestCheckpointFormat:
 
     def test_load_state_follows_column_lines(self):
         # Each column line counts once in the revision; columns without a
-        # line stay seeded. (A repeated column is
-        # rejected, see test_bad_column_line_names_line.)
+        # line stay seeded. (Column ids must ascend, so a repeated or
+        # swapped column is rejected, see test_bad_column_line_names_line.)
         lines = [
             "#copytag-ckpt v1",
             "dim=3",
@@ -407,8 +410,8 @@ class TestCheckpointFormat:
             "exclude_self=true",
             "#params 3 40",
             "col 7 0.5 -0.25 1.0",
-            "col 39 0.1 0.2 0.3",
             "col 12 -1.5 2.0 0.125",
+            "col 39 0.1 0.2 0.3",
         ]
         ck = load_checkpoint("\n".join(lines) + "\n")
         params = ck.params
@@ -457,22 +460,48 @@ class TestCheckpointFormat:
         [
             ("dim=abc", "line 2: dim: invalid literal for int()"),
             ("learning_rate=-1", "line 6: learning_rate: learning_rate must be positive"),
-            ("refresh=per-epoch", "line 12: refresh: expected per-batch, got 'per-epoch'"),
-            ("exclude_self=false", "line 13: exclude_self: expected true, got 'false'"),
-            ("+learning_rate=0.5", "line 14: learning_rate repeats line 6"),
-            ("+refresh=per-batch", "line 14: refresh repeats line 12"),
-            ("log.x=1", "line 14: log.x: "),
+            (
+                "refresh=per-epoch",
+                "line 12: expected 'refresh=per-batch', got 'refresh=per-epoch'",
+            ),
+            (
+                "exclude_self=false",
+                "line 13: expected 'exclude_self=true', got 'exclude_self=false'",
+            ),
+            (
+                "+learning_rate=0.5",
+                "line 14: expected '#params 3 40', got 'learning_rate=0.5'",
+            ),
+            (
+                "+refresh=per-batch",
+                "line 14: expected '#params 3 40', got 'refresh=per-batch'",
+            ),
+            ("log.x=1", "line 14: expected '#params 3 40', got 'log.x=1'"),
             ("log.1.train_nll=zz", "line 14: log.1.train_nll: could not convert"),
             ("log.1.train_nll=0.5", "missing config key log.1.skipped"),
-            ("learning_rte=0.5", "line 14: unknown config key learning_rte"),
-            ("log.01.train_nll=0.7", "line 14: log.01.train_nll: expected log.<epoch>"),
-            ("log.0.train_nll=0.5", "line 14: log.0.train_nll: expected log.<epoch>"),
-            ("log.-2.skipped=3", "line 14: log.-2.skipped: expected log.<epoch>"),
+            ("learning_rte=0.5", "line 14: expected '#params 3 40', got 'learning_rte=0.5'"),
+            (
+                "log.01.train_nll=0.7",
+                "line 14: expected 'log.1.train_nll=0.7', got 'log.01.train_nll=0.7'",
+            ),
+            (
+                "log.0.train_nll=0.5",
+                "line 14: expected 'log.1.train_nll=0.5', got 'log.0.train_nll=0.5'",
+            ),
+            ("log.-2.skipped=3", "line 14: expected '#params 3 40', got 'log.-2.skipped=3'"),
+            (
+                "learning_rate=2e-3",
+                "line 6: expected 'learning_rate=0.002', got 'learning_rate=2e-3'",
+            ),
+            ("dim=+3", "line 2: expected 'dim=3', got 'dim=+3'"),
+            ("batch_size=016", "line 7: expected 'batch_size=16', got 'batch_size=016'"),
+            ("seed= 0", "line 11: expected 'seed=0', got 'seed= 0'"),
         ],
     )
     def test_bad_config_value_names_line(self, config_line, message):
         # a known key replaces its line; a log line, or one marked "+",
-        # goes after the config
+        # goes after the config. Every line must be the one save renders
+        # for the values read.
         key = config_line.partition("=")[0]
         lines = [
             config_line if line.partition("=")[0] == key else line
@@ -509,7 +538,13 @@ class TestCheckpointFormat:
             ("col x 0.5 0.25 1.0", "'x'"),
             ("col 9 0.5 nan 1.0", "non-finite"),
             ("col 40 0.5 0.25 1.0", "column 40"),
-            ("col 7 0.5 0.25 1.0", "column 7 repeats line 15"),
+            ("col 7 0.5 0.25 1.0", "column 7 after 7: ids must ascend"),
+            ("col 3 0.5 0.25 1.0", "column 3 after 7: ids must ascend"),
+            ("col +9 0.5 0.25 1.0", "column id '\\+9' is not written as 9"),
+            ("col 1_0 0.5 0.25 1.0", "column id '1_0' is not written as 10"),
+            ("col 09 0.5 0.25 1.0", "column id '09' is not written as 9"),
+            ("col 9 0.5  0.25", "''"),
+            ("", "unexpected line in parameter section: ''"),
         ],
     )
     def test_bad_column_line_names_line(self, column_line, message):
@@ -517,20 +552,48 @@ class TestCheckpointFormat:
             load_checkpoint(self._column_text(column_line))
         assert str(info.value).startswith("line 16: ")
 
-    def test_lines_match_splitlines(self, rng):
-        # the loader reads the text in pieces cut after a "\n"; every
-        # break str.splitlines knows must split the same way across them
+    def test_lines_split_at_newline_only(self, rng):
+        # the loader reads the text in pieces cut after a "\n"; across
+        # them, only "\n" ends a line, and every other break str.splitlines
+        # knows stays inside its line
         pieces = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028", "a", " "]
         for _ in range(500):
             picks = rng.integers(0, len(pieces), rng.integers(0, 14))
-            text = "".join(pieces[k] for k in picks)
+            text = "".join(pieces[k] for k in picks) + "\n"
             for chunk in (0, 1, 2, 3, 1 << 16):
                 lines = list(trainer._lines(text, chunk))
-                assert lines == text.splitlines(), repr(text)
+                assert lines == text[:-1].split("\n"), repr(text)
 
-    def test_crlf_text_loads_alike(self):
+    def test_crlf_text_rejected(self):
+        # the magic line keeps its "\r"
         text = save_checkpoint(self.roundtrip())
-        assert save_checkpoint(load_checkpoint(text.replace("\n", "\r\n"))) == text
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(text.replace("\n", "\r\n"))
+        assert str(info.value) == (
+            "line 1: expected checkpoint magic '#copytag-ckpt v1', got '#copytag-ckpt v1\\r'"
+        )
+
+    def test_missing_final_newline_rejected(self):
+        text = save_checkpoint(self.roundtrip())
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(text[:-1])
+        assert str(info.value) == f"line {text.count(chr(10))}: no final newline"
+
+    @pytest.mark.parametrize(
+        "epochs, message",
+        [
+            ((2,), "line 14: expected 'log.1.train_nll=0.5', got 'log.2.train_nll=0.5'"),
+            ((1, 3), "line 16: expected 'log.2.train_nll=0.5', got 'log.3.train_nll=0.5'"),
+            ((2, 1), "line 14: expected 'log.1.train_nll=0.5', got 'log.2.train_nll=0.5'"),
+            ((1, 1), "line 16: expected '#params 3 40', got 'log.1.train_nll=0.5'"),
+        ],
+    )
+    def test_log_epochs_count_from_one(self, epochs, message):
+        log = [f"log.{e}.{key}" for e in epochs for key in ("train_nll=0.5", "skipped=0")]
+        text = "\n".join([*self.CONFIG_LINES, *log, "#params 3 40"]) + "\n"
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(text)
+        assert str(info.value) == message
 
     def test_bad_magic(self):
         with pytest.raises(CheckpointError, match="magic"):
@@ -545,8 +608,10 @@ class TestCheckpointFormat:
             load_checkpoint("#copytag-ckpt v1\ndim=4\n")
 
     def test_bad_config_line(self):
-        with pytest.raises(CheckpointError, match="config line"):
-            load_checkpoint("#copytag-ckpt v1\nnot a pair\n#params 4 16\n")
+        text = "\n".join([*self.CONFIG_LINES, "not a pair", "#params 3 40"]) + "\n"
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(text)
+        assert str(info.value) == "line 14: expected '#params 3 40', got 'not a pair'"
 
     def test_missing_config_key(self):
         with pytest.raises(CheckpointError, match="missing config key"):
@@ -572,5 +637,78 @@ class TestCheckpointFormat:
     def test_header_mismatch(self):
         ck = self.roundtrip()
         text = save_checkpoint(ck).replace("#params 12 256", "#params 12 999")
-        with pytest.raises(CheckpointError, match="disagrees"):
+        number = text.splitlines().index("#params 12 999") + 1
+        with pytest.raises(CheckpointError) as info:
             load_checkpoint(text)
+        assert str(info.value) == (
+            f"line {number}: expected '#params 12 256', got '#params 12 999'"
+        )
+
+
+class TestCheckpointFuzz:
+    """Seeded one- and two-edit mutations of a small saved checkpoint."""
+
+    # the characters of checkpoint text, and the ones a lenient parser
+    # would take inside numbers or around lines
+    ALPHABET = "0123456789+_e.-= \r\nlogc#x"
+
+    @staticmethod
+    def saved_text():
+        params = EmbedderParams(dim=3, n_buckets=40, window=1, seed=4)
+        values = np.random.default_rng(5).normal(size=(4, 3))
+        values[0, 1] = -0.0
+        values[1, 2] = 1e-7
+        values[2, 0] = 3.0
+        for col, row in zip((3, 11, 12, 30), values):
+            set_column(params, col, row)
+        log = (EpochStats(1, 2.5, 3, 0.75), EpochStats(2, 1.25, 0, None))
+        return save_checkpoint(Checkpoint(params, TrainConfig(epochs=2), log))
+
+    def mutate(self, text, rng):
+        kind = int(rng.integers(6))
+        if kind < 3:  # insert, delete or replace one character
+            at = int(rng.integers(len(text)))
+            char = self.ALPHABET[int(rng.integers(len(self.ALPHABET)))]
+            return text[:at] + ("", char, char)[kind] + text[at + (kind != 1) :]
+        # swap, duplicate or drop a line; the piece after the last "\n"
+        # counts as a line, so the final newline can move or go
+        lines = text.split("\n")
+        i, j = (int(v) for v in rng.integers(len(lines), size=2))
+        if kind == 3:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == 4:
+            lines.insert(i, lines[i])
+        else:
+            del lines[i]
+        return "\n".join(lines)
+
+    def test_mutations_reject_or_resave_alike(self):
+        # Load raises CheckpointError and nothing else, or the text is the
+        # one save writes, column value text aside: there each value reads,
+        # by float(), as the value save writes
+        text = self.saved_text()
+        assert save_checkpoint(load_checkpoint(text)) == text
+        rng = np.random.default_rng(21)
+        outcomes = {"rejected": 0, "canonical": 0, "value text": 0}
+        for _ in range(500):
+            mutated = text
+            for _ in range(int(rng.integers(1, 3))):
+                mutated = self.mutate(mutated, rng)
+            try:
+                resaved = save_checkpoint(load_checkpoint(mutated))
+            except CheckpointError:
+                outcomes["rejected"] += 1
+                continue
+            if resaved == mutated:
+                outcomes["canonical"] += 1
+                continue
+            outcomes["value text"] += 1
+            got, want = mutated.split("\n"), resaved.split("\n")
+            assert len(got) == len(want), repr(mutated)
+            for line, saved in zip(got, want):
+                if line != saved:
+                    parts, saved_parts = line.split(" "), saved.split(" ")
+                    assert parts[:2] == saved_parts[:2], repr(line)
+                    assert [repr(float(v)) for v in parts[2:]] == saved_parts[2:], repr(line)
+        # each outcome shows up, so the property is exercised both ways
+        assert min(outcomes.values()) > 0, outcomes
