@@ -10,7 +10,6 @@ per copied segment.
 __version__ = "0.1.0"
 
 from .copy_model import (
-    CopyPosterior,
     LossReport,
     MarginalMatrix,
     copy_logits,
@@ -83,7 +82,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "ColumnGrads",
-    "CopyPosterior",
     "CorpusError",
     "Dataset",
     "DecodeResult",

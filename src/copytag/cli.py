@@ -20,6 +20,8 @@ import os
 import sys
 from bisect import bisect_right
 
+import numpy as np
+
 from . import __version__
 from .corpus import CorpusError, Sentence, conll_blocks, parse_conll, write_conll
 from .decoder import check_segment_cost, predict_marginal, provenance_lines
@@ -292,20 +294,19 @@ def _cmd_inspect(args, parser, staged) -> None:
     starts = neighbors.starts.tolist()
 
     print(f"sentence {sentence.uid}: {' '.join(sentence.tokens)}")
-    probs = analysis.posterior.probs
+    probs = np.exp(analysis.posterior)
     predicted = predict_marginal(analysis.marginals)
     for t, token in enumerate(sentence.tokens):
         j = int(probs[t].argmax())
         m = bisect_right(starts, j) - 1
         offset = j - starts[m]
-        entry = neighbors.entries[m]
-        source_token = entry.sequence.sentence.tokens[offset]
+        source = db.items[int(neighbors.ids[m])].sentence
         source_label = names[neighbors.flat_labels[j]]
         print(
             f"token {t} {token!r} -> {names[predicted[t]]} "
             f"p={analysis.marginals.probs[t].max():.4f} "
-            f"top-source neighbor:{m} (db sentence {entry.sequence.sentence.uid}) "
-            f"offset:{offset} {source_token!r} {source_label}"
+            f"top-source neighbor:{m} (db sentence {source.uid}) "
+            f"offset:{offset} {source.tokens[offset]!r} {source_label}"
         )
 
     print(f"dp decode at c={args.c:g}: objective {tagged.decode.objective:.4f}")

@@ -3,12 +3,13 @@
 Each input token scores every label token in the flattened neighbor
 database by inner product with that token's embedding row; the caller
 gathers those rows in the neighbor set's flat order. A row softmax turns
-the scores into a copy posterior. Collapsing posterior mass by label type
-gives per-token type marginals, one column per type present in ascending
-type id order, and the training loss is the negative log of the mass
-placed on positions that carry the gold type. All probability arithmetic
-stays in log space with max-subtraction; linear probabilities only appear
-at API boundaries.
+the scores into a copy posterior, a read-only matrix of log probabilities.
+Collapsing posterior mass by label type gives per-token type marginals,
+one column per type present in ascending type id order, and the training
+loss is the negative log of the mass placed on positions that carry the
+gold type. Both read the one grouping of positions by label type that the
+neighbor set holds. All probability arithmetic stays in log space with
+max-subtraction; linear probabilities only appear at API boundaries.
 """
 
 from __future__ import annotations
@@ -39,23 +40,8 @@ def copy_logits(input_embeddings: np.ndarray, neighbor_rows: np.ndarray) -> np.n
     return x @ neighbor_rows.T
 
 
-@dataclass(eq=False)
-class CopyPosterior:
-    """Row-normalized copy distribution, held in log space."""
-
-    log_probs: np.ndarray
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
-
-    @property
-    def n_tokens(self) -> int:
-        return int(self.log_probs.shape[0])
-
-
-def copy_posterior(logits: np.ndarray) -> CopyPosterior:
-    """Row softmax with max-subtraction; rows sum to one up to 1e-9."""
+def copy_posterior(logits: np.ndarray) -> np.ndarray:
+    """Row log-softmax with max-subtraction, read-only; exp rows sum to one up to 1e-9."""
     scores = np.asarray(logits, dtype=float)
     if scores.ndim != 2 or scores.shape[1] < 1:
         raise ValueError("logits must be a 2-d matrix with at least one column")
@@ -63,7 +49,7 @@ def copy_posterior(logits: np.ndarray) -> CopyPosterior:
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_norm
     log_probs.setflags(write=False)
-    return CopyPosterior(log_probs)
+    return log_probs
 
 
 @dataclass(eq=False)
@@ -85,28 +71,27 @@ class MarginalMatrix:
             )
 
 
-def marginal_over_types(posterior: CopyPosterior, neighbors: NeighborSet) -> MarginalMatrix:
-    """Collapse the copy posterior by label type.
+def marginal_over_types(log_probs: np.ndarray, neighbors: NeighborSet) -> MarginalMatrix:
+    """Collapse the copy posterior's log probabilities by label type.
 
-    A stable sort by label lays each type's columns out as one block in
-    flat order. Gathered the way a boolean mask gathers them, with the
-    same memory layout, each block's row sum adds the same values in the
-    same order as a row sum over that type's masked columns, bit for bit.
+    The neighbor set's stable grouping by label lays each type's columns
+    out as one block in flat order. Gathered the way a boolean mask
+    gathers them, with the same memory layout, each block's row sum adds
+    the same values in the same order as a row sum over that type's masked
+    columns, bit for bit.
     """
-    if posterior.log_probs.shape[1] != neighbors.n_total:
+    if log_probs.shape[1] != neighbors.n_total:
         raise ValueError(
-            f"posterior has {posterior.log_probs.shape[1]} columns for "
+            f"posterior has {log_probs.shape[1]} columns for "
             f"{neighbors.n_total} neighbor tokens"
         )
-    order = np.argsort(neighbors.flat_labels, kind="stable")
-    labels = neighbors.flat_labels[order]
-    bounds = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
-    grouped = posterior.probs[:, order]
+    bounds = neighbors.type_bounds
+    grouped = np.exp(log_probs)[:, neighbors.type_order]
     matrix = np.empty((grouped.shape[0], len(bounds) - 1))
     for col, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         matrix[:, col] = grouped[:, lo:hi].sum(axis=1)
     matrix.setflags(write=False)
-    return MarginalMatrix(matrix, tuple(labels[bounds[:-1]].tolist()))
+    return MarginalMatrix(matrix, neighbors.type_ids)
 
 
 @dataclass(frozen=True)
@@ -124,32 +109,31 @@ class LossReport:
 
 def _gold_columns(neighbors: NeighborSet, gold: Sequence[int]) -> list[np.ndarray]:
     # Each token's neighbor columns of its gold type, ascending, as the
-    # mask flat_labels == gold[t] selects them: one mask per distinct type.
-    flat = neighbors.flat_labels
-    columns = {gold_type: np.flatnonzero(flat == gold_type) for gold_type in set(gold)}
-    return [columns[gold_type] for gold_type in gold]
+    # mask flat_labels == gold[t] selects them: that type's block of the
+    # set's grouping, empty for a type the set lacks.
+    order, bounds = neighbors.type_order, neighbors.type_bounds
+    blocks = {g: order[lo:hi] for g, lo, hi in zip(neighbors.type_ids, bounds, bounds[1:])}
+    return [blocks.get(gold_type, order[:0]) for gold_type in gold]
 
 
 def nll(
-    posterior: CopyPosterior, neighbors: NeighborSet, gold: Sequence[int]
+    log_probs: np.ndarray, neighbors: NeighborSet, gold: Sequence[int]
 ) -> LossReport:
     """Negative log of the posterior mass on gold-typed neighbor tokens."""
-    if len(gold) != posterior.n_tokens:
-        raise ValueError(
-            f"{len(gold)} gold labels for {posterior.n_tokens} posterior rows"
-        )
+    if len(gold) != log_probs.shape[0]:
+        raise ValueError(f"{len(gold)} gold labels for {log_probs.shape[0]} posterior rows")
     total = 0.0
     skipped = 0
     for t, columns in enumerate(_gold_columns(neighbors, gold)):
         if not columns.size:
             skipped += 1
             continue
-        total += -_logsumexp(posterior.log_probs[t, columns])
+        total += -_logsumexp(log_probs[t, columns])
     return LossReport(total, skipped)
 
 
 def grad_wrt_input(
-    posterior: CopyPosterior,
+    log_probs: np.ndarray,
     neighbors: NeighborSet,
     gold: Sequence[int],
     neighbor_rows: np.ndarray,
@@ -161,15 +145,13 @@ def grad_wrt_input(
     embeddings are treated as constants. Rows of skipped tokens are
     exactly zero.
     """
-    if len(gold) != posterior.n_tokens:
-        raise ValueError(
-            f"{len(gold)} gold labels for {posterior.n_tokens} posterior rows"
-        )
-    residual = np.zeros_like(posterior.log_probs)
+    if len(gold) != log_probs.shape[0]:
+        raise ValueError(f"{len(gold)} gold labels for {log_probs.shape[0]} posterior rows")
+    residual = np.zeros_like(log_probs)
     for t, columns in enumerate(_gold_columns(neighbors, gold)):
         if not columns.size:
             continue
-        log_row = posterior.log_probs[t]
+        log_row = log_probs[t]
         residual[t] = np.exp(log_row)
         log_support = _logsumexp(log_row[columns])
         residual[t, columns] -= np.exp(log_row[columns] - log_support)

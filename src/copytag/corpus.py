@@ -200,6 +200,11 @@ def write_conll(dataset: Dataset) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def is_bio_label(tag: str) -> bool:
+    """Whether `tag` is O, or B- or I- and a type name."""
+    return tag == "O" or (len(tag) >= 2 and tag[0] in "BI" and tag[1] == "-")
+
+
 def spans_from_bio(labels: Sequence[str]) -> tuple[Span, ...]:
     """Extract typed spans from a BIO tag sequence.
 
@@ -220,7 +225,7 @@ def spans_from_bio(labels: Sequence[str]) -> tuple[Span, ...]:
         if tag == "O":
             close(i)
             continue
-        if len(tag) < 2 or tag[0] not in "BI" or tag[1] != "-":
+        if not is_bio_label(tag):
             raise CorpusError(f"malformed BIO label {tag!r} at position {i}")
         label = tag[2:]
         if tag[0] == "B" or open_start is None or label != open_label:

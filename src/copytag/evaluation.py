@@ -11,7 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import CorpusError, Dataset, Span, build_dataset, spans_from_bio
+from .corpus import (
+    CorpusError,
+    Dataset,
+    LabeledSequence,
+    Span,
+    build_dataset,
+    is_bio_label,
+    spans_from_bio,
+)
 from .decoder import check_segment_cost, dp_decode_expected
 from .tagging import Tagger, predictions_dataset
 
@@ -84,8 +92,15 @@ def span_f1(pred: Dataset, gold: Dataset) -> tuple[float, float, float]:
     predictions are scored the way conlleval would score them.
     """
     _check_aligned(pred, gold)
-    gold_spans = [set(spans_from_bio(gold.label_names(g))) for g in gold.items]
-    return _span_scores(pred, gold_spans)
+    return _span_scores(pred, [_spans(gold, g, "gold") for g in gold.items])
+
+
+def _spans(dataset: Dataset, item: LabeledSequence, side: str) -> set[Span]:
+    # the item's BIO spans; a malformed label names its side and sentence
+    try:
+        return set(spans_from_bio(dataset.label_names(item)))
+    except CorpusError as exc:
+        raise CorpusError(f"{side} sentence {item.sentence.uid}: {exc}") from None
 
 
 def _span_scores(
@@ -94,7 +109,7 @@ def _span_scores(
     # span_f1 of `pred` against the gold sentences' spans, one set each
     tp = fp = fn = 0
     for p, gold in zip(pred.items, gold_spans):
-        spans = set(spans_from_bio(pred.label_names(p)))
+        spans = _spans(pred, p, "prediction")
         tp += len(spans & gold)
         fp += len(spans - gold)
         fn += len(gold - spans)
@@ -138,22 +153,21 @@ def sweep_c(
 ) -> list[SweepRow]:
     """Decode `data` against `db` at every segment cost in `c_values`.
 
-    The grid and `data`, its gold BIO tags too, are checked before any
-    work. The db index comes from build_index, so a sweep right after a
-    Tagger over the same provider and db object reuses that Tagger's
-    index. Retrieval, marginals, the segment dictionary and the decode
-    tables are computed once per sentence and shared across the grid: one
-    dp_decode_expected call decodes a sentence at every grid value.
+    The grid, the db's label types and `data`, its gold BIO tags too, are
+    checked before any work. The db index comes from build_index, so a
+    sweep right after a Tagger over the same provider and db object reuses
+    that Tagger's index. Retrieval, marginals, the segment dictionary and
+    the decode tables are computed once per sentence and shared across the
+    grid: one dp_decode_expected call decodes a sentence at every grid
+    value.
     """
     costs = check_c_grid(c_values)
     if not data.items:
         raise ValueError("the data to sweep has no sentences")
-    gold_spans = []
-    for item in data.items:
-        try:
-            gold_spans.append(set(spans_from_bio(data.label_names(item))))
-        except CorpusError as exc:
-            raise CorpusError(f"sentence {item.sentence.uid}: {exc}") from None
+    not_bio = [name for name in db.vocab.types if not is_bio_label(name)]
+    if not_bio:
+        raise CorpusError(f"db label type {not_bio[0]!r} is not a BIO label")
+    gold_spans = [_spans(data, item, "gold") for item in data.items]
     tagger = Tagger(provider, db, n_neighbors)
     decoded = []
     for item in data.items:

@@ -11,8 +11,9 @@ also ranks every token's label window, its labels to the end of its
 sentence, in lexicographic order once, so a segment dictionary over any
 retrieved set starts from one sort of ranks. A set of retrieved sentences
 is a list of row positions into that matrix: its labels and window ranks
-are gathered once, and the caller gathers the token rows it scores, so
-nothing is embedded per query and a kept set holds no embedding rows.
+are gathered once and its positions grouped by label type once, and the
+caller gathers the token rows it scores, so nothing is embedded per query
+and a kept set holds no embedding rows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,17 +148,12 @@ def _window_ranks(flat_labels: np.ndarray, row_starts: np.ndarray) -> np.ndarray
 
 
 def query(
-    index: NeighborIndex,
-    query_vec: np.ndarray,
-    count: int,
-    exclude_ids: Iterable[int] = (),
+    index: NeighborIndex, query_vec: np.ndarray, count: int
 ) -> list[tuple[int, float]]:
     """Top `count` sentences by cosine, ties broken by ascending id.
 
-    The scan is exact and brute force. Excluded ids are removed before the
-    cut, and ids outside the index exclude nothing; fewer than `count`
-    survivors (or an empty index after exclusion) yields a shorter,
-    possibly empty, result.
+    The scan is exact and brute force; an index of fewer than `count`
+    sentences yields them all.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -172,13 +168,7 @@ def query(
         scores = np.zeros(len(index))
     else:
         scores = index.vectors @ (q / norm)
-    order = np.argsort(-scores, kind="stable")
-    excluded = [sid for sid in exclude_ids if 0 <= sid < len(order)]
-    if excluded:
-        keep = np.ones(len(order), dtype=bool)
-        keep[excluded] = False
-        order = order[keep[order]]
-    top = order[:count]
+    top = np.argsort(-scores, kind="stable")[:count]
     return list(zip(top.tolist(), scores[top].tolist()))
 
 
@@ -200,6 +190,9 @@ class NeighborSet:
     rank of its label window. `token_rows.take(rows, axis=0)`,
     or the same take from a matrix laid out like token_rows, gives the
     flat neighbor embeddings; the set itself holds no embedding rows.
+    type_order, the stable argsort of flat_labels, groups the positions by
+    label: type_ids[j], the j-th type present, labels the positions
+    type_order[type_bounds[j] : type_bounds[j + 1]], in ascending order.
     """
 
     dataset: Dataset
@@ -208,6 +201,9 @@ class NeighborSet:
     starts: np.ndarray
     rows: np.ndarray
     window_ranks: np.ndarray
+    type_ids: tuple[int, ...]
+    type_order: np.ndarray
+    type_bounds: tuple[int, ...]
 
     @cached_property
     def entries(self) -> tuple[NeighborEntry, ...]:
@@ -245,6 +241,12 @@ def assemble_neighbor_set(
     rows = np.repeat(first - starts[:-1], lengths) + np.arange(starts[-1])
     flat_labels = index.flat_labels[rows]
     window_ranks = index.window_ranks[rows]
-    for array in (sids, flat_labels, starts, rows, window_ranks):
+    type_order = np.argsort(flat_labels, kind="stable")
+    grouped = flat_labels[type_order]
+    bounds = [0, *(np.flatnonzero(np.diff(grouped)) + 1).tolist(), grouped.size]
+    for array in (sids, flat_labels, starts, rows, window_ranks, type_order):
         array.setflags(write=False)
-    return NeighborSet(dataset, sids, flat_labels, starts, rows, window_ranks)
+    return NeighborSet(
+        dataset, sids, flat_labels, starts, rows, window_ranks,
+        tuple(grouped[bounds[:-1]].tolist()), type_order, tuple(bounds),
+    )

@@ -16,13 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .copy_model import (
-    CopyPosterior,
-    MarginalMatrix,
-    copy_logits,
-    copy_posterior,
-    marginal_over_types,
-)
+import numpy as np
+
+from .copy_model import MarginalMatrix, copy_logits, copy_posterior, marginal_over_types
 from .corpus import Dataset, Sentence, build_dataset
 from .decoder import (
     DEFAULT_MAX_SEGMENT_LEN,
@@ -54,11 +50,12 @@ def check_n_neighbors(n_neighbors: int) -> None:
 
 @dataclass(eq=False)
 class SentenceAnalysis:
-    """Everything derived for one input sentence before decoding."""
+    """Everything derived for one input sentence before decoding; the
+    posterior is copy_posterior's read-only log-probability matrix."""
 
     sentence: Sentence
     neighbors: NeighborSet
-    posterior: CopyPosterior
+    posterior: np.ndarray
     marginals: MarginalMatrix
 
 

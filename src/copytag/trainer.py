@@ -66,8 +66,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
@@ -252,15 +252,14 @@ def fine_tune(
     index = build_index(train, provider)
     neighbor_sets = []
     for sid in range(len(index)):
-        ranked = query(index, index.vectors[sid], config.train_neighbors, (sid,))
-        if not ranked:
+        ranked = query(index, index.vectors[sid], config.train_neighbors + 1)
+        ids = [nid for nid, _ in ranked if nid != sid][: config.train_neighbors]
+        if not ids:
             raise ValueError(
                 "retrieval found no training neighbors: a sentence never "
                 "retrieves itself, so training needs at least two sentences"
             )
-        neighbor_sets.append(
-            assemble_neighbor_set(train, [sid2 for sid2, _ in ranked], index)
-        )
+        neighbor_sets.append(assemble_neighbor_set(train, ids, index))
 
     rows = index.token_rows.copy()
     row_starts = index.row_starts.tolist()

@@ -641,6 +641,29 @@ class TestExitCodes:
         assert f"copytag: error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("lr", ["inf", "-inf", "nan", "0"])
+    def test_bad_learning_rate_fails_before_loading(
+        self, corpora, tmp_path, capsys, monkeypatch, lr
+    ):
+        def no_load(path):
+            raise AssertionError("training data loaded")
+
+        monkeypatch.setattr("copytag.cli._load_dataset", no_load)
+        out = tmp_path / "model.ckpt"
+        code = main(
+            [
+                "train",
+                "--data", str(corpora["train"]),
+                "--epochs", "0",
+                f"--lr={lr}",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        message = "learning_rate must be positive and finite"
+        assert f"copytag: error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failure_stages_nothing(self, corpora, trained, tmp_path, capsys):
         out = tmp_path / "pred.conll"
         code = main(

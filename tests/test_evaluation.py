@@ -121,6 +121,15 @@ class TestSpanF1:
             relabel(pred, mapping), relabel(gold, mapping)
         )
 
+    def test_malformed_label_names_side_and_sentence(self):
+        good = build_dataset([(("a",), ("O",)), (("b", "c"), ("B-PER", "I-PER"))])
+        bad = build_dataset([(("a",), ("O",)), (("b", "c"), ("B-PER", "ING"))])
+        message = "sentence 1: malformed BIO label 'ING' at position 1"
+        with pytest.raises(CorpusError, match=f"^prediction {message}$"):
+            span_f1(bad, good)
+        with pytest.raises(CorpusError, match=f"^gold {message}$"):
+            span_f1(good, bad)
+
 
 class TestSweep:
     def test_grid_validation(self):
@@ -170,6 +179,16 @@ class TestSweep:
         data = build_dataset([*EVAL_ROWS, (("stems", "rest"), ("O", "EST"))])
         with pytest.raises(CorpusError, match="sentence 2: malformed BIO label 'EST'"):
             sweep_c([0.0, 0.4], provider(), build_dataset(DB_ROWS), data, 3)
+
+    def test_db_that_is_not_bio_rejected_before_any_work(self, monkeypatch):
+        # every prediction copies db labels, so a db type that is not BIO
+        # would fail the span scoring after every sentence was decoded
+        built = []
+        monkeypatch.setattr(tagging, "build_index", lambda *args: built.append(args))
+        db = build_dataset([*DB_ROWS, (("ring", "ing"), ("O", "ING"))])
+        with pytest.raises(CorpusError, match="^db label type 'ING' is not a BIO label$"):
+            sweep_c([0.0, 0.4], provider(), db, build_dataset(EVAL_ROWS), 3)
+        assert built == []
 
     def test_gold_spans_extracted_once_per_sentence(self, monkeypatch):
         # the spans of the up-front BIO check score every grid value; only

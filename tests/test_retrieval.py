@@ -19,6 +19,7 @@ from conftest import (
     present_types,
 )
 from param_columns import set_column
+from retrieval_reference import linear_scan
 
 
 def tiny_db():
@@ -262,20 +263,6 @@ class TestIndexMemo:
         assert_same_bytes(first, build_index(db, plain))
 
 
-def linear_scan(index, q, count, exclude=()):
-    """Oracle for query: every score, ordered by (-score, id), then the
-    first `count` ids outside `exclude`."""
-    norm = float(np.linalg.norm(q))
-    if norm < retrieval.ZERO_NORM:
-        scores = np.zeros(len(index))
-    else:
-        scores = index.vectors @ (q / norm)
-    order = np.lexsort((np.arange(len(index)), -scores))
-    excluded = set(exclude)
-    kept = [int(i) for i in order if int(i) not in excluded]
-    return [(i, float(scores[i])) for i in kept[:count]]
-
-
 class TestQuery:
     def _index(self, rng, n=20, dim=6):
         vectors = rng.normal(size=(n, dim))
@@ -302,13 +289,6 @@ class TestQuery:
         got = query(index, np.array([1.0, 0.0]), count=3)
         assert [sid for sid, _ in got] == [0, 1, 2]
 
-    def test_exclusion_applied_before_cut(self, rng):
-        index, _ = self._index(rng, n=6)
-        full = query(index, np.ones(6), count=3)
-        excl = query(index, np.ones(6), count=3, exclude_ids=(full[0][0],))
-        assert full[0][0] not in [sid for sid, _ in excl]
-        assert len(excl) == 3
-
     def test_count_larger_than_db(self, rng):
         index, _ = self._index(rng, n=4)
         got = query(index, np.ones(6), count=100)
@@ -330,29 +310,19 @@ class TestQuery:
         with pytest.raises(ValueError):
             query(index, np.ones(7), count=1)
 
-    def test_ignores_ids_outside_the_index(self, rng):
-        # -1 is not the last sentence, and a repeat excludes nothing more
-        index, vectors = self._index(rng, n=8)
-        last = len(index) - 1
-        for exclude in [(-1,), (8, 100), (-8, -1, 2, 2), (2, 2, 2)]:
-            got = query(index, vectors[last], count=4, exclude_ids=exclude)
-            assert got == linear_scan(index, vectors[last], 4, exclude)
-            assert got[0][0] == last
-            assert not set(exclude) & {sid for sid, _ in got}
-
     def test_count_above_survivors(self, rng):
+        # every sentence survives the cut, in the scan's order
         index, _ = self._index(rng, n=6)
         q = rng.normal(size=6)
-        got = query(index, q, count=10, exclude_ids=(1, 4))
-        assert len(got) == 4
-        assert got == linear_scan(index, q, 10, (1, 4))
-        assert query(index, q, count=3, exclude_ids=range(6)) == []
+        got = query(index, q, count=10)
+        assert len(got) == 6
+        assert got == linear_scan(index, q, 10)
 
     def test_zero_norm_query_keeps_id_order(self, rng):
         index, _ = self._index(rng, n=7)
-        got = query(index, np.zeros(6), count=4, exclude_ids=(0, 3, -2))
-        assert got == [(1, 0.0), (2, 0.0), (4, 0.0), (5, 0.0)]
-        assert got == linear_scan(index, np.zeros(6), 4, (0, 3, -2))
+        got = query(index, np.zeros(6), count=4)
+        assert got == [(0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0)]
+        assert got == linear_scan(index, np.zeros(6), 4)
 
     def test_ties_by_ascending_id_match_scan(self, rng):
         # rows drawn from three distinct vectors, so most scores tie
@@ -364,9 +334,7 @@ class TestQuery:
         for _ in range(50):
             q = distinct[int(rng.integers(0, 3))] if rng.random() < 0.5 else rng.normal(size=6)
             count = int(rng.integers(1, n + 4))
-            exclude = [int(v) for v in rng.integers(-3, n + 3, size=int(rng.integers(0, 8)))]
-            got = query(index, q, count, exclude)
-            assert got == linear_scan(index, q, count, exclude)
+            assert query(index, q, count) == linear_scan(index, q, count)
 
 
 class TestNeighborSet:
@@ -404,6 +372,22 @@ class TestNeighborSet:
             assert names == corpus_order(db, names)
             in_set = {db.vocab.types[t] for item in ns.entries for t in item.sequence.labels}
             assert set(names) == in_set
+
+    def test_type_grouping_is_one_mask_per_type(self, rng):
+        # the loss and the marginals read each type's positions from the
+        # grouping; they must be exactly what a mask over the labels selects
+        for _ in range(30):
+            db, matrices = make_tagged_corpus(rng)
+            ids = [int(v) for v in rng.integers(0, len(db), size=int(rng.integers(1, 6)))]
+            ns = assemble_neighbor_set(db, ids, index_over(db, matrices))
+            assert ns.type_ids == present_types(ns)
+            bounds = ns.type_bounds
+            assert (bounds[0], bounds[-1], len(bounds)) == (0, ns.n_total, len(ns.type_ids) + 1)
+            assert all(type(b) is int for b in bounds)
+            for tid, lo, hi in zip(ns.type_ids, bounds, bounds[1:]):
+                block = ns.type_order[lo:hi]
+                assert np.array_equal(block, np.flatnonzero(ns.flat_labels == tid))
+            assert not ns.type_order.flags.writeable
 
     def test_assemble_from_dataset(self):
         db = tiny_db()

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from copytag.corpus import Sentence, build_dataset
+from copytag.corpus import Sentence, build_dataset, relabel
 from copytag.decoder import (
     DEFAULT_MAX_SEGMENT_LEN,
     build_segment_dict,
@@ -84,7 +84,7 @@ class TestTagger:
         assert all(name in db.vocab.types for name in out.label_names)
         assert out.label_names == tuple(db.vocab.types[i] for i in out.label_ids)
         posterior = out.analysis.posterior
-        assert posterior.probs.shape == (3, out.analysis.neighbors.n_total)
+        assert posterior.shape == (3, out.analysis.neighbors.n_total)
 
     def test_identical_db_sentence_dominates(self, db, provider):
         # the verbatim twin of item 0 shares every hashed feature, so the
@@ -148,7 +148,8 @@ class TestTagger:
             tagger.tag(Sentence(100, ("alice", "poison")), decode=decode)
 
     def test_sweep_rejects_non_finite_query_embedding(self, db, provider, monkeypatch):
-        # sweep_c scores spans, so its gold must be BIO
+        # sweep_c scores spans, so its gold and the db's types must be BIO
+        db = relabel(db, {"PER": "B-PER", "LOC": "B-LOC", "O": "O"})
         data = build_dataset([
             (("bob", "likes", "tea"), ("B-PER", "O", "O")),
             (("alice", "poison"), ("B-PER", "O")),

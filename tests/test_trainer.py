@@ -4,9 +4,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from copytag.corpus import Dataset, LabelVocab
+from copytag.corpus import Dataset, LabelVocab, build_dataset
 from copytag.embeddings import INIT_STD, EmbedderParams, HashedWindowEmbedder
-from copytag.retrieval import query
+from copytag.retrieval import assemble_neighbor_set
 from copytag.synthetic import suffix_corpus
 from copytag import trainer
 from copytag.trainer import (
@@ -34,6 +34,7 @@ from adam_reference import (
 )
 from conftest import platform_facts
 from param_columns import column, set_column
+from retrieval_reference import linear_scan
 
 
 def small_embedder():
@@ -262,31 +263,31 @@ class TestFineTune:
         assert save_checkpoint(a) == save_checkpoint(b)
 
     def test_sentence_never_retrieves_itself(self, monkeypatch):
-        # asking for every training sentence as a neighbor would return the
-        # sentence itself first, were it not excluded
-        calls = []
+        # each sentence's neighbors are the linear scan's order with the
+        # sentence left out. Sentences 6, 7 and 8 repeat 0, 2 and 4, and 9
+        # repeats 0 again, so scores tie exactly and a sentence can rank
+        # after its twins, even outside its own top count + 1.
+        assembled = []
 
-        def recording(index, query_vec, count, exclude_ids=()):
-            ranked = query(index, query_vec, count, exclude_ids)
-            calls.append((index, query_vec, tuple(exclude_ids), ranked))
-            return ranked
+        def recording(dataset, ids, index):
+            assembled.append((list(ids), index))
+            return assemble_neighbor_set(dataset, ids, index)
 
-        monkeypatch.setattr(trainer, "query", recording)
-        train = suffix_corpus(12, seed=3)
+        monkeypatch.setattr(trainer, "assemble_neighbor_set", recording)
+        base = suffix_corpus(6, seed=3)
+        rows = [(item.sentence.tokens, base.label_names(item)) for item in base.items]
+        train = build_dataset(rows + rows[::2] + rows[:1])
         n = len(train.items)
-        cfg = TrainConfig(epochs=1, batch_size=4, train_neighbors=n, test_neighbors=3)
-        fine_tune(cfg, train, provider=small_embedder())
-        assert len(calls) == n
-        excluded = []
-        for index, query_vec, exclude, ranked in calls:
-            assert len(exclude) == 1
-            (sid,) = exclude
-            # the excluded id is the sentence whose vector is the query
-            assert np.array_equal(query_vec, index.vectors[sid])
-            assert sid not in [nid for nid, _ in ranked]
-            assert len(ranked) == n - 1
-            excluded.append(sid)
-        assert sorted(excluded) == list(range(n))
+        for count in (1, 2, 3, n - 1, n, n + 3):
+            assembled.clear()
+            cfg = TrainConfig(epochs=0, train_neighbors=count, test_neighbors=3)
+            fine_tune(cfg, train, provider=small_embedder())
+            assert len(assembled) == n
+            index = assembled[0][1]
+            assert np.array_equal(index.vectors[0], index.vectors[9])
+            for sid, (ids, _) in enumerate(assembled):
+                scan = linear_scan(index, index.vectors[sid], count, (sid,))
+                assert ids == [nid for nid, _ in scan]
 
     def test_one_sentence_is_too_small(self):
         with pytest.raises(ValueError, match="at least two sentences"):
@@ -496,6 +497,7 @@ class TestCheckpointFormat:
             ("dim=+3", "line 2: expected 'dim=3', got 'dim=+3'"),
             ("batch_size=016", "line 7: expected 'batch_size=16', got 'batch_size=016'"),
             ("seed= 0", "line 11: expected 'seed=0', got 'seed= 0'"),
+            ("learning_rate=inf", "line 6: learning_rate: learning_rate must be positive and finite"),
         ],
     )
     def test_bad_config_value_names_line(self, config_line, message):
