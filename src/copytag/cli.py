@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import sys
-from bisect import bisect_right
 
 import numpy as np
 
@@ -291,15 +290,12 @@ def _cmd_inspect(args, parser, staged) -> None:
     neighbors = analysis.neighbors
     names = db.vocab.types
 
-    starts = neighbors.starts.tolist()
-
     print(f"sentence {sentence.uid}: {' '.join(sentence.tokens)}")
     probs = np.exp(analysis.posterior)
     predicted = predict_marginal(analysis.marginals)
     for t, token in enumerate(sentence.tokens):
         j = int(probs[t].argmax())
-        m = bisect_right(starts, j) - 1
-        offset = j - starts[m]
+        m, offset = neighbors.locate(j)
         source = db.items[int(neighbors.ids[m])].sentence
         source_label = names[neighbors.flat_labels[j]]
         print(

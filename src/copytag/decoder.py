@@ -43,7 +43,6 @@ tables.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,19 +73,20 @@ class SegmentDict:
     """The distinct contiguous label subsequences of a neighbor set.
 
     levels[d - 1] holds the sequences of length d; none stores where it
-    occurs. `labels` and `starts` are the neighbor set's; sorted window j
-    starts at flat position positions[j] and shares lcp[j] labels with
-    window j - 1 (lcp is 0 at both ends). path and exemplar read these.
+    occurs. Sorted window j starts at flat position positions[j] of
+    `neighbors` and shares lcp[j] labels with window j - 1 (lcp is 0 at
+    both ends). path and exemplar read these and `labels`, the set's flat
+    labels, through memoryviews, so no array is copied into a list.
     node_count counts the empty sequence too.
     """
 
     levels: tuple[Level, ...]
-    labels: list[int]
-    starts: list[int]
-    positions: list[int]
-    lcp: list[int]
+    neighbors: NeighborSet
+    positions: memoryview
+    lcp: memoryview
 
     def __post_init__(self) -> None:
+        self.labels = memoryview(self.neighbors.flat_labels)
         self.node_count = 1 + sum(len(level.label) for level in self.levels)
         self.depth = len(self.levels)
         # level 1 holds every label, in ascending order
@@ -103,9 +103,7 @@ class SegmentDict:
         first = last = self.levels[length - 1].window.item(rank)
         while self.lcp[last + 1] >= length:
             last += 1
-        pos = min(self.positions[first : last + 1])
-        neighbor = bisect_right(self.starts, pos) - 1
-        return neighbor, pos - self.starts[neighbor]
+        return self.neighbors.locate(min(self.positions[first : last + 1]))
 
 
 def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
@@ -133,10 +131,8 @@ def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
     flat = neighbors.flat_labels
     if flat.size and flat.min() < 0:
         raise ValueError("label ids must be non-negative")
-    starts = neighbors.starts
-    entry = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
     pos = np.argsort(neighbors.window_ranks, kind="stable")
-    room = np.minimum(starts[1:][entry[pos]] - pos, max_len)
+    room = np.minimum(neighbors.starts[1:][neighbors.entry[pos]] - pos, max_len)
     d = np.arange(room.max())[:, None]
     labels = flat.take(pos + d, mode="clip")  # cells outside a window are masked
     same = (labels[:, 1:] == labels[:, :-1]) & (d < np.minimum(room[1:], room[:-1]))
@@ -156,7 +152,7 @@ def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
         Level(parent[a:b], label[a:b], window[a:b])
         for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
     )
-    return SegmentDict(levels, flat.tolist(), starts.tolist(), pos.tolist(), lcp.tolist())
+    return SegmentDict(levels, neighbors, memoryview(pos), memoryview(lcp))
 
 
 def check_segment_cost(segment_cost: float) -> None:

@@ -226,7 +226,6 @@ class EmbedderParams:
         self.modified: set[int] = set()
         self.revision = 0
         self._store = np.zeros((0, dim))
-        self._used = 0
         self._slot: dict[int, int] = {}
         # (offset, token) -> (sorted unique bucket ids, their storage slots)
         self._features: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
@@ -264,7 +263,7 @@ class EmbedderParams:
         while cap < needed:
             cap *= 2
         grown = np.zeros((cap, self.dim))
-        grown[: self._used] = self._store[: self._used]
+        grown[: len(self._slot)] = self._store[: len(self._slot)]
         self._store = grown
 
     def _new_slots(self, cols: list[int]) -> int:
@@ -274,10 +273,9 @@ class EmbedderParams:
         for col in cols:
             if not 0 <= col < self.n_buckets:
                 raise ValueError(f"column {col} outside [0, {self.n_buckets})")
-        start = self._used
+        start = len(self._slot)
         self._ensure_capacity(start + len(cols))
         self._slot.update(zip(cols, range(start, start + len(cols))))
-        self._used += len(cols)
         return start
 
     def slots_for(self, cols: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -375,8 +373,7 @@ class EmbedderParams:
 
     def copy(self) -> "EmbedderParams":
         dup = EmbedderParams(self.dim, self.n_buckets, self.window, self.seed)
-        dup._store = self._store[: self._used].copy()
-        dup._used = self._used
+        dup._store = self._store[: len(self._slot)].copy()
         dup._slot = dict(self._slot)
         # the slots cached so far are the copy's too; later entries are not
         dup._features = dict(self._features)

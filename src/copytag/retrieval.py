@@ -2,16 +2,17 @@
 
 The database is embedded once per provider revision, by build_index, and
 the index is shared by every caller that asks for it again: the tagger,
-the trainer and the sweep. The index keeps every sentence's token rows in
-one read-only matrix, sentence after sentence, with the label of each row
-beside it and the L2-normalized mean of each sentence's rows as the vector
-that represents it; sentence k is index row k. Queries are exact cosine
-scans with deterministic tie-breaking by ascending sentence id. The index
-also ranks every token's label window, its labels to the end of its
-sentence, in lexicographic order once, so a segment dictionary over any
-retrieved set starts from one sort of ranks. A set of retrieved sentences
-is a list of row positions into that matrix: its labels and window ranks
-are gathered once and its positions grouped by label type once, and the
+the trainer and the sweep. The index owns the dataset it embedded and
+keeps every sentence's token rows in one read-only matrix, sentence after
+sentence, with the label of each row beside it and the L2-normalized mean
+of each sentence's rows as the vector that represents it; sentence k is
+index row k. Queries are exact cosine scans with deterministic
+tie-breaking by ascending sentence id. The index also ranks every token's
+label window, its labels to the end of its sentence, in lexicographic
+order once, so a segment dictionary over any retrieved set starts from
+one sort of ranks. A set of retrieved sentences is a list of row
+positions into that matrix: its layout, labels and window ranks are
+gathered once and its positions grouped by label type once, and the
 caller gathers the token rows it scores, so nothing is embedded per query
 and a kept set holds no embedding rows.
 """
@@ -31,13 +32,13 @@ from .embeddings import embed_sentence
 
 ZERO_NORM = 1e-12
 
-# provider -> (dataset, index): the last index built with that provider
+# provider -> the last index built with that provider
 _LAST_BUILT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
 class NeighborIndex:
-    """One vector per database sentence, unit norm unless it is zero.
+    """One vector per sentence of `dataset`, unit norm unless it is zero.
 
     Row k of `vectors` belongs to sentence id k. `token_rows` holds the
     token embeddings its vector was pooled from: sentence k owns rows
@@ -48,6 +49,7 @@ class NeighborIndex:
     and equal windows share a rank. All five arrays are read-only.
     """
 
+    dataset: Dataset
     vectors: np.ndarray
     provider_tag: str
     token_rows: np.ndarray
@@ -60,8 +62,9 @@ class NeighborIndex:
 
 
 def build_index(dataset: Dataset, provider) -> NeighborIndex:
-    """Embed every sentence once into the index's token rows and mean-pool
-    each sentence's rows into a unit-length sentence vector.
+    """Embed every sentence of `dataset` once into the index's token rows
+    and mean-pool each sentence's rows into a unit-length sentence vector.
+    The index keeps `dataset`, so a neighbor set needs nothing else.
 
     Zero-norm sentence vectors are stored as-is rather than normalized, so
     query scores them 0. A matrix of the wrong shape or with non-finite
@@ -74,13 +77,13 @@ def build_index(dataset: Dataset, provider) -> NeighborIndex:
     referenceable, or unhashable) always builds.
     """
     try:
-        last_db, last = _LAST_BUILT.get(provider, (None, None))
+        last = _LAST_BUILT.get(provider)
     except TypeError:
         return _embed_dataset(dataset, provider)
-    if last_db is dataset and last.provider_tag == provider.tag:
+    if last is not None and last.dataset is dataset and last.provider_tag == provider.tag:
         return last
     index = _embed_dataset(dataset, provider)
-    _LAST_BUILT[provider] = (dataset, index)
+    _LAST_BUILT[provider] = index
     return index
 
 
@@ -123,7 +126,7 @@ def _embed_dataset(dataset: Dataset, provider) -> NeighborIndex:
     for array in (vectors, token_rows, row_starts, flat_labels, window_ranks):
         array.setflags(write=False)
     return NeighborIndex(
-        vectors, provider.tag, token_rows, row_starts, flat_labels, window_ranks
+        dataset, vectors, provider.tag, token_rows, row_starts, flat_labels, window_ranks
     )
 
 
@@ -183,15 +186,16 @@ class NeighborEntry:
 class NeighborSet:
     """Retrieved sentences flattened into one database of label tokens.
 
-    Entry m is database sentence ids[m]. It occupies flat positions
-    starts[m] to starts[m + 1] - 1, so flat position i is token
-    i - starts[m] of that entry; flat_labels[i] is its label, rows[i]
-    its row in the index's token_rows and window_ranks[i] the index's
-    rank of its label window. `token_rows.take(rows, axis=0)`,
-    or the same take from a matrix laid out like token_rows, gives the
-    flat neighbor embeddings; the set itself holds no embedding rows.
-    type_order, the stable argsort of flat_labels, groups the positions by
-    label: type_ids[j], the j-th type present, labels the positions
+    Entry m is sentence ids[m] of `dataset`, the index's. It occupies flat
+    positions starts[m] to starts[m + 1] - 1, and entry[i] is the entry of
+    flat position i; locate reads a position's (entry, offset) from them.
+    flat_labels[i] is the label of position i, rows[i] its row in the
+    index's token_rows and window_ranks[i] the index's rank of its label
+    window. `token_rows.take(rows, axis=0)`, or the same take from a
+    matrix laid out like token_rows, gives the flat neighbor embeddings;
+    the set itself holds no embedding rows. type_order, the stable
+    argsort of flat_labels, groups the positions by label: type_ids[j],
+    the j-th type present, labels the positions
     type_order[type_bounds[j] : type_bounds[j + 1]], in ascending order.
     """
 
@@ -199,6 +203,7 @@ class NeighborSet:
     ids: np.ndarray
     flat_labels: np.ndarray
     starts: np.ndarray
+    entry: np.ndarray
     rows: np.ndarray
     window_ranks: np.ndarray
     type_ids: tuple[int, ...]
@@ -213,40 +218,39 @@ class NeighborSet:
     def n_total(self) -> int:
         return int(self.flat_labels.shape[0])
 
+    def locate(self, pos: int) -> tuple[int, int]:
+        """(entry, token offset within it) of flat position `pos`."""
+        m = self.entry.item(pos)
+        return m, pos - self.starts.item(m)
 
-def assemble_neighbor_set(
-    dataset: Dataset, ids: Sequence[int], index: NeighborIndex
-) -> NeighborSet:
-    """Lay out the retrieved sentences `ids` of `dataset` as flat positions.
 
-    `index` is the dataset's index from build_index; the set records which
-    of its token rows each position is and gathers their labels and window
-    ranks. Nothing is embedded or copied from the token rows here.
+def assemble_neighbor_set(index: NeighborIndex, ids: Sequence[int]) -> NeighborSet:
+    """Lay out the sentences `ids` of the index's dataset as flat positions.
+
+    The set records which of the index's token rows each position is, and
+    which entry, and gathers their labels and window ranks. Nothing is
+    embedded or copied from the token rows here.
     """
-    if len(index) != len(dataset.items):
-        raise ValueError(
-            f"index over {len(index)} sentences for {len(dataset.items)} "
-            "sentences; build the index with build_index"
-        )
     sids = np.array(ids, dtype=np.int64)
     if sids.size == 0:
         raise ValueError("neighbor set must contain at least one entry")
-    unknown = (sids < 0) | (sids >= len(dataset.items))
+    unknown = (sids < 0) | (sids >= len(index))
     if unknown.any():
         raise ValueError(f"unknown sentence id {sids[unknown][0]}")
     first = index.row_starts[sids]
     lengths = index.row_starts[sids + 1] - first
     starts = np.zeros(sids.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
-    rows = np.repeat(first - starts[:-1], lengths) + np.arange(starts[-1])
+    entry = np.repeat(np.arange(sids.size), lengths)
+    rows = (first - starts[:-1]).take(entry) + np.arange(starts[-1])
     flat_labels = index.flat_labels[rows]
     window_ranks = index.window_ranks[rows]
     type_order = np.argsort(flat_labels, kind="stable")
     grouped = flat_labels[type_order]
     bounds = [0, *(np.flatnonzero(np.diff(grouped)) + 1).tolist(), grouped.size]
-    for array in (sids, flat_labels, starts, rows, window_ranks, type_order):
+    for array in (sids, flat_labels, starts, entry, rows, window_ranks, type_order):
         array.setflags(write=False)
     return NeighborSet(
-        dataset, sids, flat_labels, starts, rows, window_ranks,
+        index.dataset, sids, flat_labels, starts, entry, rows, window_ranks,
         tuple(grouped[bounds[:-1]].tolist()), type_order, tuple(bounds),
     )

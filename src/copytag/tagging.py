@@ -87,7 +87,7 @@ class Tagger:
             )
         embeddings = checked_embedding(self.provider, sentence)
         ranked = query(self.index, embed_sentence(embeddings), self.n_neighbors)
-        neighbors = assemble_neighbor_set(self.db, [sid for sid, _ in ranked], self.index)
+        neighbors = assemble_neighbor_set(self.index, [sid for sid, _ in ranked])
         rows = self.index.token_rows.take(neighbors.rows, axis=0)
         posterior = copy_posterior(copy_logits(embeddings, rows))
         marginals = marginal_over_types(posterior, neighbors)

@@ -259,7 +259,7 @@ def fine_tune(
                 "retrieval found no training neighbors: a sentence never "
                 "retrieves itself, so training needs at least two sentences"
             )
-        neighbor_sets.append(assemble_neighbor_set(train, ids, index))
+        neighbor_sets.append(assemble_neighbor_set(index, ids))
 
     rows = index.token_rows.copy()
     row_starts = index.row_starts.tolist()

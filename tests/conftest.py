@@ -81,7 +81,7 @@ def _whole_set(items, matrices) -> tuple[NeighborSet, np.ndarray]:
     n_types = 1 + max(max(item.labels) for item in items)
     db = Dataset(tuple(items), LabelVocab(tuple(str(t) for t in range(n_types))))
     index = index_over(db, matrices)
-    return assemble_neighbor_set(db, range(len(items)), index), index.token_rows
+    return assemble_neighbor_set(index, range(len(items))), index.token_rows
 
 
 def make_scored_set(

@@ -91,7 +91,7 @@ class TestMarginals:
             db, matrices = make_tagged_corpus(rng)
             index = index_over(db, matrices)
             ids = [int(v) for v in rng.permutation(len(db))[: int(rng.integers(1, 4))]]
-            neighbors = assemble_neighbor_set(db, ids, index)
+            neighbors = assemble_neighbor_set(index, ids)
             x = rng.normal(size=(2, 4))
             rows = index.token_rows.take(neighbors.rows, axis=0)
             marginals = marginal_over_types(

@@ -264,7 +264,7 @@ class TestEmbedderParams:
         p = EmbedderParams(dim=3, n_buckets=32)
         with pytest.raises(ValueError, match="column 99 outside"):
             p.slots_for([3, 99])
-        assert p._used == 0 and p._slot == {}
+        assert p._slot == {}
         assert p.slots_for([3]).tolist() == [0]
 
     def test_new_columns_take_slots_in_request_order(self):
@@ -428,7 +428,7 @@ class TestFeaturizeOnce:
                     for feat in _surface_features(sent.tokens[j])
                 }
                 expected.extend(col for col in sorted(ids) if col not in expected)
-        assert params._used == len(expected)
+        assert len(params._slot) == len(expected)
         assert params.slots_for(expected).tolist() == list(range(len(expected)))
 
 

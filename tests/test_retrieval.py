@@ -4,12 +4,12 @@ import weakref
 import numpy as np
 import pytest
 
-from copytag import retrieval
+from copytag import retrieval, trainer
 from copytag.corpus import build_dataset
 from copytag.embeddings import HashedWindowEmbedder, EmbedderParams
 from copytag.retrieval import assemble_neighbor_set, build_index, query
 from copytag.tagging import Tagger
-from copytag.trainer import AdamState, adam_update
+from copytag.trainer import AdamState, TrainConfig, adam_update, fine_tune
 
 from conftest import (
     corpus_order,
@@ -148,7 +148,7 @@ class TestWindowRanks:
     def test_set_gathers_a_copy(self, rng):
         db, matrices = make_tagged_corpus(rng, n_sentences=5, max_len=4)
         index = index_over(db, matrices)
-        ns = assemble_neighbor_set(db, [3, 0, 3], index)
+        ns = assemble_neighbor_set(index, [3, 0, 3])
         assert np.array_equal(ns.window_ranks, index.window_ranks[ns.rows])
         assert not np.shares_memory(ns.window_ranks, index.window_ranks)
 
@@ -227,15 +227,15 @@ class TestIndexMemo:
         first = build_index(db_a, provider)
         first_ref = weakref.ref(first)
         second = build_index(db_b, provider)
-        kept_db, kept = retrieval._LAST_BUILT[provider]
-        assert kept_db is db_b and kept is second
+        kept = retrieval._LAST_BUILT[provider]
+        assert kept.dataset is db_b and kept is second
         del first
         gc.collect()
         assert first_ref() is None
         again = build_index(db_a, provider)
         assert again is not second
-        kept_db, kept = retrieval._LAST_BUILT[provider]
-        assert kept_db is db_a and kept is again
+        kept = retrieval._LAST_BUILT[provider]
+        assert kept.dataset is db_a and kept is again
 
     def test_memo_does_not_keep_the_provider(self):
         gc.collect()
@@ -342,7 +342,7 @@ class TestNeighborSet:
         db, matrices = make_tagged_corpus(rng, n_sentences=5, max_len=4)
         index = index_over(db, matrices)
         ids = [3, 0, 3, 4]
-        ns = assemble_neighbor_set(db, ids, index)
+        ns = assemble_neighbor_set(index, ids)
         total = sum(len(db.items[sid]) for sid in ids)
         assert ns.n_total == total
         assert ns.flat_labels.shape == ns.rows.shape == (total,)
@@ -365,7 +365,7 @@ class TestNeighborSet:
         for _ in range(20):
             db, matrices = make_tagged_corpus(rng)
             ids = [int(v) for v in rng.permutation(len(db))[: int(rng.integers(1, 5))]]
-            ns = assemble_neighbor_set(db, ids, index_over(db, matrices))
+            ns = assemble_neighbor_set(index_over(db, matrices), ids)
             types = present_types(ns)
             assert all(type(t) is int for t in types)
             names = [db.vocab.types[t] for t in types]
@@ -379,7 +379,7 @@ class TestNeighborSet:
         for _ in range(30):
             db, matrices = make_tagged_corpus(rng)
             ids = [int(v) for v in rng.integers(0, len(db), size=int(rng.integers(1, 6)))]
-            ns = assemble_neighbor_set(db, ids, index_over(db, matrices))
+            ns = assemble_neighbor_set(index_over(db, matrices), ids)
             assert ns.type_ids == present_types(ns)
             bounds = ns.type_bounds
             assert (bounds[0], bounds[-1], len(bounds)) == (0, ns.n_total, len(ns.type_ids) + 1)
@@ -392,7 +392,7 @@ class TestNeighborSet:
     def test_assemble_from_dataset(self):
         db = tiny_db()
         index = build_index(db, small_provider())
-        ns = assemble_neighbor_set(db, [2, 0], index)
+        ns = assemble_neighbor_set(index, [2, 0])
         assert len(ns.entries) == 2
         assert ns.entries[0].sequence.sentence.uid == 2
         assert ns.entries[1].sequence.sentence.uid == 0
@@ -402,7 +402,7 @@ class TestNeighborSet:
         # and holds no float matrix, so it does not keep the index alive
         db = tiny_db()
         index = build_index(db, small_provider())
-        ns = assemble_neighbor_set(db, [2, 0], index)
+        ns = assemble_neighbor_set(index, [2, 0])
         assert ns.rows.tolist() == [5, 0, 1]
         assert not any(
             isinstance(value, np.ndarray) and value.dtype.kind == "f"
@@ -418,7 +418,7 @@ class TestNeighborSet:
         provider = small_provider()
         index = build_index(db, provider)
         ids = [3, 1, 2, 1]
-        kept = assemble_neighbor_set(db, ids, index)
+        kept = assemble_neighbor_set(index, ids)
         fresh = np.vstack([provider.embed(db.items[sid].sentence) for sid in ids])
         assert index.token_rows.take(kept.rows, axis=0).tobytes() == fresh.tobytes()
         assert kept.flat_labels.tolist() == [
@@ -432,14 +432,80 @@ class TestNeighborSet:
         index = build_index(db, small_provider())
         for bad in (99, 4, -1):
             with pytest.raises(ValueError, match=f"unknown sentence id {bad}"):
-                assemble_neighbor_set(db, [0, bad], index)
+                assemble_neighbor_set(index, [0, bad])
 
     def test_assemble_needs_some_id(self):
-        db = tiny_db()
         with pytest.raises(ValueError, match="at least one entry"):
-            assemble_neighbor_set(db, [], build_index(db, small_provider()))
+            assemble_neighbor_set(build_index(tiny_db(), small_provider()), [])
 
-    def test_assemble_needs_the_datasets_index(self):
-        other = build_dataset([(("alpha",), ("X",))])
-        with pytest.raises(ValueError, match="build_index"):
-            assemble_neighbor_set(tiny_db(), [0], build_index(other, small_provider()))
+
+def random_corpus(rng, n_sentences):
+    """Sentences of 1 to 5 tokens, at least a third of them one token
+    long, over five token types and three tags, so equal sentences recur."""
+    rows = []
+    for _ in range(n_sentences):
+        length = 1 if rng.random() < 1 / 3 else int(rng.integers(1, 6))
+        tokens = tuple(f"w{v}" for v in rng.integers(0, 5, size=length))
+        tags = tuple("ABC"[v] for v in rng.integers(0, 3, size=length))
+        rows.append((tokens, tags))
+    return build_dataset(rows)
+
+
+def assert_locates(ns):
+    """locate against a linear scan over starts, at every flat position."""
+    starts = ns.starts.tolist()
+    for pos in range(ns.n_total):
+        m = next(k for k in range(len(ns.ids)) if starts[k] <= pos < starts[k + 1])
+        located = ns.locate(pos)
+        assert located == (m, pos - starts[m])
+        assert all(type(v) is int for v in located)
+        assert ns.entries[m].sequence.labels[pos - starts[m]] == ns.flat_labels[pos]
+
+
+class TestLocate:
+    """A flat position's (entry, offset) on random corpora, for the sets
+    assemble_neighbor_set, Tagger.analyze and fine_tune build, with K=1
+    and K at or above the db size."""
+
+    def test_assembled_with_repeated_ids(self, rng):
+        for _ in range(30):
+            db = random_corpus(rng, int(rng.integers(1, 8)))
+            index = build_index(db, small_provider())
+            ids = rng.integers(0, len(db), size=int(rng.integers(1, 12))).tolist()
+            ns = assemble_neighbor_set(index, ids)
+            assert ns.dataset is db
+            assert_locates(ns)
+
+    def test_tagger_sets(self, rng):
+        for _ in range(10):
+            db = random_corpus(rng, int(rng.integers(1, 8)))
+            inputs = [item.sentence for item in db.items[:2]]
+            inputs += [item.sentence for item in random_corpus(rng, 2).items]
+            provider = small_provider()
+            for k in (1, len(db), len(db) + 3):
+                tagger = Tagger(provider, db, k)
+                for sentence in inputs:
+                    ns = tagger.analyze(sentence).neighbors
+                    assert len(ns.ids) == min(k, len(db))
+                    assert ns.dataset is db
+                    assert_locates(ns)
+
+    def test_fine_tune_sets(self, rng, monkeypatch):
+        built = []
+        assemble = trainer.assemble_neighbor_set
+
+        def recording(index, ids):
+            built.append(assemble(index, ids))
+            return built[-1]
+
+        monkeypatch.setattr(trainer, "assemble_neighbor_set", recording)
+        for _ in range(5):
+            db = random_corpus(rng, int(rng.integers(2, 8)))
+            for k in (1, len(db) - 1, len(db) + 3):
+                built.clear()
+                fine_tune(TrainConfig(epochs=0, train_neighbors=k), db, provider=small_provider())
+                assert len(built) == len(db)
+                for ns in built:
+                    assert len(ns.ids) == min(k, len(db) - 1)
+                    assert ns.dataset is db
+                    assert_locates(ns)

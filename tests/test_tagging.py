@@ -211,9 +211,9 @@ class TestTagger:
         seen = []
         assemble = tagging.assemble_neighbor_set
 
-        def recording(dataset, ids, index):
+        def recording(index, ids):
             seen.append(index.window_ranks)
-            return assemble(dataset, ids, index)
+            return assemble(index, ids)
 
         monkeypatch.setattr(tagging, "assemble_neighbor_set", recording)
         sweep_c([0.0, 0.4], provider, db, data, 3)

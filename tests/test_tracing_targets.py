@@ -6,7 +6,8 @@ slow benchmark tests. Loading the file by path checks every name here;
 a tiny traced fine_tune and traced tags of a long sentence check that
 the wrappers' counters still read what the wrapped functions return
 (the dictionary's node count against the per-level oracle's), a traced
-sweep after a Tagger checks that it embeds no db sentence again,
+sweep after a Tagger checks that it embeds no db sentence again and
+that the neighbor counters read the sets both built off one index,
 and a traced sweep checks that it decodes each sentence once for its
 whole grid.
 """
@@ -15,6 +16,7 @@ import importlib.util
 from pathlib import Path
 
 import copytag.evaluation as evaluation
+import copytag.tagging as tagging
 import copytag.trainer as trainer
 from copytag.embeddings import HashedWindowEmbedder
 from copytag.synthetic import suffix_corpus, toy_ner_corpus
@@ -155,6 +157,40 @@ def test_traced_sweep_after_tagger_embeds_only_the_swept_sentences():
     # the tracer counts index tokens from build_index's arguments
     metrics = tracing.layer_metrics(tracer)
     assert metrics["retrieval.index_tokens"] == 2 * sum(len(item) for item in db.items)
+
+
+def test_traced_tagger_then_sweep_files_neighbors_under_one_index(monkeypatch):
+    # the tracer reads assemble_neighbor_set's arguments: the index first,
+    # then the ids
+    tracing = _load_tracing()
+    db = toy_ner_corpus(6, seed=7)
+    data = toy_ner_corpus(3, seed=8)
+    sets = []
+    assemble = tagging.assemble_neighbor_set
+
+    def recording(index, ids):
+        sets.append(assemble(index, ids))
+        return sets[-1]
+
+    monkeypatch.setattr(tagging, "assemble_neighbor_set", recording)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        tracer.recording = True
+        with tracer.phase("tag"):
+            tagger = Tagger(HashedWindowEmbedder(), db, 3)
+            for item in data.items:
+                tagger.tag(item.sentence)
+        with tracer.phase("sweep"):
+            evaluation.sweep_c([0.0, 1.0], tagger.provider, db, data, 3)
+        tracer.recording = False
+
+    assert len(sets) == 2 * len(data.items)
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["retrieval.neighbor_tokens"] == sum(ns.n_total for ns in sets)
+    assert list(tracer.neighbor_ids) == [id(tagger.index)]
+    ids = {sid for ns in sets for sid in ns.ids.tolist()}
+    assert tracer.neighbor_ids[id(tagger.index)] == ids
+    assert tracer.counts["neighbor_ids"] == sum(len(ns.ids) for ns in sets)
 
 
 def test_traced_sweep_decodes_each_sentence_once_for_the_grid():

@@ -269,9 +269,9 @@ class TestFineTune:
         # after its twins, even outside its own top count + 1.
         assembled = []
 
-        def recording(dataset, ids, index):
+        def recording(index, ids):
             assembled.append((list(ids), index))
-            return assemble_neighbor_set(dataset, ids, index)
+            return assemble_neighbor_set(index, ids)
 
         monkeypatch.setattr(trainer, "assemble_neighbor_set", recording)
         base = suffix_corpus(6, seed=3)
