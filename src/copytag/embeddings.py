@@ -19,20 +19,22 @@ mixing takes the seed and every bucket id as one 32-bit word each: the
 seed is below 2**32 and n_buckets at most 2**32. A token's ids are the
 union of its window's entries; the provider keeps the ids and slots of
 each distinct token tuple, so embedding a known sentence is a gather of
-its slots and a reduceat over the gathered rows.
+its slots and a sum of the gathered rows per token.
 
-A sentence whose gathered rows would outgrow EMBED_BLOCK_BYTES is gathered
-and reduced in runs of consecutive tokens that fit it. reduceat sums every
-token's rows on their own, with the same row stride either way, so the
-bits do not depend on where the runs are cut. The backward pass scatters
-each token's gradient row into its columns, one token at a time in token
-order.
+The sums equal np.add.reduceat(storage[slots], starts, axis=0) bit for
+bit, numpy's pairwise summation order included, but add whole contiguous
+rows where reduceat walks down each column with a row-sized stride. All
+tokens take each step of that order at once; the gather order that makes
+each step one add into a prefix of the rows is planned once per cached
+sentence. Long sentences are summed in runs of whole tokens, whose cuts
+do not change the bits. The backward pass scatters each token's gradient
+row into its columns, one token at a time in token order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Sequence
 
@@ -50,14 +52,19 @@ DEFAULT_DIM = 128
 DEFAULT_BUCKETS = 2**18
 DEFAULT_WINDOW = 2
 
-# Gathered rows per reduceat call, in bytes (rows x dim x 8). reduceat
-# reads one row per column per step, so a gathered block bigger than the
-# L2 cache misses it on nearly every read. 1 MiB (1024 rows at dim 128) is
-# half of a 2 MiB L2, leaving room for the storage rows the gather reads.
-# Cutting a sentence that already fits costs more than it saves (a toy NER
-# sentence of ~560 rows embeds ~20% slower in 512-row runs), so those keep
-# the single call; a 40-token suffix sentence (~3.9k rows) is cut into 4.
-EMBED_BLOCK_BYTES = 1 << 20
+# Rows per run of tokens that _column_sums adds at once (4 MiB at dim
+# 128); a run's temporaries are about 10 rows a token, for its lanes,
+# sums and first rows, plus one chunk. Per-run numpy calls dominate short
+# runs: in 1024-row runs a 40-token suffix sentence (~4k rows) sums about
+# 1.6x slower than in one, and from 4096 to 8192 rows the time is flat.
+EMBED_RUN_ROWS = 4096
+# Rows gathered at once, whole group steps: with the lanes they add into,
+# 512 rows stay in a 2 MiB L2. Gathering a run at once made the lane adds
+# of 40-token suffix sentences ~40% slower; a gather per step made 8-token
+# NER sentences, a few hundred rows, ~20% slower.
+EMBED_CHUNK_ROWS = 512
+# numpy's PW_BLOCKSIZE: pairwise_sum splits a longer run of rows in two
+_PAIRWISE_BLOCK = 128
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -396,11 +403,25 @@ class TokenColumns:
     slots: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
+    # _sum_plan of the slots, built with them: every embed of the
+    # sentence reuses it
+    plan: tuple["_SumRun", ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # reduceat would read a token with no columns as the next token's
+        # first row; the plan reads each token's slots right after the last
+        if (self.counts < 1).any():
+            t = int(np.argmax(self.counts < 1))
+            raise ValueError(f"token {t} has {self.counts[t]} columns; every token needs one")
+        ends = np.cumsum(self.counts)
+        if not np.array_equal(self.starts, ends - self.counts):
+            raise ValueError("starts must be the exclusive cumulative sum of counts")
+        if not self.columns.size == self.slots.size == (ends[-1] if ends.size else 0):
+            raise ValueError("columns and slots must hold counts.sum() entries")
         # a provider hands the same cached object to every caller
         for array in (self.columns, self.slots, self.starts, self.counts):
             array.setflags(write=False)
+        object.__setattr__(self, "plan", _sum_plan(self.slots, self.starts, self.counts))
 
 
 def _distinct_per_owner(owner: np.ndarray, ids: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -450,32 +471,155 @@ def _token_columns(params: EmbedderParams, sentence: Sentence) -> TokenColumns:
     )
 
 
-def _column_sums(
-    storage: np.ndarray, slots: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """np.add.reduceat(storage[slots], starts, axis=0), bit for bit, gathering
-    at most EMBED_BLOCK_BYTES of rows at a time.
+def _pairwise_tree(start: int, n: int, leaves: list[tuple[int, int]], base: int):
+    # pairwise_sum's split of rows [start, start + n): leaf id base + i for
+    # leaves[i], a (start, rows) block of at most _PAIRWISE_BLOCK rows, or
+    # a pair of trees whose sums are added
+    if n <= _PAIRWISE_BLOCK:
+        leaves.append((start, n))
+        return base + len(leaves) - 1
+    half = n // 2 - n // 2 % 8
+    return _pairwise_tree(start, half, leaves, base), _pairwise_tree(start + half, n - half, leaves, base)
 
-    Token t owns slots[starts[t] : starts[t + 1]] (the last one runs to the
-    end) and owns at least one. A run of consecutive tokens is cut where
-    its rows would exceed the budget; a token over the budget on its own
-    makes a run of one. Each run reduces straight into its rows of the
-    result, so a sentence that fits is one call.
-    """
-    budget = EMBED_BLOCK_BYTES // (storage.shape[1] * storage.itemsize)
+
+def _tree_sum(sums: np.ndarray, tree) -> np.ndarray:
+    if isinstance(tree, tuple):
+        return _tree_sum(sums, tree[0]) + _tree_sum(sums, tree[1])
+    return sums[tree]
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _SumRun:
+    """One run of whole tokens. A segment is the rows after a token's
+    first or, past _PAIRWISE_BLOCK of them, a leaf of their tree: the run's
+    tokens (one with leaves is empty and has a tree), then the leaves.
+    `gather` holds every row's slot once, as int32 to halve what a cached
+    sentence keeps: the first rows, the leftover rows after each segment's
+    groups of 8 by (step, segment), then the groups by (step, lane,
+    segment). Group steps order the segments by group count and leftover
+    steps by leftover count, so each step adds into a prefix. The sums are
+    kept in leftover order: the lane sums go to rows `lane_rows`, and
+    `where` reads them back in segment order."""
+
+    tokens: slice
+    gather: np.ndarray
+    chunks: list[list[int]]  # segments of each group step, by chunk gathered
+    leftovers: list[int]  # segments in each leftover step
+    lane_rows: np.ndarray
+    where: np.ndarray
+    trees: list[tuple[int, object]]
+
+
+def _plan_run(tokens: slice, slots: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> _SumRun:
+    first = starts[tokens]
+    seg_start, seg_len = first + 1, counts[tokens] - 1
+    trees = []
+    if seg_len.max() > _PAIRWISE_BLOCK:
+        leaves: list[tuple[int, int]] = []
+        for t in np.flatnonzero(seg_len > _PAIRWISE_BLOCK).tolist():
+            trees.append((t, _pairwise_tree(int(seg_start[t]), int(seg_len[t]), leaves, first.size)))
+            seg_len[t] = 0
+        seg_start, seg_len = np.concatenate([[seg_start, seg_len], np.array(leaves).T], axis=1)
+    groups, left = np.divmod(seg_len, 8)
+    by_group = np.argsort(-groups, kind="stable")
+    by_left = np.argsort(-left, kind="stable")
+    where = np.argsort(by_left)
+    # step i of each kind takes the segments with more than i groups or leftovers
+    in_group = np.arange(groups.max())[:, np.newaxis] < groups[by_group]
+    lanes = (seg_start[by_group] + 8 * np.arange(in_group.shape[0])[:, np.newaxis])[:, np.newaxis]
+    lanes = (lanes + np.arange(8)[:, np.newaxis])[in_group[:, np.newaxis].repeat(8, axis=1)]
+    in_left = np.arange(left.max())[:, np.newaxis] < left[by_left]
+    rest = ((seg_start + 8 * groups)[by_left] + np.arange(in_left.shape[0])[:, np.newaxis])[in_left]
+    group_sizes = in_group.sum(axis=1).tolist()
+    # consecutive group steps gathered at once, up to EMBED_CHUNK_ROWS rows
+    chunks: list[list[int]] = []
+    rows = EMBED_CHUNK_ROWS
+    for size in group_sizes:
+        if rows + 8 * size > EMBED_CHUNK_ROWS:
+            chunks.append([])
+            rows = 0
+        chunks[-1].append(size)
+        rows += 8 * size
+    return _SumRun(
+        tokens=tokens,
+        gather=slots[np.concatenate([first, rest, lanes])].astype(np.int32),
+        chunks=chunks,
+        leftovers=in_left.sum(axis=1).tolist(),
+        lane_rows=where[by_group[: group_sizes[0] if group_sizes else 0]],
+        where=where,
+        trees=trees,
+    )
+
+
+def _sum_plan(slots: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple[_SumRun, ...]:
+    # runs of whole tokens of at most EMBED_RUN_ROWS rows, or one longer token
     bounds = [*starts.tolist(), slots.size]
-    out = np.empty((starts.size, storage.shape[1]))
+    runs = []
     lo = 0
     while lo < starts.size:
-        a = bounds[lo]
-        hi = max(lo + 1, bisect_right(bounds, a + budget) - 1)
-        np.add.reduceat(storage[slots[a : bounds[hi]]], starts[lo:hi] - a, axis=0, out=out[lo:hi])
+        hi = max(lo + 1, bisect_right(bounds, bounds[lo] + EMBED_RUN_ROWS) - 1)
+        runs.append(_plan_run(slice(lo, hi), slots, starts, counts))
         lo = hi
+    return tuple(runs)
+
+
+def _planned_sums(storage: np.ndarray, plan: tuple[_SumRun, ...], n_tokens: int) -> np.ndarray:
+    dim = storage.shape[1]
+    out = np.empty((n_tokens, dim))
+    for run in plan:
+        k = run.tokens.stop - run.tokens.start
+        at = k + sum(run.leftovers)
+        head = storage[run.gather[:at]]
+        lanes = None
+        for sizes in run.chunks:
+            rows = storage[run.gather[at : at + 8 * sum(sizes)]]
+            at += rows.shape[0]
+            for size in sizes:
+                step, rows = rows[: 8 * size].reshape(8, size, dim), rows[8 * size :]
+                if lanes is None:
+                    lanes = step
+                else:
+                    lanes[:, :size] += step
+        if lanes is None:
+            lanes = head[:0].reshape(8, 0, dim)
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        pairs = lanes[0::2] + lanes[1::2]
+        pairs = pairs[0::2] + pairs[1::2]
+        # -0.0 + x is x: pairwise_sum starts fewer than 8 rows there
+        sums = np.full((run.where.size, dim), -0.0)
+        sums[run.lane_rows] = pairs[0] + pairs[1]
+        at = k
+        for size in run.leftovers:
+            sums[:size] += head[at : at + size]
+            at += size
+        sums = sums[run.where]
+        for t, tree in run.trees:
+            sums[t] = _tree_sum(sums, tree)
+        np.add(head[:k], sums[:k], out=out[run.tokens])
     return out
 
 
+def _column_sums(
+    storage: np.ndarray, slots: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """np.add.reduceat(storage[slots], starts, axis=0), bit for bit, by
+    contiguous whole-row adds.
+
+    Token t owns slots[starts[t] : starts[t + 1]] (the last one runs to the
+    end) and owns at least one. reduceat adds to its first row numpy's
+    pairwise_sum of its other n rows, column by column: under 8 rows, in
+    order from -0.0; up to _PAIRWISE_BLOCK, 8 lane sums over the groups of
+    8, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then
+    the n % 8 leftover rows in order; past that, the sum of the halves
+    split at n // 2 rounded down to a multiple of 8. Here all of a run's
+    tokens take each step at once, with whole-row adds.
+    """
+    counts = np.diff(starts, append=slots.size)
+    return _planned_sums(storage, _sum_plan(slots, starts, counts), starts.size)
+
+
 def _embed_columns(params: EmbedderParams, columns: TokenColumns) -> np.ndarray:
-    return np.tanh(_column_sums(params.storage, columns.slots, columns.starts))
+    return np.tanh(_planned_sums(params.storage, columns.plan, columns.counts.size))
 
 
 def embed_sentence(token_matrix: np.ndarray) -> np.ndarray:
@@ -510,7 +654,7 @@ class HashedWindowEmbedder:
     ids of every token and their storage slots. Both stay valid across
     parameter updates, because hashing does not depend on the weights and
     slots never move, so embedding a cached sentence is a gather of its
-    slots and a reduceat, in cache-sized runs of tokens for long sentences.
+    slots and the row sums of the plan kept with them.
     """
 
     def __init__(self, params: EmbedderParams | None = None, **kwargs):

@@ -455,11 +455,12 @@ def load_checkpoint(text: str) -> Checkpoint:
                 raise CheckpointError(f"missing config key log.{entry.epoch}.{key}")
 
     # Each column line fills one row of `block`; one set_columns call then
-    # writes them all, advancing the revision by one per column.
-    # Every column line holds "col", so the count bounds the rows needed.
-    block = np.empty((text.count("col"), params.dim))
+    # writes them all, advancing the revision by one per column. A column
+    # line holds "col", an id and dim values, each after a separator, and
+    # its newline: at least 2 * dim + 6 characters, which bounds the rows.
+    # Rows never filled are never touched.
+    block = np.empty((len(text) // (2 * params.dim + 6), params.dim))
     columns: list[int] = []
-    slots: list[int] = []
     for number, line in lines:
         parts = line.split(" ")
         try:
@@ -475,16 +476,18 @@ def load_checkpoint(text: str) -> Checkpoint:
             if columns and col <= columns[-1]:
                 raise ValueError(f"column {col} after {columns[-1]}: ids must ascend")
             # parses each value exactly as float() does
-            block[len(slots)] = np.array(parts[2:], dtype=float)
-            # an unfilled slot: its seeded values would be overwritten
-            slots.append(params._new_slots([col]))
+            block[len(columns)] = np.array(parts[2:], dtype=float)
+            if not 0 <= col < params.n_buckets:
+                raise ValueError(f"column {col} outside [0, {params.n_buckets})")
         except ValueError as exc:
             raise CheckpointError(f"line {number}: {exc}") from None
         columns.append(col)
-    values = block[: len(slots)]
+    values = block[: len(columns)]
+    # unfilled slots: their seeded values would be overwritten
+    start = params._new_slots(columns)
     try:
         params.set_columns(
-            np.array(columns, dtype=np.int64), np.array(slots, dtype=np.int64), values
+            np.array(columns, dtype=np.int64), np.arange(start, start + len(columns)), values
         )
     except ValueError as exc:  # a non-finite row; nothing was written
         row = int(np.argmin(np.isfinite(values).all(axis=1)))

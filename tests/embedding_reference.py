@@ -1,9 +1,9 @@
-"""Whole-sentence embedding kernels: the oracle for the cache-sized ones.
+"""Whole-sentence embedding kernels: the oracle for copytag.embeddings.
 
-These are the kernels as they were before long sentences were gathered in
-runs of tokens and gradients were scattered token by token: one gather and
-one reduceat over all of a sentence's rows, and one np.add.at over every
-token occurrence. copytag.embeddings must match them bit for bit.
+One gather and one reduceat over all of a sentence's rows, and one
+np.add.at over every token occurrence. The library sums rows in runs of
+tokens with contiguous whole-row adds that follow numpy's pairwise order,
+and scatters gradients token by token; it must match these bit for bit.
 """
 
 from __future__ import annotations

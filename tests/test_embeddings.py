@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import copytag.embeddings as embeddings
 from copytag.corpus import Sentence, parse_conll
 from copytag.embeddings import (
-    EMBED_BLOCK_BYTES,
+    EMBED_RUN_ROWS,
     _column_sums,
     _embed_columns,
     _surface_features,
@@ -555,13 +555,12 @@ class TestCacheSizedForward:
     DIM = 128
 
     def _random_case(self, rng, big_token: bool):
-        n_tokens = int(rng.integers(1, 31))
+        n_tokens = int(rng.integers(1, 81))
         # 1-300 rows a token crosses numpy's 8- and 128-element pairwise
-        # blocks; a big token alone exceeds the block budget
+        # blocks; a big token alone exceeds the run budget
         counts = rng.integers(1, 301, size=n_tokens)
-        budget_rows = EMBED_BLOCK_BYTES // (self.DIM * 8)
         if big_token:
-            counts[rng.integers(n_tokens)] = budget_rows + int(rng.integers(1, 500))
+            counts[rng.integers(n_tokens)] = EMBED_RUN_ROWS + int(rng.integers(1, 500))
         starts = np.zeros(n_tokens, dtype=np.int64)
         np.cumsum(counts[:-1], out=starts[1:])
         n_rows = 3000
@@ -576,7 +575,7 @@ class TestCacheSizedForward:
         split = 0
         for case in range(240):
             storage, slots, starts, counts = self._random_case(rng, case % 12 == 0)
-            if slots.size * self.DIM * 8 > EMBED_BLOCK_BYTES:
+            if slots.size > EMBED_RUN_ROWS:
                 split += 1
             got = _column_sums(storage, slots, starts)
             assert _bits(got) == _bits(reference_column_sums(storage, slots, starts))
@@ -587,12 +586,12 @@ class TestCacheSizedForward:
             assert _bits(embedded) == _bits(
                 reference_embed_columns(storage, slots, starts)
             )
-        assert split > 150  # most cases take the blocked path
+        assert split > 140  # most cases are cut into runs
 
     def test_token_larger_than_the_budget(self, rng):
         storage = rng.normal(size=(4000, self.DIM))
-        budget_rows = EMBED_BLOCK_BYTES // (self.DIM * 8)
-        for counts in ([3, budget_rows + 1, 2], [budget_rows * 2], [budget_rows, 1]):
+        budget = EMBED_RUN_ROWS
+        for counts in ([3, budget + 1, 2], [budget * 2], [budget, 1]):
             counts = np.array(counts)
             starts = np.concatenate([[0], np.cumsum(counts[:-1])])
             slots = rng.integers(0, 4000, size=int(counts.sum()))
@@ -600,15 +599,114 @@ class TestCacheSizedForward:
             assert _bits(got) == _bits(reference_column_sums(storage, slots, starts))
 
     def test_suffix_sentence_through_the_provider(self):
-        sentence = suffix_corpus(1, seed=4, min_len=40, max_len=40).items[0].sentence
+        sentence = suffix_corpus(1, seed=4, min_len=80, max_len=80).items[0].sentence
         provider = HashedWindowEmbedder()
         columns = provider.token_columns(sentence)
-        # a 40-token suffix sentence gathers more rows than one block holds
-        assert columns.slots.size * provider.dim * 8 > EMBED_BLOCK_BYTES
+        # an 80-token suffix sentence gathers more rows than one run holds
+        assert columns.slots.size > EMBED_RUN_ROWS and len(columns.plan) > 1
         expected = reference_embed_columns(
             provider.params.storage, columns.slots, columns.starts
         )
         assert _bits(provider.embed(sentence)) == _bits(expected)
+
+
+# Per-token row counts on both sides of numpy's pairwise_sum cases: under 8
+# rows after the first, 8 lanes up to 128, then a split in halves.
+PAIRWISE_COUNTS = (1, 2, 8, 9, 16, 17, 128, 129, 130, 136, 137, 256, 257, 600)
+
+
+class TestPairwiseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from((1, 2, 3, 8, 128)),
+        counts=st.lists(st.sampled_from(PAIRWISE_COUNTS), min_size=1, max_size=10),
+        negative_zero_first=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sums_match_reduceat(self, dim, counts, negative_zero_first, seed):
+        rng = np.random.default_rng(seed)
+        n_rows = 64
+        magnitude = 10.0 ** rng.uniform(-9, 9, size=(n_rows, dim))
+        storage = rng.choice([-1.0, 1.0], size=(n_rows, dim)) * magnitude
+        # row 0 is all +0.0 and row 1 all -0.0; single entries are zeroed too
+        storage[0], storage[1] = 0.0, -0.0
+        zeros = rng.random(storage.shape) < 0.05
+        storage[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+        counts = np.array(counts)
+        starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+        slots = rng.integers(0, n_rows, size=int(counts.sum()))
+        zero = rng.random(slots.size) < 0.1
+        slots[zero] = rng.integers(0, 2, size=int(zero.sum()))
+        if negative_zero_first:
+            # every first row is -0.0, and so is every row of token 0
+            slots[starts] = 1
+            slots[: counts[0]] = 1
+        assert _bits(_column_sums(storage, slots, starts)) == _bits(
+            reference_column_sums(storage, slots, starts)
+        )
+        columns = TokenColumns(columns=slots.copy(), slots=slots, starts=starts, counts=counts)
+        assert _bits(_embed_columns(SimpleNamespace(storage=storage), columns)) == _bits(
+            reference_embed_columns(storage, slots, starts)
+        )
+
+
+class TestSumPlan:
+    def test_built_once_per_cached_sentence(self, monkeypatch):
+        built = []
+        plan_of = embeddings._sum_plan
+        monkeypatch.setattr(
+            embeddings, "_sum_plan", lambda *args: built.append(args) or plan_of(*args)
+        )
+        provider = HashedWindowEmbedder(EmbedderParams(dim=8, n_buckets=512))
+        first = provider.embed(SENT)
+        plan = provider.token_columns(SENT).plan
+        assert _bits(provider.embed(SENT)) == _bits(first)
+        assert provider.token_columns(SENT).plan is plan
+        assert len(built) == 1
+
+    def test_plan_follows_its_own_slots(self):
+        # SENT featurized after another sentence takes other slots than in a
+        # fresh params; a copy's provider builds its own columns and plan
+        params = EmbedderParams(dim=8, n_buckets=512)
+        provider = HashedWindowEmbedder(params)
+        provider.embed(Sentence(1, ("Bob", "left", "Rome", ".")))
+        provider.embed(SENT)
+        fresh = HashedWindowEmbedder(EmbedderParams(dim=8, n_buckets=512))
+        copied = HashedWindowEmbedder(params.copy())
+        # a column only the copy changes
+        moved = provider.token_columns(SENT).columns[:1]
+        copied.params.set_columns(moved, copied.params.slots_for(moved), np.full((1, 8), 0.25))
+        assert not np.array_equal(
+            fresh.token_columns(SENT).slots, provider.token_columns(SENT).slots
+        )
+        assert copied.token_columns(SENT) is not provider.token_columns(SENT)
+        for p in (provider, fresh, copied):
+            columns = p.token_columns(SENT)
+            gathered = np.concatenate([run.gather for run in columns.plan])
+            np.testing.assert_array_equal(np.sort(gathered), np.sort(columns.slots))
+            expected = reference_embed_columns(p.params.storage, columns.slots, columns.starts)
+            assert _bits(p.embed(SENT)) == _bits(expected)
+        assert _bits(copied.embed(SENT)) != _bits(provider.embed(SENT))
+
+    @pytest.mark.parametrize(
+        "starts, counts, message",
+        [
+            ([0, 2, 2], [2, 0, 3], "token 1 has 0 columns; every token needs one"),
+            ([0, 2, 4], [2, 2, -1], "token 2 has -1 columns; every token needs one"),
+            ([0, 1, 4], [2, 2, 1], "starts must be the exclusive cumulative sum of counts"),
+            ([1, 3, 5], [2, 2, 1], "starts must be the exclusive cumulative sum of counts"),
+            ([0, 2], [2, 2, 1], "starts must be the exclusive cumulative sum of counts"),
+            ([0, 2, 4], [2, 2, 2], r"columns and slots must hold counts.sum\(\) entries"),
+        ],
+    )
+    def test_bad_layout_rejected(self, starts, counts, message):
+        with pytest.raises(ValueError, match=message):
+            TokenColumns(
+                columns=np.arange(5),
+                slots=np.arange(5),
+                starts=np.array(starts),
+                counts=np.array(counts),
+            )
 
 
 class TestTokenByTokenBackward:

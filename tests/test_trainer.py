@@ -554,6 +554,20 @@ class TestCheckpointFormat:
             load_checkpoint(self._column_text(column_line))
         assert str(info.value).startswith("line 16: ")
 
+    @pytest.mark.parametrize("n_buckets", [40, 2**32])
+    def test_out_of_range_column_named_before_a_later_bad_line(self, n_buckets):
+        # every column takes its slot after the last line is read, but the
+        # range is checked on each line, so line 16 is named, not line 17
+        lines = [
+            line.replace("buckets=40", f"buckets={n_buckets}")
+            for line in self._column_text(f"col {n_buckets} 0.5 0.25 1.0").splitlines()
+        ]
+        lines[-3] = f"#params 3 {n_buckets}"
+        text = "\n".join([*lines, "col 99 0.5 banana 1.0"]) + "\n"
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(text)
+        assert str(info.value) == f"line 16: column {n_buckets} outside [0, {n_buckets})"
+
     def test_lines_split_at_newline_only(self, rng):
         # the loader reads the text in pieces cut after a "\n"; across
         # them, only "\n" ends a line, and every other break str.splitlines
