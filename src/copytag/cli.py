@@ -149,8 +149,16 @@ def _commit(staged: list[tuple[str, str]]) -> None:
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    # decoded whole, so a bad byte is named by its offset in the file, with
+    # the newlines text mode reads
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = f"byte 0x{data[exc.start]:02x} at offset {exc.start} ({exc.reason})"
+        raise ValueError(f"{path}: not UTF-8: {bad}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _sha256(path: str) -> str:

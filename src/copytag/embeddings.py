@@ -27,15 +27,17 @@ rows where reduceat walks down each column with a row-sized stride. All
 tokens take each step of that order at once; the gather order that makes
 each step one add into a prefix of the rows is planned once per cached
 sentence. Long sentences are summed in runs of whole tokens, whose cuts
-do not change the bits. The backward pass scatters each token's gradient
-row into its columns, one token at a time in token order.
+do not change the bits, so an index's sentences are embedded in one
+batch: one featurization of those not cached yet, then one plan over
+every distinct sentence. The backward pass scatters each token's
+gradient row into its columns, one token at a time in token order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Sequence
 
 import numpy as np
@@ -441,34 +443,52 @@ def _distinct_per_owner(owner: np.ndarray, ids: np.ndarray, n_buckets: int) -> n
 
 
 def _token_columns(params: EmbedderParams, sentence: Sentence) -> TokenColumns:
+    return _batch_token_columns(params, [sentence.tokens])[0]
+
+
+def _batch_token_columns(
+    params: EmbedderParams, sentences: Sequence[tuple[str, ...]]
+) -> list[TokenColumns]:
     # A token's ids are the union of the (offset, token) entries of its
-    # window.
-    tokens = sentence.tokens
-    n = len(tokens)
+    # window, which stays inside its sentence. One _feature_entries call
+    # takes every key in sentence order, so new columns take the slots
+    # that featurizing the sentences one at a time would give them.
     w = params.window
     keys = [
         (j - t, tokens[j])
-        for t in range(n)
-        for j in range(max(0, t - w), min(n, t + w + 1))
+        for tokens in sentences
+        for t in range(len(tokens))
+        for j in range(max(0, t - w), min(len(tokens), t + w + 1))
     ]
     ids, slots = zip(*params._feature_entries(keys))
-    positions = np.arange(n)
-    per_token = np.minimum(positions + w + 1, n) - np.maximum(positions - w, 0)
+    bounds = [0, *accumulate(map(len, sentences))]
+    n = bounds[-1]
     owner = np.repeat(
-        np.repeat(positions, per_token),
+        np.repeat(np.arange(n), np.concatenate([_window_sizes(len(s), w) for s in sentences])),
         np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)),
     )
     flat_ids = np.concatenate(ids)
     picks = _distinct_per_owner(owner, flat_ids, params.n_buckets)
+    columns, slots = flat_ids[picks], np.concatenate(slots)[picks]
     counts = np.bincount(owner[picks], minlength=n)
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return TokenColumns(
-        columns=flat_ids[picks],
-        slots=np.concatenate(slots)[picks],
-        starts=starts,
-        counts=counts,
-    )
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    at = starts.tolist()
+    return [
+        TokenColumns(
+            columns=columns[at[a] : at[b]],
+            slots=slots[at[a] : at[b]],
+            starts=starts[a:b] - at[a],
+            counts=counts[a:b],
+        )
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def _window_sizes(n: int, w: int) -> np.ndarray:
+    # entries in the window of each token of an n-token sentence
+    positions = np.arange(n)
+    return np.minimum(positions + w + 1, n) - np.maximum(positions - w, 0)
 
 
 def _pairwise_tree(start: int, n: int, leaves: list[tuple[int, int]], base: int):
@@ -650,11 +670,12 @@ class ColumnGrads:
 class HashedWindowEmbedder:
     """Trainable embedding provider over EmbedderParams.
 
-    Caches the TokenColumns of each distinct token tuple: the sorted bucket
-    ids of every token and their storage slots. Both stay valid across
-    parameter updates, because hashing does not depend on the weights and
-    slots never move, so embedding a cached sentence is a gather of its
-    slots and the row sums of the plan kept with them.
+    Caches the TokenColumns of each distinct token tuple, planned once per
+    cached sentence: the sorted bucket ids of every token and their storage
+    slots. Both stay valid across parameter updates, because hashing does
+    not depend on the weights and slots never move, so embedding a cached
+    sentence is a gather of its slots and the row sums of its plan.
+    embed_batch embeds an index's dataset at once.
     """
 
     def __init__(self, params: EmbedderParams | None = None, **kwargs):
@@ -680,6 +701,23 @@ class HashedWindowEmbedder:
 
     def embed(self, sentence: Sentence) -> np.ndarray:
         return _embed_columns(self.params, self.token_columns(sentence))
+
+    def embed_batch(self, sentences: Sequence[Sentence]) -> list[np.ndarray]:
+        """embed(sentence) of every sentence, bit for bit. The sentences
+        not cached yet are featurized and cached at once, and every
+        distinct sentence is summed once, into rows its repeats share."""
+        distinct = list(dict.fromkeys(sentence.tokens for sentence in sentences))
+        new = [tokens for tokens in distinct if tokens not in self._column_cache]
+        if new:
+            self._column_cache.update(zip(new, _batch_token_columns(self.params, new)))
+        columns = [self._column_cache[tokens] for tokens in distinct]
+        slots = np.concatenate([c.slots for c in columns])
+        counts = np.concatenate([c.counts for c in columns])
+        rows = _column_sums(self.params.storage, slots, np.cumsum(counts) - counts)
+        np.tanh(rows, out=rows)
+        rows.setflags(write=False)
+        first = dict(zip(distinct, accumulate(map(len, distinct), initial=0)))
+        return [rows[first[s.tokens] : first[s.tokens] + len(s)] for s in sentences]
 
     def backprop(
         self, sentence: Sentence, d_output: np.ndarray, embeddings: np.ndarray

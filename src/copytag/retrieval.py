@@ -6,15 +6,17 @@ the trainer and the sweep. The index owns the dataset it embedded and
 keeps every sentence's token rows in one read-only matrix, sentence after
 sentence, with the label of each row beside it and the L2-normalized mean
 of each sentence's rows as the vector that represents it; sentence k is
-index row k. Queries are exact cosine scans with deterministic
-tie-breaking by ascending sentence id. The index also ranks every token's
-label window, its labels to the end of its sentence, in lexicographic
-order once, so a segment dictionary over any retrieved set starts from
-one sort of ranks. A set of retrieved sentences is a list of row
-positions into that matrix: its layout, labels and window ranks are
-gathered once and its positions grouped by label type once, and the
-caller gathers the token rows it scores, so nothing is embedded per query
-and a kept set holds no embedding rows.
+index row k. Its rows come from one provider.embed_batch call over the
+whole dataset, which embeds each distinct sentence once. Queries are
+exact cosine scans with deterministic tie-breaking by ascending sentence
+id. The index also ranks every token's label window, its labels to the
+end of its sentence, in lexicographic order once, so a segment
+dictionary over any retrieved set starts from one sort of ranks. A set
+of retrieved sentences is a list of row positions into that matrix: its
+layout, labels and window ranks are gathered once and its positions
+grouped by label type once, and the caller gathers the token rows it
+scores, so nothing is embedded per query and a kept set holds no
+embedding rows.
 """
 
 from __future__ import annotations
@@ -62,13 +64,14 @@ class NeighborIndex:
 
 
 def build_index(dataset: Dataset, provider) -> NeighborIndex:
-    """Embed every sentence of `dataset` once into the index's token rows
-    and mean-pool each sentence's rows into a unit-length sentence vector.
-    The index keeps `dataset`, so a neighbor set needs nothing else.
+    """Embed every sentence of `dataset` into the index's token rows in one
+    batch, `provider.embed_batch`, which embeds each distinct sentence
+    once, and mean-pool each sentence's rows into a unit-length sentence
+    vector. The index keeps `dataset`, so a neighbor set needs nothing else.
 
     Zero-norm sentence vectors are stored as-is rather than normalized, so
     query scores them 0. A matrix of the wrong shape or with non-finite
-    entries is rejected, naming the sentence.
+    entries is rejected, naming the first such sentence.
 
     The last index built with each provider is kept while the provider
     lives and returned again for the same Dataset object (a frozen one)
@@ -91,7 +94,10 @@ def checked_embedding(provider, sentence: Sentence) -> np.ndarray:
     """`provider.embed(sentence)` as a float matrix, rejected, naming the
     sentence, unless it has one row per token, the provider's width and
     only finite entries."""
-    matrix = np.array(provider.embed(sentence), dtype=float)
+    return _checked(provider, sentence, np.array(provider.embed(sentence), dtype=float))
+
+
+def _checked(provider, sentence: Sentence, matrix: np.ndarray) -> np.ndarray:
     if matrix.shape != (len(sentence), provider.dim):
         raise ValueError(
             f"sentence {sentence.uid}: provider returned shape {matrix.shape}, "
@@ -111,9 +117,11 @@ def _embed_dataset(dataset: Dataset, provider) -> NeighborIndex:
     np.cumsum([len(item) for item in dataset.items], out=row_starts[1:])
     token_rows = np.empty((int(row_starts[-1]), provider.dim))
     vectors = np.zeros((len(dataset.items), provider.dim))
-    for sid, item in enumerate(dataset.items):
+    sentences = [item.sentence for item in dataset.items]
+    matrices = provider.embed_batch(sentences)
+    for sid, (sentence, matrix) in enumerate(zip(sentences, matrices, strict=True)):
         block = token_rows[row_starts[sid] : row_starts[sid + 1]]
-        block[...] = checked_embedding(provider, item.sentence)
+        block[...] = _checked(provider, sentence, np.asarray(matrix, dtype=float))
         vec = embed_sentence(block)
         norm = float(np.linalg.norm(vec))
         vectors[sid] = vec if norm < ZERO_NORM else vec / norm

@@ -70,6 +70,9 @@ class RowsProvider:
     def embed(self, sentence):
         return self.matrices[sentence.uid]
 
+    def embed_batch(self, sentences):
+        return [self.embed(sentence) for sentence in sentences]
+
 
 def index_over(db: Dataset, matrices):
     """The index of `db` whose token rows are `matrices`, one per sentence."""

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import copytag
-from copytag.cli import main
+from copytag.cli import _read_text, main
 from copytag.corpus import parse_conll, write_conll
 from copytag.evaluation import SWEEP_HEADER
 from copytag.decoder import provenance_lines
@@ -500,6 +500,35 @@ class TestExitCodes:
         )
         assert code == 1
         assert "copytag: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--data", "--db", "--input", "--ckpt", "--pred", "--gold"])
+    def test_non_utf8_input_names_file_and_offset(
+        self, corpora, trained, tmp_path, capsys, option
+    ):
+        path = tmp_path / "bad.conll"
+        path.write_bytes(b"John B-PER\ncaf\xe9 B-X\n\n")
+        bad, out, ckpt = str(path), str(tmp_path / "out"), str(trained)
+        train, dev = str(corpora["train"]), str(corpora["dev"])
+        argv = {
+            "--data": ["train", "--data", bad, "--out", out],
+            "--db": ["tag", "--ckpt", ckpt, "--db", bad, "--input", dev, "--out", out],
+            "--input": ["tag", "--ckpt", ckpt, "--db", train, "--input", bad, "--out", out],
+            "--ckpt": ["tag", "--ckpt", bad, "--db", train, "--input", dev, "--out", out],
+            "--pred": ["eval", "--pred", bad, "--gold", dev],
+            "--gold": ["eval", "--pred", dev, "--gold", bad],
+        }[option]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"copytag: error: {bad}: not UTF-8: byte 0xe9 at offset 14 "
+            "(invalid continuation byte)\n"
+        )
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_text_is_read_with_universal_newlines(self, tmp_path):
+        path = tmp_path / "mixed.conll"
+        path.write_bytes("a B-X\r\nb O\rcafé O\n\n".encode("utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            assert _read_text(str(path)) == handle.read() == "a B-X\nb O\ncafé O\n\n"
 
     def test_corpus_error_names_file(self, corpora, tmp_path, capsys):
         gold = tmp_path / "one_column.conll"

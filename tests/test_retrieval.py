@@ -49,6 +49,9 @@ class VectorProvider:
     def embed(self, sentence):
         return np.repeat(self.vectors[sentence.uid : sentence.uid + 1], len(sentence), axis=0)
 
+    def embed_batch(self, sentences):
+        return [self.embed(sentence) for sentence in sentences]
+
 
 class TestBuildIndex:
     def test_rows_unit_norm(self):
@@ -69,6 +72,9 @@ class TestBuildIndex:
 
             def embed(self, sentence):
                 return np.zeros((len(sentence), 3))
+
+            def embed_batch(self, sentences):
+                return [self.embed(sentence) for sentence in sentences]
 
         index = build_index(tiny_db(), ZeroProvider())
         assert np.array_equal(index.vectors, np.zeros((4, 3)))
@@ -174,6 +180,9 @@ class SlottedProvider:
 
     def embed(self, sentence):
         return np.repeat(self.vectors[sentence.uid : sentence.uid + 1], len(sentence), axis=0)
+
+    def embed_batch(self, sentences):
+        return [self.embed(sentence) for sentence in sentences]
 
 
 class UnhashableProvider(VectorProvider):

@@ -6,10 +6,11 @@ slow benchmark tests. Loading the file by path checks every name here;
 a tiny traced fine_tune and traced tags of a long sentence check that
 the wrappers' counters still read what the wrapped functions return
 (the dictionary's node count against the per-level oracle's), a traced
-sweep after a Tagger checks that it embeds no db sentence again and
-that the neighbor counters read the sets both built off one index,
-and a traced sweep checks that it decodes each sentence once for its
-whole grid.
+Tagger checks that its db is embedded in one batch outside the traced
+embed, a traced sweep after a Tagger checks that it embeds no db
+sentence again and that the neighbor counters read the sets both built
+off one index, and a traced sweep checks that it decodes each sentence
+once for its whole grid.
 """
 
 import importlib.util
@@ -33,6 +34,16 @@ def _load_tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+def _enclosing(spans, k) -> list[str]:
+    """Names of the spans that enclose span k, innermost first."""
+    names = []
+    k = spans[k][3]
+    while k >= 0:
+        names.append(spans[k][0])
+        k = spans[k][3]
+    return names
 
 
 def test_every_traced_name_exists():
@@ -99,10 +110,15 @@ def test_traced_tagging_attributes_the_embedding_kernel():
             Tagger(HashedWindowEmbedder(), db, 3).tag(sentence)
         tracer.recording = False
 
+    # the index embeds its db in one batch, inside build_index's own span
+    # and outside the traced embed: the one embed span is the query's
+    spans = tracer.spans
+    embeds = [k for k, span in enumerate(spans) if span[0] == "embeddings.embed"]
+    assert len(embeds) == 1
+    assert "tagging.tag" in _enclosing(spans, embeds[0])
+    assert "retrieval.build_index" not in _enclosing(spans, embeds[0])
+    assert tracer.counts["embed_tokens"] == 40
     index_tokens = sum(len(item) for item in db.items)
-    embeds = [span for span in tracer.spans if span[0] == "embeddings.embed"]
-    assert len(embeds) == len(db.items) + 1
-    assert tracer.counts["embed_tokens"] == index_tokens + 40
     metrics = tracing.layer_metrics(tracer)
     assert metrics["retrieval.index_tokens"] == index_tokens
     assert metrics["embeddings.embed_s"] > 0
@@ -141,19 +157,14 @@ def test_traced_sweep_after_tagger_embeds_only_the_swept_sentences():
             evaluation.sweep_c([0.0, 1.0], tagger.provider, db, data, 3)
         tracer.recording = False
 
+    # setup embeds the db in one batch, outside the traced embed
     spans = tracer.spans
-    sweep = next(k for k, span in enumerate(spans) if span[0] == "phase.sweep")
-
-    def in_sweep(k):
-        while k >= 0 and k != sweep:
-            k = spans[k][3]
-        return k == sweep
-
     embeds = [k for k, span in enumerate(spans) if span[0] == "embeddings.embed"]
-    assert len([k for k in embeds if not in_sweep(k)]) == len(db.items)
-    assert len([k for k in embeds if in_sweep(k)]) == len(data.items)
+    assert embed_tokens == 0
+    assert len(embeds) == len(data.items)
+    assert all("phase.sweep" in _enclosing(spans, k) for k in embeds)
     swept_tokens = sum(len(item) for item in data.items)
-    assert tracer.counts["embed_tokens"] - embed_tokens == swept_tokens
+    assert tracer.counts["embed_tokens"] == swept_tokens
     # the tracer counts index tokens from build_index's arguments
     metrics = tracing.layer_metrics(tracer)
     assert metrics["retrieval.index_tokens"] == 2 * sum(len(item) for item in db.items)
