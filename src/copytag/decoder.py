@@ -155,10 +155,18 @@ def build_segment_dict(neighbors: NeighborSet, max_len: int) -> SegmentDict:
     return SegmentDict(levels, neighbors, memoryview(pos), memoryview(lcp))
 
 
-def check_segment_cost(segment_cost: float) -> None:
-    """Reject a per-segment cost that is negative, infinite or NaN."""
+def check_segment_cost(segment_cost: float, n_tokens: int = 0) -> None:
+    """Reject a per-segment cost that is negative, infinite or NaN, or at
+    which the objective of an n_tokens decode could overflow. That decode
+    has at most n_tokens segments, each costing the segment cost plus at
+    most one per token, and twice that bound leaves room for rounding."""
     if not (math.isfinite(segment_cost) and segment_cost >= 0):
         raise ValueError("segment_cost must be finite and non-negative")
+    if not math.isfinite(2.0 * n_tokens * (segment_cost + 1.0)):
+        raise ValueError(
+            f"segment_cost {segment_cost!r} could overflow the objective of a "
+            f"{n_tokens}-token decode"
+        )
 
 
 @dataclass(frozen=True)
@@ -323,7 +331,7 @@ def dp_decode_expected(
     if len(segment_costs) == 0:
         raise ValueError("no segment cost to decode at")
     for segment_cost in segment_costs:
-        check_segment_cost(segment_cost)
+        check_segment_cost(segment_cost, marginals.probs.shape[0])
     cost = _position_costs_expected(marginals, seg_dict.n_labels)
     if not seg_dict.levels:
         raise ValueError("segment dictionary is empty")

@@ -10,34 +10,38 @@ to be stored in checkpoints.
 
 Featurization costs work per distinct (offset, word type), not per token
 occurrence: the parameters hash each pair once and keep its sorted bucket
-ids next to their storage slots. The pairs a sentence brings that the
-parameters have not seen are featurized in one batch: every feature text
-is hashed at once by FNV-1a in uint64 numpy arithmetic, and every new
-column is seeded at once, bit for bit as default_rng([seed, column])
-would, with the SeedSequence mixing done in uint32 numpy arithmetic. That
-mixing takes the seed and every bucket id as one 32-bit word each: the
-seed is below 2**32 and n_buckets at most 2**32. A token's ids are the
-union of its window's entries; the provider keeps the ids and slots of
-each distinct token tuple, so embedding a known sentence is a gather of
-its slots and a sum of the gathered rows per token.
+ids next to their storage slots. The pairs that new windows bring are
+featurized in one batch: every feature text is hashed at once by FNV-1a in
+uint64 numpy arithmetic, and every new column is seeded at once, bit for
+bit as default_rng([seed, column]) would, with the SeedSequence mixing
+done in uint32 numpy arithmetic. That mixing takes the seed and every
+bucket id as one 32-bit word each: the seed is below 2**32 and n_buckets
+at most 2**32.
+
+A token's ids are the union of its window's entries, so its ids, its
+slots and its row depend only on its window: its place in the window and
+the window's tokens, clipped at the sentence's ends. The parameters keep
+the ids and slots of each distinct window, and a sentence's TokenColumns
+are its windows' entries, one after another. The provider holds the row
+of every window of the datasets it embedded in one batch until the
+weights move, so embedding a sentence made of held windows is one gather.
 
 The sums equal np.add.reduceat(storage[slots], starts, axis=0) bit for
 bit, numpy's pairwise summation order included, but add whole contiguous
 rows where reduceat walks down each column with a row-sized stride. All
 tokens take each step of that order at once; the gather order that makes
 each step one add into a prefix of the rows is planned once per cached
-sentence. Long sentences are summed in runs of whole tokens, whose cuts
-do not change the bits, so an index's sentences are embedded in one
-batch: one featurization of those not cached yet, then one plan over
-every distinct sentence. The backward pass scatters each token's
-gradient row into its columns, one token at a time in token order.
+sentence, or once for a batch of windows. Long sentences are summed in
+runs of whole tokens, whose cuts do not change the bits. The backward
+pass scatters each token's gradient row into its columns, one token at a
+time in token order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +71,9 @@ EMBED_RUN_ROWS = 4096
 EMBED_CHUNK_ROWS = 512
 # numpy's PW_BLOCKSIZE: pairwise_sum splits a longer run of rows in two
 _PAIRWISE_BLOCK = 128
+
+# A token's window: its place in the window and the window's tokens
+Window = tuple[int, tuple[str, ...]]
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -208,7 +215,8 @@ class EmbedderParams:
     Hashing depends only on (offset, token), never on the weights, so each
     distinct pair is hashed once: its sorted bucket ids are cached together
     with their storage slots, whose columns are materialized right then.
-    Slots never move once assigned, so the cached slots stay valid.
+    The union of a window's entries is kept too, the same way. Slots never
+    move once assigned, so the cached slots stay valid.
     """
 
     def __init__(
@@ -238,6 +246,8 @@ class EmbedderParams:
         self._slot: dict[int, int] = {}
         # (offset, token) -> (sorted unique bucket ids, their storage slots)
         self._features: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
+        # window -> the union of its keys' entries, the same pair
+        self._windows: dict[Window, tuple[np.ndarray, np.ndarray]] = {}
         # draws every seeded column, from a PCG64 state set per column
         self._rng = np.random.Generator(np.random.PCG64(0))
 
@@ -352,6 +362,32 @@ class EmbedderParams:
                 entries[i] = self._features[keys[i]]
         return entries
 
+    def _window_entries(self, windows: Sequence[Window]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(sorted unique bucket ids, their storage slots) of every window,
+        both read-only: the union of its (offset, token) keys' entries.
+        Windows not seen before are featurized in one batch, through one
+        _feature_entries call over their keys in window order, so new
+        columns take the slots that featurizing token by token gives."""
+        entries = list(map(self._windows.get, windows))
+        if None in entries:
+            new = list(dict.fromkeys(w for w, entry in zip(windows, entries) if entry is None))
+            keys = [(j - place, token) for place, tokens in new for j, token in enumerate(tokens)]
+            ids, slots = zip(*self._feature_entries(keys))
+            owner = np.repeat(
+                np.repeat(np.arange(len(new)), [len(tokens) for _, tokens in new]),
+                np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)),
+            )
+            flat_ids = np.concatenate(ids)
+            picks = _distinct_per_owner(owner, flat_ids, self.n_buckets)
+            union, slots = flat_ids[picks], np.concatenate(slots)[picks]
+            union.setflags(write=False)
+            slots.setflags(write=False)
+            ends = np.cumsum(np.bincount(owner[picks], minlength=len(new))).tolist()
+            for window, lo, hi in zip(new, [0, *ends], ends):
+                self._windows[window] = (union[lo:hi], slots[lo:hi])
+            entries = list(map(self._windows.get, windows))
+        return entries
+
     def set_columns(
         self, columns: np.ndarray, slots: np.ndarray, values: np.ndarray
     ) -> None:
@@ -386,6 +422,7 @@ class EmbedderParams:
         dup._slot = dict(self._slot)
         # the slots cached so far are the copy's too; later entries are not
         dup._features = dict(self._features)
+        dup._windows = dict(self._windows)
         dup.modified = set(self.modified)
         dup.revision = self.revision
         return dup
@@ -442,53 +479,22 @@ def _distinct_per_owner(owner: np.ndarray, ids: np.ndarray, n_buckets: int) -> n
     return order[keep]
 
 
+def _windows(tokens: tuple[str, ...], w: int):
+    # the window of every token, clipped at the sentence's ends
+    for t in range(len(tokens)):
+        yield min(t, w), tokens[max(0, t - w) : t + w + 1]
+
+
 def _token_columns(params: EmbedderParams, sentence: Sentence) -> TokenColumns:
-    return _batch_token_columns(params, [sentence.tokens])[0]
-
-
-def _batch_token_columns(
-    params: EmbedderParams, sentences: Sequence[tuple[str, ...]]
-) -> list[TokenColumns]:
-    # A token's ids are the union of the (offset, token) entries of its
-    # window, which stays inside its sentence. One _feature_entries call
-    # takes every key in sentence order, so new columns take the slots
-    # that featurizing the sentences one at a time would give them.
-    w = params.window
-    keys = [
-        (j - t, tokens[j])
-        for tokens in sentences
-        for t in range(len(tokens))
-        for j in range(max(0, t - w), min(len(tokens), t + w + 1))
-    ]
-    ids, slots = zip(*params._feature_entries(keys))
-    bounds = [0, *accumulate(map(len, sentences))]
-    n = bounds[-1]
-    owner = np.repeat(
-        np.repeat(np.arange(n), np.concatenate([_window_sizes(len(s), w) for s in sentences])),
-        np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)),
+    # each token's entries are its window's
+    ids, slots = zip(*params._window_entries(list(_windows(sentence.tokens, params.window))))
+    counts = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+    return TokenColumns(
+        columns=np.concatenate(ids),
+        slots=np.concatenate(slots),
+        starts=np.cumsum(counts) - counts,
+        counts=counts,
     )
-    flat_ids = np.concatenate(ids)
-    picks = _distinct_per_owner(owner, flat_ids, params.n_buckets)
-    columns, slots = flat_ids[picks], np.concatenate(slots)[picks]
-    counts = np.bincount(owner[picks], minlength=n)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    at = starts.tolist()
-    return [
-        TokenColumns(
-            columns=columns[at[a] : at[b]],
-            slots=slots[at[a] : at[b]],
-            starts=starts[a:b] - at[a],
-            counts=counts[a:b],
-        )
-        for a, b in zip(bounds, bounds[1:])
-    ]
-
-
-def _window_sizes(n: int, w: int) -> np.ndarray:
-    # entries in the window of each token of an n-token sentence
-    positions = np.arange(n)
-    return np.minimum(positions + w + 1, n) - np.maximum(positions - w, 0)
 
 
 def _pairwise_tree(start: int, n: int, leaves: list[tuple[int, int]], base: int):
@@ -670,17 +676,22 @@ class ColumnGrads:
 class HashedWindowEmbedder:
     """Trainable embedding provider over EmbedderParams.
 
-    Caches the TokenColumns of each distinct token tuple, planned once per
-    cached sentence: the sorted bucket ids of every token and their storage
-    slots. Both stay valid across parameter updates, because hashing does
-    not depend on the weights and slots never move, so embedding a cached
-    sentence is a gather of its slots and the row sums of its plan.
-    embed_batch embeds an index's dataset at once.
+    embed_batch sums each window it is handed once, and holds the rows
+    until the parameters' revision moves. A sentence whose windows are all
+    held is embedded as one gather of their rows. Any other sentence is
+    embedded from its TokenColumns: its windows' sorted bucket ids and
+    storage slots, cached per distinct token tuple and planned once. Both
+    stay valid across parameter updates, because hashing does not depend
+    on the weights and slots never move.
     """
 
     def __init__(self, params: EmbedderParams | None = None, **kwargs):
         self.params = params if params is not None else EmbedderParams(**kwargs)
         self._column_cache: dict[tuple[str, ...], TokenColumns] = {}
+        # window -> its row of _rows, summed at revision _held_at
+        self._held: dict[Window, int] = {}
+        self._rows = np.zeros((0, self.params.dim))
+        self._held_at = self.params.revision
 
     @property
     def dim(self) -> int:
@@ -699,25 +710,44 @@ class HashedWindowEmbedder:
             )
         return cached
 
+    def _held_rows(self) -> dict[Window, int]:
+        # set_columns is the one writer of weights and moves the revision
+        if self._held_at != self.params.revision:
+            self._held, self._rows, self._held_at = {}, self._rows[:0], self.params.revision
+        return self._held
+
     def embed(self, sentence: Sentence) -> np.ndarray:
+        held = self._held_rows()
+        # nothing is held between training steps, where the refresh embeds
+        if held:
+            rows = []
+            for window in _windows(sentence.tokens, self.params.window):
+                row = held.get(window)
+                if row is None:
+                    break
+                rows.append(row)
+            else:
+                return self._rows[rows]
         return _embed_columns(self.params, self.token_columns(sentence))
 
     def embed_batch(self, sentences: Sequence[Sentence]) -> list[np.ndarray]:
-        """embed(sentence) of every sentence, bit for bit. The sentences
-        not cached yet are featurized and cached at once, and every
-        distinct sentence is summed once, into rows its repeats share."""
-        distinct = list(dict.fromkeys(sentence.tokens for sentence in sentences))
-        new = [tokens for tokens in distinct if tokens not in self._column_cache]
+        """embed(sentence) of every sentence, bit for bit. The windows not
+        held yet are featurized if new and summed at once, through one
+        plan, then held; every sentence is a gather of held rows."""
+        held, w = self._held_rows(), self.params.window
+        windows = {s.tokens: list(_windows(s.tokens, w)) for s in sentences}
+        new = [k for k in dict.fromkeys(chain.from_iterable(windows.values())) if k not in held]
         if new:
-            self._column_cache.update(zip(new, _batch_token_columns(self.params, new)))
-        columns = [self._column_cache[tokens] for tokens in distinct]
-        slots = np.concatenate([c.slots for c in columns])
-        counts = np.concatenate([c.counts for c in columns])
-        rows = _column_sums(self.params.storage, slots, np.cumsum(counts) - counts)
-        np.tanh(rows, out=rows)
+            _, slots = zip(*self.params._window_entries(new))
+            counts = np.fromiter(map(len, slots), dtype=np.int64, count=len(slots))
+            sums = _column_sums(self.params.storage, np.concatenate(slots), np.cumsum(counts) - counts)
+            held.update(zip(new, range(len(held), len(held) + len(new))))
+            self._rows = np.concatenate([self._rows, np.tanh(sums, out=sums)])
+            self._rows.setflags(write=False)
+        rows = self._rows[[held[k] for s in sentences for k in windows[s.tokens]]]
         rows.setflags(write=False)
-        first = dict(zip(distinct, accumulate(map(len, distinct), initial=0)))
-        return [rows[first[s.tokens] : first[s.tokens] + len(s)] for s in sentences]
+        bounds = list(accumulate(map(len, sentences), initial=0))
+        return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def backprop(
         self, sentence: Sentence, d_output: np.ndarray, embeddings: np.ndarray

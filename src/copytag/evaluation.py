@@ -173,7 +173,10 @@ def sweep_c(
     for item in data.items:
         analysis = tagger.analyze(item.sentence)
         seg_dict = tagger.segment_dict(analysis)
-        decoded.append(dp_decode_expected(analysis.marginals, seg_dict, costs))
+        try:
+            decoded.append(dp_decode_expected(analysis.marginals, seg_dict, costs))
+        except ValueError as exc:
+            raise ValueError(f"sentence {item.sentence.uid}: {exc}") from None
 
     rows = []
     for c, results in zip(costs, zip(*decoded)):

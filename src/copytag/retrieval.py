@@ -7,16 +7,17 @@ keeps every sentence's token rows in one read-only matrix, sentence after
 sentence, with the label of each row beside it and the L2-normalized mean
 of each sentence's rows as the vector that represents it; sentence k is
 index row k. Its rows come from one provider.embed_batch call over the
-whole dataset, which embeds each distinct sentence once. Queries are
-exact cosine scans with deterministic tie-breaking by ascending sentence
-id. The index also ranks every token's label window, its labels to the
-end of its sentence, in lexicographic order once, so a segment
-dictionary over any retrieved set starts from one sort of ranks. A set
-of retrieved sentences is a list of row positions into that matrix: its
-layout, labels and window ranks are gathered once and its positions
-grouped by label type once, and the caller gathers the token rows it
-scores, so nothing is embedded per query and a kept set holds no
-embedding rows.
+whole dataset; the hashed embedder sums each distinct token window there
+once and keeps those rows, so a query made of the dataset's windows is
+embedded by a gather until the weights move. Queries are exact cosine
+scans with deterministic tie-breaking by ascending sentence id. The
+index also ranks every token's label window, its labels to the end of
+its sentence, in lexicographic order once, so a segment dictionary over
+any retrieved set starts from one sort of ranks. A set of retrieved
+sentences is a list of row positions into that matrix: its layout,
+labels and window ranks are gathered once and its positions grouped by
+label type once, and the caller gathers the token rows it scores, so no
+neighbor is embedded per query and a kept set holds no embedding rows.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ class NeighborIndex:
 
 def build_index(dataset: Dataset, provider) -> NeighborIndex:
     """Embed every sentence of `dataset` into the index's token rows in one
-    batch, `provider.embed_batch`, which embeds each distinct sentence
-    once, and mean-pool each sentence's rows into a unit-length sentence
-    vector. The index keeps `dataset`, so a neighbor set needs nothing else.
+    batch, `provider.embed_batch` (the hashed embedder sums each distinct
+    token window once), and mean-pool each sentence's rows into a
+    unit-length sentence vector. The index keeps `dataset`, so a neighbor set needs nothing else.
 
     Zero-norm sentence vectors are stored as-is rather than normalized, so
     query scores them 0. A matrix of the wrong shape or with non-finite

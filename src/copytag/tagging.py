@@ -111,7 +111,10 @@ class Tagger:
         analysis = self.analyze(sentence)
         if decode == DECODE_DP:
             seg_dict = self.segment_dict(analysis)
-            (result,) = dp_decode_expected(analysis.marginals, seg_dict, (segment_cost,))
+            try:
+                (result,) = dp_decode_expected(analysis.marginals, seg_dict, (segment_cost,))
+            except ValueError as exc:
+                raise ValueError(f"sentence {sentence.uid}: {exc}") from None
             label_ids = result.labels
         else:
             label_ids = predict_marginal(analysis.marginals)

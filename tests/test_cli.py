@@ -670,6 +670,24 @@ class TestExitCodes:
         assert f"copytag: error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("verb", ["tag", "inspect", "sweep"])
+    def test_overflowing_segment_cost_names_the_sentence(
+        self, corpora, trained, tmp_path, capsys, verb
+    ):
+        # 1e308 is a valid cost, but a decode of two segments overflows
+        out = tmp_path / "out"
+        args = {
+            "tag": ["--input", str(corpora["dev"]), "--out", str(out), "--decode", "dp", "--c", "1e308"],
+            "inspect": ["--input", str(corpora["dev"]), "--sentence-id", "0", "--c", "1e308"],
+            "sweep": ["--data", str(corpora["dev"]), "--c-grid", "0,1e308", "--out", str(out)],
+        }[verb]
+        code = main([verb, "--ckpt", str(trained), "--db", str(corpora["train"]), *args])
+        n_tokens = len(corpora["dev"].read_text().split("\n\n")[0].splitlines())
+        assert code == 1
+        message = f"sentence 0: segment_cost 1e+308 could overflow the objective of a {n_tokens}-token decode"
+        assert capsys.readouterr().err == f"copytag: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("lr", ["inf", "-inf", "nan", "0"])
     def test_bad_learning_rate_fails_before_loading(
         self, corpora, tmp_path, capsys, monkeypatch, lr

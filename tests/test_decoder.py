@@ -1,3 +1,6 @@
+import math
+import re
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -10,6 +13,7 @@ from copytag.decoder import (
     DEFAULT_MAX_SEGMENT_LEN,
     Segment,
     build_segment_dict,
+    check_segment_cost,
     dp_decode_expected,
     predict_marginal,
     provenance_lines,
@@ -343,6 +347,33 @@ class TestSegmentCostCheck:
         costs[pos] = bad
         with pytest.raises(ValueError, match="segment_cost must be finite and non-negative"):
             dp_decode_expected(marginals, seg_dict, costs)
+
+    def test_dp_decode_rejects_overflowing_cost_before_tables(self, monkeypatch):
+        # at c=1e308 two segments of a decode sum to inf, and no copy was
+        # kept at an end to trace back
+        seg_dict = build_segment_dict(labels_only_set([[0, 1]]), DEFAULT_MAX_SEGMENT_LEN)
+        marginals = MarginalMatrix(probs=np.array([[0.5, 0.5], [0.9, 0.1]]), type_ids=(0, 1))
+
+        def no_tables(*args):
+            raise AssertionError("tables built for an overflowing segment cost")
+
+        monkeypatch.setattr(decoder, "_tables", no_tables)
+        message = "segment_cost 1e+308 could overflow the objective of a 2-token decode"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dp_decode_expected(marginals, seg_dict, (0.4, 1e308))
+
+    def test_largest_costs_accepted_decode_finitely(self):
+        huge = sys.float_info.max / 8
+        check_segment_cost(huge, 3)
+        with pytest.raises(ValueError, match="could overflow the objective of a 5-token decode"):
+            check_segment_cost(huge, 5)
+        seg_dict = build_segment_dict(labels_only_set([[0, 1, 1]]), DEFAULT_MAX_SEGMENT_LEN)
+        probs = np.array([[0.2, 0.8], [0.9, 0.1], [0.5, 0.5]])
+        marginals = MarginalMatrix(probs=probs, type_ids=(0, 1))
+        (result,) = dp_decode_expected(marginals, seg_dict, (huge,))
+        assert math.isfinite(result.objective)
+        assert result.labels == (0, 1, 1)
+        assert len(result.segments) == 1
 
 
 class TestPredictMarginal:

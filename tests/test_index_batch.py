@@ -2,13 +2,19 @@
 
 The oracle is the per-sentence path: checked_embedding of each sentence
 with a provider over fresh parameters, pooled by embed_sentence and
-normalized, and every cached sentence's rows against the reduceat kernel.
-The batch must give the same token rows, vectors and sentence vectors by
+normalized, and every sentence's rows against the reduceat kernel. The
+batch must give the same token rows, vectors and sentence vectors by
 bytes, and the parameters the same slots in the same order and the same
 storage rows. Datasets repeat sentences, hold one-token sentences and one
 sentence of more than EMBED_RUN_ROWS rows, and some providers have cached
-or featurized part of the dataset before the build.
+or featurized part of the dataset before the build. The provider holds
+the row of every window it embedded in a batch: a query made of held
+windows is a gather of them, which must equal the per-sentence path and
+must not featurize, plan or sum anything, until the weights move.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,11 +89,10 @@ def test_batched_build_matches_per_sentence_embedding(case):
     assert list(params._slot.items()) == list(fresh._slot.items())
     assert params.storage.shape == fresh.storage.shape
     assert params.storage.tobytes() == fresh.storage.tobytes()
-    # every distinct sentence is cached, and its rows are the reduceat sums
-    assert set(provider._column_cache) >= set(rows)
-    assert provider._column_cache[LONG].slots.size > EMBED_RUN_ROWS
+    # every sentence's rows are the reduceat sums of its columns
+    assert provider.token_columns(Sentence(0, LONG)).slots.size > EMBED_RUN_ROWS
     for sid, item in enumerate(db.items):
-        columns = provider._column_cache[item.sentence.tokens]
+        columns = provider.token_columns(item.sentence)
         expected = reference_embed_columns(params.storage, columns.slots, columns.starts)
         lo, hi = index.row_starts[sid], index.row_starts[sid + 1]
         assert index.token_rows[lo:hi].tobytes() == expected.tobytes()
@@ -100,50 +105,112 @@ def test_non_finite_storage_row_names_the_first_sentence(case, data):
     db = build_dataset([(tokens, ("O",) * len(tokens)) for tokens in rows])
     provider = _provider(window)
     _prepare(provider, db, cached, featurized)
-    build_index(db, provider)
+    # every column is materialized and none is held: no row was summed in
+    # a batch, so a row poisoned now is read by both paths
+    columns = {item.sentence.tokens: provider.token_columns(item.sentence) for item in db.items}
     poisoned = data.draw(st.integers(0, len(rows) - 1))
-    slots = provider._column_cache[rows[poisoned]].slots
+    slots = columns[rows[poisoned]].slots
     slot = int(slots[data.draw(st.integers(0, slots.size - 1))])
     provider.params.storage[slot, 0] = np.nan
-    first = next(
-        item.sentence
-        for item in db.items
-        if slot in provider._column_cache[item.sentence.tokens].slots
-    )
+    first = next(item.sentence for item in db.items if slot in columns[item.sentence.tokens].slots)
     with pytest.raises(ValueError) as today:
         checked_embedding(provider, first)
-    # a new Dataset object, so the index is built again
     with pytest.raises(ValueError) as batched:
-        build_index(Dataset(db.items, db.vocab), provider)
+        build_index(db, provider)
     assert str(batched.value) == str(today.value)
     assert str(today.value) == f"sentence {first.uid}: provider returned non-finite embeddings"
 
 
-def test_tagger_caches_every_db_sentence_with_its_plan(monkeypatch):
-    # a query equal to a db sentence is neither featurized nor planned
-    # again: 25 to 32 of the 50 scored ner-k100 queries are db sentences
+def _token_windows(tokens, window):
+    # what decides a token's row: the (offset, token) pairs of its window
+    return [
+        tuple((j - t, tokens[j]) for j in range(max(0, t - window), min(len(tokens), t + window + 1)))
+        for t in range(len(tokens))
+    ]
+
+
+@contextmanager
+def _nothing_featurized_planned_or_summed():
+    with (
+        mock.patch.object(EmbedderParams, "_feature_entries", side_effect=AssertionError("featurized")),
+        mock.patch.object(embeddings, "_sum_plan", side_effect=AssertionError("planned")),
+        mock.patch.object(embeddings, "_planned_sums", side_effect=AssertionError("summed")),
+    ):
+        yield
+
+
+def test_tagger_holds_every_db_window():
+    # a query equal to a db sentence is neither featurized, planned nor
+    # summed: 25 to 32 of the 50 scored ner-k100 queries are db sentences.
+    # No db sentence keeps columns or a plan.
     db = toy_ner_corpus(40, seed=3)
     provider = HashedWindowEmbedder(dim=16, n_buckets=4096, seed=2)
     tagger = Tagger(provider, db, 5)
     distinct = {item.sentence.tokens for item in db.items}
     assert len(distinct) < len(db.items)
-    assert set(provider._column_cache) == distinct
-    for tokens in distinct:
-        plan = vars(provider._column_cache[tokens])["plan"]
-        assert plan and all(isinstance(run, embeddings._SumRun) for run in plan)
+    window = provider.params.window
+    windows = {w for tokens in distinct for w in embeddings._windows(tokens, window)}
+    assert len(windows) < sum(len(item) for item in db.items)
+    assert set(provider._held) == windows
+    assert provider._column_cache == {}
 
-    featurized = []
-    feature_entries = EmbedderParams._feature_entries
-
-    def counted(params, keys):
-        featurized.append(keys)
-        return feature_entries(params, keys)
-
-    def unplanned(*args):
-        raise AssertionError("a cached sentence was planned again")
-
-    monkeypatch.setattr(EmbedderParams, "_feature_entries", counted)
-    monkeypatch.setattr(embeddings, "_sum_plan", unplanned)
     twin = Sentence(1000, db.items[7].sentence.tokens)
-    tagger.tag(twin)
-    assert featurized == []
+    with _nothing_featurized_planned_or_summed():
+        tagger.tag(twin)
+
+
+WIDE = tuple(f"{LONG[0]}{i:02d}" for i in range(48))  # 48 distinct windows
+
+
+@st.composite
+def held_queries(draw):
+    """(window, db token tuples, queries). A query is a db sentence, which
+    is fully held; a db sentence with one word swapped for a word the db
+    lacks, partly held when it is long enough; or words drawn afresh, the
+    new word among them."""
+    sentence = st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(tuple)
+    rows = [*draw(st.lists(sentence, min_size=1, max_size=4)), (draw(st.sampled_from(WORDS)),)]
+    rows += [LONG, WIDE]
+    queries = []
+    for kind in draw(st.lists(st.sampled_from(["db", "swap", "fresh"]), min_size=1, max_size=6)):
+        if kind == "fresh":
+            queries.append(draw(st.lists(st.sampled_from([*WORDS, "unseen"]), min_size=1, max_size=6)))
+            continue
+        tokens = list(draw(st.sampled_from(rows)))
+        if kind == "swap":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = "unseen"
+        queries.append(tokens)
+    return draw(st.sampled_from([0, 1, 2])), rows, [tuple(q) for q in queries]
+
+
+@settings(max_examples=30, deadline=None)
+@given(held_queries(), st.data())
+def test_held_windows_embed_as_the_per_sentence_path(case, data):
+    window, rows, queries = case
+    db = build_dataset([(tokens, ("O",) * len(tokens)) for tokens in rows])
+    provider = _provider(window)
+    build_index(db, provider)
+    assert provider.token_columns(Sentence(0, WIDE)).slots.size > EMBED_RUN_ROWS
+    db_windows = {w for tokens in rows for w in _token_windows(tokens, window)}
+    for uid, tokens in enumerate(queries):
+        sentence = Sentence(uid, tokens)
+        if set(_token_windows(tokens, window)) <= db_windows:
+            with _nothing_featurized_planned_or_summed():
+                embedded = provider.embed(sentence)
+        else:
+            embedded = provider.embed(sentence)
+        assert embedded.tobytes() == _provider(window).embed(sentence).tobytes()
+
+    # moved weights drop every held row, before and after a new batch
+    params = provider.params
+    moved = provider.token_columns(Sentence(0, data.draw(st.sampled_from(rows)))).columns
+    moved = np.unique(moved)[: data.draw(st.integers(1, 3))]
+    values = data.draw(st.sampled_from([0.5, -2.0])) * np.ones((moved.size, params.dim))
+    params.set_columns(moved, params.slots_for(moved), values)
+    for rebuilt in (False, True):
+        if rebuilt:
+            build_index(db, provider)
+        for uid, tokens in enumerate([*queries, *rows]):
+            sentence = Sentence(uid, tokens)
+            expected = HashedWindowEmbedder(params.copy()).embed(sentence)
+            assert provider.embed(sentence).tobytes() == expected.tobytes()
