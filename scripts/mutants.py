@@ -1,0 +1,188 @@
+"""Apply each recorded mutation alone and check that its tests fail.
+
+Every row of MUTANTS names a file, an exact piece of its text, what to put
+in its place and the tests that must then fail. The tree is copied once to
+a temporary directory; each row is applied alone to that copy, only its
+tests run there (`pytest -x`), and the file is restored before the next
+row. The named tests first run on the unmutated copy and must pass there;
+none of them is a byte pin, so the table holds on any platform.
+
+Exit status 0 when every mutant is killed. It is 1 when a mutant survives,
+when a row's old text is not in its file exactly once, or when a row's
+tests do not pass on the unmutated tree or cannot be collected, so a
+refactor of the mutated code must update the table.
+
+    python3 scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+EMBEDDINGS = "src/copytag/embeddings.py"
+TRAINER = "src/copytag/trainer.py"
+HELD_ROWS = "tests/test_embeddings.py::TestHeldRows"
+HELD_QUERIES = "tests/test_index_batch.py::test_held_windows_embed_as_the_per_sentence_path"
+BATCH_BUILD = "tests/test_index_batch.py::test_batched_build_matches_per_sentence_embedding"
+PAIRWISE = "tests/test_embeddings.py::TestPairwiseOracle"
+FEATURIZER = "tests/test_embeddings.py::TestMatchesFeaturizerReference"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "held rows survive a revision move",
+        EMBEDDINGS,
+        "self._held, self._held_at = {}, self.params.revision",
+        "self._held_at = self.params.revision",
+        (HELD_ROWS, HELD_QUERIES),
+    ),
+    Mutant(
+        "held rows not copied when the buffer grows",
+        EMBEDDINGS,
+        "            grown[:held] = self._rows[:held]\n",
+        "",
+        (HELD_ROWS,),
+    ),
+    Mutant(
+        "raw sums held without tanh",
+        EMBEDDINGS,
+        "np.tanh(sums, out=self._rows[held : held + len(sums)])",
+        "self._rows[held : held + len(sums)] = sums",
+        (HELD_ROWS,),
+    ),
+    Mutant(
+        "training refreshes the neighbors that are not stale",
+        TRAINER,
+        "if row_revision[nid] != params.revision]",
+        "if row_revision[nid] == params.revision]",
+        ("tests/test_trainer.py::TestFineTune::test_one_refresh_call_per_batch_over_its_stale_neighbors",),
+    ),
+    Mutant(
+        "pairwise split not rounded down to a multiple of 8",
+        EMBEDDINGS,
+        "half = n // 2 - n // 2 % 8",
+        "half = n // 2",
+        (PAIRWISE,),
+    ),
+    Mutant(
+        "pairwise tree adds its first half twice",
+        EMBEDDINGS,
+        "return _tree_sum(sums, tree[0]) + _tree_sum(sums, tree[1])",
+        "return _tree_sum(sums, tree[0]) + _tree_sum(sums, tree[0])",
+        (PAIRWISE,),
+    ),
+    Mutant(
+        "+0.0 in place of -0.0 as the sum of no rows",
+        EMBEDDINGS,
+        "sums = np.full((run.where.size, dim), -0.0)",
+        "sums = np.full((run.where.size, dim), 0.0)",
+        (PAIRWISE,),
+    ),
+    Mutant(
+        "a token without columns passes the layout check",
+        EMBEDDINGS,
+        "if (self.counts < 1).any():",
+        "if (self.counts < 0).any():",
+        ("tests/test_embeddings.py::TestSumPlan::test_bad_layout_rejected",),
+    ),
+    Mutant(
+        "new keys featurized in reverse order",
+        EMBEDDINGS,
+        "keys = list(dict.fromkeys(keys))",
+        "keys = list(dict.fromkeys(keys))[::-1]",
+        ("tests/test_embeddings.py::TestFeaturizeOnce", "tests/test_embeddings.py::TestEmbedderParams"),
+    ),
+    Mutant(
+        "windows read across the sentence end",
+        EMBEDDINGS,
+        "yield min(t, w), tokens[max(0, t - w) : t + w + 1]",
+        "yield min(t, w), (tokens * 2)[max(0, t - w) : t + w + 1]",
+        (FEATURIZER, BATCH_BUILD),
+    ),
+    Mutant(
+        "windows not clipped at the sentence start",
+        EMBEDDINGS,
+        "yield min(t, w), tokens[max(0, t - w) : t + w + 1]",
+        "yield min(t, w), tokens[t - w : t + w + 1]",
+        (FEATURIZER, BATCH_BUILD),
+    ),
+    Mutant(
+        "a window key without its place",
+        EMBEDDINGS,
+        "yield min(t, w), tokens[max(0, t - w) : t + w + 1]",
+        "yield 0, tokens[max(0, t - w) : t + w + 1]",
+        (FEATURIZER,),
+    ),
+    Mutant(
+        "repeated sentences read another sentence's rows",
+        EMBEDDINGS,
+        "[held[k] for s in sentences for k in windows[s.tokens]]",
+        "[held[k] for k in chain.from_iterable(windows.values())]",
+        (BATCH_BUILD,),
+    ),
+    Mutant(
+        "the gather reads the next held row",
+        EMBEDDINGS,
+        "held.update(zip(new, range(len(held), len(held) + len(new))))",
+        "held.update(zip(new, range(len(held) + 1, len(held) + len(new) + 1)))",
+        (HELD_ROWS, HELD_QUERIES),
+    ),
+)
+
+
+def _pytest(tree: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="copytag-mutants-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(
+            ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+        )
+        tests = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        if _pytest(tree, tests) != 0:
+            print(f"the named tests do not pass on the unmutated tree: {' '.join(tests)}")
+            return 1
+        for mutant in MUTANTS:
+            path = tree / mutant.path
+            text = path.read_text(encoding="utf-8")
+            count = text.count(mutant.old)
+            if count != 1:
+                outcome = f"old text found {count} times in {mutant.path}"
+            else:
+                path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+                try:
+                    code = _pytest(tree, mutant.tests)
+                finally:
+                    path.write_text(text, encoding="utf-8")
+                # pytest exits 1 when a test failed; other codes mean the
+                # tests were not run as named
+                outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit status {code}")
+            print(f"{outcome:>10}  {mutant.name}")
+            if outcome != "killed":
+                failures.append(mutant.name)
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

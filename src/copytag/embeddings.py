@@ -21,20 +21,21 @@ at most 2**32.
 A token's ids are the union of its window's entries, so its ids, its
 slots and its row depend only on its window: its place in the window and
 the window's tokens, clipped at the sentence's ends. The parameters keep
-the ids and slots of each distinct window, and a sentence's TokenColumns
-are its windows' entries, one after another. The provider holds the row
-of every window of the datasets it embedded in one batch until the
-weights move, so embedding a sentence made of held windows is one gather.
+the ids and slots of each distinct window. The provider sums each window
+it embeds once and holds its row until the weights move, so a sentence
+is a gather of held rows, and one embedded again sums nothing. A
+training sentence's TokenColumns, which its backward pass reads, are its
+windows' entries, one after another.
 
 The sums equal np.add.reduceat(storage[slots], starts, axis=0) bit for
 bit, numpy's pairwise summation order included, but add whole contiguous
 rows where reduceat walks down each column with a row-sized stride. All
 tokens take each step of that order at once; the gather order that makes
-each step one add into a prefix of the rows is planned once per cached
-sentence, or once for a batch of windows. Long sentences are summed in
-runs of whole tokens, whose cuts do not change the bits. The backward
-pass scatters each token's gradient row into its columns, one token at a
-time in token order.
+each step one add into a prefix of the rows is planned once per batch
+of windows, or once per training sentence's TokenColumns. Long sentences
+are summed in runs of whole tokens, whose cuts do not change the bits.
+The backward pass scatters each token's gradient row into its columns,
+one token at a time in token order.
 """
 
 from __future__ import annotations
@@ -676,19 +677,20 @@ class ColumnGrads:
 class HashedWindowEmbedder:
     """Trainable embedding provider over EmbedderParams.
 
-    embed_batch sums each window it is handed once, and holds the rows
-    until the parameters' revision moves. A sentence whose windows are all
-    held is embedded as one gather of their rows. Any other sentence is
-    embedded from its TokenColumns: its windows' sorted bucket ids and
-    storage slots, cached per distinct token tuple and planned once. Both
-    stay valid across parameter updates, because hashing does not depend
-    on the weights and slots never move.
+    embed and embed_batch sum each window not held yet once, and hold its
+    row until the parameters' revision moves; every sentence is a gather
+    of held rows. A query builds no TokenColumns: those of a training
+    sentence, its windows' sorted bucket ids and storage slots, are cached
+    per distinct token tuple and planned once for its forward and backward
+    passes. They stay valid across parameter updates, because hashing does
+    not depend on the weights and slots never move.
     """
 
     def __init__(self, params: EmbedderParams | None = None, **kwargs):
         self.params = params if params is not None else EmbedderParams(**kwargs)
         self._column_cache: dict[tuple[str, ...], TokenColumns] = {}
-        # window -> its row of _rows, summed at revision _held_at
+        # window -> its row of _rows, summed at revision _held_at; _rows
+        # grows by doubling and is reused once the revision moves
         self._held: dict[Window, int] = {}
         self._rows = np.zeros((0, self.params.dim))
         self._held_at = self.params.revision
@@ -713,37 +715,38 @@ class HashedWindowEmbedder:
     def _held_rows(self) -> dict[Window, int]:
         # set_columns is the one writer of weights and moves the revision
         if self._held_at != self.params.revision:
-            self._held, self._rows, self._held_at = {}, self._rows[:0], self.params.revision
+            self._held, self._held_at = {}, self.params.revision
         return self._held
 
+    def _hold(self, sums: np.ndarray) -> None:
+        # tanh of the sums into the rows after the held ones
+        held = len(self._held)
+        if held + len(sums) > self._rows.shape[0]:
+            cap = max(64, self._rows.shape[0])
+            while cap < held + len(sums):
+                cap *= 2
+            grown = np.zeros((cap, self.dim))
+            grown[:held] = self._rows[:held]
+            self._rows = grown
+        np.tanh(sums, out=self._rows[held : held + len(sums)])
+
     def embed(self, sentence: Sentence) -> np.ndarray:
-        held = self._held_rows()
-        # nothing is held between training steps, where the refresh embeds
-        if held:
-            rows = []
-            for window in _windows(sentence.tokens, self.params.window):
-                row = held.get(window)
-                if row is None:
-                    break
-                rows.append(row)
-            else:
-                return self._rows[rows]
-        return _embed_columns(self.params, self.token_columns(sentence))
+        """The sentence's token rows, read-only: embed_batch([sentence])[0]."""
+        return self.embed_batch([sentence])[0]
 
     def embed_batch(self, sentences: Sequence[Sentence]) -> list[np.ndarray]:
-        """embed(sentence) of every sentence, bit for bit. The windows not
+        """The token rows of every sentence, read-only. The windows not
         held yet are featurized if new and summed at once, through one
-        plan, then held; every sentence is a gather of held rows."""
+        plan, then held until the revision moves; every sentence is a
+        gather of held rows."""
         held, w = self._held_rows(), self.params.window
         windows = {s.tokens: list(_windows(s.tokens, w)) for s in sentences}
         new = [k for k in dict.fromkeys(chain.from_iterable(windows.values())) if k not in held]
         if new:
             _, slots = zip(*self.params._window_entries(new))
             counts = np.fromiter(map(len, slots), dtype=np.int64, count=len(slots))
-            sums = _column_sums(self.params.storage, np.concatenate(slots), np.cumsum(counts) - counts)
+            self._hold(_column_sums(self.params.storage, np.concatenate(slots), np.cumsum(counts) - counts))
             held.update(zip(new, range(len(held), len(held) + len(new))))
-            self._rows = np.concatenate([self._rows, np.tanh(sums, out=sums)])
-            self._rows.setflags(write=False)
         rows = self._rows[[held[k] for s in sentences for k in windows[s.tokens]]]
         rows.setflags(write=False)
         bounds = list(accumulate(map(len, sentences), initial=0))

@@ -7,9 +7,9 @@ keeps every sentence's token rows in one read-only matrix, sentence after
 sentence, with the label of each row beside it and the L2-normalized mean
 of each sentence's rows as the vector that represents it; sentence k is
 index row k. Its rows come from one provider.embed_batch call over the
-whole dataset; the hashed embedder sums each distinct token window there
-once and keeps those rows, so a query made of the dataset's windows is
-embedded by a gather until the weights move. Queries are exact cosine
+whole dataset; the hashed embedder sums each distinct token window once,
+a query's too, and holds its row until the weights move, so a query sums
+only the windows not held yet and gathers the rest. Queries are exact cosine
 scans with deterministic tie-breaking by ascending sentence id. The
 index also ranks every token's label window, its labels to the end of
 its sentence, in lexicographic order once, so a segment dictionary over

@@ -5,9 +5,9 @@ built once with the initial parameters; the loss is the negative log of
 the copy posterior mass on gold-typed neighbor tokens. Gradients flow only
 into the input sentence's embeddings and reach the weights through the
 sparse tanh backward pass. Neighbor embeddings are treated as constants:
-they start as a copy of the index's token rows, and before each batch a
-sentence's row range is embedded again if the parameters moved since it
-was embedded.
+they start as a copy of the index's token rows, and before each batch
+the neighbors whose rows were embedded before the parameters last moved
+are embedded again, in one batch.
 Updates use bias-corrected Adam on exactly the columns with nonzero
 gradient.
 
@@ -29,6 +29,7 @@ column value text aside.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -233,9 +234,11 @@ def fine_tune(
     applied per batch. With epochs=0 the returned checkpoint holds the
     initial parameters and an empty log.
 
-    Neighbor rows start as a copy of the index's token rows. Before a
-    sentence's rows are used they are embedded again under the current
-    parameters, unless they were embedded at the current `params.revision`.
+    Neighbor rows start as a copy of the index's token rows. Before each
+    batch, one embed_batch call embeds again, under the current
+    parameters, the batch's distinct neighbors, in first-seen order over
+    the sorted batch, that were not embedded at the current
+    `params.revision`.
     """
     if provider is None:
         provider = HashedWindowEmbedder()
@@ -265,14 +268,6 @@ def fine_tune(
     row_starts = index.row_starts.tolist()
     row_revision = [params.revision] * len(index)
 
-    def refresh(sid: int) -> None:
-        # Parameters only move between batches, so rows embedded at the
-        # current revision equal a fresh embedding bit for bit.
-        if row_revision[sid] != params.revision:
-            lo, hi = row_starts[sid], row_starts[sid + 1]
-            rows[lo:hi] = provider.embed(train.items[sid].sentence)
-            row_revision[sid] = params.revision
-
     rng = np.random.default_rng(config.seed)
     state = AdamState()
     log: list[EpochStats] = []
@@ -281,12 +276,19 @@ def fine_tune(
         total_nll = 0.0
         total_skipped = 0
         for batch in _batches(order, config.batch_size):
+            batch = sorted(batch)
+            # Parameters only move between batches, so rows embedded at the
+            # current revision equal a fresh embedding bit for bit.
+            neighbor_ids = chain.from_iterable(neighbor_sets[sid].ids.tolist() for sid in batch)
+            stale = [nid for nid in dict.fromkeys(neighbor_ids) if row_revision[nid] != params.revision]
+            fresh = provider.embed_batch([train.items[nid].sentence for nid in stale])
+            for nid, matrix in zip(stale, fresh):
+                rows[row_starts[nid] : row_starts[nid + 1]] = matrix
+                row_revision[nid] = params.revision
             blocks: list[ColumnGrads] = []
-            for sid in sorted(batch):
+            for sid in batch:
                 item = train.items[sid]
                 neighbors = neighbor_sets[sid]
-                for nid in neighbors.ids.tolist():
-                    refresh(nid)
                 flat = rows.take(neighbors.rows, axis=0)
                 cols = provider.token_columns(item.sentence)
                 embeddings = _embed_columns(params, cols)

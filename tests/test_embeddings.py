@@ -2,6 +2,7 @@ import hashlib
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -651,18 +652,32 @@ class TestPairwiseOracle:
 
 
 class TestSumPlan:
-    def test_built_once_per_cached_sentence(self, monkeypatch):
-        built = []
-        plan_of = embeddings._sum_plan
+    def test_query_sums_each_window_once(self, monkeypatch):
+        # a sentence embedded again at one revision sums nothing, and one
+        # partly held sums only its missing windows; no query builds
+        # TokenColumns, so none is planned or cached
+        summed = []
+        sums_of = embeddings._column_sums
         monkeypatch.setattr(
-            embeddings, "_sum_plan", lambda *args: built.append(args) or plan_of(*args)
+            embeddings,
+            "_column_sums",
+            lambda storage, slots, starts: summed.append(starts.size) or sums_of(storage, slots, starts),
         )
+        monkeypatch.setattr(embeddings, "_token_columns", mock.Mock(side_effect=AssertionError))
         provider = HashedWindowEmbedder(EmbedderParams(dim=8, n_buckets=512))
         first = provider.embed(SENT)
-        plan = provider.token_columns(SENT).plan
         assert _bits(provider.embed(SENT)) == _bits(first)
-        assert provider.token_columns(SENT).plan is plan
-        assert len(built) == 1
+        assert summed == [5]
+        # the first three windows are clipped at the start and held
+        longer = Sentence(1, (*SENT.tokens, "then", "left"))
+        rows = provider.embed(longer)
+        assert summed == [5, 4]
+        assert _bits(rows[:3]) == _bits(first[:3])
+        assert provider._column_cache == {}
+        for sentence, matrix in ((SENT, first), (longer, rows)):
+            columns = _token_columns(provider.params, sentence)
+            expected = reference_embed_columns(provider.params.storage, columns.slots, columns.starts)
+            assert _bits(matrix) == _bits(expected)
 
     def test_plan_follows_its_own_slots(self):
         # SENT featurized after another sentence takes other slots than in a
@@ -707,6 +722,59 @@ class TestSumPlan:
                 starts=np.array(starts),
                 counts=np.array(counts),
             )
+
+
+# few words, so windows repeat and are partly shared across sentences
+HELD_WORDS = ("a", "b", "B", "c1")
+# 70 distinct windows each: two at one revision grow the held rows twice
+WIDE_SENTENCES = tuple(tuple(f"{k}w{i}" for i in range(70)) for k in range(2))
+
+
+@st.composite
+def held_store_ops(draw):
+    """(window, ops): ("embed", tokens), ("batch", token tuples) or
+    ("move", value), with both wide sentences embedded in a row somewhere."""
+    sentence = st.lists(st.sampled_from(HELD_WORDS), min_size=1, max_size=6).map(tuple)
+    op = st.one_of(
+        st.tuples(st.just("embed"), sentence),
+        st.tuples(st.just("batch"), st.lists(sentence, max_size=4)),
+        st.tuples(st.just("move"), st.sampled_from([0.5, -2.0])),
+    )
+    ops = draw(st.lists(op, min_size=1, max_size=12))
+    at = draw(st.integers(0, len(ops)))
+    ops[at:at] = [("batch", [WIDE_SENTENCES[0]]), ("embed", WIDE_SENTENCES[1])]
+    return draw(st.sampled_from([0, 1, 2])), ops
+
+
+class TestHeldRows:
+    @settings(max_examples=30, deadline=None)
+    @given(held_store_ops())
+    def test_every_gather_matches_the_reference_sums(self, case):
+        # every matrix equals the reduceat oracle over the current storage,
+        # so a row held from an older revision never comes back
+        window, ops = case
+        provider = HashedWindowEmbedder(EmbedderParams(dim=4, n_buckets=2**12, window=window, seed=3))
+        params = provider.params
+        capacities = {0}
+        last = None
+        for kind, arg in ops:
+            if kind == "move":
+                if last is not None:
+                    # columns of the last embedded sentence, whose rows are held
+                    moved = np.unique(_token_columns(params, last).columns)[:3]
+                    slots = params.slots_for(moved)
+                    params.set_columns(moved, slots, params.storage[slots] + arg)
+                continue
+            sentences = [Sentence(0, tokens) for tokens in ([arg] if kind == "embed" else arg)]
+            matrices = [provider.embed(sentences[0])] if kind == "embed" else provider.embed_batch(sentences)
+            assert len(matrices) == len(sentences)
+            for sentence, matrix in zip(sentences, matrices):
+                columns = _token_columns(params, sentence)
+                expected = reference_embed_columns(params.storage, columns.slots, columns.starts)
+                assert _bits(matrix) == _bits(expected)
+                last = sentence
+            capacities.add(provider._rows.shape[0])
+        assert len(capacities) >= 3
 
 
 class TestTokenByTokenBackward:

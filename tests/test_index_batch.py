@@ -105,16 +105,20 @@ def test_non_finite_storage_row_names_the_first_sentence(case, data):
     db = build_dataset([(tokens, ("O",) * len(tokens)) for tokens in rows])
     provider = _provider(window)
     _prepare(provider, db, cached, featurized)
-    # every column is materialized and none is held: no row was summed in
-    # a batch, so a row poisoned now is read by both paths
+    # every column is materialized; rewriting one column with its own
+    # values moves the revision, so nothing is held and a row poisoned now
+    # is read by both paths
+    params = provider.params
     columns = {item.sentence.tokens: provider.token_columns(item.sentence) for item in db.items}
     poisoned = data.draw(st.integers(0, len(rows) - 1))
     slots = columns[rows[poisoned]].slots
-    slot = int(slots[data.draw(st.integers(0, slots.size - 1))])
-    provider.params.storage[slot, 0] = np.nan
+    at = data.draw(st.integers(0, slots.size - 1))
+    slot = int(slots[at])
+    params.set_columns(columns[rows[poisoned]].columns[at : at + 1], slots[at : at + 1], params.storage[[slot]])
+    params.storage[slot, 0] = np.nan
     first = next(item.sentence for item in db.items if slot in columns[item.sentence.tokens].slots)
     with pytest.raises(ValueError) as today:
-        checked_embedding(provider, first)
+        checked_embedding(HashedWindowEmbedder(params), first)
     with pytest.raises(ValueError) as batched:
         build_index(db, provider)
     assert str(batched.value) == str(today.value)

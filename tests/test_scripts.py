@@ -3,7 +3,8 @@
 scripts/make_synthetic_corpus.py promises to regenerate data/ byte for
 byte. Loading the script by path checks that promise without running its
 main(), so no file is written. scripts/run_suffix_experiment.py runs in a
-child process on a tiny corpus.
+child process on a tiny corpus. scripts/mutants.py runs its mutants
+outside tier-1; here only its table is checked against the tree.
 """
 
 import importlib.util
@@ -18,10 +19,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "make_synthetic_corpus.py"
 
 
-def test_make_synthetic_corpus_reproduces_data():
-    spec = importlib.util.spec_from_file_location("copytag_make_corpus", SCRIPT)
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_make_synthetic_corpus_reproduces_data():
+    script = _load(SCRIPT, "copytag_make_corpus")
     assert script.SPLITS
     for name, (n_sentences, seed) in script.SPLITS.items():
         expected = (ROOT / "data" / name).read_text(encoding="utf-8")
@@ -49,3 +55,14 @@ def test_run_suffix_experiment_smoke():
     assert proc.returncode == 0, proc.stderr
     assert "before fine-tuning: dev token accuracy" in proc.stdout
     assert "after fine-tuning: dev token accuracy" in proc.stdout
+
+
+def test_mutant_table_matches_the_tree():
+    # each mutant's old text is in its file exactly once, so a change to
+    # mutated code fails here until the table follows it
+    script = _load(ROOT / "scripts" / "mutants.py", "copytag_mutants")
+    assert script.MUTANTS
+    for mutant in script.MUTANTS:
+        text = (ROOT / mutant.path).read_text(encoding="utf-8")
+        assert text.count(mutant.old) == 1, mutant.name
+        assert mutant.tests, mutant.name

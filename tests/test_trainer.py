@@ -289,6 +289,57 @@ class TestFineTune:
                 scan = linear_scan(index, index.vectors[sid], count, (sid,))
                 assert ids == [nid for nid, _ in scan]
 
+    def test_one_refresh_call_per_batch_over_its_stale_neighbors(self, monkeypatch):
+        # Before each batch, one embed_batch call takes the batch's distinct
+        # neighbors in first-seen order over the sorted batch, leaving out
+        # those already embedded at the current revision. The batch is read
+        # from the backprop calls that follow, one per sentence in order.
+        neighbor_ids = []
+
+        def recording(index, ids):
+            neighbor_ids.append(list(ids))
+            return assemble_neighbor_set(index, ids)
+
+        monkeypatch.setattr(trainer, "assemble_neighbor_set", recording)
+        provider = small_embedder()
+        events = []
+        embed_batch, backprop = provider.embed_batch, provider.backprop
+
+        def spy_embed_batch(sentences):
+            events.append(("embed", [s.uid for s in sentences], provider.params.revision))
+            return embed_batch(sentences)
+
+        def spy_backprop(sentence, *args):
+            events.append(("backprop", sentence.uid))
+            return backprop(sentence, *args)
+
+        monkeypatch.setattr(provider, "embed_batch", spy_embed_batch)
+        monkeypatch.setattr(provider, "backprop", spy_backprop)
+        train = suffix_corpus(14, seed=5)
+        assert [item.sentence.uid for item in train.items] == list(range(14))
+        cfg = TrainConfig(epochs=3, batch_size=4, train_neighbors=5, test_neighbors=5, seed=2)
+        fine_tune(cfg, train, provider=provider)
+
+        # the index build embeds the whole dataset first
+        kind, uids, revision = events[0]
+        assert kind == "embed" and uids == list(range(14))
+        embedded_at = [revision] * 14
+        refreshes = [i for i, event in enumerate(events) if event[0] == "embed"][1:]
+        assert len(refreshes) == cfg.epochs * 4
+        repeats = 0
+        for at, end in zip(refreshes, [*refreshes[1:], len(events)]):
+            _, uids, revision = events[at]
+            batch = [event[1] for event in events[at + 1 : end]]
+            assert batch == sorted(batch) and 1 <= len(batch) <= cfg.batch_size
+            seen = dict.fromkeys(nid for sid in batch for nid in neighbor_ids[sid])
+            assert uids == [nid for nid in seen if embedded_at[nid] != revision]
+            for nid in uids:
+                embedded_at[nid] = revision
+            repeats += sum(map(len, (neighbor_ids[sid] for sid in batch))) - len(seen)
+        # the first batch's neighbors are all fresh, and batches share neighbors
+        assert events[refreshes[0]][1] == []
+        assert repeats > 0
+
     def test_one_sentence_is_too_small(self):
         with pytest.raises(ValueError, match="at least two sentences"):
             fine_tune(
