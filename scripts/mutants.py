@@ -32,6 +32,7 @@ HELD_ROWS = "tests/test_embeddings.py::TestHeldRows"
 HELD_QUERIES = "tests/test_index_batch.py::test_held_windows_embed_as_the_per_sentence_path"
 BATCH_BUILD = "tests/test_index_batch.py::test_batched_build_matches_per_sentence_embedding"
 PAIRWISE = "tests/test_embeddings.py::TestPairwiseOracle"
+CACHE_SIZED = "tests/test_embeddings.py::TestCacheSizedForward"
 FEATURIZER = "tests/test_embeddings.py::TestMatchesFeaturizerReference"
 
 
@@ -54,7 +55,7 @@ MUTANTS = (
     Mutant(
         "held rows not copied when the buffer grows",
         EMBEDDINGS,
-        "            grown[:held] = self._rows[:held]\n",
+        "    grown[:used] = buffer[:used]\n",
         "",
         (HELD_ROWS,),
     ),
@@ -89,9 +90,29 @@ MUTANTS = (
     Mutant(
         "+0.0 in place of -0.0 as the sum of no rows",
         EMBEDDINGS,
-        "sums = np.full((run.where.size, dim), -0.0)",
-        "sums = np.full((run.where.size, dim), 0.0)",
+        "sums = np.full((where.size, dim), -0.0)",
+        "sums = np.full((where.size, dim), 0.0)",
         (PAIRWISE,),
+    ),
+    Mutant(
+        "lane sums stored in group order, not leftover order",
+        EMBEDDINGS,
+        "sums[where[by_group[: steps[0] if steps else 0]]] = pairs[0] + pairs[1]",
+        "sums[by_group[: steps[0] if steps else 0]] = pairs[0] + pairs[1]",
+        (PAIRWISE, CACHE_SIZED),
+    ),
+    Mutant(
+        "leftover steps added last-first",
+        EMBEDDINGS,
+        "    at = k\n"
+        "    for size in in_left.sum(axis=1).tolist():\n"
+        "        sums[:size] += head[at : at + size]\n"
+        "        at += size\n",
+        "    at = head.shape[0]\n"
+        "    for size in in_left.sum(axis=1).tolist()[::-1]:\n"
+        "        at -= size\n"
+        "        sums[:size] += head[at : at + size]\n",
+        (PAIRWISE, CACHE_SIZED),
     ),
     Mutant(
         "a token without columns passes the layout check",

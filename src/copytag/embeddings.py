@@ -24,16 +24,17 @@ the window's tokens, clipped at the sentence's ends. The parameters keep
 the ids and slots of each distinct window. The provider sums each window
 it embeds once and holds its row until the weights move, so a sentence
 is a gather of held rows, and one embedded again sums nothing. A
-training sentence's TokenColumns, which its backward pass reads, are its
-windows' entries, one after another.
+training sentence's TokenColumns, which its forward and backward passes
+read, are its windows' entries, one after another, built on each call
+and kept by no one.
 
 The sums equal np.add.reduceat(storage[slots], starts, axis=0) bit for
 bit, numpy's pairwise summation order included, but add whole contiguous
 rows where reduceat walks down each column with a row-sized stride. All
-tokens take each step of that order at once; the gather order that makes
-each step one add into a prefix of the rows is planned once per batch
-of windows, or once per training sentence's TokenColumns. Long sentences
-are summed in runs of whole tokens, whose cuts do not change the bits.
+tokens take each step of that order at once, in a gather order that
+makes each step one add into a prefix of the rows, worked out for each
+run of whole tokens and used right away. Runs cut long sentences and
+batches; their cuts do not change the bits.
 The backward pass scatters each token's gradient row into its columns,
 one token at a time in token order.
 """
@@ -41,7 +42,7 @@ one token at a time in token order.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import Sequence
 
@@ -202,6 +203,31 @@ def _surface_features(token: str) -> list[str]:
     return feats
 
 
+def _grown(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """`buffer` if it has `needed` rows, else a zeroed one of 64 rows,
+    doubled until `needed` fit, holding its first `used` rows: a batch of
+    new rows grows it to the size that adding them one at a time reaches."""
+    if needed <= buffer.shape[0]:
+        return buffer
+    cap = max(64, buffer.shape[0])
+    while cap < needed:
+        cap *= 2
+    grown = np.zeros((cap, buffer.shape[1]))
+    grown[:used] = buffer[:used]
+    return grown
+
+
+def _split_per_owner(
+    keys: Sequence, owner: np.ndarray, ids: np.ndarray, slots: np.ndarray
+) -> dict:
+    """{keys[i]: (ids of owner i, their slots)}, as read-only slices;
+    `owner` is sorted and names each entry's key by position."""
+    ids.setflags(write=False)
+    slots.setflags(write=False)
+    ends = np.cumsum(np.bincount(owner, minlength=len(keys))).tolist()
+    return {key: (ids[lo:hi], slots[lo:hi]) for key, lo, hi in zip(keys, [0, *ends], ends)}
+
+
 class EmbedderParams:
     """Weights of the hashed-window embedder.
 
@@ -274,18 +300,6 @@ class EmbedderParams:
             }
             row[:] = rng.normal(0.0, INIT_STD, self.dim)
 
-    def _ensure_capacity(self, needed: int) -> None:
-        if needed <= self._store.shape[0]:
-            return
-        # 64 rows, doubled until `needed` fit: a batch of new columns grows
-        # the store to the size that adding them one at a time reaches
-        cap = max(64, self._store.shape[0])
-        while cap < needed:
-            cap *= 2
-        grown = np.zeros((cap, self.dim))
-        grown[: len(self._slot)] = self._store[: len(self._slot)]
-        self._store = grown
-
     def _new_slots(self, cols: list[int]) -> int:
         """Consecutive unfilled storage rows for `cols`, which must be
         unique and not yet materialized; returns the first. Every column is
@@ -294,7 +308,7 @@ class EmbedderParams:
             if not 0 <= col < self.n_buckets:
                 raise ValueError(f"column {col} outside [0, {self.n_buckets})")
         start = len(self._slot)
-        self._ensure_capacity(start + len(cols))
+        self._store = _grown(self._store, start, start + len(cols))
         self._slot.update(zip(cols, range(start, start + len(cols))))
         return start
 
@@ -340,13 +354,7 @@ class EmbedderParams:
         owner = np.repeat(np.arange(len(keys)), sizes)
         picks = _distinct_per_owner(owner, hashed, self.n_buckets)
         ids = hashed[picks]
-        slots = self.slots_for(ids)
-        # read-only, and so is every slice of them
-        ids.setflags(write=False)
-        slots.setflags(write=False)
-        ends = np.cumsum(np.bincount(owner[picks], minlength=len(keys))).tolist()
-        for key, lo, hi in zip(keys, [0, *ends], ends):
-            self._features[key] = (ids[lo:hi], slots[lo:hi])
+        self._features.update(_split_per_owner(keys, owner[picks], ids, self.slots_for(ids)))
 
     def _feature_entries(
         self, keys: Sequence[tuple[int, str]]
@@ -380,12 +388,9 @@ class EmbedderParams:
             )
             flat_ids = np.concatenate(ids)
             picks = _distinct_per_owner(owner, flat_ids, self.n_buckets)
-            union, slots = flat_ids[picks], np.concatenate(slots)[picks]
-            union.setflags(write=False)
-            slots.setflags(write=False)
-            ends = np.cumsum(np.bincount(owner[picks], minlength=len(new))).tolist()
-            for window, lo, hi in zip(new, [0, *ends], ends):
-                self._windows[window] = (union[lo:hi], slots[lo:hi])
+            self._windows.update(
+                _split_per_owner(new, owner[picks], flat_ids[picks], np.concatenate(slots)[picks])
+            )
             entries = list(map(self._windows.get, windows))
         return entries
 
@@ -436,20 +441,18 @@ class TokenColumns:
     Token t owns columns[starts[t] : starts[t] + counts[t]], sorted
     ascending; that order fixes the summation order, so every path that
     embeds a sentence agrees bit for bit. slots[i] is the storage row of
-    columns[i] in the EmbedderParams that featurized the sentence.
+    columns[i] in the EmbedderParams that featurized the sentence. The
+    arrays are read-only; the provider builds them anew on each call.
     """
 
     columns: np.ndarray
     slots: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
-    # _sum_plan of the slots, built with them: every embed of the
-    # sentence reuses it
-    plan: tuple["_SumRun", ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # reduceat would read a token with no columns as the next token's
-        # first row; the plan reads each token's slots right after the last
+        # first row; _column_sums reads each token's slots right after the last
         if (self.counts < 1).any():
             t = int(np.argmax(self.counts < 1))
             raise ValueError(f"token {t} has {self.counts[t]} columns; every token needs one")
@@ -458,10 +461,8 @@ class TokenColumns:
             raise ValueError("starts must be the exclusive cumulative sum of counts")
         if not self.columns.size == self.slots.size == (ends[-1] if ends.size else 0):
             raise ValueError("columns and slots must hold counts.sum() entries")
-        # a provider hands the same cached object to every caller
         for array in (self.columns, self.slots, self.starts, self.counts):
             array.setflags(write=False)
-        object.__setattr__(self, "plan", _sum_plan(self.slots, self.starts, self.counts))
 
 
 def _distinct_per_owner(owner: np.ndarray, ids: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -515,36 +516,26 @@ def _tree_sum(sums: np.ndarray, tree) -> np.ndarray:
     return sums[tree]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class _SumRun:
-    """One run of whole tokens. A segment is the rows after a token's
-    first or, past _PAIRWISE_BLOCK of them, a leaf of their tree: the run's
-    tokens (one with leaves is empty and has a tree), then the leaves.
-    `gather` holds every row's slot once, as int32 to halve what a cached
-    sentence keeps: the first rows, the leftover rows after each segment's
-    groups of 8 by (step, segment), then the groups by (step, lane,
-    segment). Group steps order the segments by group count and leftover
-    steps by leftover count, so each step adds into a prefix. The sums are
-    kept in leftover order: the lane sums go to rows `lane_rows`, and
+def _run_sums(
+    storage: np.ndarray, slots: np.ndarray, first: np.ndarray, counts: np.ndarray, out: np.ndarray
+) -> None:
+    """Sum one run of whole tokens into `out`. A segment is the rows after
+    a token's first or, past _PAIRWISE_BLOCK of them, a leaf of their tree:
+    the run's tokens (one with leaves is empty and has a tree), then the
+    leaves. Every row is gathered once: the first rows and the leftover
+    rows after each segment's groups of 8 by (step, segment), then the
+    groups by (step, lane, segment), a chunk of steps at a time. Group
+    steps order the segments by group count and leftover steps by leftover
+    count, so each step adds into a prefix. The sums are kept in leftover
+    order: the lane sums go to the rows of their segments there, and
     `where` reads them back in segment order."""
-
-    tokens: slice
-    gather: np.ndarray
-    chunks: list[list[int]]  # segments of each group step, by chunk gathered
-    leftovers: list[int]  # segments in each leftover step
-    lane_rows: np.ndarray
-    where: np.ndarray
-    trees: list[tuple[int, object]]
-
-
-def _plan_run(tokens: slice, slots: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> _SumRun:
-    first = starts[tokens]
-    seg_start, seg_len = first + 1, counts[tokens] - 1
+    k, dim = first.size, storage.shape[1]
+    seg_start, seg_len = first + 1, counts - 1
     trees = []
     if seg_len.max() > _PAIRWISE_BLOCK:
         leaves: list[tuple[int, int]] = []
         for t in np.flatnonzero(seg_len > _PAIRWISE_BLOCK).tolist():
-            trees.append((t, _pairwise_tree(int(seg_start[t]), int(seg_len[t]), leaves, first.size)))
+            trees.append((t, _pairwise_tree(int(seg_start[t]), int(seg_len[t]), leaves, k)))
             seg_len[t] = 0
         seg_start, seg_len = np.concatenate([[seg_start, seg_len], np.array(leaves).T], axis=1)
     groups, left = np.divmod(seg_len, 8)
@@ -553,77 +544,40 @@ def _plan_run(tokens: slice, slots: np.ndarray, starts: np.ndarray, counts: np.n
     where = np.argsort(by_left)
     # step i of each kind takes the segments with more than i groups or leftovers
     in_group = np.arange(groups.max())[:, np.newaxis] < groups[by_group]
-    lanes = (seg_start[by_group] + 8 * np.arange(in_group.shape[0])[:, np.newaxis])[:, np.newaxis]
-    lanes = (lanes + np.arange(8)[:, np.newaxis])[in_group[:, np.newaxis].repeat(8, axis=1)]
     in_left = np.arange(left.max())[:, np.newaxis] < left[by_left]
     rest = ((seg_start + 8 * groups)[by_left] + np.arange(in_left.shape[0])[:, np.newaxis])[in_left]
-    group_sizes = in_group.sum(axis=1).tolist()
-    # consecutive group steps gathered at once, up to EMBED_CHUNK_ROWS rows
-    chunks: list[list[int]] = []
-    rows = EMBED_CHUNK_ROWS
-    for size in group_sizes:
-        if rows + 8 * size > EMBED_CHUNK_ROWS:
-            chunks.append([])
-            rows = 0
-        chunks[-1].append(size)
-        rows += 8 * size
-    return _SumRun(
-        tokens=tokens,
-        gather=slots[np.concatenate([first, rest, lanes])].astype(np.int32),
-        chunks=chunks,
-        leftovers=in_left.sum(axis=1).tolist(),
-        lane_rows=where[by_group[: group_sizes[0] if group_sizes else 0]],
-        where=where,
-        trees=trees,
-    )
-
-
-def _sum_plan(slots: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple[_SumRun, ...]:
-    # runs of whole tokens of at most EMBED_RUN_ROWS rows, or one longer token
-    bounds = [*starts.tolist(), slots.size]
-    runs = []
-    lo = 0
-    while lo < starts.size:
-        hi = max(lo + 1, bisect_right(bounds, bounds[lo] + EMBED_RUN_ROWS) - 1)
-        runs.append(_plan_run(slice(lo, hi), slots, starts, counts))
-        lo = hi
-    return tuple(runs)
-
-
-def _planned_sums(storage: np.ndarray, plan: tuple[_SumRun, ...], n_tokens: int) -> np.ndarray:
-    dim = storage.shape[1]
-    out = np.empty((n_tokens, dim))
-    for run in plan:
-        k = run.tokens.stop - run.tokens.start
-        at = k + sum(run.leftovers)
-        head = storage[run.gather[:at]]
-        lanes = None
-        for sizes in run.chunks:
-            rows = storage[run.gather[at : at + 8 * sum(sizes)]]
-            at += rows.shape[0]
-            for size in sizes:
-                step, rows = rows[: 8 * size].reshape(8, size, dim), rows[8 * size :]
-                if lanes is None:
-                    lanes = step
-                else:
-                    lanes[:, :size] += step
+    head = storage[slots[np.concatenate([first, rest])]]
+    group_at = (seg_start[by_group] + 8 * np.arange(in_group.shape[0])[:, np.newaxis])[:, np.newaxis]
+    lane_slots = slots[(group_at + np.arange(8)[:, np.newaxis])[in_group[:, np.newaxis].repeat(8, axis=1)]]
+    steps = in_group.sum(axis=1).tolist()
+    bounds = [0, *accumulate(8 * size for size in steps)]
+    lanes, chunk_end = None, 0
+    for i, size in enumerate(steps):
+        if bounds[i] == chunk_end:
+            # the next whole group steps, up to EMBED_CHUNK_ROWS rows, at once
+            chunk_end = bounds[max(i + 1, bisect_right(bounds, bounds[i] + EMBED_CHUNK_ROWS) - 1)]
+            rows = storage[lane_slots[bounds[i] : chunk_end]]
+        step, rows = rows[: 8 * size].reshape(8, size, dim), rows[8 * size :]
         if lanes is None:
-            lanes = head[:0].reshape(8, 0, dim)
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        pairs = lanes[0::2] + lanes[1::2]
-        pairs = pairs[0::2] + pairs[1::2]
-        # -0.0 + x is x: pairwise_sum starts fewer than 8 rows there
-        sums = np.full((run.where.size, dim), -0.0)
-        sums[run.lane_rows] = pairs[0] + pairs[1]
-        at = k
-        for size in run.leftovers:
-            sums[:size] += head[at : at + size]
-            at += size
-        sums = sums[run.where]
-        for t, tree in run.trees:
-            sums[t] = _tree_sum(sums, tree)
-        np.add(head[:k], sums[:k], out=out[run.tokens])
-    return out
+            lanes = step
+        else:
+            lanes[:, :size] += step
+    if lanes is None:
+        lanes = head[:0].reshape(8, 0, dim)
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    pairs = lanes[0::2] + lanes[1::2]
+    pairs = pairs[0::2] + pairs[1::2]
+    # -0.0 + x is x: pairwise_sum starts fewer than 8 rows there
+    sums = np.full((where.size, dim), -0.0)
+    sums[where[by_group[: steps[0] if steps else 0]]] = pairs[0] + pairs[1]
+    at = k
+    for size in in_left.sum(axis=1).tolist():
+        sums[:size] += head[at : at + size]
+        at += size
+    sums = sums[where]
+    for t, tree in trees:
+        sums[t] = _tree_sum(sums, tree)
+    np.add(head[:k], sums[:k], out=out)
 
 
 def _column_sums(
@@ -642,11 +596,19 @@ def _column_sums(
     tokens take each step at once, with whole-row adds.
     """
     counts = np.diff(starts, append=slots.size)
-    return _planned_sums(storage, _sum_plan(slots, starts, counts), starts.size)
+    out = np.empty((starts.size, storage.shape[1]))
+    # runs of whole tokens of at most EMBED_RUN_ROWS rows, or one longer token
+    bounds = [*starts.tolist(), slots.size]
+    lo = 0
+    while lo < starts.size:
+        hi = max(lo + 1, bisect_right(bounds, bounds[lo] + EMBED_RUN_ROWS) - 1)
+        _run_sums(storage, slots, starts[lo:hi], counts[lo:hi], out[lo:hi])
+        lo = hi
+    return out
 
 
 def _embed_columns(params: EmbedderParams, columns: TokenColumns) -> np.ndarray:
-    return np.tanh(_planned_sums(params.storage, columns.plan, columns.counts.size))
+    return np.tanh(_column_sums(params.storage, columns.slots, columns.starts))
 
 
 def embed_sentence(token_matrix: np.ndarray) -> np.ndarray:
@@ -679,16 +641,17 @@ class HashedWindowEmbedder:
 
     embed and embed_batch sum each window not held yet once, and hold its
     row until the parameters' revision moves; every sentence is a gather
-    of held rows. A query builds no TokenColumns: those of a training
-    sentence, its windows' sorted bucket ids and storage slots, are cached
-    per distinct token tuple and planned once for its forward and backward
-    passes. They stay valid across parameter updates, because hashing does
-    not depend on the weights and slots never move.
+    of held rows. A query builds no TokenColumns. Those of a training
+    sentence, its windows' sorted bucket ids and storage slots, are
+    concatenated from the entries the parameters keep per window, on each
+    call, for its forward and backward passes. Pass either params or the
+    settings of new ones, not both.
     """
 
     def __init__(self, params: EmbedderParams | None = None, **kwargs):
+        if params is not None and kwargs:
+            raise ValueError(f"pass params or their settings, not both: got {', '.join(kwargs)}")
         self.params = params if params is not None else EmbedderParams(**kwargs)
-        self._column_cache: dict[tuple[str, ...], TokenColumns] = {}
         # window -> its row of _rows, summed at revision _held_at; _rows
         # grows by doubling and is reused once the revision moves
         self._held: dict[Window, int] = {}
@@ -705,12 +668,7 @@ class HashedWindowEmbedder:
         return f"hashed:d{p.dim}:b{p.n_buckets}:w{p.window}:s{p.seed}:r{p.revision}"
 
     def token_columns(self, sentence: Sentence) -> TokenColumns:
-        cached = self._column_cache.get(sentence.tokens)
-        if cached is None:
-            cached = self._column_cache[sentence.tokens] = _token_columns(
-                self.params, sentence
-            )
-        return cached
+        return _token_columns(self.params, sentence)
 
     def _held_rows(self) -> dict[Window, int]:
         # set_columns is the one writer of weights and moves the revision
@@ -721,13 +679,7 @@ class HashedWindowEmbedder:
     def _hold(self, sums: np.ndarray) -> None:
         # tanh of the sums into the rows after the held ones
         held = len(self._held)
-        if held + len(sums) > self._rows.shape[0]:
-            cap = max(64, self._rows.shape[0])
-            while cap < held + len(sums):
-                cap *= 2
-            grown = np.zeros((cap, self.dim))
-            grown[:held] = self._rows[:held]
-            self._rows = grown
+        self._rows = _grown(self._rows, held, held + len(sums))
         np.tanh(sums, out=self._rows[held : held + len(sums)])
 
     def embed(self, sentence: Sentence) -> np.ndarray:
@@ -737,8 +689,8 @@ class HashedWindowEmbedder:
     def embed_batch(self, sentences: Sequence[Sentence]) -> list[np.ndarray]:
         """The token rows of every sentence, read-only. The windows not
         held yet are featurized if new and summed at once, through one
-        plan, then held until the revision moves; every sentence is a
-        gather of held rows."""
+        _column_sums call, then held until the revision moves; every
+        sentence is a gather of held rows."""
         held, w = self._held_rows(), self.params.window
         windows = {s.tokens: list(_windows(s.tokens, w)) for s in sentences}
         new = [k for k in dict.fromkeys(chain.from_iterable(windows.values())) if k not in held]
@@ -763,7 +715,8 @@ class HashedWindowEmbedder:
         column's gradient adds these from 0.0 in token order, one token at
         a time; a token's columns are unique, so each token's scatter is
         exact. Inactive buckets are absent from the result and therefore
-        exactly zero.
+        exactly zero. `embeddings` of another shape than d_output, or with
+        non-finite entries, raises naming the sentence.
         """
         d_output = np.asarray(d_output, dtype=float)
         if d_output.shape != (len(sentence), self.dim):
@@ -773,6 +726,14 @@ class HashedWindowEmbedder:
             )
         if not np.all(np.isfinite(d_output)):
             raise ValueError("d_output contains non-finite entries")
+        embeddings = np.asarray(embeddings, dtype=float)
+        if embeddings.shape != d_output.shape:
+            raise ValueError(
+                f"sentence {sentence.uid}: embeddings must have shape "
+                f"{d_output.shape}, got {embeddings.shape}"
+            )
+        if not np.all(np.isfinite(embeddings)):
+            raise ValueError(f"sentence {sentence.uid}: embeddings contain non-finite entries")
         columns = self.token_columns(sentence)
         per_token = d_output * (1.0 - embeddings * embeddings)
         uniq, first, inverse = np.unique(

@@ -288,6 +288,13 @@ class TestEmbedderParams:
 
 
 class TestEmbedTokens:
+    def test_params_and_settings_rejected(self):
+        params = EmbedderParams(dim=4, n_buckets=32)
+        with pytest.raises(ValueError, match="pass params or their settings, not both: got dim"):
+            HashedWindowEmbedder(params, dim=8)
+        assert HashedWindowEmbedder(dim=8).dim == 8
+        assert HashedWindowEmbedder(params).params is params
+
     def test_shape_and_range(self):
         p = EmbedderParams(dim=16, n_buckets=512)
         x = HashedWindowEmbedder(p).embed(SENT)
@@ -542,6 +549,16 @@ class TestBackprop:
         provider = HashedWindowEmbedder(EmbedderParams(dim=4, n_buckets=32))
         with pytest.raises(ValueError):
             provider.backprop(SENT, np.ones((2, 4)), provider.embed(SENT))
+        # a (1, dim) forward pass would broadcast over a 3-token sentence,
+        # and a non-finite one would give non-finite gradients
+        sent = Sentence(7, ("a", "b", "c"))
+        x = provider.embed(sent)
+        with pytest.raises(ValueError, match=r"sentence 7: embeddings must have shape \(3, 4\), got \(1, 4\)"):
+            provider.backprop(sent, np.ones((3, 4)), x[:1])
+        poisoned = x.copy()
+        poisoned[1, 2] = np.nan
+        with pytest.raises(ValueError, match="sentence 7: embeddings contain non-finite entries"):
+            provider.backprop(sent, np.ones((3, 4)), poisoned)
 
 
 
@@ -599,16 +616,20 @@ class TestCacheSizedForward:
             got = _column_sums(storage, slots, starts)
             assert _bits(got) == _bits(reference_column_sums(storage, slots, starts))
 
-    def test_suffix_sentence_through_the_provider(self):
+    def test_suffix_sentence_through_the_provider(self, monkeypatch):
         sentence = suffix_corpus(1, seed=4, min_len=80, max_len=80).items[0].sentence
         provider = HashedWindowEmbedder()
         columns = provider.token_columns(sentence)
         # an 80-token suffix sentence gathers more rows than one run holds
-        assert columns.slots.size > EMBED_RUN_ROWS and len(columns.plan) > 1
+        assert columns.slots.size > EMBED_RUN_ROWS
+        runs = mock.Mock(side_effect=embeddings._run_sums)
+        monkeypatch.setattr(embeddings, "_run_sums", runs)
         expected = reference_embed_columns(
             provider.params.storage, columns.slots, columns.starts
         )
         assert _bits(provider.embed(sentence)) == _bits(expected)
+        assert runs.call_count > 1
+        assert _bits(_embed_columns(provider.params, columns)) == _bits(expected)
 
 
 # Per-token row counts on both sides of numpy's pairwise_sum cases: under 8
@@ -655,7 +676,7 @@ class TestSumPlan:
     def test_query_sums_each_window_once(self, monkeypatch):
         # a sentence embedded again at one revision sums nothing, and one
         # partly held sums only its missing windows; no query builds
-        # TokenColumns, so none is planned or cached
+        # TokenColumns
         summed = []
         sums_of = embeddings._column_sums
         monkeypatch.setattr(
@@ -673,15 +694,14 @@ class TestSumPlan:
         rows = provider.embed(longer)
         assert summed == [5, 4]
         assert _bits(rows[:3]) == _bits(first[:3])
-        assert provider._column_cache == {}
         for sentence, matrix in ((SENT, first), (longer, rows)):
             columns = _token_columns(provider.params, sentence)
             expected = reference_embed_columns(provider.params.storage, columns.slots, columns.starts)
             assert _bits(matrix) == _bits(expected)
 
-    def test_plan_follows_its_own_slots(self):
+    def test_columns_follow_their_own_slots(self):
         # SENT featurized after another sentence takes other slots than in a
-        # fresh params; a copy's provider builds its own columns and plan
+        # fresh params; a copy's provider reads its own storage
         params = EmbedderParams(dim=8, n_buckets=512)
         provider = HashedWindowEmbedder(params)
         provider.embed(Sentence(1, ("Bob", "left", "Rome", ".")))
@@ -694,14 +714,31 @@ class TestSumPlan:
         assert not np.array_equal(
             fresh.token_columns(SENT).slots, provider.token_columns(SENT).slots
         )
-        assert copied.token_columns(SENT) is not provider.token_columns(SENT)
         for p in (provider, fresh, copied):
             columns = p.token_columns(SENT)
-            gathered = np.concatenate([run.gather for run in columns.plan])
-            np.testing.assert_array_equal(np.sort(gathered), np.sort(columns.slots))
+            np.testing.assert_array_equal(columns.slots, p.params.slots_for(columns.columns))
             expected = reference_embed_columns(p.params.storage, columns.slots, columns.starts)
             assert _bits(p.embed(SENT)) == _bits(expected)
         assert _bits(copied.embed(SENT)) != _bits(provider.embed(SENT))
+
+    def test_token_columns_are_kept_by_no_one(self):
+        # a training sentence's columns are built on each call from the
+        # window entries the params keep, and dropped with the result
+        sentences = [item.sentence for item in suffix_corpus(50, seed=6, min_len=40, max_len=40).items]
+        assert len({s.tokens for s in sentences}) == 50
+        provider = HashedWindowEmbedder()
+        provider.embed_batch(sentences)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for sentence in sentences:
+                columns = provider.token_columns(sentence)
+                np.testing.assert_array_equal(columns.slots, provider.params.slots_for(columns.columns))
+            del columns
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 50 * 1024, kept
 
     @pytest.mark.parametrize(
         "starts, counts, message",
@@ -775,6 +812,22 @@ class TestHeldRows:
                 last = sentence
             capacities.add(provider._rows.shape[0])
         assert len(capacities) >= 3
+
+    def test_rows_kept_when_the_buffer_grows(self):
+        # the held rows grow while the store does not: every window of both
+        # wide sentences is featurized before this provider holds any, and
+        # the second sentence grows its 128 rows to 256
+        params = EmbedderParams(dim=4, n_buckets=2**12, seed=3)
+        wide = [Sentence(k, tokens) for k, tokens in enumerate(WIDE_SENTENCES)]
+        expected = HashedWindowEmbedder(params).embed_batch(wide)
+        store = params.storage.shape[0]
+        provider = HashedWindowEmbedder(params)
+        provider.embed(wide[0])
+        assert provider._rows.shape[0] == 128
+        provider.embed(wide[1])
+        assert provider._rows.shape[0] == 256 and params.storage.shape[0] == store
+        for sentence, matrix in zip(wide, expected):
+            assert _bits(provider.embed(sentence)) == _bits(matrix)
 
 
 class TestTokenByTokenBackward:

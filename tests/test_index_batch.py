@@ -10,7 +10,7 @@ sentence of more than EMBED_RUN_ROWS rows, and some providers have cached
 or featurized part of the dataset before the build. The provider holds
 the row of every window it embedded in a batch: a query made of held
 windows is a gather of them, which must equal the per-sentence path and
-must not featurize, plan or sum anything, until the weights move.
+must not featurize or sum anything, until the weights move.
 """
 
 from contextlib import contextmanager
@@ -134,32 +134,31 @@ def _token_windows(tokens, window):
 
 
 @contextmanager
-def _nothing_featurized_planned_or_summed():
+def _nothing_featurized_or_summed():
     with (
         mock.patch.object(EmbedderParams, "_feature_entries", side_effect=AssertionError("featurized")),
-        mock.patch.object(embeddings, "_sum_plan", side_effect=AssertionError("planned")),
-        mock.patch.object(embeddings, "_planned_sums", side_effect=AssertionError("summed")),
+        mock.patch.object(embeddings, "_column_sums", side_effect=AssertionError("summed")),
     ):
         yield
 
 
 def test_tagger_holds_every_db_window():
-    # a query equal to a db sentence is neither featurized, planned nor
-    # summed: 25 to 32 of the 50 scored ner-k100 queries are db sentences.
-    # No db sentence keeps columns or a plan.
+    # a query equal to a db sentence is neither featurized nor summed: 25
+    # to 32 of the 50 scored ner-k100 queries are db sentences. No db
+    # sentence builds columns.
     db = toy_ner_corpus(40, seed=3)
     provider = HashedWindowEmbedder(dim=16, n_buckets=4096, seed=2)
-    tagger = Tagger(provider, db, 5)
+    with mock.patch.object(embeddings, "_token_columns", side_effect=AssertionError("columns")):
+        tagger = Tagger(provider, db, 5)
     distinct = {item.sentence.tokens for item in db.items}
     assert len(distinct) < len(db.items)
     window = provider.params.window
     windows = {w for tokens in distinct for w in embeddings._windows(tokens, window)}
     assert len(windows) < sum(len(item) for item in db.items)
     assert set(provider._held) == windows
-    assert provider._column_cache == {}
 
     twin = Sentence(1000, db.items[7].sentence.tokens)
-    with _nothing_featurized_planned_or_summed():
+    with _nothing_featurized_or_summed():
         tagger.tag(twin)
 
 
@@ -199,7 +198,7 @@ def test_held_windows_embed_as_the_per_sentence_path(case, data):
     for uid, tokens in enumerate(queries):
         sentence = Sentence(uid, tokens)
         if set(_token_windows(tokens, window)) <= db_windows:
-            with _nothing_featurized_planned_or_summed():
+            with _nothing_featurized_or_summed():
                 embedded = provider.embed(sentence)
         else:
             embedded = provider.embed(sentence)
