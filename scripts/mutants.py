@@ -34,6 +34,10 @@ BATCH_BUILD = "tests/test_index_batch.py::test_batched_build_matches_per_sentenc
 PAIRWISE = "tests/test_embeddings.py::TestPairwiseOracle"
 CACHE_SIZED = "tests/test_embeddings.py::TestCacheSizedForward"
 FEATURIZER = "tests/test_embeddings.py::TestMatchesFeaturizerReference"
+DECODER = "src/copytag/decoder.py"
+FRESH_NEIGHBORS = "tests/test_trainer.py::TestFineTune::test_neighbor_rows_equal_a_fresh_embedding"
+PER_START = "tests/test_decoder.py::TestMatchesPerStartOracle"
+PER_LEVEL = "tests/test_decoder.py::TestMatchesPerLevelOracle"
 
 
 class Mutant(NamedTuple):
@@ -67,11 +71,32 @@ MUTANTS = (
         (HELD_ROWS,),
     ),
     Mutant(
-        "training refreshes the neighbors that are not stale",
+        "neighbor matrices concatenated in sorted-id order",
         TRAINER,
-        "if row_revision[nid] != params.revision]",
-        "if row_revision[nid] == params.revision]",
-        ("tests/test_trainer.py::TestFineTune::test_one_refresh_call_per_batch_over_its_stale_neighbors",),
+        "flat = np.concatenate([matrices[nid] for nid in neighbors.ids.tolist()])",
+        "flat = np.concatenate([matrices[nid] for nid in sorted(neighbors.ids.tolist())])",
+        (FRESH_NEIGHBORS,),
+    ),
+    Mutant(
+        "neighbor rows kept from the index build",
+        TRAINER,
+        "flat = np.concatenate([matrices[nid] for nid in neighbors.ids.tolist()])",
+        "flat = index.token_rows.take(neighbors.rows, axis=0)",
+        (FRESH_NEIGHBORS,),
+    ),
+    Mutant(
+        "backprop builds the columns again",
+        TRAINER,
+        "provider.backprop(item.sentence, cols, d_input, embeddings)",
+        "provider.backprop(item.sentence, provider.token_columns(item.sentence), d_input, embeddings)",
+        ("tests/test_trainer.py::TestFineTune::test_token_columns_built_once_per_forward_pass",),
+    ),
+    Mutant(
+        "backprop accepts columns of fewer tokens",
+        EMBEDDINGS,
+        "if columns.counts.size != len(sentence):",
+        "if columns.counts.size > len(sentence):",
+        ("tests/test_embeddings.py::TestBackprop::test_columns_of_another_sentence_rejected",),
     ),
     Mutant(
         "pairwise split not rounded down to a multiple of 8",
@@ -162,6 +187,56 @@ MUTANTS = (
         "held.update(zip(new, range(len(held), len(held) + len(new))))",
         "held.update(zip(new, range(len(held) + 1, len(held) + len(new) + 1)))",
         (HELD_ROWS, HELD_QUERIES),
+    ),
+    Mutant(
+        "an exact tie also yields to equal labels",
+        DECODER,
+        "if new >= labels[other] + seg_dict.path(*copy):",
+        "if new > labels[other] + seg_dict.path(*copy):",
+        (PER_START,),
+    ),
+    Mutant(
+        "an exact tie keeps the larger labels",
+        DECODER,
+        "if new >= labels[other] + seg_dict.path(*copy):",
+        "if new <= labels[other] + seg_dict.path(*copy):",
+        (PER_START,),
+    ),
+    Mutant(
+        "an exact tie always takes the new copy",
+        DECODER,
+        "                if new >= labels[other] + seg_dict.path(*copy):\n"
+        "                    continue\n",
+        "",
+        (PER_START,),
+    ),
+    Mutant(
+        "a prefix's labels built without the prefix before it",
+        DECODER,
+        "labels.append(labels[prev] + seg_dict.path(length, rank))",
+        "labels.append(seg_dict.path(length, rank))",
+        (PER_START, "tests/test_decoder.py::TestDPExpected"),
+    ),
+    Mutant(
+        "an exemplar's run ends at lcp <= length",
+        DECODER,
+        "while self.lcp[last + 1] >= length:",
+        "while self.lcp[last + 1] > length:",
+        (PER_LEVEL,),
+    ),
+    Mutant(
+        "an exemplar taken from the sequence's own window",
+        DECODER,
+        "return self.neighbors.locate(min(self.positions[first : last + 1]))",
+        "return self.neighbors.locate(self.positions[first])",
+        (PER_LEVEL,),
+    ),
+    Mutant(
+        "locate counts the offset from the previous entry",
+        "src/copytag/retrieval.py",
+        "return m, pos - self.starts.item(m)",
+        "return m, pos - self.starts.item(max(m - 1, 0))",
+        ("tests/test_retrieval.py::TestLocate",),
     ),
 )
 

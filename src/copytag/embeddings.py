@@ -24,9 +24,9 @@ the window's tokens, clipped at the sentence's ends. The parameters keep
 the ids and slots of each distinct window. The provider sums each window
 it embeds once and holds its row until the weights move, so a sentence
 is a gather of held rows, and one embedded again sums nothing. A
-training sentence's TokenColumns, which its forward and backward passes
-read, are its windows' entries, one after another, built on each call
-and kept by no one.
+training sentence's TokenColumns are its windows' entries, one after
+another, built once per step for its forward pass, handed to its
+backward pass and kept by no one.
 
 The sums equal np.add.reduceat(storage[slots], starts, axis=0) bit for
 bit, numpy's pairwise summation order included, but add whole contiguous
@@ -644,8 +644,8 @@ class HashedWindowEmbedder:
     of held rows. A query builds no TokenColumns. Those of a training
     sentence, its windows' sorted bucket ids and storage slots, are
     concatenated from the entries the parameters keep per window, on each
-    call, for its forward and backward passes. Pass either params or the
-    settings of new ones, not both.
+    call: its forward pass builds them and its backward pass reads them.
+    Pass either params or the settings of new ones, not both.
     """
 
     def __init__(self, params: EmbedderParams | None = None, **kwargs):
@@ -705,18 +705,19 @@ class HashedWindowEmbedder:
         return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def backprop(
-        self, sentence: Sentence, d_output: np.ndarray, embeddings: np.ndarray
+        self, sentence: Sentence, columns: TokenColumns, d_output: np.ndarray, embeddings: np.ndarray
     ) -> ColumnGrads:
         """Columnwise loss gradient given d(loss)/d(token embeddings).
 
-        `embeddings` is the sentence's forward pass, embed(sentence) under
-        the current parameters (x below). Each active bucket of token t
-        receives d_output[t] * (1 - x_t^2), the tanh backward pass. A
-        column's gradient adds these from 0.0 in token order, one token at
-        a time; a token's columns are unique, so each token's scatter is
-        exact. Inactive buckets are absent from the result and therefore
-        exactly zero. `embeddings` of another shape than d_output, or with
-        non-finite entries, raises naming the sentence.
+        `columns` and `embeddings` (x below) are the sentence's forward
+        pass: token_columns(sentence) and embed(sentence) under the current
+        parameters. Each active bucket of token t receives d_output[t] *
+        (1 - x_t^2), the tanh backward pass. A column's gradient adds these
+        from 0.0 in token order, one token at a time; a token's columns are
+        unique, so each token's scatter is exact. Inactive buckets are
+        absent from the result and therefore exactly zero. `columns` for
+        another token count, or `embeddings` of another shape than d_output
+        or with non-finite entries, raises naming the sentence.
         """
         d_output = np.asarray(d_output, dtype=float)
         if d_output.shape != (len(sentence), self.dim):
@@ -734,7 +735,10 @@ class HashedWindowEmbedder:
             )
         if not np.all(np.isfinite(embeddings)):
             raise ValueError(f"sentence {sentence.uid}: embeddings contain non-finite entries")
-        columns = self.token_columns(sentence)
+        if columns.counts.size != len(sentence):
+            raise ValueError(
+                f"sentence {sentence.uid}: columns of {columns.counts.size} tokens, not {len(sentence)}"
+            )
         per_token = d_output * (1.0 - embeddings * embeddings)
         uniq, first, inverse = np.unique(
             columns.columns, return_index=True, return_inverse=True

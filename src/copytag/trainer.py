@@ -5,19 +5,20 @@ built once with the initial parameters; the loss is the negative log of
 the copy posterior mass on gold-typed neighbor tokens. Gradients flow only
 into the input sentence's embeddings and reach the weights through the
 sparse tanh backward pass. Neighbor embeddings are treated as constants:
-they start as a copy of the index's token rows, and before each batch
-the neighbors whose rows were embedded before the parameters last moved
-are embedded again, in one batch.
+before each batch one embed_batch call embeds the batch's neighbors under
+the current parameters, and the provider sums only the windows it does
+not hold at the current revision. The trainer keeps no embedding rows.
 Updates use bias-corrected Adam on exactly the columns with nonzero
 gradient.
 
 A training step works on arrays aligned with the EmbedderParams storage
-slots: each sentence's backprop, which reuses its forward embedding, is
-one ColumnGrads block, a batch sums the blocks over their union of
-columns in ascending sentence order, and one Adam step updates every
-touched row at once, with moments kept in slot-indexed arrays. Per
-element the float operations are those of a column-at-a-time update, so
-parameters and checkpoints are the same bit for bit.
+slots: each sentence's backprop, which reuses the embedding and the
+TokenColumns of its forward pass, is one ColumnGrads block, a batch sums
+the blocks over their union of columns in ascending sentence order, and
+one Adam step updates every touched row at once, with moments kept in
+slot-indexed arrays. Per element the float operations are those of a
+column-at-a-time update, so parameters and checkpoints are the same bit
+for bit.
 
 Checkpoints are line-oriented text: config as key=value pairs, then one
 line per modified weight column; unmodified columns are regenerated from
@@ -234,11 +235,11 @@ def fine_tune(
     applied per batch. With epochs=0 the returned checkpoint holds the
     initial parameters and an empty log.
 
-    Neighbor rows start as a copy of the index's token rows. Before each
-    batch, one embed_batch call embeds again, under the current
-    parameters, the batch's distinct neighbors, in first-seen order over
-    the sorted batch, that were not embedded at the current
-    `params.revision`.
+    Before each batch, one embed_batch call embeds the batch's distinct
+    neighbors, in first-seen order over the sorted batch, under the
+    current parameters; a sentence's flat neighbor rows are its
+    neighbors' matrices in `neighbors.ids` order. The first batch's call
+    is a gather of the rows the index build left held.
     """
     if provider is None:
         provider = HashedWindowEmbedder()
@@ -264,10 +265,6 @@ def fine_tune(
             )
         neighbor_sets.append(assemble_neighbor_set(index, ids))
 
-    rows = index.token_rows.copy()
-    row_starts = index.row_starts.tolist()
-    row_revision = [params.revision] * len(index)
-
     rng = np.random.default_rng(config.seed)
     state = AdamState()
     log: list[EpochStats] = []
@@ -277,19 +274,17 @@ def fine_tune(
         total_skipped = 0
         for batch in _batches(order, config.batch_size):
             batch = sorted(batch)
-            # Parameters only move between batches, so rows embedded at the
-            # current revision equal a fresh embedding bit for bit.
+            # Parameters only move between batches, so one call embeds every
+            # neighbor the batch scores under the parameters it steps from.
             neighbor_ids = chain.from_iterable(neighbor_sets[sid].ids.tolist() for sid in batch)
-            stale = [nid for nid in dict.fromkeys(neighbor_ids) if row_revision[nid] != params.revision]
-            fresh = provider.embed_batch([train.items[nid].sentence for nid in stale])
-            for nid, matrix in zip(stale, fresh):
-                rows[row_starts[nid] : row_starts[nid + 1]] = matrix
-                row_revision[nid] = params.revision
+            distinct = list(dict.fromkeys(neighbor_ids))
+            fresh = provider.embed_batch([train.items[nid].sentence for nid in distinct])
+            matrices = dict(zip(distinct, fresh))
             blocks: list[ColumnGrads] = []
             for sid in batch:
                 item = train.items[sid]
                 neighbors = neighbor_sets[sid]
-                flat = rows.take(neighbors.rows, axis=0)
+                flat = np.concatenate([matrices[nid] for nid in neighbors.ids.tolist()])
                 cols = provider.token_columns(item.sentence)
                 embeddings = _embed_columns(params, cols)
                 posterior = copy_posterior(copy_logits(embeddings, flat))
@@ -297,9 +292,7 @@ def fine_tune(
                 total_nll += report.nll
                 total_skipped += report.skipped
                 d_input = grad_wrt_input(posterior, neighbors, item.labels, flat)
-                blocks.append(
-                    provider.backprop(item.sentence, d_input, embeddings)
-                )
+                blocks.append(provider.backprop(item.sentence, cols, d_input, embeddings))
             grads = _sum_grads(blocks, params.dim)
             del blocks  # the step needs only their sum
             adam_update(params, grads, state, config.learning_rate)

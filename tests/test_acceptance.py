@@ -130,7 +130,7 @@ def test_criterion_02_gradients_match_finite_differences():
             post = copy_posterior(copy_logits(e0, rows))
             d_input = grad_wrt_input(post, neighbors, gold, rows)
             provider = HashedWindowEmbedder(params)
-            col_grads = provider.backprop(sent, d_input, provider.embed(sent))
+            col_grads = provider.backprop(sent, provider.token_columns(sent), d_input, provider.embed(sent))
             for col, grad in zip(col_grads.columns[:2].tolist(), col_grads.grad):
                 base = column(params, col)
                 fd_col = np.zeros(dim)

@@ -497,7 +497,7 @@ class TestBackprop:
         d_output = rng.normal(size=(3, 5))
 
         provider = HashedWindowEmbedder(params)
-        grads = provider.backprop(sent, d_output, provider.embed(sent))
+        grads = provider.backprop(sent, provider.token_columns(sent), d_output, provider.embed(sent))
         assert len(grads)
 
         step = 1e-6
@@ -519,7 +519,7 @@ class TestBackprop:
         params = EmbedderParams(dim=4, n_buckets=32, window=0)
         sent = Sentence(0, ("xy",))
         provider = HashedWindowEmbedder(params)
-        grads = provider.backprop(sent, np.ones((1, 4)), provider.embed(sent))
+        grads = provider.backprop(sent, provider.token_columns(sent), np.ones((1, 4)), provider.embed(sent))
         active = token_features(sent, 0, window=0, n_buckets=32).indices
         assert set(grads.columns.tolist()) == active
 
@@ -536,7 +536,7 @@ class TestBackprop:
             sent = Sentence(0, tuple(words))
             d_output = rng.normal(size=(len(sent), 6))
             provider = HashedWindowEmbedder(params)
-            grads = provider.backprop(sent, d_output, provider.embed(sent))
+            grads = provider.backprop(sent, provider.token_columns(sent), d_output, provider.embed(sent))
             expected = reference_backprop(params, sent, d_output)
             assert grads.columns.tolist() == sorted(expected)
             assert np.all(np.diff(grads.columns) > 0)
@@ -548,17 +548,28 @@ class TestBackprop:
     def test_shape_validated(self):
         provider = HashedWindowEmbedder(EmbedderParams(dim=4, n_buckets=32))
         with pytest.raises(ValueError):
-            provider.backprop(SENT, np.ones((2, 4)), provider.embed(SENT))
+            provider.backprop(SENT, provider.token_columns(SENT), np.ones((2, 4)), provider.embed(SENT))
         # a (1, dim) forward pass would broadcast over a 3-token sentence,
         # and a non-finite one would give non-finite gradients
         sent = Sentence(7, ("a", "b", "c"))
-        x = provider.embed(sent)
+        x, columns = provider.embed(sent), provider.token_columns(sent)
         with pytest.raises(ValueError, match=r"sentence 7: embeddings must have shape \(3, 4\), got \(1, 4\)"):
-            provider.backprop(sent, np.ones((3, 4)), x[:1])
+            provider.backprop(sent, columns, np.ones((3, 4)), x[:1])
         poisoned = x.copy()
         poisoned[1, 2] = np.nan
         with pytest.raises(ValueError, match="sentence 7: embeddings contain non-finite entries"):
-            provider.backprop(sent, np.ones((3, 4)), poisoned)
+            provider.backprop(sent, columns, np.ones((3, 4)), poisoned)
+
+    def test_columns_of_another_sentence_rejected(self):
+        # columns for fewer or more tokens would scatter into the wrong
+        # columns or index past the gradient rows
+        provider = HashedWindowEmbedder(EmbedderParams(dim=4, n_buckets=32))
+        sent = Sentence(7, ("a", "b", "c"))
+        x = provider.embed(sent)
+        for other in (("a", "b"), ("a", "b", "c", "d")):
+            columns = provider.token_columns(Sentence(8, other))
+            with pytest.raises(ValueError, match=f"sentence 7: columns of {len(other)} tokens, not 3"):
+                provider.backprop(sent, columns, np.ones((3, 4)), x)
 
 
 
@@ -845,7 +856,7 @@ class TestTokenByTokenBackward:
             d_output[rng.random(d_output.shape) < 0.1] = -0.0
             x = HashedWindowEmbedder(params).embed(sent)
 
-            grads = HashedWindowEmbedder(params).backprop(sent, d_output, x)
+            grads = HashedWindowEmbedder(params).backprop(sent, columns, d_output, x)
             expected = reference_backprop_add_at(columns, d_output, x)
             np.testing.assert_array_equal(grads.columns, expected.columns)
             np.testing.assert_array_equal(grads.slots, expected.slots)

@@ -212,7 +212,9 @@ class TestIndexMemo:
         else:
             sentence = db.items[1].sentence
             d_output = np.random.default_rng(4).normal(size=(len(sentence), 12))
-            grads = provider.backprop(sentence, d_output, provider.embed(sentence))
+            grads = provider.backprop(
+                sentence, provider.token_columns(sentence), d_output, provider.embed(sentence)
+            )
             adam_update(provider.params, grads, AdamState(), 0.1)
         index = Tagger(provider, db, 2).index
         assert index is not stale

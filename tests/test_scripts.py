@@ -9,6 +9,7 @@ outside tier-1; here only its table is checked against the tree.
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,11 +59,18 @@ def test_run_suffix_experiment_smoke():
 
 
 def test_mutant_table_matches_the_tree():
-    # each mutant's old text is in its file exactly once, so a change to
-    # mutated code fails here until the table follows it
+    # each mutant's old text is in its file exactly once, and each named
+    # test's file defines its classes and functions, so a change to mutated
+    # code or a renamed test fails here until the table follows it
     script = _load(ROOT / "scripts" / "mutants.py", "copytag_mutants")
     assert script.MUTANTS
     for mutant in script.MUTANTS:
         text = (ROOT / mutant.path).read_text(encoding="utf-8")
         assert text.count(mutant.old) == 1, mutant.name
         assert mutant.tests, mutant.name
+        for test in mutant.tests:
+            path, *names = test.split("::")
+            assert (ROOT / path).is_file(), f"{mutant.name}: no file {path}"
+            source = (ROOT / path).read_text(encoding="utf-8")
+            for name in names:
+                assert re.search(rf"^\s*(class|def) {name}\b", source, re.M), f"{mutant.name}: {test}"

@@ -8,7 +8,7 @@ from copytag.corpus import Dataset, LabelVocab, build_dataset
 from copytag.embeddings import INIT_STD, EmbedderParams, HashedWindowEmbedder
 from copytag.retrieval import assemble_neighbor_set
 from copytag.synthetic import suffix_corpus
-from copytag import trainer
+from copytag import embeddings, trainer
 from copytag.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -289,11 +289,12 @@ class TestFineTune:
                 scan = linear_scan(index, index.vectors[sid], count, (sid,))
                 assert ids == [nid for nid, _ in scan]
 
-    def test_one_refresh_call_per_batch_over_its_stale_neighbors(self, monkeypatch):
-        # Before each batch, one embed_batch call takes the batch's distinct
-        # neighbors in first-seen order over the sorted batch, leaving out
-        # those already embedded at the current revision. The batch is read
-        # from the backprop calls that follow, one per sentence in order.
+    def test_one_embed_batch_call_per_batch_over_its_neighbors(self, monkeypatch):
+        # Before each batch, one embed_batch call takes every distinct
+        # neighbor of the batch, in first-seen order over the sorted batch,
+        # none left out; it sums only windows not held at the current
+        # revision. The batch is read from the backprop calls that follow,
+        # one per sentence in order.
         neighbor_ids = []
 
         def recording(index, ids):
@@ -301,13 +302,23 @@ class TestFineTune:
             return assemble_neighbor_set(index, ids)
 
         monkeypatch.setattr(trainer, "assemble_neighbor_set", recording)
+        sums = []
+        column_sums = embeddings._column_sums
+
+        def counted_sums(*args):
+            sums.append(args)
+            return column_sums(*args)
+
+        monkeypatch.setattr(embeddings, "_column_sums", counted_sums)
         provider = small_embedder()
         events = []
         embed_batch, backprop = provider.embed_batch, provider.backprop
 
         def spy_embed_batch(sentences):
-            events.append(("embed", [s.uid for s in sentences], provider.params.revision))
-            return embed_batch(sentences)
+            before = len(sums)
+            matrices = embed_batch(sentences)
+            events.append(("embed", [s.uid for s in sentences], len(sums) - before))
+            return matrices
 
         def spy_backprop(sentence, *args):
             events.append(("backprop", sentence.uid))
@@ -321,24 +332,65 @@ class TestFineTune:
         fine_tune(cfg, train, provider=provider)
 
         # the index build embeds the whole dataset first
-        kind, uids, revision = events[0]
-        assert kind == "embed" and uids == list(range(14))
-        embedded_at = [revision] * 14
-        refreshes = [i for i, event in enumerate(events) if event[0] == "embed"][1:]
-        assert len(refreshes) == cfg.epochs * 4
+        assert events[0] == ("embed", list(range(14)), 1)
+        calls = [i for i, event in enumerate(events) if event[0] == "embed"][1:]
+        assert len(calls) == cfg.epochs * 4
         repeats = 0
-        for at, end in zip(refreshes, [*refreshes[1:], len(events)]):
-            _, uids, revision = events[at]
+        for at, end in zip(calls, [*calls[1:], len(events)]):
             batch = [event[1] for event in events[at + 1 : end]]
             assert batch == sorted(batch) and 1 <= len(batch) <= cfg.batch_size
-            seen = dict.fromkeys(nid for sid in batch for nid in neighbor_ids[sid])
-            assert uids == [nid for nid in seen if embedded_at[nid] != revision]
-            for nid in uids:
-                embedded_at[nid] = revision
-            repeats += sum(map(len, (neighbor_ids[sid] for sid in batch))) - len(seen)
-        # the first batch's neighbors are all fresh, and batches share neighbors
-        assert events[refreshes[0]][1] == []
+            seen = list(dict.fromkeys(nid for sid in batch for nid in neighbor_ids[sid]))
+            assert events[at][1] == seen
+            repeats += sum(len(neighbor_ids[sid]) for sid in batch) - len(seen)
+        # the first batch gathers the rows the index build held; every later
+        # one follows an Adam step, so its neighbors are summed again, at once
+        assert [events[at][2] for at in calls] == [0] + [1] * (len(calls) - 1)
         assert repeats > 0
+
+    def test_neighbor_rows_equal_a_fresh_embedding(self, monkeypatch):
+        # every flat neighbor matrix the loss scores equals the neighbors'
+        # rows under the parameters of that moment, embedded by a new
+        # provider, in neighbors.ids order; an equivalence, not a byte pin
+        provider = small_embedder()
+        train = suffix_corpus(14, seed=5)
+        checked = []
+        grad_wrt_input = trainer.grad_wrt_input
+
+        def compared(posterior, neighbors, labels, neighbor_rows):
+            fresh = HashedWindowEmbedder(provider.params.copy()).embed_batch(
+                [train.items[nid].sentence for nid in neighbors.ids.tolist()]
+            )
+            assert neighbor_rows.tobytes() == np.concatenate(fresh).tobytes()
+            checked.append(neighbors.ids.tolist())
+            return grad_wrt_input(posterior, neighbors, labels, neighbor_rows)
+
+        monkeypatch.setattr(trainer, "grad_wrt_input", compared)
+        cfg = TrainConfig(epochs=2, batch_size=4, train_neighbors=5, test_neighbors=5, seed=2)
+        fine_tune(cfg, train, provider=provider)
+        assert len(checked) == cfg.epochs * len(train.items)
+        # a sorted-order concatenation would differ from ids order here
+        assert any(ids != sorted(ids) for ids in checked)
+
+    def test_token_columns_built_once_per_forward_pass(self, monkeypatch):
+        # backprop reads the TokenColumns the forward pass built
+        calls = {"columns": 0, "forward": 0}
+        token_columns, embed_columns = embeddings._token_columns, trainer._embed_columns
+
+        def counted_columns(*args):
+            calls["columns"] += 1
+            return token_columns(*args)
+
+        def counted_forward(*args):
+            calls["forward"] += 1
+            return embed_columns(*args)
+
+        monkeypatch.setattr(embeddings, "_token_columns", counted_columns)
+        monkeypatch.setattr(trainer, "_embed_columns", counted_forward)
+        train = suffix_corpus(10, seed=3)
+        cfg = TrainConfig(epochs=2, batch_size=4, train_neighbors=3, test_neighbors=3)
+        fine_tune(cfg, train, dev=suffix_corpus(3, seed=4), provider=small_embedder())
+        assert calls["forward"] == cfg.epochs * len(train.items)
+        assert calls["columns"] == calls["forward"]
 
     def test_one_sentence_is_too_small(self):
         with pytest.raises(ValueError, match="at least two sentences"):
