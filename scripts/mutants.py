@@ -38,6 +38,8 @@ DECODER = "src/copytag/decoder.py"
 FRESH_NEIGHBORS = "tests/test_trainer.py::TestFineTune::test_neighbor_rows_equal_a_fresh_embedding"
 PER_START = "tests/test_decoder.py::TestMatchesPerStartOracle"
 PER_LEVEL = "tests/test_decoder.py::TestMatchesPerLevelOracle"
+FLOATTEXT = "src/copytag/floattext.py"
+MATCHES_REPR = "tests/test_floattext.py::TestMatchesRepr"
 
 
 class Mutant(NamedTuple):
@@ -230,6 +232,48 @@ MUTANTS = (
         "return self.neighbors.locate(min(self.positions[first : last + 1]))",
         "return self.neighbors.locate(self.positions[first])",
         (PER_LEVEL,),
+    ),
+    Mutant(
+        "the closest-candidate tie not broken to even",
+        FLOATTEXT,
+        "closer = (rest < 2) | ((rest == 2) & (s & _U64(1) == 0))",
+        "closer = rest <= 2",
+        (MATCHES_REPR,),
+    ),
+    Mutant(
+        "a power-of-two lower bound treated as regular",
+        FLOATTEXT,
+        "irregular = (t == 0) & (bq > 1)",
+        "irregular = t != t",
+        (MATCHES_REPR,),
+    ),
+    Mutant(
+        "the exponent switch at decpt < -4",
+        FLOATTEXT,
+        "fixed = (decpt > -4) & (decpt <= 16)",
+        "fixed = (decpt >= -4) & (decpt <= 16)",
+        (MATCHES_REPR,),
+    ),
+    Mutant(
+        "the shorter multiple-of-ten candidate skipped",
+        FLOATTEXT,
+        "shorter = (s >= _U64(10)) & (upin != wpin)",
+        "shorter = s != s",
+        (MATCHES_REPR,),
+    ),
+    Mutant(
+        "the shorter candidate tried only from s >= 100, as in Java",
+        FLOATTEXT,
+        "shorter = (s >= _U64(10)) & (upin != wpin)",
+        "shorter = (s >= _U64(100)) & (upin != wpin)",
+        (MATCHES_REPR,),
+    ),
+    Mutant(
+        "trailing zeros kept",
+        FLOATTEXT,
+        "np.concatenate([words(trail), full])",
+        "np.concatenate([full, full])",
+        (MATCHES_REPR,),
     ),
     Mutant(
         "locate counts the offset from the previous entry",

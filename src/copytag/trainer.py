@@ -21,7 +21,8 @@ column-at-a-time update, so parameters and checkpoints are the same bit
 for bit.
 
 Checkpoints are line-oriented text: config as key=value pairs, then one
-line per modified weight column; unmodified columns are regenerated from
+line per modified weight column, its values written as repr writes them
+by the numpy kernel in floattext; unmodified columns are regenerated from
 the seed at load time. One renderer writes the header for save and for
 load to compare against, so load accepts only the text save writes,
 column value text aside.
@@ -44,6 +45,7 @@ from .embeddings import (
     _embed_columns,
 )
 from .evaluation import token_accuracy
+from .floattext import row_lines
 from .retrieval import assemble_neighbor_set, build_index, query
 from .tagging import Tagger, predictions_dataset
 
@@ -355,18 +357,23 @@ def _header_lines(checkpoint: Checkpoint) -> list[str]:
 def save_checkpoint(checkpoint: Checkpoint) -> str:
     """Serialize to the line format load_checkpoint reads back.
 
-    Column values use shortest round-trip decimals, so a save/load cycle
-    reproduces the parameters bit for bit.
+    Each modified column is one line "col <id> <values>", ids ascending,
+    each value written as repr writes it: its shortest round-trip decimal,
+    so a save/load cycle reproduces the parameters bit for bit. The text
+    comes from floattext.row_lines, which writes those bytes in numpy a
+    chunk of rows at a time. A column whose stored values are not finite
+    raises ValueError, naming the column, as set_columns does, since load
+    would refuse the text.
     """
     params = checkpoint.params
-    lines = _header_lines(checkpoint)
     columns = sorted(params.modified)
-    for col, row in zip(columns, params.storage[params.slots_for(columns)]):
-        # tolist() yields Python floats, whose repr is their shortest
-        # round-trip text; one row at a time, so only one row's floats live
-        lines.append(f"col {col} {' '.join(map(repr, row.tolist()))}")
-    lines.append("")  # the final newline, without copying the joined text
-    return "\n".join(lines)
+    values = params.storage[params.slots_for(columns)]
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite values for column {columns[int(np.argmin(finite))]}")
+    chunks = row_lines([f"col {col}" for col in columns], values)
+    del values  # the chunks hold the text; the join below copies them once
+    return "".join(["\n".join(_header_lines(checkpoint)), "\n", *chunks])
 
 
 def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:

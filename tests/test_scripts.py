@@ -5,6 +5,8 @@ byte. Loading the script by path checks that promise without running its
 main(), so no file is written. scripts/run_suffix_experiment.py runs in a
 child process on a tiny corpus. scripts/mutants.py runs its mutants
 outside tier-1; here only its table is checked against the tree.
+scripts/check_float_text.py also runs outside tier-1; here it is only
+imported.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ import sys
 from pathlib import Path
 
 import copytag
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "make_synthetic_corpus.py"
@@ -74,3 +77,11 @@ def test_mutant_table_matches_the_tree():
             source = (ROOT / path).read_text(encoding="utf-8")
             for name in names:
                 assert re.search(rf"^\s*(class|def) {name}\b", source, re.M), f"{mutant.name}: {test}"
+
+
+def test_check_float_text_imports():
+    # the script compares millions of values in CI's mutants job; here
+    # its value set and its comparison are only checked on a few values
+    script = _load(ROOT / "scripts" / "check_float_text.py", "copytag_check_float_text")
+    assert callable(script.main)
+    assert script.first_mismatch(np.array([0.1, -0.0, 5e-324, 1e16, 1e-4])) is None

@@ -494,6 +494,18 @@ class TestCheckpointFormat:
             column(back.params, untouched), column(ck.params, untouched)
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_refused_on_save(self, bad):
+        # a value written past set_columns, straight into the storage, would
+        # save as "col 5 1.0 nan 1.0", which load refuses; save names the
+        # column as set_columns does
+        params = EmbedderParams(dim=3, n_buckets=40, seed=4)
+        for col in (2, 5, 9):
+            set_column(params, col, [1.0, 1.0, 1.0])
+        params.storage[params.slots_for([5])[0], 1] = bad
+        with pytest.raises(ValueError, match=r"^non-finite values for column 5$"):
+            save_checkpoint(Checkpoint(params, TrainConfig(epochs=0), ()))
+
     def test_load_state_follows_column_lines(self):
         # Each column line counts once in the revision; columns without a
         # line stay seeded. (Column ids must ascend, so a repeated or
