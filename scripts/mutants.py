@@ -68,8 +68,8 @@ MUTANTS = (
     Mutant(
         "raw sums held without tanh",
         EMBEDDINGS,
-        "np.tanh(sums, out=self._rows[held : held + len(sums)])",
-        "self._rows[held : held + len(sums)] = sums",
+        "np.tanh(sums, out=self._rows[len(held) : len(held) + len(new)])",
+        "self._rows[len(held) : len(held) + len(new)] = sums",
         (HELD_ROWS,),
     ),
     Mutant(
@@ -87,18 +87,26 @@ MUTANTS = (
         (FRESH_NEIGHBORS,),
     ),
     Mutant(
-        "backprop builds the columns again",
+        "backprop fetches the window entries again",
         TRAINER,
-        "provider.backprop(item.sentence, cols, d_input, embeddings)",
+        "provider.backprop(item.sentence, entries, d_input, embeddings)",
         "provider.backprop(item.sentence, provider.token_columns(item.sentence), d_input, embeddings)",
         ("tests/test_trainer.py::TestFineTune::test_token_columns_built_once_per_forward_pass",),
     ),
     Mutant(
-        "backprop accepts columns of fewer tokens",
+        "backprop accepts the entries of fewer tokens",
         EMBEDDINGS,
-        "if columns.counts.size != len(sentence):",
-        "if columns.counts.size > len(sentence):",
+        "if len(entries) != len(sentence):",
+        "if len(entries) > len(sentence):",
         ("tests/test_embeddings.py::TestBackprop::test_columns_of_another_sentence_rejected",),
+    ),
+    Mutant(
+        "the storage read before featurizing grows it",
+        EMBEDDINGS,
+        "            entries = self.params._window_entries(new)\n"
+        "            sums = _entry_sums(self.params.storage, entries)\n",
+        "            sums = _entry_sums(self.params.storage, self.params._window_entries(new))\n",
+        ("tests/test_embeddings.py::TestEmbedTokens::test_shape_and_range",),
     ),
     Mutant(
         "pairwise split not rounded down to a multiple of 8",
@@ -142,17 +150,10 @@ MUTANTS = (
         (PAIRWISE, CACHE_SIZED),
     ),
     Mutant(
-        "a token without columns passes the layout check",
-        EMBEDDINGS,
-        "if (self.counts < 1).any():",
-        "if (self.counts < 0).any():",
-        ("tests/test_embeddings.py::TestSumPlan::test_bad_layout_rejected",),
-    ),
-    Mutant(
         "new keys featurized in reverse order",
         EMBEDDINGS,
-        "keys = list(dict.fromkeys(keys))",
-        "keys = list(dict.fromkeys(keys))[::-1]",
+        "new = list(dict.fromkeys(key for key in keys if key not in self._features))",
+        "new = list(dict.fromkeys(key for key in keys if key not in self._features))[::-1]",
         ("tests/test_embeddings.py::TestFeaturizeOnce", "tests/test_embeddings.py::TestEmbedderParams"),
     ),
     Mutant(

@@ -21,12 +21,12 @@ at most 2**32.
 A token's ids are the union of its window's entries, so its ids, its
 slots and its row depend only on its window: its place in the window and
 the window's tokens, clipped at the sentence's ends. The parameters keep
-the ids and slots of each distinct window. The provider sums each window
-it embeds once and holds its row until the weights move, so a sentence
-is a gather of held rows, and one embedded again sums nothing. A
-training sentence's TokenColumns are its windows' entries, one after
-another, built once per step for its forward pass, handed to its
-backward pass and kept by no one.
+the ids and slots of each distinct window, its window entry, and hand out
+that one read-only pair wherever the window is read. The provider sums
+each window it embeds once and holds its row until the weights move, so a
+sentence is a gather of held rows, and one embedded again sums nothing. A
+training sentence's forward pass sums its window entries afresh, and its
+backward pass reads the same entries.
 
 The sums equal np.add.reduceat(storage[slots], starts, axis=0) bit for
 bit, numpy's pairwise summation order included, but add whole contiguous
@@ -35,8 +35,8 @@ tokens take each step of that order at once, in a gather order that
 makes each step one add into a prefix of the rows, worked out for each
 run of whole tokens and used right away. Runs cut long sentences and
 batches; their cuts do not change the bits.
-The backward pass scatters each token's gradient row into its columns,
-one token at a time in token order.
+The backward pass scatters each token's gradient row into the columns of
+its window entry, one token at a time in token order.
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ _PAIRWISE_BLOCK = 128
 
 # A token's window: its place in the window and the window's tokens
 Window = tuple[int, tuple[str, ...]]
+# (sorted unique bucket ids, their storage slots), both read-only
+Entry = tuple[np.ndarray, np.ndarray]
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -271,10 +273,10 @@ class EmbedderParams:
         self.revision = 0
         self._store = np.zeros((0, dim))
         self._slot: dict[int, int] = {}
-        # (offset, token) -> (sorted unique bucket ids, their storage slots)
-        self._features: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-        # window -> the union of its keys' entries, the same pair
-        self._windows: dict[Window, tuple[np.ndarray, np.ndarray]] = {}
+        # (offset, token) -> its entry
+        self._features: dict[tuple[int, str], Entry] = {}
+        # window -> the union of its keys' entries
+        self._windows: dict[Window, Entry] = {}
         # draws every seeded column, from a PCG64 state set per column
         self._rng = np.random.Generator(np.random.PCG64(0))
 
@@ -333,47 +335,34 @@ class EmbedderParams:
             slots[missing] = [self._slot[col] for col in wanted.tolist()]
         return slots
 
-    def _featurize(self, keys: Sequence[tuple[int, str]]) -> None:
-        """Cache the sorted bucket ids and slots of every (offset, token) key.
+    def _feature_entries(self, keys: Sequence[tuple[int, str]]) -> list[Entry]:
+        """The entry of every (offset, token) key: the ids of `token` seen
+        at `offset` from the embedded position. The keys not seen before
+        are featurized in one batch: every feature of every one is hashed
+        at once, and new columns take slots in the order the keys first
+        name them."""
+        new = list(dict.fromkeys(key for key in keys if key not in self._features))
+        if new:
+            surface: dict[str, list[str]] = {}
+            texts: list[str] = []
+            sizes: list[int] = []
+            for offset, token in new:
+                feats = surface.get(token)
+                if feats is None:
+                    feats = surface[token] = _surface_features(token)
+                texts.extend([f"{offset}|{feat}" for feat in feats])
+                sizes.append(len(feats))
+            buckets = fnv1a64_batch(texts, self.seed) % np.uint64(self.n_buckets)
+            hashed = buckets.astype(np.int64)
+            owner = np.repeat(np.arange(len(new)), sizes)
+            picks = _distinct_per_owner(owner, hashed, self.n_buckets)
+            ids = hashed[picks]
+            self._features.update(_split_per_owner(new, owner[picks], ids, self.slots_for(ids)))
+        return list(map(self._features.get, keys))
 
-        Every feature of every key is hashed in one batch. New columns take
-        slots in the order the keys first name them.
-        """
-        keys = list(dict.fromkeys(keys))
-        surface: dict[str, list[str]] = {}
-        texts: list[str] = []
-        sizes: list[int] = []
-        for offset, token in keys:
-            feats = surface.get(token)
-            if feats is None:
-                feats = surface[token] = _surface_features(token)
-            texts.extend([f"{offset}|{feat}" for feat in feats])
-            sizes.append(len(feats))
-        buckets = fnv1a64_batch(texts, self.seed) % np.uint64(self.n_buckets)
-        hashed = buckets.astype(np.int64)
-        owner = np.repeat(np.arange(len(keys)), sizes)
-        picks = _distinct_per_owner(owner, hashed, self.n_buckets)
-        ids = hashed[picks]
-        self._features.update(_split_per_owner(keys, owner[picks], ids, self.slots_for(ids)))
-
-    def _feature_entries(
-        self, keys: Sequence[tuple[int, str]]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(sorted unique bucket ids, their storage slots) of every
-        (offset, token) key, both read-only: the ids of `token` seen at
-        `offset` from the embedded position. Keys not seen before are
-        featurized in one batch."""
-        entries = list(map(self._features.get, keys))
-        if None in entries:
-            missing = [i for i, entry in enumerate(entries) if entry is None]
-            self._featurize([keys[i] for i in missing])
-            for i in missing:
-                entries[i] = self._features[keys[i]]
-        return entries
-
-    def _window_entries(self, windows: Sequence[Window]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(sorted unique bucket ids, their storage slots) of every window,
-        both read-only: the union of its (offset, token) keys' entries.
+    def _window_entries(self, windows: Sequence[Window]) -> list[Entry]:
+        """The entry of every window: the union of its (offset, token)
+        keys' entries, the one pair the parameters keep for it.
         Windows not seen before are featurized in one batch, through one
         _feature_entries call over their keys in window order, so new
         columns take the slots that featurizing token by token gives."""
@@ -434,37 +423,6 @@ class EmbedderParams:
         return dup
 
 
-@dataclass(frozen=True, eq=False)
-class TokenColumns:
-    """Active bucket ids of every token of one sentence, flattened.
-
-    Token t owns columns[starts[t] : starts[t] + counts[t]], sorted
-    ascending; that order fixes the summation order, so every path that
-    embeds a sentence agrees bit for bit. slots[i] is the storage row of
-    columns[i] in the EmbedderParams that featurized the sentence. The
-    arrays are read-only; the provider builds them anew on each call.
-    """
-
-    columns: np.ndarray
-    slots: np.ndarray
-    starts: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        # reduceat would read a token with no columns as the next token's
-        # first row; _column_sums reads each token's slots right after the last
-        if (self.counts < 1).any():
-            t = int(np.argmax(self.counts < 1))
-            raise ValueError(f"token {t} has {self.counts[t]} columns; every token needs one")
-        ends = np.cumsum(self.counts)
-        if not np.array_equal(self.starts, ends - self.counts):
-            raise ValueError("starts must be the exclusive cumulative sum of counts")
-        if not self.columns.size == self.slots.size == (ends[-1] if ends.size else 0):
-            raise ValueError("columns and slots must hold counts.sum() entries")
-        for array in (self.columns, self.slots, self.starts, self.counts):
-            array.setflags(write=False)
-
-
 def _distinct_per_owner(owner: np.ndarray, ids: np.ndarray, n_buckets: int) -> np.ndarray:
     """Positions of each owner's distinct ids, ordered by owner, then id.
 
@@ -485,18 +443,6 @@ def _windows(tokens: tuple[str, ...], w: int):
     # the window of every token, clipped at the sentence's ends
     for t in range(len(tokens)):
         yield min(t, w), tokens[max(0, t - w) : t + w + 1]
-
-
-def _token_columns(params: EmbedderParams, sentence: Sentence) -> TokenColumns:
-    # each token's entries are its window's
-    ids, slots = zip(*params._window_entries(list(_windows(sentence.tokens, params.window))))
-    counts = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-    return TokenColumns(
-        columns=np.concatenate(ids),
-        slots=np.concatenate(slots),
-        starts=np.cumsum(counts) - counts,
-        counts=counts,
-    )
 
 
 def _pairwise_tree(start: int, n: int, leaves: list[tuple[int, int]], base: int):
@@ -607,8 +553,18 @@ def _column_sums(
     return out
 
 
-def _embed_columns(params: EmbedderParams, columns: TokenColumns) -> np.ndarray:
-    return np.tanh(_column_sums(params.storage, columns.slots, columns.starts))
+def _entry_sums(storage: np.ndarray, entries: Sequence[Entry]) -> np.ndarray:
+    """The sum of the rows of `storage` that each entry's slots name, one
+    row per entry, in its ids' order. Featurizing can grow and rebind the
+    parameters' storage, so read it only once the entries exist."""
+    _, slots = zip(*entries)
+    counts = np.fromiter(map(len, slots), dtype=np.int64, count=len(slots))
+    return _column_sums(storage, np.concatenate(slots), np.cumsum(counts) - counts)
+
+
+def _embed_columns(params: EmbedderParams, entries: Sequence[Entry]) -> np.ndarray:
+    # the training forward pass: the token rows of a sentence's window entries
+    return np.tanh(_entry_sums(params.storage, entries))
 
 
 def embed_sentence(token_matrix: np.ndarray) -> np.ndarray:
@@ -641,11 +597,10 @@ class HashedWindowEmbedder:
 
     embed and embed_batch sum each window not held yet once, and hold its
     row until the parameters' revision moves; every sentence is a gather
-    of held rows. A query builds no TokenColumns. Those of a training
-    sentence, its windows' sorted bucket ids and storage slots, are
-    concatenated from the entries the parameters keep per window, on each
-    call: its forward pass builds them and its backward pass reads them.
-    Pass either params or the settings of new ones, not both.
+    of held rows. token_columns hands out a sentence's window entries, the
+    pairs the parameters keep, with no copy: a training step sums them for
+    its forward pass and backprop scatters into their ids. Pass either
+    params or the settings of new ones, not both.
     """
 
     def __init__(self, params: EmbedderParams | None = None, **kwargs):
@@ -667,20 +622,16 @@ class HashedWindowEmbedder:
         p = self.params
         return f"hashed:d{p.dim}:b{p.n_buckets}:w{p.window}:s{p.seed}:r{p.revision}"
 
-    def token_columns(self, sentence: Sentence) -> TokenColumns:
-        return _token_columns(self.params, sentence)
+    def token_columns(self, sentence: Sentence) -> list[Entry]:
+        """The window entry of every token of the sentence, in token order;
+        windows not seen before are featurized."""
+        return self.params._window_entries(list(_windows(sentence.tokens, self.params.window)))
 
     def _held_rows(self) -> dict[Window, int]:
         # set_columns is the one writer of weights and moves the revision
         if self._held_at != self.params.revision:
             self._held, self._held_at = {}, self.params.revision
         return self._held
-
-    def _hold(self, sums: np.ndarray) -> None:
-        # tanh of the sums into the rows after the held ones
-        held = len(self._held)
-        self._rows = _grown(self._rows, held, held + len(sums))
-        np.tanh(sums, out=self._rows[held : held + len(sums)])
 
     def embed(self, sentence: Sentence) -> np.ndarray:
         """The sentence's token rows, read-only: embed_batch([sentence])[0]."""
@@ -695,9 +646,12 @@ class HashedWindowEmbedder:
         windows = {s.tokens: list(_windows(s.tokens, w)) for s in sentences}
         new = [k for k in dict.fromkeys(chain.from_iterable(windows.values())) if k not in held]
         if new:
-            _, slots = zip(*self.params._window_entries(new))
-            counts = np.fromiter(map(len, slots), dtype=np.int64, count=len(slots))
-            self._hold(_column_sums(self.params.storage, np.concatenate(slots), np.cumsum(counts) - counts))
+            # featurizing can grow and rebind the storage, so it is read after
+            entries = self.params._window_entries(new)
+            sums = _entry_sums(self.params.storage, entries)
+            # tanh of the sums into the rows after the held ones
+            self._rows = _grown(self._rows, len(held), len(held) + len(new))
+            np.tanh(sums, out=self._rows[len(held) : len(held) + len(new)])
             held.update(zip(new, range(len(held), len(held) + len(new))))
         rows = self._rows[[held[k] for s in sentences for k in windows[s.tokens]]]
         rows.setflags(write=False)
@@ -705,28 +659,30 @@ class HashedWindowEmbedder:
         return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def backprop(
-        self, sentence: Sentence, columns: TokenColumns, d_output: np.ndarray, embeddings: np.ndarray
+        self, sentence: Sentence, entries: Sequence[Entry], d_output: np.ndarray, embeddings: np.ndarray
     ) -> ColumnGrads:
         """Columnwise loss gradient given d(loss)/d(token embeddings).
 
-        `columns` and `embeddings` (x below) are the sentence's forward
+        `entries` and `embeddings` (x below) are the sentence's forward
         pass: token_columns(sentence) and embed(sentence) under the current
-        parameters. Each active bucket of token t receives d_output[t] *
-        (1 - x_t^2), the tanh backward pass. A column's gradient adds these
-        from 0.0 in token order, one token at a time; a token's columns are
-        unique, so each token's scatter is exact. Inactive buckets are
-        absent from the result and therefore exactly zero. `columns` for
-        another token count, or `embeddings` of another shape than d_output
-        or with non-finite entries, raises naming the sentence.
+        parameters. Each active bucket of token t, an id of its window
+        entry, receives d_output[t] * (1 - x_t^2), the tanh backward pass.
+        A column's gradient adds these from 0.0 in token order, one token
+        at a time; a token's ids are unique, so each token's scatter is
+        exact. Inactive buckets are absent from the result and therefore
+        exactly zero. A d_output of another shape than (tokens, dim) or
+        with non-finite entries, entries for another token count, or
+        `embeddings` of another shape than d_output or with non-finite
+        entries, raises naming the sentence.
         """
         d_output = np.asarray(d_output, dtype=float)
         if d_output.shape != (len(sentence), self.dim):
             raise ValueError(
-                f"d_output must have shape ({len(sentence)}, {self.dim}), "
-                f"got {d_output.shape}"
+                f"sentence {sentence.uid}: d_output must have shape "
+                f"({len(sentence)}, {self.dim}), got {d_output.shape}"
             )
         if not np.all(np.isfinite(d_output)):
-            raise ValueError("d_output contains non-finite entries")
+            raise ValueError(f"sentence {sentence.uid}: d_output contains non-finite entries")
         embeddings = np.asarray(embeddings, dtype=float)
         if embeddings.shape != d_output.shape:
             raise ValueError(
@@ -735,17 +691,18 @@ class HashedWindowEmbedder:
             )
         if not np.all(np.isfinite(embeddings)):
             raise ValueError(f"sentence {sentence.uid}: embeddings contain non-finite entries")
-        if columns.counts.size != len(sentence):
+        if len(entries) != len(sentence):
             raise ValueError(
-                f"sentence {sentence.uid}: columns of {columns.counts.size} tokens, not {len(sentence)}"
+                f"sentence {sentence.uid}: columns of {len(entries)} tokens, not {len(sentence)}"
             )
         per_token = d_output * (1.0 - embeddings * embeddings)
+        ids, slots = zip(*entries)
         uniq, first, inverse = np.unique(
-            columns.columns, return_index=True, return_inverse=True
+            np.concatenate(ids), return_index=True, return_inverse=True
         )
         grad = np.zeros((uniq.size, self.dim))
-        bounds = zip(columns.starts.tolist(), columns.counts.tolist())
-        for row, (lo, count) in zip(per_token, bounds):
-            grad[inverse[lo : lo + count]] += row
-        return ColumnGrads(columns=uniq, slots=columns.slots[first], grad=grad)
+        bounds = list(accumulate(map(len, ids), initial=0))
+        for row, lo, hi in zip(per_token, bounds, bounds[1:]):
+            grad[inverse[lo:hi]] += row
+        return ColumnGrads(columns=uniq, slots=np.concatenate(slots)[first], grad=grad)
 

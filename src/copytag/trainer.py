@@ -12,8 +12,9 @@ Updates use bias-corrected Adam on exactly the columns with nonzero
 gradient.
 
 A training step works on arrays aligned with the EmbedderParams storage
-slots: each sentence's backprop, which reuses the embedding and the
-TokenColumns of its forward pass, is one ColumnGrads block, a batch sums
+slots: a sentence's forward pass sums the window entries the parameters
+keep for its tokens, and its backprop, which reads the embedding and the
+entries of that forward pass, is one ColumnGrads block, a batch sums
 the blocks over their union of columns in ascending sentence order, and
 one Adam step updates every touched row at once, with moments kept in
 slot-indexed arrays. Per element the float operations are those of a
@@ -287,14 +288,14 @@ def fine_tune(
                 item = train.items[sid]
                 neighbors = neighbor_sets[sid]
                 flat = np.concatenate([matrices[nid] for nid in neighbors.ids.tolist()])
-                cols = provider.token_columns(item.sentence)
-                embeddings = _embed_columns(params, cols)
+                entries = provider.token_columns(item.sentence)
+                embeddings = _embed_columns(params, entries)
                 posterior = copy_posterior(copy_logits(embeddings, flat))
                 report = nll(posterior, neighbors, item.labels)
                 total_nll += report.nll
                 total_skipped += report.skipped
                 d_input = grad_wrt_input(posterior, neighbors, item.labels, flat)
-                blocks.append(provider.backprop(item.sentence, cols, d_input, embeddings))
+                blocks.append(provider.backprop(item.sentence, entries, d_input, embeddings))
             grads = _sum_grads(blocks, params.dim)
             del blocks  # the step needs only their sum
             adam_update(params, grads, state, config.learning_rate)

@@ -15,8 +15,8 @@ import numpy as np
 from copytag.embeddings import (
     ColumnGrads,
     EmbedderParams,
+    HashedWindowEmbedder,
     _embed_columns,
-    _token_columns,
 )
 from copytag.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from param_columns import column, set_column
@@ -97,13 +97,12 @@ def reference_backprop(
     params: EmbedderParams, sentence, d_output: np.ndarray
 ) -> dict[int, np.ndarray]:
     """Backprop as {column: vector}, summed token by token in token order."""
-    columns = _token_columns(params, sentence)
-    x = _embed_columns(params, columns)
+    entries = HashedWindowEmbedder(params).token_columns(sentence)
+    x = _embed_columns(params, entries)
     per_token = d_output * (1.0 - x * x)
     grads: dict[int, np.ndarray] = {}
-    for t in range(len(sentence)):
-        lo = columns.starts[t]
-        for col in columns.columns[lo : lo + columns.counts[t]].tolist():
+    for t, (ids, _) in enumerate(entries):
+        for col in ids.tolist():
             grads.setdefault(col, np.zeros(params.dim))
             grads[col] += per_token[t]
     return grads

@@ -8,9 +8,11 @@ and scatters gradients token by token; it must match these bit for bit.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from copytag.embeddings import ColumnGrads, TokenColumns
+from copytag.embeddings import ColumnGrads
 
 
 def reference_column_sums(
@@ -25,11 +27,26 @@ def reference_embed_columns(
     return np.tanh(reference_column_sums(storage, slots, starts))
 
 
+def flat_entries(entries) -> SimpleNamespace:
+    """A sentence's window entries one after another: token t owns
+    columns[starts[t] : starts[t] + counts[t]], their storage rows
+    slots[...] likewise."""
+    ids, slots = zip(*entries)
+    counts = np.array([len(i) for i in ids], dtype=np.int64)
+    return SimpleNamespace(
+        columns=np.concatenate(ids),
+        slots=np.concatenate(slots),
+        starts=np.cumsum(counts) - counts,
+        counts=counts,
+    )
+
+
 def reference_backprop_add_at(
-    columns: TokenColumns, d_output: np.ndarray, embeddings: np.ndarray
+    entries, d_output: np.ndarray, embeddings: np.ndarray
 ) -> ColumnGrads:
-    """Backprop with every token's row spread over its columns and summed
-    into the unique columns by one np.add.at."""
+    """Backprop with every token's row spread over the ids of its window
+    entry and summed into the unique columns by one np.add.at."""
+    columns = flat_entries(entries)
     per_token = d_output * (1.0 - embeddings * embeddings)
     spread = np.repeat(per_token, columns.counts, axis=0)
     uniq, first, inverse = np.unique(

@@ -16,10 +16,8 @@ from copytag.embeddings import (
     _column_sums,
     _embed_columns,
     _surface_features,
-    _token_columns,
     EmbedderParams,
     HashedWindowEmbedder,
-    TokenColumns,
     embed_sentence,
     fnv1a64_batch,
     word_shape,
@@ -29,6 +27,7 @@ from copytag.synthetic import suffix_corpus
 from adam_reference import reference_backprop
 from conftest import platform_facts
 from embedding_reference import (
+    flat_entries,
     reference_backprop_add_at,
     reference_column_sums,
     reference_embed_columns,
@@ -39,6 +38,17 @@ from param_columns import column, set_column
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 SENT = Sentence(0, ("Alice", "visited", "Paris", "twice", "."))
+
+
+def columns_of(params: EmbedderParams, sentence: Sentence):
+    """The sentence's window entries under `params`, one after another."""
+    return flat_entries(HashedWindowEmbedder(params).token_columns(sentence))
+
+
+def entries_of(slots: np.ndarray, starts: np.ndarray) -> list:
+    """Window entries of a made-up layout: token t owns slots[starts[t] :
+    starts[t + 1]], which stand for its ids too."""
+    return [(part, part) for part in np.split(slots, starts[1:])]
 
 
 class TestHashing:
@@ -310,7 +320,7 @@ class TestEmbedTokens:
     def test_provider_matches_functional(self):
         provider = HashedWindowEmbedder(EmbedderParams(dim=8, n_buckets=128))
         params = EmbedderParams(dim=8, n_buckets=128)
-        functional = _embed_columns(params, _token_columns(params, SENT))
+        functional = _embed_columns(params, HashedWindowEmbedder(params).token_columns(SENT))
         assert np.array_equal(provider.embed(SENT), functional)
         # cached second call stays bit-identical
         assert np.array_equal(provider.embed(SENT), functional)
@@ -323,7 +333,7 @@ class TestEmbedTokens:
     def test_params_update_changes_embedding(self):
         provider = HashedWindowEmbedder(EmbedderParams(dim=4, n_buckets=64))
         before = provider.embed(SENT).copy()
-        cols = sorted({int(c) for c in provider.token_columns(SENT).columns})
+        cols = sorted({int(c) for c in flat_entries(provider.token_columns(SENT)).columns})
         set_column(provider.params, cols[0], np.full(4, 3.0))
         after = provider.embed(SENT)
         assert not np.array_equal(before, after)
@@ -371,11 +381,11 @@ class TestMatchesFeaturizerReference:
                 token_features(sent, t, window, n_buckets, seed).sorted()
                 for t in range(length)
             ]
-            cached = provider.token_columns(sent)
+            cached = flat_entries(provider.token_columns(sent))
             assert split_tokens(cached) == expected
             assert cached.counts.tolist() == [len(cols) for cols in expected]
             fresh = EmbedderParams(dim=5, n_buckets=n_buckets, window=window, seed=seed)
-            assert split_tokens(_token_columns(fresh, sent)) == expected
+            assert split_tokens(columns_of(fresh, sent)) == expected
             params = provider.params
             rows = params.storage[cached.slots]
             for row, col in zip(rows, cached.columns):
@@ -394,27 +404,27 @@ class TestMatchesFeaturizerReference:
             expected = [
                 token_features(SENT, t, 2, 2**32, seed).sorted() for t in range(len(SENT))
             ]
-            assert split_tokens(_token_columns(params, SENT)) == expected
+            assert split_tokens(columns_of(params, SENT)) == expected
 
 
 class TestFeaturizeOnce:
     def test_cached_pairs_neither_hash_nor_seed(self, monkeypatch):
         params = EmbedderParams(dim=4, n_buckets=512, window=1, seed=3)
-        first = _token_columns(params, SENT)
+        first = columns_of(params, SENT)
         solo = EmbedderParams(dim=4, n_buckets=512, window=0, seed=3)
-        _token_columns(solo, Sentence(0, ("a", "b", "c")))
+        columns_of(solo, Sentence(0, ("a", "b", "c")))
 
         def fail(*args):
             raise AssertionError("cached pairs featurized again")
 
         monkeypatch.setattr(embeddings, "fnv1a64_batch", fail)
         monkeypatch.setattr(EmbedderParams, "_seed_columns", fail)
-        again = _token_columns(params, SENT)
+        again = columns_of(params, SENT)
         for name in ("columns", "slots", "starts", "counts"):
             assert np.array_equal(getattr(again, name), getattr(first, name))
         HashedWindowEmbedder(params).embed(SENT)
         # a new sentence whose (offset, token) pairs are all cached
-        _token_columns(solo, Sentence(1, ("c", "a", "a", "b")))
+        columns_of(solo, Sentence(1, ("c", "a", "a", "b")))
 
     def test_new_columns_take_slots_in_request_order(self):
         # slots follow the window walk: position by position, each new
@@ -422,7 +432,7 @@ class TestFeaturizeOnce:
         window, n_buckets, seed = 1, 64, 2
         params = EmbedderParams(dim=3, n_buckets=n_buckets, window=window, seed=seed)
         sent = Sentence(0, ("aa", "bb", "aa", "cc", "Bb"))
-        _token_columns(params, sent)
+        columns_of(params, sent)
         expected: list[int] = []
         pairs = set()
         for t in range(len(sent)):
@@ -547,8 +557,14 @@ class TestBackprop:
 
     def test_shape_validated(self):
         provider = HashedWindowEmbedder(EmbedderParams(dim=4, n_buckets=32))
-        with pytest.raises(ValueError):
-            provider.backprop(SENT, provider.token_columns(SENT), np.ones((2, 4)), provider.embed(SENT))
+        entries, x = provider.token_columns(SENT), provider.embed(SENT)
+        with pytest.raises(ValueError, match=r"sentence 0: d_output must have shape \(5, 4\), got \(2, 4\)"):
+            provider.backprop(SENT, entries, np.ones((2, 4)), x)
+        for bad in (np.nan, np.inf):
+            d_output = np.ones((5, 4))
+            d_output[3, 1] = bad
+            with pytest.raises(ValueError, match="sentence 0: d_output contains non-finite entries"):
+                provider.backprop(SENT, entries, d_output, x)
         # a (1, dim) forward pass would broadcast over a 3-token sentence,
         # and a non-finite one would give non-finite gradients
         sent = Sentence(7, ("a", "b", "c"))
@@ -608,10 +624,7 @@ class TestCacheSizedForward:
                 split += 1
             got = _column_sums(storage, slots, starts)
             assert _bits(got) == _bits(reference_column_sums(storage, slots, starts))
-            columns = TokenColumns(
-                columns=slots.copy(), slots=slots, starts=starts, counts=counts
-            )
-            embedded = _embed_columns(SimpleNamespace(storage=storage), columns)
+            embedded = _embed_columns(SimpleNamespace(storage=storage), entries_of(slots, starts))
             assert _bits(embedded) == _bits(
                 reference_embed_columns(storage, slots, starts)
             )
@@ -630,7 +643,8 @@ class TestCacheSizedForward:
     def test_suffix_sentence_through_the_provider(self, monkeypatch):
         sentence = suffix_corpus(1, seed=4, min_len=80, max_len=80).items[0].sentence
         provider = HashedWindowEmbedder()
-        columns = provider.token_columns(sentence)
+        entries = provider.token_columns(sentence)
+        columns = flat_entries(entries)
         # an 80-token suffix sentence gathers more rows than one run holds
         assert columns.slots.size > EMBED_RUN_ROWS
         runs = mock.Mock(side_effect=embeddings._run_sums)
@@ -640,7 +654,7 @@ class TestCacheSizedForward:
         )
         assert _bits(provider.embed(sentence)) == _bits(expected)
         assert runs.call_count > 1
-        assert _bits(_embed_columns(provider.params, columns)) == _bits(expected)
+        assert _bits(_embed_columns(provider.params, entries)) == _bits(expected)
 
 
 # Per-token row counts on both sides of numpy's pairwise_sum cases: under 8
@@ -677,8 +691,8 @@ class TestPairwiseOracle:
         assert _bits(_column_sums(storage, slots, starts)) == _bits(
             reference_column_sums(storage, slots, starts)
         )
-        columns = TokenColumns(columns=slots.copy(), slots=slots, starts=starts, counts=counts)
-        assert _bits(_embed_columns(SimpleNamespace(storage=storage), columns)) == _bits(
+        entries = entries_of(slots, starts)
+        assert _bits(_embed_columns(SimpleNamespace(storage=storage), entries)) == _bits(
             reference_embed_columns(storage, slots, starts)
         )
 
@@ -686,8 +700,8 @@ class TestPairwiseOracle:
 class TestSumPlan:
     def test_query_sums_each_window_once(self, monkeypatch):
         # a sentence embedded again at one revision sums nothing, and one
-        # partly held sums only its missing windows; no query builds
-        # TokenColumns
+        # partly held sums only its missing windows; no query reads
+        # token_columns
         summed = []
         sums_of = embeddings._column_sums
         monkeypatch.setattr(
@@ -695,18 +709,18 @@ class TestSumPlan:
             "_column_sums",
             lambda storage, slots, starts: summed.append(starts.size) or sums_of(storage, slots, starts),
         )
-        monkeypatch.setattr(embeddings, "_token_columns", mock.Mock(side_effect=AssertionError))
         provider = HashedWindowEmbedder(EmbedderParams(dim=8, n_buckets=512))
-        first = provider.embed(SENT)
-        assert _bits(provider.embed(SENT)) == _bits(first)
-        assert summed == [5]
-        # the first three windows are clipped at the start and held
         longer = Sentence(1, (*SENT.tokens, "then", "left"))
-        rows = provider.embed(longer)
-        assert summed == [5, 4]
+        with mock.patch.object(HashedWindowEmbedder, "token_columns", side_effect=AssertionError):
+            first = provider.embed(SENT)
+            assert _bits(provider.embed(SENT)) == _bits(first)
+            assert summed == [5]
+            # the first three windows are clipped at the start and held
+            rows = provider.embed(longer)
+            assert summed == [5, 4]
         assert _bits(rows[:3]) == _bits(first[:3])
         for sentence, matrix in ((SENT, first), (longer, rows)):
-            columns = _token_columns(provider.params, sentence)
+            columns = columns_of(provider.params, sentence)
             expected = reference_embed_columns(provider.params.storage, columns.slots, columns.starts)
             assert _bits(matrix) == _bits(expected)
 
@@ -720,56 +734,42 @@ class TestSumPlan:
         fresh = HashedWindowEmbedder(EmbedderParams(dim=8, n_buckets=512))
         copied = HashedWindowEmbedder(params.copy())
         # a column only the copy changes
-        moved = provider.token_columns(SENT).columns[:1]
+        moved = flat_entries(provider.token_columns(SENT)).columns[:1]
         copied.params.set_columns(moved, copied.params.slots_for(moved), np.full((1, 8), 0.25))
         assert not np.array_equal(
-            fresh.token_columns(SENT).slots, provider.token_columns(SENT).slots
+            flat_entries(fresh.token_columns(SENT)).slots, flat_entries(provider.token_columns(SENT)).slots
         )
         for p in (provider, fresh, copied):
-            columns = p.token_columns(SENT)
+            columns = flat_entries(p.token_columns(SENT))
             np.testing.assert_array_equal(columns.slots, p.params.slots_for(columns.columns))
             expected = reference_embed_columns(p.params.storage, columns.slots, columns.starts)
             assert _bits(p.embed(SENT)) == _bits(expected)
         assert _bits(copied.embed(SENT)) != _bits(provider.embed(SENT))
 
     def test_token_columns_are_kept_by_no_one(self):
-        # a training sentence's columns are built on each call from the
-        # window entries the params keep, and dropped with the result
+        # a training sentence's columns are the window entries the params
+        # keep, handed out with no copy, and nothing else keeps them
         sentences = [item.sentence for item in suffix_corpus(50, seed=6, min_len=40, max_len=40).items]
         assert len({s.tokens for s in sentences}) == 50
         provider = HashedWindowEmbedder()
         provider.embed_batch(sentences)
+        params = provider.params
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for sentence in sentences:
-                columns = provider.token_columns(sentence)
-                np.testing.assert_array_equal(columns.slots, provider.params.slots_for(columns.columns))
-            del columns
+                entries = provider.token_columns(sentence)
+                windows = embeddings._windows(sentence.tokens, params.window)
+                for entry, window in zip(entries, windows, strict=True):
+                    assert entry is params._windows[window]
+                    ids, slots = entry
+                    assert not ids.flags.writeable and not slots.flags.writeable
+                    np.testing.assert_array_equal(slots, params.slots_for(ids))
+            del entries, entry, ids, slots
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert kept < 50 * 1024, kept
-
-    @pytest.mark.parametrize(
-        "starts, counts, message",
-        [
-            ([0, 2, 2], [2, 0, 3], "token 1 has 0 columns; every token needs one"),
-            ([0, 2, 4], [2, 2, -1], "token 2 has -1 columns; every token needs one"),
-            ([0, 1, 4], [2, 2, 1], "starts must be the exclusive cumulative sum of counts"),
-            ([1, 3, 5], [2, 2, 1], "starts must be the exclusive cumulative sum of counts"),
-            ([0, 2], [2, 2, 1], "starts must be the exclusive cumulative sum of counts"),
-            ([0, 2, 4], [2, 2, 2], r"columns and slots must hold counts.sum\(\) entries"),
-        ],
-    )
-    def test_bad_layout_rejected(self, starts, counts, message):
-        with pytest.raises(ValueError, match=message):
-            TokenColumns(
-                columns=np.arange(5),
-                slots=np.arange(5),
-                starts=np.array(starts),
-                counts=np.array(counts),
-            )
 
 
 # few words, so windows repeat and are partly shared across sentences
@@ -809,7 +809,7 @@ class TestHeldRows:
             if kind == "move":
                 if last is not None:
                     # columns of the last embedded sentence, whose rows are held
-                    moved = np.unique(_token_columns(params, last).columns)[:3]
+                    moved = np.unique(columns_of(params, last).columns)[:3]
                     slots = params.slots_for(moved)
                     params.set_columns(moved, slots, params.storage[slots] + arg)
                 continue
@@ -817,7 +817,7 @@ class TestHeldRows:
             matrices = [provider.embed(sentences[0])] if kind == "embed" else provider.embed_batch(sentences)
             assert len(matrices) == len(sentences)
             for sentence, matrix in zip(sentences, matrices):
-                columns = _token_columns(params, sentence)
+                columns = columns_of(params, sentence)
                 expected = reference_embed_columns(params.storage, columns.slots, columns.starts)
                 assert _bits(matrix) == _bits(expected)
                 last = sentence
@@ -850,14 +850,14 @@ class TestTokenByTokenBackward:
             vocab = ["ab", "ba", "abc", "cab", "Ab", "b"]
             words = tuple(vocab[int(i)] for i in rng.integers(0, len(vocab), 40))
             sent = Sentence(0, words)
-            columns = _token_columns(params, sent)
-            assert np.unique(columns.columns, return_counts=True)[1].max() > 1
+            entries = HashedWindowEmbedder(params).token_columns(sent)
+            assert np.unique(flat_entries(entries).columns, return_counts=True)[1].max() > 1
             d_output = rng.normal(size=(40, 16))
             d_output[rng.random(d_output.shape) < 0.1] = -0.0
             x = HashedWindowEmbedder(params).embed(sent)
 
-            grads = HashedWindowEmbedder(params).backprop(sent, columns, d_output, x)
-            expected = reference_backprop_add_at(columns, d_output, x)
+            grads = HashedWindowEmbedder(params).backprop(sent, entries, d_output, x)
+            expected = reference_backprop_add_at(entries, d_output, x)
             np.testing.assert_array_equal(grads.columns, expected.columns)
             np.testing.assert_array_equal(grads.slots, expected.slots)
             assert _bits(grads.grad) == _bits(expected.grad)

@@ -298,7 +298,7 @@ class TestSweep:
         before = sweep_csv(sweep_c(grid, p, db, data, 3))
         rng = np.random.default_rng(9)
         for item in db.items:
-            for col in p.token_columns(item.sentence).columns[::2]:
+            for col in np.concatenate([ids for ids, _ in p.token_columns(item.sentence)])[::2]:
                 set_column(p.params, int(col), rng.normal(size=p.dim))
         moved = sweep_csv(sweep_c(grid, p, db, data, 3))
         assert build_index(db, p) is not tagger.index

@@ -33,7 +33,7 @@ from copytag.retrieval import ZERO_NORM, build_index, checked_embedding
 from copytag.tagging import Tagger
 from copytag.synthetic import toy_ner_corpus
 
-from embedding_reference import reference_embed_columns
+from embedding_reference import flat_entries, reference_embed_columns
 
 WORDS = ("the", "The", "cat", "x", "A1", "e.g.", "42", "Zürich", "東京", "ß", "-")
 # 48 tokens of about 92 ids each at window 0, more at a wider window
@@ -90,9 +90,9 @@ def test_batched_build_matches_per_sentence_embedding(case):
     assert params.storage.shape == fresh.storage.shape
     assert params.storage.tobytes() == fresh.storage.tobytes()
     # every sentence's rows are the reduceat sums of its columns
-    assert provider.token_columns(Sentence(0, LONG)).slots.size > EMBED_RUN_ROWS
+    assert flat_entries(provider.token_columns(Sentence(0, LONG))).slots.size > EMBED_RUN_ROWS
     for sid, item in enumerate(db.items):
-        columns = provider.token_columns(item.sentence)
+        columns = flat_entries(provider.token_columns(item.sentence))
         expected = reference_embed_columns(params.storage, columns.slots, columns.starts)
         lo, hi = index.row_starts[sid], index.row_starts[sid + 1]
         assert index.token_rows[lo:hi].tobytes() == expected.tobytes()
@@ -109,7 +109,7 @@ def test_non_finite_storage_row_names_the_first_sentence(case, data):
     # values moves the revision, so nothing is held and a row poisoned now
     # is read by both paths
     params = provider.params
-    columns = {item.sentence.tokens: provider.token_columns(item.sentence) for item in db.items}
+    columns = {item.sentence.tokens: flat_entries(provider.token_columns(item.sentence)) for item in db.items}
     poisoned = data.draw(st.integers(0, len(rows) - 1))
     slots = columns[rows[poisoned]].slots
     at = data.draw(st.integers(0, slots.size - 1))
@@ -145,10 +145,10 @@ def _nothing_featurized_or_summed():
 def test_tagger_holds_every_db_window():
     # a query equal to a db sentence is neither featurized nor summed: 25
     # to 32 of the 50 scored ner-k100 queries are db sentences. No db
-    # sentence builds columns.
+    # sentence goes through token_columns.
     db = toy_ner_corpus(40, seed=3)
     provider = HashedWindowEmbedder(dim=16, n_buckets=4096, seed=2)
-    with mock.patch.object(embeddings, "_token_columns", side_effect=AssertionError("columns")):
+    with mock.patch.object(HashedWindowEmbedder, "token_columns", side_effect=AssertionError("columns")):
         tagger = Tagger(provider, db, 5)
     distinct = {item.sentence.tokens for item in db.items}
     assert len(distinct) < len(db.items)
@@ -193,7 +193,7 @@ def test_held_windows_embed_as_the_per_sentence_path(case, data):
     db = build_dataset([(tokens, ("O",) * len(tokens)) for tokens in rows])
     provider = _provider(window)
     build_index(db, provider)
-    assert provider.token_columns(Sentence(0, WIDE)).slots.size > EMBED_RUN_ROWS
+    assert flat_entries(provider.token_columns(Sentence(0, WIDE))).slots.size > EMBED_RUN_ROWS
     db_windows = {w for tokens in rows for w in _token_windows(tokens, window)}
     for uid, tokens in enumerate(queries):
         sentence = Sentence(uid, tokens)
@@ -206,7 +206,7 @@ def test_held_windows_embed_as_the_per_sentence_path(case, data):
 
     # moved weights drop every held row, before and after a new batch
     params = provider.params
-    moved = provider.token_columns(Sentence(0, data.draw(st.sampled_from(rows)))).columns
+    moved = flat_entries(provider.token_columns(Sentence(0, data.draw(st.sampled_from(rows))))).columns
     moved = np.unique(moved)[: data.draw(st.integers(1, 3))]
     values = data.draw(st.sampled_from([0.5, -2.0])) * np.ones((moved.size, params.dim))
     params.set_columns(moved, params.slots_for(moved), values)

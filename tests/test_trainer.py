@@ -372,9 +372,9 @@ class TestFineTune:
         assert any(ids != sorted(ids) for ids in checked)
 
     def test_token_columns_built_once_per_forward_pass(self, monkeypatch):
-        # backprop reads the TokenColumns the forward pass built
+        # backprop reads the window entries the forward pass summed
         calls = {"columns": 0, "forward": 0}
-        token_columns, embed_columns = embeddings._token_columns, trainer._embed_columns
+        token_columns, embed_columns = HashedWindowEmbedder.token_columns, trainer._embed_columns
 
         def counted_columns(*args):
             calls["columns"] += 1
@@ -384,7 +384,7 @@ class TestFineTune:
             calls["forward"] += 1
             return embed_columns(*args)
 
-        monkeypatch.setattr(embeddings, "_token_columns", counted_columns)
+        monkeypatch.setattr(HashedWindowEmbedder, "token_columns", counted_columns)
         monkeypatch.setattr(trainer, "_embed_columns", counted_forward)
         train = suffix_corpus(10, seed=3)
         cfg = TrainConfig(epochs=2, batch_size=4, train_neighbors=3, test_neighbors=3)
