@@ -40,6 +40,7 @@ PER_START = "tests/test_decoder.py::TestMatchesPerStartOracle"
 PER_LEVEL = "tests/test_decoder.py::TestMatchesPerLevelOracle"
 FLOATTEXT = "src/copytag/floattext.py"
 MATCHES_REPR = "tests/test_floattext.py::TestMatchesRepr"
+READS_AS_FLOAT = "tests/test_floattext.py::TestReadsAsFloat"
 
 
 class Mutant(NamedTuple):
@@ -275,6 +276,34 @@ MUTANTS = (
         "np.concatenate([words(trail), full])",
         "np.concatenate([full, full])",
         (MATCHES_REPR,),
+    ),
+    Mutant(
+        "a value read midway not rounded half to even",
+        FLOATTEXT,
+        "    mantissa &= ~midway.astype(np.uint64)\n",
+        "",
+        (f"{READS_AS_FLOAT}::test_halfway_spellings_round_to_even",),
+    ),
+    Mutant(
+        "the exact division taken up to 2**54",
+        FLOATTEXT,
+        "_EXACT = _U64(1 << 53)",
+        "_EXACT = _U64(1 << 54)",
+        (READS_AS_FLOAT,),
+    ),
+    Mutant(
+        "two points in one word read as one",
+        FLOATTEXT,
+        "counts = ((point >> _U64(7)) * _ONES) >> _U64(56)",
+        "counts = (point != 0).astype(np.uint64)",
+        (f"{READS_AS_FLOAT}::test_rejected_with_the_error_of_float",),
+    ),
+    Mutant(
+        "the second 64-bit product skipped",
+        FLOATTEXT,
+        "second = np.flatnonzero((high & _U64(0x1FF)) == _U64(0x1FF))",
+        "second = np.flatnonzero(high != high)",
+        (READS_AS_FLOAT,),
     ),
     Mutant(
         "locate counts the offset from the previous entry",

@@ -1,6 +1,7 @@
-"""Shortest round-trip text of float64 rows, as repr writes it, in numpy.
+"""Float64 rows to text as repr writes it, and text to float64 as float()
+reads it, in numpy, in both directions bit for bit.
 
-`row_lines(heads, rows)` returns the text of the lines
+Writing. `row_lines(heads, rows)` returns the text of the lines
 `head + "".join(" " + repr(v) for v in row) + "\\n"`, byte for byte, with
 no Python float object or repr call per value. It works on chunks of
 8192 values (64 rows of 128), so each temporary array is 64 KiB and stays
@@ -35,14 +36,35 @@ two for the exponent, if a value of the chunk has one. Blank bytes are
 NUL, and bytes.translate deletes them all from the chunk's word grid at
 once, which leaves the text.
 
-The oracle is repr itself: tests/test_floattext.py compares the text
-with it, as does scripts/check_float_text.py over 2**22 random bit
-patterns and every power of two and its neighbours.
+Reading. `read_rows(text, dim, lead, start)` reads such lines back from
+text[start:], a piece of about 2**19 characters at a time: numpy finds
+the " " and "\\n" that separate tokens in the piece's UTF-8 bytes and
+checks each line's shape at once. Each value token is read from the 24 bytes that end with it, as
+three little-endian uint64 words; SWAR masks (bitwise tests on the eight
+bytes of a word at once) check it is a plain decimal, "-" and ASCII
+digits with at most one point, and multiply-shift steps turn it into a
+significand w < 10**19 and a count f of digits after the point. Clinger's
+fast path then gives w / 10**f with one IEEE division when w <= 2**53 and
+f <= 22, both exact doubles; else Eisel-Lemire (D. Lemire, "Number
+Parsing at a Gigabyte per Second", 2021; N. Mushtak and D. Lemire, "Fast
+number parsing without fallback", 2023) multiplies w by a 128-bit
+truncated power of five from a table built at import and rounds as
+fast_float does, half to even. Apart from that one division, every step
+is integer arithmetic or an exact conversion read for its exponent, so
+the bits are float()'s on any platform. float() itself reads every other
+token: exponent forms, "+", "_", other whitespace, non-ASCII digits, and
+tokens over 24 bytes or 19 significant digits (18 with a nonzero integer
+part).
+
+The oracles are repr and float() themselves: tests/test_floattext.py
+compares the text with repr and the values read with float(), as does
+scripts/check_float_text.py over 2**22 random bit patterns, every power
+of two and its neighbours, and millions of decimals.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -259,3 +281,223 @@ def row_lines(heads: Sequence[str], rows: np.ndarray) -> list[str]:
         raise ValueError("rows must be finite")
     step = max(1, _CHUNK_VALUES // max(1, rows.shape[1]))
     return [_chunk_text(heads[lo : lo + step], rows[lo : lo + step]) for lo in range(0, len(rows), step)]
+
+
+# Characters per piece of text read at once, so the temporaries of a read
+# are a few MB whatever the size of the text
+_PIECE = 1 << 19
+_PAD = 24  # bytes before a piece, so each token has a full 24-byte window
+# SWAR constants: a byte value repeated in the eight bytes of a word
+_ONES = _U64(0x0101_0101_0101_0101)
+_ZEROS = _U64(0x3030_3030_3030_3030)  # "0"
+_LOW7 = _U64(0x7F7F_7F7F_7F7F_7F7F)
+_HIGH = _U64(0x8080_8080_8080_8080)
+_NIBBLES = _U64(0xF0F0_F0F0_F0F0_F0F0)
+_SIXES = _U64(0x0606_0606_0606_0606)
+_DOT = _U64(ord(".") ^ ord("0"))  # a point's byte once "0" is taken off
+_DOTS = _DOT * _ONES
+_PAIRS = _U64(0x0000_00FF_0000_00FF)
+_MUL1 = _U64(100 + (1_000_000 << 32))
+_MUL2 = _U64(1 + (10_000 << 32))
+# weights of a window's three words of point marks: the float sum of a
+# single mark is 2**(8 * (its byte in the window) + 7), exactly
+_MARK_PLACE = np.array([1.0, 2.0**64, 2.0**128])
+
+
+def _keep_table() -> np.ndarray:
+    """Entry b: three little-endian words that keep the last 24 - b bytes
+    of a 24-byte window and clear the first b, as one 24-byte item."""
+    rows = [int.from_bytes(b"\0" * b + b"\xff" * (_PAD - b), "little") for b in range(_PAD + 1)]
+    words = [[row >> 64 * j & (1 << 64) - 1 for j in range(3)] for row in rows]
+    return np.array(words, dtype=np.uint64).view("V24").ravel()
+
+
+def _five_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entry f, for q = -f in [-23, 0]: fast_float's 128-bit truncated
+    5**q, with its top bit set (for q < 0, floor(2**(127 + z) / 5**-q) + 1
+    with 2**(z - 1) < 5**-q < 2**z), as high and low words, and the biased
+    binary exponent power(q) + 1023 of fast_float's compute_float."""
+    high, low, power = [], [], []
+    for f in range(_PAD):
+        t = 1 << 127 if f == 0 else (1 << 127 + (5**f).bit_length()) // 5**f + 1
+        high.append(t >> 64)
+        low.append(t & (1 << 64) - 1)
+        power.append((((152_170 + 65_536) * -f) >> 16) + 63 + 1023)
+    return np.array(high, dtype=np.uint64), np.array(low, dtype=np.uint64), np.array(power, dtype=np.int64)
+
+
+_KEEP = _keep_table()
+_FIVE_HIGH, _FIVE_LOW, _POWER2 = _five_table()
+# 10**k as uint64, all ones from 10**20 on, which no significand reaches
+_TEN_U64 = np.array([10**k if k < 20 else (1 << 64) - 1 for k in range(_PAD + 1)], dtype=np.uint64)
+_TEN_F64 = np.array([float(10**k) for k in range(23)])
+_EXACT = _U64(1 << 53)
+
+
+def _mul128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of the product of a and b, any uint64,
+    from products of 32-bit limbs: the middle sum is below 3 * 2**32."""
+    al, ah, bl, bh = a & _M32, a >> _U64(32), b & _M32, b >> _U64(32)
+    low = al * bl
+    lh, hl = al * bh, ah * bl
+    mid = (low >> _U64(32)) + (lh & _M32) + (hl & _M32)
+    high = ah * bh + (lh >> _U64(32)) + (hl >> _U64(32)) + (mid >> _U64(32))
+    return high, (mid << _U64(32)) | (low & _M32)
+
+
+def _eisel_lemire(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The float64 nearest w * 10**-f, ties to even, for 0 < w < 2**64
+    and f in [0, 23], as fast_float's compute_float finds it (D. Lemire,
+    "Number Parsing at a Gigabyte per Second", 2021): w normalized times
+    the 128-bit 5**-f, whose product N. Mushtak and D. Lemire ("Fast
+    number parsing without fallback", 2023) show always decides."""
+    # floor(log2(w)) from the exponent of float(w), which may round up to a power of two
+    top = np.minimum((w.astype(np.float64).view(np.uint64) >> _U64(52)).astype(np.int64) - 1023, 63)
+    top -= (w >> top.astype(np.uint64)) == 0
+    lz = (63 - top).astype(np.uint64)
+    w = w << lz
+    high, low = _mul128(w, _FIVE_HIGH[f])
+    # the low word of 5**-f counts only when the high word's 9 bits below
+    # the 55 kept are all ones
+    second = np.flatnonzero((high & _U64(0x1FF)) == _U64(0x1FF))
+    if second.size:
+        extra, _ = _mul128(w[second], _FIVE_LOW[f[second]])
+        more = low[second] + extra
+        high[second] += more < extra
+        low[second] = more
+    upper = high >> _U64(63)
+    shift = upper + _U64(9)
+    mantissa = high >> shift
+    power2 = _POWER2[f] + upper.astype(np.int64) - lz.astype(np.int64)
+    # round half to even: a product exactly midway, which only q >= -4
+    # gives, rounds down from an even mantissa
+    midway = (low <= _U64(1)) & (f <= 4) & (mantissa & _U64(3) == _U64(1)) & ((mantissa << shift) == high)
+    mantissa &= ~midway.astype(np.uint64)
+    mantissa += mantissa & _U64(1)
+    mantissa >>= _U64(1)
+    carried = mantissa >= _U64(2 << 52)
+    mantissa = np.where(carried, _U64(1 << 52), mantissa)
+    power2 += carried
+    return ((power2.astype(np.uint64) << _U64(52)) | (mantissa & _T_MASK)).view(np.float64)
+
+
+def _read_tokens(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the tokens data[starts[i]:ends[i]], each at least
+    _PAD bytes into `data`, and the mask of those the kernel reads: at
+    most 24 bytes of an optional "-", then ASCII digits with at most one
+    point, at least one digit, that make a number below 10**19 when the
+    point is read as a "0". The value of any other token is left for
+    float().
+
+    A token's window is the 24 bytes that end with it, three
+    little-endian words. With "0" taken off each byte, the bytes before
+    the token and its "-" are cleared. SWAR masks (bitwise tests on the
+    eight bytes of a word at once) mark its points; a point is cleared,
+    and each word, then all digits, turns into its eight-digit number in
+    three multiply-shift steps. The words make W, with the point as a
+    zero digit f places from the end; when the integer part is nonzero
+    that column is dropped, which leaves the significand w of w * 10**-f.
+    """
+    negative = np.frombuffer(data, dtype=np.uint8)[starts] == ord("-")
+    length = ends - starts - negative
+    windows = np.ndarray((len(data) - _PAD + 1,), dtype="V24", buffer=data, strides=(1,))
+    x = windows[ends - _PAD].view("<u8").reshape(-1, 3)
+    x ^= _ZEROS
+    x &= _KEEP.take(np.clip(_PAD - length, 0, _PAD)).view("<u8").reshape(-1, 3)
+    # a byte's high bit in `point` when the byte is "."
+    y = x ^ _DOTS
+    point = ~(((y & _LOW7) + _LOW7) | y) & _HIGH
+    x ^= (point >> _U64(7)) * _DOT
+    # each word's marks summed into its top byte: at most 8, so no carry
+    counts = ((point >> _U64(7)) * _ONES) >> _U64(56)
+    points = counts[:, 0] + counts[:, 1] + counts[:, 2]
+    digits = ((x | (x + _SIXES)) & _NIBBLES) == 0
+    x = x * _U64(10) + (x >> _U64(8))
+    x = (((x & _PAIRS) * _MUL1) + (((x >> _U64(16)) & _PAIRS) * _MUL2)) >> _U64(32)
+    read = digits[:, 0] & digits[:, 1] & digits[:, 2] & (points <= 1) & (length > points) & (length <= _PAD)
+    read &= x[:, 0] < _U64(1000)
+    w = x[:, 0] * _U64(10**16) + x[:, 1] * _U64(10**8) + x[:, 2]
+    # the digits after the point: (191 - the mark's bit) // 8, 0 without one
+    mark = (point.astype(np.float64) @ _MARK_PLACE).view(np.uint64) >> _U64(52)
+    f = ((1023 + 191 - mark.astype(np.int64)) >> 3) * (points == 1)
+    whole = np.flatnonzero((w >= _TEN_U64[f + 1]) & (points == 1))
+    if whole.size:
+        fw, ww = f[whole], w[whole]
+        w[whole] = ww // _TEN_U64[fw + 1] * _TEN_U64[fw] + ww % _TEN_U64[fw]
+    # Clinger: w and 10**f are exact doubles, so one division rounds once
+    exact = ((w <= _EXACT) & (f <= 22)) | (w == 0)
+    values = w.astype(np.float64)
+    values /= _TEN_F64[np.minimum(f, 22)]
+    rest = np.flatnonzero(~exact & read)
+    if rest.size:
+        values[rest] = _eisel_lemire(w[rest], f[rest])
+    values.view(np.uint64)[...] |= negative.astype(np.uint64) << _U64(63)
+    return values, read
+
+
+class Rows(NamedTuple):
+    """What read_rows read from one piece of text: the key and the values
+    of each line, and, when reading ended there, the line it ended at."""
+
+    keys: list[str]
+    values: np.ndarray
+    # the line's text and float()'s error, None when the line is not
+    # lead, key and dim values
+    stop: tuple[str, ValueError | None] | None
+
+
+def _piece_rows(data: bytes, dim: int, lead: bytes) -> Rows:
+    """Rows of the lines of data[_PAD:], which ends in "\n"."""
+    text = np.frombuffer(data, dtype=np.uint8)[_PAD:]
+    breaks = np.flatnonzero((text == ord(" ")) | (text == ord("\n"))) + _PAD
+    ends = np.flatnonzero(text[breaks - _PAD] == ord("\n"))  # each line's "\n" in breaks
+    starts = np.concatenate(([0], breaks[ends[:-1]] + 1 - _PAD))
+    width = lead.count(b" ") + 1 + dim  # tokens of a line
+    regular = np.diff(ends, prepend=-1) == width
+    # a line shorter than lead meets its "\n", which lead does not hold
+    for k, byte in enumerate(lead):
+        regular &= text.take(starts + k, mode="clip") == byte
+    n = len(starts) if regular.all() else int(np.argmin(regular))
+    grid = breaks[: n * width].reshape(n, width)
+    key_ends = grid[:, width - dim - 1]
+    value_starts = grid[:, width - dim - 1 : -1].ravel() + 1
+    value_ends = grid[:, width - dim :].ravel()
+    values, read = _read_tokens(data, value_starts, value_ends)
+    error = None
+    for i in np.flatnonzero(~read).tolist():
+        try:
+            values[i] = float(data[value_starts[i] : value_ends[i]].decode("utf-8", "surrogatepass"))
+        except ValueError as exc:
+            n, error = i // dim, exc
+            break
+    stop = None
+    if n < len(starts):
+        stop = (data[_PAD + starts[n] : breaks[ends[n]]].decode("utf-8", "surrogatepass"), error)
+    key_starts = (starts[:n] + _PAD + len(lead)).tolist()
+    keys = [data[s:e].decode("utf-8", "surrogatepass") for s, e in zip(key_starts, key_ends[:n].tolist())]
+    return Rows(keys, values[: n * dim].reshape(n, dim), stop)
+
+
+def read_rows(text: str, dim: int, lead: str, start: int) -> Iterator[Rows]:
+    """Read text[start:], which ends in "\n", as lines of `lead` (text
+    without "\n"), a key and dim values, joined by " ": the lines
+    row_lines writes for the heads lead + key. One Rows per piece of
+    about 2**19 characters, cut after a "\n", so no copy of the whole
+    text is made.
+
+    Only " " and "\n" separate tokens, as str.split(" ") splits a line;
+    a key is any token, a value any text float() reads, as the same bits.
+    Reading ends at the first line that does not start with `lead` or has
+    another number of tokens, or that has a value float() rejects: the
+    Rows of its piece holds the lines before it and, as `stop`, its text
+    and float()'s error for its first such value.
+    """
+    lead_bytes = lead.encode("utf-8", "surrogatepass")
+    while start < len(text):
+        cut = text.find("\n", start + _PIECE)
+        end = len(text) if cut < 0 else cut + 1
+        rows = _piece_rows(b"\0" * _PAD + text[start:end].encode("utf-8", "surrogatepass"), dim, lead_bytes)
+        yield rows
+        if rows.stop is not None:
+            return
+        start = end

@@ -26,7 +26,9 @@ line per modified weight column, its values written as repr writes them
 by the numpy kernel in floattext; unmodified columns are regenerated from
 the seed at load time. One renderer writes the header for save and for
 load to compare against, so load accepts only the text save writes,
-column value text aside.
+column value text aside. Load reads the header line by line and the
+column lines with floattext.read_rows, a piece of text at a time, whose
+decimal kernel gives each value the bits float() gives it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .embeddings import (
     _embed_columns,
 )
 from .evaluation import token_accuracy
-from .floattext import row_lines
+from .floattext import read_rows, row_lines
 from .retrieval import assemble_neighbor_set, build_index, query
 from .tagging import Tagger, predictions_dataset
 
@@ -389,6 +391,32 @@ def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
         start = end
 
 
+def _column_id(key: str, columns: list[int]) -> int:
+    """The column id of a line's key, written as save writes it and above
+    the ids before it; else ValueError."""
+    col = int(key)
+    if key != str(col):
+        raise ValueError(f"column id {key!r} is not written as {col}")
+    if columns and col <= columns[-1]:
+        raise ValueError(f"column {col} after {columns[-1]}: ids must ascend")
+    return col
+
+
+def _line_error(line: str, dim: int, columns: list[int], value_error: ValueError | None) -> str:
+    """Why the column line read_rows stopped at is refused: its shape, else
+    its column id, else `value_error`, float()'s error for its value."""
+    parts = line.split(" ")
+    if parts[0] != "col":
+        return f"unexpected line in parameter section: {line!r}"
+    if len(parts) != dim + 2:
+        return f"column line has {len(parts) - 2} values, expected {dim}"
+    try:
+        _column_id(parts[1], columns)
+    except ValueError as exc:
+        return str(exc)
+    return str(value_error)
+
+
 def load_checkpoint(text: str) -> Checkpoint:
     """Read save_checkpoint's text back; malformed input raises
     CheckpointError, naming the line where there is one.
@@ -398,18 +426,24 @@ def load_checkpoint(text: str) -> Checkpoint:
     hold, and column ids must be written as save writes them, in
     ascending order. A column value may be any text float() reads as that
     value, so "1e0" loads as the 1.0 that save writes.
+
+    The column lines are read by floattext.read_rows, whose vectorized
+    kernel reads a plain decimal as float() does, bit for bit, and hands
+    every other value text to float(). The first bad line is named, with
+    the first of its faults in the order shape, column id, values, column
+    range; a non-finite value is named only once every line has been read.
     """
     if not text:
         raise CheckpointError("empty checkpoint")
     if not text.endswith("\n"):
         raise CheckpointError(f"line {text.count(chr(10)) + 1}: no final newline")
-    lines = enumerate(_lines(text), start=1)
-    header = [next(lines)[1]]
+    lines = _lines(text)
+    header = [next(lines)]
     if header[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(
             f"line 1: expected checkpoint magic {CHECKPOINT_MAGIC!r}, got {header[0]!r}"
         )
-    for number, line in lines:
+    for line in lines:
         header.append(line)
         if line.startswith("#params"):
             break
@@ -457,42 +491,33 @@ def load_checkpoint(text: str) -> Checkpoint:
             if getattr(entry, field) is None:
                 raise CheckpointError(f"missing config key log.{entry.epoch}.{key}")
 
-    # Each column line fills one row of `block`; one set_columns call then
-    # writes them all, advancing the revision by one per column. A column
-    # line holds "col", an id and dim values, each after a separator, and
-    # its newline: at least 2 * dim + 6 characters, which bounds the rows.
-    # Rows never filled are never touched.
-    block = np.empty((len(text) // (2 * params.dim + 6), params.dim))
+    # Each column line fills one row of `block`, which has a row for each
+    # line after the header; one set_columns call then writes them all,
+    # advancing the revision by one per column.
+    body = sum(len(line) + 1 for line in header)
+    block = np.empty((text.count("\n", body), params.dim))
     columns: list[int] = []
-    for number, line in lines:
-        parts = line.split(" ")
-        try:
-            if parts[0] != "col":
-                raise ValueError(f"unexpected line in parameter section: {line!r}")
-            if len(parts) != params.dim + 2:
-                raise ValueError(
-                    f"column line has {len(parts) - 2} values, expected {params.dim}"
-                )
-            col = int(parts[1])
-            if parts[1] != str(col):
-                raise ValueError(f"column id {parts[1]!r} is not written as {col}")
-            if columns and col <= columns[-1]:
-                raise ValueError(f"column {col} after {columns[-1]}: ids must ascend")
-            # parses each value exactly as float() does
-            block[len(columns)] = np.array(parts[2:], dtype=float)
-            if not 0 <= col < params.n_buckets:
-                raise ValueError(f"column {col} outside [0, {params.n_buckets})")
-        except ValueError as exc:
-            raise CheckpointError(f"line {number}: {exc}") from None
-        columns.append(col)
-    values = block[: len(columns)]
+    for rows in read_rows(text, params.dim, "col ", body):
+        for key in rows.keys:
+            try:
+                col = _column_id(key, columns)
+                if not 0 <= col < params.n_buckets:
+                    raise ValueError(f"column {col} outside [0, {params.n_buckets})")
+            except ValueError as exc:
+                raise CheckpointError(f"line {len(header) + 1 + len(columns)}: {exc}") from None
+            columns.append(col)
+        block[len(columns) - len(rows.keys) : len(columns)] = rows.values
+        if rows.stop is not None:
+            line, value_error = rows.stop
+            message = _line_error(line, params.dim, columns, value_error)
+            raise CheckpointError(f"line {len(header) + 1 + len(columns)}: {message}")
     # unfilled slots: their seeded values would be overwritten
     start = params._new_slots(columns)
     try:
         params.set_columns(
-            np.array(columns, dtype=np.int64), np.arange(start, start + len(columns)), values
+            np.array(columns, dtype=np.int64), np.arange(start, start + len(columns)), block
         )
     except ValueError as exc:  # a non-finite row; nothing was written
-        row = int(np.argmin(np.isfinite(values).all(axis=1)))
+        row = int(np.argmin(np.isfinite(block).all(axis=1)))
         raise CheckpointError(f"line {len(header) + 1 + row}: {exc}") from None
     return checkpoint

@@ -1,7 +1,9 @@
-"""floattext.row_lines writes every float64 as repr writes it.
+"""floattext.row_lines writes every float64 as repr writes it, and
+floattext.read_rows reads every value as float() reads it.
 
-repr is the oracle: each case compares the kernel's text with
-head + "".join(" " + repr(v) for v in row) + "\n" for each row.
+repr and float() are the oracles: each writing case compares the kernel's
+text with head + "".join(" " + repr(v) for v in row) + "\n" for each row,
+and each reading case compares the bits read with float() of each token.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from copytag.embeddings import EmbedderParams
-from copytag.floattext import row_lines
+from copytag.floattext import read_rows, row_lines
 from copytag.trainer import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 ROW = 128
@@ -142,3 +144,134 @@ class TestRejects:
     def test_bad_shape_or_dtype(self, heads, rows):
         with pytest.raises(ValueError, match="float64 matrix"):
             row_lines(heads, rows)
+
+
+def read_back(tokens, dim=8):
+    """The values read_rows reads from `tokens`, in lines "col <i>" and
+    `dim` tokens, the last line filled up with "0"; every line must read.
+    A token holds no " ", which separates tokens."""
+    count = len(tokens)
+    tokens = list(tokens) + ["0"] * (-count % dim)
+    text = "".join(f"col {i} " + " ".join(tokens[lo : lo + dim]) + "\n" for i, lo in enumerate(range(0, len(tokens), dim)))
+    pieces = list(read_rows(text, dim, "col ", 0))
+    assert pieces[-1].stop is None, pieces[-1].stop
+    assert [key for rows in pieces for key in rows.keys] == [str(i) for i in range(len(tokens) // dim)]
+    return np.concatenate([rows.values.ravel() for rows in pieces])[:count]
+
+
+def assert_reads_as_float(tokens) -> None:
+    """Each token reads as the bits of float(token)."""
+    tokens = list(tokens)
+    got = read_back(tokens).view(np.uint64)
+    want = np.array([float(t) for t in tokens]).view(np.uint64)
+    wrong = np.flatnonzero(got != want)
+    assert wrong.size == 0, [(tokens[i], got[i].view(np.float64), float(tokens[i])) for i in wrong[:5]]
+
+
+def midpoints(rng, low, high, size):
+    """Integers midway between two adjacent doubles in [low, high)."""
+    doubles = rng.uniform(low, high, size)
+    return [int(d) + int(np.spacing(d)) // 2 for d in doubles.tolist()]
+
+
+class TestReadsAsFloat:
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20261021).integers(0, 1 << 64, size=60_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert_reads_as_float(repr(v) for v in values[np.isfinite(values)].tolist())
+
+    def test_normal_and_log_uniform_values(self):
+        # most of a checkpoint: N(0, 0.1) weights, 16 or 17 digits after
+        # "0.", and fixed-notation values of every length
+        rng = np.random.default_rng(5)
+        normal = rng.normal(0.0, 0.1, 40_000)
+        spread = 10 ** rng.uniform(-5, 17, 40_000) * rng.choice([-1.0, 1.0], 40_000)
+        assert_reads_as_float(repr(v) for v in np.concatenate([normal, spread]).tolist())
+
+    def test_powers_of_two_with_neighbours(self):
+        values = powers_of_two()
+        assert_reads_as_float(repr(v) for v in np.concatenate([values, -values]).tolist())
+
+    def test_integers_around_2_53(self):
+        around = [2**53 + k for k in range(-300, 300)] + [2**54 + k for k in range(-300, 300)]
+        tokens = [str(n) for n in around] + [f"{n}.0" for n in around] + [f"-{n}.00" for n in around]
+        assert_reads_as_float([*tokens, *(repr(float(n)) for n in around)])
+
+    def test_both_sides_of_each_notation_switch(self):
+        edges = np.array([1e-4, 1e-5, 1e16, 9999999999999998.0, 0.5, 1e22, 1e23])
+        values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        assert_reads_as_float(repr(v) for v in np.concatenate([values, -values]).tolist())
+        got = read_back(["-0.0", "0.0", "-0", "0", "-.0", "0."])
+        assert got.view(np.uint64).tolist() == np.array([-0.0, 0.0, -0.0, 0.0, -0.0, 0.0]).view(np.uint64).tolist()
+
+    def test_halfway_spellings_round_to_even(self):
+        # 2**53 + 1 lies midway between 2**53 and 2**53 + 2; even wins
+        assert read_back(["9007199254740993.0"])[0] == 2.0**53
+        assert read_back(["9007199254740995", "900719925474099.30"]).tolist() == [2.0**53 + 4, 900719925474099.25]
+        rng = np.random.default_rng(9)
+        tokens = []
+        for n in midpoints(rng, 2.0**53, 2.0**59, 3_000):
+            digits = str(n)
+            tokens += [digits, digits + ".0", digits + ".00", digits[:-2] + "." + digits[-2:]]
+        assert_reads_as_float(tokens)
+
+    def test_other_spellings_go_to_float(self):
+        tokens = [
+            "1e0", "-2.5E-3", "+1.5", "1_0", "1_000.000_1", "\t1.5", "\xa01.5", "1.5\t", "1.5\r", "\u0663.0",
+            "\uff11.5", "00012.5", "-00000.000125", ".5", "-.5", "1.", "-7.", "0.30000000000000004441",
+            "1234567890123456789012345", "0.1234567890123456789012345", "123456789012345678.9",
+            "12345678901234567.89", "0.0000000000000000000001", ".00000000000000000000001",
+            "1234567890123456789", "9999999999999999999", "inf", "-Infinity", "nan",
+        ]
+        assert_reads_as_float(tokens)
+
+    def test_random_digit_strings(self):
+        # every length up to 24 bytes, a point anywhere or none, a sign or not
+        rng = np.random.default_rng(13)
+        tokens = []
+        for _ in range(20_000):
+            digits = "".join(rng.choice(list("0123456789"), int(rng.integers(1, 23))).tolist())
+            at = int(rng.integers(0, len(digits) + 2))
+            token = digits if at > len(digits) else digits[:at] + "." + digits[at:]
+            tokens.append("-" + token if rng.random() < 0.5 else token)
+        assert_reads_as_float(tokens)
+
+    @pytest.mark.parametrize("bad", ["0.1.2", "1.2.", "12.345.6", "--1", "", "-", ".", "0x10", "1e", "\u0663\u0663x"])
+    def test_rejected_with_the_error_of_float(self, bad):
+        with pytest.raises(ValueError) as expected:
+            float(bad)
+        text = f"col 0 1.0 2.0\ncol 1 3.0 {bad}\ncol 2 4.0 5.0\n"
+        (rows,) = read_rows(text, 2, "col ", 0)
+        assert rows.keys == ["0"]
+        assert rows.values.tolist() == [[1.0, 2.0]]
+        line, error = rows.stop
+        assert line == f"col 1 3.0 {bad}"
+        assert str(error) == str(expected.value)
+
+    @pytest.mark.parametrize("line", ["col 1 3.0", "col 1 3.0 4.0 5.0", "row 1 3.0 4.0", "co", "", "col 1 3.0\t4.0"])
+    def test_stops_at_a_line_of_another_shape(self, line):
+        (rows,) = read_rows(f"col 0 1.0 2.0\n{line}\ncol 2 4.0 5.0\n", 2, "col ", 0)
+        assert rows.keys == ["0"] and rows.stop == (line, None)
+
+    def test_reads_across_pieces(self):
+        values = np.random.default_rng(3).normal(0.0, 0.1, (6_000, 128))
+        text = "".join(row_lines([f"col {i}" for i in range(len(values))], values))
+        pieces = list(read_rows(text, 128, "col ", 0))
+        assert len(pieces) > 1 and all(rows.stop is None for rows in pieces)
+        got = np.concatenate([rows.values for rows in pieces])
+        np.testing.assert_array_equal(got.view(np.uint64), values.view(np.uint64))
+        assert [key for rows in pieces for key in rows.keys] == [str(i) for i in range(len(values))]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 40)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_round_trip(self, rows):
+        text = "".join(row_lines([f"col {i}" for i in range(len(rows))], rows))
+        (read,) = read_rows(text, rows.shape[1], "col ", 0)
+        assert read.stop is None
+        np.testing.assert_array_equal(read.values.view(np.uint64), rows.view(np.uint64))

@@ -85,3 +85,5 @@ def test_check_float_text_imports():
     script = _load(ROOT / "scripts" / "check_float_text.py", "copytag_check_float_text")
     assert callable(script.main)
     assert script.first_mismatch(np.array([0.1, -0.0, 5e-324, 1e16, 1e-4])) is None
+    assert script.first_misread(["1e0", "+1.5", "00012.5", "\t.5", "1_0.0"]) is None
+    assert script.first_accepted(["0.1.2", "--1", ""]) is None

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -543,8 +544,9 @@ class TestCheckpointFormat:
         assert params.revision == 3
 
     def test_value_parse_matches_float(self):
-        # load_checkpoint parses a column line with one numpy conversion;
-        # it must read every repr the same as float() does, bit for bit
+        # load_checkpoint reads the column values with floattext's decimal
+        # kernel, float() taking the rest; it must read every repr the same
+        # as float() does, bit for bit
         rng = np.random.default_rng(8)
         bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64)
         bits[:2000] &= np.uint64(2**63 + 2**52 - 1)  # subnormals of both signs
@@ -557,7 +559,13 @@ class TestCheckpointFormat:
         ]
         texts = [repr(v) for v in [*values.tolist(), *scaled.tolist(), *specials]]
         assert any("e-" in t for t in texts) and "-0.0" in texts
-        parsed = np.array(texts, dtype=float)
+        texts += ["0"] * (-len(texts) % 16)
+        n = len(texts) // 16
+        sizes = {"dim=3": "dim=16", "buckets=40": f"buckets={n}"}
+        lines = [sizes.get(line, line) for line in self.CONFIG_LINES] + [f"#params 16 {n}"]
+        lines += [f"col {i} " + " ".join(texts[16 * i : 16 * i + 16]) for i in range(n)]
+        params = load_checkpoint("\n".join(lines) + "\n").params
+        parsed = params.storage[params.slots_for(range(n))]
         expected = np.array([float(t) for t in texts])
         assert parsed.tobytes() == expected.tobytes()
 
@@ -764,6 +772,42 @@ class TestCheckpointFormat:
         text = save_checkpoint(ck) + "row 3 1.0\n"
         with pytest.raises(CheckpointError, match="unexpected line"):
             load_checkpoint(text)
+
+    @staticmethod
+    def wide_text():
+        """A dim-128 checkpoint of 2,000 modified columns, 5.1 MiB of text:
+        more than one piece of the column reader."""
+        params = EmbedderParams(dim=128, n_buckets=1 << 20, seed=1)
+        columns = np.arange(2000) * 37
+        values = np.random.default_rng(2).normal(0.0, 0.1, (2000, 128))
+        params.set_columns(columns, params.slots_for(columns), values)
+        return save_checkpoint(Checkpoint(params, TrainConfig(epochs=0), ()))
+
+    def test_load_memory_is_below_twice_the_text(self):
+        # the column block has one row per column line, and the values are
+        # read a piece of text at a time, with no copy of the whole text
+        text = self.wide_text()
+        tracemalloc.start()
+        try:
+            load_checkpoint(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text), (peak, len(text))
+
+    @pytest.mark.parametrize("late", [1, 1200, 2000])
+    def test_bad_line_named_in_a_later_piece(self, late):
+        lines = self.wide_text().split("\n")  # the last one empty
+        number = len(lines) - 1 - 2000 + late  # the late-th column line, from 1
+        parts = lines[number - 1].split(" ")
+        for bad, message in [
+            ([*parts[:2], "0.1.2", *parts[3:]], "could not convert string to float: '0.1.2'"),
+            (parts[:-1], "column line has 127 values, expected 128"),
+        ]:
+            lines[number - 1] = " ".join(bad)
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint("\n".join(lines))
+            assert str(info.value) == f"line {number}: {message}"
 
     def test_header_mismatch(self):
         ck = self.roundtrip()
