@@ -41,6 +41,11 @@ PER_LEVEL = "tests/test_decoder.py::TestMatchesPerLevelOracle"
 FLOATTEXT = "src/copytag/floattext.py"
 MATCHES_REPR = "tests/test_floattext.py::TestMatchesRepr"
 READS_AS_FLOAT = "tests/test_floattext.py::TestReadsAsFloat"
+MASKED_MARGINALS = "tests/test_copy_model.py::TestMarginals::test_matches_masked_oracle_bit_for_bit"
+NO_SEED = (
+    "tests/test_embeddings.py::TestEmbedderParams::test_set_columns_seeds_no_column_it_writes",
+    "tests/test_trainer.py::TestCheckpointFormat::test_load_seeds_no_column_it_loads",
+)
 
 
 class Mutant(NamedTuple):
@@ -58,6 +63,24 @@ MUTANTS = (
         "self._held, self._held_at = {}, self.params.revision",
         "self._held_at = self.params.revision",
         (HELD_ROWS, HELD_QUERIES),
+    ),
+    Mutant(
+        "set_columns seeds the columns it overwrites",
+        EMBEDDINGS,
+        "        self._new_slots([col for col in cols if col not in self._slot])\n",
+        "",
+        NO_SEED,
+    ),
+    Mutant(
+        "set_columns reads the storage before taking slots",
+        EMBEDDINGS,
+        "        self._new_slots([col for col in cols if col not in self._slot])\n"
+        "        # taking slots can grow and rebind the storage, so it is read after\n"
+        "        self._store[self.slots_for(columns)] = values\n",
+        "        store = self._store\n"
+        "        self._new_slots([col for col in cols if col not in self._slot])\n"
+        "        store[self.slots_for(columns)] = values\n",
+        NO_SEED,
     ),
     Mutant(
         "held rows not copied when the buffer grows",
@@ -222,6 +245,20 @@ MUTANTS = (
         (PER_START, "tests/test_decoder.py::TestDPExpected"),
     ),
     Mutant(
+        "an earlier rank that rounds to the minimum never looked for",
+        DECODER,
+        "if rank and base + earlier[length - 1] == value:",
+        "if False:",
+        (PER_START,),
+    ),
+    Mutant(
+        "the first rank found without the prefix cost",
+        DECODER,
+        "return int((base + step).argmin())",
+        "return int(step.argmin())",
+        (PER_START,),
+    ),
+    Mutant(
         "an exemplar's run ends at lcp <= length",
         DECODER,
         "while self.lcp[last + 1] >= length:",
@@ -304,6 +341,20 @@ MUTANTS = (
         "second = np.flatnonzero((high & _U64(0x1FF)) == _U64(0x1FF))",
         "second = np.flatnonzero(high != high)",
         (READS_AS_FLOAT,),
+    ),
+    Mutant(
+        "a type's marginal summed in reverse token order",
+        "src/copytag/copy_model.py",
+        "grouped[:, lo:hi].sum(axis=1)",
+        "grouped[:, lo:hi][:, ::-1].sum(axis=1)",
+        (MASKED_MARGINALS,),
+    ),
+    Mutant(
+        "neighbor tokens grouped by type in reverse order",
+        "src/copytag/retrieval.py",
+        'np.argsort(flat_labels, kind="stable")',
+        'np.argsort(flat_labels, kind="stable")[::-1]',
+        (MASKED_MARGINALS,),
     ),
     Mutant(
         "locate counts the offset from the previous entry",

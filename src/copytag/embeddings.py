@@ -235,7 +235,9 @@ class EmbedderParams:
 
     Conceptually a dim x n_buckets matrix; physically only the columns that
     have ever been read or written are materialized, each generated as
-    default_rng([seed, column]).normal(0.0, INIT_STD, dim) on first touch.
+    default_rng([seed, column]).normal(0.0, INIT_STD, dim) when first read;
+    a column first written is never generated. Writers name columns, and
+    the parameters find their storage slots.
     `modified` records columns an optimizer overwrote, which is exactly the
     set a checkpoint has to carry. The seed lies in [0, 2**32) and
     n_buckets in [1, 2**32], so the seed and every column are one 32-bit
@@ -383,15 +385,15 @@ class EmbedderParams:
             entries = list(map(self._windows.get, windows))
         return entries
 
-    def set_columns(
-        self, columns: np.ndarray, slots: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Overwrite the materialized rows `slots` of `columns` at once.
+    def set_columns(self, columns: np.ndarray, values: np.ndarray) -> None:
+        """Overwrite `columns` with `values` at once.
 
         The one writer of weights: `modified` gains the columns and
         `revision` advances by their count. A non-finite value raises,
-        naming the first such column, before anything is written. `slots`
-        must be this object's slots of `columns`, which are unique.
+        naming the first such column, and so do a repeated column and a
+        column out of range, before anything is written. A column not
+        materialized yet takes a slot unseeded, since its values are about
+        to be overwritten.
         """
         values = np.asarray(values, dtype=float)
         if values.shape != (len(columns), self.dim):
@@ -402,9 +404,14 @@ class EmbedderParams:
         if not finite.all():
             col = int(columns[int(np.argmin(finite))])
             raise ValueError(f"non-finite values for column {col}")
-        self._store[slots] = values
-        self.modified.update(columns.tolist())
-        self.revision += len(columns)
+        cols = columns.tolist()
+        if len(set(cols)) != len(cols):
+            raise ValueError("columns must be unique")
+        self._new_slots([col for col in cols if col not in self._slot])
+        # taking slots can grow and rebind the storage, so it is read after
+        self._store[self.slots_for(columns)] = values
+        self.modified.update(cols)
+        self.revision += len(cols)
 
     @property
     def storage(self) -> np.ndarray:
@@ -579,13 +586,12 @@ def embed_sentence(token_matrix: np.ndarray) -> np.ndarray:
 class ColumnGrads:
     """A sparse loss gradient over weight columns.
 
-    grad[i] is the gradient of columns[i]; columns are sorted and unique,
-    and slots[i] is the storage row of columns[i] in the EmbedderParams
-    the gradient was taken for. Columns absent here have zero gradient.
+    grad[i] is the gradient of columns[i]; columns are sorted and unique.
+    Columns absent here have zero gradient. The EmbedderParams the
+    gradient was taken for keep the storage rows of the columns.
     """
 
     columns: np.ndarray
-    slots: np.ndarray
     grad: np.ndarray
 
     def __len__(self) -> int:
@@ -696,13 +702,11 @@ class HashedWindowEmbedder:
                 f"sentence {sentence.uid}: columns of {len(entries)} tokens, not {len(sentence)}"
             )
         per_token = d_output * (1.0 - embeddings * embeddings)
-        ids, slots = zip(*entries)
-        uniq, first, inverse = np.unique(
-            np.concatenate(ids), return_index=True, return_inverse=True
-        )
+        ids, _ = zip(*entries)
+        uniq, inverse = np.unique(np.concatenate(ids), return_inverse=True)
         grad = np.zeros((uniq.size, self.dim))
         bounds = list(accumulate(map(len, ids), initial=0))
         for row, lo, hi in zip(per_token, bounds, bounds[1:]):
             grad[inverse[lo:hi]] += row
-        return ColumnGrads(columns=uniq, slots=np.concatenate(slots)[first], grad=grad)
+        return ColumnGrads(columns=uniq, grad=grad)
 

@@ -316,13 +316,14 @@ def _five_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entry f, for q = -f in [-23, 0]: fast_float's 128-bit truncated
     5**q, with its top bit set (for q < 0, floor(2**(127 + z) / 5**-q) + 1
     with 2**(z - 1) < 5**-q < 2**z), as high and low words, and the biased
-    binary exponent power(q) + 1023 of fast_float's compute_float."""
+    binary exponent power(q) + 1023 of fast_float's compute_float, where
+    power(q) = floor(q * log2(10)) + 63."""
     high, low, power = [], [], []
     for f in range(_PAD):
         t = 1 << 127 if f == 0 else (1 << 127 + (5**f).bit_length()) // 5**f + 1
         high.append(t >> 64)
         low.append(t & (1 << 64) - 1)
-        power.append((((152_170 + 65_536) * -f) >> 16) + 63 + 1023)
+        power.append(_flog2pow10(-f) + 63 + 1023)
     return np.array(high, dtype=np.uint64), np.array(low, dtype=np.uint64), np.array(power, dtype=np.int64)
 
 

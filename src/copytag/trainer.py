@@ -26,16 +26,17 @@ line per modified weight column, its values written as repr writes them
 by the numpy kernel in floattext; unmodified columns are regenerated from
 the seed at load time. One renderer writes the header for save and for
 load to compare against, so load accepts only the text save writes,
-column value text aside. Load reads the header line by line and the
-column lines with floattext.read_rows, a piece of text at a time, whose
-decimal kernel gives each value the bits float() gives it.
+column value text aside. Load splits the header at "\n", the only line
+end, and reads the column lines with floattext.read_rows, a piece of text
+at a time, whose decimal kernel gives each value the bits float() gives
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -128,8 +129,9 @@ def adam_update(
     at most five arrays of the gradient's size are live at once. Every
     element sees the same float operations in the same order as a
     column-at-a-time update would, so the result is the same bit for bit.
-    Parameters and moments are written only once the new weights are
-    known to be finite.
+    The live columns' moments and weights are the rows of their storage
+    slots, looked up once by column. Parameters and moments are written
+    only once the new weights are known to be finite.
     """
     grad = np.asarray(grads.grad, dtype=float)
     finite = np.isfinite(grad).all(axis=1)
@@ -139,9 +141,10 @@ def adam_update(
     step_count = state.step + 1
     live = grad.any(axis=1)
     if live.any():
-        columns, slots = grads.columns, grads.slots
+        columns = grads.columns
         if not live.all():
-            columns, slots, grad = columns[live], slots[live], grad[live]
+            columns, grad = columns[live], grad[live]
+        slots = params.slots_for(columns)
         correction1 = 1.0 - ADAM_BETA1**step_count
         correction2 = 1.0 - ADAM_BETA2**step_count
         state._reserve(int(slots.max()) + 1, params.dim)
@@ -165,7 +168,7 @@ def adam_update(
         step /= denom
         # the new weights, storage - step, computed in step
         np.subtract(params.storage[slots], step, out=step)
-        params.set_columns(columns, slots, step)
+        params.set_columns(columns, step)
         state.mean[slots] = mean
         state.var[slots] = var
     state.step = step_count
@@ -179,19 +182,14 @@ def _sum_grads(blocks: list[ColumnGrads], dim: int) -> ColumnGrads:
     one after another. The sum starts from -0.0, which is the exact
     additive identity (0.0 + -0.0 would turn a -0.0 into 0.0).
     """
-    columns, first, inverse = np.unique(
-        np.concatenate([b.columns for b in blocks]),
-        return_index=True,
-        return_inverse=True,
-    )
-    slots = np.concatenate([b.slots for b in blocks])[first]
+    columns, inverse = np.unique(np.concatenate([b.columns for b in blocks]), return_inverse=True)
     total = np.full((columns.size, dim), -0.0)
     lo = 0
     for block in blocks:
         rows = inverse[lo : lo + len(block)]
         lo += len(block)
         total[rows] += block.grad
-    return ColumnGrads(columns=columns, slots=slots, grad=total)
+    return ColumnGrads(columns=columns, grad=total)
 
 
 @dataclass(frozen=True)
@@ -379,18 +377,6 @@ def save_checkpoint(checkpoint: Checkpoint) -> str:
     return "".join(["\n".join(_header_lines(checkpoint)), "\n", *chunks])
 
 
-def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
-    """The lines of `text`, which ends in "\n", split at "\n" only and
-    read one at a time: each piece of about `chunk` characters, cut after
-    a "\n", is split on its own, so no list of every line is held."""
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + chunk)
-        end = len(text) if cut < 0 else cut + 1
-        yield from text[start : end - 1].split("\n")
-        start = end
-
-
 def _column_id(key: str, columns: list[int]) -> int:
     """The column id of a line's key, written as save writes it and above
     the ids before it; else ValueError."""
@@ -437,18 +423,17 @@ def load_checkpoint(text: str) -> Checkpoint:
         raise CheckpointError("empty checkpoint")
     if not text.endswith("\n"):
         raise CheckpointError(f"line {text.count(chr(10)) + 1}: no final newline")
-    lines = _lines(text)
-    header = [next(lines)]
-    if header[0] != CHECKPOINT_MAGIC:
+    # only "\n" ends a line; the header ends at the first "#params" line
+    magic = text[: text.index("\n")]
+    if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(
-            f"line 1: expected checkpoint magic {CHECKPOINT_MAGIC!r}, got {header[0]!r}"
+            f"line 1: expected checkpoint magic {CHECKPOINT_MAGIC!r}, got {magic!r}"
         )
-    for line in lines:
-        header.append(line)
-        if line.startswith("#params"):
-            break
-    else:
+    end = text.find("\n#params")
+    if end < 0:
         raise CheckpointError("truncated checkpoint: missing #params section")
+    body = text.index("\n", end + 1) + 1
+    header = text[: body - 1].split("\n")
 
     # The first value of each key save writes; any other line differs from
     # the header rendered for those values.
@@ -494,7 +479,6 @@ def load_checkpoint(text: str) -> Checkpoint:
     # Each column line fills one row of `block`, which has a row for each
     # line after the header; one set_columns call then writes them all,
     # advancing the revision by one per column.
-    body = sum(len(line) + 1 for line in header)
     block = np.empty((text.count("\n", body), params.dim))
     columns: list[int] = []
     for rows in read_rows(text, params.dim, "col ", body):
@@ -511,12 +495,8 @@ def load_checkpoint(text: str) -> Checkpoint:
             line, value_error = rows.stop
             message = _line_error(line, params.dim, columns, value_error)
             raise CheckpointError(f"line {len(header) + 1 + len(columns)}: {message}")
-    # unfilled slots: their seeded values would be overwritten
-    start = params._new_slots(columns)
     try:
-        params.set_columns(
-            np.array(columns, dtype=np.int64), np.arange(start, start + len(columns)), block
-        )
+        params.set_columns(np.array(columns, dtype=np.int64), block)
     except ValueError as exc:  # a non-finite row; nothing was written
         row = int(np.argmin(np.isfinite(block).all(axis=1)))
         raise CheckpointError(f"line {len(header) + 1 + row}: {exc}") from None

@@ -83,14 +83,10 @@ def as_dict(grads: ColumnGrads) -> dict[int, np.ndarray]:
 
 
 def column_grads(params: EmbedderParams, grads: dict[int, np.ndarray]) -> ColumnGrads:
-    """The ColumnGrads of a {column: vector} dict, slots taken from params."""
+    """The ColumnGrads of a {column: vector} dict."""
     columns = np.array(sorted(grads), dtype=np.int64)
     block = np.array([grads[int(c)] for c in columns], dtype=float)
-    return ColumnGrads(
-        columns=columns,
-        slots=params.slots_for(columns),
-        grad=block.reshape(len(columns), params.dim),
-    )
+    return ColumnGrads(columns=columns, grad=block.reshape(len(columns), params.dim))
 
 
 def reference_backprop(

@@ -49,9 +49,7 @@ def reference_backprop_add_at(
     columns = flat_entries(entries)
     per_token = d_output * (1.0 - embeddings * embeddings)
     spread = np.repeat(per_token, columns.counts, axis=0)
-    uniq, first, inverse = np.unique(
-        columns.columns, return_index=True, return_inverse=True
-    )
+    uniq, inverse = np.unique(columns.columns, return_inverse=True)
     grad = np.zeros((uniq.size, d_output.shape[1]))
     np.add.at(grad, inverse, spread)
-    return ColumnGrads(columns=uniq, slots=columns.slots[first], grad=grad)
+    return ColumnGrads(columns=uniq, grad=grad)

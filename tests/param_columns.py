@@ -19,4 +19,4 @@ def set_column(params, col: int, values) -> None:
     """Overwrite column `col` with one set_columns call."""
     columns = np.array([col])
     values = np.asarray(values, dtype=float)
-    params.set_columns(columns, params.slots_for(columns), values[np.newaxis])
+    params.set_columns(columns, values[np.newaxis])

@@ -196,29 +196,30 @@ class TestEmbedderParams:
     def test_set_column_tracks_modified(self):
         p = EmbedderParams(dim=3, n_buckets=8)
         assert p.modified == set()
-        p.set_columns(np.array([5]), p.slots_for([5]), np.ones((1, 3)))
+        p.set_columns(np.array([5]), np.ones((1, 3)))
         assert p.modified == {5}
         assert np.array_equal(column(p, 5), np.ones(3))
 
     def test_set_column_validation(self):
         p = EmbedderParams(dim=3, n_buckets=8)
         columns = np.array([0])
-        slots = p.slots_for(columns)
         with pytest.raises(ValueError, match="shape"):
-            p.set_columns(columns, slots, np.ones((1, 4)))
+            p.set_columns(columns, np.ones((1, 4)))
         with pytest.raises(ValueError, match="non-finite values for column 0"):
-            p.set_columns(columns, slots, np.array([[1.0, np.nan, 0.0]]))
-        # writers resolve slots first, so a column out of range fails there
+            p.set_columns(columns, np.array([[1.0, np.nan, 0.0]]))
         with pytest.raises(ValueError, match="column 8 outside"):
-            p.slots_for([8])
-        assert p.modified == set() and p.revision == 0
+            p.set_columns(np.array([8]), np.ones((1, 3)))
+        # a repeated column would take two slots and leave one unowned
+        with pytest.raises(ValueError, match="columns must be unique"):
+            p.set_columns(np.array([3, 3]), np.ones((2, 3)))
+        assert p.modified == set() and p.revision == 0 and p._slot == {}
 
     def test_revision_bumps(self):
         p = EmbedderParams(dim=3, n_buckets=8)
         r0 = p.revision
-        p.set_columns(np.array([1]), p.slots_for([1]), np.zeros((1, 3)))
+        p.set_columns(np.array([1]), np.zeros((1, 3)))
         assert p.revision == r0 + 1
-        p.set_columns(np.array([2, 6]), p.slots_for([2, 6]), np.zeros((2, 3)))
+        p.set_columns(np.array([2, 6]), np.zeros((2, 3)))
         assert p.revision == r0 + 3
 
     def test_set_columns_equals_set_column_calls(self):
@@ -229,7 +230,7 @@ class TestEmbedderParams:
         values = np.arange(9.0).reshape(3, 3) - 4.0
         for col, row in zip(columns.tolist(), values):
             set_column(one, col, row)
-        batch.set_columns(columns, batch.slots_for(columns), values)
+        batch.set_columns(columns, values)
         assert batch.modified == one.modified == {2, 9, 13}
         assert batch.revision == one.revision == 3
         for col in range(16):
@@ -238,15 +239,34 @@ class TestEmbedderParams:
     def test_set_columns_writes_nothing_on_nonfinite(self):
         p = EmbedderParams(dim=2, n_buckets=16)
         columns = np.array([1, 4, 6])
-        slots = p.slots_for(columns)
+        p.slots_for(columns)  # materialized, so a write would show
         before = p.storage.copy()
         values = np.array([[1.0, 2.0], [np.inf, 0.0], [np.nan, 1.0]])
         with pytest.raises(ValueError, match="column 4"):
-            p.set_columns(columns, slots, values)
+            p.set_columns(columns, values)
         assert p.storage.tobytes() == before.tobytes()
         assert p.modified == set() and p.revision == 0
         with pytest.raises(ValueError, match="shape"):
-            p.set_columns(columns, slots, np.ones((3, 3)))
+            p.set_columns(columns, np.ones((3, 3)))
+
+    def test_set_columns_seeds_no_column_it_writes(self, monkeypatch):
+        # a column not materialized yet takes a slot unseeded, since its
+        # values are overwritten; 100 new rows grow the storage past 64
+        p = EmbedderParams(dim=3, n_buckets=2**12, seed=5)
+        column(p, 7)  # materialized already: it keeps its slot
+        columns = np.array([7, *range(100, 300, 2)])
+        values = np.random.default_rng(0).normal(size=(columns.size, 3))
+
+        def seeded(params, cols, rows):
+            raise AssertionError(f"columns {cols.tolist()} seeded")
+
+        monkeypatch.setattr(EmbedderParams, "_seed_columns", seeded)
+        p.set_columns(columns, values)
+        monkeypatch.undo()
+        assert p.storage.shape[0] == 128 and p.slots_for([7]).tolist() == [0]
+        for col, row in zip(columns.tolist(), values):
+            assert column(p, col).tobytes() == row.tobytes()
+        assert p.modified == set(columns.tolist()) and p.revision == columns.size
 
     def test_copy_is_independent(self):
         p = EmbedderParams(dim=2, n_buckets=4)
@@ -261,14 +281,18 @@ class TestEmbedderParams:
         # a vectorized lookup must not let numpy read -1 as the last slot
         p = EmbedderParams(dim=3, n_buckets=8)
         column(p, 7)
+        before = p.storage.copy()
         for call in (
             lambda: p.slots_for([col]),
             lambda: column(p, col),
             lambda: set_column(p, col, np.ones(3)),
+            # every column is range-checked before any takes a slot
+            lambda: p.set_columns(np.array([5, col]), np.zeros((2, 3))),
         ):
             with pytest.raises(ValueError, match=f"column {col} "):
                 call()
         assert p.modified == set() and p.revision == 0
+        assert p.storage.tobytes() == before.tobytes() and p._slot == {7: 0}
 
     def test_rejected_request_materializes_nothing(self):
         # every column is checked before any is materialized
@@ -535,7 +559,7 @@ class TestBackprop:
 
     def test_matches_token_order_reference(self, rng):
         # the block equals, column for column and bit for bit, the sum of
-        # each token's vector in token order; its slots are the params' own
+        # each token's vector in token order
         for seed in range(30):
             params = EmbedderParams(dim=6, n_buckets=64, window=2, seed=seed)
             # words over a 4-letter alphabet repeat, so tokens share columns
@@ -553,7 +577,6 @@ class TestBackprop:
             assert grads.grad.shape == (len(expected), 6)
             for col, row in zip(grads.columns.tolist(), grads.grad):
                 assert row.tobytes() == expected[col].tobytes()
-            np.testing.assert_array_equal(grads.slots, params.slots_for(grads.columns))
 
     def test_shape_validated(self):
         provider = HashedWindowEmbedder(EmbedderParams(dim=4, n_buckets=32))
@@ -735,7 +758,7 @@ class TestSumPlan:
         copied = HashedWindowEmbedder(params.copy())
         # a column only the copy changes
         moved = flat_entries(provider.token_columns(SENT)).columns[:1]
-        copied.params.set_columns(moved, copied.params.slots_for(moved), np.full((1, 8), 0.25))
+        copied.params.set_columns(moved, np.full((1, 8), 0.25))
         assert not np.array_equal(
             flat_entries(fresh.token_columns(SENT)).slots, flat_entries(provider.token_columns(SENT)).slots
         )
@@ -811,7 +834,7 @@ class TestHeldRows:
                     # columns of the last embedded sentence, whose rows are held
                     moved = np.unique(columns_of(params, last).columns)[:3]
                     slots = params.slots_for(moved)
-                    params.set_columns(moved, slots, params.storage[slots] + arg)
+                    params.set_columns(moved, params.storage[slots] + arg)
                 continue
             sentences = [Sentence(0, tokens) for tokens in ([arg] if kind == "embed" else arg)]
             matrices = [provider.embed(sentences[0])] if kind == "embed" else provider.embed_batch(sentences)
@@ -859,7 +882,6 @@ class TestTokenByTokenBackward:
             grads = HashedWindowEmbedder(params).backprop(sent, entries, d_output, x)
             expected = reference_backprop_add_at(entries, d_output, x)
             np.testing.assert_array_equal(grads.columns, expected.columns)
-            np.testing.assert_array_equal(grads.slots, expected.slots)
             assert _bits(grads.grad) == _bits(expected.grad)
             by_token = reference_backprop(params, sent, d_output)
             for col, row in zip(grads.columns.tolist(), grads.grad):

@@ -118,7 +118,7 @@ class TestMatchesRepr:
         values = np.resize(special, (len(special) // 16 + 1, 16))
         params = EmbedderParams(dim=16, n_buckets=len(values) + 5, seed=3)
         columns = np.arange(len(values)) + 2
-        params.set_columns(columns, params.slots_for(columns), values)
+        params.set_columns(columns, values)
         text = save_checkpoint(Checkpoint(params, TrainConfig(epochs=0), ()))
         body = repr_lines([f"col {c}" for c in columns.tolist()], values)
         assert_same_text(text[len(text) - len(body) :], body)

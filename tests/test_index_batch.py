@@ -114,7 +114,7 @@ def test_non_finite_storage_row_names_the_first_sentence(case, data):
     slots = columns[rows[poisoned]].slots
     at = data.draw(st.integers(0, slots.size - 1))
     slot = int(slots[at])
-    params.set_columns(columns[rows[poisoned]].columns[at : at + 1], slots[at : at + 1], params.storage[[slot]])
+    params.set_columns(columns[rows[poisoned]].columns[at : at + 1], params.storage[[slot]])
     params.storage[slot, 0] = np.nan
     first = next(item.sentence for item in db.items if slot in columns[item.sentence.tokens].slots)
     with pytest.raises(ValueError) as today:
@@ -209,7 +209,7 @@ def test_held_windows_embed_as_the_per_sentence_path(case, data):
     moved = flat_entries(provider.token_columns(Sentence(0, data.draw(st.sampled_from(rows))))).columns
     moved = np.unique(moved)[: data.draw(st.integers(1, 3))]
     values = data.draw(st.sampled_from([0.5, -2.0])) * np.ones((moved.size, params.dim))
-    params.set_columns(moved, params.slots_for(moved), values)
+    params.set_columns(moved, values)
     for rebuilt in (False, True):
         if rebuilt:
             build_index(db, provider)

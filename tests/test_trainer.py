@@ -179,9 +179,6 @@ class TestVectorizedStepMatchesReference:
                 assert sorted(got) == sorted(expected)
                 for col, vec in expected.items():
                     assert got[col].tobytes() == vec.tobytes()
-                np.testing.assert_array_equal(
-                    summed.slots, params.slots_for(summed.columns)
-                )
 
                 adam_update(params, summed, state, lr)
                 reference_adam_update(ref_params, expected, ref_state, lr)
@@ -691,17 +688,39 @@ class TestCheckpointFormat:
             load_checkpoint(text)
         assert str(info.value) == f"line 16: column {n_buckets} outside [0, {n_buckets})"
 
-    def test_lines_split_at_newline_only(self, rng):
-        # the loader reads the text in pieces cut after a "\n"; across
-        # them, only "\n" ends a line, and every other break str.splitlines
-        # knows stays inside its line
-        pieces = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028", "a", " "]
-        for _ in range(500):
-            picks = rng.integers(0, len(pieces), rng.integers(0, 14))
-            text = "".join(pieces[k] for k in picks) + "\n"
-            for chunk in (0, 1, 2, 3, 1 << 16):
-                lines = list(trainer._lines(text, chunk))
-                assert lines == text[:-1].split("\n"), repr(text)
+    def test_header_lines_end_at_newline_only(self):
+        # every other break str.splitlines knows stays inside its line, and
+        # the line an error names is counted by "\n"
+        for brk in ("\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"):
+            for number in (12, 13, 14):
+                lines = [*self.CONFIG_LINES, "#params 3 40"]
+                want = lines[number - 1]
+                lines[number - 1] = got = f"{want}{brk}x"
+                with pytest.raises(CheckpointError) as info:
+                    load_checkpoint("\n".join(lines) + "\n")
+                assert str(info.value) == f"line {number}: expected {want!r}, got {got!r}"
+
+    def test_params_inside_a_line_does_not_end_the_header(self):
+        # were "seed=0 #params" the last header line, seed would be missing
+        lines = [line.replace("seed=0", "seed=0 #params") for line in self.CONFIG_LINES]
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint("\n".join([*lines, "#params 3 40"]) + "\n")
+        assert str(info.value) == "line 11: seed: invalid literal for int() with base 10: '0 #params'"
+
+    def test_load_seeds_no_column_it_loads(self, monkeypatch):
+        # every loaded column takes a slot unseeded: its line gives its values
+        ck = self.roundtrip()
+        text = save_checkpoint(ck)
+
+        def seeded(params, cols, rows):
+            raise AssertionError(f"columns {cols.tolist()} seeded")
+
+        monkeypatch.setattr(EmbedderParams, "_seed_columns", seeded)
+        back = load_checkpoint(text)
+        monkeypatch.undo()
+        assert back.params.modified == ck.params.modified
+        for col in sorted(ck.params.modified):
+            assert column(back.params, col).tobytes() == column(ck.params, col).tobytes()
 
     def test_crlf_text_rejected(self):
         # the magic line keeps its "\r"
@@ -780,7 +799,7 @@ class TestCheckpointFormat:
         params = EmbedderParams(dim=128, n_buckets=1 << 20, seed=1)
         columns = np.arange(2000) * 37
         values = np.random.default_rng(2).normal(0.0, 0.1, (2000, 128))
-        params.set_columns(columns, params.slots_for(columns), values)
+        params.set_columns(columns, values)
         return save_checkpoint(Checkpoint(params, TrainConfig(epochs=0), ()))
 
     def test_load_memory_is_below_twice_the_text(self):
