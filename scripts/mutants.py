@@ -34,6 +34,7 @@ BATCH_BUILD = "tests/test_index_batch.py::test_batched_build_matches_per_sentenc
 PAIRWISE = "tests/test_embeddings.py::TestPairwiseOracle"
 CACHE_SIZED = "tests/test_embeddings.py::TestCacheSizedForward"
 FEATURIZER = "tests/test_embeddings.py::TestMatchesFeaturizerReference"
+CAPPED = "tests/test_window_state.py::TestCappedState"
 DECODER = "src/copytag/decoder.py"
 FRESH_NEIGHBORS = "tests/test_trainer.py::TestFineTune::test_neighbor_rows_equal_a_fresh_embedding"
 PER_START = "tests/test_decoder.py::TestMatchesPerStartOracle"
@@ -58,11 +59,39 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "held rows survive a revision move",
+        "set_columns keeps the held rows",
         EMBEDDINGS,
-        "self._held, self._held_at = {}, self.params.revision",
-        "self._held_at = self.params.revision",
+        "        self.revision += len(cols)\n        self._held = {}\n",
+        "        self.revision += len(cols)\n",
         (HELD_ROWS, HELD_QUERIES),
+    ),
+    Mutant(
+        "the cap drop keeps the window entries",
+        EMBEDDINGS,
+        "held, self._windows, self._features = {}, {}, {}",
+        "held, self._features = {}, {}",
+        (CAPPED,),
+    ),
+    Mutant(
+        "the cap drop keeps the row buffer of a call past the cap",
+        EMBEDDINGS,
+        "self._held, self._rows, new = held, np.zeros((0, self.dim)), list(dict.fromkeys(windows))",
+        "self._held, new = held, list(dict.fromkeys(windows))",
+        (CAPPED,),
+    ),
+    Mutant(
+        "the cap is checked after holding",
+        EMBEDDINGS,
+        "if new and len(held) + len(new) > MAX_HELD_ROWS:",
+        "if new and len(held) > MAX_HELD_ROWS:",
+        (CAPPED,),
+    ),
+    Mutant(
+        "windows held past the cap dropped when read again",
+        EMBEDDINGS,
+        "if new and len(held) + len(new) > MAX_HELD_ROWS:",
+        "if len(held) + len(new) > MAX_HELD_ROWS:",
+        (CAPPED,),
     ),
     Mutant(
         "set_columns seeds the columns it overwrites",
@@ -127,9 +156,10 @@ MUTANTS = (
     Mutant(
         "the storage read before featurizing grows it",
         EMBEDDINGS,
-        "            entries = self.params._window_entries(new)\n"
-        "            sums = _entry_sums(self.params.storage, entries)\n",
-        "            sums = _entry_sums(self.params.storage, self.params._window_entries(new))\n",
+        "            entries = self._window_entries(new)\n"
+        "            # featurizing can grow and rebind the storage, so it is read after\n"
+        "            sums = _entry_sums(self._store, entries)\n",
+        "            sums = _entry_sums(self._store, self._window_entries(new))\n",
         ("tests/test_embeddings.py::TestEmbedTokens::test_shape_and_range",),
     ),
     Mutant(
@@ -204,8 +234,8 @@ MUTANTS = (
     Mutant(
         "repeated sentences read another sentence's rows",
         EMBEDDINGS,
-        "[held[k] for s in sentences for k in windows[s.tokens]]",
-        "[held[k] for k in chain.from_iterable(windows.values())]",
+        "[k for s in sentences for k in _windows(s.tokens, w)]",
+        "[k for t in dict.fromkeys(s.tokens for s in sentences) for k in _windows(t, w)]",
         (BATCH_BUILD,),
     ),
     Mutant(

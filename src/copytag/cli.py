@@ -150,7 +150,7 @@ def _commit(staged: list[tuple[str, str]]) -> None:
 
 def _read_text(path: str) -> str:
     # decoded whole, so a bad byte is named by its offset in the file, with
-    # the newlines text mode reads
+    # the newlines text mode reads and no UTF-8 byte order mark
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -158,7 +158,7 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         bad = f"byte 0x{data[exc.start]:02x} at offset {exc.start} ({exc.reason})"
         raise ValueError(f"{path}: not UTF-8: {bad}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _sha256(path: str) -> str:

@@ -20,13 +20,12 @@ at most 2**32.
 
 A token's ids are the union of its window's entries, so its ids, its
 slots and its row depend only on its window: its place in the window and
-the window's tokens, clipped at the sentence's ends. The parameters keep
-the ids and slots of each distinct window, its window entry, and hand out
-that one read-only pair wherever the window is read. The provider sums
-each window it embeds once and holds its row until the weights move, so a
-sentence is a gather of held rows, and one embedded again sums nothing. A
-training sentence's forward pass sums its window entries afresh, and its
-backward pass reads the same entries.
+the window's tokens, clipped at the sentence's ends. The parameters own
+every window's state: its window entry, the one read-only (ids, slots)
+pair handed out wherever the window is read, and its row, held from its
+first embedding until set_columns writes weights, or until MAX_HELD_ROWS
+drops every row and entry; both are rebuilt, to the same bits, when next
+read. A training sentence's forward pass sums its window entries afresh.
 
 The sums equal np.add.reduceat(storage[slots], starts, axis=0) bit for
 bit, numpy's pairwise summation order included, but add whole contiguous
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from typing import Sequence
 
 import numpy as np
@@ -71,6 +70,8 @@ EMBED_RUN_ROWS = 4096
 # of 40-token suffix sentences ~40% slower; a gather per step made 8-token
 # NER sentences, a few hundred rows, ~20% slower.
 EMBED_CHUNK_ROWS = 512
+# Window rows held at most (64 MiB at dim 128); queries never move weights
+MAX_HELD_ROWS = 2**16
 # numpy's PW_BLOCKSIZE: pairwise_sum splits a longer run of rows in two
 _PAIRWISE_BLOCK = 128
 
@@ -246,8 +247,9 @@ class EmbedderParams:
     Hashing depends only on (offset, token), never on the weights, so each
     distinct pair is hashed once: its sorted bucket ids are cached together
     with their storage slots, whose columns are materialized right then.
-    The union of a window's entries is kept too, the same way. Slots never
-    move once assigned, so the cached slots stay valid.
+    The union of a window's entries is kept too, the same way, and its row
+    from its first window_rows read until set_columns. Slots never move
+    once assigned, so the cached slots stay valid.
     """
 
     def __init__(
@@ -279,6 +281,9 @@ class EmbedderParams:
         self._features: dict[tuple[int, str], Entry] = {}
         # window -> the union of its keys' entries
         self._windows: dict[Window, Entry] = {}
+        # window -> its row of _rows, which grows by doubling until a cap drop
+        self._held: dict[Window, int] = {}
+        self._rows = np.zeros((0, dim))
         # draws every seeded column, from a PCG64 state set per column
         self._rng = np.random.Generator(np.random.PCG64(0))
 
@@ -385,15 +390,36 @@ class EmbedderParams:
             entries = list(map(self._windows.get, windows))
         return entries
 
+    def window_rows(self, windows: Sequence[Window]) -> np.ndarray:
+        """The row of every window, read-only: one gather of held rows. The
+        windows not held are featurized if new, summed in one _column_sums
+        call and held; if that would pass MAX_HELD_ROWS, the held rows and
+        entries are dropped first. A call holds all the windows it reads."""
+        held = self._held
+        new = [w for w in dict.fromkeys(windows) if w not in held]
+        if new and len(held) + len(new) > MAX_HELD_ROWS:
+            held, self._windows, self._features = {}, {}, {}
+            self._held, self._rows, new = held, np.zeros((0, self.dim)), list(dict.fromkeys(windows))
+        if new:
+            entries = self._window_entries(new)
+            # featurizing can grow and rebind the storage, so it is read after
+            sums = _entry_sums(self._store, entries)
+            self._rows = _grown(self._rows, len(held), len(held) + len(new))
+            np.tanh(sums, out=self._rows[len(held) : len(held) + len(new)])
+            held.update(zip(new, range(len(held), len(held) + len(new))))
+        rows = self._rows[[held[w] for w in windows]]
+        rows.setflags(write=False)
+        return rows
+
     def set_columns(self, columns: np.ndarray, values: np.ndarray) -> None:
         """Overwrite `columns` with `values` at once.
 
-        The one writer of weights: `modified` gains the columns and
-        `revision` advances by their count. A non-finite value raises,
-        naming the first such column, and so do a repeated column and a
-        column out of range, before anything is written. A column not
-        materialized yet takes a slot unseeded, since its values are about
-        to be overwritten.
+        The one writer of weights: `modified` gains the columns, `revision`
+        advances by their count and the held rows are dropped. A non-finite
+        value raises, naming the first such column, and so do a repeated
+        column and a column out of range, before anything is written. A
+        column not materialized yet takes a slot unseeded, since its values
+        are about to be overwritten.
         """
         values = np.asarray(values, dtype=float)
         if values.shape != (len(columns), self.dim):
@@ -412,6 +438,7 @@ class EmbedderParams:
         self._store[self.slots_for(columns)] = values
         self.modified.update(cols)
         self.revision += len(cols)
+        self._held = {}
 
     @property
     def storage(self) -> np.ndarray:
@@ -599,25 +626,17 @@ class ColumnGrads:
 
 
 class HashedWindowEmbedder:
-    """Trainable embedding provider over EmbedderParams.
+    """Trainable embedding provider; its parameters hold all its state.
 
-    embed and embed_batch sum each window not held yet once, and hold its
-    row until the parameters' revision moves; every sentence is a gather
-    of held rows. token_columns hands out a sentence's window entries, the
-    pairs the parameters keep, with no copy: a training step sums them for
-    its forward pass and backprop scatters into their ids. Pass either
-    params or the settings of new ones, not both.
+    embed and embed_batch gather the window rows the parameters hold, so
+    providers over the same parameters share them. token_columns hands out
+    a sentence's window entries, the pairs the parameters keep, with no
+    copy: a training step sums them for its forward pass and backprop
+    scatters into their ids.
     """
 
-    def __init__(self, params: EmbedderParams | None = None, **kwargs):
-        if params is not None and kwargs:
-            raise ValueError(f"pass params or their settings, not both: got {', '.join(kwargs)}")
-        self.params = params if params is not None else EmbedderParams(**kwargs)
-        # window -> its row of _rows, summed at revision _held_at; _rows
-        # grows by doubling and is reused once the revision moves
-        self._held: dict[Window, int] = {}
-        self._rows = np.zeros((0, self.params.dim))
-        self._held_at = self.params.revision
+    def __init__(self, params: EmbedderParams | None = None):
+        self.params = params if params is not None else EmbedderParams()
 
     @property
     def dim(self) -> int:
@@ -633,34 +652,14 @@ class HashedWindowEmbedder:
         windows not seen before are featurized."""
         return self.params._window_entries(list(_windows(sentence.tokens, self.params.window)))
 
-    def _held_rows(self) -> dict[Window, int]:
-        # set_columns is the one writer of weights and moves the revision
-        if self._held_at != self.params.revision:
-            self._held, self._held_at = {}, self.params.revision
-        return self._held
-
     def embed(self, sentence: Sentence) -> np.ndarray:
         """The sentence's token rows, read-only: embed_batch([sentence])[0]."""
         return self.embed_batch([sentence])[0]
 
     def embed_batch(self, sentences: Sequence[Sentence]) -> list[np.ndarray]:
-        """The token rows of every sentence, read-only. The windows not
-        held yet are featurized if new and summed at once, through one
-        _column_sums call, then held until the revision moves; every
-        sentence is a gather of held rows."""
-        held, w = self._held_rows(), self.params.window
-        windows = {s.tokens: list(_windows(s.tokens, w)) for s in sentences}
-        new = [k for k in dict.fromkeys(chain.from_iterable(windows.values())) if k not in held]
-        if new:
-            # featurizing can grow and rebind the storage, so it is read after
-            entries = self.params._window_entries(new)
-            sums = _entry_sums(self.params.storage, entries)
-            # tanh of the sums into the rows after the held ones
-            self._rows = _grown(self._rows, len(held), len(held) + len(new))
-            np.tanh(sums, out=self._rows[len(held) : len(held) + len(new)])
-            held.update(zip(new, range(len(held), len(held) + len(new))))
-        rows = self._rows[[held[k] for s in sentences for k in windows[s.tokens]]]
-        rows.setflags(write=False)
+        """The token rows of every sentence, read-only: one window_rows gather."""
+        w = self.params.window
+        rows = self.params.window_rows([k for s in sentences for k in _windows(s.tokens, w)])
         bounds = list(accumulate(map(len, sentences), initial=0))
         return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 

@@ -7,10 +7,10 @@ keeps every sentence's token rows in one read-only matrix, sentence after
 sentence, with the label of each row beside it and the L2-normalized mean
 of each sentence's rows as the vector that represents it; sentence k is
 index row k. Its rows come from one provider.embed_batch call over the
-whole dataset; the hashed embedder sums each distinct token window once,
-a query's too, and holds its row until the weights move, so a query sums
-only the windows not held yet and gathers the rest. Queries are exact cosine
-scans with deterministic tie-breaking by ascending sentence id. The
+whole dataset; the hashed embedder's parameters hold each distinct token
+window's row, a query's too, until the weights move or MAX_HELD_ROWS is
+reached, so a query sums only the windows not held. Queries are exact
+cosine scans with deterministic tie-breaking by ascending sentence id. The
 index also ranks every token's label window, its labels to the end of
 its sentence, in lexicographic order once, so a segment dictionary over
 any retrieved set starts from one sort of ranks. A set of retrieved

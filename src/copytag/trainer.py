@@ -6,8 +6,8 @@ the copy posterior mass on gold-typed neighbor tokens. Gradients flow only
 into the input sentence's embeddings and reach the weights through the
 sparse tanh backward pass. Neighbor embeddings are treated as constants:
 before each batch one embed_batch call embeds the batch's neighbors under
-the current parameters, and the provider sums only the windows it does
-not hold at the current revision. The trainer keeps no embedding rows.
+the current parameters, which sum only the windows they do not hold and
+drop the held rows at each step. The trainer keeps no embedding rows.
 Updates use bias-corrected Adam on exactly the columns with nonzero
 gradient.
 

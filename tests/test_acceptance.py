@@ -248,7 +248,7 @@ def test_criterion_06_greedy_never_beats_dp():
 
 
 def test_criterion_07_label_renames_and_db_swaps():
-    provider = HashedWindowEmbedder(dim=24, n_buckets=1024, seed=7)
+    provider = HashedWindowEmbedder(EmbedderParams(dim=24, n_buckets=1024, seed=7))
     db = toy_ner_corpus(20, seed=21)
     mapping = {
         "O": "OUT", "B-PER": "PB", "I-PER": "PI",
@@ -306,7 +306,7 @@ def test_criterion_09_serialization_round_trips():
         )
         checkpoint = fine_tune(
             config, suffix_corpus(8, seed=33),
-            provider=HashedWindowEmbedder(dim=16, n_buckets=256, seed=4),
+            provider=HashedWindowEmbedder(EmbedderParams(dim=16, n_buckets=256, seed=4)),
         )
         ck_text = save_checkpoint(checkpoint)
         assert save_checkpoint(load_checkpoint(ck_text)) == ck_text

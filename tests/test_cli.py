@@ -326,6 +326,38 @@ class TestInputText:
         assert not out.exists()
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte order mark is not text: it opens no token and
+    no line, and a bad byte is still named by its offset in the file."""
+
+    @pytest.mark.parametrize("option", ["--db", "--input", "--ckpt"])
+    def test_marked_file_tags_like_the_plain_one(self, corpora, trained, tmp_path, option):
+        files = {"--db": corpora["train"], "--input": corpora["dev"], "--ckpt": trained}
+        text = files[option].read_text(encoding="utf-8")
+        # on the db the mark stands alone on a blank first line, which read
+        # as a line of one column while the mark was kept
+        marked = tmp_path / "marked"
+        marked.write_text(("\ufeff\n" if option == "--db" else "\ufeff") + text, encoding="utf-8")
+        outputs = []
+        for name, source in (("plain", files[option]), ("marked", marked)):
+            paths = {**files, option: source}
+            out = tmp_path / f"{name}.conll"
+            argv = ["tag", "--neighbors", "5", "--out", str(out)]
+            for flag in ("--ckpt", "--db", "--input"):
+                argv += [flag, str(paths[flag])]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_mark_dropped_and_counted_in_offsets(self, tmp_path):
+        path = tmp_path / "marked.conll"
+        path.write_bytes("\ufeffAlice B-PER\r\n\n".encode("utf-8"))
+        assert _read_text(str(path)) == "Alice B-PER\n\n"
+        path.write_bytes(b"\xef\xbb\xbfcaf\xe9 O\n")
+        with pytest.raises(ValueError, match=r"not UTF-8: byte 0xe9 at offset 6 \(invalid"):
+            _read_text(str(path))
+
+
 class TestExplain:
     def test_provenance_file(self, corpora, trained, tmp_path):
         out = tmp_path / "pred.conll"

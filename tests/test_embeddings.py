@@ -322,13 +322,6 @@ class TestEmbedderParams:
 
 
 class TestEmbedTokens:
-    def test_params_and_settings_rejected(self):
-        params = EmbedderParams(dim=4, n_buckets=32)
-        with pytest.raises(ValueError, match="pass params or their settings, not both: got dim"):
-            HashedWindowEmbedder(params, dim=8)
-        assert HashedWindowEmbedder(dim=8).dim == 8
-        assert HashedWindowEmbedder(params).params is params
-
     def test_shape_and_range(self):
         p = EmbedderParams(dim=16, n_buckets=512)
         x = HashedWindowEmbedder(p).embed(SENT)
@@ -844,24 +837,65 @@ class TestHeldRows:
                 expected = reference_embed_columns(params.storage, columns.slots, columns.starts)
                 assert _bits(matrix) == _bits(expected)
                 last = sentence
-            capacities.add(provider._rows.shape[0])
+            capacities.add(params._rows.shape[0])
         assert len(capacities) >= 3
 
     def test_rows_kept_when_the_buffer_grows(self):
         # the held rows grow while the store does not: every window of both
-        # wide sentences is featurized before this provider holds any, and
-        # the second sentence grows its 128 rows to 256
+        # wide sentences is featurized before the params hold any, and the
+        # second sentence grows their 128 rows to 256
         params = EmbedderParams(dim=4, n_buckets=2**12, seed=3)
         wide = [Sentence(k, tokens) for k, tokens in enumerate(WIDE_SENTENCES)]
-        expected = HashedWindowEmbedder(params).embed_batch(wide)
-        store = params.storage.shape[0]
+        expected = HashedWindowEmbedder(params.copy()).embed_batch(wide)
         provider = HashedWindowEmbedder(params)
+        for sentence in wide:
+            provider.token_columns(sentence)
+        store = params.storage.shape[0]
         provider.embed(wide[0])
-        assert provider._rows.shape[0] == 128
+        assert params._rows.shape[0] == 128
         provider.embed(wide[1])
-        assert provider._rows.shape[0] == 256 and params.storage.shape[0] == store
+        assert params._rows.shape[0] == 256 and params.storage.shape[0] == store
         for sentence, matrix in zip(wide, expected):
             assert _bits(provider.embed(sentence)) == _bits(matrix)
+
+    def test_providers_over_one_params_share_rows(self, monkeypatch):
+        # the held rows are the parameters': a provider's embed of a
+        # sentence another provider embedded sums nothing, and one
+        # set_columns makes both sum again
+        params = EmbedderParams(dim=8, n_buckets=512)
+        first, second = HashedWindowEmbedder(params), HashedWindowEmbedder(params)
+        other = Sentence(1, ("Bob", "left", "Rome", "."))
+        held = [first.embed(SENT), second.embed(other)]
+        summed = []
+        sums_of = embeddings._column_sums
+        monkeypatch.setattr(
+            embeddings,
+            "_column_sums",
+            lambda storage, slots, starts: summed.append(starts.size) or sums_of(storage, slots, starts),
+        )
+        assert _bits(second.embed(SENT)) == _bits(held[0])
+        assert _bits(first.embed(other)) == _bits(held[1])
+        assert summed == []
+        params.set_columns(columns_of(params, SENT).columns[:1], np.full((1, 8), 0.25))
+        rows = [first.embed(SENT), second.embed(other)]
+        assert summed == [5, 4]
+        for sentence, matrix in zip((SENT, other), rows):
+            columns = columns_of(params, sentence)
+            expected = reference_embed_columns(params.storage, columns.slots, columns.starts)
+            assert _bits(matrix) == _bits(expected)
+        assert _bits(rows[0]) != _bits(held[0])
+
+    def test_provider_keeps_only_its_params(self):
+        # a provider holds nothing of its own, and a copy of the parameters
+        # starts with no held rows
+        params = EmbedderParams(dim=8, n_buckets=512)
+        provider = HashedWindowEmbedder(params)
+        assert vars(provider) == {"params": params}
+        rows = provider.embed(SENT)
+        dup = params.copy()
+        assert len(params._held) == 5 and dup._held == {}
+        assert _bits(HashedWindowEmbedder(dup).embed(SENT)) == _bits(rows)
+        assert len(dup._held) == 5
 
 
 class TestTokenByTokenBackward:

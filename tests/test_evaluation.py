@@ -4,7 +4,7 @@ import pytest
 import copytag.evaluation as evaluation
 import copytag.tagging as tagging
 from copytag.corpus import CorpusError, Dataset, LabelVocab, build_dataset, relabel
-from copytag.embeddings import HashedWindowEmbedder
+from copytag.embeddings import EmbedderParams, HashedWindowEmbedder
 from copytag.evaluation import (
     SWEEP_HEADER,
     SweepRow,
@@ -34,7 +34,7 @@ EVAL_ROWS = [
 
 
 def provider():
-    return HashedWindowEmbedder(dim=24, n_buckets=512, seed=5)
+    return HashedWindowEmbedder(EmbedderParams(dim=24, n_buckets=512, seed=5))
 
 
 class TestTokenAccuracy:
@@ -209,7 +209,7 @@ class TestSweep:
     def test_rows_equal_per_cost_dp_tagging(self):
         # the grid shares one set of decode tables per sentence; each row
         # must still be what tagging at that cost alone gives
-        p = HashedWindowEmbedder(dim=16, n_buckets=256, seed=2)
+        p = HashedWindowEmbedder(EmbedderParams(dim=16, n_buckets=256, seed=2))
         db = toy_ner_corpus(30, seed=11)
         data = toy_ner_corpus(8, seed=12)
         grid = [0.0, 0.3, 1.0, 4.0, 1e15]

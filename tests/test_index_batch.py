@@ -7,8 +7,8 @@ batch must give the same token rows, vectors and sentence vectors by
 bytes, and the parameters the same slots in the same order and the same
 storage rows. Datasets repeat sentences, hold one-token sentences and one
 sentence of more than EMBED_RUN_ROWS rows, and some providers have cached
-or featurized part of the dataset before the build. The provider holds
-the row of every window it embedded in a batch: a query made of held
+or featurized part of the dataset before the build. The parameters hold
+the row of every window embedded in a batch: a query made of held
 windows is a gather of them, which must equal the per-sentence path and
 must not featurize or sum anything, until the weights move.
 """
@@ -147,7 +147,7 @@ def test_tagger_holds_every_db_window():
     # to 32 of the 50 scored ner-k100 queries are db sentences. No db
     # sentence goes through token_columns.
     db = toy_ner_corpus(40, seed=3)
-    provider = HashedWindowEmbedder(dim=16, n_buckets=4096, seed=2)
+    provider = HashedWindowEmbedder(EmbedderParams(dim=16, n_buckets=4096, seed=2))
     with mock.patch.object(HashedWindowEmbedder, "token_columns", side_effect=AssertionError("columns")):
         tagger = Tagger(provider, db, 5)
     distinct = {item.sentence.tokens for item in db.items}
@@ -155,7 +155,7 @@ def test_tagger_holds_every_db_window():
     window = provider.params.window
     windows = {w for tokens in distinct for w in embeddings._windows(tokens, window)}
     assert len(windows) < sum(len(item) for item in db.items)
-    assert set(provider._held) == windows
+    assert set(provider.params._held) == windows
 
     twin = Sentence(1000, db.items[7].sentence.tokens)
     with _nothing_featurized_or_summed():

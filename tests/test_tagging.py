@@ -10,7 +10,7 @@ from copytag.decoder import (
     build_segment_dict,
     dp_decode_expected,
 )
-from copytag.embeddings import HashedWindowEmbedder
+from copytag.embeddings import EmbedderParams, HashedWindowEmbedder
 from copytag.evaluation import sweep_c
 from copytag.synthetic import suffix_corpus, toy_ner_corpus
 import copytag.tagging as tagging
@@ -72,7 +72,7 @@ def db():
 
 @pytest.fixture
 def provider():
-    return HashedWindowEmbedder(dim=24, n_buckets=512, seed=3)
+    return HashedWindowEmbedder(EmbedderParams(dim=24, n_buckets=512, seed=3))
 
 
 class TestTagger:
@@ -190,7 +190,7 @@ class TestTagger:
     def test_kept_result_does_not_keep_index_rows(self, db, decode):
         # the index lives while its provider or a tagger does; what a
         # tagged sentence keeps must not hold any of its arrays beyond that
-        tagger = Tagger(HashedWindowEmbedder(dim=24, n_buckets=512, seed=3), db, 3)
+        tagger = Tagger(HashedWindowEmbedder(EmbedderParams(dim=24, n_buckets=512, seed=3)), db, 3)
         tagged = tagger.tag(Sentence(100, ("alice", "likes", "tea")), decode=decode)
         index = tagger.index
         arrays = [

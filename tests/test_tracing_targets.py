@@ -19,7 +19,7 @@ from pathlib import Path
 import copytag.evaluation as evaluation
 import copytag.tagging as tagging
 import copytag.trainer as trainer
-from copytag.embeddings import HashedWindowEmbedder
+from copytag.embeddings import EmbedderParams, HashedWindowEmbedder
 from copytag.synthetic import suffix_corpus, toy_ner_corpus
 from copytag.decoder import DEFAULT_MAX_SEGMENT_LEN
 from copytag.tagging import DECODE_DP, Tagger
@@ -66,7 +66,7 @@ def test_traced_fine_tune_counts_adam_columns(monkeypatch):
     train = suffix_corpus(8, seed=3)
 
     def provider():
-        return HashedWindowEmbedder(dim=8, n_buckets=128, window=1, seed=1)
+        return HashedWindowEmbedder(EmbedderParams(dim=8, n_buckets=128, window=1, seed=1))
 
     plain = trainer.save_checkpoint(
         trainer.fine_tune(config, train, provider=provider())

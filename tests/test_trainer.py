@@ -39,7 +39,7 @@ from retrieval_reference import linear_scan
 
 
 def small_embedder():
-    return HashedWindowEmbedder(dim=12, n_buckets=256, window=1, seed=2)
+    return HashedWindowEmbedder(EmbedderParams(dim=12, n_buckets=256, window=1, seed=2))
 
 
 class TestAdam:
