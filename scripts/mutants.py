@@ -35,6 +35,11 @@ PAIRWISE = "tests/test_embeddings.py::TestPairwiseOracle"
 CACHE_SIZED = "tests/test_embeddings.py::TestCacheSizedForward"
 FEATURIZER = "tests/test_embeddings.py::TestMatchesFeaturizerReference"
 CAPPED = "tests/test_window_state.py::TestCappedState"
+OUTLIVE_DROP = "tests/test_window_state.py::TestFeatureEntriesOutliveADrop"
+BATCH_HASH = "tests/test_embeddings.py::TestBatchHash"
+SEEDED = "tests/test_embeddings.py::TestSeededColumns"
+SLOT_ORDER = "tests/test_embeddings.py::TestFeaturizeOnce::test_new_columns_take_slots_in_request_order"
+POOLED = "tests/test_retrieval.py::TestBuildIndex::test_pooled_equals_the_mean_of_each_sentence"
 DECODER = "src/copytag/decoder.py"
 FRESH_NEIGHBORS = "tests/test_trainer.py::TestFineTune::test_neighbor_rows_equal_a_fresh_embedding"
 PER_START = "tests/test_decoder.py::TestMatchesPerStartOracle"
@@ -68,9 +73,23 @@ MUTANTS = (
     Mutant(
         "the cap drop keeps the window entries",
         EMBEDDINGS,
-        "held, self._windows, self._features = {}, {}, {}",
-        "held, self._features = {}, {}",
+        "held, self._windows = {}, {}",
+        "held = {}",
         (CAPPED,),
+    ),
+    Mutant(
+        "the cap drop takes the feature entries under their bound",
+        EMBEDDINGS,
+        "if len(self._features) > MAX_HELD_ROWS:",
+        "if True:",
+        (OUTLIVE_DROP,),
+    ),
+    Mutant(
+        "the cap drop keeps the feature entries past their bound",
+        EMBEDDINGS,
+        "if len(self._features) > MAX_HELD_ROWS:",
+        "if False:",
+        (OUTLIVE_DROP,),
     ),
     Mutant(
         "the cap drop keeps the row buffer of a call past the cap",
@@ -96,20 +115,69 @@ MUTANTS = (
     Mutant(
         "set_columns seeds the columns it overwrites",
         EMBEDDINGS,
-        "        self._new_slots([col for col in cols if col not in self._slot])\n",
-        "",
+        "        slots[missing] = self._new_slots(columns[missing]) + np.arange(np.count_nonzero(missing))\n",
+        "        slots = self.slots_for(columns)\n",
         NO_SEED,
     ),
     Mutant(
         "set_columns reads the storage before taking slots",
         EMBEDDINGS,
-        "        self._new_slots([col for col in cols if col not in self._slot])\n"
+        "        slots[missing] = self._new_slots(columns[missing]) + np.arange(np.count_nonzero(missing))\n"
         "        # taking slots can grow and rebind the storage, so it is read after\n"
-        "        self._store[self.slots_for(columns)] = values\n",
+        "        self._store[slots] = values\n",
         "        store = self._store\n"
-        "        self._new_slots([col for col in cols if col not in self._slot])\n"
-        "        store[self.slots_for(columns)] = values\n",
+        "        slots[missing] = self._new_slots(columns[missing]) + np.arange(np.count_nonzero(missing))\n"
+        "        store[slots] = values\n",
         NO_SEED,
+    ),
+    Mutant(
+        "missing columns given slots in sorted order, not first-seen order",
+        EMBEDDINGS,
+        "            new = new[np.argsort(first[new])]\n",
+        "",
+        (SLOT_ORDER, BATCH_BUILD),
+    ),
+    Mutant(
+        "a seeded block never scaled",
+        EMBEDDINGS,
+        "        rows *= INIT_STD\n",
+        "",
+        (SEEDED,),
+    ),
+    Mutant(
+        "a seeded block scaled without its loc",
+        EMBEDDINGS,
+        "        rows += 0.0\n",
+        "",
+        (SEEDED,),
+    ),
+    Mutant(
+        "a prefix state without its | byte",
+        EMBEDDINGS,
+        'f"{offset}|{name}|"',
+        'f"{offset}{name}|"',
+        (BATCH_HASH,),
+    ),
+    Mutant(
+        "a prefix state for the negated offset",
+        EMBEDDINGS,
+        'f"{offset}|{name}|"',
+        'f"{-offset}|{name}|"',
+        (BATCH_HASH,),
+    ),
+    Mutant(
+        "a copy shares the flat feature entries",
+        EMBEDDINGS,
+        "dup._key_ids, dup._key_slots = self._key_ids.copy(), self._key_slots.copy()",
+        "dup._key_ids, dup._key_slots = self._key_ids, self._key_slots",
+        ("tests/test_embeddings.py::TestEmbedderParams::test_copy_featurizes_apart",),
+    ),
+    Mutant(
+        "new keys' bounds not offset by the ids already held",
+        EMBEDDINGS,
+        "            bounds += used\n",
+        "",
+        (FEATURIZER, "tests/test_embeddings.py::TestFeaturizeOnce"),
     ),
     Mutant(
         "held rows not copied when the buffer grows",
@@ -206,36 +274,36 @@ MUTANTS = (
     Mutant(
         "new keys featurized in reverse order",
         EMBEDDINGS,
-        "new = list(dict.fromkeys(key for key in keys if key not in self._features))",
-        "new = list(dict.fromkeys(key for key in keys if key not in self._features))[::-1]",
+        "new = list(dict.fromkeys(key for key, n in zip(keys, numbers.tolist()) if n < 0))",
+        "new = list(dict.fromkeys(key for key, n in zip(keys, numbers.tolist()) if n < 0))[::-1]",
         ("tests/test_embeddings.py::TestFeaturizeOnce", "tests/test_embeddings.py::TestEmbedderParams"),
     ),
     Mutant(
         "windows read across the sentence end",
         EMBEDDINGS,
-        "yield min(t, w), tokens[max(0, t - w) : t + w + 1]",
-        "yield min(t, w), (tokens * 2)[max(0, t - w) : t + w + 1]",
+        "(w, tokens[t - w : t + w + 1])",
+        "(w, (tokens * 2)[t - w : t + w + 1])",
         (FEATURIZER, BATCH_BUILD),
     ),
     Mutant(
         "windows not clipped at the sentence start",
         EMBEDDINGS,
-        "yield min(t, w), tokens[max(0, t - w) : t + w + 1]",
-        "yield min(t, w), tokens[t - w : t + w + 1]",
+        "(t, tokens[: t + w + 1])",
+        "(t, tokens[t - w : t + w + 1])",
         (FEATURIZER, BATCH_BUILD),
     ),
     Mutant(
         "a window key without its place",
         EMBEDDINGS,
-        "yield min(t, w), tokens[max(0, t - w) : t + w + 1]",
-        "yield 0, tokens[max(0, t - w) : t + w + 1]",
+        "(w, tokens[t - w : t + w + 1])",
+        "(0, tokens[t - w : t + w + 1])",
         (FEATURIZER,),
     ),
     Mutant(
         "repeated sentences read another sentence's rows",
         EMBEDDINGS,
-        "[k for s in sentences for k in _windows(s.tokens, w)]",
-        "[k for t in dict.fromkeys(s.tokens for s in sentences) for k in _windows(t, w)]",
+        "chain.from_iterable(_windows(s.tokens, w) for s in sentences)",
+        "chain.from_iterable(_windows(t, w) for t in dict.fromkeys(s.tokens for s in sentences))",
         (BATCH_BUILD,),
     ),
     Mutant(
@@ -378,6 +446,13 @@ MUTANTS = (
         "grouped[:, lo:hi].sum(axis=1)",
         "grouped[:, lo:hi][:, ::-1].sum(axis=1)",
         (MASKED_MARGINALS,),
+    ),
+    Mutant(
+        "pooling rows added last-first",
+        "src/copytag/retrieval.py",
+        "    for p, m in enumerate(live.tolist(), start=1):\n",
+        "    for p, m in reversed(list(enumerate(live.tolist(), start=1))):\n",
+        (POOLED, BATCH_BUILD),
     ),
     Mutant(
         "neighbor tokens grouped by type in reverse order",

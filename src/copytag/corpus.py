@@ -31,7 +31,8 @@ class Sentence:
         if not self.tokens:
             raise CorpusError("a sentence must contain at least one token")
         for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            # str.split() cuts at exactly the characters str.isspace() accepts
+            if tok.split() != [tok]:
                 raise CorpusError(f"token {tok!r} is empty or contains whitespace")
 
     def __len__(self) -> int:

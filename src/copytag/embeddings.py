@@ -11,12 +11,18 @@ to be stored in checkpoints.
 Featurization costs work per distinct (offset, word type), not per token
 occurrence: the parameters hash each pair once and keep its sorted bucket
 ids next to their storage slots. The pairs that new windows bring are
-featurized in one batch: every feature text is hashed at once by FNV-1a in
-uint64 numpy arithmetic, and every new column is seeded at once, bit for
-bit as default_rng([seed, column]) would, with the SeedSequence mixing
-done in uint32 numpy arithmetic. That mixing takes the seed and every
-bucket id as one 32-bit word each: the seed is below 2**32 and n_buckets
-at most 2**32.
+featurized in one batch. Each new word type's features are laid out once,
+as runs of the UTF-8 bytes of the padded lowercase type and of its shape
+code, and FNV-1a in uint64 numpy arithmetic continues over every run from
+the state after "{offset}|{kind}|", so no feature text is built. New
+columns are seeded bit for bit as default_rng([seed, column]) would: only
+the SeedSequence mixing is batched, in uint32 numpy arithmetic; each
+column then takes one PCG64 state set and one standard_normal draw, and
+the block is scaled once. That mixing takes the seed and every bucket id
+as one 32-bit word each: the seed is below 2**32 and n_buckets at most
+2**32. The feature entries are kept flat, in arrays that grow by
+doubling, so the entries of a batch of new windows take one gather of
+their keys' ids and one sort of (window, id) pairs.
 
 A token's ids are the union of its window's entries, so its ids, its
 slots and its row depend only on its window: its place in the window and
@@ -24,7 +30,8 @@ the window's tokens, clipped at the sentence's ends. The parameters own
 every window's state: its window entry, the one read-only (ids, slots)
 pair handed out wherever the window is read, and its row, held from its
 first embedding until set_columns writes weights, or until MAX_HELD_ROWS
-drops every row and entry; both are rebuilt, to the same bits, when next
+drops every row and window entry, and the feature entries if they number
+more than MAX_HELD_ROWS keys; all are rebuilt, to the same bits, when next
 read. A training sentence's forward pass sums its window entries afresh.
 
 The sums equal np.add.reduceat(storage[slots], starts, axis=0) bit for
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, filterfalse, repeat
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +61,8 @@ FNV_PRIME = 0x100000001B3
 
 INIT_STD = 0.1
 NGRAM_SIZES = (2, 3, 4)
+# feature kinds, spelled before the "|" of a feature text
+_KINDS = ("w", "s", "g")
 
 DEFAULT_DIM = 128
 DEFAULT_BUCKETS = 2**18
@@ -96,26 +105,42 @@ _SS_POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def fnv1a64_batch(texts: Sequence[str], seed: int = 0) -> np.ndarray:
-    """Seeded 64-bit FNV-1a over the UTF-8 bytes of every text, as uint64.
+def fnv1a64_keys(keys: Sequence[tuple[int, str]], seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded 64-bit FNV-1a hash of f"{offset}|{feat}", as uint64, for
+    every surface feature feat of every (offset, token) key, key after key,
+    each key's features in the order _feature_bytes lists them; and the
+    feature count of each key.
 
-    The texts are sorted by length, longest first, and their bytes are
-    concatenated, so byte step k updates only the texts longer than k,
-    which are a prefix, reading byte k of each from its start. Memory is
-    linear in the total bytes. uint64 arithmetic wraps mod 2**64, as
-    FNV-1a's does.
+    Each distinct token's features are laid out once, as runs of bytes,
+    by _feature_bytes. FNV-1a reads bytes in order, so every hash
+    continues from the state after f"{offset}|{kind}|", worked out once
+    per offset and kind, over its run. The (key, feature) lanes are sorted
+    by run length, longest first, so byte step k updates only a prefix of
+    them, reading byte k of each run. Memory is linear in the bytes
+    hashed. uint64 arithmetic wraps mod 2**64, as FNV-1a's does.
     """
-    encoded = [text.encode("utf-8") for text in texts]
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    order = np.argsort(-lengths, kind="stable")
-    lengths = lengths[order]
-    data = np.frombuffer(b"".join([encoded[i] for i in order.tolist()]), dtype=np.uint8)
-    starts = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    width = int(lengths[0]) if lengths.size else 0
-    # live[k]: how many texts are longer than k
-    live = np.searchsorted(-lengths, -np.arange(width), side="left")
-    h = np.full(lengths.size, (FNV_OFFSET ^ seed) & _MASK64, dtype=np.uint64)
+    index = {token: i for i, token in enumerate(dict.fromkeys(token for _, token in keys))}
+    per_token, kind, start, length, data = _feature_bytes(list(index))
+    token_of = np.fromiter((index[token] for _, token in keys), dtype=np.int64, count=len(keys))
+    sizes = per_token[token_of]
+    # lane i hashes feature lane_feat[i] of its key's token
+    lane_feat = _runs((np.cumsum(per_token) - per_token)[token_of], sizes)
+    offsets = [offset for offset, _ in keys]
+    where = {offset: i for i, offset in enumerate(dict.fromkeys(offsets))}
+    base = (FNV_OFFSET ^ seed) & _MASK64
+    prefix = np.array(
+        [[_fnv1a64_from(base, f"{offset}|{name}|".encode("utf-8")) for name in _KINDS] for offset in where],
+        dtype=np.uint64,
+    ).reshape(-1, len(_KINDS))
+    offset_of = np.fromiter(map(where.__getitem__, offsets), dtype=np.int64, count=len(keys))
+    lane_offset = np.repeat(offset_of, sizes)
+    lengths = length[lane_feat]
+    order = np.argsort(-lengths)
+    h = prefix[lane_offset[order], kind[lane_feat[order]]]
+    starts = start[lane_feat[order]]
+    width = int(lengths.max()) if lengths.size else 0
+    # live[k]: how many lanes read a run longer than k
+    live = np.searchsorted(-lengths[order], -np.arange(width), side="left")
     prime = np.uint64(FNV_PRIME)
     for k, m in enumerate(live.tolist()):
         head = h[:m]
@@ -123,7 +148,54 @@ def fnv1a64_batch(texts: Sequence[str], seed: int = 0) -> np.ndarray:
         head *= prime
     out = np.empty_like(h)
     out[order] = h
-    return out
+    return out, sizes
+
+
+def _feature_bytes(tokens: list[str]):
+    """The surface features of every token, as (count per token, kind,
+    start, length, data): feature i of the flat list, token after token,
+    is _KINDS[kind[i]] + "|" followed by the length[i] bytes of data from
+    start[i].
+
+    A token's features are its lowercased identity ("w"), its word_shape
+    code ("s"), then the character n-grams of the lowercased token padded
+    as "^low$" ("g"), for each size of NGRAM_SIZES in turn, left to right.
+    The data is the UTF-8 of every padded token, then of every shape code,
+    so each feature is a run of it: a run of characters, each starting at
+    a byte that is not a UTF-8 continuation byte.
+    """
+    lows = [token.lower() for token in tokens]
+    shapes = [word_shape(token) for token in tokens]
+    data = np.frombuffer("".join([f"^{low}$" for low in lows] + shapes).encode("utf-8"), dtype=np.uint8)
+    # the byte offset of every character, and of the end
+    byte_at = np.append(np.flatnonzero(data & 0xC0 != 0x80), data.size)
+    padded = np.fromiter(map(len, lows), dtype=np.int64, count=len(lows)) + 2
+    shaped = np.fromiter(map(len, shapes), dtype=np.int64, count=len(shapes))
+    first = np.cumsum(padded) - padded
+    # a token's features come in runs, one per column: the identity, the
+    # shape, then each size's n-grams; feature j of a run starts at
+    # character lo + j and spans `width` characters
+    grams = np.array(NGRAM_SIZES)
+    counts = np.ones((len(tokens), 2 + grams.size), dtype=np.int64)
+    counts[:, 2:] = np.maximum(padded[:, np.newaxis] - grams + 1, 0)
+    lo = np.repeat(first[:, np.newaxis], counts.shape[1], axis=1)
+    lo[:, 0] += 1
+    lo[:, 1] = int(padded.sum()) + np.cumsum(shaped) - shaped
+    width = np.empty_like(lo)
+    width[:, 0], width[:, 1], width[:, 2:] = padded - 2, shaped, grams
+    kinds = np.array([_KINDS.index("w"), _KINDS.index("s")] + [_KINDS.index("g")] * grams.size)
+    run = np.repeat(np.arange(counts.size), counts.ravel())
+    chars = lo.ravel()[run] + _runs(np.zeros(counts.size, dtype=np.int64), counts.ravel())
+    start = byte_at[chars]
+    length = byte_at[chars + width.ravel()[run]] - start
+    return counts.sum(axis=1), kinds[run % counts.shape[1]], start, length, data
+
+
+def _fnv1a64_from(state: int, data: bytes) -> int:
+    # FNV-1a over `data`, continued from `state`
+    for byte in data:
+        state = (state ^ byte) * FNV_PRIME & _MASK64
+    return state
 
 
 def _hash_chain(init: int, mult: int, calls: int) -> np.ndarray:
@@ -194,18 +266,6 @@ def word_shape(token: str) -> str:
     return "".join(out)
 
 
-def _surface_features(token: str) -> list[str]:
-    # Features of one surface form, before offset prefixing: lowercased
-    # identity, boundary-padded character n-grams, and the shape code.
-    low = token.lower()
-    feats = [f"w|{low}", f"s|{word_shape(token)}"]
-    padded = f"^{low}$"
-    for n in NGRAM_SIZES:
-        for i in range(len(padded) - n + 1):
-            feats.append(f"g|{padded[i:i + n]}")
-    return feats
-
-
 def _grown(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
     """`buffer` if it has `needed` rows, else a zeroed one of 64 rows,
     doubled until `needed` fit, holding its first `used` rows: a batch of
@@ -215,7 +275,7 @@ def _grown(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
     cap = max(64, buffer.shape[0])
     while cap < needed:
         cap *= 2
-    grown = np.zeros((cap, buffer.shape[1]))
+    grown = np.zeros((cap, *buffer.shape[1:]), dtype=buffer.dtype)
     grown[:used] = buffer[:used]
     return grown
 
@@ -277,8 +337,11 @@ class EmbedderParams:
         self.revision = 0
         self._store = np.zeros((0, dim))
         self._slot: dict[int, int] = {}
-        # (offset, token) -> its entry
-        self._features: dict[tuple[int, str], Entry] = {}
+        # (offset, token) -> n, its entry's number: its sorted ids are
+        # _key_ids[_key_bounds[n] : _key_bounds[n + 1]], their slots the
+        # same rows of _key_slots; all three grow by doubling
+        self._features: dict[tuple[int, str], int] = {}
+        self._key_ids, self._key_slots, self._key_bounds = _no_keys()
         # window -> the union of its keys' entries
         self._windows: dict[Window, Entry] = {}
         # window -> its row of _rows, which grows by doubling until a cap drop
@@ -295,110 +358,135 @@ class EmbedderParams:
         i0, i1): inc = (i0:i1) << 1 | 1, then two LCG steps from state 0
         with (s0:s1) added between them. Setting that state on one kept
         generator skips building a SeedSequence and a PCG64 per column.
+        normal(loc, scale) draws loc + scale * standard_normal(), so each
+        row takes its standard draws and the block is scaled once; adding
+        0.0 turns a -0.0 draw into 0.0, as loc does.
         """
         rng = self._rng
         bit_generator = rng.bit_generator
+        pcg = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
         for row, (s0, s1, i0, i1) in zip(rows, _pcg64_seeds(self.seed, cols).tolist()):
             inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-            state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            row[:] = rng.normal(0.0, INIT_STD, self.dim)
+            pcg["inc"] = inc
+            pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = state
+            rng.standard_normal(out=row)
+        rows *= INIT_STD
+        rows += 0.0
 
-    def _new_slots(self, cols: list[int]) -> int:
+    def _slots_of(self, cols: np.ndarray) -> np.ndarray:
+        # the storage row of every column, -1 for one not materialized
+        return np.fromiter(map(self._slot.get, cols.tolist(), repeat(-1)), dtype=np.int64, count=cols.size)
+
+    def _new_slots(self, cols: np.ndarray) -> int:
         """Consecutive unfilled storage rows for `cols`, which must be
         unique and not yet materialized; returns the first. Every column is
         range-checked before any takes a row."""
-        for col in cols:
-            if not 0 <= col < self.n_buckets:
-                raise ValueError(f"column {col} outside [0, {self.n_buckets})")
+        outside = (cols < 0) | (cols >= self.n_buckets)
+        if outside.any():
+            raise ValueError(f"column {cols[outside][0]} outside [0, {self.n_buckets})")
         start = len(self._slot)
-        self._store = _grown(self._store, start, start + len(cols))
-        self._slot.update(zip(cols, range(start, start + len(cols))))
+        self._store = _grown(self._store, start, start + cols.size)
+        self._slot.update(zip(cols.tolist(), range(start, start + cols.size)))
         return start
 
     def slots_for(self, cols: Sequence[int] | np.ndarray) -> np.ndarray:
         """Storage rows for the given columns, materializing as needed.
 
-        Every column is range-checked before any is materialized. The
-        missing ones are seeded in one batch and take slots in the order
-        `cols` first names them.
+        Every column is range-checked before any is materialized. Each
+        distinct column is looked up once; the missing ones are seeded in
+        one batch and take slots in the order `cols` first names them.
         """
         cols = np.asarray(cols, dtype=np.int64)
-        slots = np.fromiter(
-            map(self._slot.get, cols.tolist(), repeat(-1)), dtype=np.int64, count=cols.size
-        )
-        missing = slots < 0
-        if missing.any():
-            wanted = cols[missing]
-            new, first = np.unique(wanted, return_index=True)
-            new = new[np.argsort(first)]
-            start = self._new_slots(new.tolist())
-            self._seed_columns(new, self._store[start : start + new.size])
-            slots[missing] = [self._slot[col] for col in wanted.tolist()]
-        return slots
+        distinct, inverse = np.unique(cols, return_inverse=True)
+        slots = self._slots_of(distinct)
+        new = np.flatnonzero(slots < 0)
+        if new.size:
+            # first[j]: where cols first names distinct[j]
+            first = np.full(distinct.size, cols.size)
+            np.minimum.at(first, inverse, np.arange(cols.size))
+            new = new[np.argsort(first[new])]
+            start = self._new_slots(distinct[new])
+            self._seed_columns(distinct[new], self._store[start : start + new.size])
+            slots[new] = np.arange(start, start + new.size)
+        return slots[inverse]
 
-    def _feature_entries(self, keys: Sequence[tuple[int, str]]) -> list[Entry]:
-        """The entry of every (offset, token) key: the ids of `token` seen
-        at `offset` from the embedded position. The keys not seen before
-        are featurized in one batch: every feature of every one is hashed
-        at once, and new columns take slots in the order the keys first
-        name them."""
-        new = list(dict.fromkeys(key for key in keys if key not in self._features))
-        if new:
-            surface: dict[str, list[str]] = {}
-            texts: list[str] = []
-            sizes: list[int] = []
-            for offset, token in new:
-                feats = surface.get(token)
-                if feats is None:
-                    feats = surface[token] = _surface_features(token)
-                texts.extend([f"{offset}|{feat}" for feat in feats])
-                sizes.append(len(feats))
-            buckets = fnv1a64_batch(texts, self.seed) % np.uint64(self.n_buckets)
-            hashed = buckets.astype(np.int64)
+    def _feature_entries(self, keys: Sequence[tuple[int, str]]) -> np.ndarray:
+        """The entry number of every (offset, token) key; the entry is the
+        sorted ids of `token` seen at `offset` from the embedded position,
+        with their slots, in the flat feature arrays. The keys not seen
+        before are featurized in one batch: every feature of every one is
+        hashed at once, and new columns take slots in the order the keys
+        first name them."""
+        numbers = np.fromiter(map(self._features.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+        if numbers.size and numbers.min() < 0:
+            new = list(dict.fromkeys(key for key, n in zip(keys, numbers.tolist()) if n < 0))
+            hashes, sizes = fnv1a64_keys(new, self.seed)
+            hashed = (hashes % np.uint64(self.n_buckets)).astype(np.int64)
             owner = np.repeat(np.arange(len(new)), sizes)
-            picks = _distinct_per_owner(owner, hashed, self.n_buckets)
+            picks = _distinct_per_owner(owner, hashed, (self.n_buckets - 1).bit_length())
             ids = hashed[picks]
-            self._features.update(_split_per_owner(new, owner[picks], ids, self.slots_for(ids)))
-        return list(map(self._features.get, keys))
+            slots = self.slots_for(ids)
+            # the new keys' entries, one after another, after those held
+            first, used = len(self._features), int(self._key_bounds[len(self._features)])
+            end = used + ids.size
+            self._key_ids = _grown(self._key_ids, used, end)
+            self._key_slots = _grown(self._key_slots, used, end)
+            self._key_ids[used:end], self._key_slots[used:end] = ids, slots
+            self._key_bounds = _grown(self._key_bounds, first + 1, first + 1 + len(new))
+            bounds = self._key_bounds[first + 1 : first + 1 + len(new)]
+            np.cumsum(np.bincount(owner[picks], minlength=len(new)), out=bounds)
+            bounds += used
+            self._features.update(zip(new, range(first, first + len(new))))
+            numbers = np.fromiter(map(self._features.__getitem__, keys), dtype=np.int64, count=len(keys))
+        return numbers
 
     def _window_entries(self, windows: Sequence[Window]) -> list[Entry]:
         """The entry of every window: the union of its (offset, token)
-        keys' entries, the one pair the parameters keep for it.
-        Windows not seen before are featurized in one batch, through one
-        _feature_entries call over their keys in window order, so new
-        columns take the slots that featurizing token by token gives."""
+        keys' entries, the one pair the parameters keep for it. Windows
+        not seen before get theirs in one batch, _new_window_entries."""
         entries = list(map(self._windows.get, windows))
         if None in entries:
             new = list(dict.fromkeys(w for w, entry in zip(windows, entries) if entry is None))
-            keys = [(j - place, token) for place, tokens in new for j, token in enumerate(tokens)]
-            ids, slots = zip(*self._feature_entries(keys))
-            owner = np.repeat(
-                np.repeat(np.arange(len(new)), [len(tokens) for _, tokens in new]),
-                np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)),
-            )
-            flat_ids = np.concatenate(ids)
-            picks = _distinct_per_owner(owner, flat_ids, self.n_buckets)
-            self._windows.update(
-                _split_per_owner(new, owner[picks], flat_ids[picks], np.concatenate(slots)[picks])
-            )
+            self._windows.update(self._new_window_entries(new))
             entries = list(map(self._windows.get, windows))
         return entries
+
+    def _new_window_entries(self, windows: list[Window]) -> dict[Window, Entry]:
+        """{window: its entry} for distinct windows, in array passes: the
+        entries of all their (offset, token) keys, window after window,
+        are gathered from the flat feature entries at once, and one sort of
+        (window, id) pairs gives each window its distinct ids in order.
+        One _feature_entries call over the keys in window order featurizes
+        the new ones, so new columns take the slots that featurizing token
+        by token gives."""
+        keys = [(j - place, token) for place, tokens in windows for j, token in enumerate(tokens)]
+        numbers = self._feature_entries(keys)
+        starts = self._key_bounds[numbers]
+        counts = self._key_bounds[numbers + 1] - starts
+        at = _runs(starts, counts)
+        ids = self._key_ids[at]
+        widths = np.fromiter((len(tokens) for _, tokens in windows), dtype=np.int64, count=len(windows))
+        owner = np.repeat(np.repeat(np.arange(len(windows)), widths), counts)
+        picks = _distinct_per_owner(owner, ids, (self.n_buckets - 1).bit_length())
+        return _split_per_owner(windows, owner[picks], ids[picks], self._key_slots[at[picks]])
 
     def window_rows(self, windows: Sequence[Window]) -> np.ndarray:
         """The row of every window, read-only: one gather of held rows. The
         windows not held are featurized if new, summed in one _column_sums
         call and held; if that would pass MAX_HELD_ROWS, the held rows and
-        entries are dropped first. A call holds all the windows it reads."""
+        window entries are dropped first, and so are the feature entries
+        if they number more than MAX_HELD_ROWS keys. A call holds all the
+        windows it reads."""
         held = self._held
-        new = [w for w in dict.fromkeys(windows) if w not in held]
+        new = list(filterfalse(held.__contains__, dict.fromkeys(windows)))
         if new and len(held) + len(new) > MAX_HELD_ROWS:
-            held, self._windows, self._features = {}, {}, {}
+            held, self._windows = {}, {}
+            # feature entries grow with the vocabulary, not with the stream
+            if len(self._features) > MAX_HELD_ROWS:
+                self._features = {}
+                self._key_ids, self._key_slots, self._key_bounds = _no_keys()
             self._held, self._rows, new = held, np.zeros((0, self.dim)), list(dict.fromkeys(windows))
         if new:
             entries = self._window_entries(new)
@@ -407,7 +495,7 @@ class EmbedderParams:
             self._rows = _grown(self._rows, len(held), len(held) + len(new))
             np.tanh(sums, out=self._rows[len(held) : len(held) + len(new)])
             held.update(zip(new, range(len(held), len(held) + len(new))))
-        rows = self._rows[[held[w] for w in windows]]
+        rows = self._rows[np.fromiter(map(held.__getitem__, windows), dtype=np.intp, count=len(windows))]
         rows.setflags(write=False)
         return rows
 
@@ -433,9 +521,12 @@ class EmbedderParams:
         cols = columns.tolist()
         if len(set(cols)) != len(cols):
             raise ValueError("columns must be unique")
-        self._new_slots([col for col in cols if col not in self._slot])
+        columns = np.asarray(columns, dtype=np.int64)
+        slots = self._slots_of(columns)
+        missing = slots < 0
+        slots[missing] = self._new_slots(columns[missing]) + np.arange(np.count_nonzero(missing))
         # taking slots can grow and rebind the storage, so it is read after
-        self._store[self.slots_for(columns)] = values
+        self._store[slots] = values
         self.modified.update(cols)
         self.revision += len(cols)
         self._held = {}
@@ -451,21 +542,28 @@ class EmbedderParams:
         dup._slot = dict(self._slot)
         # the slots cached so far are the copy's too; later entries are not
         dup._features = dict(self._features)
+        dup._key_ids, dup._key_slots = self._key_ids.copy(), self._key_slots.copy()
+        dup._key_bounds = self._key_bounds.copy()
         dup._windows = dict(self._windows)
         dup.modified = set(self.modified)
         dup.revision = self.revision
         return dup
 
 
-def _distinct_per_owner(owner: np.ndarray, ids: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Positions of each owner's distinct ids, ordered by owner, then id.
+def _no_keys() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the flat feature entries of no key: ids, slots and bounds
+    return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
 
-    One sort on a single key, owner * n_buckets + id; a key equal to its
-    predecessor is a repeated id of the same owner. Every id is below
-    n_buckets <= 2**32, so the key stays below 2**63 for fewer than 2**31
-    owners.
+
+def _distinct_per_owner(owner: np.ndarray, ids: np.ndarray, bits: int) -> np.ndarray:
+    """Positions of each owner's distinct ids, ordered by owner, then id;
+    every id is below 2**bits.
+
+    One sort on a single key, owner << bits | id; a key equal to its
+    predecessor is a repeated id of the same owner. For bits <= 32 the key
+    stays below 2**63 for fewer than 2**31 owners.
     """
-    key = owner * n_buckets + ids
+    key = owner << bits | ids
     order = np.argsort(key)
     key = key[order]
     keep = np.ones(key.size, dtype=bool)
@@ -473,10 +571,16 @@ def _distinct_per_owner(owner: np.ndarray, ids: np.ndarray, n_buckets: int) -> n
     return order[keep]
 
 
-def _windows(tokens: tuple[str, ...], w: int):
-    # the window of every token, clipped at the sentence's ends
-    for t in range(len(tokens)):
-        yield min(t, w), tokens[max(0, t - w) : t + w + 1]
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # starts[i], starts[i] + 1, ..., counts[i] positions from each start, one run after another
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(int(counts.sum()))
+
+
+def _windows(tokens: tuple[str, ...], w: int) -> list[Window]:
+    # the window of every token, clipped at the sentence's ends: the first
+    # w tokens sit at their own place, the others at place w
+    head = [(t, tokens[: t + w + 1]) for t in range(min(w, len(tokens)))]
+    return head + [(w, tokens[t - w : t + w + 1]) for t in range(w, len(tokens))]
 
 
 def _pairwise_tree(start: int, n: int, leaves: list[tuple[int, int]], base: int):
@@ -650,7 +754,7 @@ class HashedWindowEmbedder:
     def token_columns(self, sentence: Sentence) -> list[Entry]:
         """The window entry of every token of the sentence, in token order;
         windows not seen before are featurized."""
-        return self.params._window_entries(list(_windows(sentence.tokens, self.params.window)))
+        return self.params._window_entries(_windows(sentence.tokens, self.params.window))
 
     def embed(self, sentence: Sentence) -> np.ndarray:
         """The sentence's token rows, read-only: embed_batch([sentence])[0]."""
@@ -659,7 +763,7 @@ class HashedWindowEmbedder:
     def embed_batch(self, sentences: Sequence[Sentence]) -> list[np.ndarray]:
         """The token rows of every sentence, read-only: one window_rows gather."""
         w = self.params.window
-        rows = self.params.window_rows([k for s in sentences for k in _windows(s.tokens, w)])
+        rows = self.params.window_rows(list(chain.from_iterable(_windows(s.tokens, w) for s in sentences)))
         bounds = list(accumulate(map(len, sentences), initial=0))
         return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 

@@ -72,7 +72,8 @@ def build_index(dataset: Dataset, provider) -> NeighborIndex:
 
     Zero-norm sentence vectors are stored as-is rather than normalized, so
     query scores them 0. A matrix of the wrong shape or with non-finite
-    entries is rejected, naming the first such sentence.
+    entries is rejected, naming the first such sentence, and so is a
+    matrix count other than the sentence count.
 
     The last index built with each provider is kept while the provider
     lives and returned again for the same Dataset object (a frozen one)
@@ -116,16 +117,13 @@ def _embed_dataset(dataset: Dataset, provider) -> NeighborIndex:
         raise ValueError("cannot build an index over an empty dataset")
     row_starts = np.zeros(len(dataset.items) + 1, dtype=np.int64)
     np.cumsum([len(item) for item in dataset.items], out=row_starts[1:])
-    token_rows = np.empty((int(row_starts[-1]), provider.dim))
-    vectors = np.zeros((len(dataset.items), provider.dim))
     sentences = [item.sentence for item in dataset.items]
-    matrices = provider.embed_batch(sentences)
-    for sid, (sentence, matrix) in enumerate(zip(sentences, matrices, strict=True)):
-        block = token_rows[row_starts[sid] : row_starts[sid + 1]]
-        block[...] = _checked(provider, sentence, np.asarray(matrix, dtype=float))
-        vec = embed_sentence(block)
-        norm = float(np.linalg.norm(vec))
-        vectors[sid] = vec if norm < ZERO_NORM else vec / norm
+    token_rows = _checked_rows(provider, sentences, row_starts, provider.embed_batch(sentences))
+    vectors = _pooled(token_rows, row_starts)
+    # np.linalg.norm of a vector is the square root of its x.dot(x)
+    norms = np.sqrt([vec.dot(vec) for vec in vectors])
+    # x / 1.0 is x, so a zero-norm vector is kept as it is
+    vectors /= np.where(norms < ZERO_NORM, 1.0, norms)[:, np.newaxis]
     flat_labels = np.fromiter(
         chain.from_iterable(item.labels for item in dataset.items),
         dtype=np.int64,
@@ -137,6 +135,61 @@ def _embed_dataset(dataset: Dataset, provider) -> NeighborIndex:
     return NeighborIndex(
         dataset, vectors, provider.tag, token_rows, row_starts, flat_labels, window_ranks
     )
+
+
+def _checked_rows(
+    provider, sentences: list[Sentence], row_starts: np.ndarray, matrices
+) -> np.ndarray:
+    """The provider's matrices of `sentences`, one after another, as one
+    float matrix. The first sentence whose matrix is of the wrong shape or
+    holds a non-finite entry is named, with the first of the two faults
+    it has, as checking sentence by sentence would; so is a matrix count
+    other than the sentence count."""
+    if len(matrices) != len(sentences):
+        raise ValueError(
+            f"provider returned {len(matrices)} matrices for {len(sentences)} sentences"
+        )
+    matrices = [np.asarray(matrix, dtype=float) for matrix in matrices]
+    dim = provider.dim
+    # the sentences before `shaped` all have matrices of their shape
+    shaped = len(sentences)
+    for sid, (sentence, matrix) in enumerate(zip(sentences, matrices)):
+        if matrix.shape != (len(sentence), dim):
+            shaped = sid
+            break
+    token_rows = np.empty((int(row_starts[-1]), dim))
+    if shaped:
+        np.concatenate(matrices[:shaped], out=token_rows[: row_starts[shaped]])
+    fault = shaped
+    non_finite = np.flatnonzero(~np.isfinite(token_rows[: row_starts[shaped]]).all(axis=1))
+    if non_finite.size:
+        # the sentence that owns the first non-finite row
+        fault = int(np.searchsorted(row_starts, non_finite[0], side="right")) - 1
+    if fault < len(sentences):
+        _checked(provider, sentences[fault], matrices[fault])
+    return token_rows
+
+
+def _pooled(token_rows: np.ndarray, row_starts: np.ndarray) -> np.ndarray:
+    """The mean of every sentence's rows, as embed_sentence takes it, bit
+    for bit: numpy's mean over axis 0 adds the rows in order from the
+    first, then divides by the count, so here each step adds row p of
+    every sentence longer than p at once, sentences sorted longest first
+    so those are a prefix. A one-column matrix is a vector to numpy, which
+    sums it pairwise instead, so those are pooled sentence by sentence."""
+    lengths = np.diff(row_starts)
+    if token_rows.shape[1] == 1:
+        return np.array([embed_sentence(token_rows[lo:hi]) for lo, hi in zip(row_starts[:-1], row_starts[1:])])
+    order = np.argsort(-lengths, kind="stable")
+    first = row_starts[:-1][order]
+    sums = token_rows[first]
+    # live[p]: how many sentences are longer than p
+    live = np.searchsorted(-lengths[order], -np.arange(1, int(lengths.max())), side="left")
+    for p, m in enumerate(live.tolist(), start=1):
+        sums[:m] += token_rows[first[:m] + p]
+    vectors = np.empty_like(sums)
+    vectors[order] = sums / lengths[order][:, np.newaxis]
+    return vectors
 
 
 def _window_ranks(flat_labels: np.ndarray, row_starts: np.ndarray) -> np.ndarray:

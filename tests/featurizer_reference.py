@@ -21,7 +21,8 @@ from copytag.embeddings import (
     FNV_OFFSET,
     FNV_PRIME,
     INIT_STD,
-    _surface_features,
+    NGRAM_SIZES,
+    word_shape,
 )
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -34,6 +35,19 @@ def fnv1a64(text: str, seed: int = 0) -> int:
         h ^= byte
         h = (h * FNV_PRIME) & _U64
     return h
+
+
+def surface_features(token: str) -> list[str]:
+    """The features of one surface form, before offset prefixing:
+    lowercased identity, shape code, and boundary-padded character
+    n-grams, spelled as text."""
+    low = token.lower()
+    feats = [f"w|{low}", f"s|{word_shape(token)}"]
+    padded = f"^{low}$"
+    for n in NGRAM_SIZES:
+        for i in range(len(padded) - n + 1):
+            feats.append(f"g|{padded[i:i + n]}")
+    return feats
 
 
 def seeded_column(seed: int, col: int, dim: int) -> np.ndarray:
@@ -75,6 +89,6 @@ def token_features(
         j = position + offset
         if not 0 <= j < len(sentence):
             continue
-        for feat in _surface_features(sentence.tokens[j]):
+        for feat in surface_features(sentence.tokens[j]):
             indices.add(fnv1a64(f"{offset}|{feat}", seed) % n_buckets)
     return FeatureSet(frozenset(indices))

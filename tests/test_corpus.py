@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,24 @@ class TestSentence:
     def test_rejects_whitespace_token(self):
         with pytest.raises(CorpusError):
             Sentence(0, ("ok", "not ok"))
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u001c", " ", "\t"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_rejects_every_kind_of_space(self, space, at):
+        # no-break, em and file-separator spaces too, at either end or inside
+        tok = "ab"[:at] + space + "ab"[at:]
+        with pytest.raises(CorpusError, match="is empty or contains whitespace") as raised:
+            Sentence(0, ("ok", tok))
+        assert str(raised.value) == f"token {tok!r} is empty or contains whitespace"
+
+    def test_rejects_empty_token(self):
+        with pytest.raises(CorpusError, match=r"token '' is empty or contains whitespace"):
+            Sentence(0, ("ok", ""))
+
+    def test_split_cuts_at_exactly_isspace(self):
+        # the token check's premise, over every code point
+        chars = map(chr, range(sys.maxunicode + 1))
+        assert [ch for ch in chars if (ch.split() != [ch]) != ch.isspace()] == []
 
     def test_len(self):
         assert len(Sentence(0, ("a", "b"))) == 2

@@ -13,13 +13,13 @@ import copytag.embeddings as embeddings
 from copytag.corpus import Sentence, parse_conll
 from copytag.embeddings import (
     EMBED_RUN_ROWS,
+    INIT_STD,
     _column_sums,
     _embed_columns,
-    _surface_features,
     EmbedderParams,
     HashedWindowEmbedder,
     embed_sentence,
-    fnv1a64_batch,
+    fnv1a64_keys,
     word_shape,
 )
 from copytag.retrieval import build_index
@@ -32,7 +32,7 @@ from embedding_reference import (
     reference_column_sums,
     reference_embed_columns,
 )
-from featurizer_reference import fnv1a64, seeded_column, token_features
+from featurizer_reference import fnv1a64, seeded_column, surface_features, token_features
 from param_columns import column, set_column
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -67,41 +67,66 @@ class TestHashing:
 
 
 HASH_SEEDS = (0, 1, 2**63, 2**64 + 3)
+HASH_WORDS = ("a", "the", "Zürich", "東京", "ß", "\U0001F600", "e\u0301", "naïve", "A1-b", "İ")
+
+
+def key_hashes(keys, seed):
+    """The oracle's hash of every feature text of every key, key after key."""
+    return [fnv1a64(f"{offset}|{feat}", seed) for offset, token in keys for feat in surface_features(token)]
 
 
 class TestBatchHash:
-    """fnv1a64_batch against the scalar fnv1a64 oracle."""
+    """fnv1a64_keys against the scalar fnv1a64 of every feature text."""
 
     @pytest.mark.parametrize("seed", HASH_SEEDS)
     def test_edge_texts(self, seed):
-        # astral-plane and combining characters, rows much longer than the
-        # rest, and empty texts between them
-        texts = ["", "a", "\U0001F600", "e\u0301", "naïve", "x" * 200, "", "東京" * 100]
-        got = fnv1a64_batch(texts, seed)
-        assert got.dtype == np.uint64
-        assert got.tolist() == [fnv1a64(text, seed) for text in texts]
+        # astral-plane and combining characters, a capital whose lowercase
+        # is two characters, an empty token, tokens much longer than the
+        # rest, and one token at several offsets, not one after another
+        tokens = ["a", "\U0001F600", "e\u0301", "naïve", "İstanbul", "", "x" * 200, "東京" * 100, "ß"]
+        keys = [(offset, token) for offset in (0, -3, 3, 1) for token in tokens]
+        hashes, sizes = fnv1a64_keys(keys, seed)
+        assert hashes.dtype == np.uint64
+        assert hashes.tolist() == key_hashes(keys, seed)
+        assert sizes.tolist() == [len(surface_features(token)) for _, token in keys]
 
     def test_empty_list(self):
-        got = fnv1a64_batch([], 5)
-        assert got.dtype == np.uint64 and got.shape == (0,)
+        hashes, sizes = fnv1a64_keys([], 5)
+        assert hashes.dtype == np.uint64 and hashes.shape == (0,)
+        assert sizes.shape == (0,)
+
+    def test_random_keys(self):
+        # multi-byte tokens at offsets -3..3, repeated in and across batches
+        rng = np.random.default_rng(35)
+        for seed in HASH_SEEDS:
+            count = int(rng.integers(1, 40))
+            keys = [
+                (int(offset), HASH_WORDS[int(word)])
+                for offset, word in zip(rng.integers(-3, 4, count), rng.integers(0, len(HASH_WORDS), count))
+            ]
+            hashes, sizes = fnv1a64_keys(keys, seed)
+            assert hashes.tolist() == key_hashes(keys, seed)
+            assert sizes.sum() == hashes.size
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.text(max_size=40), max_size=20), st.sampled_from(HASH_SEEDS))
-    def test_matches_scalar_oracle(self, texts, seed):
-        assert fnv1a64_batch(texts, seed).tolist() == [fnv1a64(t, seed) for t in texts]
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.text(min_size=1, max_size=40)), max_size=20),
+        st.sampled_from(HASH_SEEDS),
+    )
+    def test_matches_scalar_oracle(self, keys, seed):
+        assert fnv1a64_keys(keys, seed)[0].tolist() == key_hashes(keys, seed)
 
     def test_long_token_in_linear_memory(self):
-        # a 2,000-character token's feature texts at five offsets: ~30k
-        # texts, one per offset about as long as the token
-        feats = _surface_features("ab" * 1000)
-        texts = [f"{offset}|{feat}" for offset in range(-2, 3) for feat in feats]
+        # a 2,000-character token at five offsets: ~30k feature texts, one
+        # per offset about as long as the token
+        keys = [(offset, "ab" * 1000) for offset in range(-2, 3)]
         tracemalloc.start()
         try:
-            got = fnv1a64_batch(texts, 1)
+            got = fnv1a64_keys(keys, 1)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got.tolist() == [fnv1a64(text, 1) for text in texts]
+        assert got.tolist() == key_hashes(keys, 1)
         # a texts x longest-text byte matrix alone would take 60 MB
         assert peak < 16 * 2**20, peak
 
@@ -131,6 +156,21 @@ class TestSeededColumns:
         slots = p.slots_for(cols)  # first: it may grow and rebind the storage
         for col, row in zip(cols, p.storage[slots]):
             assert row.tobytes() == seeded_column(seed, col, 3).tobytes()
+
+    def test_negative_zero_draw_seeds_positive_zero(self):
+        # normal(0.0, scale) returns loc + scale * z: a -0.0 standard draw
+        # gives +0.0, so the scaled block must take its loc as well
+        class NegativeZeros:
+            bit_generator = SimpleNamespace(state=None)
+
+            def standard_normal(self, out):
+                out[:] = -0.0
+
+        p = EmbedderParams(dim=3, n_buckets=16)
+        p._rng = NegativeZeros()
+        expected = 0.0 + INIT_STD * np.full(3, -0.0)
+        assert not np.signbit(expected).any()
+        assert column(p, 5).tobytes() == expected.tobytes()
 
 
 class TestWordShape:
@@ -275,6 +315,23 @@ class TestEmbedderParams:
         set_column(q, 1, np.array([0.0, 0.0]))
         assert np.array_equal(column(p, 1), [5.0, 6.0])
         assert p.modified == q.modified == {1}
+
+    def test_copy_featurizes_apart(self):
+        # a copy starts with the feature entries made so far; keys new to
+        # each afterwards are featurized into its own entries only, which
+        # windows made later from known keys then read
+        p = EmbedderParams(dim=4, n_buckets=512, seed=2)
+        columns_of(p, SENT)
+        q = p.copy()
+        one, other = ("Bob", "left", "Rome"), ("Ann", "came", "home")
+        columns_of(q, Sentence(1, other))
+        columns_of(p, Sentence(2, one))
+        for params, tokens in ((q, other), (p, one)):
+            for sentence in (SENT, Sentence(3, tokens), Sentence(4, (*tokens, "late"))):
+                expected = [token_features(sentence, t, 2, 512, 2).sorted() for t in range(len(sentence))]
+                columns = columns_of(params, sentence)
+                assert split_tokens(columns) == expected
+                np.testing.assert_array_equal(columns.slots, params.slots_for(columns.columns))
 
     @pytest.mark.parametrize("col", [-1, 8])
     def test_out_of_range_columns_rejected(self, col):
@@ -434,7 +491,7 @@ class TestFeaturizeOnce:
         def fail(*args):
             raise AssertionError("cached pairs featurized again")
 
-        monkeypatch.setattr(embeddings, "fnv1a64_batch", fail)
+        monkeypatch.setattr(embeddings, "fnv1a64_keys", fail)
         monkeypatch.setattr(EmbedderParams, "_seed_columns", fail)
         again = columns_of(params, SENT)
         for name in ("columns", "slots", "starts", "counts"):
@@ -460,7 +517,7 @@ class TestFeaturizeOnce:
                 pairs.add(pair)
                 ids = {
                     fnv1a64(f"{j - t}|{feat}", seed) % n_buckets
-                    for feat in _surface_features(sent.tokens[j])
+                    for feat in surface_features(sent.tokens[j])
                 }
                 expected.extend(col for col in sorted(ids) if col not in expected)
         assert len(params._slot) == len(expected)

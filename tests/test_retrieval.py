@@ -6,7 +6,7 @@ import pytest
 
 from copytag import retrieval, trainer
 from copytag.corpus import build_dataset
-from copytag.embeddings import HashedWindowEmbedder, EmbedderParams
+from copytag.embeddings import HashedWindowEmbedder, EmbedderParams, embed_sentence
 from copytag.retrieval import assemble_neighbor_set, build_index, query
 from copytag.tagging import Tagger
 from copytag.trainer import AdamState, TrainConfig, adam_update, fine_tune
@@ -111,6 +111,56 @@ class TestBuildIndex:
         vectors[2, 1] = value
         with pytest.raises(ValueError, match="sentence 2"):
             build_index(tiny_db(), VectorProvider(vectors))
+
+    def test_first_faulty_sentence_named(self):
+        # a mis-shaped middle sentence, then a non-finite sentence before a
+        # mis-shaped one: the first faulty sentence is named, by its fault
+        class FaultyProvider(VectorProvider):
+            def __init__(self, faults):
+                super().__init__(np.ones((4, 2)))
+                self.faults = faults
+
+            def embed(self, sentence):
+                matrix = super().embed(sentence)
+                fault = self.faults.get(sentence.uid)
+                if fault == "shape":
+                    return matrix[:, :1]
+                if fault == "both":
+                    return np.full((len(sentence) + 1, 2), np.nan)
+                if fault == "nan":
+                    matrix[-1, 0] = np.nan
+                return matrix
+
+        cases = [
+            ({2: "shape"}, r"^sentence 2: provider returned shape \(1, 1\), expected \(1, 2\)$"),
+            ({1: "nan", 3: "shape"}, "^sentence 1: provider returned non-finite embeddings$"),
+            ({1: "shape", 3: "nan"}, r"^sentence 1: provider returned shape \(3, 1\)"),
+            ({1: "both", 2: "nan"}, r"^sentence 1: provider returned shape \(4, 2\)"),
+        ]
+        for faults, message in cases:
+            with pytest.raises(ValueError, match=message):
+                build_index(tiny_db(), FaultyProvider(faults))
+
+    def test_missing_matrix_rejected(self):
+        class ShortProvider(VectorProvider):
+            def embed_batch(self, sentences):
+                return super().embed_batch(sentences)[:-1]
+
+        with pytest.raises(ValueError, match="^provider returned 3 matrices for 4 sentences$"):
+            build_index(tiny_db(), ShortProvider(np.ones((4, 2))))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 128])
+    def test_pooled_equals_the_mean_of_each_sentence(self, dim):
+        # bit for bit, over sentence lengths on both sides of numpy's
+        # pairwise block and values of very different magnitudes
+        rng = np.random.default_rng(dim)
+        lengths = [1, 2, 7, 8, 9, 127, 128, 129, 300, 3]
+        starts = np.concatenate([[0], np.cumsum(lengths)])
+        rows = rng.normal(size=(starts[-1], dim)) * 10.0 ** rng.integers(-8, 8, size=(starts[-1], 1))
+        pooled = retrieval._pooled(rows, starts)
+        for sid in range(len(lengths)):
+            expected = embed_sentence(rows[starts[sid] : starts[sid + 1]])
+            assert pooled[sid].tobytes() == expected.tobytes()
 
 
 def sorted_window_ranks(rows):

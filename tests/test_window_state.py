@@ -3,11 +3,14 @@
 EmbedderParams holds a row for every window embedded since the last
 set_columns, beside the window and feature entries. When a call's new
 windows would take the held rows past MAX_HELD_ROWS, the held rows and
-both kinds of entries are dropped first, and a call holds every window it
-reads, however many. With the cap forced down to a few dozen rows, so that
-drops happen all the time, tagging, sweeping and fine-tuning must give the
-bytes they give uncapped, and tagging a stream of new sentences must keep
-the same memory once the cap is reached.
+the window entries are dropped first, and a call holds every window it
+reads, however many. The feature entries grow with the vocabulary, not
+with the stream: a drop keeps them unless they number more than
+MAX_HELD_ROWS keys, so known tokens are not hashed again. With the cap
+forced down to a few dozen rows, so that drops happen all the time,
+tagging, sweeping and fine-tuning must give the bytes they give uncapped,
+and tagging a stream of new sentences must keep the same memory once the
+cap is reached.
 """
 
 import tracemalloc
@@ -34,10 +37,10 @@ def _keys(windows):
 
 
 def _assert_state_is_the_held_windows(params: EmbedderParams) -> None:
-    # with no training step, every window and feature entry belongs to a
-    # held window: a drop leaves none of the older ones behind
+    # with no training step, every window entry belongs to a held window:
+    # a drop leaves none of the older ones behind
     assert set(params._windows) == set(params._held)
-    assert set(params._features) == _keys(params._held)
+    assert set(params._features) >= _keys(params._held)
 
 
 @pytest.fixture
@@ -95,6 +98,37 @@ class TestCappedState:
         provider.embed(Sentence(1, ("new",)))
         assert drops == [True, False, True]
         assert len(provider.params._held) == 1 and provider.params._rows.shape[0] == CAP
+
+
+class TestFeatureEntriesOutliveADrop:
+    @pytest.mark.parametrize("cap", [300, 100])
+    def test_known_tokens_hash_nothing_after_a_drop(self, monkeypatch, cap):
+        # toy NER sentences name 262 (offset, token) keys in 800 windows:
+        # under a cap of 300 a drop of the rows keeps the feature entries,
+        # and reading the sentences again sums their windows but neither
+        # hashes nor seeds; under a cap of 100 the drop takes them too
+        monkeypatch.setattr(embeddings, "MAX_HELD_ROWS", cap)
+        sentences = [item.sentence for item in toy_ner_corpus(200, seed=1).items]
+        provider = HashedWindowEmbedder(_params())
+        params = provider.params
+        first = provider.embed_batch(sentences)
+        features = params._features
+        assert len(params._held) > 300 and len(features) == 262
+        # a one-token window no sentence has, of a known key: a drop
+        provider.embed(Sentence(0, sentences[0].tokens[:1]))
+        assert len(params._held) == 1 and params._windows.keys() == params._held.keys()
+        if cap < len(features):
+            assert params._features is not features
+            return
+
+        def fail(*args):
+            raise AssertionError("known keys featurized again")
+
+        assert params._features is features
+        monkeypatch.setattr(embeddings, "fnv1a64_keys", fail)
+        monkeypatch.setattr(EmbedderParams, "_seed_columns", fail)
+        again = provider.embed_batch(sentences)
+        assert [m.tobytes() for m in again] == [m.tobytes() for m in first]
 
 
 def _tag_and_sweep():
