@@ -13,9 +13,17 @@ up to 26 bytes, a sign, "_", an exponent, a tab) and a list of texts
 float() rejects are read: each value must have float()'s bits, and each
 rejected text must stop the reading with float()'s error.
 
+The writer's digits come from Dragonbox, whose rare steps decide few
+values: the parity products (r == delta, a whole number of hundredths),
+exact ties, excluded endpoints and the shorter interval of a power of
+two. The script prints how many of the values took each of them, and
+fails when one was never taken, so the comparison covers every step.
+
 The first value or text that differs is named and the script exits 1,
 else it prints the counts and exits 0. Kept out of the tier-1 tests for
-its run time (25-30 s on 2 vCPUs).
+its run time (about 35 s on 2 vCPUs). Run it a second time with
+NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" to check
+numpy's baseline SIMD loops as well.
 
     python3 scripts/check_float_text.py
 """
@@ -23,13 +31,14 @@ its run time (25-30 s on 2 vCPUs).
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from copytag.floattext import read_rows, row_lines  # noqa: E402
+from copytag.floattext import _digits, read_rows, row_lines  # noqa: E402
 
 RANDOM_PATTERNS = 1 << 22
 SPREAD = 1 << 20  # log-uniform and normal values each
@@ -100,6 +109,17 @@ def first_mismatch(batch: np.ndarray) -> str | None:
     return None
 
 
+def path_counts(checked: np.ndarray) -> Counter:
+    """How many of the nonzero values `checked` take each rare step of
+    the writer's digit kernel."""
+    tally = Counter()
+    magnitudes = np.abs(checked).view(np.uint64)
+    for lo in range(0, len(magnitudes), BATCH):
+        batch = magnitudes[lo : lo + BATCH]
+        _digits(batch[batch != 0], tally)
+    return tally
+
+
 def first_misread(texts: list[str]) -> str | None:
     """The first text read as other bits than float()'s, described."""
     padded = texts + ["0"] * (-len(texts) % ROW)
@@ -137,6 +157,12 @@ def main() -> int:
         if mismatch is not None:
             print(f"mismatch at {mismatch}")
             return 1
+    paths = path_counts(checked)
+    for path, count in sorted(paths.items()):
+        print(f"{count:>9}  {path}")
+    if not all(paths.values()):
+        print("a rare step of the digit kernel was never taken")
+        return 1
     texts = spellings()
     for lo in range(0, len(texts), BATCH):
         mismatch = first_misread(texts[lo : lo + BATCH])

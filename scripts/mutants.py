@@ -371,17 +371,38 @@ MUTANTS = (
         (PER_LEVEL,),
     ),
     Mutant(
-        "the closest-candidate tie not broken to even",
+        "an odd significand's integer right endpoint not excluded",
         FLOATTEXT,
-        "closer = (rest < 2) | ((rest == 2) & (s & _U64(1) == 0))",
-        "closer = rest <= 2",
+        "out = (low == 0) & (r == 0) & (c & _U64(1) == 1)",
+        "out = low != low",
         (MATCHES_REPR,),
     ),
     Mutant(
-        "a power-of-two lower bound treated as regular",
+        "the parity product never moves the extra digit down",
         FLOATTEXT,
-        "irregular = (t == 0) & (bq > 1)",
-        "irregular = t != t",
+        "    f[whole] -= below | tie\n",
+        "    f[whole] -= tie\n",
+        (MATCHES_REPR,),
+    ),
+    Mutant(
+        "an exact tie not broken to even",
+        FLOATTEXT,
+        "    f[whole] -= below | tie\n",
+        "    f[whole] -= below\n",
+        (MATCHES_REPR,),
+    ),
+    Mutant(
+        "r == delta left to the extra digit",
+        FLOATTEXT,
+        "edge = np.flatnonzero(r == delta)",
+        "edge = np.flatnonzero(r != r)",
+        (MATCHES_REPR,),
+    ),
+    Mutant(
+        "the shorter interval's left endpoint never an integer",
+        FLOATTEXT,
+        "integral = (e == 2) | (e == 3)",
+        "integral = e != e",
         (MATCHES_REPR,),
     ),
     Mutant(
@@ -392,24 +413,10 @@ MUTANTS = (
         (MATCHES_REPR,),
     ),
     Mutant(
-        "the shorter multiple-of-ten candidate skipped",
-        FLOATTEXT,
-        "shorter = (s >= _U64(10)) & (upin != wpin)",
-        "shorter = s != s",
-        (MATCHES_REPR,),
-    ),
-    Mutant(
-        "the shorter candidate tried only from s >= 100, as in Java",
-        FLOATTEXT,
-        "shorter = (s >= _U64(10)) & (upin != wpin)",
-        "shorter = (s >= _U64(100)) & (upin != wpin)",
-        (MATCHES_REPR,),
-    ),
-    Mutant(
         "trailing zeros kept",
         FLOATTEXT,
-        "np.concatenate([words(trail), full])",
-        "np.concatenate([full, full])",
+        "np.concatenate([np.where(trail, 0, digits), digits])",
+        "np.concatenate([digits, digits])",
         (MATCHES_REPR,),
     ),
     Mutant(

@@ -7,34 +7,35 @@ no Python float object or repr call per value. It works on chunks of
 8192 values (64 rows of 128), so each temporary array is 64 KiB and stays
 in cache.
 
-Digits. A finite nonzero value c * 2**q (c the integer significand) has
+Digits. A finite nonzero value c * 2**e (c the integer significand) has
 one shortest decimal f * 10**k that reads back as it; among several of
 that length repr takes the closest, and of two equally close the even
-one. `_digits` finds it with Schubfach (R. Giulietti, "The Schubfach way
-to render doubles", 2020; the algorithm of Java's Double.toString since
-JDK 19), in uint64 arithmetic only: the rounding interval's bounds and
-the value are scaled by a 126-bit approximation g of 10**-k from a
-617-entry table built from Python ints at import, each product's high
-bits taken through 32-bit limbs and rounded to odd; one multiple of ten
-in the interval is the shorter answer, else the nearer of the two
-integers around the value. Java's rendering keeps at least two digits,
-so it scales the two smallest subnormals by ten (its C_TINY branch) and
-tries the shorter candidate only from s >= 100; repr keeps one digit, so
-here there is no such branch and the shorter candidate is tried from
-s >= 10 (5e-324 is "5e-324", not "4.9e-324").
+one. `_digits` finds it with Dragonbox's nearest-to-even path (J. Jeon,
+"Dragonbox: A New Floating-Point Binary-to-Decimal Conversion
+Algorithm", 2020) in uint64 arithmetic only: one 64 x 128-bit product of
+the interval's right endpoint with a 128-bit power of ten (a 619-entry
+table built from Python ints at import) gives the multiple of 1000 in
+the interval, if there is one, else one more digit of the value. A
+second, parity product decides only the few values on the left endpoint
+or a whole number of hundredths from a digit, where exact ties go to
+even; a power of two, whose lower neighbour is half as far, takes the
+shorter-interval steps. Like repr, and unlike Java, Dragonbox may write
+one digit: 5e-324, not 4.9e-324.
 
 Layout. repr writes d.ddde-XX for a decimal exponent decpt (value =
 0.d1d2... * 10**decpt) outside -4 < decpt <= 16, else fixed notation,
 with ".0" after an integral value and "-" before a negative one, -0.0
-included. Each value of a chunk gets the same slot of uint32 words, four
-ASCII bytes each, taken from tables: two words for a space, the sign and
-the "0." and zeros of a fixed value below 1; a word per 4-digit group of
-the integer part (decpt digits in fixed notation, else one), leading
-zeros blanked, as many as the chunk's longest integer part needs; the
-point; four words for the 16 places after it, trailing zeros blanked;
-two for the exponent, if a value of the chunk has one. Blank bytes are
-NUL, and bytes.translate deletes them all from the chunk's word grid at
-once, which leaves the text.
+included. The 17 digits of f scaled to [10**16, 10**17) make a stream of
+ASCII words, "0000000" and the first digit, then four 4-digit groups
+from a table, trailing zeros blanked. Each value of a chunk gets a slot
+of uint64 words, 24 bytes when every integer part has one digit: two
+lead bytes (NUL and " ", or " " and "-"), the integer part, the point,
+20 fraction places, with an exponent on the last bytes. The words are
+the stream shifted per value so that its digits after the point fall on
+the fraction places, and one byte lower for the integer part; longer
+integer parts or an e-XXX in a chunk widen its slots by whole words.
+Blank bytes are NUL, so a value's text is one run, and bytes.translate
+deletes them from the chunk's word grid at once.
 
 Reading. `read_rows(text, dim, lead, start)` reads such lines back from
 text[start:], a piece of about 2**19 characters at a time: numpy finds
@@ -64,6 +65,7 @@ of two and its neighbours, and millions of decimals.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -73,7 +75,6 @@ _M32 = _U64(0xFFFF_FFFF)
 _M63 = _U64(0x7FFF_FFFF_FFFF_FFFF)
 _T_MASK = _U64((1 << 52) - 1)
 _C_MIN = _U64(1 << 52)
-_K_MIN, _K_MAX = -324, 292
 # Values per chunk: 64 rows of 128. Chunks of 128 rows wrote 5% faster but
 # raised the benchmark's peak RSS on suffix-l40-dp by 5% (median of 10 seeds).
 _CHUNK_VALUES = 8192
@@ -85,184 +86,224 @@ def _flog2pow10(e):
     return (e * 913_124_641_741) >> 38
 
 
-def _g_table() -> np.ndarray:
-    """Column k - K_MIN: g = floor(10**-k * 2**(125 - floor(log2(10**-k)))) + 1,
-    a 126-bit number, as g1 = g >> 63 and the 32-bit limbs of g1 and of
-    g0 = g & (2**63 - 1)."""
-    rows = []
+def _phi_table() -> tuple[np.ndarray, np.ndarray]:
+    """Dragonbox's cache, entry k - _K_MIN for k in [_K_MIN, _K_MAX]:
+    phi_k = ceil(10**k * 2**(127 - floor(k * log2(10)))), a 128-bit number
+    with its top bit set, as its high and low words."""
+    high, low = [], []
     for k in range(_K_MIN, _K_MAX + 1):
-        shift = 125 - _flog2pow10(-k)
-        if k <= 0:
-            beta = 10**-k << shift if shift >= 0 else 10**-k >> -shift
-        else:
-            beta = (1 << shift) // 10**k
-        g = beta + 1
-        g1, g0 = g >> 63, g & ((1 << 63) - 1)
-        rows.append((g1, g1 & 0xFFFF_FFFF, g1 >> 32, g0 & 0xFFFF_FFFF, g0 >> 32))
-    return np.array(rows, dtype=np.uint64).T.copy()
+        shift = 127 - _flog2pow10(k)
+        phi = -(-(10 ** max(k, 0) << max(shift, 0)) // (10 ** max(-k, 0) << max(-shift, 0)))
+        high.append(phi >> 64)
+        low.append(phi & (1 << 64) - 1)
+    return np.array(high, dtype=np.uint64), np.array(low, dtype=np.uint64)
 
 
-def _padded(texts: Sequence[str], size: int) -> bytes:
-    """Each text's ASCII bytes NUL-padded to `size` bytes, one after another."""
-    return b"".join(text.encode("ascii").ljust(size, b"\0") for text in texts)
+def _group_words() -> np.ndarray:
+    """The ASCII words of the 4-digit groups 0000..9999 in their low four
+    bytes: entry g + 10000 has every digit, entry g its trailing zeros
+    blanked (NUL), for the groups that end a significand."""
+    digits = np.array([f"{g:04d}" for g in range(10_000)], dtype="S4").view(np.uint8).reshape(-1, 4)
+    trail = np.logical_and.accumulate(digits[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    table = np.concatenate([np.where(trail, 0, digits), digits]).astype(np.uint8)
+    return np.pad(table, ((0, 0), (0, 4))).view("<u8").ravel()
 
 
-def _digit_words() -> tuple[np.ndarray, np.ndarray]:
-    """Words of the 4-digit groups 0000..9999: entry g + 10000 * flag.
-
-    In the first table a zero flag blanks the group's leading zeros (an
-    integer part's highest groups); in the second it blanks its trailing
-    zeros (a fraction's lowest groups). A flag of 1 keeps every digit.
-    """
-    group = np.arange(10_000)
-    digits = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1)
-    ascii_ = (digits + ord("0")).astype(np.uint8)
-    zero = digits == 0
-    lead = np.where(np.logical_and.accumulate(zero, axis=1), 0, ascii_)
-    trail = np.where(np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1], 0, ascii_)
-
-    def words(table: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(table).view("<u4").ravel()
-
-    full = words(ascii_)
-    return np.concatenate([words(lead), full]), np.concatenate([words(trail), full])
+_K_MIN, _K_MAX = -292, 326
+_PHI_HIGH, _PHI_LOW = _phi_table()
+_POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
+_GROUPS = _group_words()
+_ZEROS = _U64(0x3030_3030_3030_3030)  # "00000000"
+# The exponent e-XX or e-XXX of d.ddde-XX by its value + 324, right-aligned
+# in a word
+_EXP = np.frombuffer(b"".join(f"e{e:+03d}".encode().rjust(8, b"\0") for e in range(-324, 309)), dtype="<u8")
 
 
-_G = _g_table()
-_POW10 = np.array([10**i for i in range(19)], dtype=np.int64)
-_INT_WORDS, _FRAC_WORDS = _digit_words()
-# Two words before the digits, by 5 * sign + (0, or 1 - decpt for a fixed
-# value below 1): a space, "-" when negative, and "0." with its zeros.
-_PREFIX = np.frombuffer(
-    _padded([" " + sign + lead for sign in ("", "-") for lead in ("", "0.", "0.0", "0.00", "0.000")], 8), dtype="<u8"
-)
-_NO_POINT, _POINT_ONLY, _POINT_ZERO, _ZERO = range(4)
-_POINT = np.frombuffer(_padded(["", ".", ".0", "0.0"], 4), dtype="<u4")
-# Two words of the exponent of d.ddde-XX by its value + 324; the last
-# entry, blank, is for fixed notation.
-_EXP = np.frombuffer(_padded([f"e{e:+03d}" for e in range(-324, 309)] + [""], 8), dtype="<u8")
+def _parity(two_f: np.ndarray, k: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dragonbox's compute_mul_parity: from the low 128 bits of the
+    192-bit product two_f * phi_k, the parity of the integer part of
+    two_f * phi_k * 2**beta / 2**128 and whether its fraction is zero."""
+    phi = k - _K_MIN
+    high, low = _mul128(two_f, _PHI_LOW[phi])
+    high += two_f * _PHI_HIGH[phi]
+    parity = (high >> (_U64(64) - beta)) & _U64(1) == 1
+    return parity, ((high << beta) | (low >> (_U64(64) - beta))) == 0
 
 
-def _mulhi(al: np.ndarray, ah: np.ndarray, bl: np.ndarray, bh: np.ndarray) -> np.ndarray:
-    """The high 64 bits of the product of a = ah * 2**32 + al < 2**63 and
-    b = bh * 2**32 + bl < 2**63, from products of 32-bit limbs: the two
-    cross products are each below 2**63, so their sum does not wrap."""
-    cross = al * bh + ah * bl
-    mid = ((al * bl) >> 32) + (cross & _M32)
-    return ah * bh + (cross >> 32) + (mid >> 32)
-
-
-def _rop(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """Java's rop: g * cp / 2**127, g = g1 * 2**63 + g0, rounded to odd
-    from the bits Java keeps."""
-    g1, g1l, g1h, g0l, g0h = g
-    cl, ch = cp & _M32, cp >> 32
-    z = ((g1 * cp) >> 1) + _mulhi(g0l, g0h, cl, ch)
-    vbp = _mulhi(g1l, g1h, cl, ch) + (z >> 63)
-    return vbp | (((z & _M63) + _M63) >> 63)
-
-
-def _digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _digits(bits: np.ndarray, tally: Counter | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(f, k) for the magnitudes of finite nonzero float64 bit patterns:
     f * 10**k is the shortest decimal that reads back as the value, the
-    closest such, even on a tie. f < 10**17 may end in zeros; both are
-    int64."""
-    bq = (bits >> 52) & _U64(0x7FF)
+    closest such, even on a tie. f < 10**17 may end in zeros; f is
+    uint64, k int64. A `tally` counts the values that take each rare path."""
+    bq = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.int64)
     t = bits & _T_MASK
-    c = np.where(bq > 0, t | _C_MIN, t)
-    q = np.maximum(bq.astype(np.int64), 1) - 1075
-    # 2**q at c = 2**52 has a lower neighbour only half as far away
-    irregular = (t == 0) & (bq > 1)
-    # floor(log10(2**q)), or floor(log10(3/4 * 2**q)) when irregular, as
-    # Java's flog10pow2 and flog10threeQuartersPow2 compute them
-    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
-    g = _G.take(k - _K_MIN, axis=1)
-    cb = c << _U64(2)
-    vb = _rop(g, cb << h)
-    vbl = _rop(g, (cb - _U64(2) + irregular) << h)
-    vbr = _rop(g, (cb + _U64(2)) << h)
-    # bounds are in the interval when c is even (round half to even)
-    low = vbl + (c & _U64(1))
-    high = vbr - (c & _U64(1))
-    s = vb >> _U64(2)
-    sp10 = s // _U64(10) * _U64(10)
-    tp10 = sp10 + _U64(10)
-    # a multiple of ten, if just one of the two around s is in the interval,
-    # is the answer with fewer digits (tried from s >= 10, not Java's s >= 100:
-    # repr may write a single digit)
-    upin = low <= sp10 << _U64(2)
-    wpin = tp10 << _U64(2) <= high
-    shorter = (s >= _U64(10)) & (upin != wpin)
-    uin = low <= s << _U64(2)
-    win = (s + _U64(1)) << _U64(2) <= high
-    # vb's two low bits: under 2 below the midpoint of s and s + 1, 2 on it
-    rest = vb & _U64(3)
-    closer = (rest < 2) | ((rest == 2) & (s & _U64(1) == 0))
-    take_s = np.where(uin != win, uin, closer)
-    f = np.where(shorter, np.where(upin, sp10, tp10), np.where(take_s, s, s + _U64(1)))
-    return f.view(np.int64), k
+    c = t | (bq > 0) * _C_MIN
+    e = np.maximum(bq, 1) - 1075  # the value is c * 2**e
+    # kappa = 2: the interval scaled by 10**k holds 100 to 999 integers
+    k = 2 - ((e * 315_653) >> 20)
+    phi_high = _PHI_HIGH[k - _K_MIN]
+    beta = (e + _flog2pow10(k)).astype(np.uint64)
+    two_c = c << _U64(1)
+    # z: the integer part of the right endpoint (2c + 1) * 2**(e - 1) * 10**k,
+    # the high word of the 64 x 128-bit product right * phi_k
+    right = (two_c | _U64(1)) << beta
+    z, low = _mul128(right, phi_high)
+    carry, _ = _mul128(right, _PHI_LOW[k - _K_MIN])
+    low += carry
+    z += low < carry
+    delta = phi_high >> (_U64(63) - beta)  # the interval's width
+    s = z // _U64(1000)
+    r = z - s * _U64(1000)
+    # an odd c excludes the interval's endpoints (its neighbours round to
+    # even): an integer right endpoint is out
+    out = (low == 0) & (r == 0) & (c & _U64(1) == 1)
+    s -= out
+    r += out * _U64(1000)
+    big = r < delta  # s * 1000, a multiple of 1000, is in the interval
+    # else one more digit: the value's, from dist = r - delta / 2 + 50 read
+    # as a number of hundredths; when dist is a whole number of them, the
+    # parity product decides between it and the one below, and a tie
+    dist = r - (delta >> _U64(1)) + _U64(50)
+    hundreds = dist // _U64(100)
+    f = s * _U64(10) + hundreds
+    # the parity products: on the left endpoint (2c - 1) * 2**(e - 1) * 10**k,
+    # and on the value when dist is whole
+    edge = np.flatnonzero(r == delta)
+    whole = np.flatnonzero(hundreds * _U64(100) == dist)
+    at = np.concatenate([edge, whole])
+    parity, integer = _parity(two_c[at] - (np.arange(at.size) < edge.size), k[at], beta[at])
+    # s * 1000 on the left endpoint is in when that is an integer and c even
+    big[edge] = parity[: edge.size] | (integer[: edge.size] & (c[edge] & _U64(1) == 0))
+    parity, integer = parity[edge.size :], integer[edge.size :]
+    below = parity != ((dist[whole] ^ _U64(50)) & _U64(1) == 1)
+    tie = ~below & integer & (f[whole] & _U64(1) == 1)
+    f[whole] -= below | tie
+    if tally is not None:
+        regular = t != 0  # not the powers of two that _shorter redoes
+        small = regular[whole] & ~big[whole]
+        tally["right endpoint excluded"] += np.count_nonzero(out & regular)
+        tally["r == delta"] += np.count_nonzero(regular[edge])
+        tally["dist divisible by 100, parity off"] += np.count_nonzero(small & below)
+        tally["dist divisible by 100, parity on"] += np.count_nonzero(small & ~below)
+        tally["exact tie rounded to even"] += np.count_nonzero(small & tie)
+    f = np.where(big, s, f)
+    exponent = big - k + 2
+    # 2**e at c = 2**52 has a lower neighbour half as far away as its upper one
+    shorter = np.flatnonzero(t == 0)
+    if shorter.size:
+        f[shorter], exponent[shorter] = _shorter(e[shorter], tally)
+    return f, exponent
 
 
-def _groups(x: np.ndarray, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The lowest `count` 4-digit groups of x, the lowest first, each with
-    the number that the digits above it make."""
-    for _ in range(count):
-        higher = x // 10_000
-        yield x - higher * 10_000, higher
-        x = higher
+def _shorter(e: np.ndarray, tally: Counter | None) -> tuple[np.ndarray, np.ndarray]:
+    """Dragonbox's (f, k) of 2**52 * 2**e, whose interval is asymmetric."""
+    k = -((e * 631_305 - 261_663) >> 21)  # -floor(log10(3/4 * 2**e))
+    beta = (e + _flog2pow10(k)).astype(np.uint64)
+    phi = _PHI_HIGH[k - _K_MIN]
+    # the endpoints scaled by 10**k; the left one is in only as an integer,
+    # which it is for e in {2, 3}
+    left = (phi - (phi >> _U64(54))) >> (_U64(11) - beta)
+    right = (phi + (phi >> _U64(53))) >> (_U64(11) - beta)
+    integral = (e == 2) | (e == 3)
+    left += ~integral
+    tens = right // _U64(10)
+    fits = tens * _U64(10) >= left
+    # else the value rounded up, one digit more
+    up = ((phi >> (_U64(10) - beta)) + _U64(1)) >> _U64(1)
+    tie = (e == -77) & (up & _U64(1) == 1)  # the only tie, broken to even
+    inside = ~tie & (up < left)
+    up = up - tie + inside
+    if tally is not None:
+        tally["shorter interval, one digit fewer"] += np.count_nonzero(fits)
+        tally["shorter interval, left endpoint an integer"] += np.count_nonzero(integral)
+        tally["shorter interval, tie rounded to even"] += np.count_nonzero(tie & ~fits)
+        tally["shorter interval, rounded up into it"] += np.count_nonzero(inside & ~fits)
+    return np.where(fits, tens, up), fits - k
 
 
-def _chunk_text(heads: Sequence[str], block: np.ndarray) -> str:
-    """row_lines of one chunk of rows, as one string."""
+def _chunk_text(heads: np.ndarray, block: np.ndarray) -> str:
+    """row_lines of one chunk of rows, as one string; `heads` holds each
+    row's head as NUL-padded words."""
     n_rows, dim = block.shape
-    bits = np.ascontiguousarray(block).view(np.uint64)
+    bits = np.ascontiguousarray(block).view(np.uint64).ravel()
     magnitude = bits & _M63
     zero = magnitude == 0
-    # a zero takes the digits of 1.0; its words are set apart below
-    f, k = _digits(np.where(zero, _U64(0x3FF0_0000_0000_0000), magnitude))
-    length = np.searchsorted(_POW10, f, side="right")
-    digits = f * _POW10[17 - length]  # 17 digits, the first nonzero
-    decpt = k + length  # value = 0.ddd * 10**decpt
+    magnitude |= zero * _U64(0x3FF0_0000_0000_0000)  # a zero takes the digits of 1.0, set to 0 below
+    f, k = _digits(magnitude)
+    # f has length digits: floor(log2(f)) from the exponent of float(f),
+    # which may round up to a power of two but never past a power of ten
+    length = ((((f.astype(np.float64).view(np.int64) >> 52) - 1023) * 1233) >> 12) + 1
+    length += f >= _POW10.take(length)
+    digits = f * _POW10.take(17 - length)  # 17 digits, the first nonzero
+    decpt = k + length  # the value is 0.ddd * 10**decpt
+    digits[zero] = 0
     fixed = (decpt > -4) & (decpt <= 16)
-    small = fixed & (decpt <= 0)
-    # the digits before the point: decpt of them in fixed notation, else one
-    point = np.where(fixed & ~small, decpt, 1)
-    unit = _POW10[17 - point]
-    integer = digits // unit
-    fraction = (digits - integer * unit) * _POW10[point - 1]  # 16 places
-    integer[zero] = 0
-    fraction[zero] = 0
+    # digits before the point: decpt in fixed notation (none below 1), else one
+    point = np.where(fixed, decpt, 1)
+    exponent = np.flatnonzero(~fixed)
+    long_exponent = bool((np.abs(decpt[exponent] - 1) >= 100).any())
 
-    # Words per value: the prefix, the integer groups the chunk's longest
-    # integer part needs, the point, four fraction groups, and the exponent
-    # only when a value of the chunk takes one.
-    int_words = -(-int(point.max(initial=1)) // 4)
-    exponent = not fixed.all()
-    slot_words = 7 + int_words + 2 * exponent
-    width = max(map(len, heads), default=0) // 4 + 1
-    grid = np.empty((n_rows, width + dim * slot_words + 1), dtype="<u4")
-    grid[:, :width] = np.frombuffer(_padded(heads, 4 * width), dtype="<u4").reshape(n_rows, width)
+    # A value's slot: words of 8 bytes. The first holds the lead bytes (NUL
+    # or " ", " " or "-"); then come int_words * 8 + 1 places for the integer
+    # part, right-aligned, the point, and 20 places for the fraction,
+    # left-aligned, which the exponent of d.ddde-XX ends on; a chunk with
+    # an e-XXX takes a last word for it.
+    int_words = (int(point.max(initial=1)) + 6) // 8
+    slot_words = 3 + int_words + long_exponent
+    # The 17 digits as a stream of ASCII bytes, the first digit at the
+    # end of a word of "0"s, the trailing zeros blanked. Word j of the slot
+    # is bytes 8 * j + 3 + point to 8 * j + 11 + point of the stream after
+    # int_words empty words: a fraction place at its place in the slot.
+    high = digits // _U64(10**8)
+    first = high // _U64(10**8)
+    groups = []
+    for eight in (digits - high * _U64(10**8), high - first * _U64(10**8)):
+        four = eight // _U64(10_000)
+        groups += [(eight - four * _U64(10_000)).view(np.int64), four.view(np.int64)]
+    words = [_GROUPS.take(groups[0])]  # the last group: its trailing zeros go
+    later = groups[0] != 0  # a nonzero digit further on
+    for group in groups[1:]:
+        words.append(_GROUPS.take(group + later * 10_000))
+        later |= group != 0
+    stream = [_U64(0)] * int_words + [_ZEROS | (first << _U64(56)), words[3] | (words[2] << _U64(32))]
+    stream += [words[1] | (words[0] << _U64(32))] + [_U64(0)] * (slot_words + 2)
+    offset = 3 + point
+    skip = offset >> 3  # whole words
+    for b in range(int(skip.max(initial=0)).bit_length()):
+        on = (skip >> b) & 1 == 1
+        stream = [np.where(on, stream[j + (1 << b)], stream[j]) for j in range(len(stream) - (1 << b))]
+    shift = ((offset & 7) * 8).astype(np.uint64)
+    window = [(stream[j] >> shift) | (stream[j + 1] << (_U64(64) - shift)) for j in range(slot_words + 1)]
+    # the integer part one byte lower, its leading zeros blanked and the
+    # zeros it ends on written
+    places = np.maximum(point, 1) if int_words else 1
+    slot = []
+    for j in range(int_words + 1):
+        integer = window[j] >> _U64(8)
+        if j < int_words:
+            integer |= window[j + 1] << _U64(56)
+        # its bytes end - places to end - 1 (uint64 shifts by 64 give 0)
+        end = 3 + 8 * (int_words - j)
+        low, high = (8 * np.clip(b, 0, 8).astype(np.uint64) for b in (end - places, end))
+        slot.append((integer | _ZEROS) & (~_U64(0) << low) & (~_U64(0) >> (_U64(64) - high)))
+    slot[int_words] |= window[int_words] & ~_M32
+    slot += window[int_words + 1 : slot_words]
+    slot[0] |= _U64(0x2000) + (bits >> _U64(63)) * _U64(0x0D20)  # NUL and " ", or " " and "-"
+    slot[int_words] |= _U64(ord(".") << 24) | fixed * _U64(ord("0") << 32)
+    if exponent.size:
+        # d.ddde-XX: no point when there is no fraction digit
+        slot[-1][exponent] |= _EXP[decpt[exponent] - 1 + 324]
+        bare = exponent[(slot[int_words][exponent] >> _U64(32)) & _U64(0xFF) == 0]
+        slot[int_words][bare] &= ~_U64(0xFF << 24)
+
+    width = heads.shape[1]
+    grid = np.empty((n_rows, width + dim * slot_words + 1), dtype="<u8")
+    grid[:, :width] = heads
     grid[:, -1] = ord("\n")
     # a view: the reshape splits only the last axis, whose stride is one word
-    slot = grid[:, width:-1].reshape(n_rows, dim, slot_words)
-    negative = (bits >> _U64(63)).view(np.int64)
-    prefix = _PREFIX.take(5 * negative + np.where(small, 1 - decpt, 0))
-    slot[:, :, 0:2] = prefix.view("<u4").reshape(n_rows, dim, 2)
-    for r, (group, higher) in enumerate(_groups(integer, int_words)):
-        slot[:, :, 1 + int_words - r] = _INT_WORDS[group + 10_000 * (higher > 0)]
-    kind = np.where(fraction > 0, _POINT_ONLY, np.where(fixed, _POINT_ZERO, _NO_POINT))
-    kind[small] = _NO_POINT
-    kind[zero] = _ZERO
-    at = 2 + int_words
-    slot[:, :, at] = _POINT[kind]
-    below = np.zeros(fraction.shape, dtype=bool)  # a nonzero digit further on
-    for r, (group, _) in enumerate(_groups(fraction, 4)):
-        slot[:, :, at + 4 - r] = _FRAC_WORDS[group + 10_000 * below]
-        below |= group > 0
-    if exponent:
-        exp = _EXP.take(np.where(fixed, len(_EXP) - 1, decpt - 1 - _K_MIN))
-        slot[:, :, at + 5 :] = exp.view("<u4").reshape(n_rows, dim, 2)
+    view = grid[:, width:-1].reshape(n_rows, dim, slot_words)
+    for j, word in enumerate(slot):
+        view[:, :, j] = word.reshape(n_rows, dim)
     return grid.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -272,15 +313,22 @@ def row_lines(heads: Sequence[str], rows: np.ndarray) -> list[str]:
     rows, for the caller to join.
 
     `rows` is a 2-D float64 array of finite values with one row per head;
-    a head is ASCII text without NUL. A non-finite value raises ValueError.
+    a head is ASCII text without NUL. A non-finite value, or a head that
+    is not such text, raises ValueError.
     """
     rows = np.asarray(rows)
     if rows.dtype != np.float64 or rows.ndim != 2 or len(rows) != len(heads):
         raise ValueError("rows must be a float64 matrix with one row per head")
+    text = "".join(heads)
+    if not text.isascii() or "\0" in text:
+        bad = next(head for head in heads if not head.isascii() or "\0" in head)
+        raise ValueError(f"head {bad!r} is not ASCII text without NUL")
     if not np.isfinite(rows).all():
         raise ValueError("rows must be finite")
+    width = max(map(len, heads), default=0) // 8 + 1  # words, with a NUL at least
+    words = np.array(heads, dtype=f"S{8 * width}").view("<u8").reshape(len(heads), width)
     step = max(1, _CHUNK_VALUES // max(1, rows.shape[1]))
-    return [_chunk_text(heads[lo : lo + step], rows[lo : lo + step]) for lo in range(0, len(rows), step)]
+    return [_chunk_text(words[lo : lo + step], rows[lo : lo + step]) for lo in range(0, len(rows), step)]
 
 
 # Characters per piece of text read at once, so the temporaries of a read

@@ -369,10 +369,13 @@ def save_checkpoint(checkpoint: Checkpoint) -> str:
     params = checkpoint.params
     columns = sorted(params.modified)
     values = params.storage[params.slots_for(columns)]
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite values for column {columns[int(np.argmin(finite))]}")
-    chunks = row_lines([f"col {col}" for col in columns], values)
+    try:
+        chunks = row_lines([f"col {col}" for col in columns], values)
+    except ValueError:
+        finite = np.isfinite(values).all(axis=1)
+        if finite.all():
+            raise
+        raise ValueError(f"non-finite values for column {columns[int(np.argmin(finite))]}") from None
     del values  # the chunks hold the text; the join below copies them once
     return "".join(["\n".join(_header_lines(checkpoint)), "\n", *chunks])
 

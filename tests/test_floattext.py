@@ -6,6 +6,9 @@ text with head + "".join(" " + repr(v) for v in row) + "\n" for each row,
 and each reading case compares the bits read with float() of each token.
 """
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from copytag.embeddings import EmbedderParams
-from copytag.floattext import read_rows, row_lines
+from copytag.floattext import _digits, read_rows, row_lines
 from copytag.trainer import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 ROW = 128
@@ -88,6 +91,31 @@ class TestMatchesRepr:
         edges = np.array(list(cases))
         assert_matches_repr(np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]))
 
+    @pytest.mark.parametrize(
+        "path, values",
+        [
+            # the left endpoint's parity product decides the digit count
+            ("r == delta", [0.01714603183792404, 0.1232301595465864, 0.05267782799057057]),
+            # one digit more, whole hundredths: the parity product moves
+            # the digit down, or keeps it
+            ("dist divisible by 100, parity off", [0.06277401505280022, 0.06788479861648058, 0.015379919745826085]),
+            ("dist divisible by 100, parity on", [0.0037370265036314188, 0.09229241515307259, 0.14144277345400944]),
+            # the value midway between two candidates: the even one
+            ("exact tie rounded to even", [579333150269632.2, 1766527978114932.2, 973101840638752.2]),
+            # an odd significand's integer right endpoint is not a candidate
+            ("right endpoint excluded", [1.4369052268910219e17, 4.1818949479057096e16, 4.7456777723465496e16]),
+            # powers of two 2**52 * 2**e: an integer left endpoint for e = 2
+            # and 3, the one tie for e = -77
+            ("shorter interval, left endpoint an integer", [2.0**54, 2.0**55]),
+            ("shorter interval, tie rounded to even", [2.0**-25]),
+        ],
+    )
+    def test_rare_path(self, path, values):
+        values, tally = np.array(values), Counter()
+        _digits(values.view(np.uint64), tally)
+        assert tally[path] == len(values)
+        assert_matches_repr(np.concatenate([values, -values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)]))
+
     def test_smallest_subnormals_take_one_digit(self):
         # Java writes 4.9E-324, keeping two digits; repr keeps one
         rows = np.array([[5e-324, 1e-323, 1.5e-323, 2e-323, -5e-324]])
@@ -144,6 +172,12 @@ class TestRejects:
     def test_bad_shape_or_dtype(self, heads, rows):
         with pytest.raises(ValueError, match="float64 matrix"):
             row_lines(heads, rows)
+
+    @pytest.mark.parametrize("head", ["col\x001", "col é"])
+    def test_head_not_ascii_without_nul(self, head):
+        # translate would drop the NUL; the non-ASCII head would fail its encoding
+        with pytest.raises(ValueError, match=re.escape(f"head {head!r} is not ASCII text without NUL")):
+            row_lines(["a", head], np.zeros((2, 3)))
 
 
 def read_back(tokens, dim=8):
