@@ -35,6 +35,7 @@ PAIRWISE = "tests/test_embeddings.py::TestPairwiseOracle"
 CACHE_SIZED = "tests/test_embeddings.py::TestCacheSizedForward"
 FEATURIZER = "tests/test_embeddings.py::TestMatchesFeaturizerReference"
 CAPPED = "tests/test_window_state.py::TestCappedState"
+TRAINING_CAP = "tests/test_window_state.py::TestTrainingStaysWithinTheCap"
 OUTLIVE_DROP = "tests/test_window_state.py::TestFeatureEntriesOutliveADrop"
 BATCH_HASH = "tests/test_embeddings.py::TestBatchHash"
 SEEDED = "tests/test_embeddings.py::TestSeededColumns"
@@ -64,18 +65,82 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "set_columns keeps the held rows",
+        "set_columns leaves the held mask set",
         EMBEDDINGS,
-        "        self.revision += len(cols)\n        self._held = {}\n",
+        "        self.revision += len(cols)\n        self._held[:] = False\n",
         "        self.revision += len(cols)\n",
         (HELD_ROWS, HELD_QUERIES),
     ),
     Mutant(
-        "the cap drop keeps the window entries",
+        "set_columns leaves the count of unheld windows at 0",
         EMBEDDINGS,
-        "held, self._windows = {}, {}",
-        "held = {}",
+        "        self._unheld = len(self._windows)\n",
+        "",
+        (HELD_ROWS, HELD_QUERIES),
+    ),
+    Mutant(
+        "summed windows still counted as unheld",
+        EMBEDDINGS,
+        "                self._unheld -= stale.size\n",
+        "",
         (CAPPED,),
+    ),
+    Mutant(
+        "the cap drop keeps the rows and the held mask",
+        EMBEDDINGS,
+        "self._rows, self._held = np.zeros((0, self.dim)), np.zeros(0, dtype=bool)",
+        'self._rows, self._held = getattr(self, "_rows", np.zeros((0, self.dim))), '
+        'getattr(self, "_held", np.zeros(0, dtype=bool))',
+        (CAPPED, TRAINING_CAP),
+    ),
+    Mutant(
+        "the cap counts only held rows",
+        EMBEDDINGS,
+        "numbered = len(self._windows)",
+        "numbered = np.count_nonzero(self._held)",
+        (TRAINING_CAP,),
+    ),
+    Mutant(
+        "the cap never drops",
+        EMBEDDINGS,
+        "if numbered + len(new) > MAX_HELD_ROWS and numbered > len({*numbers} - {None}):",
+        "if False:",
+        (CAPPED, TRAINING_CAP),
+    ),
+    Mutant(
+        "windows numbered past the cap dropped when read again",
+        EMBEDDINGS,
+        "if numbered + len(new) > MAX_HELD_ROWS and numbered > len({*numbers} - {None}):",
+        "if numbered + len(new) > MAX_HELD_ROWS:",
+        (CAPPED,),
+    ),
+    Mutant(
+        "the cap is checked before the new windows are counted",
+        EMBEDDINGS,
+        "if numbered + len(new) > MAX_HELD_ROWS and",
+        "if numbered > MAX_HELD_ROWS and",
+        (CAPPED,),
+    ),
+    Mutant(
+        "the row buffer doubles past the cap",
+        EMBEDDINGS,
+        "    cap = min(cap, max(most, needed))\n",
+        "",
+        (CAPPED,),
+    ),
+    Mutant(
+        "the storage grows from its first batch, not from 64 rows",
+        EMBEDDINGS,
+        "start + cols.size, floor=64)",
+        "start + cols.size)",
+        ("tests/test_index_batch.py::test_batched_build_matches_per_sentence_embedding",),
+    ),
+    Mutant(
+        "the held rows grow from their first batch, not from 64 rows",
+        EMBEDDINGS,
+        "self._rows = _grown(self._rows, used, numbered, floor=64,",
+        "self._rows = _grown(self._rows, used, numbered,",
+        (CAPPED, HELD_ROWS),
     ),
     Mutant(
         "the cap drop takes the feature entries under their bound",
@@ -92,25 +157,11 @@ MUTANTS = (
         (OUTLIVE_DROP,),
     ),
     Mutant(
-        "the cap drop keeps the row buffer of a call past the cap",
+        "token_columns reads the window entries a drop replaced",
         EMBEDDINGS,
-        "self._held, self._rows, new = held, np.zeros((0, self.dim)), list(dict.fromkeys(windows))",
-        "self._held, new = held, list(dict.fromkeys(windows))",
-        (CAPPED,),
-    ),
-    Mutant(
-        "the cap is checked after holding",
-        EMBEDDINGS,
-        "if new and len(held) + len(new) > MAX_HELD_ROWS:",
-        "if new and len(held) > MAX_HELD_ROWS:",
-        (CAPPED,),
-    ),
-    Mutant(
-        "windows held past the cap dropped when read again",
-        EMBEDDINGS,
-        "if new and len(held) + len(new) > MAX_HELD_ROWS:",
-        "if len(held) + len(new) > MAX_HELD_ROWS:",
-        (CAPPED,),
+        "        numbers = self._window_numbers(windows)\n        entries = self._window_entries\n",
+        "        entries = self._window_entries\n        numbers = self._window_numbers(windows)\n",
+        (TRAINING_CAP,),
     ),
     Mutant(
         "set_columns seeds the columns it overwrites",
@@ -168,16 +219,16 @@ MUTANTS = (
     Mutant(
         "a copy shares the flat feature entries",
         EMBEDDINGS,
-        "dup._key_ids, dup._key_slots = self._key_ids.copy(), self._key_slots.copy()",
-        "dup._key_ids, dup._key_slots = self._key_ids, self._key_slots",
+        "deepcopy(self._key_entries)",
+        '__import__("copy").copy(self._key_entries)',
         ("tests/test_embeddings.py::TestEmbedderParams::test_copy_featurizes_apart",),
     ),
     Mutant(
-        "new keys' bounds not offset by the ids already held",
+        "the flat store drops its bounds += used offset",
         EMBEDDINGS,
-        "            bounds += used\n",
-        "",
-        (FEATURIZER, "tests/test_embeddings.py::TestFeaturizeOnce"),
+        "np.cumsum(np.bincount(owner, minlength=n)) + used",
+        "np.cumsum(np.bincount(owner, minlength=n))",
+        (FEATURIZER, "tests/test_embeddings.py::TestFeaturizeOnce", HELD_ROWS),
     ),
     Mutant(
         "held rows not copied when the buffer grows",
@@ -189,8 +240,8 @@ MUTANTS = (
     Mutant(
         "raw sums held without tanh",
         EMBEDDINGS,
-        "np.tanh(sums, out=self._rows[len(held) : len(held) + len(new)])",
-        "self._rows[len(held) : len(held) + len(new)] = sums",
+        "self._rows[stale] = np.tanh(sums, out=sums)",
+        "self._rows[stale] = sums",
         (HELD_ROWS,),
     ),
     Mutant(
@@ -217,17 +268,37 @@ MUTANTS = (
     Mutant(
         "backprop accepts the entries of fewer tokens",
         EMBEDDINGS,
-        "if len(entries) != len(sentence):",
-        "if len(entries) > len(sentence):",
+        "if starts.size != len(sentence):",
+        "if starts.size > len(sentence):",
         ("tests/test_embeddings.py::TestBackprop::test_columns_of_another_sentence_rejected",),
     ),
     Mutant(
         "the storage read before featurizing grows it",
         EMBEDDINGS,
-        "            entries = self._window_entries(new)\n"
-        "            # featurizing can grow and rebind the storage, so it is read after\n"
-        "            sums = _entry_sums(self._store, entries)\n",
-        "            sums = _entry_sums(self._store, self._window_entries(new))\n",
+        "        numbers = self._window_numbers(windows)\n"
+        "        index = np.fromiter(numbers, dtype=np.intp, count=len(numbers))\n"
+        "        if self._unheld:\n"
+        "            used, numbered = self._held.size, len(self._windows)\n"
+        "            self._rows = _grown(self._rows, used, numbered, floor=64, most=MAX_HELD_ROWS)\n"
+        "            self._held = _grown(self._held, used, numbered, floor=64, most=MAX_HELD_ROWS)\n"
+        "            stale = index[~self._held[index]]\n"
+        "            if stale.size:\n"
+        "                stale = np.unique(stale)\n"
+        "                at, starts = self._window_entries.runs(stale)\n"
+        "                # numbering can grow and rebind the storage, so it is read after\n"
+        "                sums = _column_sums(self._store, ",
+        "        store = self._store\n"
+        "        numbers = self._window_numbers(windows)\n"
+        "        index = np.fromiter(numbers, dtype=np.intp, count=len(numbers))\n"
+        "        if self._unheld:\n"
+        "            used, numbered = self._held.size, len(self._windows)\n"
+        "            self._rows = _grown(self._rows, used, numbered, floor=64, most=MAX_HELD_ROWS)\n"
+        "            self._held = _grown(self._held, used, numbered, floor=64, most=MAX_HELD_ROWS)\n"
+        "            stale = index[~self._held[index]]\n"
+        "            if stale.size:\n"
+        "                stale = np.unique(stale)\n"
+        "                at, starts = self._window_entries.runs(stale)\n"
+        "                sums = _column_sums(store, ",
         ("tests/test_embeddings.py::TestEmbedTokens::test_shape_and_range",),
     ),
     Mutant(
@@ -274,8 +345,8 @@ MUTANTS = (
     Mutant(
         "new keys featurized in reverse order",
         EMBEDDINGS,
-        "new = list(dict.fromkeys(key for key, n in zip(keys, numbers.tolist()) if n < 0))",
-        "new = list(dict.fromkeys(key for key, n in zip(keys, numbers.tolist()) if n < 0))[::-1]",
+        "new = list(dict.fromkeys(key for key, n in zip(keys, numbers) if n is None))",
+        "new = list(dict.fromkeys(key for key, n in zip(keys, numbers) if n is None))[::-1]",
         ("tests/test_embeddings.py::TestFeaturizeOnce", "tests/test_embeddings.py::TestEmbedderParams"),
     ),
     Mutant(
@@ -307,10 +378,10 @@ MUTANTS = (
         (BATCH_BUILD,),
     ),
     Mutant(
-        "the gather reads the next held row",
+        "the flat store numbers new entries one past their place",
         EMBEDDINGS,
-        "held.update(zip(new, range(len(held), len(held) + len(new))))",
-        "held.update(zip(new, range(len(held) + 1, len(held) + len(new) + 1)))",
+        "        return range(first, first + n)\n",
+        "        return range(first + 1, first + n + 1)\n",
         (HELD_ROWS, HELD_QUERIES),
     ),
     Mutant(

@@ -20,19 +20,18 @@ the SeedSequence mixing is batched, in uint32 numpy arithmetic; each
 column then takes one PCG64 state set and one standard_normal draw, and
 the block is scaled once. That mixing takes the seed and every bucket id
 as one 32-bit word each: the seed is below 2**32 and n_buckets at most
-2**32. The feature entries are kept flat, in arrays that grow by
-doubling, so the entries of a batch of new windows take one gather of
-their keys' ids and one sort of (window, id) pairs.
+2**32.
 
 A token's ids are the union of its window's entries, so its ids, its
 slots and its row depend only on its window: its place in the window and
-the window's tokens, clipped at the sentence's ends. The parameters own
-every window's state: its window entry, the one read-only (ids, slots)
-pair handed out wherever the window is read, and its row, held from its
-first embedding until set_columns writes weights, or until MAX_HELD_ROWS
-drops every row and window entry, and the feature entries if they number
-more than MAX_HELD_ROWS keys; all are rebuilt, to the same bits, when next
-read. A training sentence's forward pass sums its window entries afresh.
+the window's tokens, clipped at the sentence's ends. Each window read
+gets one number, naming its entry, kept flat as the feature entries are,
+and its row, held from its first embedding until set_columns. One cap
+bounds both: a call whose windows would take the count past
+MAX_HELD_ROWS while others are numbered drops every window's entry and
+row first, and the feature entries if they number more than
+MAX_HELD_ROWS keys; all are rebuilt, to the same bits, when next read.
+A training sentence's forward pass sums its window entries afresh.
 
 The sums equal np.add.reduceat(storage[slots], starts, axis=0) bit for
 bit, numpy's pairwise summation order included, but add whole contiguous
@@ -48,8 +47,9 @@ its window entry, one token at a time in token order.
 from __future__ import annotations
 
 from bisect import bisect_right
+from copy import deepcopy
 from dataclasses import dataclass
-from itertools import accumulate, chain, filterfalse, repeat
+from itertools import accumulate, chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -79,15 +79,16 @@ EMBED_RUN_ROWS = 4096
 # of 40-token suffix sentences ~40% slower; a gather per step made 8-token
 # NER sentences, a few hundred rows, ~20% slower.
 EMBED_CHUNK_ROWS = 512
-# Window rows held at most (64 MiB at dim 128); queries never move weights
+# Windows numbered at once, each with an entry and a row (64 MiB of rows at
+# dim 128), unless one call reads more; queries never move weights
 MAX_HELD_ROWS = 2**16
 # numpy's PW_BLOCKSIZE: pairwise_sum splits a longer run of rows in two
 _PAIRWISE_BLOCK = 128
 
 # A token's window: its place in the window and the window's tokens
 Window = tuple[int, tuple[str, ...]]
-# (sorted unique bucket ids, their storage slots), both read-only
-Entry = tuple[np.ndarray, np.ndarray]
+# Window entries one after another: ids, their slots and where each starts
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -266,29 +267,46 @@ def word_shape(token: str) -> str:
     return "".join(out)
 
 
-def _grown(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
-    """`buffer` if it has `needed` rows, else a zeroed one of 64 rows,
-    doubled until `needed` fit, holding its first `used` rows: a batch of
-    new rows grows it to the size that adding them one at a time reaches."""
+def _grown(buffer: np.ndarray, used: int, needed: int, floor: int = 0, most: float = np.inf) -> np.ndarray:
+    """`buffer` if it has `needed` rows, else a zeroed one holding its
+    first `used` rows, of max(floor, its rows) rows, or of `needed` if
+    that is 0, doubled until `needed` fit, but of at most max(most, needed)."""
     if needed <= buffer.shape[0]:
         return buffer
-    cap = max(64, buffer.shape[0])
+    cap = max(floor, buffer.shape[0]) or needed
     while cap < needed:
         cap *= 2
+    cap = min(cap, max(most, needed))
     grown = np.zeros((cap, *buffer.shape[1:]), dtype=buffer.dtype)
     grown[:used] = buffer[:used]
     return grown
 
 
-def _split_per_owner(
-    keys: Sequence, owner: np.ndarray, ids: np.ndarray, slots: np.ndarray
-) -> dict:
-    """{keys[i]: (ids of owner i, their slots)}, as read-only slices;
-    `owner` is sorted and names each entry's key by position."""
-    ids.setflags(write=False)
-    slots.setflags(write=False)
-    ends = np.cumsum(np.bincount(owner, minlength=len(keys))).tolist()
-    return {key: (ids[lo:hi], slots[lo:hi]) for key, lo, hi in zip(keys, [0, *ends], ends)}
+class _FlatEntries:
+    """Entries numbered from 0, kept flat: entry n is the sorted unique
+    ids[bounds[n] : bounds[n + 1]], their slots at the same places of slots."""
+
+    def __init__(self):
+        self.ids, self.slots = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        self.bounds, self.count = np.zeros(1, dtype=np.int64), 0
+
+    def extend(self, owner: np.ndarray, ids: np.ndarray, slots: np.ndarray, n: int) -> range:
+        """Append n entries, entry i of them holding the ids, and slots,
+        whose `owner` is i; `owner` is sorted. Returns their numbers."""
+        first, used = self.count, int(self.bounds[self.count])
+        end = used + ids.size
+        self.ids, self.slots = _grown(self.ids, used, end), _grown(self.slots, used, end)
+        self.ids[used:end], self.slots[used:end] = ids, slots
+        self.bounds = _grown(self.bounds, first + 1, first + 1 + n)
+        self.bounds[first + 1 : first + 1 + n] = np.cumsum(np.bincount(owner, minlength=n)) + used
+        self.count += n
+        return range(first, first + n)
+
+    def runs(self, numbers: list[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the entries' places in the flat arrays, one after another, and where each starts there
+        starts = self.bounds[numbers]
+        counts = self.bounds[1:][numbers] - starts
+        return _runs(starts, counts), np.cumsum(counts) - counts
 
 
 class EmbedderParams:
@@ -307,9 +325,10 @@ class EmbedderParams:
     Hashing depends only on (offset, token), never on the weights, so each
     distinct pair is hashed once: its sorted bucket ids are cached together
     with their storage slots, whose columns are materialized right then.
-    The union of a window's entries is kept too, the same way, and its row
-    from its first window_rows read until set_columns. Slots never move
-    once assigned, so the cached slots stay valid.
+    Each window read gets one number, naming the union of its keys' entries,
+    kept flat the same way, and its row, held from its first window_rows
+    read until set_columns. Slots never move once assigned, so the cached
+    slots stay valid.
     """
 
     def __init__(
@@ -337,16 +356,10 @@ class EmbedderParams:
         self.revision = 0
         self._store = np.zeros((0, dim))
         self._slot: dict[int, int] = {}
-        # (offset, token) -> n, its entry's number: its sorted ids are
-        # _key_ids[_key_bounds[n] : _key_bounds[n + 1]], their slots the
-        # same rows of _key_slots; all three grow by doubling
+        # (offset, token) -> n, the number of its entry in _key_entries
         self._features: dict[tuple[int, str], int] = {}
-        self._key_ids, self._key_slots, self._key_bounds = _no_keys()
-        # window -> the union of its keys' entries
-        self._windows: dict[Window, Entry] = {}
-        # window -> its row of _rows, which grows by doubling until a cap drop
-        self._held: dict[Window, int] = {}
-        self._rows = np.zeros((0, dim))
+        self._key_entries = _FlatEntries()
+        self._drop_windows()
         # draws every seeded column, from a PCG64 state set per column
         self._rng = np.random.Generator(np.random.PCG64(0))
 
@@ -387,7 +400,8 @@ class EmbedderParams:
         if outside.any():
             raise ValueError(f"column {cols[outside][0]} outside [0, {self.n_buckets})")
         start = len(self._slot)
-        self._store = _grown(self._store, start, start + cols.size)
+        # from 64 rows: batches of new columns grow it as one at a time would
+        self._store = _grown(self._store, start, start + cols.size, floor=64)
         self._slot.update(zip(cols.tolist(), range(start, start + cols.size)))
         return start
 
@@ -412,90 +426,93 @@ class EmbedderParams:
             slots[new] = np.arange(start, start + new.size)
         return slots[inverse]
 
-    def _feature_entries(self, keys: Sequence[tuple[int, str]]) -> np.ndarray:
-        """The entry number of every (offset, token) key; the entry is the
-        sorted ids of `token` seen at `offset` from the embedded position,
-        with their slots, in the flat feature arrays. The keys not seen
-        before are featurized in one batch: every feature of every one is
-        hashed at once, and new columns take slots in the order the keys
-        first name them."""
-        numbers = np.fromiter(map(self._features.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
-        if numbers.size and numbers.min() < 0:
-            new = list(dict.fromkeys(key for key, n in zip(keys, numbers.tolist()) if n < 0))
+    def _feature_entries(self, keys: Sequence[tuple[int, str]]) -> list[int]:
+        """The number in _key_entries of every (offset, token) key's entry:
+        the sorted ids of `token` seen at `offset` from the embedded
+        position, with their slots. New keys are featurized in one batch:
+        every feature of every one is hashed at once, and new columns take
+        slots in the order the keys first name them."""
+        numbers = list(map(self._features.get, keys))
+        if None in numbers:
+            new = list(dict.fromkeys(key for key, n in zip(keys, numbers) if n is None))
             hashes, sizes = fnv1a64_keys(new, self.seed)
             hashed = (hashes % np.uint64(self.n_buckets)).astype(np.int64)
             owner = np.repeat(np.arange(len(new)), sizes)
             picks = _distinct_per_owner(owner, hashed, (self.n_buckets - 1).bit_length())
             ids = hashed[picks]
-            slots = self.slots_for(ids)
-            # the new keys' entries, one after another, after those held
-            first, used = len(self._features), int(self._key_bounds[len(self._features)])
-            end = used + ids.size
-            self._key_ids = _grown(self._key_ids, used, end)
-            self._key_slots = _grown(self._key_slots, used, end)
-            self._key_ids[used:end], self._key_slots[used:end] = ids, slots
-            self._key_bounds = _grown(self._key_bounds, first + 1, first + 1 + len(new))
-            bounds = self._key_bounds[first + 1 : first + 1 + len(new)]
-            np.cumsum(np.bincount(owner[picks], minlength=len(new)), out=bounds)
-            bounds += used
-            self._features.update(zip(new, range(first, first + len(new))))
-            numbers = np.fromiter(map(self._features.__getitem__, keys), dtype=np.int64, count=len(keys))
+            entries = self._key_entries.extend(owner[picks], ids, self.slots_for(ids), len(new))
+            self._features.update(zip(new, entries))
+            numbers = list(map(self._features.__getitem__, keys))
         return numbers
 
-    def _window_entries(self, windows: Sequence[Window]) -> list[Entry]:
-        """The entry of every window: the union of its (offset, token)
-        keys' entries, the one pair the parameters keep for it. Windows
-        not seen before get theirs in one batch, _new_window_entries."""
-        entries = list(map(self._windows.get, windows))
-        if None in entries:
-            new = list(dict.fromkeys(w for w, entry in zip(windows, entries) if entry is None))
-            self._windows.update(self._new_window_entries(new))
-            entries = list(map(self._windows.get, windows))
-        return entries
+    def _window_numbers(self, windows: Sequence[Window]) -> list[int]:
+        """The number of every window; new ones take the next numbers in
+        the order the call first names them, their entries made in one
+        batch by _unions. A call leaves at most max(MAX_HELD_ROWS, its
+        windows) numbered: past that, all are dropped first."""
+        numbers = list(map(self._windows.get, windows))
+        new = list(dict.fromkeys(w for w, n in zip(windows, numbers) if n is None)) if None in numbers else []
+        numbered = len(self._windows)
+        if numbered + len(new) > MAX_HELD_ROWS and numbered > len({*numbers} - {None}):
+            self._drop_windows()
+            # feature entries grow with the vocabulary, not with the stream
+            if len(self._features) > MAX_HELD_ROWS:
+                self._features, self._key_entries = {}, _FlatEntries()
+            new = list(dict.fromkeys(windows))
+        if new:
+            self._windows.update(zip(new, self._window_entries.extend(*self._unions(new), len(new))))
+            self._unheld += len(new)
+            numbers = list(map(self._windows.__getitem__, windows))
+        return numbers
 
-    def _new_window_entries(self, windows: list[Window]) -> dict[Window, Entry]:
-        """{window: its entry} for distinct windows, in array passes: the
-        entries of all their (offset, token) keys, window after window,
-        are gathered from the flat feature entries at once, and one sort of
-        (window, id) pairs gives each window its distinct ids in order.
-        One _feature_entries call over the keys in window order featurizes
-        the new ones, so new columns take the slots that featurizing token
-        by token gives."""
+    def _drop_windows(self) -> None:
+        # window -> n, its entry and row (summed under these weights if _held[n]); _unheld counts the rest
+        self._windows: dict[Window, int] = {}
+        self._window_entries = _FlatEntries()
+        self._rows, self._held = np.zeros((0, self.dim)), np.zeros(0, dtype=bool)
+        self._unheld = 0
+
+    def _unions(self, windows: list[Window]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The union of each window's keys' entries, window after window,
+        as (window of each id, ids, slots): the keys' entries are gathered
+        at once, and one sort of (window, id) pairs gives each window its
+        distinct ids in order. One _feature_entries call over the keys in
+        window order featurizes the new ones, so new columns take the slots
+        that featurizing token by token gives."""
         keys = [(j - place, token) for place, tokens in windows for j, token in enumerate(tokens)]
-        numbers = self._feature_entries(keys)
-        starts = self._key_bounds[numbers]
-        counts = self._key_bounds[numbers + 1] - starts
-        at = _runs(starts, counts)
-        ids = self._key_ids[at]
+        at, starts = self._key_entries.runs(self._feature_entries(keys))
+        ids = self._key_entries.ids[at]
         widths = np.fromiter((len(tokens) for _, tokens in windows), dtype=np.int64, count=len(windows))
-        owner = np.repeat(np.repeat(np.arange(len(windows)), widths), counts)
+        owner = np.repeat(np.repeat(np.arange(len(windows)), widths), np.diff(starts, append=ids.size))
         picks = _distinct_per_owner(owner, ids, (self.n_buckets - 1).bit_length())
-        return _split_per_owner(windows, owner[picks], ids[picks], self._key_slots[at[picks]])
+        return owner[picks], ids[picks], self._key_entries.slots[at[picks]]
+
+    def _window_columns(self, windows: Sequence[Window]) -> Columns:
+        # the windows' entries, gathered once, read after numbering, which can drop them
+        numbers = self._window_numbers(windows)
+        entries = self._window_entries
+        at, starts = entries.runs(numbers)
+        return entries.ids[at], entries.slots[at], starts
 
     def window_rows(self, windows: Sequence[Window]) -> np.ndarray:
         """The row of every window, read-only: one gather of held rows. The
-        windows not held are featurized if new, summed in one _column_sums
-        call and held; if that would pass MAX_HELD_ROWS, the held rows and
-        window entries are dropped first, and so are the feature entries
-        if they number more than MAX_HELD_ROWS keys. A call holds all the
-        windows it reads."""
-        held = self._held
-        new = list(filterfalse(held.__contains__, dict.fromkeys(windows)))
-        if new and len(held) + len(new) > MAX_HELD_ROWS:
-            held, self._windows = {}, {}
-            # feature entries grow with the vocabulary, not with the stream
-            if len(self._features) > MAX_HELD_ROWS:
-                self._features = {}
-                self._key_ids, self._key_slots, self._key_bounds = _no_keys()
-            self._held, self._rows, new = held, np.zeros((0, self.dim)), list(dict.fromkeys(windows))
-        if new:
-            entries = self._window_entries(new)
-            # featurizing can grow and rebind the storage, so it is read after
-            sums = _entry_sums(self._store, entries)
-            self._rows = _grown(self._rows, len(held), len(held) + len(new))
-            np.tanh(sums, out=self._rows[len(held) : len(held) + len(new)])
-            held.update(zip(new, range(len(held), len(held) + len(new))))
-        rows = self._rows[np.fromiter(map(held.__getitem__, windows), dtype=np.intp, count=len(windows))]
+        windows not held are summed in one _column_sums call and held."""
+        numbers = self._window_numbers(windows)
+        index = np.fromiter(numbers, dtype=np.intp, count=len(numbers))
+        if self._unheld:
+            used, numbered = self._held.size, len(self._windows)
+            self._rows = _grown(self._rows, used, numbered, floor=64, most=MAX_HELD_ROWS)
+            self._held = _grown(self._held, used, numbered, floor=64, most=MAX_HELD_ROWS)
+            stale = index[~self._held[index]]
+            if stale.size:
+                stale = np.unique(stale)
+                at, starts = self._window_entries.runs(stale)
+                # numbering can grow and rebind the storage, so it is read after
+                sums = _column_sums(self._store, self._window_entries.slots[at], starts)
+                self._rows[stale] = np.tanh(sums, out=sums)
+                self._held[stale] = True
+                self._unheld -= stale.size
+        rows = self._rows[index]
         rows.setflags(write=False)
         return rows
 
@@ -503,7 +520,7 @@ class EmbedderParams:
         """Overwrite `columns` with `values` at once.
 
         The one writer of weights: `modified` gains the columns, `revision`
-        advances by their count and the held rows are dropped. A non-finite
+        advances by their count and the held mask is cleared. A non-finite
         value raises, naming the first such column, and so do a repeated
         column and a column out of range, before anything is written. A
         column not materialized yet takes a slot unseeded, since its values
@@ -511,9 +528,7 @@ class EmbedderParams:
         """
         values = np.asarray(values, dtype=float)
         if values.shape != (len(columns), self.dim):
-            raise ValueError(
-                f"column values must have shape ({len(columns)}, {self.dim})"
-            )
+            raise ValueError(f"column values must have shape ({len(columns)}, {self.dim})")
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             col = int(columns[int(np.argmin(finite))])
@@ -529,7 +544,8 @@ class EmbedderParams:
         self._store[slots] = values
         self.modified.update(cols)
         self.revision += len(cols)
-        self._held = {}
+        self._held[:] = False
+        self._unheld = len(self._windows)
 
     @property
     def storage(self) -> np.ndarray:
@@ -541,18 +557,10 @@ class EmbedderParams:
         dup._store = self._store[: len(self._slot)].copy()
         dup._slot = dict(self._slot)
         # the slots cached so far are the copy's too; later entries are not
-        dup._features = dict(self._features)
-        dup._key_ids, dup._key_slots = self._key_ids.copy(), self._key_slots.copy()
-        dup._key_bounds = self._key_bounds.copy()
-        dup._windows = dict(self._windows)
+        dup._features, dup._key_entries = dict(self._features), deepcopy(self._key_entries)
         dup.modified = set(self.modified)
         dup.revision = self.revision
         return dup
-
-
-def _no_keys() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # the flat feature entries of no key: ids, slots and bounds
-    return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
 
 
 def _distinct_per_owner(owner: np.ndarray, ids: np.ndarray, bits: int) -> np.ndarray:
@@ -664,9 +672,7 @@ def _run_sums(
     np.add(head[:k], sums[:k], out=out)
 
 
-def _column_sums(
-    storage: np.ndarray, slots: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
+def _column_sums(storage: np.ndarray, slots: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """np.add.reduceat(storage[slots], starts, axis=0), bit for bit, by
     contiguous whole-row adds.
 
@@ -691,18 +697,11 @@ def _column_sums(
     return out
 
 
-def _entry_sums(storage: np.ndarray, entries: Sequence[Entry]) -> np.ndarray:
-    """The sum of the rows of `storage` that each entry's slots name, one
-    row per entry, in its ids' order. Featurizing can grow and rebind the
-    parameters' storage, so read it only once the entries exist."""
-    _, slots = zip(*entries)
-    counts = np.fromiter(map(len, slots), dtype=np.int64, count=len(slots))
-    return _column_sums(storage, np.concatenate(slots), np.cumsum(counts) - counts)
-
-
-def _embed_columns(params: EmbedderParams, entries: Sequence[Entry]) -> np.ndarray:
-    # the training forward pass: the token rows of a sentence's window entries
-    return np.tanh(_entry_sums(params.storage, entries))
+def _embed_columns(params: EmbedderParams, columns: Columns) -> np.ndarray:
+    # the training forward pass: the token rows of token_columns' entries
+    _, slots, starts = columns
+    sums = _column_sums(params.storage, slots, starts)
+    return np.tanh(sums, out=sums)
 
 
 def embed_sentence(token_matrix: np.ndarray) -> np.ndarray:
@@ -733,10 +732,10 @@ class HashedWindowEmbedder:
     """Trainable embedding provider; its parameters hold all its state.
 
     embed and embed_batch gather the window rows the parameters hold, so
-    providers over the same parameters share them. token_columns hands out
-    a sentence's window entries, the pairs the parameters keep, with no
-    copy: a training step sums them for its forward pass and backprop
-    scatters into their ids.
+    providers over the same parameters share them. token_columns gathers a
+    sentence's window entries from the parameters' flat ones at once: a
+    training step sums them for its forward pass and backprop scatters
+    into their ids.
     """
 
     def __init__(self, params: EmbedderParams | None = None):
@@ -751,10 +750,11 @@ class HashedWindowEmbedder:
         p = self.params
         return f"hashed:d{p.dim}:b{p.n_buckets}:w{p.window}:s{p.seed}:r{p.revision}"
 
-    def token_columns(self, sentence: Sentence) -> list[Entry]:
-        """The window entry of every token of the sentence, in token order;
-        windows not seen before are featurized."""
-        return self.params._window_entries(_windows(sentence.tokens, self.params.window))
+    def token_columns(self, sentence: Sentence) -> Columns:
+        """The window entries of the sentence's tokens, in token order, as
+        (ids, slots, starts): token t owns ids[starts[t] : starts[t + 1]],
+        the last to the end, and their slots, numbered under MAX_HELD_ROWS."""
+        return self.params._window_columns(_windows(sentence.tokens, self.params.window))
 
     def embed(self, sentence: Sentence) -> np.ndarray:
         """The sentence's token rows, read-only: embed_batch([sentence])[0]."""
@@ -768,7 +768,7 @@ class HashedWindowEmbedder:
         return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def backprop(
-        self, sentence: Sentence, entries: Sequence[Entry], d_output: np.ndarray, embeddings: np.ndarray
+        self, sentence: Sentence, entries: Columns, d_output: np.ndarray, embeddings: np.ndarray
     ) -> ColumnGrads:
         """Columnwise loss gradient given d(loss)/d(token embeddings).
 
@@ -800,15 +800,15 @@ class HashedWindowEmbedder:
             )
         if not np.all(np.isfinite(embeddings)):
             raise ValueError(f"sentence {sentence.uid}: embeddings contain non-finite entries")
-        if len(entries) != len(sentence):
+        ids, _, starts = entries
+        if starts.size != len(sentence):
             raise ValueError(
-                f"sentence {sentence.uid}: columns of {len(entries)} tokens, not {len(sentence)}"
+                f"sentence {sentence.uid}: columns of {starts.size} tokens, not {len(sentence)}"
             )
         per_token = d_output * (1.0 - embeddings * embeddings)
-        ids, _ = zip(*entries)
-        uniq, inverse = np.unique(np.concatenate(ids), return_inverse=True)
+        uniq, inverse = np.unique(ids, return_inverse=True)
         grad = np.zeros((uniq.size, self.dim))
-        bounds = list(accumulate(map(len, ids), initial=0))
+        bounds = [*starts.tolist(), ids.size]
         for row, lo, hi in zip(per_token, bounds, bounds[1:]):
             grad[inverse[lo:hi]] += row
         return ColumnGrads(columns=uniq, grad=grad)

@@ -1,22 +1,22 @@
 """Nearest-neighbor retrieval over sentence vectors.
 
 The database is embedded once per provider revision, by build_index, and
-the index is shared by every caller that asks for it again: the tagger,
-the trainer and the sweep. The index owns the dataset it embedded and
-keeps every sentence's token rows in one read-only matrix, sentence after
+the index is shared by every caller that asks for it again: the tagger, the
+trainer and the sweep. The index owns the dataset it embedded and keeps
+every sentence's token rows in one read-only matrix, sentence after
 sentence, with the label of each row beside it and the L2-normalized mean
 of each sentence's rows as the vector that represents it; sentence k is
 index row k. Its rows come from one provider.embed_batch call over the
-whole dataset; the hashed embedder's parameters hold each distinct token
-window's row, a query's too, until the weights move or MAX_HELD_ROWS is
-reached, so a query sums only the windows not held. Queries are exact
-cosine scans with deterministic tie-breaking by ascending sentence id. The
-index also ranks every token's label window, its labels to the end of
-its sentence, in lexicographic order once, so a segment dictionary over
-any retrieved set starts from one sort of ranks. A set of retrieved
-sentences is a list of row positions into that matrix: its layout,
-labels and window ranks are gathered once and its positions grouped by
-label type once, and the caller gathers the token rows it scores, so no
+whole dataset; the hashed embedder's parameters give each distinct token
+window, a query's too, one number for its flat entry and its held row, both
+under one cap, MAX_HELD_ROWS, so a query sums only the windows not held.
+Queries are exact cosine scans with deterministic tie-breaking by ascending
+sentence id. The index also ranks every token's label window, its labels to
+the end of its sentence, in lexicographic order once, so a segment
+dictionary over any retrieved set starts from one sort of ranks. A set of
+retrieved sentences is a list of row positions into that matrix: its
+layout, labels and window ranks are gathered once and its positions grouped
+by label type once, and the caller gathers the token rows it scores, so no
 neighbor is embedded per query and a kept set holds no embedding rows.
 """
 

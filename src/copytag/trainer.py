@@ -7,19 +7,19 @@ into the input sentence's embeddings and reach the weights through the
 sparse tanh backward pass. Neighbor embeddings are treated as constants:
 before each batch one embed_batch call embeds the batch's neighbors under
 the current parameters, which sum only the windows they do not hold and
-drop the held rows at each step. The trainer keeps no embedding rows.
+unhold every row at each step. The trainer keeps no embedding rows.
 Updates use bias-corrected Adam on exactly the columns with nonzero
 gradient.
 
 A training step works on arrays aligned with the EmbedderParams storage
-slots: a sentence's forward pass sums the window entries the parameters
-keep for its tokens, and its backprop, which reads the embedding and the
-entries of that forward pass, is one ColumnGrads block, a batch sums
-the blocks over their union of columns in ascending sentence order, and
-one Adam step updates every touched row at once, with moments kept in
-slot-indexed arrays. Per element the float operations are those of a
-column-at-a-time update, so parameters and checkpoints are the same bit
-for bit.
+slots: a sentence's forward pass sums its window entries, gathered flat
+from the parameters, which keep them under the cap that bounds the rows;
+its backprop, which reads that embedding and those entries, is one
+ColumnGrads block. A batch sums the blocks over their union of columns
+in ascending sentence order, and one Adam step updates every touched row
+at once, with moments kept in slot-indexed arrays. Per element the float
+operations are those of a column-at-a-time update, so parameters and
+checkpoints are the same bit for bit.
 
 Checkpoints are line-oriented text: config as key=value pairs, then one
 line per modified weight column, its values written as repr writes them

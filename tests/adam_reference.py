@@ -93,12 +93,13 @@ def reference_backprop(
     params: EmbedderParams, sentence, d_output: np.ndarray
 ) -> dict[int, np.ndarray]:
     """Backprop as {column: vector}, summed token by token in token order."""
-    entries = HashedWindowEmbedder(params).token_columns(sentence)
-    x = _embed_columns(params, entries)
+    columns = HashedWindowEmbedder(params).token_columns(sentence)
+    x = _embed_columns(params, columns)
     per_token = d_output * (1.0 - x * x)
+    ids, _, starts = columns
     grads: dict[int, np.ndarray] = {}
-    for t, (ids, _) in enumerate(entries):
-        for col in ids.tolist():
+    for t, token_ids in enumerate(np.split(ids, starts[1:])):
+        for col in token_ids.tolist():
             grads.setdefault(col, np.zeros(params.dim))
             grads[col] += per_token[t]
     return grads

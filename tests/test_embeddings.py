@@ -27,7 +27,6 @@ from copytag.synthetic import suffix_corpus
 from adam_reference import reference_backprop
 from conftest import platform_facts
 from embedding_reference import (
-    flat_entries,
     reference_backprop_add_at,
     reference_column_sums,
     reference_embed_columns,
@@ -40,15 +39,22 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 SENT = Sentence(0, ("Alice", "visited", "Paris", "twice", "."))
 
 
+def flat_entries(columns) -> SimpleNamespace:
+    """token_columns' (ids, slots, starts) by name, the ids as `columns`,
+    with each token's count of them."""
+    ids, slots, starts = columns
+    return SimpleNamespace(columns=ids, slots=slots, starts=starts, counts=np.diff(starts, append=ids.size))
+
+
 def columns_of(params: EmbedderParams, sentence: Sentence):
     """The sentence's window entries under `params`, one after another."""
     return flat_entries(HashedWindowEmbedder(params).token_columns(sentence))
 
 
-def entries_of(slots: np.ndarray, starts: np.ndarray) -> list:
+def entries_of(slots: np.ndarray, starts: np.ndarray) -> tuple:
     """Window entries of a made-up layout: token t owns slots[starts[t] :
     starts[t + 1]], which stand for its ids too."""
-    return [(part, part) for part in np.split(slots, starts[1:])]
+    return slots, slots, starts
 
 
 class TestHashing:
@@ -407,7 +413,7 @@ class TestEmbedTokens:
     def test_params_update_changes_embedding(self):
         provider = HashedWindowEmbedder(EmbedderParams(dim=4, n_buckets=64))
         before = provider.embed(SENT).copy()
-        cols = sorted({int(c) for c in flat_entries(provider.token_columns(SENT)).columns})
+        cols = sorted({int(c) for c in provider.token_columns(SENT)[0]})
         set_column(provider.params, cols[0], np.full(4, 3.0))
         after = provider.embed(SENT)
         assert not np.array_equal(before, after)
@@ -717,14 +723,12 @@ class TestCacheSizedForward:
         sentence = suffix_corpus(1, seed=4, min_len=80, max_len=80).items[0].sentence
         provider = HashedWindowEmbedder()
         entries = provider.token_columns(sentence)
-        columns = flat_entries(entries)
+        _, slots, starts = entries
         # an 80-token suffix sentence gathers more rows than one run holds
-        assert columns.slots.size > EMBED_RUN_ROWS
+        assert slots.size > EMBED_RUN_ROWS
         runs = mock.Mock(side_effect=embeddings._run_sums)
         monkeypatch.setattr(embeddings, "_run_sums", runs)
-        expected = reference_embed_columns(
-            provider.params.storage, columns.slots, columns.starts
-        )
+        expected = reference_embed_columns(provider.params.storage, slots, starts)
         assert _bits(provider.embed(sentence)) == _bits(expected)
         assert runs.call_count > 1
         assert _bits(_embed_columns(provider.params, entries)) == _bits(expected)
@@ -807,21 +811,20 @@ class TestSumPlan:
         fresh = HashedWindowEmbedder(EmbedderParams(dim=8, n_buckets=512))
         copied = HashedWindowEmbedder(params.copy())
         # a column only the copy changes
-        moved = flat_entries(provider.token_columns(SENT)).columns[:1]
+        moved = provider.token_columns(SENT)[0][:1]
         copied.params.set_columns(moved, np.full((1, 8), 0.25))
-        assert not np.array_equal(
-            flat_entries(fresh.token_columns(SENT)).slots, flat_entries(provider.token_columns(SENT)).slots
-        )
+        assert not np.array_equal(fresh.token_columns(SENT)[1], provider.token_columns(SENT)[1])
         for p in (provider, fresh, copied):
-            columns = flat_entries(p.token_columns(SENT))
-            np.testing.assert_array_equal(columns.slots, p.params.slots_for(columns.columns))
-            expected = reference_embed_columns(p.params.storage, columns.slots, columns.starts)
+            ids, slots, starts = p.token_columns(SENT)
+            np.testing.assert_array_equal(slots, p.params.slots_for(ids))
+            expected = reference_embed_columns(p.params.storage, slots, starts)
             assert _bits(p.embed(SENT)) == _bits(expected)
         assert _bits(copied.embed(SENT)) != _bits(provider.embed(SENT))
 
     def test_token_columns_are_kept_by_no_one(self):
-        # a training sentence's columns are the window entries the params
-        # keep, handed out with no copy, and nothing else keeps them
+        # a training sentence's columns are gathered for the call from the
+        # entries the params keep: writing them changes nothing there, and
+        # nothing of them outlives the call
         sentences = [item.sentence for item in suffix_corpus(50, seed=6, min_len=40, max_len=40).items]
         assert len({s.tokens for s in sentences}) == 50
         provider = HashedWindowEmbedder()
@@ -831,14 +834,13 @@ class TestSumPlan:
         try:
             before = tracemalloc.get_traced_memory()[0]
             for sentence in sentences:
-                entries = provider.token_columns(sentence)
-                windows = embeddings._windows(sentence.tokens, params.window)
-                for entry, window in zip(entries, windows, strict=True):
-                    assert entry is params._windows[window]
-                    ids, slots = entry
-                    assert not ids.flags.writeable and not slots.flags.writeable
-                    np.testing.assert_array_equal(slots, params.slots_for(ids))
-            del entries, entry, ids, slots
+                ids, slots, starts = provider.token_columns(sentence)
+                assert starts.size == len(sentence)
+                ids.fill(-1)
+                slots.fill(-1)
+                ids, slots, _ = provider.token_columns(sentence)
+                assert np.array_equal(slots, params.slots_for(ids))
+            del ids, slots, starts
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -898,15 +900,17 @@ class TestHeldRows:
         assert len(capacities) >= 3
 
     def test_rows_kept_when_the_buffer_grows(self):
-        # the held rows grow while the store does not: every window of both
-        # wide sentences is featurized before the params hold any, and the
-        # second sentence grows their 128 rows to 256
-        params = EmbedderParams(dim=4, n_buckets=2**12, seed=3)
+        # the held rows grow while the store does not: every key of both
+        # wide sentences is featurized before the params number any window,
+        # and the second sentence grows the first one's 128 rows to 256
+        featurized = EmbedderParams(dim=4, n_buckets=2**12, seed=3)
         wide = [Sentence(k, tokens) for k, tokens in enumerate(WIDE_SENTENCES)]
-        expected = HashedWindowEmbedder(params.copy()).embed_batch(wide)
-        provider = HashedWindowEmbedder(params)
+        expected = HashedWindowEmbedder(featurized.copy()).embed_batch(wide)
         for sentence in wide:
-            provider.token_columns(sentence)
+            HashedWindowEmbedder(featurized).token_columns(sentence)
+        # a copy keeps the feature entries and storage, and no window
+        params = featurized.copy()
+        provider = HashedWindowEmbedder(params)
         store = params.storage.shape[0]
         provider.embed(wide[0])
         assert params._rows.shape[0] == 128
@@ -944,15 +948,16 @@ class TestHeldRows:
 
     def test_provider_keeps_only_its_params(self):
         # a provider holds nothing of its own, and a copy of the parameters
-        # starts with no held rows
+        # starts with no window numbered and no row held
         params = EmbedderParams(dim=8, n_buckets=512)
         provider = HashedWindowEmbedder(params)
         assert vars(provider) == {"params": params}
         rows = provider.embed(SENT)
         dup = params.copy()
-        assert len(params._held) == 5 and dup._held == {}
+        assert len(params._windows) == np.count_nonzero(params._held) == 5
+        assert dup._windows == {} and dup._held.size == 0
         assert _bits(HashedWindowEmbedder(dup).embed(SENT)) == _bits(rows)
-        assert len(dup._held) == 5
+        assert len(dup._windows) == np.count_nonzero(dup._held) == 5
 
 
 class TestTokenByTokenBackward:
@@ -965,7 +970,7 @@ class TestTokenByTokenBackward:
             words = tuple(vocab[int(i)] for i in rng.integers(0, len(vocab), 40))
             sent = Sentence(0, words)
             entries = HashedWindowEmbedder(params).token_columns(sent)
-            assert np.unique(flat_entries(entries).columns, return_counts=True)[1].max() > 1
+            assert np.unique(entries[0], return_counts=True)[1].max() > 1
             d_output = rng.normal(size=(40, 16))
             d_output[rng.random(d_output.shape) < 0.1] = -0.0
             x = HashedWindowEmbedder(params).embed(sent)

@@ -33,7 +33,7 @@ from copytag.retrieval import ZERO_NORM, build_index, checked_embedding
 from copytag.tagging import Tagger
 from copytag.synthetic import toy_ner_corpus
 
-from embedding_reference import flat_entries, reference_embed_columns
+from embedding_reference import reference_embed_columns
 
 WORDS = ("the", "The", "cat", "x", "A1", "e.g.", "42", "Zürich", "東京", "ß", "-")
 # 48 tokens of about 92 ids each at window 0, more at a wider window
@@ -90,10 +90,10 @@ def test_batched_build_matches_per_sentence_embedding(case):
     assert params.storage.shape == fresh.storage.shape
     assert params.storage.tobytes() == fresh.storage.tobytes()
     # every sentence's rows are the reduceat sums of its columns
-    assert flat_entries(provider.token_columns(Sentence(0, LONG))).slots.size > EMBED_RUN_ROWS
+    assert provider.token_columns(Sentence(0, LONG))[1].size > EMBED_RUN_ROWS
     for sid, item in enumerate(db.items):
-        columns = flat_entries(provider.token_columns(item.sentence))
-        expected = reference_embed_columns(params.storage, columns.slots, columns.starts)
+        _, slots, starts = provider.token_columns(item.sentence)
+        expected = reference_embed_columns(params.storage, slots, starts)
         lo, hi = index.row_starts[sid], index.row_starts[sid + 1]
         assert index.token_rows[lo:hi].tobytes() == expected.tobytes()
 
@@ -109,14 +109,13 @@ def test_non_finite_storage_row_names_the_first_sentence(case, data):
     # values moves the revision, so nothing is held and a row poisoned now
     # is read by both paths
     params = provider.params
-    columns = {item.sentence.tokens: flat_entries(provider.token_columns(item.sentence)) for item in db.items}
-    poisoned = data.draw(st.integers(0, len(rows) - 1))
-    slots = columns[rows[poisoned]].slots
+    columns = {item.sentence.tokens: provider.token_columns(item.sentence) for item in db.items}
+    ids, slots, _ = columns[rows[data.draw(st.integers(0, len(rows) - 1))]]
     at = data.draw(st.integers(0, slots.size - 1))
     slot = int(slots[at])
-    params.set_columns(columns[rows[poisoned]].columns[at : at + 1], params.storage[[slot]])
+    params.set_columns(ids[at : at + 1], params.storage[[slot]])
     params.storage[slot, 0] = np.nan
-    first = next(item.sentence for item in db.items if slot in columns[item.sentence.tokens].slots)
+    first = next(item.sentence for item in db.items if slot in columns[item.sentence.tokens][1])
     with pytest.raises(ValueError) as today:
         checked_embedding(HashedWindowEmbedder(params), first)
     with pytest.raises(ValueError) as batched:
@@ -155,7 +154,9 @@ def test_tagger_holds_every_db_window():
     window = provider.params.window
     windows = {w for tokens in distinct for w in embeddings._windows(tokens, window)}
     assert len(windows) < sum(len(item) for item in db.items)
-    assert set(provider.params._held) == windows
+    params = provider.params
+    assert params._windows.keys() == windows
+    assert params._held[list(params._windows.values())].all()
 
     twin = Sentence(1000, db.items[7].sentence.tokens)
     with _nothing_featurized_or_summed():
@@ -193,7 +194,7 @@ def test_held_windows_embed_as_the_per_sentence_path(case, data):
     db = build_dataset([(tokens, ("O",) * len(tokens)) for tokens in rows])
     provider = _provider(window)
     build_index(db, provider)
-    assert flat_entries(provider.token_columns(Sentence(0, WIDE))).slots.size > EMBED_RUN_ROWS
+    assert provider.token_columns(Sentence(0, WIDE))[1].size > EMBED_RUN_ROWS
     db_windows = {w for tokens in rows for w in _token_windows(tokens, window)}
     for uid, tokens in enumerate(queries):
         sentence = Sentence(uid, tokens)
@@ -206,7 +207,7 @@ def test_held_windows_embed_as_the_per_sentence_path(case, data):
 
     # moved weights drop every held row, before and after a new batch
     params = provider.params
-    moved = flat_entries(provider.token_columns(Sentence(0, data.draw(st.sampled_from(rows))))).columns
+    moved = provider.token_columns(Sentence(0, data.draw(st.sampled_from(rows))))[0]
     moved = np.unique(moved)[: data.draw(st.integers(1, 3))]
     values = data.draw(st.sampled_from([0.5, -2.0])) * np.ones((moved.size, params.dim))
     params.set_columns(moved, values)

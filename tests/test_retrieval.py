@@ -256,7 +256,7 @@ class TestIndexMemo:
         db = tiny_db()
         provider = small_provider()
         stale = Tagger(provider, db, 2).index
-        columns = np.concatenate([ids for ids, _ in provider.token_columns(db.items[1].sentence)])
+        columns, _, _ = provider.token_columns(db.items[1].sentence)
         if move == "set_column":
             set_column(provider.params, int(columns[0]), np.full(12, 0.5))
         else:

@@ -1,18 +1,21 @@
 """The embedder's window state is bounded by MAX_HELD_ROWS.
 
-EmbedderParams holds a row for every window embedded since the last
-set_columns, beside the window and feature entries. When a call's new
-windows would take the held rows past MAX_HELD_ROWS, the held rows and
-the window entries are dropped first, and a call holds every window it
-reads, however many. The feature entries grow with the vocabulary, not
-with the stream: a drop keeps them unless they number more than
-MAX_HELD_ROWS keys, so known tokens are not hashed again. With the cap
-forced down to a few dozen rows, so that drops happen all the time,
-tagging, sweeping and fine-tuning must give the bytes they give uncapped,
-and tagging a stream of new sentences must keep the same memory once the
-cap is reached.
+EmbedderParams gives every window it reads one number, which names the
+window's flat entry and its row; the row is held from the window's first
+embedding until set_columns. window_rows and token_columns number windows
+alike, and a call whose windows would take the count past MAX_HELD_ROWS
+while others are numbered first drops every window's entry and row; a
+call numbers every window it reads, however many. So the one cap bounds
+the entries and the rows, in training too. The feature entries grow with
+the vocabulary, not with the stream: a drop keeps them unless they
+number more than MAX_HELD_ROWS keys, so known tokens are not hashed
+again. With the cap forced down to a few dozen windows, so that drops
+happen all the time, tagging, sweeping and fine-tuning must give the
+bytes they give uncapped, and tagging a stream of new sentences must
+keep the same memory once the cap is reached.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -26,7 +29,7 @@ from copytag.synthetic import suffix_corpus, toy_ner_corpus
 from copytag.tagging import DECODE_DP, DECODE_MARGINAL, Tagger
 from copytag.trainer import TrainConfig, fine_tune, save_checkpoint
 
-from embedding_reference import flat_entries, reference_embed_columns
+from embedding_reference import reference_embed_columns
 
 CAP = 64
 
@@ -37,30 +40,44 @@ def _keys(windows):
 
 
 def _assert_state_is_the_held_windows(params: EmbedderParams) -> None:
-    # with no training step, every window entry belongs to a held window:
-    # a drop leaves none of the older ones behind
-    assert set(params._windows) == set(params._held)
-    assert set(params._features) >= _keys(params._held)
+    # with no training step, every numbered window is held: a drop leaves
+    # none of the older ones behind
+    numbers = sorted(params._windows.values())
+    assert numbers == list(range(len(numbers)))
+    assert params._held[numbers].all() and np.count_nonzero(params._held) == len(numbers)
+    assert params._unheld == 0
+    assert set(params._features) >= _keys(params._windows)
 
 
 @pytest.fixture
 def drops(monkeypatch):
-    """Force the cap down to CAP and record, per window_rows call, whether
-    it dropped the window state; a call that holds more leaves at most the
-    cap of rows held, or the windows of that one call."""
+    """Force the cap down to CAP and record, per window_rows and
+    token_columns call, whether it dropped the window state. After every
+    such call at most the cap of windows are numbered, or the windows of
+    that one call."""
     monkeypatch.setattr(embeddings, "MAX_HELD_ROWS", CAP)
-    window_rows = EmbedderParams.window_rows
+    window_rows, token_columns = EmbedderParams.window_rows, HashedWindowEmbedder.token_columns
     seen = []
 
-    def checked(params, windows):
-        entries, held = params._windows, len(params._held)
+    def bounded(params, windows):
+        assert len(params._windows) <= max(embeddings.MAX_HELD_ROWS, len(set(windows)))
+
+    def checked_rows(params, windows):
+        numbered = params._windows
         rows = window_rows(params, windows)
-        seen.append(params._windows is not entries)
-        if len(params._held) != held:
-            assert len(params._held) <= max(embeddings.MAX_HELD_ROWS, len(set(windows)))
+        seen.append(params._windows is not numbered)
+        bounded(params, windows)
         return rows
 
-    monkeypatch.setattr(EmbedderParams, "window_rows", checked)
+    def checked_columns(provider, sentence):
+        numbered = provider.params._windows
+        columns = token_columns(provider, sentence)
+        seen.append(provider.params._windows is not numbered)
+        bounded(provider.params, embeddings._windows(sentence.tokens, provider.params.window))
+        return columns
+
+    monkeypatch.setattr(EmbedderParams, "window_rows", checked_rows)
+    monkeypatch.setattr(HashedWindowEmbedder, "token_columns", checked_columns)
     return seen
 
 
@@ -76,8 +93,8 @@ class TestCappedState:
         provider = HashedWindowEmbedder(_params())
         for item in suffix_corpus(40, seed=8).items:
             rows = provider.embed(item.sentence)
-            columns = flat_entries(provider.token_columns(item.sentence))
-            expected = reference_embed_columns(provider.params.storage, columns.slots, columns.starts)
+            _, slots, starts = provider.token_columns(item.sentence)
+            expected = reference_embed_columns(provider.params.storage, slots, starts)
             assert rows.tobytes() == expected.tobytes()
             _assert_state_is_the_held_windows(provider.params)
         assert sum(drops) >= 3
@@ -87,17 +104,19 @@ class TestCappedState:
         provider = HashedWindowEmbedder(_params())
         wide = Sentence(0, tuple(f"w{i}" for i in range(CAP + 6)))
         first = provider.embed(wide)
-        assert len(provider.params._held) == CAP + 6
+        assert len(provider.params._windows) == np.count_nonzero(provider.params._held) == CAP + 6
         # held past the cap, so embedding it again sums and drops nothing
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(embeddings, "_column_sums", pytest.fail)
             assert provider.embed(wide).tobytes() == first.tobytes()
-        assert drops == [True, False]
-        # the next new window drops them, and the buffer they grew
-        assert provider.params._rows.shape[0] == 2 * CAP
+        assert drops == [False, False]
+        # the buffer they grew stops at them, not at its next doubling; the
+        # next call's window would take them past the cap: a drop, of the
+        # buffer too
+        assert provider.params._rows.shape[0] == CAP + 6
         provider.embed(Sentence(1, ("new",)))
-        assert drops == [True, False, True]
-        assert len(provider.params._held) == 1 and provider.params._rows.shape[0] == CAP
+        assert drops == [False, False, True]
+        assert len(provider.params._windows) == 1 and provider.params._rows.shape[0] == CAP
 
 
 class TestFeatureEntriesOutliveADrop:
@@ -113,10 +132,11 @@ class TestFeatureEntriesOutliveADrop:
         params = provider.params
         first = provider.embed_batch(sentences)
         features = params._features
-        assert len(params._held) > 300 and len(features) == 262
+        assert len(params._windows) > 300 and len(features) == 262
         # a one-token window no sentence has, of a known key: a drop
         provider.embed(Sentence(0, sentences[0].tokens[:1]))
-        assert len(params._held) == 1 and params._windows.keys() == params._held.keys()
+        assert len(params._windows) == 1
+        _assert_state_is_the_held_windows(params)
         if cap < len(features):
             assert params._features is not features
             return
@@ -155,10 +175,10 @@ def _tag_and_sweep():
     return out
 
 
-def _fine_tune() -> str:
+def _fine_tune(train=None) -> str:
     config = TrainConfig(epochs=2, batch_size=4, train_neighbors=4, test_neighbors=4)
     checkpoint = fine_tune(
-        config, suffix_corpus(16, seed=7), dev=suffix_corpus(4, seed=9),
+        config, train or suffix_corpus(16, seed=7), dev=suffix_corpus(4, seed=9),
         provider=HashedWindowEmbedder(_params()),
     )
     return save_checkpoint(checkpoint)
@@ -184,6 +204,43 @@ class TestCapMovesNoByte:
             uncapped = _fine_tune()
         assert not any(drops)
         assert capped == uncapped
+
+
+class TestTrainingStaysWithinTheCap:
+    def test_fine_tune_numbers_at_most_the_cap(self, drops):
+        # every step's set_columns unholds the rows, and the training
+        # sentences' token_columns number windows too: 60 suffix sentences
+        # have 385 windows, and the drops fixture checks that no
+        # window_rows or token_columns call leaves more than the cap of
+        # them numbered, or more than its own
+        train = suffix_corpus(60, seed=3)
+        capped = _fine_tune(train)
+        assert sum(drops) >= 3
+        drops.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embeddings, "MAX_HELD_ROWS", 2**16)
+            uncapped = _fine_tune(train)
+        assert not any(drops)
+        # digests: a diff of two long checkpoints would take minutes
+        assert hashlib.sha256(capped.encode()).hexdigest() == hashlib.sha256(uncapped.encode()).hexdigest()
+
+    def test_a_drop_by_token_columns_between_batches(self, drops):
+        # one embed_batch holds more than the cap of rows; a sentence's
+        # token_columns then drops them, and the next embed_batch gives
+        # their numbers again, to other windows, and must sum them afresh
+        provider = HashedWindowEmbedder(_params())
+        params = provider.params
+        held = [item.sentence for item in suffix_corpus(12, seed=8).items]
+        provider.embed_batch(held)
+        assert len(params._windows) > CAP
+        wide = Sentence(9, tuple(f"w{i}" for i in range(CAP)))
+        provider.token_columns(wide)
+        assert drops == [False, True] and len(params._windows) == CAP
+        sentences = [wide, *held]
+        for sentence, rows in zip(sentences, provider.embed_batch(sentences), strict=True):
+            _, slots, starts = provider.token_columns(sentence)
+            expected = reference_embed_columns(params.storage, slots, starts)
+            assert rows.tobytes() == expected.tobytes()
 
 
 def test_retained_memory_stops_growing(monkeypatch):
