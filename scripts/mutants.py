@@ -533,6 +533,37 @@ MUTANTS = (
         (POOLED, BATCH_BUILD),
     ),
     Mutant(
+        "a non-finite row named by the sentence before its own",
+        "src/copytag/retrieval.py",
+        'owner = int(np.searchsorted(np.cumsum(lengths), row, side="right"))',
+        'owner = int(np.searchsorted(np.cumsum(lengths), row, side="left"))',
+        ("tests/test_retrieval.py::TestBuildIndex::test_non_finite_provider_rejected",),
+    ),
+    Mutant(
+        "provider rows not checked for finiteness",
+        "src/copytag/retrieval.py",
+        "    if not np.isfinite(matrix).all():\n",
+        "    if False:\n",
+        (
+            "tests/test_retrieval.py::TestBuildIndex::test_non_finite_provider_rejected",
+            "tests/test_tagging.py::TestTagger::test_non_finite_query_embedding_rejected",
+        ),
+    ),
+    Mutant(
+        "provider rows kept without a copy",
+        "src/copytag/retrieval.py",
+        "    matrix = np.array(rows, dtype=float)\n",
+        "    matrix = np.asarray(rows, dtype=float)\n",
+        ("tests/test_retrieval.py::TestBuildIndex::test_checked_rows_are_a_read_only_copy",),
+    ),
+    Mutant(
+        "provider rows checked for their row count only",
+        "src/copytag/retrieval.py",
+        "    if matrix.shape != expected:\n",
+        "    if matrix.shape[0] != expected[0]:\n",
+        ("tests/test_retrieval.py::TestBuildIndex::test_first_faulty_sentence_named",),
+    ),
+    Mutant(
         "neighbor tokens grouped by type in reverse order",
         "src/copytag/retrieval.py",
         'np.argsort(flat_labels, kind="stable")',

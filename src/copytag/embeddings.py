@@ -516,8 +516,8 @@ class EmbedderParams:
         rows.setflags(write=False)
         return rows
 
-    def set_columns(self, columns: np.ndarray, values: np.ndarray) -> None:
-        """Overwrite `columns` with `values` at once.
+    def set_columns(self, columns: Sequence[int] | np.ndarray, values: np.ndarray) -> None:
+        """Overwrite `columns`, any integer sequence, with `values` at once.
 
         The one writer of weights: `modified` gains the columns, `revision`
         advances by their count and the held mask is cleared. A non-finite
@@ -526,6 +526,7 @@ class EmbedderParams:
         column not materialized yet takes a slot unseeded, since its values
         are about to be overwritten.
         """
+        columns = np.asarray(columns, dtype=np.int64)
         values = np.asarray(values, dtype=float)
         if values.shape != (len(columns), self.dim):
             raise ValueError(f"column values must have shape ({len(columns)}, {self.dim})")
@@ -536,7 +537,6 @@ class EmbedderParams:
         cols = columns.tolist()
         if len(set(cols)) != len(cols):
             raise ValueError("columns must be unique")
-        columns = np.asarray(columns, dtype=np.int64)
         slots = self._slots_of(columns)
         missing = slots < 0
         slots[missing] = self._new_slots(columns[missing]) + np.arange(np.count_nonzero(missing))
@@ -731,11 +731,12 @@ class ColumnGrads:
 class HashedWindowEmbedder:
     """Trainable embedding provider; its parameters hold all its state.
 
-    embed and embed_batch gather the window rows the parameters hold, so
-    providers over the same parameters share them. token_columns gathers a
-    sentence's window entries from the parameters' flat ones at once: a
-    training step sums them for its forward pass and backprop scatters
-    into their ids.
+    embed_batch returns one matrix per call, the sentences' token rows one
+    after another, gathered from the window rows the parameters hold, so
+    providers over the same parameters share them; embed is a one-sentence
+    embed_batch. token_columns gathers a sentence's window entries from the
+    parameters' flat ones at once: a training step sums them for its
+    forward pass and backprop scatters into their ids.
     """
 
     def __init__(self, params: EmbedderParams | None = None):
@@ -757,15 +758,14 @@ class HashedWindowEmbedder:
         return self.params._window_columns(_windows(sentence.tokens, self.params.window))
 
     def embed(self, sentence: Sentence) -> np.ndarray:
-        """The sentence's token rows, read-only: embed_batch([sentence])[0]."""
-        return self.embed_batch([sentence])[0]
+        """The sentence's token rows, read-only: embed_batch([sentence])."""
+        return self.embed_batch([sentence])
 
-    def embed_batch(self, sentences: Sequence[Sentence]) -> list[np.ndarray]:
-        """The token rows of every sentence, read-only: one window_rows gather."""
+    def embed_batch(self, sentences: Sequence[Sentence]) -> np.ndarray:
+        """One read-only (tokens, dim) matrix, the sentences' token rows one
+        after another: one window_rows gather."""
         w = self.params.window
-        rows = self.params.window_rows(list(chain.from_iterable(_windows(s.tokens, w) for s in sentences)))
-        bounds = list(accumulate(map(len, sentences), initial=0))
-        return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return self.params.window_rows(list(chain.from_iterable(_windows(s.tokens, w) for s in sentences)))
 
     def backprop(
         self, sentence: Sentence, entries: Columns, d_output: np.ndarray, embeddings: np.ndarray

@@ -7,11 +7,13 @@ every sentence's token rows in one read-only matrix, sentence after
 sentence, with the label of each row beside it and the L2-normalized mean
 of each sentence's rows as the vector that represents it; sentence k is
 index row k. Its rows come from one provider.embed_batch call over the
-whole dataset; the hashed embedder's parameters give each distinct token
-window, a query's too, one number for its flat entry and its held row, both
-under one cap, MAX_HELD_ROWS, so a query sums only the windows not held.
-Queries are exact cosine scans with deterministic tie-breaking by ascending
-sentence id. The index also ranks every token's label window, its labels to
+whole dataset, which returns them as one matrix; checked_rows, the one
+check of what a provider returns, copies that matrix as it checks it, as
+it does a query's rows. The hashed embedder's parameters give each
+distinct token window, a query's too, one number for its flat entry and
+its held row, both under one cap, MAX_HELD_ROWS, so a query sums only the
+windows not held. Queries are exact cosine scans with deterministic
+tie-breaking by ascending sentence id. The index also ranks every token's label window, its labels to
 the end of its sentence, in lexicographic order once, so a segment
 dictionary over any retrieved set starts from one sort of ranks. A set of
 retrieved sentences is a list of row positions into that matrix: its
@@ -66,14 +68,15 @@ class NeighborIndex:
 
 def build_index(dataset: Dataset, provider) -> NeighborIndex:
     """Embed every sentence of `dataset` into the index's token rows in one
-    batch, `provider.embed_batch` (the hashed embedder sums each distinct
-    token window once), and mean-pool each sentence's rows into a
-    unit-length sentence vector. The index keeps `dataset`, so a neighbor set needs nothing else.
+    batch, `provider.embed_batch`, one matrix (the hashed embedder sums
+    each distinct token window once), and mean-pool each sentence's rows
+    into a unit-length sentence vector. The index keeps `dataset`, so a
+    neighbor set needs nothing else.
 
     Zero-norm sentence vectors are stored as-is rather than normalized, so
-    query scores them 0. A matrix of the wrong shape or with non-finite
-    entries is rejected, naming the first such sentence, and so is a
-    matrix count other than the sentence count.
+    query scores them 0. The matrix passes checked_rows: one of another
+    shape than (tokens, provider.dim) is rejected, and so is a non-finite
+    entry, naming the first sentence that holds one.
 
     The last index built with each provider is kept while the provider
     lives and returned again for the same Dataset object (a frozen one)
@@ -92,23 +95,26 @@ def build_index(dataset: Dataset, provider) -> NeighborIndex:
     return index
 
 
-def checked_embedding(provider, sentence: Sentence) -> np.ndarray:
-    """`provider.embed(sentence)` as a float matrix, rejected, naming the
-    sentence, unless it has one row per token, the provider's width and
-    only finite entries."""
-    return _checked(provider, sentence, np.array(provider.embed(sentence), dtype=float))
-
-
-def _checked(provider, sentence: Sentence, matrix: np.ndarray) -> np.ndarray:
-    if matrix.shape != (len(sentence), provider.dim):
+def checked_rows(provider, sentences: Sequence[Sentence], rows) -> np.ndarray:
+    """`rows`, what the provider returned for `sentences`, as one read-only
+    float copy, so nothing kept aliases the provider's array: the
+    sentences' token rows, one after another. A shape other than (tokens,
+    provider.dim) is rejected, naming the sentence of a one-sentence call,
+    and so is a non-finite entry, naming the sentence that owns its row."""
+    matrix = np.array(rows, dtype=float)
+    lengths = [len(sentence) for sentence in sentences]
+    expected = (sum(lengths), provider.dim)
+    if matrix.shape != expected:
+        named = f"sentence {sentences[0].uid}" if len(sentences) == 1 else f"{len(sentences)} sentences"
+        raise ValueError(f"{named}: provider returned shape {matrix.shape}, expected {expected}")
+    if not np.isfinite(matrix).all():
+        row = int(np.argmin(np.isfinite(matrix).all(axis=1)))
+        # the sentence whose rows end past the first non-finite one
+        owner = int(np.searchsorted(np.cumsum(lengths), row, side="right"))
         raise ValueError(
-            f"sentence {sentence.uid}: provider returned shape {matrix.shape}, "
-            f"expected {(len(sentence), provider.dim)}"
+            f"sentence {sentences[owner].uid}: provider returned non-finite embeddings"
         )
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError(
-            f"sentence {sentence.uid}: provider returned non-finite embeddings"
-        )
+    matrix.setflags(write=False)
     return matrix
 
 
@@ -118,7 +124,7 @@ def _embed_dataset(dataset: Dataset, provider) -> NeighborIndex:
     row_starts = np.zeros(len(dataset.items) + 1, dtype=np.int64)
     np.cumsum([len(item) for item in dataset.items], out=row_starts[1:])
     sentences = [item.sentence for item in dataset.items]
-    token_rows = _checked_rows(provider, sentences, row_starts, provider.embed_batch(sentences))
+    token_rows = checked_rows(provider, sentences, provider.embed_batch(sentences))
     vectors = _pooled(token_rows, row_starts)
     # np.linalg.norm of a vector is the square root of its x.dot(x)
     norms = np.sqrt([vec.dot(vec) for vec in vectors])
@@ -130,44 +136,11 @@ def _embed_dataset(dataset: Dataset, provider) -> NeighborIndex:
         count=token_rows.shape[0],
     )
     window_ranks = _window_ranks(flat_labels, row_starts)
-    for array in (vectors, token_rows, row_starts, flat_labels, window_ranks):
+    for array in (vectors, row_starts, flat_labels, window_ranks):
         array.setflags(write=False)
     return NeighborIndex(
         dataset, vectors, provider.tag, token_rows, row_starts, flat_labels, window_ranks
     )
-
-
-def _checked_rows(
-    provider, sentences: list[Sentence], row_starts: np.ndarray, matrices
-) -> np.ndarray:
-    """The provider's matrices of `sentences`, one after another, as one
-    float matrix. The first sentence whose matrix is of the wrong shape or
-    holds a non-finite entry is named, with the first of the two faults
-    it has, as checking sentence by sentence would; so is a matrix count
-    other than the sentence count."""
-    if len(matrices) != len(sentences):
-        raise ValueError(
-            f"provider returned {len(matrices)} matrices for {len(sentences)} sentences"
-        )
-    matrices = [np.asarray(matrix, dtype=float) for matrix in matrices]
-    dim = provider.dim
-    # the sentences before `shaped` all have matrices of their shape
-    shaped = len(sentences)
-    for sid, (sentence, matrix) in enumerate(zip(sentences, matrices)):
-        if matrix.shape != (len(sentence), dim):
-            shaped = sid
-            break
-    token_rows = np.empty((int(row_starts[-1]), dim))
-    if shaped:
-        np.concatenate(matrices[:shaped], out=token_rows[: row_starts[shaped]])
-    fault = shaped
-    non_finite = np.flatnonzero(~np.isfinite(token_rows[: row_starts[shaped]]).all(axis=1))
-    if non_finite.size:
-        # the sentence that owns the first non-finite row
-        fault = int(np.searchsorted(row_starts, non_finite[0], side="right")) - 1
-    if fault < len(sentences):
-        _checked(provider, sentences[fault], matrices[fault])
-    return token_rows
 
 
 def _pooled(token_rows: np.ndarray, row_starts: np.ndarray) -> np.ndarray:
@@ -218,7 +191,8 @@ def query(
     """Top `count` sentences by cosine, ties broken by ascending id.
 
     The scan is exact and brute force; an index of fewer than `count`
-    sentences yields them all.
+    sentences yields them all. A query vector of another width than the
+    index's, or with a non-finite entry, is rejected.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -228,6 +202,8 @@ def query(
             f"query vector has shape {q.shape}, index dimension is "
             f"{index.vectors.shape[1]}"
         )
+    if not np.isfinite(q).all():
+        raise ValueError("query vector has non-finite entries")
     norm = float(np.linalg.norm(q))
     if norm < ZERO_NORM:
         scores = np.zeros(len(index))

@@ -2,12 +2,13 @@
 
 A Tagger shares the retrieval index over the database: build_index embeds
 every database sentence once per provider revision, for every caller. Per
-sentence a Tagger embeds only the input, retrieves neighbors, gathers
-their token rows out of the index in one take, forms the copy posterior
-and type marginals, and decodes either by per-token marginal argmax or by
-the segment dynamic program. What it keeps of a sentence (the neighbor
-set, posterior and marginals) holds no index rows, so a kept result does
-not keep the index alive. Swapping the database swaps the output label
+sentence a Tagger embeds only the input, whose matrix passes the one check
+the index's rows pass, retrieval.checked_rows; it then retrieves
+neighbors, gathers their token rows out of the index in one take, forms
+the copy posterior and type marginals, and decodes either by per-token
+marginal argmax or by the segment dynamic program. What it keeps of a
+sentence (the neighbor set, posterior and marginals) holds no index rows,
+so a kept result does not keep the index alive. Swapping the database swaps the output label
 inventory with it, which is all zero-shot transfer requires.
 """
 
@@ -34,7 +35,7 @@ from .retrieval import (
     NeighborSet,
     assemble_neighbor_set,
     build_index,
-    checked_embedding,
+    checked_rows,
     query,
 )
 
@@ -85,7 +86,7 @@ class Tagger:
                 f"provider is now {self.provider.tag!r} but the index was built "
                 f"with {self.index.provider_tag!r}; build a new Tagger"
             )
-        embeddings = checked_embedding(self.provider, sentence)
+        embeddings = checked_rows(self.provider, [sentence], self.provider.embed(sentence))
         ranked = query(self.index, embed_sentence(embeddings), self.n_neighbors)
         neighbors = assemble_neighbor_set(self.index, [sid for sid, _ in ranked])
         rows = self.index.token_rows.take(neighbors.rows, axis=0)

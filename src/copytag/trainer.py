@@ -7,7 +7,9 @@ into the input sentence's embeddings and reach the weights through the
 sparse tanh backward pass. Neighbor embeddings are treated as constants:
 before each batch one embed_batch call embeds the batch's neighbors under
 the current parameters, which sum only the windows they do not hold and
-unhold every row at each step. The trainer keeps no embedding rows.
+unhold every row at each step. The call returns one matrix, which the
+trainer splits into each neighbor's rows by sentence length, as views; it
+keeps no embedding rows past the batch.
 Updates use bias-corrected Adam on exactly the columns with nonzero
 gradient.
 
@@ -240,9 +242,10 @@ def fine_tune(
 
     Before each batch, one embed_batch call embeds the batch's distinct
     neighbors, in first-seen order over the sorted batch, under the
-    current parameters; a sentence's flat neighbor rows are its
-    neighbors' matrices in `neighbors.ids` order. The first batch's call
-    is a gather of the rows the index build left held.
+    current parameters, into one matrix, split by sentence length into
+    each neighbor's rows; a sentence's flat neighbor rows are its
+    neighbors' rows in `neighbors.ids` order. The first batch's call is a
+    gather of the rows the index build left held.
     """
     if provider is None:
         provider = HashedWindowEmbedder()
@@ -281,8 +284,10 @@ def fine_tune(
             # neighbor the batch scores under the parameters it steps from.
             neighbor_ids = chain.from_iterable(neighbor_sets[sid].ids.tolist() for sid in batch)
             distinct = list(dict.fromkeys(neighbor_ids))
-            fresh = provider.embed_batch([train.items[nid].sentence for nid in distinct])
-            matrices = dict(zip(distinct, fresh))
+            sentences = [train.items[nid].sentence for nid in distinct]
+            ends = np.cumsum([len(sentence) for sentence in sentences])
+            # each neighbor's rows, a view of the batch's one matrix
+            matrices = dict(zip(distinct, np.split(provider.embed_batch(sentences), ends[:-1])))
             blocks: list[ColumnGrads] = []
             for sid in batch:
                 item = train.items[sid]

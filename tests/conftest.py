@@ -71,7 +71,7 @@ class RowsProvider:
         return self.matrices[sentence.uid]
 
     def embed_batch(self, sentences):
-        return [self.embed(sentence) for sentence in sentences]
+        return np.concatenate([self.embed(sentence) for sentence in sentences])
 
 
 def index_over(db: Dataset, matrices):

@@ -260,6 +260,22 @@ class TestEmbedderParams:
             p.set_columns(np.array([3, 3]), np.ones((2, 3)))
         assert p.modified == set() and p.revision == 0 and p._slot == {}
 
+    def test_set_columns_takes_a_list(self):
+        # any integer sequence names the columns, with an array's checks
+        p, q = EmbedderParams(dim=3, n_buckets=8), EmbedderParams(dim=3, n_buckets=8)
+        values = np.arange(6, dtype=float).reshape(2, 3)
+        p.set_columns([1, 6], values)
+        q.set_columns(np.array([1, 6]), values)
+        assert p.modified == q.modified == {1, 6} and p.revision == q.revision == 2
+        assert p._slot == q._slot and p.storage.tobytes() == q.storage.tobytes()
+        with pytest.raises(ValueError, match="non-finite values for column 2"):
+            p.set_columns([0, 2], np.array([[0.0] * 3, [np.inf] * 3]))
+        with pytest.raises(ValueError, match="columns must be unique"):
+            p.set_columns([3, 3], np.ones((2, 3)))
+        with pytest.raises(ValueError, match="column 8 outside"):
+            p.set_columns([8], np.ones((1, 3)))
+        assert p.modified == {1, 6} and p.revision == 2
+
     def test_revision_bumps(self):
         p = EmbedderParams(dim=3, n_buckets=8)
         r0 = p.revision
@@ -889,12 +905,13 @@ class TestHeldRows:
                     params.set_columns(moved, params.storage[slots] + arg)
                 continue
             sentences = [Sentence(0, tokens) for tokens in ([arg] if kind == "embed" else arg)]
-            matrices = [provider.embed(sentences[0])] if kind == "embed" else provider.embed_batch(sentences)
-            assert len(matrices) == len(sentences)
-            for sentence, matrix in zip(sentences, matrices):
+            rows = provider.embed(sentences[0]) if kind == "embed" else provider.embed_batch(sentences)
+            bounds = np.cumsum([0, *map(len, sentences)])
+            assert rows.shape == (bounds[-1], params.dim) and not rows.flags.writeable
+            for sentence, lo, hi in zip(sentences, bounds, bounds[1:]):
                 columns = columns_of(params, sentence)
                 expected = reference_embed_columns(params.storage, columns.slots, columns.starts)
-                assert _bits(matrix) == _bits(expected)
+                assert _bits(rows[lo:hi]) == _bits(expected)
                 last = sentence
             capacities.add(params._rows.shape[0])
         assert len(capacities) >= 3
@@ -905,7 +922,7 @@ class TestHeldRows:
         # and the second sentence grows the first one's 128 rows to 256
         featurized = EmbedderParams(dim=4, n_buckets=2**12, seed=3)
         wide = [Sentence(k, tokens) for k, tokens in enumerate(WIDE_SENTENCES)]
-        expected = HashedWindowEmbedder(featurized.copy()).embed_batch(wide)
+        expected = np.split(HashedWindowEmbedder(featurized.copy()).embed_batch(wide), [len(wide[0])])
         for sentence in wide:
             HashedWindowEmbedder(featurized).token_columns(sentence)
         # a copy keeps the feature entries and storage, and no window

@@ -1,7 +1,7 @@
 """build_index embeds its dataset in one batch through embed_batch.
 
-The oracle is the per-sentence path: checked_embedding of each sentence
-with a provider over fresh parameters, pooled by embed_sentence and
+The oracle is the per-sentence path: checked_rows of each sentence's own
+embed, with a provider over fresh parameters, pooled by embed_sentence and
 normalized, and every sentence's rows against the reduceat kernel. The
 batch must give the same token rows, vectors and sentence vectors by
 bytes, and the parameters the same slots in the same order and the same
@@ -29,7 +29,7 @@ from copytag.embeddings import (
     HashedWindowEmbedder,
     embed_sentence,
 )
-from copytag.retrieval import ZERO_NORM, build_index, checked_embedding
+from copytag.retrieval import ZERO_NORM, build_index, checked_rows
 from copytag.tagging import Tagger
 from copytag.synthetic import toy_ner_corpus
 
@@ -77,7 +77,7 @@ def test_batched_build_matches_per_sentence_embedding(case):
 
     index = build_index(db, provider)
 
-    matrices = [checked_embedding(reference, item.sentence) for item in db.items]
+    matrices = [checked_rows(reference, [item.sentence], reference.embed(item.sentence)) for item in db.items]
     vectors = []
     for matrix in matrices:
         vec = embed_sentence(matrix)
@@ -117,7 +117,7 @@ def test_non_finite_storage_row_names_the_first_sentence(case, data):
     params.storage[slot, 0] = np.nan
     first = next(item.sentence for item in db.items if slot in columns[item.sentence.tokens][1])
     with pytest.raises(ValueError) as today:
-        checked_embedding(HashedWindowEmbedder(params), first)
+        checked_rows(provider, [first], HashedWindowEmbedder(params).embed(first))
     with pytest.raises(ValueError) as batched:
         build_index(db, provider)
     assert str(batched.value) == str(today.value)

@@ -50,7 +50,7 @@ class VectorProvider:
         return np.repeat(self.vectors[sentence.uid : sentence.uid + 1], len(sentence), axis=0)
 
     def embed_batch(self, sentences):
-        return [self.embed(sentence) for sentence in sentences]
+        return np.concatenate([self.embed(sentence) for sentence in sentences])
 
 
 class TestBuildIndex:
@@ -74,7 +74,7 @@ class TestBuildIndex:
                 return np.zeros((len(sentence), 3))
 
             def embed_batch(self, sentences):
-                return [self.embed(sentence) for sentence in sentences]
+                return np.concatenate([self.embed(sentence) for sentence in sentences])
 
         index = build_index(tiny_db(), ZeroProvider())
         assert np.array_equal(index.vectors, np.zeros((4, 3)))
@@ -98,56 +98,103 @@ class TestBuildIndex:
             assert not array.flags.writeable
 
     def test_wrong_row_count_rejected(self):
+        # the batch's one matrix is checked whole; a one-sentence call, a
+        # query's or a one-sentence db's, names its sentence
         class OneRowProvider(VectorProvider):
             def embed(self, sentence):
                 return self.vectors[sentence.uid : sentence.uid + 1]
 
-        with pytest.raises(ValueError, match=r"sentence 0: .* shape \(1, 2\)"):
-            build_index(tiny_db(), OneRowProvider(np.ones((4, 2))))
+        vectors = np.ones((4, 2))
+        with pytest.raises(ValueError, match=r"^4 sentences: provider returned shape \(4, 2\), expected \(8, 2\)$"):
+            build_index(tiny_db(), OneRowProvider(vectors))
+        one = build_dataset([(("alpha", "beta"), ("X", "Y"))])
+        with pytest.raises(ValueError, match=r"^sentence 0: provider returned shape \(1, 2\), expected \(2, 2\)$"):
+            build_index(one, OneRowProvider(vectors))
+        tagger = Tagger(VectorProvider(vectors), tiny_db(), 2)
+        tagger.provider = OneRowProvider(vectors)
+        with pytest.raises(ValueError, match=r"^sentence 1: provider returned shape \(1, 2\), expected \(3, 2\)$"):
+            tagger.tag(tiny_db().items[1].sentence)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_provider_rejected(self, value):
+        # a non-finite row names the sentence that owns it: tiny_db's
+        # sentences own rows 0-1, 2-4, 5 and 6-7, and the first and the
+        # last row of each are poisoned alone
+        class PoisonedRow(VectorProvider):
+            def __init__(self, row):
+                super().__init__(np.ones((4, 2)))
+                self.row = row
+
+            def embed_batch(self, sentences):
+                rows = super().embed_batch(sentences)
+                rows[self.row, 1] = value
+                return rows
+
         vectors = np.ones((4, 2))
         vectors[2, 1] = value
         with pytest.raises(ValueError, match="sentence 2"):
             build_index(tiny_db(), VectorProvider(vectors))
+        for sid, rows in enumerate([(0, 1), (2, 4), (5,), (6, 7)]):
+            for row in rows:
+                with pytest.raises(ValueError, match=f"^sentence {sid}: provider returned non-finite embeddings$"):
+                    build_index(tiny_db(), PoisonedRow(row))
 
     def test_first_faulty_sentence_named(self):
-        # a mis-shaped middle sentence, then a non-finite sentence before a
-        # mis-shaped one: the first faulty sentence is named, by its fault
+        # the shape is checked on the whole matrix, before any entry; a
+        # non-finite entry names the sentence that owns it, the first such
+        # sentence when there are more
         class FaultyProvider(VectorProvider):
-            def __init__(self, faults):
+            def __init__(self, poisoned, reshaped=None):
                 super().__init__(np.ones((4, 2)))
-                self.faults = faults
+                self.poisoned, self.reshaped = poisoned, reshaped
 
             def embed(self, sentence):
                 matrix = super().embed(sentence)
-                fault = self.faults.get(sentence.uid)
-                if fault == "shape":
-                    return matrix[:, :1]
-                if fault == "both":
-                    return np.full((len(sentence) + 1, 2), np.nan)
-                if fault == "nan":
+                if sentence.uid in self.poisoned:
                     matrix[-1, 0] = np.nan
                 return matrix
 
+            def embed_batch(self, sentences):
+                rows = super().embed_batch(sentences)
+                return rows if self.reshaped is None else self.reshaped(rows)
+
         cases = [
-            ({2: "shape"}, r"^sentence 2: provider returned shape \(1, 1\), expected \(1, 2\)$"),
-            ({1: "nan", 3: "shape"}, "^sentence 1: provider returned non-finite embeddings$"),
-            ({1: "shape", 3: "nan"}, r"^sentence 1: provider returned shape \(3, 1\)"),
-            ({1: "both", 2: "nan"}, r"^sentence 1: provider returned shape \(4, 2\)"),
+            ({2}, lambda rows: rows[:, :1], r"^4 sentences: provider returned shape \(8, 1\), expected \(8, 2\)$"),
+            ({1}, lambda rows: rows[:-1], r"^4 sentences: provider returned shape \(7, 2\)"),
+            ({1}, lambda rows: np.vstack([rows, rows[:1]]), r"^4 sentences: provider returned shape \(9, 2\)"),
+            (set(), np.ravel, r"^4 sentences: provider returned shape \(16,\)"),
+            ({1, 3}, None, "^sentence 1: provider returned non-finite embeddings$"),
+            ({3, 2}, None, "^sentence 2: provider returned non-finite embeddings$"),
         ]
-        for faults, message in cases:
+        for poisoned, reshaped, message in cases:
             with pytest.raises(ValueError, match=message):
-                build_index(tiny_db(), FaultyProvider(faults))
+                build_index(tiny_db(), FaultyProvider(poisoned, reshaped))
 
     def test_missing_matrix_rejected(self):
+        # a row short, or a list of per-sentence matrices: the wrong shape
         class ShortProvider(VectorProvider):
             def embed_batch(self, sentences):
                 return super().embed_batch(sentences)[:-1]
 
-        with pytest.raises(ValueError, match="^provider returned 3 matrices for 4 sentences$"):
+        class ListProvider(VectorProvider):
+            def embed_batch(self, sentences):
+                return [self.embed(sentence) for sentence in sentences]
+
+        with pytest.raises(ValueError, match=r"^4 sentences: provider returned shape \(7, 2\), expected \(8, 2\)$"):
             build_index(tiny_db(), ShortProvider(np.ones((4, 2))))
+        db = build_dataset([(("alpha", "beta"), ("X", "Y"))] * 3)
+        with pytest.raises(ValueError, match=r"^3 sentences: provider returned shape \(3, 2, 2\), expected \(6, 2\)$"):
+            build_index(db, ListProvider(np.ones((3, 2))))
+
+    def test_checked_rows_are_a_read_only_copy(self):
+        # nothing the index or an analysis keeps aliases the provider's array
+        sentence = tiny_db().items[0].sentence
+        rows = np.arange(4, dtype=np.float32).reshape(2, 2)
+        for given in (rows, rows.astype(float)):
+            checked = retrieval.checked_rows(VectorProvider(np.ones((1, 2))), [sentence], given)
+            assert checked.dtype == np.float64 and checked.tolist() == given.tolist()
+            assert not checked.flags.writeable and given.flags.writeable
+            assert not np.shares_memory(checked, given)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 128])
     def test_pooled_equals_the_mean_of_each_sentence(self, dim):
@@ -232,7 +279,7 @@ class SlottedProvider:
         return np.repeat(self.vectors[sentence.uid : sentence.uid + 1], len(sentence), axis=0)
 
     def embed_batch(self, sentences):
-        return [self.embed(sentence) for sentence in sentences]
+        return np.concatenate([self.embed(sentence) for sentence in sentences])
 
 
 class UnhashableProvider(VectorProvider):
@@ -365,6 +412,13 @@ class TestQuery:
         got = query(index, np.zeros(6), count=5)
         assert [sid for sid, _ in got] == [0, 1, 2, 3, 4]
         assert all(score == 0.0 for _, score in got)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, rng, value):
+        index, _ = self._index(rng)
+        for q in (np.full(6, value), np.where(np.arange(6) == 2, value, 1.0)):
+            with pytest.raises(ValueError, match="^query vector has non-finite entries$"):
+                query(index, q, count=3)
 
     def test_dim_mismatch(self, rng):
         index, _ = self._index(rng)

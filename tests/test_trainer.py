@@ -358,7 +358,7 @@ class TestFineTune:
             fresh = HashedWindowEmbedder(provider.params.copy()).embed_batch(
                 [train.items[nid].sentence for nid in neighbors.ids.tolist()]
             )
-            assert neighbor_rows.tobytes() == np.concatenate(fresh).tobytes()
+            assert neighbor_rows.tobytes() == fresh.tobytes()
             checked.append(neighbors.ids.tolist())
             return grad_wrt_input(posterior, neighbors, labels, neighbor_rows)
 
